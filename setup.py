@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Setuptools build script for the optional compiled flavour.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-fully offline environments whose pip/setuptools cannot build PEP 660
-editable wheels (no ``wheel`` package available).  All metadata lives in
-``pyproject.toml``.
+There is no ``pyproject.toml`` and no package metadata here: the
+repository runs from a checkout with ``PYTHONPATH=src``, and this file
+exists for ``python setup.py build_ext --inplace`` (the ``tests-compiled``
+CI job).
 
 When mypyc is available the event-core drain loop
 (``repro.network._drain``) and the callback-plane hot paths

@@ -21,11 +21,7 @@ writing any Python:
   ``--shard-index I/K``) with per-cell retries, timeouts and journaled
   resume (``--retries``, ``--timeout``, ``--journal``/``--resume``), and
   dump the results as JSON (``--cache DIR`` memoizes cells on their spec
-  digest, so re-runs are served from disk without simulating anything);
-* ``bench`` — the perf benchmark harness: times the selection and
-  consistency-checking hot paths against their pre-index baselines,
-  the streaming consistency monitor, fork-heavy protocol runs, a Table-1
-  sweep and a cold/warm cached sweep, and writes ``BENCH_<date>.json``.
+  digest, so re-runs are served from disk without simulating anything).
 
 Every command resolves system names through the protocol registry and
 routes runs through the experiment engine (:mod:`repro.engine`), so a
@@ -72,7 +68,6 @@ from repro.engine import (
     spec_digest,
 )
 from repro.engine.executors import INJECTION_KINDS
-from repro.engine.bench import available_scenarios, run_bench, write_report
 from repro.network.faults import available_faults
 from repro.network.topology import available_topologies
 from repro.protocols.classification import reproduce_table1
@@ -351,39 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
             "memoize cells on their spec digest under DIR "
             f"(default {DEFAULT_CACHE_DIR!r}); cached cells are served from "
             "disk byte-identically, with zero simulator events"
-        ),
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="perf benchmark harness; writes BENCH_<date>.json for the perf trajectory",
-    )
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument(
-        "--scenario",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help=(
-            "run only the named scenarios/sections instead of the full suite; "
-            "filtered reports record the filter under 'scenario_filter'. "
-            f"Available: {', '.join(available_scenarios())}"
-        ),
-    )
-    bench.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep scenario")
-    bench.add_argument("--out-dir", default=".", help="directory BENCH_<date>.json is written to")
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="small scenario sizes (CI smoke); timings are not comparable to full runs",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run each scenario section under cProfile and print a top-25 "
-            "cumulative-time table per section (also recorded in the JSON); "
-            "profiled timings/speedups are inflated and not comparable"
         ),
     )
 
@@ -992,56 +954,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     return f"{table}\n\n{summary}"
 
 
-def _cmd_bench(args: argparse.Namespace) -> str:
-    try:
-        report = run_bench(
-            seed=args.seed,
-            quick=args.quick,
-            jobs=args.jobs,
-            profile=args.profile,
-            scenarios=args.scenario,
-        )
-    except UnknownVocabularyError as error:
-        # Unknown --scenario names surface the uniform vocabulary error;
-        # re-raise as a clean CLI failure instead of a traceback.  (Other
-        # exceptions keep their tracebacks — they are bugs, not usage.)
-        raise SystemExit(f"repro bench: error: {error}") from None
-    path = write_report(report, args.out_dir)
-
-    rows: List[List[object]] = []
-    for name, data in sorted(report["scenarios"].items()):
-        # Fast-path scenarios: timed against an in-run reference baseline.
-        fast_key = next(
-            (k for k in ("indexed_seconds", "batched_seconds") if k in data), None
-        )
-        if fast_key is not None:
-            seconds = data[fast_key]
-            baseline = f"{data['reference_seconds']:.3f}s"
-            speedup = f"{data['speedup']:.1f}x"
-        elif "cold_seconds" in data:
-            seconds = data["warm_seconds"]
-            baseline = f"{data['cold_seconds']:.3f}s"
-            speedup = f"{data['speedup']:.1f}x" if data["speedup"] else "-"
-        else:
-            seconds = data["seconds"]
-            baseline = "-"
-            speedup = "-"
-        rows.append([name, f"{seconds:.3f}s", baseline, speedup])
-    table = render_table(
-        ["scenario", "seconds", "baseline", "speedup"],
-        rows,
-        title=f"Perf bench — seed={args.seed}{' (quick)' if args.quick else ''}",
-    )
-    sections = [table]
-    for name, entry in sorted(report.get("profiles", {}).items()):
-        sections.append(
-            f"profile [{name}] — scenarios: {', '.join(entry['scenarios'])}\n"
-            f"{entry['top25_cumulative'].rstrip()}"
-        )
-    sections.append(f"wrote {path}")
-    return "\n\n".join(sections)
-
-
 _COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "table1": _cmd_table1,
     "classify": _cmd_classify,
@@ -1050,7 +962,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "figures": _cmd_figures,
     "fork-sweep": _cmd_fork_sweep,
     "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
 }
 
 

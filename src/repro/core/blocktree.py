@@ -45,7 +45,9 @@ __all__ = ["BlockTree", "UnknownParentError", "DuplicateBlockError", "DEFAULT_IN
 #: preallocated numpy columns maintained by the compiled callback plane
 #: (:func:`repro.network._hotpath.tree_append_index`); ``"reference"``
 #: keeps the pre-PR10 per-block dicts verbatim — the equivalence oracle
-#: the bench's pure/scalar legs and the column tests run against.
+#: the reference-plane leg of ``tests/network/test_core_equivalence.py``
+#: and the column tests (``tests/core/test_blocktree_columns.py``) run
+#: against.
 DEFAULT_INDEX = "columns"
 
 _INDEX_MODES = ("columns", "reference")

@@ -26,10 +26,12 @@ and divergence / ``mcps`` / chain scores become O(1) index queries — so a
 criterion check is near-linear in the history size (plus the size of the
 violation report itself, which both implementations must materialize).
 The pre-index implementations are kept verbatim as the ``_Reference*``
-oracles below: the randomized equivalence tests assert the rewritten
+oracles below: the randomized equivalence tests
+(``tests/core/test_consistency_equivalence.py``) assert the rewritten
 checkers reproduce their verdicts, violation strings and ``details``
-byte-for-byte, and the perf bench (``python -m repro bench``) times them
-as the in-run baseline.
+byte-for-byte.  The indexed checkers are timed by the ledger rows
+``core.consistency.{strong_fork,strong_chain,eventual}_s``
+(``benchmarks/ledger``).
 
 Finite-prefix interpretation
 ----------------------------
@@ -526,11 +528,11 @@ def check_eventual_consistency(
 # ---------------------------------------------------------------------------
 #
 # These reproduce, verbatim, the original O(R²·L) checker code that
-# compared materialized chains pair by pair.  They exist for two consumers
-# only: the randomized equivalence tests use them as oracles for the
+# compared materialized chains pair by pair.  They exist for one consumer
+# only: the randomized equivalence tests
+# (tests/core/test_consistency_equivalence.py) use them as oracles for the
 # indexed checkers above (verdicts, violation strings and ``details`` must
-# match byte-for-byte), and the perf bench harness (repro.engine.bench)
-# times them as the in-run baseline.  Do not "optimize" them.
+# match byte-for-byte).  Do not "optimize" them.
 
 
 @dataclass(frozen=True)
@@ -709,7 +711,7 @@ def _reference_strong_consistency(
     validator: Optional[BlockValidator] = None,
     stall_threshold: Optional[int] = None,
 ) -> ConsistencyReport:
-    """SC through the brute-force oracles (equivalence tests and bench)."""
+    """SC through the brute-force oracles (the equivalence tests)."""
     scorer = score if score is not None else LengthScore()
     results = (
         _ReferenceBlockValidityChecker(validator).check(history),
@@ -727,7 +729,7 @@ def _reference_eventual_consistency(
     stall_threshold: Optional[int] = None,
     require_all_pairs: bool = False,
 ) -> ConsistencyReport:
-    """EC through the brute-force oracles (equivalence tests and bench)."""
+    """EC through the brute-force oracles (the equivalence tests)."""
     scorer = score if score is not None else LengthScore()
     results = (
         _ReferenceBlockValidityChecker(validator).check(history),

@@ -35,8 +35,8 @@ from repro.core.block import Blockchain
 #: True (see :func:`reference_recording`) the recorder keeps routing its
 #: replication events through the retained pure-Python
 #: ``_reference_replication`` body instead of the compiled callback
-#: plane's fast path — the oracle leg of the bench and the equivalence
-#: tests.
+#: plane's fast path — the oracle leg of the equivalence tests
+#: (``tests/network/test_core_equivalence.py``).
 _REFERENCE_RECORDING = False
 
 

@@ -24,8 +24,9 @@ for the weight score, subtree weights for GHOST) and only build the one
 winning chain — then memoize it against the tree's ``version`` counter,
 so repeated ``read()`` / tip queries between mutations cost O(1).  The
 original brute-force implementations are kept as ``_reference_*`` oracles
-for the randomized equivalence tests and as the pre-index baseline the
-perf bench (``python -m repro bench``) measures against.
+for the randomized equivalence tests
+(``tests/core/test_selection_equivalence.py``); the indexed rules are
+timed by the ledger row ``core.selection.select_s`` (``benchmarks/ledger``).
 """
 
 from __future__ import annotations
@@ -304,10 +305,9 @@ class FixedTipSelection:
 #
 # These reproduce, verbatim, the original O(leaves × depth) selection code
 # that rebuilt every root-to-leaf chain per call (and scored each chain
-# twice).  They exist for two consumers only: the randomized equivalence
-# tests (tests/core/test_selection_equivalence.py) use them as oracles, and
-# the perf bench harness (repro.engine.bench) times them as the in-run
-# baseline the indexed rules are compared against.  Do not "optimize" them.
+# twice).  They exist for one consumer only: the randomized equivalence
+# tests (tests/core/test_selection_equivalence.py) use them as oracles for
+# the indexed rules.  Do not "optimize" them.
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ models goes through:
   :class:`CheckpointWriter`, and checkpoint-aware spec execution;
 * :mod:`repro.engine.cache` — :class:`ResultCache`, the content-addressed
   memoization store keyed on ``ExperimentSpec.to_json()`` (wired into
-  :class:`SweepRunner` and the CLI's ``--cache`` flag);
-* :mod:`repro.engine.bench` — the perf benchmark harness behind
-  ``python -m repro bench`` (emits ``BENCH_<date>.json``).
+  :class:`SweepRunner` and the CLI's ``--cache`` flag).
+
+Performance is measured from outside the package, by ``benchmarks/ledger``
+(declared in ``BENCHMARK.json``).
 
 Typical use::
 

@@ -596,13 +596,7 @@ class PoolExecutor(Executor):
 
     def _poll_one(self, task, proc, conn, deadline) -> Optional[AttemptOutcome]:
         """One non-blocking look at an in-flight worker; ``None`` = still running."""
-        message = None
-        if conn.poll():
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                message = None
-        elif proc.is_alive():
+        if not conn.poll() and proc.is_alive():
             if deadline is not None and time.monotonic() > deadline:
                 pid = proc.pid
                 proc.terminate()
@@ -622,6 +616,15 @@ class PoolExecutor(Executor):
                     ),
                 )
             return None
+        # Read the pipe only now, after is_alive(): a worker that reports
+        # and exits between the poll above and is_alive() is not alive but
+        # left its message behind, and must not be taken for dead.
+        message = None
+        if conn.poll():
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                message = None
         proc.join()
         conn.close()
         exitcode = proc.exitcode

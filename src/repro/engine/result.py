@@ -211,7 +211,8 @@ def analyse_run(
         "virtual_duration": spec.duration,
     }
     if getattr(run.network.simulator, "callback_timer", None) is not None:
-        # Callback profiling enabled (repro bench --profile / timed_callbacks):
+        # Callback profiling enabled (timed_callbacks, as in the ledger's
+        # network.simulator.callback_s / drain_s rows):
         # surface how much of the drain loop was spent inside user callbacks.
         network_dict["callback_seconds"] = run.network.simulator.callback_seconds
         network_dict["drain_seconds"] = run.network.simulator.drain_seconds
@@ -220,7 +221,8 @@ def analyse_run(
     population = getattr(run, "population", None)
     if population is not None:
         # Population workload attached: surface the client-op volume and
-        # the generator's share of the run (the workload benches' floor).
+        # the generator's share of the run (bounded under 15% by
+        # tests/workload/test_population.py).
         network_dict["client_ops"] = population.total_ops
         timings["workload_generation_seconds"] = population.generation_seconds
 

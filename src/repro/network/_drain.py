@@ -48,8 +48,8 @@ def drain_events(core, sim, until, max_events):
 
     When ``sim.callback_timer`` is set (``timed_callbacks()`` profiling),
     each dispatch is bracketed with the timer and accumulated onto
-    ``sim.callback_seconds`` — that is the numerator of the bench's
-    ``callback_share`` metric.
+    ``sim.callback_seconds`` — the ledger row
+    ``network.simulator.callback_s``.
     """
     processed = 0
     overflow = core._overflow

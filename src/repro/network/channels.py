@@ -27,7 +27,8 @@ receiver and is **stream-identical** to the equivalent sequence of scalar
 element, exactly as the scalar calls do, so a batched multicast and a
 per-recipient loop produce the same delays from the same seed.  The
 scalar loop is kept as :func:`_reference_delays_for`, the equivalence
-oracle the stream tests and the simulation benches compare against.
+oracle the stream tests (``tests/network/test_channel_batching.py``)
+compare against.
 """
 
 from __future__ import annotations

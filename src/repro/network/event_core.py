@@ -52,7 +52,6 @@ __all__ = [
     "EVENT_DTYPE",
     "NO_ARG",
     "COMPILED_MODULES",
-    "DRAIN_COMPILED",
 ]
 
 class _NoArgType:
@@ -81,16 +80,13 @@ def _is_compiled(module) -> bool:
 
 #: Per-module report of which hot-path flavour is live: True when the
 #: import resolved to a compiled extension (mypyc build), False under
-#: the pure-Python fallback.  ``repro bench`` records this dict and the
-#: compiled-flavour CI job asserts every value is True.
+#: the pure-Python fallback.  ``benchmarks/ledger/run.py`` records this
+#: dict in every run's fingerprint and the compiled-flavour CI job asserts
+#: every value is True.
 COMPILED_MODULES = {
     "_drain": _is_compiled(_drain),
     "_hotpath": _is_compiled(_hotpath),
 }
-
-#: Backwards-compatible alias (pre-PR10 name) for the drain-loop entry
-#: of :data:`COMPILED_MODULES`.
-DRAIN_COMPILED = COMPILED_MODULES["_drain"]
 
 EVENT_DTYPE = np.dtype(
     [("time", "f8"), ("seq", "i8"), ("method", "i2"), ("arg", "i8")]

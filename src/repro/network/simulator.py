@@ -26,10 +26,12 @@ draws all its channel delays in one batched call
 :meth:`Simulator.schedule_many` bulk-inserts the resulting deliveries.
 The pre-batching scalar fan-out is kept verbatim as
 ``Network._reference_broadcast`` (constructed with ``batched=False``), the
-equivalence oracle the history tests and the ``simulation_*`` bench
-scenarios compare against: both paths consume the channel generators
-identically and assign queue sequence numbers in the same receiver order,
-so the recorded histories are bit-identical.
+equivalence oracle the history tests
+(``tests/network/test_simulation_equivalence.py``) compare against; the
+batched plane is timed by the ledger row
+``network.simulator.gossip_msgs_per_s``.  Both paths consume the channel
+generators identically and assign queue sequence numbers in the same
+receiver order, so the recorded histories are bit-identical.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ __all__ = ["Simulator", "Message", "Network", "MULTICAST", "timed_callbacks"]
 
 #: Module toggle read at :class:`Simulator` construction: when True, the
 #: run loops bracket every callback dispatch with ``perf_counter`` and
-#: accumulate ``callback_seconds`` / ``drain_seconds`` — the inputs of
-#: the bench's ``callback_share`` metric.  Off by default (two timer
-#: calls per event are measurable noise on the hot path).
+#: accumulate ``callback_seconds`` / ``drain_seconds`` — the ledger rows
+#: ``network.simulator.callback_s`` / ``network.simulator.drain_s``.  Off
+#: by default (two timer calls per event are measurable noise on the hot
+#: path).
 _TIMED_CALLBACKS = False
 
 
@@ -78,10 +81,11 @@ _TIMED_CALLBACKS = False
 def timed_callbacks():
     """Enable per-callback timing on simulators created in this scope.
 
-    ``repro bench --profile`` wraps its measurement leg with this to
-    record what share of the drain is spent inside callbacks (the
-    ``callback_share`` trajectory number); tests and normal runs never
-    pay the timer overhead.
+    The ledger's ``probe_flood_cell`` (``benchmarks/ledger/probes.py``)
+    wraps one flood cell with this to record what share of the drain is
+    spent inside callbacks (``network.simulator.callback_s`` over
+    ``network.simulator.drain_s``); normal runs never pay the timer
+    overhead.
     """
     global _TIMED_CALLBACKS
     previous = _TIMED_CALLBACKS
@@ -448,8 +452,9 @@ class Network:
 
     ``batched=False`` routes every fan-out through the pre-batching scalar
     path (one ``delay_for`` call and one closure per recipient) — the
-    reference oracle the equivalence tests and the ``simulation_*`` bench
-    scenarios compare the batched plane against.
+    reference oracle the equivalence tests
+    (``tests/network/test_simulation_equivalence.py``) compare the batched
+    plane against.
 
     ``topology`` decides who hears a ``broadcast`` (see
     :mod:`repro.network.topology`): the default :class:`FullMesh` keeps

@@ -183,8 +183,9 @@ class GossipFanout(Topology):
     (the determinism tests assert this).  Combined with the LRC relay
     (forward once on first reception) this is exactly how Bitcoin-style
     networks achieve reliable dissemination with per-node cost ``O(k)``
-    instead of ``O(n)`` — the fan-out-vs-flood trade the
-    ``simulation_gossip_fanout`` bench scenario measures.
+    instead of ``O(n)`` — the fan-out-vs-flood trade that
+    ``tests/engine/test_topology_spec.py::TestBuild::test_execute_with_topology``
+    bounds (message volume strictly below full flood).
     """
 
     static = False
@@ -218,9 +219,9 @@ class Committee(Topology):
     learn decided blocks) while non-members only reach the committee
     (clients submit upward, they do not flood the network).  With
     ``include_observers=False`` the committee closes entirely: members
-    reach only members — the "committee-only dissemination" regime the
-    ``simulation_sharded_committee`` bench scenario measures against full
-    flood.
+    reach only members — the "committee-only dissemination" regime that
+    ``tests/engine/test_topology_spec.py::TestBuild::test_execute_with_topology``
+    bounds against the open committee.
 
     ``members`` may be given explicitly; otherwise the first
     ``ceil(fraction * n)`` registered processes form the committee, which

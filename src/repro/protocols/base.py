@@ -339,7 +339,7 @@ class RunResult:
     monitor: Optional[ConsistencyMonitor] = field(default=None, repr=False)
     #: The vectorized client population that fed the run, when
     #: :func:`run_protocol` scheduled one (``clients=...``); carries the
-    #: generation timings the workload benches record.
+    #: generation timings ``RunResult.timings`` records.
     population: Optional[ClientPopulation] = field(default=None, repr=False)
     #: The degradation monitor that tracked divergence depth online, when
     #: the run injected a registered fault model (``fault=...``).

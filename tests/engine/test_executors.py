@@ -149,6 +149,46 @@ class TestPoolExecutor:
         assert outcome.status == "died"
         assert outcome.error_type == "WorkerDied"
 
+    def test_worker_that_reports_then_exits_between_the_two_reads_is_not_dead(self):
+        """Regression: ``_poll_one`` reads ``conn.poll()`` and then
+        ``proc.is_alive()``; a worker that reports and exits between the
+        two was declared ``WorkerDied`` with exit code 0."""
+        (spec,) = small_specs(1)
+        task = CellTask.for_spec(0, spec)
+        result = spec.execute()
+
+        class ExitedProc:
+            pid = 4242
+            exitcode = 0
+
+            def is_alive(self):
+                return False
+
+            def join(self):
+                pass
+
+            def close(self):
+                pass
+
+        class LateConn:
+            """Empty at the first poll, holding the report at the second."""
+
+            def __init__(self):
+                self.polls = iter([False, True])
+
+            def poll(self):
+                return next(self.polls)
+
+            def recv(self):
+                return ("ok", result.to_json())
+
+            def close(self):
+                pass
+
+        outcome = PoolExecutor(jobs=1)._poll_one(task, ExitedProc(), LateConn(), None)
+        assert outcome.status == "ok", outcome.error_message
+        assert stable(outcome.result) == stable(result)
+
     def test_killed_workers_do_not_leak_fds(self):
         """Regression: a long flaky sweep kills many workers on timeout;
         each kill must release both pipe ends and the Process sentinel,

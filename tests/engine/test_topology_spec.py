@@ -108,24 +108,50 @@ class TestBuild:
         kwargs = spec.build_kwargs()
         assert isinstance(kwargs["topology"], Sharded)
 
-    def test_execute_with_topology(self):
-        record = ExperimentSpec(
-            protocol="bitcoin",
-            replicas=5,
-            duration=20.0,
-            seed=2,
-            params={"token_rate": 0.4},
-            topology=TopologySpec("gossip", params={"fanout": 2}),
-        ).execute()
-        assert record.network["messages_sent"] > 0
-        full = ExperimentSpec(
-            protocol="bitcoin",
-            replicas=5,
-            duration=20.0,
-            seed=2,
-            params={"token_rate": 0.4},
-        ).execute()
-        assert record.network["messages_sent"] < full.network["messages_sent"]
+    @pytest.mark.parametrize(
+        "base, topology",
+        [
+            pytest.param(
+                dict(protocol="bitcoin", replicas=5, duration=20.0, seed=2,
+                     params={"token_rate": 0.4}),
+                TopologySpec("gossip", params={"fanout": 2}),
+                id="gossip",
+            ),
+            # LRC relays bridge the shard gateways, so the sharded run
+            # still disseminates real blocks everywhere.
+            pytest.param(
+                dict(protocol="bitcoin", replicas=10, duration=40.0, seed=7,
+                     channel=ChannelSpec(
+                         kind="synchronous", params={"delta": 3.0, "min_delay": 0.5}
+                     ),
+                     params={"token_rate": 0.4}),
+                TopologySpec("sharded", params={"shards": 3, "cross_links": 1}),
+                id="sharded",
+            ),
+            # Committee-only dissemination against the default (open)
+            # committee, which also serves the observers.
+            pytest.param(
+                dict(protocol="redbelly", replicas=9, duration=60.0, seed=7),
+                TopologySpec(
+                    "committee",
+                    params={
+                        "members": [f"p{i}" for i in range(4)],
+                        "include_observers": False,
+                    },
+                ),
+                id="committee-only",
+            ),
+        ],
+    )
+    def test_execute_with_topology(self, base, topology):
+        """A restricted topology sends strictly fewer messages than the
+        unrestricted run of the same spec (which converges), and still
+        disseminates real blocks."""
+        unrestricted = ExperimentSpec(**base).execute()
+        restricted = ExperimentSpec(**base, topology=topology).execute()
+        assert 0 < restricted.network["messages_sent"] < unrestricted.network["messages_sent"]
+        assert unrestricted.convergence["agreement_ratio"] == 1.0
+        assert restricted.forks["mean_blocks"] > 1.0
 
 
 class TestGrid:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.selection import HeaviestChain
 from repro.network.channels import SynchronousChannel
-from repro.network.event_core import COMPILED_MODULES, DRAIN_COMPILED
+from repro.network.event_core import COMPILED_MODULES
 from repro.network.process import Process
 from repro.network.simulator import Network, Simulator
 from repro.oracle.tape import TapeFamily
@@ -210,5 +210,3 @@ def test_overriding_on_message_disables_dup_skip():
 def test_compiled_modules_report_shape():
     assert set(COMPILED_MODULES) == {"_drain", "_hotpath"}
     assert all(isinstance(flag, bool) for flag in COMPILED_MODULES.values())
-    # Back-compat alias used by the pre-PR10 floor assertions.
-    assert DRAIN_COMPILED is COMPILED_MODULES["_drain"]

@@ -15,7 +15,7 @@ callback plane: the live leg (array core, batch dispatch, hot-path
 recorder, columnar block index) is additionally checked against the
 fully retained pure/scalar plane (heap core, per-message dispatch,
 ``reference_recording()`` recorder, ``DEFAULT_INDEX="reference"`` dict
-index) — the same oracle leg the perf bench times against.
+index).  This module is the only place that oracle leg is assembled.
 """
 
 from __future__ import annotations
@@ -204,8 +204,7 @@ def test_histories_identical_live_vs_reference_plane(kind: str):
 
     Live = array core + batch dispatch + hot-path recorder + columnar
     index.  Oracle = heap core + per-message dispatch + reference
-    recorder + dict index — every PR 10 fast path swapped out at once,
-    exactly the leg the perf bench times against.
+    recorder + dict index — every PR 10 fast path swapped out at once.
     """
     live = _run(kind, seed=9, core="array", faulty=False)
     oracle = _run(kind, seed=9, core="heap", faulty=False, batched=False, reference=True)

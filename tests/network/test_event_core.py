@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.errors import UnknownVocabularyError
 from repro.network.event_core import (
-    DRAIN_COMPILED,
     EVENT_DTYPE,
     NO_ARG,
     ArrayEventCore,
@@ -60,9 +59,9 @@ def test_event_dtype_shape():
 
 
 def test_pure_python_fallback_is_live():
-    """No compiler in this environment: the drain loop must be the
-    pure-Python module, and everything still works through it."""
-    assert DRAIN_COMPILED is False
+    """The drain loop is the pure-Python module unless mypyc built the
+    extension (``COMPILED_MODULES`` reports which, see
+    ``test_batch_dispatch.py``); everything works through either."""
     sim = Simulator(core="array")
     fired = []
     sim.schedule(1.0, lambda: fired.append("x"))

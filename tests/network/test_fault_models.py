@@ -182,6 +182,8 @@ class TestHealingAdversaries:
         assert len(tips) == 1
         assert result.replicas["p4"].alive and result.replicas["p5"].alive
         network = result.network
+        # Deliveries in flight to the departed replicas are absorbed.
+        assert network.messages_quarantined > 0
         assert network.messages_sent == (
             network.messages_delivered
             + network.messages_dropped

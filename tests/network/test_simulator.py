@@ -6,7 +6,7 @@ import pytest
 
 from repro.network.channels import SynchronousChannel
 from repro.network.process import Process
-from repro.network.simulator import Message, Network, Simulator
+from repro.network.simulator import Message, Network, Simulator, timed_callbacks
 
 
 class Echo(Process):
@@ -360,6 +360,20 @@ class TestBatchedReferenceEquivalence:
             ]
         assert batched_net.simulator.events_processed == reference_net.simulator.events_processed
         assert batched_net.simulator.now == reference_net.simulator.now
+
+
+class TestTimedCallbacks:
+    @pytest.mark.parametrize("core", ["array", "heap"])
+    def test_callback_time_is_a_share_of_the_drain(self, core: str):
+        """Simulators built under ``timed_callbacks()`` time every callback
+        inside the drain they are part of; others never start a timer."""
+        with timed_callbacks():
+            timed = Simulator(core=core)
+        for i in range(50):
+            timed.schedule(float(i), lambda: sum(range(200)))
+        assert timed.run() == 50
+        assert 0.0 < timed.callback_seconds <= timed.drain_seconds
+        assert Simulator(core=core).callback_timer is None
 
 
 class TestRunUntilClockAdvance:

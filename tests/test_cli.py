@@ -251,26 +251,6 @@ class TestSweepCommand:
         assert all(cell["cell_failure"] for cell in payload["cells"])
 
 
-class TestBenchCommand:
-    def test_bench_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.command == "bench"
-        assert args.out_dir == "."
-        assert not args.quick
-
-    def test_bench_quick_writes_artifact_and_prints_speedups(self, capsys, tmp_path):
-        assert main(["bench", "--quick", "--out-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "Perf bench" in out
-        assert "selection_ghost_fork_heavy" in out
-        artifacts = list(tmp_path.glob("BENCH_*.json"))
-        assert len(artifacts) == 1
-        import json
-        payload = json.loads(artifacts[0].read_text())
-        assert payload["schema"] == "repro.bench/1"
-        assert payload["quick"] is True
-
-
 class TestMonitorFlags:
     def test_classify_monitor_prints_streaming_verdicts(self, capsys):
         assert main([
@@ -438,44 +418,6 @@ class TestFaultFlags:
             }
             for cell in payload["cells"]
         )
-
-
-class TestBenchScenarioFilter:
-    def test_parser_default_is_full_suite(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.scenario is None
-
-    def test_single_scenario_runs_only_its_section(self, capsys, tmp_path):
-        assert main([
-            "bench", "--quick", "--scenario", "selection",
-            "--out-dir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "selection_ghost_fork_heavy" in out
-        # Filtered runs write a .partial artifact so they can never
-        # clobber the same-day full trajectory point.
-        artifact = next(tmp_path.glob("BENCH_*"))
-        assert artifact.name.endswith(".partial.json")
-        payload = json.loads(artifact.read_text())
-        assert set(payload["scenarios"]) == {
-            "selection_longest_fork_heavy",
-            "selection_heaviest_fork_heavy",
-            "selection_ghost_fork_heavy",
-        }
-        assert payload["scenario_filter"] == ["selection"]
-
-    def test_scenario_name_selects_its_section(self, capsys, tmp_path):
-        assert main([
-            "bench", "--quick", "--scenario", "table1_sweep",
-            "--out-dir", str(tmp_path),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(next(tmp_path.glob("BENCH_*.json")).read_text())
-        assert set(payload["scenarios"]) == {"table1_sweep"}
-
-    def test_unknown_scenario_lists_the_vocabulary(self):
-        with pytest.raises(SystemExit, match="unknown bench scenario 'warp'"):
-            main(["bench", "--quick", "--scenario", "warp"])
 
 
 class TestCheckpointFlags:
