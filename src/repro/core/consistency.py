@@ -8,30 +8,34 @@ the BT-ADT, each a conjunction of properties:
 * **BT Eventual Consistency (EC)** = Block Validity ∧ Local Monotonic Read ∧
   Ever Growing Tree ∧ Eventual Prefix.
 
-Every property checker below returns a :class:`PropertyResult` carrying a
-boolean verdict *and* the witnesses of any violation (the offending events
-and chains), because the theorem-level benches and the examples want to
-show *why* a history fails, not merely that it does.
+Every property checker below returns a :class:`PropertyResult`: the
+verdict, the number of violations (``count``) and the first
+:data:`WITNESS_LIMIT` of them in words (the offending events and chains),
+because the theorem-level benches and the examples want to show *why* a
+history fails, not merely that it does.
 
 Performance
 -----------
 
-The checkers are evaluated on every classified run, and the original
-implementations compared chains element-by-element for every pair of
-reads — O(R²·L) on a history with R reads of chain length L, which made
-analysing a long run cost far more than simulating it.  They now share a
-:class:`~repro.core.consistency_index.ConsistencyIndex`: all read results
-are merged into one analysis tree, chains are represented by their tips,
-and divergence / ``mcps`` / chain scores become O(1) index queries — so a
-criterion check is near-linear in the history size (plus the size of the
-violation report itself, which both implementations must materialize).
-The pre-index implementations are kept verbatim as the ``_Reference*``
-oracles below: the randomized equivalence tests
-(``tests/core/test_consistency_equivalence.py``) assert the rewritten
-checkers reproduce their verdicts, violation strings and ``details``
-byte-for-byte.  The indexed checkers are timed by the ledger rows
+The checkers run on every classified run.  Compared chain by chain, the
+pair properties cost O(R²·L) on R reads of chain length L; they now share
+a :class:`~repro.core.consistency_index.ConsistencyIndex` — all read
+results merged into one analysis tree, chains represented by their tips,
+divergence / ``mcps`` / chain scores O(1) queries — and *count* instead of
+enumerating, on violating histories too.  Strong Prefix takes all pairs
+minus the comparable ones (tip multiplicities accumulated root-first);
+Eventual Prefix tests each diverging pair of final reads once against the
+running maximum of the scores read before it, the rule the streaming
+monitor decides by, and counts with one offline dominance sweep.  A check
+is O(R·log V + P²) for V blocks and P processes, and a result holds at
+most :data:`WITNESS_LIMIT` strings however many pairs violate: the first
+ones in the brute-force order, found without visiting the others.  The
+brute-force checkers are the oracle of
+``tests/core/test_consistency_equivalence.py``
+(``tests/core/reference_consistency.py``): verdict, count, witnesses and
+``details`` must match exactly.  The ledger rows
 ``core.consistency.{strong_fork,strong_chain,eventual}_s``
-(``benchmarks/ledger``).
+(``benchmarks/ledger``) time the checkers.
 
 Finite-prefix interpretation
 ----------------------------
@@ -58,15 +62,19 @@ DESIGN.md §5):
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.block import Block, Blockchain
-from repro.core.consistency_index import ConsistencyIndex
+from repro.core.block import Block
+from repro.core.consistency_index import ConsistencyIndex, count_exceeding_before
 from repro.core.history import Event, History
-from repro.core.score import LengthScore, ScoreFunction, mcps
+from repro.core.score import LengthScore, ScoreFunction
 
 __all__ = [
+    "WITNESS_LIMIT",
     "PropertyResult",
     "ConsistencyReport",
     "BlockValidityChecker",
@@ -78,19 +86,29 @@ __all__ = [
     "BTEventualConsistency",
     "check_strong_consistency",
     "check_eventual_consistency",
+    "check_consistency",
 ]
 
 BlockValidator = Callable[[Block], bool]
 
+#: How many violations a :class:`PropertyResult` words; ``count`` has all.
+WITNESS_LIMIT = 10
+
 
 @dataclass(frozen=True)
 class PropertyResult:
-    """Verdict of a single consistency property on a history."""
+    """Verdict of a single consistency property on a history.
+
+    ``count`` is the number of violations and ``violations`` words the
+    first :data:`WITNESS_LIMIT` of them, in the order a brute-force
+    enumeration meets them.
+    """
 
     name: str
     holds: bool
     violations: Tuple[str, ...] = ()
     details: Dict[str, object] = field(default_factory=dict)
+    count: int = 0
 
     def __bool__(self) -> bool:
         return self.holds
@@ -98,10 +116,26 @@ class PropertyResult:
     def describe(self) -> str:
         status = "OK" if self.holds else "VIOLATED"
         lines = [f"{self.name}: {status}"]
-        lines.extend(f"  - {v}" for v in self.violations[:10])
-        if len(self.violations) > 10:
-            lines.append(f"  ... and {len(self.violations) - 10} more")
+        lines.extend(f"  - {v}" for v in self.violations[:WITNESS_LIMIT])
+        if self.count > WITNESS_LIMIT:
+            lines.append(f"  ... and {self.count - WITNESS_LIMIT} more")
         return "\n".join(lines)
+
+
+class _Witnesses:
+    """Every violation counted, the first :data:`WITNESS_LIMIT` worded."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.texts: List[str] = []
+
+    def add(self, text: str) -> None:
+        self.count += 1
+        if self.count <= WITNESS_LIMIT:
+            self.texts.append(text)
+
+    def result(self, name: str, details: Optional[Dict[str, object]] = None) -> PropertyResult:
+        return PropertyResult(name, not self.count, tuple(self.texts), details or {}, self.count)
 
 
 @dataclass(frozen=True)
@@ -202,7 +236,7 @@ class BlockValidityChecker:
             assert parent is not None
             path_bad[block_id] = path_bad[parent] + (1 if bad else 0)
 
-        violations: List[str] = []
+        found = _Witnesses()
         for read in history.read_responses():
             if path_bad.get(index.read_tip(read.eid), 0) == 0:
                 continue
@@ -212,22 +246,22 @@ class BlockValidityChecker:
                 if block.is_genesis:
                     continue
                 if validator is not None and not is_valid(block):
-                    violations.append(
+                    found.add(
                         f"read {read.eid} at {read.process} returned invalid "
                         f"block {block.block_id}"
                     )
                 first_append = index.first_append(block.block_id)
                 if first_append is None:
-                    violations.append(
+                    found.add(
                         f"read {read.eid} at {read.process} returned block "
                         f"{block.block_id} that was never appended"
                     )
                 elif first_append >= read.eid:
-                    violations.append(
+                    found.add(
                         f"read {read.eid} at {read.process} returned block "
                         f"{block.block_id} appended only later (event {first_append})"
                     )
-        return PropertyResult(self.name, not violations, tuple(violations))
+        return found.result(self.name)
 
 
 @dataclass(frozen=True)
@@ -242,30 +276,30 @@ class LocalMonotonicReadChecker:
         self, history: History, index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        violations: List[str] = []
+        found = _Witnesses()
         for process in history.processes:
             reads = history.read_responses(process)
             scores = [index.score_of_read(r, self.score) for r in reads]
             for k in range(len(reads) - 1):
                 s_earlier, s_later = scores[k], scores[k + 1]
                 if s_earlier > s_later:
-                    violations.append(
+                    found.add(
                         f"process {process}: read {reads[k].eid} scored {s_earlier} "
                         f"but later read {reads[k + 1].eid} scored {s_later}"
                     )
-        return PropertyResult(self.name, not violations, tuple(violations))
+        return found.result(self.name)
 
 
 @dataclass(frozen=True)
 class StrongPrefixChecker:
     """Strong Prefix: every pair of read results is prefix-related.
 
-    Fast path: the property holds iff every distinct tip lies on one root
-    path of the analysis tree — verified by sorting the tips by height
-    and checking consecutive ancestry (ancestry is transitive), O(R log R)
-    instead of O(R²·L).  Only when that fails does the checker fall back
-    to the pairwise sweep, with O(1) divergence tests, to reproduce the
-    reference violation list exactly.
+    The verdict and the count come from one pass over the analysis tree
+    (:meth:`ConsistencyIndex.diverging_pair_count`), O(V + R).  Only a
+    violated history pays for witnesses: a backward sweep tells how many
+    later reads diverge from each read, so the enumeration in reference
+    order (``i`` then ``j`` ascending) skips the reads with none and stops
+    scanning a read once its pairs are all found.
     """
 
     name: str = "strong-prefix"
@@ -276,20 +310,27 @@ class StrongPrefixChecker:
         index = _shared_index(history, index)
         reads = history.read_responses()
         tips = [index.read_tip(r.eid) for r in reads]
-        if index.tips_totally_ordered(tips):
-            return PropertyResult(self.name, True, ())
+        count = index.diverging_pair_count(tips)
+        if not count:
+            return PropertyResult(self.name, True)
+        witnesses = islice(self._witnesses(reads, tips, index), WITNESS_LIMIT)
+        return PropertyResult(self.name, False, tuple(witnesses), count=count)
 
-        violations: List[str] = []
-        for i in range(len(reads)):
-            tip_i = tips[i]
-            for j in range(i + 1, len(reads)):
-                if not index.prefix_related(tip_i, tips[j]):
-                    violations.append(
+    @staticmethod
+    def _witnesses(
+        reads: Sequence[Event], tips: Sequence[str], index: ConsistencyIndex
+    ) -> Iterator[str]:
+        for i, pending in enumerate(index.later_diverging_counts(tips)):
+            j = i
+            while pending:
+                j += 1
+                if not index.prefix_related(tips[i], tips[j]):
+                    pending -= 1
+                    yield (
                         f"reads {reads[i].eid} ({reads[i].process}) and "
                         f"{reads[j].eid} ({reads[j].process}) returned diverging "
                         f"chains {reads[i].chain} vs {reads[j].chain}"
                     )
-        return PropertyResult(self.name, not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -328,7 +369,7 @@ class EverGrowingTreeChecker:
                 suffix_max[i] = running
             running = scores[i] if running is None or scores[i] > running else running
 
-        violations: List[str] = []
+        found = _Witnesses()
         stalled: Dict[int, int] = {}
         for i, read in enumerate(reads):
             if i == n - 1:
@@ -339,16 +380,11 @@ class EverGrowingTreeChecker:
             count = n - 1 - i
             stalled[read.eid] = count
             if self.stall_threshold is not None and count >= self.stall_threshold:
-                violations.append(
+                found.add(
                     f"read {read.eid} at {read.process} (score {s}) is followed "
                     f"by {count} reads none of which exceeds its score"
                 )
-        return PropertyResult(
-            self.name,
-            not violations,
-            tuple(violations),
-            details={"stalled_reads": stalled},
-        )
+        return found.result(self.name, {"stalled_reads": stalled})
 
 
 @dataclass(frozen=True)
@@ -366,21 +402,17 @@ class EventualPrefixChecker:
     the lag is transient, and exempting it is what keeps the finite-prefix
     interpretation consistent with Theorem 3.1, ``H_SC ⊆ H_EC``.)
 
-    Setting ``require_all_pairs=True`` strengthens the check to *every*
-    pair of later reads (not just the limit reads); that stricter variant
-    rejects any history with a transient fork and is used in tests to
-    discriminate the two interpretations.
-
-    The default mode runs as one backward sweep maintaining the limit
-    views: each process's limit read is fixed the first time the sweep
-    meets it, and the candidate *order* (first occurrence of each process
-    among the later reads, matching the reference oracle's insertion
-    order) is a move-to-front list.  Divergence tests are O(1) and the
-    shared-prefix scores come off the LCA indexes, memoized per tip pair.
+    A process's limit read after ``r`` is its *final* read, as long as it
+    reads after ``r`` at all, so the pairs to test are the diverging pairs
+    of final reads, once each: read ``i`` sees such a pair iff ``i`` comes
+    before both, and objects iff it outscores their shared prefix
+    (:meth:`ConsistencyIndex.eventual_prefix_breaches`).  The count is a
+    dominance count over those pairs; the witnesses follow the reference
+    order — reads ascending, pairs by each process's first read after the
+    read — visiting only reads that do object.
     """
 
     score: ScoreFunction = field(default_factory=LengthScore)
-    require_all_pairs: bool = False
 
     name: str = "eventual-prefix"
 
@@ -389,61 +421,68 @@ class EventualPrefixChecker:
     ) -> PropertyResult:
         index = _shared_index(history, index)
         reads = history.read_responses()
-        n = len(reads)
         scores = [index.score_of_read(r, self.score) for r in reads]
-        tips = {r.eid: index.read_tip(r.eid) for r in reads}
-        pair_memo: Dict[Tuple[str, str], float] = {}
-
-        def pair_mcps(a: Event, b: Event) -> float:
-            tip_a, tip_b = tips[a.eid], tips[b.eid]
-            key = (tip_a, tip_b) if tip_a <= tip_b else (tip_b, tip_a)
-            value = pair_memo.get(key)
-            if value is None:
-                value = pair_memo[key] = index.mcps_of_tips(
-                    tip_a, tip_b, self.score, chains=(a.chain, b.chain)
-                )
-            return value
-
-        if self.require_all_pairs:
-            candidates_for = None  # sliced lazily below: every later read
-        else:
-            # Backward sweep: limit[p] is p's last read in the suffix (set
-            # once), ``order`` tracks processes by first occurrence in the
-            # suffix (move-to-front on prepend).
-            limit: Dict[str, Event] = {}
-            order: List[str] = []
-            candidates_for = [()] * n
-            for i in range(n - 1, -1, -1):
-                candidates_for[i] = tuple(limit[p] for p in order)
-                prepended = reads[i]
-                process = prepended.process
-                if process not in limit:
-                    limit[process] = prepended
-                    order.insert(0, process)
-                elif order[0] != process:
-                    order.remove(process)
-                    order.insert(0, process)
-
-        violations: List[str] = []
+        positions: Dict[str, List[int]] = {}  # per process, where it reads
+        ceilings: List[Tuple[int, float]] = []  # increase points of the running maximum
         for i, read in enumerate(reads):
-            candidates = reads[i + 1 :] if candidates_for is None else candidates_for[i]
-            if not candidates:
-                continue
+            positions.setdefault(read.process, []).append(i)
+            if not ceilings or scores[i] > ceilings[-1][1]:
+                ceilings.append((i, scores[i]))
+        limits = [(own[-1], index.read_tip(reads[own[-1]].eid)) for own in positions.values()]
+        chain_of = {tip: reads[i].chain for i, tip in limits}
+
+        def shared_score(a: str, b: str) -> float:
+            return index.mcps_of_tips(a, b, self.score, chains=(chain_of[a], chain_of[b]))
+
+        # Shared score per breached pair, keyed by its two final reads in
+        # order: the pair is seen by the reads before the first of them.
+        breached = {
+            tuple(sorted((limits[x][0], limits[y][0]))): shared
+            for x, y, shared in index.eventual_prefix_breaches(
+                limits, ceilings, shared_score, index.prefix_related
+            )
+        }
+        if not breached:
+            return PropertyResult(self.name, True)
+        count = count_exceeding_before(
+            scores, [(cut, shared) for (cut, _), shared in breached.items()]
+        )
+        witnesses = islice(self._witnesses(reads, scores, positions, breached), WITNESS_LIMIT)
+        return PropertyResult(self.name, False, tuple(witnesses), count=count)
+
+    @staticmethod
+    def _witnesses(
+        reads: Sequence[Event],
+        scores: Sequence[float],
+        positions: Dict[str, List[int]],
+        breached: Dict[Tuple[int, ...], float],
+    ) -> Iterator[str]:
+        # floor[i]: the lowest shared score among the breached pairs read i
+        # sees; read i objects to some pair iff it scores above.
+        floor = [math.inf] * len(reads)
+        for (cut, _), shared in breached.items():
+            floor[cut - 1] = min(floor[cut - 1], shared)
+        for i in range(len(reads) - 2, -1, -1):
+            floor[i] = min(floor[i], floor[i + 1])
+        for i, read in enumerate(reads):
             s = scores[i]
-            for x in range(len(candidates)):
-                tip_x = tips[candidates[x].eid]
-                for y in range(x + 1, len(candidates)):
-                    a, b = candidates[x], candidates[y]
-                    if index.prefix_related(tip_x, tips[b.eid]):
-                        continue
-                    shared = pair_mcps(a, b)
-                    if shared < s:
-                        violations.append(
+            if not s > floor[i]:
+                continue
+            # Final reads of the processes still reading, by first read after i.
+            still_reading = sorted(
+                (own[bisect_right(own, i)], own[-1]) for own in positions.values() if own[-1] > i
+            )
+            finals = [last for _, last in still_reading]
+            for x, first in enumerate(finals):
+                for second in finals[x + 1 :]:
+                    shared = breached.get((first, second) if first < second else (second, first))
+                    if shared is not None and shared < s:
+                        a, b = reads[first], reads[second]
+                        yield (
                             f"after read {read.eid} (score {s}), reads {a.eid} "
                             f"({a.process}) and {b.eid} ({b.process}) share a prefix "
                             f"of score only {shared}"
                         )
-        return PropertyResult(self.name, not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +490,29 @@ class EventualPrefixChecker:
 # ---------------------------------------------------------------------------
 
 
+_Common = Tuple[PropertyResult, PropertyResult, PropertyResult]
+
+
+def _common_results(
+    criterion: BTStrongConsistency | BTEventualConsistency,
+    history: History,
+    index: ConsistencyIndex,
+) -> _Common:
+    """Block Validity, Local Monotonic Read, Ever Growing Tree: what SC and EC share."""
+    return (
+        BlockValidityChecker(criterion.validator).check(history, index),
+        LocalMonotonicReadChecker(criterion.score).check(history, index),
+        EverGrowingTreeChecker(criterion.score, criterion.stall_threshold).check(history, index),
+    )
+
+
 @dataclass(frozen=True)
 class BTStrongConsistency:
     """The BT Strong Consistency criterion (Definition 3.2).
 
     The four property checkers share one union index built from the
-    history (callers holding an index already — e.g. the classifier
-    evaluating both criteria — pass it in to skip the rebuild).
+    history (callers holding an index already pass it in to skip the
+    rebuild; :func:`check_consistency` evaluates both criteria at once).
     """
 
     score: ScoreFunction = field(default_factory=LengthScore)
@@ -468,13 +523,16 @@ class BTStrongConsistency:
         self, history: History, index: Optional[ConsistencyIndex] = None
     ) -> ConsistencyReport:
         index = _shared_index(history, index)
-        results = (
-            BlockValidityChecker(self.validator).check(history, index),
-            LocalMonotonicReadChecker(self.score).check(history, index),
-            StrongPrefixChecker().check(history, index),
-            EverGrowingTreeChecker(self.score, self.stall_threshold).check(history, index),
+        return self._report(_common_results(self, history, index), history, index)
+
+    def _report(
+        self, common: _Common, history: History, index: ConsistencyIndex
+    ) -> ConsistencyReport:
+        validity, monotonic, growing = common
+        strong_prefix = StrongPrefixChecker().check(history, index)
+        return ConsistencyReport(
+            "BT Strong Consistency", (validity, monotonic, strong_prefix, growing)
         )
-        return ConsistencyReport("BT Strong Consistency", results)
 
 
 @dataclass(frozen=True)
@@ -484,19 +542,18 @@ class BTEventualConsistency:
     score: ScoreFunction = field(default_factory=LengthScore)
     validator: Optional[BlockValidator] = None
     stall_threshold: Optional[int] = None
-    require_all_pairs: bool = False
 
     def check(
         self, history: History, index: Optional[ConsistencyIndex] = None
     ) -> ConsistencyReport:
         index = _shared_index(history, index)
-        results = (
-            BlockValidityChecker(self.validator).check(history, index),
-            LocalMonotonicReadChecker(self.score).check(history, index),
-            EverGrowingTreeChecker(self.score, self.stall_threshold).check(history, index),
-            EventualPrefixChecker(self.score, self.require_all_pairs).check(history, index),
-        )
-        return ConsistencyReport("BT Eventual Consistency", results)
+        return self._report(_common_results(self, history, index), history, index)
+
+    def _report(
+        self, common: _Common, history: History, index: ConsistencyIndex
+    ) -> ConsistencyReport:
+        eventual_prefix = EventualPrefixChecker(self.score).check(history, index)
+        return ConsistencyReport("BT Eventual Consistency", (*common, eventual_prefix))
 
 
 def check_strong_consistency(
@@ -523,218 +580,19 @@ def check_eventual_consistency(
     ).check(history)
 
 
-# ---------------------------------------------------------------------------
-# Reference oracles — the pre-index brute-force implementations
-# ---------------------------------------------------------------------------
-#
-# These reproduce, verbatim, the original O(R²·L) checker code that
-# compared materialized chains pair by pair.  They exist for one consumer
-# only: the randomized equivalence tests
-# (tests/core/test_consistency_equivalence.py) use them as oracles for the
-# indexed checkers above (verdicts, violation strings and ``details`` must
-# match byte-for-byte).  Do not "optimize" them.
-
-
-@dataclass(frozen=True)
-class _ReferenceBlockValidityChecker:
-    """Brute-force oracle: revalidate every block of every read."""
-
-    validator: Optional[BlockValidator] = None
-
-    name: str = "block-validity"
-
-    def check(self, history: History) -> PropertyResult:
-        violations: List[str] = []
-        appended: Dict[str, int] = {}
-        for inv in history.append_invocations():
-            block = inv.argument
-            if isinstance(block, Block):
-                # Earliest append invocation time for each block id.
-                appended.setdefault(block.block_id, inv.eid)
-
-        for read in history.read_responses():
-            chain = read.chain
-            for block in chain:
-                if block.is_genesis:
-                    continue
-                if self.validator is not None and not self.validator(block):
-                    violations.append(
-                        f"read {read.eid} at {read.process} returned invalid "
-                        f"block {block.block_id}"
-                    )
-                first_append = appended.get(block.block_id)
-                if first_append is None:
-                    violations.append(
-                        f"read {read.eid} at {read.process} returned block "
-                        f"{block.block_id} that was never appended"
-                    )
-                elif first_append >= read.eid:
-                    violations.append(
-                        f"read {read.eid} at {read.process} returned block "
-                        f"{block.block_id} appended only later (event {first_append})"
-                    )
-        return PropertyResult(self.name, not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
-class _ReferenceLocalMonotonicReadChecker:
-    """Brute-force oracle: rescore both chains of every consecutive pair."""
-
-    score: ScoreFunction = field(default_factory=LengthScore)
-
-    name: str = "local-monotonic-read"
-
-    def check(self, history: History) -> PropertyResult:
-        violations: List[str] = []
-        for process in history.processes:
-            reads = history.read_responses(process)
-            for earlier, later in zip(reads, reads[1:]):
-                s_earlier = self.score(earlier.chain)
-                s_later = self.score(later.chain)
-                if s_earlier > s_later:
-                    violations.append(
-                        f"process {process}: read {earlier.eid} scored {s_earlier} "
-                        f"but later read {later.eid} scored {s_later}"
-                    )
-        return PropertyResult(self.name, not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
-class _ReferenceStrongPrefixChecker:
-    """Brute-force oracle: element-wise chain comparison per read pair."""
-
-    name: str = "strong-prefix"
-
-    def check(self, history: History) -> PropertyResult:
-        violations: List[str] = []
-        reads = history.read_responses()
-        for i in range(len(reads)):
-            chain_i = reads[i].chain
-            for j in range(i + 1, len(reads)):
-                chain_j = reads[j].chain
-                if chain_i.diverges_from(chain_j):
-                    violations.append(
-                        f"reads {reads[i].eid} ({reads[i].process}) and "
-                        f"{reads[j].eid} ({reads[j].process}) returned diverging "
-                        f"chains {chain_i} vs {chain_j}"
-                    )
-        return PropertyResult(self.name, not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
-class _ReferenceEverGrowingTreeChecker:
-    """Brute-force oracle: rescan the whole read list per read."""
-
-    score: ScoreFunction = field(default_factory=LengthScore)
-    stall_threshold: Optional[int] = None
-
-    name: str = "ever-growing-tree"
-
-    def check(self, history: History) -> PropertyResult:
-        violations: List[str] = []
-        stalled: Dict[int, int] = {}
-        reads = history.read_responses()
-        scores = [self.score(r.chain) for r in reads]
-        for i, read in enumerate(reads):
-            s = scores[i]
-            later = [
-                (other, scores[j])
-                for j, other in enumerate(reads)
-                if history.precedes(read, other)
-            ]
-            if not later:
-                continue
-            not_growing = [o for o, sc in later if sc <= s]
-            grew = any(sc > s for _, sc in later)
-            if not grew:
-                stalled[read.eid] = len(not_growing)
-                if (
-                    self.stall_threshold is not None
-                    and len(not_growing) >= self.stall_threshold
-                ):
-                    violations.append(
-                        f"read {read.eid} at {read.process} (score {s}) is followed "
-                        f"by {len(not_growing)} reads none of which exceeds its score"
-                    )
-        return PropertyResult(
-            self.name,
-            not violations,
-            tuple(violations),
-            details={"stalled_reads": stalled},
-        )
-
-
-@dataclass(frozen=True)
-class _ReferenceEventualPrefixChecker:
-    """Brute-force oracle: rebuild limit views and mcps per read."""
-
-    score: ScoreFunction = field(default_factory=LengthScore)
-    require_all_pairs: bool = False
-
-    name: str = "eventual-prefix"
-
-    def check(self, history: History) -> PropertyResult:
-        violations: List[str] = []
-        reads = history.read_responses()
-        scores = {r.eid: self.score(r.chain) for r in reads}
-
-        for read in reads:
-            s = scores[read.eid]
-            later = [r for r in reads if history.precedes(read, r)]
-            if not later:
-                continue
-            if self.require_all_pairs:
-                candidates = later
-            else:
-                last_per_process: Dict[str, Event] = {}
-                for r in later:
-                    last_per_process[r.process] = r  # later reads are time-ordered
-                candidates = list(last_per_process.values())
-            for i in range(len(candidates)):
-                for j in range(i + 1, len(candidates)):
-                    a, b = candidates[i], candidates[j]
-                    if not a.chain.diverges_from(b.chain):
-                        continue
-                    shared = mcps(a.chain, b.chain, self.score)
-                    if shared < s:
-                        violations.append(
-                            f"after read {read.eid} (score {s}), reads {a.eid} "
-                            f"({a.process}) and {b.eid} ({b.process}) share a prefix "
-                            f"of score only {shared}"
-                        )
-        return PropertyResult(self.name, not violations, tuple(violations))
-
-
-def _reference_strong_consistency(
+def check_consistency(
     history: History,
     score: Optional[ScoreFunction] = None,
     validator: Optional[BlockValidator] = None,
-    stall_threshold: Optional[int] = None,
-) -> ConsistencyReport:
-    """SC through the brute-force oracles (the equivalence tests)."""
-    scorer = score if score is not None else LengthScore()
-    results = (
-        _ReferenceBlockValidityChecker(validator).check(history),
-        _ReferenceLocalMonotonicReadChecker(scorer).check(history),
-        _ReferenceStrongPrefixChecker().check(history),
-        _ReferenceEverGrowingTreeChecker(scorer, stall_threshold).check(history),
-    )
-    return ConsistencyReport("BT Strong Consistency", results)
+) -> Tuple[ConsistencyReport, ConsistencyReport]:
+    """The SC and EC reports of one history, as ``(strong, eventual)``.
 
-
-def _reference_eventual_consistency(
-    history: History,
-    score: Optional[ScoreFunction] = None,
-    validator: Optional[BlockValidator] = None,
-    stall_threshold: Optional[int] = None,
-    require_all_pairs: bool = False,
-) -> ConsistencyReport:
-    """EC through the brute-force oracles (the equivalence tests)."""
+    One index, and the three properties the criteria share evaluated
+    once: both reports hold the same :class:`PropertyResult` objects.
+    """
     scorer = score if score is not None else LengthScore()
-    results = (
-        _ReferenceBlockValidityChecker(validator).check(history),
-        _ReferenceLocalMonotonicReadChecker(scorer).check(history),
-        _ReferenceEverGrowingTreeChecker(scorer, stall_threshold).check(history),
-        _ReferenceEventualPrefixChecker(scorer, require_all_pairs).check(history),
-    )
-    return ConsistencyReport("BT Eventual Consistency", results)
+    strong = BTStrongConsistency(scorer, validator)
+    eventual = BTEventualConsistency(scorer, validator)
+    index = ConsistencyIndex.from_history(history)
+    common = _common_results(strong, history, index)
+    return strong._report(common, history, index), eventual._report(common, history, index)

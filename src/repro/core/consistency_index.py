@@ -22,6 +22,12 @@ heights and cumulative weights:
   the cached height (length score) or cumulative weight (weight score);
 * chain score — the tip's cached height / cumulative weight.
 
+The pair *quantification* goes the same way: the index counts diverging
+pairs from tip multiplicities along root paths instead of visiting them,
+and decides Eventual Prefix from the processes' last reads alone (one
+rule, shared by the post-hoc checker and the streaming monitor) — see
+"counting without enumerating pairs" below.
+
 Ingesting a history is near-linear: each distinct block is inserted once
 (O(1) amortized per block), and a read whose chain is already indexed
 costs O(1) — the merge walks the chain *tip-first* and stops at the first
@@ -50,14 +56,20 @@ history at any prefix of the execution.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.block import Block, Blockchain
 from repro.core.history import Event, History, HistoryRecorder
 from repro.core.score import LengthScore, ScoreFunction, WeightScore, mcps
 
-__all__ = ["ConsistencyIndex", "ConsistencyMonitor", "InconsistentChainError"]
+__all__ = [
+    "ConsistencyIndex",
+    "ConsistencyMonitor",
+    "InconsistentChainError",
+    "count_exceeding_before",
+]
 
 
 class InconsistentChainError(ValueError):
@@ -101,14 +113,18 @@ class ConsistencyIndex:
         return cls().ingest(history)
 
     def ingest(self, history: History) -> "ConsistencyIndex":
-        """Merge every read result of ``history`` and its append map."""
+        """Merge every read result of ``history`` and its append map.
+
+        A read response that carries no blockchain raises the
+        ``TypeError`` of :attr:`Event.chain`, which names the event (the
+        streaming monitor skips such events instead).
+        """
         for inv in history.append_invocations():
             block = inv.argument
             if isinstance(block, Block):
                 self._first_append.setdefault(block.block_id, inv.eid)
         for read in history.read_responses():
-            if isinstance(read.output, Blockchain):
-                self.add_chain(read.chain, read_eid=read.eid)
+            self.add_chain(read.chain, read_eid=read.eid)
         return self
 
     def add_chain(
@@ -327,18 +343,133 @@ class ConsistencyIndex:
             )
         return mcps(chains[0], chains[1], score)
 
-    def tips_totally_ordered(self, tips: List[str]) -> bool:
-        """``True`` iff every pair of ``tips`` is ancestry-comparable.
+    # -- counting without enumerating pairs -----------------------------------
 
-        This is the Strong Prefix fast path: dedupe, sort by height and
-        verify consecutive ancestry (ancestry is transitive along a
-        height-sorted sequence, so consecutive checks imply all pairs).
+    def diverging_pair_count(self, tips: Sequence[str]) -> int:
+        """Number of pairs ``i < j`` whose chains ``tips[i]``, ``tips[j]`` diverge.
+
+        All pairs minus the comparable ones.  A tip is comparable with
+        its own copies and with the tips on its root path, whose
+        multiplicities accumulate root-first over the parents-first
+        insertion order: O(blocks + tips), no pair is visited.
         """
-        distinct = sorted(set(tips), key=lambda t: (self._height[t], t))
-        return all(
-            self.is_prefix(distinct[k], distinct[k + 1])
-            for k in range(len(distinct) - 1)
-        )
+        multiplicity = Counter(tips)
+        comparable = 0
+        above: Dict[str, int] = {}  # tips on the strict root path, per block
+        for block_id, parent in self._parent.items():
+            on_path = 0 if parent is None else above[parent] + multiplicity.get(parent, 0)
+            above[block_id] = on_path
+            copies = multiplicity.get(block_id, 0)
+            comparable += copies * (copies - 1) // 2 + copies * on_path
+        return len(tips) * (len(tips) - 1) // 2 - comparable
+
+    def later_diverging_counts(self, tips: Sequence[str]) -> List[int]:
+        """Per position ``i``, how many later ``tips[j]`` diverge from ``tips[i]``.
+
+        One backward sweep over the DFS interval labels, O(tips · log
+        blocks): ``below`` holds the later tips by label, so a subtree is
+        a label range; ``above`` holds +1 over each later tip's subtree
+        (as a difference array), so a point query counts the later tips
+        on the root path.  Equal tips are in both, hence ``same``.
+        """
+        self._ensure_labels()
+        tin, tout = self._tin, self._tout
+        slots = 2 * len(self._blocks) + 1
+        below, above = _Fenwick(slots), _Fenwick(slots)
+        copies: Dict[str, int] = {}
+        counts = [0] * len(tips)
+        for i in range(len(tips) - 1, -1, -1):
+            tip = tips[i]
+            first, last = tin[tip], tout[tip]
+            same = copies.get(tip, 0)
+            comparable = (
+                below.prefix(last + 1) - below.prefix(first) + above.prefix(first + 1) - same
+            )
+            counts[i] = len(tips) - 1 - i - comparable
+            below.add(first, 1)
+            above.add(first, 1)
+            above.add(last + 1, -1)
+            copies[tip] = same + 1
+        return counts
+
+    def eventual_prefix_breaches(
+        self,
+        limits: Sequence[Tuple[int, str]],
+        ceilings: Sequence[Tuple[int, float]],
+        shared_score: Callable[[str, str], float],
+        related: Callable[[str, str], bool],
+    ) -> Iterator[Tuple[int, int, float]]:
+        """The finite-prefix Eventual Prefix rule, over the limit views.
+
+        ``limits`` holds one ``(when, tip)`` per process — its last read
+        — and ``ceilings`` the increase points ``(when, maximum)`` of the
+        running maximum of read scores.  Two limit views on conflicting
+        branches (not ``related``) are seen together by exactly the reads
+        before ``cut``, the earlier of the two, so they must share a
+        prefix scoring at least the maximum reached before ``cut``.
+        Yields ``(x, y, shared)`` — ``x < y`` positions in ``limits`` —
+        for every pair that does not; the property holds iff nothing is
+        yielded.  O(P²) for P processes, whatever the number of reads:
+        the post-hoc checker and the streaming monitor both decide here.
+        """
+        for x in range(len(limits)):
+            when_x, tip_x = limits[x]
+            for y in range(x + 1, len(limits)):
+                when_y, tip_y = limits[y]
+                if related(tip_x, tip_y):
+                    continue
+                cut = min(when_x, when_y)
+                reached = bisect_left(ceilings, (cut,))  # increase points before cut
+                if not reached:
+                    continue
+                shared = shared_score(tip_x, tip_y)
+                if ceilings[reached - 1][1] > shared:
+                    yield x, y, shared
+
+
+class _Fenwick:
+    """Integer prefix sums under point updates, O(log slots) each."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, slots: int) -> None:
+        self._tree = [0] * (slots + 1)
+
+    def add(self, slot: int, delta: int) -> None:
+        tree = self._tree
+        slot += 1
+        while slot < len(tree):
+            tree[slot] += delta
+            slot += slot & -slot
+
+    def prefix(self, end: int) -> int:
+        """Sum of the slots ``[0, end)``."""
+        tree = self._tree
+        total = 0
+        while end > 0:
+            total += tree[end]
+            end -= end & -end
+        return total
+
+
+def count_exceeding_before(
+    values: Sequence[float], queries: Sequence[Tuple[int, float]]
+) -> int:
+    """Over all ``(cut, bound)`` queries, the entries of ``values[:cut]`` above ``bound``.
+
+    One offline dominance count, O((values + queries) · log values):
+    the queries are answered in ``cut`` order while the values enter a
+    Fenwick tree by rank.
+    """
+    ranks = sorted(set(values))
+    entered = _Fenwick(len(ranks))
+    total = done = 0
+    for cut, bound in sorted(queries):
+        while done < cut:
+            entered.add(bisect_left(ranks, values[done]), 1)
+            done += 1
+        total += done - entered.prefix(bisect_right(ranks, bound))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +493,6 @@ class ConsistencyMonitor:
     materialized chain is retained, which is what makes the monitor
     suitable for long-duration sweeps whose histories would otherwise
     hold O(R·L) chain snapshots alive during analysis.
-
-    ``require_all_pairs`` (a test-only diagnostic of the post-hoc
-    Eventual Prefix checker) is not supported.
     """
 
     def __init__(
@@ -501,19 +629,14 @@ class ConsistencyMonitor:
         return (self.reads_seen - 1 - oldest_index) < required
 
     def eventual_prefix_holds(self) -> bool:
-        limits = list(self._ep_limit.values())
-        index = self.index
-        for x in range(len(limits)):
-            eid_a, tip_a = limits[x]
-            for y in range(x + 1, len(limits)):
-                eid_b, tip_b = limits[y]
-                if index.prefix_related_climb(tip_a, tip_b):
-                    continue
-                shared = self._pair_mcps(tip_a, tip_b)
-                ceiling = self._max_score_before(min(eid_a, eid_b))
-                if ceiling is not None and ceiling > shared:
-                    return False
-        return True
+        breaches = self.index.eventual_prefix_breaches(
+            list(self._ep_limit.values()),
+            self._ep_prefix_max,
+            self._pair_mcps,
+            # Climbing, not labels: the tree mutates on every read.
+            self.index.prefix_related_climb,
+        )
+        return next(breaches, None) is None
 
     def _pair_mcps(self, a: str, b: str) -> float:
         key = (a, b) if a <= b else (b, a)
@@ -537,20 +660,6 @@ class ConsistencyMonitor:
             cursor = self.index.parent_of(cursor)
         path.reverse()
         return Blockchain(tuple(path))
-
-    def _max_score_before(self, eid: int) -> Optional[float]:
-        """Maximum read score among reads with ``eid`` strictly below."""
-        points = self._ep_prefix_max
-        lo, hi = 0, len(points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if points[mid][0] < eid:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return None
-        return points[lo - 1][1]
 
     def property_verdicts(self) -> Dict[str, bool]:
         """Current verdict per property, keyed by the checker names."""

@@ -20,14 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.consistency import (
-    BTEventualConsistency,
-    BTStrongConsistency,
-    ConsistencyReport,
-)
-from repro.core.consistency_index import ConsistencyIndex
+from repro.core.consistency import ConsistencyReport, check_consistency
 from repro.core.hierarchy import Consistency, OracleKind, Refinement
-from repro.core.score import LengthScore, ScoreFunction
+from repro.core.score import ScoreFunction
 from repro.protocols.base import RunResult
 
 __all__ = [
@@ -109,12 +104,8 @@ def classify_run(
     expected: Optional[Refinement] = None,
 ) -> ClassificationResult:
     """Classify one protocol run in the refinement hierarchy."""
-    scorer = score if score is not None else LengthScore()
-    history = run.history.without_failed_appends()
-    # Both criteria read the same union prefix index; build it once.
-    index = ConsistencyIndex.from_history(history)
-    strong = BTStrongConsistency(score=scorer).check(history, index)
-    eventual = BTEventualConsistency(score=scorer).check(history, index)
+    # One index, and the three properties SC and EC share evaluated once.
+    strong, eventual = check_consistency(run.history.without_failed_appends(), score)
 
     oracle_kind, k = _oracle_coordinates(run.oracle.k)
     if strong.holds:

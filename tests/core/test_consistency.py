@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.block import GENESIS, GENESIS_ID, Block, Blockchain
 from repro.core.consistency import (
+    WITNESS_LIMIT,
     BlockValidityChecker,
     BTEventualConsistency,
     BTStrongConsistency,
@@ -20,8 +21,14 @@ from repro.core.consistency import (
     check_eventual_consistency,
     check_strong_consistency,
 )
+from repro.core.consistency_index import ConsistencyMonitor
 from repro.core.history import HistoryRecorder
 from repro.workload.scenarios import figure2_history, figure3_history, figure4_history
+
+from tests.core.reference_consistency import (
+    _reference_strong_consistency,
+    all_pairs_eventual_prefix,
+)
 
 
 def _chain(*ids: str) -> Blockchain:
@@ -173,11 +180,29 @@ class TestEventualPrefix:
             ]
         )
         assert EventualPrefixChecker().check(history).holds
-        assert not EventualPrefixChecker(require_all_pairs=True).check(history).holds
+        assert not all_pairs_eventual_prefix(history).holds
 
     def test_single_process_never_diverges(self):
         history = _history_with_reads([("i", _chain("a")), ("i", _chain("a", "b"))])
         assert EventualPrefixChecker().check(history).holds
+
+
+class TestMalformedRead:
+    def test_read_without_a_chain_fails_loudly_and_like_the_oracle(self):
+        """Regression: the indexed path raised a bare ``KeyError: <eid>``."""
+        rec = HistoryRecorder()
+        rec.complete("p", "read", None, _chain("a"))
+        rec.complete("q", "read", None, None)
+        history = rec.history()
+        for check in (
+            check_strong_consistency,
+            check_eventual_consistency,
+            _reference_strong_consistency,
+        ):
+            with pytest.raises(TypeError, match=r"q\.read.*carries no blockchain output"):
+                check(history)
+        # The streaming monitor documents that it skips such events.
+        assert ConsistencyMonitor().replay(history).reads_seen == 1
 
 
 class TestCriteriaOnFigures:
@@ -215,6 +240,14 @@ class TestReports:
         text = report.describe()
         assert "NOT SATISFIED" in text
         assert "strong-prefix" in text
+
+    def test_count_has_every_violation_and_the_first_ten_are_worded(self):
+        # 12 reads on each of two branches: 12 × 12 diverging pairs.
+        reads = [("i", _chain("a")), ("j", _chain("x"))] * 12
+        result = StrongPrefixChecker().check(_history_with_reads(reads))
+        assert result.count == 144
+        assert len(result.violations) == WITNESS_LIMIT == 10
+        assert result.describe().endswith("... and 134 more")
 
     def test_bool_conversion(self):
         assert bool(check_strong_consistency(figure2_history()))

@@ -5,10 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.block import Block, Blockchain, GENESIS, GENESIS_ID
-from repro.core.consistency import BlockValidityChecker, _ReferenceBlockValidityChecker
-from repro.core.consistency_index import ConsistencyIndex, InconsistentChainError
+from repro.core.consistency import BlockValidityChecker
+from repro.core.consistency_index import (
+    ConsistencyIndex,
+    InconsistentChainError,
+    count_exceeding_before,
+)
 from repro.core.history import HistoryRecorder
 from repro.core.score import LengthScore, WeightScore
+
+from tests.core.reference_consistency import _ReferenceBlockValidityChecker, bounded
 
 
 def _chain(*blocks: Block) -> Blockchain:
@@ -108,10 +114,47 @@ class TestScores:
         assert forked_index.mcps_of_tips("a3", "a2", LengthScore()) == 2.0
         assert forked_index.mcps_of_tips("a3", "a2", WeightScore()) == pytest.approx(2.0)
 
-    def test_tips_totally_ordered(self, forked_index):
-        assert forked_index.tips_totally_ordered(["a1", "a2", "a3", "a1"])
-        assert not forked_index.tips_totally_ordered(["a1", "b2"])
-        assert forked_index.tips_totally_ordered([])
+
+class TestCounting:
+    """The pair counts the prefix checkers decide from, on the two branches."""
+
+    def test_diverging_pair_count(self, forked_index):
+        # Zero iff the tips are totally ordered (the Strong Prefix verdict).
+        assert forked_index.diverging_pair_count(["a1", "a2", "a3", "a1"]) == 0
+        assert forked_index.diverging_pair_count([]) == 0
+        assert forked_index.diverging_pair_count(["a1", "b2"]) == 1
+        # 3 reads on branch a × 2 on branch b; the genesis read joins neither side.
+        assert forked_index.diverging_pair_count(["a3", "b1", "b0", "a1", "b2", "a3"]) == 6
+
+    def test_later_diverging_counts(self, forked_index):
+        tips = ["a3", "b1", "b0", "a1", "b2", "a3"]
+        counts = forked_index.later_diverging_counts(tips)
+        assert counts == [2, 2, 0, 1, 1, 0]
+        assert sum(counts) == forked_index.diverging_pair_count(tips)
+
+    def test_eventual_prefix_breaches(self, forked_index):
+        limits = [(5, "a3"), (7, "b2"), (6, "a2")]
+        related = forked_index.prefix_related
+
+        def shared(a, b):
+            return forked_index.mcps_of_tips(a, b, LengthScore())
+
+        def breaches(ceilings):
+            return list(forked_index.eventual_prefix_breaches(limits, ceilings, shared, related))
+
+        # The branches share only the genesis (score 0): any positive score
+        # read before the earlier limit read of a conflicting pair objects.
+        assert breaches([(0, 1.0)]) == [(0, 1, 0.0), (1, 2, 0.0)]
+        # ... a maximum reached at the cut itself, or later, does not,
+        assert breaches([(0, 0.0), (5, 3.0)]) == [(1, 2, 0.0)]
+        # and neither does a score no higher than the shared prefix.
+        assert breaches([(0, 0.0)]) == []
+
+    def test_count_exceeding_before(self):
+        values = [1.0, 3.0, 2.0, 3.0, 0.5]
+        assert count_exceeding_before(values, [(0, 0.0)]) == 0
+        assert count_exceeding_before(values, [(5, 0.0)]) == 5
+        assert count_exceeding_before(values, [(4, 2.0), (2, 1.0), (5, 3.0)]) == 2 + 1 + 0
 
 
 class TestBlockValidityMemoization:
@@ -150,6 +193,6 @@ class TestBlockValidityMemoization:
         validator = lambda block: block.block_id != "v2"  # noqa: E731
         indexed = BlockValidityChecker(validator).check(history)
         reference = _ReferenceBlockValidityChecker(validator).check(history)
-        assert indexed == reference
+        assert indexed == bounded(reference)
         assert not indexed.holds
-        assert len(indexed.violations) == 7
+        assert indexed.count == len(indexed.violations) == 7

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.consistency import BTEventualConsistency, BTStrongConsistency
 from repro.core.hierarchy import Consistency, OracleKind, Refinement
 from repro.protocols.classification import (
     PAPER_TABLE1,
@@ -32,6 +33,17 @@ class TestClassifyRun:
         assert result.consistency == Consistency.EVENTUAL
         assert result.oracle_kind == OracleKind.PRODIGAL
         assert result.matches_paper is True
+
+    def test_shared_properties_are_evaluated_once(self):
+        """SC and EC have three properties in common: one result object each."""
+        run = run_hyperledger(n=4, duration=60.0, seed=5)
+        result = classify_run(run)
+        strong, eventual = result.strong_report, result.eventual_report
+        for name in ("block-validity", "local-monotonic-read", "ever-growing-tree"):
+            assert strong.result_for(name) is eventual.result_for(name)
+        history = run.history.without_failed_appends()
+        assert strong == BTStrongConsistency().check(history)
+        assert eventual == BTEventualConsistency().check(history)
 
     def test_describe_mentions_refinement_and_expectation(self):
         run = run_hyperledger(n=4, duration=60.0, seed=5)
