@@ -24,9 +24,13 @@ delivery/mining event of a protocol run, the tree also maintains the
 score) and cumulative root-to-block weight (chain weight score) are
 updated incrementally in ``append`` — and therefore by ``merge`` and
 ``copy``, which funnel through or duplicate them — so selecting a tip
-never rematerializes chains.  A monotone ``version`` counter, bumped on
-every mutation, backs a small selection memo (``cached_selection`` /
-``cache_selection``) that makes repeated reads between mutations O(1).
+never rematerializes chains.  The indexes live on preallocated numpy
+columns (:class:`_TreeColumns`) and there is no other index in this
+module: the per-block dict index they replaced is the test-side oracle
+``ReferenceBlockTree`` (``tests/network/reference_plane.py``).  A
+monotone ``version`` counter, bumped on every mutation, backs a small
+selection memo (``cached_selection`` / ``cache_selection``) that makes
+repeated reads between mutations O(1).
 """
 
 from __future__ import annotations
@@ -38,19 +42,7 @@ import numpy as np
 from repro.core.block import GENESIS_ID, Block, Blockchain, genesis_block
 from repro.network._hotpath import tree_append_index
 
-__all__ = ["BlockTree", "UnknownParentError", "DuplicateBlockError", "DEFAULT_INDEX"]
-
-#: Default score-index backend for new trees.  ``"columns"`` keeps the
-#: per-block height / cumulative-weight / subtree-weight indexes on
-#: preallocated numpy columns maintained by the compiled callback plane
-#: (:func:`repro.network._hotpath.tree_append_index`); ``"reference"``
-#: keeps the pre-PR10 per-block dicts verbatim — the equivalence oracle
-#: the reference-plane leg of ``tests/network/test_core_equivalence.py``
-#: and the column tests (``tests/core/test_blocktree_columns.py``) run
-#: against.
-DEFAULT_INDEX = "columns"
-
-_INDEX_MODES = ("columns", "reference")
+__all__ = ["BlockTree", "UnknownParentError", "DuplicateBlockError"]
 
 
 class _TreeColumns:
@@ -143,31 +135,19 @@ class BlockTree:
     event simulator), never via preemptive threads.
     """
 
-    def __init__(
-        self, genesis: Optional[Block] = None, *, index: Optional[str] = None
-    ) -> None:
+    def __init__(self, genesis: Optional[Block] = None) -> None:
         root = genesis if genesis is not None else genesis_block()
         if not root.is_genesis:
             raise ValueError("BlockTree must be rooted at a genesis block")
-        if index is None:
-            index = DEFAULT_INDEX
-        if index not in _INDEX_MODES:
-            raise ValueError(
-                f"unknown BlockTree index mode {index!r}; expected one of {_INDEX_MODES}"
-            )
         self._blocks: Dict[str, Block] = {root.block_id: root}
         self._children: Dict[str, List[str]] = {root.block_id: []}
-        # Score indexes: either the columnar store maintained by the
-        # compiled callback plane, or the pre-PR10 per-block dicts
-        # (``index="reference"``, the equivalence oracle).
-        if index == "columns":
-            self._columns: Optional[_TreeColumns] = _TreeColumns(root)
-            self._heights: Optional[Dict[str, int]] = None
-            self._subtree_weight: Optional[Dict[str, float]] = None
-        else:
-            self._columns = None
-            self._heights = {root.block_id: 0}
-            self._subtree_weight = {root.block_id: root.weight}
+        # Score indexes: per-block height, cumulative root-to-block weight
+        # (accumulated root-first, so it is bit-identical to
+        # ``WeightScore`` summing the materialized chain) and subtree
+        # weight, on numpy columns maintained by
+        # :func:`repro.network._hotpath.tree_append_index`.  They are what
+        # the selection rules read instead of rebuilding every chain.
+        self._columns = _TreeColumns(root)
         # (leaf ids, height column, cum-weight column) memo for the
         # vectorized tip selection, tagged with the version it was built
         # at (see ``leaf_index``).
@@ -188,14 +168,6 @@ class BlockTree:
         self._fork_points: Dict[str, None] = {}
         self._max_fork_degree: int = 0
         self._by_height: Dict[int, List[str]] = {0: [root.block_id]}
-        # Per-leaf score index: cumulative *non-genesis* weight along the
-        # root-to-block path, accumulated root-first so it is bit-identical
-        # to ``WeightScore`` summing the materialized chain.  Together with
-        # ``_heights`` (the length score) this is what the selection rules
-        # read instead of rebuilding every chain.
-        self._cum_weight: Optional[Dict[str, float]] = (
-            {root.block_id: 0.0} if self._columns is None else None
-        )
         # Monotone mutation counter plus a keyed memo of selection results.
         # ``version`` never decreases and is bumped by every ``append``, so
         # a memo entry tagged with the current version is still valid.
@@ -234,9 +206,7 @@ class BlockTree:
     def height_of(self, block_id: str) -> int:
         """Distance from ``block_id`` to the root (genesis has height 0)."""
         cols = self._columns
-        if cols is not None:
-            return int(cols.height[cols.slots[block_id]])
-        return self._heights[block_id]
+        return int(cols.height[cols.slots[block_id]])
 
     def cumulative_weight(self, block_id: str) -> float:
         """Total non-genesis weight on the path from genesis to ``block_id``.
@@ -247,9 +217,7 @@ class BlockTree:
         chain block by block.
         """
         cols = self._columns
-        if cols is not None:
-            return float(cols.cum_weight[cols.slots[block_id]])
-        return self._cum_weight[block_id]
+        return float(cols.cum_weight[cols.slots[block_id]])
 
     @property
     def height(self) -> int:
@@ -334,27 +302,10 @@ class BlockTree:
             self._fork_points[block.parent_id] = None
         if len(siblings) > self._max_fork_degree:
             self._max_fork_degree = len(siblings)
-        cols = self._columns
-        if cols is not None:
-            height = tree_append_index(
-                cols, block.parent_id, block.block_id, block.weight
-            )
-            self._by_height.setdefault(height, []).append(block.block_id)
-            if height > self._height:
-                self._height = height
-            self._leaves.pop(block.parent_id, None)
-            self._leaves[block.block_id] = None
-            self._version += 1
-            if self._selection_memo:
-                self._selection_memo.clear()
-            return block
-        # Reference index maintenance (pre-PR10 body, kept verbatim as
-        # the equivalence oracle for ``tree_append_index``).
-        height = self._heights[block.parent_id] + 1
-        self._heights[block.block_id] = height
+        height = tree_append_index(
+            self._columns, block.parent_id, block.block_id, block.weight
+        )
         self._by_height.setdefault(height, []).append(block.block_id)
-        self._subtree_weight[block.block_id] = block.weight
-        self._cum_weight[block.block_id] = self._cum_weight[block.parent_id] + block.weight
         if height > self._height:
             self._height = height
         self._leaves.pop(block.parent_id, None)
@@ -366,11 +317,6 @@ class BlockTree:
         # accumulate dead entries for the lifetime of the tree.
         if self._selection_memo:
             self._selection_memo.clear()
-        # Propagate the new weight to every ancestor so GHOST queries are O(1).
-        cursor: Optional[str] = block.parent_id
-        while cursor is not None:
-            self._subtree_weight[cursor] += block.weight
-            cursor = self._blocks[cursor].parent_id
         return block
 
     def merge(self, other: "BlockTree") -> int:
@@ -435,71 +381,44 @@ class BlockTree:
     def is_ancestor(self, ancestor_id: str, descendant_id: str) -> bool:
         """``True`` iff ``ancestor_id`` lies on the path from ``descendant_id`` to genesis."""
         cols = self._columns
-        if cols is not None:
-            slots = cols.slots
-            ancestor = slots.get(ancestor_id)
-            descendant = slots.get(descendant_id)
-            if ancestor is None or descendant is None:
-                return False
-            height = cols.height
-            gap = int(height[descendant]) - int(height[ancestor])
-            if gap < 0:
-                return False
-            # Walk exactly the height gap, as int hops over parent slots.
-            parents = cols.parents
-            cursor = descendant
-            for _ in range(gap):
-                cursor = parents[cursor]
-            return cursor == ancestor
-        heights = self._heights
-        ancestor_height = heights.get(ancestor_id)
-        descendant_height = heights.get(descendant_id)
-        if ancestor_height is None or descendant_height is None:
+        slots = cols.slots
+        ancestor = slots.get(ancestor_id)
+        descendant = slots.get(descendant_id)
+        if ancestor is None or descendant is None:
             return False
-        if ancestor_height > descendant_height:
+        height = cols.height
+        gap = int(height[descendant]) - int(height[ancestor])
+        if gap < 0:
             return False
-        # Walk exactly the height gap: the cached heights tell us how many
-        # parent hops separate the two blocks, so no per-step membership or
-        # height re-checks are needed.
-        blocks = self._blocks
-        cursor = descendant_id
-        for _ in range(descendant_height - ancestor_height):
-            cursor = blocks[cursor].parent_id  # type: ignore[assignment]
-        return cursor == ancestor_id
+        # Walk exactly the height gap, as int hops over parent slots: the
+        # cached heights tell us how many parent hops separate the two
+        # blocks, so no per-step membership or height re-checks are needed.
+        parents = cols.parents
+        cursor = descendant
+        for _ in range(gap):
+            cursor = parents[cursor]
+        return cursor == ancestor
 
     def common_ancestor(self, a: str, b: str) -> str:
         """Lowest common ancestor of two blocks (always exists: genesis)."""
         cols = self._columns
-        if cols is not None:
-            slots = cols.slots
-            parents = cols.parents
-            height = cols.height
-            sa, sb = slots[a], slots[b]
-            ha, hb = int(height[sa]), int(height[sb])
-            while ha > hb:
-                sa = parents[sa]
-                ha -= 1
-            while hb > ha:
-                sb = parents[sb]
-                hb -= 1
-            while sa != sb:
-                sa = parents[sa]
-                sb = parents[sb]
-            return cols.ids[sa]
-        blocks = self._blocks
-        height_a, height_b = self._heights[a], self._heights[b]
+        slots = cols.slots
+        parents = cols.parents
+        height = cols.height
+        sa, sb = slots[a], slots[b]
+        ha, hb = int(height[sa]), int(height[sb])
         # Equalize levels by walking exactly the height gap, then climb in
-        # lockstep; heights are tracked locally so each step is one dict hit.
-        while height_a > height_b:
-            a = blocks[a].parent_id  # type: ignore[assignment]
-            height_a -= 1
-        while height_b > height_a:
-            b = blocks[b].parent_id  # type: ignore[assignment]
-            height_b -= 1
-        while a != b:
-            a = blocks[a].parent_id  # type: ignore[assignment]
-            b = blocks[b].parent_id  # type: ignore[assignment]
-        return a
+        # lockstep; heights are tracked locally so each step is one hop.
+        while ha > hb:
+            sa = parents[sa]
+            ha -= 1
+        while hb > ha:
+            sb = parents[sb]
+            hb -= 1
+        while sa != sb:
+            sa = parents[sa]
+            sb = parents[sb]
+        return cols.ids[sa]
 
     def subtree_weight(self, block_id: str) -> float:
         """Total weight of the subtree rooted at ``block_id`` (incl. itself).
@@ -508,20 +427,15 @@ class BlockTree:
         tree (Sompolinsky & Zohar; used by the Ethereum model).
         """
         cols = self._columns
-        if cols is not None:
-            return float(cols.subtree_weight[cols.slots[block_id]])
-        return self._subtree_weight[block_id]
+        return float(cols.subtree_weight[cols.slots[block_id]])
 
-    def leaf_index(self) -> Optional[Tuple[List[str], Any, Any]]:
+    def leaf_index(self) -> Tuple[List[str], Any, Any]:
         """(leaf ids, height column, cum-weight column) over current leaves.
 
-        The vectorized tip-selection input, cached per tree version;
-        ``None`` in reference-index mode (whose scalar loop is the
-        oracle the vectorized path is tested against).
+        The tip-selection input, cached per tree version: plain lists
+        for a handful of leaves, numpy columns beyond that.
         """
         cols = self._columns
-        if cols is None:
-            return None
         cache = self._leaf_index_cache
         if cache is not None and cache[0] == self._version:
             return cache[1]
@@ -547,18 +461,14 @@ class BlockTree:
         self._leaf_index_cache = (self._version, value)
         return value
 
-    def ghost_tip(self) -> Optional[str]:
+    def ghost_tip(self) -> str:
         """GHOST's greedy heaviest-subtree descent on the columnar index.
 
-        Returns the tip block id, or ``None`` in reference-index mode
-        (the selection rule then runs its retained scalar descent).
-        Single-child levels skip the weight read entirely; ties break to
-        the larger block id, exactly as the scalar ``max`` over
-        ``(weight, child)`` keys does.
+        Returns the tip block id.  Single-child levels skip the weight
+        read entirely; ties break to the larger block id, exactly as a
+        ``max`` over ``(weight, child)`` keys does.
         """
         cols = self._columns
-        if cols is None:
-            return None
         children = self._children
         slots = cols.slots
         sub = cols.subtree_weight
@@ -607,14 +517,8 @@ class BlockTree:
 
     def copy(self) -> "BlockTree":
         """Deep-enough copy sharing immutable blocks but not the indices."""
-        if self._columns is not None:
-            clone = BlockTree(self._genesis, index="columns")
-            clone._columns = self._columns.copy()
-        else:
-            clone = BlockTree(self._genesis, index="reference")
-            clone._heights = dict(self._heights)
-            clone._subtree_weight = dict(self._subtree_weight)
-            clone._cum_weight = dict(self._cum_weight)
+        clone = type(self)(self._genesis)
+        clone._columns = self._columns.copy()
         clone._blocks = dict(self._blocks)
         clone._children = {k: list(v) for k, v in self._children.items()}
         clone._height = self._height
@@ -633,13 +537,18 @@ class BlockTree:
         return clone
 
     def __setstate__(self, state):
-        # Trees checkpointed before the columnar index existed restore in
-        # reference mode (their dict indexes are the state).
+        # A tree checkpointed before the columnar index existed (or built
+        # on the since-removed dict index) carries no columns, and nothing
+        # here can read its dicts any more: refuse it instead of restoring
+        # a tree whose every query would fail.  (The leaf-index memo arrived
+        # with the columns, so a state that has them needs no defaults.)
+        if state.get("_columns") is None:
+            raise ValueError(
+                "cannot restore this BlockTree snapshot: it was taken on the "
+                "dict score index, which has been removed (trees now keep "
+                "their indexes on numpy columns); re-run instead of resuming"
+            )
         self.__dict__.update(state)
-        if "_columns" not in state:
-            self._columns = None
-        if "_leaf_index_cache" not in state:
-            self._leaf_index_cache = None
 
     # -- presentation ---------------------------------------------------------
 

@@ -25,31 +25,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.block import Blockchain
-
-#: Module toggle read at :class:`HistoryRecorder` construction: when
-#: True (see :func:`reference_recording`) the recorder keeps routing its
-#: replication events through the retained pure-Python
-#: ``_reference_replication`` body instead of the compiled callback
-#: plane's fast path — the oracle leg of the equivalence tests
-#: (``tests/network/test_core_equivalence.py``).
-_REFERENCE_RECORDING = False
-
-
-@contextmanager
-def reference_recording():
-    """Recorders constructed in this scope use the pure replication path."""
-    global _REFERENCE_RECORDING
-    previous = _REFERENCE_RECORDING
-    _REFERENCE_RECORDING = True
-    try:
-        yield
-    finally:
-        _REFERENCE_RECORDING = previous
+from repro.network._hotpath import record_replication
 
 __all__ = [
     "EventKind",
@@ -389,25 +369,6 @@ class HistoryRecorder:
         # fast path below avoids re-resolving the bound method per event.
         self._append: Callable[[Event], None] = self._events.append
         self._listeners: List[Callable[[Event], None]] = []
-        # Replication-event fast path (the dominant recorder call in
-        # block workloads): the monomorphic body in
-        # ``repro.network._hotpath`` — compiled when the extension built —
-        # unless this recorder was created under ``reference_recording()``.
-        if _REFERENCE_RECORDING:
-            self._hot_record = None
-        else:
-            from repro.network._hotpath import record_replication
-
-            self._hot_record = record_replication
-
-    def __setstate__(self, state):
-        # Recorders checkpointed before the fast path existed restore
-        # onto the current default.
-        self.__dict__.update(state)
-        if "_hot_record" not in state:
-            from repro.network._hotpath import record_replication
-
-            self._hot_record = None if _REFERENCE_RECORDING else record_replication
 
     # -- streaming subscribers ---------------------------------------------------
 
@@ -501,25 +462,11 @@ class HistoryRecorder:
     def _replication(
         self, kind: EventKind, process: str, parent_id: str, block_id: str
     ) -> Event:
-        hot = self._hot_record
-        if hot is not None:
-            return hot(self, kind, process, parent_id, block_id)
-        return self._reference_replication(kind, process, parent_id, block_id)
-
-    def _reference_replication(
-        self, kind: EventKind, process: str, parent_id: str, block_id: str
-    ) -> Event:
-        # Pre-PR10 body, kept verbatim as the equivalence oracle for the
-        # compiled ``record_replication`` fast path.
-        event = Event(
-            eid=self._next_time(),
-            kind=kind,
-            process=process,
-            operation=kind.value,
-            argument=(parent_id, block_id),
-            seq=self._next_seq(process),
-        )
-        return self._record(event)
+        # The dominant recorder call in block workloads: the monomorphic
+        # body in ``repro.network._hotpath``, compiled when the extension
+        # built.  (The body it replaced is test code:
+        # ``tests/network/reference_plane.py::ReferenceHistoryRecorder``.)
+        return record_replication(self, kind, process, parent_id, block_id)
 
     # -- extraction ----------------------------------------------------------------
 

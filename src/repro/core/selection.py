@@ -22,17 +22,18 @@ root-to-leaf chain.  They read the per-leaf score indexes the tree
 maintains incrementally (heights for the length score, cumulative weights
 for the weight score, subtree weights for GHOST) and only build the one
 winning chain — then memoize it against the tree's ``version`` counter,
-so repeated ``read()`` / tip queries between mutations cost O(1).  The
-original brute-force implementations are kept as ``_reference_*`` oracles
-for the randomized equivalence tests
-(``tests/core/test_selection_equivalence.py``); the indexed rules are
-timed by the ledger row ``core.selection.select_s`` (``benchmarks/ledger``).
+so repeated ``read()`` / tip queries between mutations cost O(1).  Each
+rule has one implementation here; the brute-force originals are test
+code (``tests/network/reference_plane.py``), which the randomized
+equivalence tests (``tests/core/test_selection_equivalence.py``) hold
+these rules to.  The indexed rules are timed by the ledger row
+``core.selection.select_s`` (``benchmarks/ledger``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -44,10 +45,11 @@ from repro.core.score import LengthScore, ScoreFunction, WeightScore
 def _vector_tip(index, increment: float, by_length: bool) -> str:
     """Winning tip over a columnar leaf index (see ``BlockTree.leaf_index``).
 
-    Reproduces the scalar ``max`` over ``(score, leaf_id)`` keys exactly:
-    the score expression performs the same IEEE-754 operations in the
-    same order as the per-leaf closure (``cum + increment * height``),
-    and score ties resolve to the lexicographically largest leaf id.
+    Reproduces a ``max`` over ``(score, leaf_id)`` keys exactly: the
+    score expression performs the same IEEE-754 operations in the same
+    order as ``WeightScore`` on the materialized chain (``cum +
+    increment * height``), and score ties resolve to the
+    lexicographically largest leaf id.
     Small leaf sets (the overwhelmingly common case — fork trees carry a
     handful of live leaves) arrive as plain lists and take a scalar
     max-key loop; large ones arrive as numpy columns and are scored in
@@ -114,14 +116,6 @@ class SelectionFunction(Protocol):
         ...
 
 
-def _lexicographic_tiebreak(candidates: Sequence[str]) -> str:
-    """Deterministic tie-break: the lexicographically largest identifier.
-
-    Matches the convention of the paper's Figure 2 example.
-    """
-    return max(candidates)
-
-
 @dataclass(frozen=True)
 class ScoreMaximizingSelection:
     """Select the leaf chain maximizing an arbitrary score function.
@@ -160,34 +154,10 @@ class ScoreMaximizingSelection:
         """
         score = self.score
         if isinstance(score, LengthScore):
-            index = tree.leaf_index()
-            if index is not None:
-                return _vector_tip(index, 0.0, True)
-
-            def leaf_score(leaf: str) -> float:
-                return float(tree.height_of(leaf))
-        elif isinstance(score, WeightScore):
-            increment = score.min_increment
-            index = tree.leaf_index()
-            if index is not None:
-                return _vector_tip(index, increment, False)
-            if increment:
-                def leaf_score(leaf: str) -> float:
-                    return float(
-                        tree.cumulative_weight(leaf) + increment * tree.height_of(leaf)
-                    )
-            else:
-                def leaf_score(leaf: str) -> float:
-                    return float(tree.cumulative_weight(leaf))
-        else:
-            return None
-        best_key: Optional[Tuple[float, str]] = None
-        for leaf in tree.leaves():
-            key = (leaf_score(leaf), leaf)
-            if best_key is None or key > best_key:
-                best_key = key
-        assert best_key is not None  # a tree always has >= 1 leaf
-        return best_key[1]
+            return _vector_tip(tree.leaf_index(), 0.0, True)
+        if isinstance(score, WeightScore):
+            return _vector_tip(tree.leaf_index(), score.min_increment, False)
+        return None
 
     def _select_by_scoring_chains(self, tree: BlockTree) -> Blockchain:
         """Generic fallback: score every leaf chain exactly once."""
@@ -242,22 +212,7 @@ class GHOSTSelection:
         cached = tree.cached_selection(self)
         if cached is not None:
             return cached
-        cursor = tree.ghost_tip()
-        if cursor is None:
-            # Reference descent (dict-indexed trees): scalar comparison
-            # pass per level over the cached subtree weights.
-            cursor = tree.genesis.block_id
-            while True:
-                children = tree.children_of(cursor)
-                if not children:
-                    break
-                best: Optional[Tuple[float, str]] = None
-                for child in children:
-                    key = (tree.subtree_weight(child), child)
-                    if best is None or key > best:
-                        best = key
-                cursor = best[1]  # type: ignore[index]
-        chain = tree.chain_to(cursor)
+        chain = tree.chain_to(tree.ghost_tip())
         tree.cache_selection(self, chain)
         return chain
 
@@ -297,64 +252,3 @@ class FixedTipSelection:
     def pinned_to(self, tip_id: str) -> "FixedTipSelection":
         """Return a copy pinned to ``tip_id`` (selection functions are frozen)."""
         return FixedTipSelection(tip_id=tip_id)
-
-
-# ---------------------------------------------------------------------------
-# Reference oracles — the pre-index brute-force implementations
-# ---------------------------------------------------------------------------
-#
-# These reproduce, verbatim, the original O(leaves × depth) selection code
-# that rebuilt every root-to-leaf chain per call (and scored each chain
-# twice).  They exist for one consumer only: the randomized equivalence
-# tests (tests/core/test_selection_equivalence.py) use them as oracles for
-# the indexed rules.  Do not "optimize" them.
-
-
-@dataclass(frozen=True)
-class _ReferenceScoreMaximizingSelection:
-    """Brute-force oracle: materialize and score every chain per call."""
-
-    score: ScoreFunction = field(default_factory=LengthScore)
-
-    def __call__(self, tree: BlockTree) -> Blockchain:
-        chains = tree.all_chains()
-        if not chains:  # pragma: no cover - a tree always has >= 1 leaf
-            return Blockchain.genesis_only(tree.genesis)
-        best_score = max(self.score(c) for c in chains)
-        tied = [c for c in chains if self.score(c) == best_score]
-        winner_tip = _lexicographic_tiebreak([c.tip.block_id for c in tied])
-        for chain in tied:
-            if chain.tip.block_id == winner_tip:
-                return chain
-        raise AssertionError("unreachable: tie-break winner must be among ties")
-
-
-@dataclass(frozen=True)
-class _ReferenceLongestChain:
-    """Brute-force oracle for the longest-chain rule."""
-
-    def __call__(self, tree: BlockTree) -> Blockchain:
-        return _ReferenceScoreMaximizingSelection(LengthScore())(tree)
-
-
-@dataclass(frozen=True)
-class _ReferenceHeaviestChain:
-    """Brute-force oracle for the heaviest-chain rule."""
-
-    def __call__(self, tree: BlockTree) -> Blockchain:
-        return _ReferenceScoreMaximizingSelection(WeightScore())(tree)
-
-
-@dataclass(frozen=True)
-class _ReferenceGHOSTSelection:
-    """Pre-memo GHOST oracle: full unmemoized descent, two passes per level."""
-
-    def __call__(self, tree: BlockTree) -> Blockchain:
-        cursor = tree.genesis.block_id
-        while True:
-            children = tree.children_of(cursor)
-            if not children:
-                return tree.chain_to(cursor)
-            best_weight = max(tree.subtree_weight(c) for c in children)
-            tied = [c for c in children if tree.subtree_weight(c) == best_weight]
-            cursor = _lexicographic_tiebreak(tied)

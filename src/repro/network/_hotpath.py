@@ -28,11 +28,13 @@ recorded ~65% callback share):
   (heights, parents, cumulative and subtree weights) on preallocated
   numpy columns instead of per-block dicts.
 
-Every function has a retained pure-Python twin (``Network._deliver``'s
-pre-PR10 body lives on in the scalar guards here; the recorder keeps
-``_reference_replication``; the tree keeps the dict index behind
-``index="reference"``) and the equivalence tests assert recorded
-histories are byte-identical between the two planes.
+These are the only implementations ``src/`` carries.  The bodies they
+replaced — per-message dispatch, the recorder's generic replication
+path, the tree's per-block dict index — are the test-side oracle
+(``tests/network/reference_plane.py``), and the equivalence tests
+(``tests/network/test_core_equivalence.py``) assert recorded histories
+are byte-identical between the two, for the pure and the compiled
+flavour of this module alike.
 """
 
 from __future__ import annotations
@@ -302,10 +304,9 @@ def deliver_span(network, times, seqs, args, pos, end, until, cell, multicast):
 def record_replication(recorder, kind, process, parent_id, block_id):
     """``HistoryRecorder._replication`` fast path (monomorphic).
 
-    Byte-identical to the retained ``_reference_replication``: same
+    Byte-identical to the recorder's generic ``_record`` path: same
     ``Event`` construction order (global clock tick, then per-process
-    sequence), same listener fan-out.  The recorder routes here unless
-    it was built under ``history.reference_recording()``.
+    sequence), same listener fan-out.
     """
     global _Event
     event_cls = _Event
@@ -333,12 +334,11 @@ def record_replication(recorder, kind, process, parent_id, block_id):
 def tree_append_index(cols, parent_id, block_id, weight):
     """``BlockTree.append``'s index maintenance on numpy columns.
 
-    Columnar twin of the reference dict maintenance (``index=
-    "reference"``): assign the next slot, extend the id/parent columns,
-    set height / cumulative weight, seed the subtree weight and add
-    ``weight`` along the ancestor path with one fancy-indexed update
-    (same IEEE additions, one per ancestor, as the dict walk).  Returns
-    the new block's height.
+    Assign the next slot, extend the id/parent columns, set height /
+    cumulative weight, seed the subtree weight and add ``weight`` along
+    the ancestor path with one fancy-indexed update (the same IEEE
+    additions, one per ancestor, as a per-block dict walk).  Returns the
+    new block's height.
     """
     slots = cols.slots
     parent = slots[parent_id]

@@ -26,9 +26,8 @@ receiver and is **stream-identical** to the equivalent sequence of scalar
 ``exponential``/``random`` draws by consuming the bit stream element by
 element, exactly as the scalar calls do, so a batched multicast and a
 per-recipient loop produce the same delays from the same seed.  The
-scalar loop is kept as :func:`_reference_delays_for`, the equivalence
-oracle the stream tests (``tests/network/test_channel_batching.py``)
-compare against.
+stream tests (``tests/network/test_channel_batching.py``) hold every
+``delays_for`` to that scalar loop, which they spell out themselves.
 """
 
 from __future__ import annotations
@@ -70,19 +69,6 @@ class ChannelModel(Protocol):
         ...
 
 
-def _reference_delays_for(
-    channel: ChannelModel, sender: str, receivers: Sequence[str], now: float
-) -> DelayVector:
-    """The pre-batching scalar fan-out, kept as the equivalence oracle.
-
-    This is what :meth:`Network.broadcast` did before the batched message
-    plane existed: one ``delay_for`` call per receiver, in receiver order.
-    The per-model ``delays_for`` implementations must match it bit-for-bit
-    from the same generator state.
-    """
-    return [channel.delay_for(sender, receiver, now) for receiver in receivers]
-
-
 def _scatter_inner_batch(
     inner: ChannelModel,
     sender: str,
@@ -119,7 +105,7 @@ def batched_delays(
     batched = getattr(channel, "delays_for", None)
     if batched is not None:
         return batched(sender, receivers, now)
-    return _reference_delays_for(channel, sender, receivers, now)
+    return [channel.delay_for(sender, receiver, now) for receiver in receivers]
 
 
 class SynchronousChannel:

@@ -24,12 +24,13 @@ closures, an n-way multicast shares a single :class:`Message` envelope and
 draws all its channel delays in one batched call
 (:func:`repro.network.channels.batched_delays`), and
 :meth:`Simulator.schedule_many` bulk-inserts the resulting deliveries.
-The pre-batching scalar fan-out is kept verbatim as
-``Network._reference_broadcast`` (constructed with ``batched=False``), the
-equivalence oracle the history tests
-(``tests/network/test_simulation_equivalence.py``) compare against; the
-batched plane is timed by the ledger row
-``network.simulator.gossip_msgs_per_s``.  Both paths consume the channel
+That batched plane is the only message plane in this module, timed by
+the ledger row ``network.simulator.gossip_msgs_per_s``.  The pre-batching
+scalar fan-out — one :meth:`Network.send` per receiver, per-event
+dispatch — is the test-side oracle ``ReferenceNetwork``
+(``tests/network/reference_plane.py``), which the history tests
+(``tests/network/test_simulation_equivalence.py``,
+``test_core_equivalence.py``) compare against: both consume the channel
 generators identically and assign queue sequence numbers in the same
 receiver order, so the recorded histories are bit-identical.
 """
@@ -450,12 +451,6 @@ class Network:
     ``update`` replication event land in a single concurrent history, ready
     for the consistency and update-agreement checkers.
 
-    ``batched=False`` routes every fan-out through the pre-batching scalar
-    path (one ``delay_for`` call and one closure per recipient) — the
-    reference oracle the equivalence tests
-    (``tests/network/test_simulation_equivalence.py``) compare the batched
-    plane against.
-
     ``topology`` decides who hears a ``broadcast`` (see
     :mod:`repro.network.topology`): the default :class:`FullMesh` keeps
     the historical everyone-hears-everyone semantics byte-identically,
@@ -470,7 +465,6 @@ class Network:
         simulator: Simulator,
         channel: "ChannelModel",
         recorder: Optional[HistoryRecorder] = None,
-        batched: bool = True,
         topology: Optional["Topology"] = None,
     ) -> None:
         from repro.network.topology import FullMesh
@@ -478,7 +472,6 @@ class Network:
         self.simulator = simulator
         self.channel = channel
         self.recorder = recorder if recorder is not None else HistoryRecorder()
-        self.batched = batched
         self.topology = topology if topology is not None else FullMesh()
         # The full-mesh broadcast path is the hot default and must stay
         # byte-identical to the pre-topology code, so it keeps its own
@@ -517,16 +510,13 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_quarantined = 0
-        if batched:
-            # Compiled callback plane: consecutive queue entries sharing
-            # one delivery callback are handed to the span handlers in
-            # one call (scalar-exact; see `_hotpath.deliver_span`).  The
-            # scalar plane (`batched=False`) keeps per-event dispatch and
-            # is the equivalence oracle.
-            simulator.register_batch_handler(self._deliver, self._deliver_span)
-            simulator.register_batch_handler(
-                self._deliver_multicast, self._deliver_multicast_span
-            )
+        # Compiled callback plane: consecutive queue entries sharing one
+        # delivery callback are handed to the span handlers in one call
+        # (scalar-exact; see `_hotpath.deliver_span`).
+        simulator.register_batch_handler(self._deliver, self._deliver_span)
+        simulator.register_batch_handler(
+            self._deliver_multicast, self._deliver_multicast_span
+        )
 
     # -- membership -------------------------------------------------------------
 
@@ -649,12 +639,6 @@ class Network:
                 else:
                     raise KeyError(f"unknown receiver {pid!r}")
             receivers = kept
-        if not self.batched:
-            delivered = 0
-            for pid in receivers:
-                if self._reference_send(sender, pid, kind, payload):
-                    delivered += 1
-            return delivered
         return self._multicast_trusted(sender, receivers, kind, payload)
 
     def _multicast_trusted(
@@ -693,17 +677,7 @@ class Network:
         if sender not in self._processes:
             # Departed (deregistered) senders cannot reach the fabric.
             return 0
-        if not self.batched and self._fullmesh:
-            return self._reference_broadcast(sender, kind, payload, include_self)
         receivers = self._broadcast_receivers(sender, include_self)
-        if not self.batched:
-            # Topology-restricted scalar path: the same reference sends,
-            # over the topology's receiver list.
-            delivered = 0
-            for pid in receivers:
-                if self._reference_send(sender, pid, kind, payload):
-                    delivered += 1
-            return delivered
         return self._multicast_trusted(sender, receivers, kind, payload)
 
     def _broadcast_receivers(self, sender: str, include_self: bool) -> Sequence[str]:
@@ -739,45 +713,6 @@ class Network:
                     )
             self._topology_receivers[key] = receivers
         return receivers
-
-    def _reference_broadcast(
-        self, sender: str, kind: str, payload: Any, include_self: bool = True
-    ) -> int:
-        """Pre-batching scalar fan-out (PR ≤ 3), kept as the equivalence
-        and perf oracle: one envelope, one scalar channel draw and one
-        closure per recipient."""
-        delivered = 0
-        for pid in self._processes:
-            if pid == sender and not include_self:
-                continue
-            if self._reference_send(sender, pid, kind, payload):
-                delivered += 1
-        return delivered
-
-    def _reference_send(self, sender: str, receiver: str, kind: str, payload: Any) -> bool:
-        """The pre-batching ``send``: scalar draw + per-message closure."""
-        if receiver not in self._processes:
-            if receiver in self._departed:
-                self.messages_sent += 1
-                self.messages_quarantined += 1
-                return False
-            raise KeyError(f"unknown receiver {receiver!r}")
-        if self._message_filters and not self._filter_allows(sender, receiver):
-            self.messages_sent += 1
-            self.messages_dropped += 1
-            return False
-        now = self.simulator.now
-        message = Message(sender, receiver, kind, payload, now)
-        self.messages_sent += 1
-        delay = self.channel.delay_for(sender, receiver, now)
-        if delay is None:
-            self.messages_dropped += 1
-            return False
-        # One queue entry (bound method + argument) instead of a closure:
-        # same timestamp, same single sequence number, same dispatch — and,
-        # unlike a lambda, picklable by checkpoint snapshots.
-        self.simulator.call_at(now + delay, self._deliver, message)
-        return True
 
     def _deliver(self, message: Message) -> None:
         # Departed-pid / liveness guards live in one helper shared with

@@ -502,7 +502,6 @@ def run_protocol(
     drain: bool = True,
     max_events: int = 2_000_000,
     monitor: Optional[ConsistencyMonitor] = None,
-    batched: bool = True,
     topology: Optional[Topology] = None,
     core: str = "array",
     clients: Optional[int] = None,
@@ -540,11 +539,6 @@ def run_protocol(
         lets correct replicas converge under reliable communication (and is
         deliberately *not* enough to make them converge when messages were
         dropped, which is the Theorem 4.6/4.7 experiment).
-    batched:
-        Route fan-outs through the batched message plane (the default).
-        ``False`` uses the pre-batching scalar reference path; the two are
-        stream-identical and the equivalence tests assert the recorded
-        histories match event-for-event.
     topology:
         Dissemination topology deciding who hears each broadcast (see
         :mod:`repro.network.topology`).  ``None`` keeps the historical
@@ -588,7 +582,6 @@ def run_protocol(
         simulator,
         channel if channel is not None else SynchronousChannel(delta=1.0, seed=7),
         recorder=recorder,
-        batched=batched,
         topology=topology,
     )
     replicas: Dict[str, BlockchainReplica] = {}

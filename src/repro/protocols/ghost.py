@@ -72,7 +72,6 @@ def run_ethereum(
     monitor: Optional[ConsistencyMonitor] = None,
     topology: Optional[Topology] = None,
     core: str = "array",
-    batched: bool = True,
     fault: Optional[FaultModel] = None,
 ) -> RunResult:
     """Run the Ethereum model (GHOST selection over the prodigal oracle).
@@ -97,7 +96,6 @@ def run_ethereum(
         monitor=monitor,
         topology=topology,
         core=core,
-        batched=batched,
         fault=fault,
     )
     # Re-label: the harness was shared with the Bitcoin runner.

@@ -125,7 +125,6 @@ def run_bitcoin(
     monitor: Optional[ConsistencyMonitor] = None,
     topology: Optional[Topology] = None,
     core: str = "array",
-    batched: bool = True,
     clients: Optional[int] = None,
     client_rate: float = 0.5,
     fault: Optional[FaultModel] = None,
@@ -167,7 +166,6 @@ def run_bitcoin(
         monitor=monitor,
         topology=topology,
         core=core,
-        batched=batched,
         clients=clients,
         client_rate=client_rate,
         client_seed=seed,

@@ -1,12 +1,13 @@
-"""Columnar block index vs the retained dict index (PR 10 oracle).
+"""Columnar block index vs the dict index it replaced (the PR 10 oracle).
 
-``BlockTree`` now maintains its score indexes (heights, cumulative and
-subtree weights) on preallocated numpy columns maintained by the
-compiled callback plane's ``tree_append_index`` hot path; the pre-PR10
-per-block dicts are retained verbatim behind ``index="reference"``.
-These tests pin the two modes to each other on randomized fork-heavy
-trees — every query, every selection rule, bit-identical floats — and
-pin the new columns through the checkpoint boundary (pickle) and
+``BlockTree`` maintains its score indexes (heights, cumulative and
+subtree weights) on preallocated numpy columns through the compiled
+callback plane's ``tree_append_index`` hot path; the pre-PR10 per-block
+dicts are the test-side ``ReferenceBlockTree``
+(``tests/network/reference_plane.py``).  These tests pin the two to each
+other on randomized fork-heavy trees — every query, every selection rule
+(indexed on the columns, brute force on the dicts), bit-identical floats
+— and pin the columns through the checkpoint boundary (pickle) and
 ``copy()``.
 """
 
@@ -17,19 +18,29 @@ import random
 
 import pytest
 
-import repro.core.blocktree as blocktree_module
 from repro.core.block import GENESIS_ID, Block
 from repro.core.blocktree import BlockTree
 from repro.core.selection import GHOSTSelection, HeaviestChain, LongestChain
+from tests.network.reference_plane import (
+    ReferenceBlockTree,
+    ReferenceGHOSTSelection,
+    ReferenceHeaviestChain,
+    ReferenceLongestChain,
+)
 
 RULES = (LongestChain(), HeaviestChain(), GHOSTSelection())
+REFERENCE_RULES = (
+    ReferenceLongestChain(),
+    ReferenceHeaviestChain(),
+    ReferenceGHOSTSelection(),
+)
 
 
 def _grow_pair(seed: int, blocks: int = 120):
-    """Grow one random fork-heavy tree under both index modes."""
+    """Grow one random fork-heavy tree on both indexes."""
     rng = random.Random(seed)
-    columns = BlockTree(index="columns")
-    reference = BlockTree(index="reference")
+    columns = BlockTree()
+    reference = ReferenceBlockTree()
     ids = [GENESIS_ID]
     for i in range(blocks):
         parent = rng.choice(ids[-8:] if rng.random() < 0.7 else ids)
@@ -52,26 +63,19 @@ def test_columns_match_reference_queries(seed: int):
         # same IEEE additions in the same order as the dict walk.
         assert columns.cumulative_weight(block_id) == reference.cumulative_weight(block_id)
         assert columns.subtree_weight(block_id) == reference.subtree_weight(block_id)
+    # Ancestry: int hops over parent slots vs parent-id hops over blocks.
+    for a, b in zip(ids, reversed(ids)):
+        assert columns.is_ancestor(a, b) == reference.is_ancestor(a, b)
+        assert columns.common_ancestor(a, b) == reference.common_ancestor(a, b)
+    assert not columns.is_ancestor("nowhere", ids[-1])
+    assert not reference.is_ancestor("nowhere", ids[-1])
 
 
 @pytest.mark.parametrize("seed", (1, 7, 23))
 def test_columns_match_reference_selection(seed: int):
     columns, reference, _ = _grow_pair(seed)
-    for rule in RULES:
-        assert rule(columns).ids == rule(reference).ids
-
-
-def test_default_index_is_columns_and_switchable():
-    assert blocktree_module.DEFAULT_INDEX == "columns"
-    assert BlockTree()._columns is not None
-    previous = blocktree_module.DEFAULT_INDEX
-    blocktree_module.DEFAULT_INDEX = "reference"
-    try:
-        assert BlockTree()._columns is None
-    finally:
-        blocktree_module.DEFAULT_INDEX = previous
-    with pytest.raises(ValueError):
-        BlockTree(index="btree")
+    for rule, reference_rule in zip(RULES, REFERENCE_RULES):
+        assert rule(columns).ids == reference_rule(reference).ids
 
 
 @pytest.mark.parametrize("seed", (1, 23))
@@ -95,23 +99,30 @@ def test_columns_survive_pickle_roundtrip(seed: int):
 
 
 def test_copy_isolates_columns():
-    columns, _, _ = _grow_pair(5, blocks=40)
-    clone = columns.copy()
-    clone.append(Block("only-in-clone", "x0"))
-    assert "only-in-clone" in clone
-    assert "only-in-clone" not in columns
-    assert clone.subtree_weight("x0") != columns.subtree_weight("x0")
+    class Tagged(BlockTree):
+        """Inherits the live ``copy()``, which builds ``type(self)``."""
+
+    columns, reference, _ = _grow_pair(5, blocks=40)
+    tagged = Tagged()
+    tagged.merge(columns)
+    for tree in (columns, reference, tagged):
+        clone = tree.copy()
+        assert type(clone) is type(tree)
+        clone.append(Block("only-in-clone", "x0"))
+        assert "only-in-clone" in clone
+        assert "only-in-clone" not in tree
+        assert clone.subtree_weight("x0") != tree.subtree_weight("x0")
 
 
-def test_pre_columns_checkpoint_restores_in_reference_mode():
-    """Snapshots taken before the columnar index existed keep working."""
-    reference = BlockTree(index="reference")
+def test_pre_columns_checkpoint_is_refused():
+    """A snapshot taken on the dict index cannot be read by anything in
+    ``src/`` any more; it is refused with the reason, not restored into
+    a tree whose queries would fail one by one."""
+    reference = ReferenceBlockTree()
     reference.append(Block("x", GENESIS_ID))
-    state = reference.__dict__.copy()
-    state.pop("_columns")
-    old = BlockTree.__new__(BlockTree)
-    old.__setstate__(state)
-    assert old._columns is None
-    assert old.height_of("x") == 1
-    old.append(Block("y", "x", weight=2.0))
-    assert old.cumulative_weight("y") == 3.0
+    without_columns = reference.__dict__.copy()
+    without_columns.pop("_columns")
+    for state in (without_columns, reference.__dict__.copy()):
+        old = BlockTree.__new__(BlockTree)
+        with pytest.raises(ValueError, match="dict score index, which has been removed"):
+            old.__setstate__(state)

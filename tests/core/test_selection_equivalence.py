@@ -6,9 +6,9 @@ chain.  These tests pin down that the optimization is *behaviour-
 preserving*: on hundreds of random trees — including tie-heavy trees,
 where every branch has the same score and only the lexicographic
 tie-break decides — each rule must return exactly the chain the original
-brute-force implementation (kept as ``_reference_*`` oracles) returns,
-and the version-guarded memo must never leak a stale chain across
-mutations or copies.
+brute-force implementation (the ``Reference*`` oracles of
+``tests/network/reference_plane.py``) returns, and the version-guarded
+memo must never leak a stale chain across mutations or copies.
 """
 
 from __future__ import annotations
@@ -25,20 +25,22 @@ from repro.core.selection import (
     HeaviestChain,
     LongestChain,
     ScoreMaximizingSelection,
-    _ReferenceGHOSTSelection,
-    _ReferenceHeaviestChain,
-    _ReferenceLongestChain,
-    _ReferenceScoreMaximizingSelection,
+)
+from tests.network.reference_plane import (
+    ReferenceGHOSTSelection,
+    ReferenceHeaviestChain,
+    ReferenceLongestChain,
+    ReferenceScoreMaximizingSelection,
 )
 
 #: (indexed rule, brute-force oracle) pairs under test.
 RULES = [
-    pytest.param(LongestChain(), _ReferenceLongestChain(), id="longest"),
-    pytest.param(HeaviestChain(), _ReferenceHeaviestChain(), id="heaviest"),
-    pytest.param(GHOSTSelection(), _ReferenceGHOSTSelection(), id="ghost"),
+    pytest.param(LongestChain(), ReferenceLongestChain(), id="longest"),
+    pytest.param(HeaviestChain(), ReferenceHeaviestChain(), id="heaviest"),
+    pytest.param(GHOSTSelection(), ReferenceGHOSTSelection(), id="ghost"),
     pytest.param(
         ScoreMaximizingSelection(WeightScore(min_increment=0.25)),
-        _ReferenceScoreMaximizingSelection(WeightScore(min_increment=0.25)),
+        ReferenceScoreMaximizingSelection(WeightScore(min_increment=0.25)),
         id="weight-with-increment",
     ),
 ]
@@ -117,8 +119,8 @@ def test_copies_do_not_share_stale_memo_entries():
     tree.append(Block("b2", "b1"))
     assert rule(clone).tip.block_id == "z1"
     assert rule(tree).tip.block_id == "b2"
-    assert rule(clone).ids == _ReferenceLongestChain()(clone).ids
-    assert rule(tree).ids == _ReferenceLongestChain()(tree).ids
+    assert rule(clone).ids == ReferenceLongestChain()(clone).ids
+    assert rule(tree).ids == ReferenceLongestChain()(tree).ids
 
 
 def test_unhashable_score_functions_fall_back_without_memo():
@@ -166,6 +168,6 @@ def test_generic_score_fallback_matches_reference():
         tree.append(Block(block_id, parent, payload=payload))
         ids.append(block_id)
     indexed = ScoreMaximizingSelection(PayloadScore())
-    reference = _ReferenceScoreMaximizingSelection(PayloadScore())
+    reference = ReferenceScoreMaximizingSelection(PayloadScore())
     assert indexed(tree).ids == reference(tree).ids
     assert indexed(tree).ids == indexed(tree).ids

@@ -86,6 +86,25 @@ class TestBuildKwargs:
         with pytest.raises(ValueError, match="does not accept parameter 'token_rate'"):
             spec.build_kwargs()
 
+    def test_removed_plane_switch_fails_loudly(self):
+        """``batched`` used to reach ``Network(batched=False)`` — the oracle
+        plane — from any spec or sweep axis without saying so; the plane is
+        test code now, so the parameter is refused like any unknown one."""
+        from repro.engine.sweep import expand_grid
+
+        message = "protocol 'bitcoin' does not accept parameter 'batched'"
+        spec = ExperimentSpec(protocol="bitcoin", params={"batched": False})
+        with pytest.raises(ValueError, match=message):
+            spec.build_kwargs()
+        (cell,) = expand_grid(
+            ExperimentSpec(protocol="bitcoin"), {"params.batched": [False]}
+        )
+        with pytest.raises(ValueError, match=message):
+            cell.build_kwargs()
+        # The event-core switch is a different knob and keeps working.
+        heap = ExperimentSpec(protocol="bitcoin", params={"core": "heap"})
+        assert heap.build_kwargs()["core"] == "heap"
+
     def test_selection_string_is_materialized(self):
         from repro.core.selection import LongestChain
 

@@ -21,6 +21,7 @@ from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle
 from repro.protocols.base import ReplicaConfig, run_protocol
 from repro.protocols.nakamoto import NakamotoReplica
+from tests.network.reference_plane import ReferenceNetwork
 
 
 class LoggingProcess(Process):
@@ -83,7 +84,7 @@ def test_schedule_fanout_mixed_none_keeps_survivors_in_order(core: str, width: i
 def _run_plane(batched: bool):
     sim = Simulator(core="array")
     channel = SynchronousChannel(delta=2.0, min_delay=0.5, seed=7)
-    network = Network(sim, channel, batched=batched)
+    network = (Network if batched else ReferenceNetwork)(sim, channel)
     log: list = []
     network.register(LoggingProcess("a", log))
     network.register(Saboteur("b", log))

@@ -4,9 +4,10 @@ The batched message plane is only allowed to exist because
 ``delays_for(sender, receivers, now)`` is *bit-identical* to the sequence
 of scalar ``delay_for`` calls it replaces: same values, same generator
 state afterwards.  These tests pin that property for all five channel
-models against :func:`repro.network.channels._reference_delays_for` (the
-pre-batching scalar loop), across seeds, mixed self/remote fan-outs, and
-the GST boundary of the partially synchronous model.
+models against :func:`_scalar_delays_for` below (the pre-batching scalar
+loop, one ``delay_for`` per receiver in receiver order), across seeds,
+mixed self/remote fan-outs, and the GST boundary of the partially
+synchronous model.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ from repro.network.channels import (
     PartiallySynchronousChannel,
     SynchronousChannel,
     TargetedLossChannel,
-    _reference_delays_for,
     batched_delays,
 )
+
+
+def _scalar_delays_for(channel, sender, receivers, now):
+    """The oracle: what ``Network.broadcast`` drew before batching existed."""
+    return [channel.delay_for(sender, receiver, now) for receiver in receivers]
+
 
 SEEDS = (0, 1, 7, 23, 101)
 
@@ -64,7 +70,7 @@ def test_batched_equals_scalar_stream(model: str, seed: int):
     for now in (0.0, 10.0, 49.9, 50.0, 120.0):
         for receivers in RECEIVER_LISTS:
             batch = batched_channel.delays_for("a", receivers, now)
-            scalar = _reference_delays_for(scalar_channel, "a", receivers, now)
+            scalar = _scalar_delays_for(scalar_channel, "a", receivers, now)
             assert batch == scalar, (model, seed, now, receivers)
     # Generator state must match too: the next scalar draws agree.
     for _ in range(5):
@@ -82,7 +88,7 @@ def test_partial_synchrony_gst_boundary(seed: int):
     receivers = [f"p{i}" for i in range(12)]
     for now in (gst - 1e-9, gst, gst + 1e-9):
         batch = batched_channel.delays_for("a", receivers, now)
-        scalar = _reference_delays_for(scalar_channel, "a", receivers, now)
+        scalar = _scalar_delays_for(scalar_channel, "a", receivers, now)
         assert batch == scalar
     # At/after GST every delay honours the synchronous bound.
     post = batched_channel.delays_for("a", receivers, gst)
@@ -98,7 +104,7 @@ def test_lossy_drop_accounting_matches_scalar(seed: int):
     batched_channel, scalar_channel = make(), make()
     receivers = [f"p{i}" for i in range(40)] + ["a"]
     batch = batched_channel.delays_for("a", receivers, 0.0)
-    scalar = _reference_delays_for(scalar_channel, "a", receivers, 0.0)
+    scalar = _scalar_delays_for(scalar_channel, "a", receivers, 0.0)
     assert batch == scalar
     assert batched_channel.dropped == scalar_channel.dropped > 0
     # Self-addressed messages never drop.

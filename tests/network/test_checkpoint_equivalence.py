@@ -16,21 +16,9 @@ import random
 
 import pytest
 
-from repro.core.selection import HeaviestChain
 from repro.engine.checkpoint import SimulationCheckpoint
-from repro.network.channels import (
-    AsynchronousChannel,
-    LossyChannel,
-    PartiallySynchronousChannel,
-    SynchronousChannel,
-    TargetedLossChannel,
-)
-from repro.network.faults import available_faults, build_fault
-from repro.network.topology import GossipFanout, Sharded
-from repro.oracle.tape import TapeFamily
-from repro.oracle.theta import ProdigalOracle
-from repro.protocols.base import ReplicaConfig, run_protocol
-from repro.protocols.nakamoto import NakamotoReplica
+from repro.network.faults import available_faults
+from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
 #: Chunk size small enough that every scenario crosses several snapshot
 #: boundaries in both the main and drain phases.
@@ -40,94 +28,19 @@ EVERY = 120
 K = 3
 
 
-class _DropP2Early:
-    """Picklable targeted-loss predicate (snapshots carry the channel)."""
-
-    def __call__(self, sender: str, receiver: str, now: float) -> bool:
-        return receiver == "p2" and now < 30.0
-
-
-def _channel(kind: str, seed: int):
-    if kind == "synchronous":
-        return SynchronousChannel(delta=3.0, min_delay=0.5, seed=seed)
-    if kind == "asynchronous":
-        return AsynchronousChannel(mean_delay=2.0, tail_probability=0.2, seed=seed)
-    if kind == "partial":
-        return PartiallySynchronousChannel(gst=25.0, delta=1.0, pre_gst_mean=4.0, seed=seed)
-    if kind == "lossy":
-        return LossyChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed), 0.25, seed=seed + 1
-        )
-    if kind == "targeted":
-        return TargetedLossChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed),
-            drop_if=_DropP2Early(),
-        )
-    raise AssertionError(kind)
-
-
-def _topology(kind: str, seed: int):
-    if kind == "full":
-        return None
-    if kind == "gossip":
-        return GossipFanout(fanout=2, seed=seed)
-    if kind == "sharded":
-        return Sharded(shards=2, cross_links=1)
-    raise AssertionError(kind)
-
-
-def _fault(kind: str):
-    params = {
-        "crash": {"at": {"p1": 20.0}},
-        "silent": {"members": ("p3",)},
-        "churn": {"leave": {"p4": 15.0}, "join": {"p4": 35.0}},
-        "partition": {
-            "groups": [["p0", "p1"], ["p2", "p3", "p4"]],
-            "at": 10.0,
-            "heal_at": 35.0,
-        },
-        "eclipse": {"victim": "p2", "at": 5.0, "until": 30.0},
-    }
-    return build_fault(kind, params[kind])
-
-
-def _run(kind: str, seed: int, core: str, topology: str = "full", fault=None, **kwargs):
-    tapes = TapeFamily(seed=seed, probability_scale=0.5)
-    oracle = ProdigalOracle(tapes=tapes)
-
-    def factory(pid, orc, network):  # noqa: ARG001
-        config = ReplicaConfig(
-            selection=HeaviestChain(), read_interval=4.0, use_lrc=True, merit=0.2
-        )
-        return NakamotoReplica(pid, orc, config, mining_interval=1.0)
-
-    return run_protocol(
-        f"ckpt-equiv-{kind}",
-        factory,
-        oracle,
-        n=5,
-        duration=50.0,
-        channel=_channel(kind, seed),
-        topology=_topology(topology, seed),
-        core=core,
-        fault=fault,
-        **kwargs,
-    )
-
-
 def _assert_restores_identical(
     kind: str, seed: int, core: str, topology: str = "full", fault_kind=None
 ):
     fault = _fault(fault_kind) if fault_kind else None
-    clean = _run(kind, seed, core, topology, fault)
+    clean = _run(kind, seed, core=core, topology=topology, fault=fault)
 
     snapshots = []
     capture = _run(
         kind,
         seed,
-        core,
-        topology,
-        _fault(fault_kind) if fault_kind else None,
+        core=core,
+        topology=topology,
+        fault=_fault(fault_kind) if fault_kind else None,
         checkpoint_every=EVERY,
         checkpoint_sink=lambda live: snapshots.append(
             SimulationCheckpoint.capture(live)

@@ -10,143 +10,30 @@ channel models and across dissemination topologies.  Anything less would
 mean the new core changed the simulated executions, not just their
 speed.
 
-PR 10 widens the oracle axis from the event *store* to the whole
+PR 10 widened the oracle axis from the event *store* to the whole
 callback plane: the live leg (array core, batch dispatch, hot-path
-recorder, columnar block index) is additionally checked against the
-fully retained pure/scalar plane (heap core, per-message dispatch,
-``reference_recording()`` recorder, ``DEFAULT_INDEX="reference"`` dict
-index).  This module is the only place that oracle leg is assembled.
+recorder, columnar block index, indexed selection) is additionally
+checked against the pure/scalar plane — heap core, per-receiver sends and
+per-message dispatch, the generic recorder body, the per-block dict index
+and the brute-force selection rule.  That plane is test code
+(``tests/network/reference_plane.py``); ``_run(reference=True)`` asks for
+all of it, ``_run(scalar_network=True)`` for its network alone.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 
 import repro.core.blocktree as blocktree_module
-from repro.core.history import reference_recording
-from repro.core.selection import HeaviestChain
-from repro.network.channels import (
-    AsynchronousChannel,
-    LossyChannel,
-    PartiallySynchronousChannel,
-    SynchronousChannel,
-    TargetedLossChannel,
-)
-from repro.network.faults import available_faults, build_fault
-from repro.network.topology import GossipFanout, Sharded
-from repro.oracle.tape import TapeFamily
-from repro.oracle.theta import ProdigalOracle
-from repro.protocols.base import ReplicaConfig, run_protocol
-from repro.protocols.nakamoto import NakamotoReplica
-
-
-class CrashingMiner(NakamotoReplica):
-    """A miner that crash-faults at a pre-programmed virtual time."""
-
-    def __init__(self, *args, crash_at: float = 25.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.crash_at = crash_at
-
-    def on_start(self) -> None:
-        super().on_start()
-        self.schedule(self.crash_at, self.crash)
-
-
-def _channel(kind: str, seed: int):
-    if kind == "synchronous":
-        # Fork-prone: large delta relative to the mining interval.
-        return SynchronousChannel(delta=3.0, min_delay=0.5, seed=seed)
-    if kind == "asynchronous":
-        return AsynchronousChannel(mean_delay=2.0, tail_probability=0.2, seed=seed)
-    if kind == "partial":
-        return PartiallySynchronousChannel(gst=25.0, delta=1.0, pre_gst_mean=4.0, seed=seed)
-    if kind == "lossy":
-        return LossyChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed), 0.25, seed=seed + 1
-        )
-    if kind == "targeted":
-        return TargetedLossChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed),
-            drop_if=lambda s, r, t: r == "p2" and t < 30.0,
-        )
-    raise AssertionError(kind)
-
-
-def _topology(kind: str, seed: int):
-    if kind == "full":
-        return None  # run_protocol's default FullMesh
-    if kind == "gossip":
-        return GossipFanout(fanout=2, seed=seed)
-    if kind == "sharded":
-        return Sharded(shards=2, cross_links=1)
-    raise AssertionError(kind)
-
-
-def _fault(kind: str):
-    """One representative instance per registered fault kind."""
-    params = {
-        "crash": {"at": {"p1": 20.0}},
-        "silent": {"members": ("p3",)},
-        "churn": {"leave": {"p4": 15.0}, "join": {"p4": 35.0}},
-        "partition": {"groups": [["p0", "p1"], ["p2", "p3", "p4"]], "at": 10.0, "heal_at": 35.0},
-        "eclipse": {"victim": "p2", "at": 5.0, "until": 30.0},
-    }
-    return build_fault(kind, params[kind])
-
-
-@contextmanager
-def _reference_plane():
-    """Route new trees and recorders through the retained pure plane."""
-    previous = blocktree_module.DEFAULT_INDEX
-    blocktree_module.DEFAULT_INDEX = "reference"
-    try:
-        with reference_recording():
-            yield
-    finally:
-        blocktree_module.DEFAULT_INDEX = previous
-
-
-def _run(
-    kind: str,
-    seed: int,
-    core: str,
-    faulty: bool,
-    topology: str = "full",
-    fault=None,
-    batched: bool = True,
-    reference: bool = False,
-):
-    tapes = TapeFamily(seed=seed, probability_scale=0.5)
-    oracle = ProdigalOracle(tapes=tapes)
-
-    def factory(pid, orc, network):  # noqa: ARG001
-        config = ReplicaConfig(
-            selection=HeaviestChain(), read_interval=4.0, use_lrc=True, merit=0.2
-        )
-        if faulty and pid == "p1":
-            return CrashingMiner(pid, orc, config, mining_interval=1.0, crash_at=20.0)
-        return NakamotoReplica(pid, orc, config, mining_interval=1.0)
-
-    def execute():
-        return run_protocol(
-            f"core-equiv-{kind}",
-            factory,
-            oracle,
-            n=5,
-            duration=50.0,
-            channel=_channel(kind, seed),
-            topology=_topology(topology, seed),
-            core=core,
-            batched=batched,
-            fault=fault,
-        )
-
-    if reference:
-        with _reference_plane():
-            return execute()
-    return execute()
+import repro.core.history as history_module
+from repro.network import _hotpath
+from repro.network.faults import available_faults
+from repro.network.process import Process
+from repro.protocols.base import BlockchainReplica
+from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
 
 @pytest.mark.parametrize("kind", ("synchronous", "asynchronous", "partial", "lossy", "targeted"))
@@ -203,11 +90,12 @@ def test_histories_identical_live_vs_reference_plane(kind: str):
     """The full callback-plane oracle: live vs pure/scalar, per channel.
 
     Live = array core + batch dispatch + hot-path recorder + columnar
-    index.  Oracle = heap core + per-message dispatch + reference
-    recorder + dict index — every PR 10 fast path swapped out at once.
+    index + indexed selection.  Oracle = heap core + per-message dispatch
+    + generic recorder + dict index + brute-force selection — every fast
+    path swapped out at once.
     """
     live = _run(kind, seed=9, core="array", faulty=False)
-    oracle = _run(kind, seed=9, core="heap", faulty=False, batched=False, reference=True)
+    oracle = _run(kind, seed=9, core="heap", faulty=False, reference=True)
     assert live.history.events == oracle.history.events
     assert live.network.messages_sent == oracle.network.messages_sent
     assert live.network.messages_delivered == oracle.network.messages_delivered
@@ -221,7 +109,7 @@ def test_live_vs_reference_plane_across_topologies(topology: str):
     live = _run("synchronous", seed=5, core="array", faulty=False, topology=topology)
     oracle = _run(
         "synchronous", seed=5, core="heap", faulty=False,
-        topology=topology, batched=False, reference=True,
+        topology=topology, reference=True,
     )
     assert live.history.events == oracle.history.events
     assert live.network.messages_sent == oracle.network.messages_sent
@@ -234,7 +122,7 @@ def test_live_vs_reference_plane_for_every_fault_kind(fault_kind: str):
     live = _run("lossy", seed=13, core="array", faulty=False, fault=_fault(fault_kind))
     oracle = _run(
         "lossy", seed=13, core="heap", faulty=False,
-        fault=_fault(fault_kind), batched=False, reference=True,
+        fault=_fault(fault_kind), reference=True,
     )
     assert live.history.events == oracle.history.events
     assert live.network.messages_delivered == oracle.network.messages_delivered
@@ -245,10 +133,51 @@ def test_live_vs_reference_plane_for_every_fault_kind(fault_kind: str):
 def test_batch_dispatch_matches_scalar_dispatch(kind: str):
     """Isolate batch dispatch: same array core, spans on vs off."""
     batched = _run(kind, seed=17, core="array", faulty=True)
-    scalar = _run(kind, seed=17, core="array", faulty=True, batched=False)
+    scalar = _run(kind, seed=17, core="array", faulty=True, scalar_network=True)
     assert batched.history.events == scalar.history.events
     assert batched.network.messages_delivered == scalar.network.messages_delivered
     assert batched.network.simulator.events_processed == scalar.network.simulator.events_processed
+
+
+class _Tripped(Exception):
+    """A fast path ran."""
+
+
+def _trip(*args, **kwargs):
+    raise _Tripped
+
+
+#: The fast paths the reference plane is the oracle *for*, each patched
+#: where its name is looked up at call time (``on_message_batch`` on the
+#: override these replicas dispatch through).
+_FAST_PATHS = {
+    "deliver_span": (_hotpath, "deliver_span"),
+    "record_replication": (history_module, "record_replication"),
+    "tree_append_index": (blocktree_module, "tree_append_index"),
+    "on_message_batch": (BlockchainReplica, "on_message_batch"),
+}
+
+
+def test_reference_plane_runs_none_of_the_fast_paths():
+    """The oracle is independent of what it checks: with every fast path
+    (and the base ``on_message_batch``) raising, the oracle leg still runs
+    to completion and records the history it records without the patches."""
+    expected = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
+    with ExitStack() as stack:
+        for target, name in (*_FAST_PATHS.values(), (Process, "on_message_batch")):
+            stack.enter_context(mock.patch.object(target, name, _trip))
+        oracle = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
+    assert oracle.history.events == expected.history.events
+    assert len(oracle.history.append_invocations()) > 0
+
+
+@pytest.mark.parametrize("fast_path", sorted(_FAST_PATHS))
+def test_live_plane_runs_every_fast_path(fast_path: str):
+    """...and the patches are live wires: the same scenario on the live
+    plane reaches each of them."""
+    target, name = _FAST_PATHS[fast_path]
+    with mock.patch.object(target, name, _trip), pytest.raises(_Tripped):
+        _run("lossy", seed=9, core="array", faulty=False)
 
 
 def test_fork_heavy_run_actually_forks():

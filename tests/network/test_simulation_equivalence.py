@@ -1,86 +1,24 @@
 """Batched vs. reference message plane: recorded histories are identical.
 
 The PR 4 acceptance bar: on randomized fork-, drop- and fault-heavy
-protocol runs, ``run_protocol(batched=True)`` (vectorized channel
-sampling + shared-envelope multicast + bulk queue inserts) and
-``run_protocol(batched=False)`` (the pre-batching scalar fan-out kept as
-the reference oracle) must record *identical* histories — every event,
-every timestamp, every read result — for all channel models.  Anything
-less would mean the overhaul changed the simulated executions, not just
-their speed.
+protocol runs, the live message plane (vectorized channel sampling +
+shared-envelope multicast + bulk queue inserts + span dispatch) and the
+pre-batching scalar fan-out — ``ReferenceNetwork`` of
+``tests/network/reference_plane.py``, everything else live — must record
+*identical* histories — every event, every timestamp, every read result —
+for all channel models.  Anything less would mean the overhaul changed
+the simulated executions, not just their speed.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.selection import HeaviestChain
-from repro.network.channels import (
-    AsynchronousChannel,
-    LossyChannel,
-    PartiallySynchronousChannel,
-    SynchronousChannel,
-    TargetedLossChannel,
-)
-from repro.oracle.tape import TapeFamily
-from repro.oracle.theta import ProdigalOracle
-from repro.protocols.base import ReplicaConfig, run_protocol
-from repro.protocols.nakamoto import NakamotoReplica
-
-
-class CrashingMiner(NakamotoReplica):
-    """A miner that crash-faults at a pre-programmed virtual time."""
-
-    def __init__(self, *args, crash_at: float = 25.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.crash_at = crash_at
-
-    def on_start(self) -> None:
-        super().on_start()
-        self.schedule(self.crash_at, self.crash)
-
-
-def _channel(kind: str, seed: int):
-    if kind == "synchronous":
-        # Fork-prone: large delta relative to the mining interval.
-        return SynchronousChannel(delta=3.0, min_delay=0.5, seed=seed)
-    if kind == "asynchronous":
-        return AsynchronousChannel(mean_delay=2.0, tail_probability=0.2, seed=seed)
-    if kind == "partial":
-        return PartiallySynchronousChannel(gst=25.0, delta=1.0, pre_gst_mean=4.0, seed=seed)
-    if kind == "lossy":
-        return LossyChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed), 0.25, seed=seed + 1
-        )
-    if kind == "targeted":
-        return TargetedLossChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed),
-            drop_if=lambda s, r, t: r == "p2" and t < 30.0,
-        )
-    raise AssertionError(kind)
+from tests.network.fork_heavy_run import run
 
 
 def _run(kind: str, seed: int, batched: bool, faulty: bool):
-    tapes = TapeFamily(seed=seed, probability_scale=0.5)
-    oracle = ProdigalOracle(tapes=tapes)
-
-    def factory(pid, orc, network):  # noqa: ARG001
-        config = ReplicaConfig(
-            selection=HeaviestChain(), read_interval=4.0, use_lrc=True, merit=0.2
-        )
-        if faulty and pid == "p1":
-            return CrashingMiner(pid, orc, config, mining_interval=1.0, crash_at=20.0)
-        return NakamotoReplica(pid, orc, config, mining_interval=1.0)
-
-    return run_protocol(
-        f"equiv-{kind}",
-        factory,
-        oracle,
-        n=5,
-        duration=50.0,
-        channel=_channel(kind, seed),
-        batched=batched,
-    )
+    return run(kind, seed, faulty=faulty, scalar_network=not batched)
 
 
 @pytest.mark.parametrize("kind", ("synchronous", "asynchronous", "partial", "lossy", "targeted"))

@@ -7,6 +7,7 @@ import pytest
 from repro.network.channels import SynchronousChannel
 from repro.network.process import Process
 from repro.network.simulator import Message, Network, Simulator, timed_callbacks
+from tests.network.reference_plane import ReferenceNetwork
 
 
 class Echo(Process):
@@ -217,8 +218,8 @@ class TestNetwork:
 
 class TestMulticast:
     def _network(self, n: int = 4, batched: bool = True) -> tuple[Network, list[Echo]]:
-        network = Network(
-            Simulator(), SynchronousChannel(delta=1.0, seed=2), batched=batched
+        network = (Network if batched else ReferenceNetwork)(
+            Simulator(), SynchronousChannel(delta=1.0, seed=2)
         )
         processes = [Echo(f"p{i}") for i in range(n)]
         for process in processes:
@@ -277,14 +278,14 @@ class TestMulticast:
         assert len(processes[2].received) == 1
 
     def test_multicast_honours_the_reference_switch(self):
-        """batched=False covers the multicast API too, not just broadcast."""
+        """The scalar oracle covers the multicast API too, not just broadcast."""
         from repro.network.channels import LossyChannel
 
         def build(batched: bool):
             channel = LossyChannel(
                 SynchronousChannel(delta=1.0, seed=4), 0.4, seed=5
             )
-            network = Network(Simulator(), channel, batched=batched)
+            network = (Network if batched else ReferenceNetwork)(Simulator(), channel)
             processes = [Echo(f"p{i}") for i in range(6)]
             for process in processes:
                 network.register(process)
@@ -326,7 +327,7 @@ class TestBatchedReferenceEquivalence:
         channel = LossyChannel(
             SynchronousChannel(delta=1.0, min_delay=0.1, seed=seed), drop, seed=seed + 1
         )
-        network = Network(Simulator(), channel, batched=batched)
+        network = (Network if batched else ReferenceNetwork)(Simulator(), channel)
         processes = [self.Relay(f"p{i}") for i in range(8)]
         for process in processes:
             network.register(process)

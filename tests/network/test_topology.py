@@ -17,13 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.selection import HeaviestChain
-from repro.network.channels import (
-    AsynchronousChannel,
-    LossyChannel,
-    PartiallySynchronousChannel,
-    SynchronousChannel,
-    TargetedLossChannel,
-)
+from repro.network.channels import SynchronousChannel
 from repro.network.process import Process
 from repro.network.simulator import Network, Simulator
 from repro.network.topology import (
@@ -43,6 +37,8 @@ from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle
 from repro.protocols.base import ReplicaConfig, run_protocol
 from repro.protocols.nakamoto import NakamotoReplica
+from tests.network.fork_heavy_run import channel_of
+from tests.network.reference_plane import ReferenceNetwork
 
 PIDS = tuple(f"p{i}" for i in range(6))
 
@@ -240,10 +236,9 @@ class Recorder(Process):
 
 
 def _network(topology: Topology = None, n: int = 6, batched: bool = True) -> Network:
-    network = Network(
+    network = (Network if batched else ReferenceNetwork)(
         Simulator(),
         SynchronousChannel(delta=1.0, seed=1),
-        batched=batched,
         topology=topology,
     )
     for i in range(n):
@@ -317,25 +312,6 @@ class TestNetworkRouting:
 # ---------------------------------------------------------------------------
 
 
-def _channel(kind: str, seed: int):
-    if kind == "synchronous":
-        return SynchronousChannel(delta=3.0, min_delay=0.5, seed=seed)
-    if kind == "asynchronous":
-        return AsynchronousChannel(mean_delay=2.0, tail_probability=0.2, seed=seed)
-    if kind == "partial":
-        return PartiallySynchronousChannel(gst=25.0, delta=1.0, pre_gst_mean=4.0, seed=seed)
-    if kind == "lossy":
-        return LossyChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed), 0.25, seed=seed + 1
-        )
-    if kind == "targeted":
-        return TargetedLossChannel(
-            SynchronousChannel(delta=2.0, min_delay=0.3, seed=seed),
-            drop_if=lambda s, r, t: r == "p2" and t < 30.0,
-        )
-    raise AssertionError(kind)
-
-
 def _run(kind: str, seed: int, topology: Topology = None):
     tapes = TapeFamily(seed=seed, probability_scale=0.5)
     oracle = ProdigalOracle(tapes=tapes)
@@ -352,7 +328,7 @@ def _run(kind: str, seed: int, topology: Topology = None):
         oracle,
         n=5,
         duration=50.0,
-        channel=_channel(kind, seed),
+        channel=channel_of(kind, seed),
         topology=topology,
     )
 
