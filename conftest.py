@@ -1,8 +1,8 @@
 """Repository-level pytest configuration.
 
-Makes the ``src`` layout importable even when the package has not been
-installed (e.g. a fresh offline checkout where ``pip install -e .`` cannot
-build an editable wheel); an installed ``repro`` always takes precedence.
+Makes the ``src`` layout importable without ``PYTHONPATH=src``.  The
+repository is not installable (``setup.py`` carries no metadata and only
+serves ``build_ext``); a ``repro`` already importable takes precedence.
 """
 
 import sys

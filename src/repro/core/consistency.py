@@ -18,23 +18,27 @@ Performance
 -----------
 
 The checkers run on every classified run.  Compared chain by chain, the
-pair properties cost O(R²·L) on R reads of chain length L; they now share
-a :class:`~repro.core.consistency_index.ConsistencyIndex` — all read
-results merged into one analysis tree, chains represented by their tips,
-divergence / ``mcps`` / chain scores O(1) queries — and *count* instead of
-enumerating, on violating histories too.  Strong Prefix takes all pairs
-minus the comparable ones (tip multiplicities accumulated root-first);
-Eventual Prefix tests each diverging pair of final reads once against the
-running maximum of the scores read before it, the rule the streaming
-monitor decides by, and counts with one offline dominance sweep.  A check
-is O(R·log V + P²) for V blocks and P processes, and a result holds at
-most :data:`WITNESS_LIMIT` strings however many pairs violate: the first
-ones in the brute-force order, found without visiting the others.  The
-brute-force checkers are the oracle of
-``tests/core/test_consistency_equivalence.py``
-(``tests/core/reference_consistency.py``): verdict, count, witnesses and
-``details`` must match exactly.  The ledger rows
-``core.consistency.{strong_fork,strong_chain,eventual}_s``
+pair properties cost O(R²·L) on R reads of chain length L; they read a
+:class:`~repro.core.consistency_index.ConsistencyIndex` instead — the
+union tree of all read results, the read table and the append map — and
+nothing else (``history`` only builds an index when the caller has none).
+Divergence / ``mcps`` / chain scores are O(1) queries there, the read
+scores are computed once for the three properties that compare them, and
+the pair properties *count* instead of enumerating, on violating
+histories too.  Strong Prefix takes all pairs minus the comparable ones
+(tip multiplicities accumulated root-first); Eventual Prefix tests each
+diverging pair of final reads once against the running maximum of the
+scores read before it and counts with one offline dominance sweep.  A
+check is O(R·log V + P²) for V blocks and P processes, and a result holds
+at most :data:`WITNESS_LIMIT` strings however many pairs violate: the
+first ones in the brute-force order, found without visiting the others.
+
+Each property is decided here and nowhere else: the streaming
+:class:`~repro.core.consistency_index.ConsistencyMonitor` feeds an index
+while the run is recorded and passes it to :func:`check_consistency`.
+The brute-force checkers (``tests/core/reference_consistency.py``) are
+the oracle: verdict, count, witnesses and ``details`` must match exactly.
+The ledger rows ``core.consistency.{strong_fork,strong_chain,eventual}_s``
 (``benchmarks/ledger``) time the checkers.
 
 Finite-prefix interpretation
@@ -163,9 +167,15 @@ class ConsistencyReport:
         return "\n".join([header] + [r.describe() for r in self.results])
 
 
-def _shared_index(history: History, index: Optional[ConsistencyIndex]) -> ConsistencyIndex:
-    """The union index backing a check: reuse the caller's or build one."""
-    return index if index is not None else ConsistencyIndex.from_history(history)
+def _shared_index(
+    history: Optional[History], index: Optional[ConsistencyIndex]
+) -> ConsistencyIndex:
+    """The index a check reads, and all it reads: ``history`` only builds a missing one."""
+    if index is None:
+        if history is None:
+            raise ValueError("a consistency check needs a history or an index")
+        index = ConsistencyIndex.from_history(history)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +210,7 @@ class BlockValidityChecker:
     name: str = "block-validity"
 
     def check(
-        self, history: History, index: Optional[ConsistencyIndex] = None
+        self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
         validator = self.validator
@@ -237,7 +247,7 @@ class BlockValidityChecker:
             path_bad[block_id] = path_bad[parent] + (1 if bad else 0)
 
         found = _Witnesses()
-        for read in history.read_responses():
+        for read in index.reads:
             if path_bad.get(index.read_tip(read.eid), 0) == 0:
                 continue
             # Possibly-bad block on the path: walk the chain and apply the
@@ -273,20 +283,23 @@ class LocalMonotonicReadChecker:
     name: str = "local-monotonic-read"
 
     def check(
-        self, history: History, index: Optional[ConsistencyIndex] = None
+        self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
+        reads, scores = index.reads, index.read_scores(self.score)
+        last: Dict[str, int] = {}  # per process, where its latest read is
+        drops: List[Tuple[str, int, int]] = []
+        for i, read in enumerate(reads):
+            k = last.get(read.process)
+            if k is not None and scores[k] > scores[i]:
+                drops.append((read.process, k, i))
+            last[read.process] = i
         found = _Witnesses()
-        for process in history.processes:
-            reads = history.read_responses(process)
-            scores = [index.score_of_read(r, self.score) for r in reads]
-            for k in range(len(reads) - 1):
-                s_earlier, s_later = scores[k], scores[k + 1]
-                if s_earlier > s_later:
-                    found.add(
-                        f"process {process}: read {reads[k].eid} scored {s_earlier} "
-                        f"but later read {reads[k + 1].eid} scored {s_later}"
-                    )
+        for process, k, i in sorted(drops):  # the reference order: by process
+            found.add(
+                f"process {process}: read {reads[k].eid} scored {scores[k]} "
+                f"but later read {reads[i].eid} scored {scores[i]}"
+            )
         return found.result(self.name)
 
 
@@ -305,10 +318,10 @@ class StrongPrefixChecker:
     name: str = "strong-prefix"
 
     def check(
-        self, history: History, index: Optional[ConsistencyIndex] = None
+        self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        reads = history.read_responses()
+        reads = index.reads
         tips = [index.read_tip(r.eid) for r in reads]
         count = index.diverging_pair_count(tips)
         if not count:
@@ -355,12 +368,11 @@ class EverGrowingTreeChecker:
     name: str = "ever-growing-tree"
 
     def check(
-        self, history: History, index: Optional[ConsistencyIndex] = None
+        self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        reads = history.read_responses()
+        reads, scores = index.reads, index.read_scores(self.score)
         n = len(reads)
-        scores = [index.score_of_read(r, self.score) for r in reads]
         # suffix_max[i] = max score of reads[i+1:]; undefined for the last read.
         suffix_max: List[float] = [0.0] * n
         running: Optional[float] = None
@@ -417,30 +429,22 @@ class EventualPrefixChecker:
     name: str = "eventual-prefix"
 
     def check(
-        self, history: History, index: Optional[ConsistencyIndex] = None
+        self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        reads = history.read_responses()
-        scores = [index.score_of_read(r, self.score) for r in reads]
+        reads, scores = index.reads, index.read_scores(self.score)
         positions: Dict[str, List[int]] = {}  # per process, where it reads
         ceilings: List[Tuple[int, float]] = []  # increase points of the running maximum
         for i, read in enumerate(reads):
             positions.setdefault(read.process, []).append(i)
             if not ceilings or scores[i] > ceilings[-1][1]:
                 ceilings.append((i, scores[i]))
-        limits = [(own[-1], index.read_tip(reads[own[-1]].eid)) for own in positions.values()]
-        chain_of = {tip: reads[i].chain for i, tip in limits}
-
-        def shared_score(a: str, b: str) -> float:
-            return index.mcps_of_tips(a, b, self.score, chains=(chain_of[a], chain_of[b]))
-
+        limits = [own[-1] for own in positions.values()]
         # Shared score per breached pair, keyed by its two final reads in
         # order: the pair is seen by the reads before the first of them.
         breached = {
-            tuple(sorted((limits[x][0], limits[y][0]))): shared
-            for x, y, shared in index.eventual_prefix_breaches(
-                limits, ceilings, shared_score, index.prefix_related
-            )
+            (cut, other): shared
+            for cut, other, shared in index.eventual_prefix_breaches(limits, ceilings, self.score)
         }
         if not breached:
             return PropertyResult(self.name, True)
@@ -455,7 +459,7 @@ class EventualPrefixChecker:
         reads: Sequence[Event],
         scores: Sequence[float],
         positions: Dict[str, List[int]],
-        breached: Dict[Tuple[int, ...], float],
+        breached: Dict[Tuple[int, int], float],
     ) -> Iterator[str]:
         # floor[i]: the lowest shared score among the breached pairs read i
         # sees; read i objects to some pair iff it scores above.
@@ -494,15 +498,13 @@ _Common = Tuple[PropertyResult, PropertyResult, PropertyResult]
 
 
 def _common_results(
-    criterion: BTStrongConsistency | BTEventualConsistency,
-    history: History,
-    index: ConsistencyIndex,
+    criterion: BTStrongConsistency | BTEventualConsistency, index: ConsistencyIndex
 ) -> _Common:
     """Block Validity, Local Monotonic Read, Ever Growing Tree: what SC and EC share."""
     return (
-        BlockValidityChecker(criterion.validator).check(history, index),
-        LocalMonotonicReadChecker(criterion.score).check(history, index),
-        EverGrowingTreeChecker(criterion.score, criterion.stall_threshold).check(history, index),
+        BlockValidityChecker(criterion.validator).check(None, index),
+        LocalMonotonicReadChecker(criterion.score).check(None, index),
+        EverGrowingTreeChecker(criterion.score, criterion.stall_threshold).check(None, index),
     )
 
 
@@ -520,16 +522,14 @@ class BTStrongConsistency:
     stall_threshold: Optional[int] = None
 
     def check(
-        self, history: History, index: Optional[ConsistencyIndex] = None
+        self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> ConsistencyReport:
         index = _shared_index(history, index)
-        return self._report(_common_results(self, history, index), history, index)
+        return self._report(_common_results(self, index), index)
 
-    def _report(
-        self, common: _Common, history: History, index: ConsistencyIndex
-    ) -> ConsistencyReport:
+    def _report(self, common: _Common, index: ConsistencyIndex) -> ConsistencyReport:
         validity, monotonic, growing = common
-        strong_prefix = StrongPrefixChecker().check(history, index)
+        strong_prefix = StrongPrefixChecker().check(None, index)
         return ConsistencyReport(
             "BT Strong Consistency", (validity, monotonic, strong_prefix, growing)
         )
@@ -544,15 +544,13 @@ class BTEventualConsistency:
     stall_threshold: Optional[int] = None
 
     def check(
-        self, history: History, index: Optional[ConsistencyIndex] = None
+        self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> ConsistencyReport:
         index = _shared_index(history, index)
-        return self._report(_common_results(self, history, index), history, index)
+        return self._report(_common_results(self, index), index)
 
-    def _report(
-        self, common: _Common, history: History, index: ConsistencyIndex
-    ) -> ConsistencyReport:
-        eventual_prefix = EventualPrefixChecker(self.score).check(history, index)
+    def _report(self, common: _Common, index: ConsistencyIndex) -> ConsistencyReport:
+        eventual_prefix = EventualPrefixChecker(self.score).check(None, index)
         return ConsistencyReport("BT Eventual Consistency", (*common, eventual_prefix))
 
 
@@ -581,18 +579,23 @@ def check_eventual_consistency(
 
 
 def check_consistency(
-    history: History,
+    history: Optional[History],
     score: Optional[ScoreFunction] = None,
     validator: Optional[BlockValidator] = None,
+    stall_threshold: Optional[int] = None,
+    index: Optional[ConsistencyIndex] = None,
 ) -> Tuple[ConsistencyReport, ConsistencyReport]:
     """The SC and EC reports of one history, as ``(strong, eventual)``.
 
-    One index, and the three properties the criteria share evaluated
-    once: both reports hold the same :class:`PropertyResult` objects.
+    One index — built from ``history``, or the caller's: the streaming
+    :class:`~repro.core.consistency_index.ConsistencyMonitor` passes the
+    one it fed while the run was recorded — and the three properties the
+    criteria share evaluated once: both reports hold the same
+    :class:`PropertyResult` objects.
     """
     scorer = score if score is not None else LengthScore()
-    strong = BTStrongConsistency(scorer, validator)
-    eventual = BTEventualConsistency(scorer, validator)
-    index = ConsistencyIndex.from_history(history)
-    common = _common_results(strong, history, index)
-    return strong._report(common, history, index), eventual._report(common, history, index)
+    strong = BTStrongConsistency(scorer, validator, stall_threshold)
+    eventual = BTEventualConsistency(scorer, validator, stall_threshold)
+    index = _shared_index(history, index)
+    common = _common_results(strong, index)
+    return strong._report(common, index), eventual._report(common, index)

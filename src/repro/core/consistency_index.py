@@ -16,17 +16,19 @@ pairwise questions become tree queries over incrementally maintained
 heights and cumulative weights:
 
 * prefix relation / divergence — an ancestor test, O(1) with the lazily
-  computed DFS interval labels (or O(height gap) by climbing, which is
-  what the streaming monitor uses while the tree is still growing);
+  computed DFS interval labels;
 * ``mcps`` — the score of the lowest common ancestor, read directly off
   the cached height (length score) or cumulative weight (weight score);
 * chain score — the tip's cached height / cumulative weight.
 
 The pair *quantification* goes the same way: the index counts diverging
 pairs from tip multiplicities along root paths instead of visiting them,
-and decides Eventual Prefix from the processes' last reads alone (one
-rule, shared by the post-hoc checker and the streaming monitor) — see
+and decides Eventual Prefix from the processes' last reads alone — see
 "counting without enumerating pairs" below.
+
+Beside the tree the index keeps the *read table* — the read responses in
+arrival order — and the earliest append of every block, so it is all a
+consistency check reads: the checkers take an index, not a history.
 
 Ingesting a history is near-linear: each distinct block is inserted once
 (O(1) amortized per block), and a read whose chain is already indexed
@@ -47,22 +49,25 @@ mismatch, so a history violating the assumption fails loudly instead of
 being analysed wrongly.
 
 The :class:`ConsistencyMonitor` at the bottom keeps the index online: it
-subscribes to a :class:`~repro.core.history.HistoryRecorder` and
-maintains the verdict of every consistency property as events stream in,
-O(1) amortized per read, without ever retaining the materialized chains.
-Its verdicts match the post-hoc checkers evaluated on the recorded
-history at any prefix of the execution.
+subscribes to a :class:`~repro.core.history.HistoryRecorder` and feeds
+the index as events stream in, O(1) amortized per event.  It decides
+nothing itself: asked for verdicts, it hands its index to the checkers of
+:mod:`repro.core.consistency`, so at any prefix of the execution its
+reports *are* the post-hoc reports of the history recorded so far.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.block import Block, Blockchain
 from repro.core.history import Event, History, HistoryRecorder
 from repro.core.score import LengthScore, ScoreFunction, WeightScore, mcps
+
+if TYPE_CHECKING:
+    from repro.core.consistency import ConsistencyReport
 
 __all__ = [
     "ConsistencyIndex",
@@ -79,10 +84,11 @@ class InconsistentChainError(ValueError):
 class ConsistencyIndex:
     """All read results of a history merged into one analysis tree.
 
-    The index is append-only (like the BlockTree it mirrors): chains are
-    merged with :meth:`add_chain`, whole histories with :meth:`ingest`.
-    Queries never mutate the logical content; the DFS interval labels
-    used for O(1) ancestor tests are recomputed lazily after mutations.
+    The index is append-only (like the BlockTree it mirrors): reads are
+    entered with :meth:`add_read` and appends with :meth:`note_append` as
+    they stream in, whole histories with :meth:`ingest`.  Queries never
+    mutate the logical content; the DFS interval labels used for O(1)
+    ancestor tests are recomputed lazily after mutations.
     """
 
     def __init__(self) -> None:
@@ -92,13 +98,18 @@ class ConsistencyIndex:
         self._height: Dict[str, int] = {}
         self._cum_weight: Dict[str, float] = {}
         self._root: Optional[str] = None
+        #: The read table: every read response entered, in arrival order.
+        self.reads: List[Event] = []
         # Per-read bookkeeping: read eid -> tip block id, and per block the
-        # eid of the first read whose chain introduced it (reads are
-        # ingested in eid order, so "introduced it" = "first returned it").
+        # eid of the first read whose chain introduced it (reads arrive in
+        # eid order, so "introduced it" = "first returned it").
         self._read_tips: Dict[int, str] = {}
         self._first_seen_read: Dict[str, int] = {}
-        # Earliest append-invocation eid per block id (built by ingest()).
+        # Earliest append-invocation eid per block id.
         self._first_append: Dict[str, int] = {}
+        # Scores of the read table under the score function last asked for.
+        self._scored_by: Optional[ScoreFunction] = None
+        self._scores: List[float] = []
         # Lazily recomputed DFS interval labels for O(1) ancestor tests.
         self._mutations = 0
         self._labels_at = -1
@@ -122,10 +133,15 @@ class ConsistencyIndex:
         for inv in history.append_invocations():
             block = inv.argument
             if isinstance(block, Block):
-                self._first_append.setdefault(block.block_id, inv.eid)
+                self.note_append(block.block_id, inv.eid)
         for read in history.read_responses():
-            self.add_chain(read.chain, read_eid=read.eid)
+            self.add_read(read)
         return self
+
+    def add_read(self, read: Event) -> None:
+        """Merge the chain a read response returned; enter it in the read table."""
+        self.add_chain(read.chain, read_eid=read.eid)
+        self.reads.append(read)
 
     def add_chain(
         self, chain: Blockchain, read_eid: Optional[int] = None
@@ -221,7 +237,7 @@ class ConsistencyIndex:
         return self._first_append.get(block_id)
 
     def note_append(self, block_id: str, eid: int) -> None:
-        """Record an append invocation (streaming counterpart of ingest)."""
+        """Record an append invocation of ``block_id`` (the earliest one is kept)."""
         self._first_append.setdefault(block_id, eid)
 
     # -- ancestry -------------------------------------------------------------
@@ -264,22 +280,6 @@ class ConsistencyIndex:
             return tb <= tout[a]
         return ta <= tout[b]
 
-    def prefix_related_climb(self, a: str, b: str) -> bool:
-        """Label-free variant walking exactly the height gap.
-
-        Used by the streaming monitor, where the tree mutates on every
-        read and recomputing interval labels would be O(V) per event.
-        """
-        height = self._height
-        ha, hb = height[a], height[b]
-        if ha > hb:
-            a, b, ha, hb = b, a, hb, ha
-        parent = self._parent
-        cursor = b
-        for _ in range(hb - ha):
-            cursor = parent[cursor]  # type: ignore[assignment]
-        return cursor == a
-
     def lowest_common_ancestor(self, a: str, b: str) -> str:
         """LCA of two blocks (always exists: the shared genesis)."""
         height, parent = self._height, self._parent
@@ -311,12 +311,19 @@ class ConsistencyIndex:
             return float(base + score.min_increment * self._height[block_id])
         return None
 
-    def score_of_read(self, read: Event, score: ScoreFunction) -> float:
-        """Score of the chain returned by ``read`` (index-backed when possible)."""
-        value = self.path_score(self._read_tips[read.eid], score)
-        if value is not None:
-            return value
-        return score(read.chain)
+    def read_scores(self, score: ScoreFunction) -> Sequence[float]:
+        """Score of every chain in the read table (index-backed when possible).
+
+        Kept for the score function last asked for and extended as reads
+        arrive, so the properties that compare scores share one pass.
+        """
+        if self._scored_by != score:
+            self._scored_by, self._scores = score, []
+        scores = self._scores
+        for read in self.reads[len(scores) :]:
+            value = self.path_score(self._read_tips[read.eid], score)
+            scores.append(value if value is not None else score(read.chain))
+        return scores
 
     def mcps_of_tips(
         self,
@@ -394,37 +401,38 @@ class ConsistencyIndex:
 
     def eventual_prefix_breaches(
         self,
-        limits: Sequence[Tuple[int, str]],
+        limits: Sequence[int],
         ceilings: Sequence[Tuple[int, float]],
-        shared_score: Callable[[str, str], float],
-        related: Callable[[str, str], bool],
+        score: ScoreFunction,
     ) -> Iterator[Tuple[int, int, float]]:
         """The finite-prefix Eventual Prefix rule, over the limit views.
 
-        ``limits`` holds one ``(when, tip)`` per process — its last read
-        — and ``ceilings`` the increase points ``(when, maximum)`` of the
-        running maximum of read scores.  Two limit views on conflicting
-        branches (not ``related``) are seen together by exactly the reads
+        ``limits`` holds, per process, where in the read table its last
+        read is, and ``ceilings`` the increase points ``(where, maximum)``
+        of the running maximum of read scores.  Two limit views on
+        conflicting branches are seen together by exactly the reads
         before ``cut``, the earlier of the two, so they must share a
         prefix scoring at least the maximum reached before ``cut``.
-        Yields ``(x, y, shared)`` — ``x < y`` positions in ``limits`` —
-        for every pair that does not; the property holds iff nothing is
-        yielded.  O(P²) for P processes, whatever the number of reads:
-        the post-hoc checker and the streaming monitor both decide here.
+        Yields ``(cut, other, shared)`` — the pair's two places in the
+        read table — for every pair that does not; the property holds iff
+        nothing is yielded.  O(P²) for P processes, whatever the number of
+        reads.
         """
+        reads = [self.reads[at] for at in limits]
+        tips = [self._read_tips[read.eid] for read in reads]
         for x in range(len(limits)):
-            when_x, tip_x = limits[x]
             for y in range(x + 1, len(limits)):
-                when_y, tip_y = limits[y]
-                if related(tip_x, tip_y):
+                if self.prefix_related(tips[x], tips[y]):
                     continue
-                cut = min(when_x, when_y)
+                cut, other = sorted((limits[x], limits[y]))
                 reached = bisect_left(ceilings, (cut,))  # increase points before cut
                 if not reached:
                     continue
-                shared = shared_score(tip_x, tip_y)
+                shared = self.mcps_of_tips(
+                    tips[x], tips[y], score, chains=(reads[x].chain, reads[y].chain)
+                )
                 if ceilings[reached - 1][1] > shared:
-                    yield x, y, shared
+                    yield cut, other, shared
 
 
 class _Fenwick:
@@ -478,21 +486,21 @@ def count_exceeding_before(
 
 
 class ConsistencyMonitor:
-    """Online consistency verdicts over a stream of history events.
+    """Online consistency reports over a stream of history events.
 
     Subscribe the monitor to a live :class:`HistoryRecorder` with
     :meth:`attach` (or feed it a recorded history with :meth:`replay`);
-    it maintains, per consistency property, the verdict the post-hoc
-    checkers of :mod:`repro.core.consistency` would return on the
-    history recorded *so far* — evaluated against the raw event stream,
-    i.e. the same history ``recorder.history()`` snapshots.
+    it enters every append invocation and read response in its
+    :class:`ConsistencyIndex` as they arrive, O(1) amortized per event.
+    :meth:`reports` hands that index to
+    :func:`repro.core.consistency.check_consistency`: the verdicts,
+    counts and witnesses are the ones the post-hoc checkers return on the
+    history recorded *so far* — the raw event stream, i.e. the history
+    ``recorder.history()`` snapshots — because they are computed by the
+    same code.  The reports are kept until the next event arrives.
 
-    State is O(distinct blocks + processes): the union
-    :class:`ConsistencyIndex`, one score per process, the Ever Growing
-    Tree stall deque and the Eventual Prefix limit views.  No
-    materialized chain is retained, which is what makes the monitor
-    suitable for long-duration sweeps whose histories would otherwise
-    hold O(R·L) chain snapshots alive during analysis.
+    State is the index: the union tree plus a reference to every read
+    response observed (events the recorder already owns).
     """
 
     def __init__(
@@ -505,26 +513,20 @@ class ConsistencyMonitor:
         self.validator = validator
         self.stall_threshold = stall_threshold
         self.index = ConsistencyIndex()
-        self.reads_seen = 0
         self.events_seen = 0
-        # block-validity
-        self._validity_ok = True
-        self._validator_memo: Dict[str, bool] = {}
-        # local-monotonic-read
-        self._lmr_ok = True
-        self._last_score: Dict[str, float] = {}
-        # strong-prefix: the deepest tip seen; sticky-false on divergence.
-        self._sp_ok = True
-        self._sp_max_tip: Optional[str] = None
-        # ever-growing-tree: "active" reads (no later read exceeds their
-        # score) as (read_index, score), scores non-increasing.
-        self._egt_active: Deque[Tuple[int, float]] = deque()
-        # eventual-prefix: per process the last read (eid, tip), plus the
-        # running prefix-maximum of read scores stored at its increase
-        # points (eid, new_max) for binary search.
-        self._ep_limit: Dict[str, Tuple[int, str]] = {}
-        self._ep_prefix_max: List[Tuple[int, float]] = []
-        self._ep_pair_memo: Dict[Tuple[str, str], float] = {}
+        self._reports: Optional[Tuple[ConsistencyReport, ConsistencyReport]] = None
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # A monitor checkpointed while it decided the properties itself
+        # carries sticky verdicts and an index with no read table: refuse
+        # it instead of restoring a monitor whose summary() would fail.
+        if "_sp_ok" in state:
+            raise ValueError(
+                "cannot restore this ConsistencyMonitor snapshot: it was taken when "
+                "the monitor kept its own per-property verdicts, and its index has no "
+                "read table for the checkers that decide now; re-run instead of resuming"
+            )
+        self.__dict__.update(state)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -542,152 +544,47 @@ class ConsistencyMonitor:
     # -- event intake ---------------------------------------------------------
 
     def observe(self, event: Event) -> None:
-        """Process one history event (non read/append events are ignored)."""
+        """Process one history event (non read/append events are ignored).
+
+        A read response that carries no blockchain is skipped.
+        """
         self.events_seen += 1
+        self._reports = None
         if event.is_append_invocation and isinstance(event.argument, Block):
             self.index.note_append(event.argument.block_id, event.eid)
         elif event.is_read_response and isinstance(event.output, Blockchain):
-            self._observe_read(event)
+            self.index.add_read(event)
 
-    def _observe_read(self, event: Event) -> None:
-        index = self.index
-        chain: Blockchain = event.output
-        new_blocks = index.add_chain(chain, read_eid=event.eid)
-        tip = chain.tip.block_id
-        value = index.path_score(tip, self.score)
-        s = value if value is not None else self.score(chain)
-
-        # Block validity: only newly indexed blocks need checking — an
-        # already-indexed block either violated at its first read (the
-        # verdict is sticky) or was appended before that earlier read and
-        # is therefore appended before this one too.
-        for block in new_blocks:
-            if self.validator is not None and not self._is_valid(block):
-                self._validity_ok = False
-            first_append = index.first_append(block.block_id)
-            if first_append is None or first_append >= event.eid:
-                self._validity_ok = False
-
-        # Local monotonic read.
-        previous = self._last_score.get(event.process)
-        if previous is not None and previous > s:
-            self._lmr_ok = False
-        self._last_score[event.process] = s
-
-        # Strong prefix: every new tip must be comparable with the deepest
-        # tip seen so far (all earlier tips lie on the root path to it, so
-        # comparability with the maximum implies comparability with all).
-        if self._sp_ok:
-            if self._sp_max_tip is None:
-                self._sp_max_tip = tip
-            elif index.prefix_related_climb(tip, self._sp_max_tip):
-                if index.height_of(tip) > index.height_of(self._sp_max_tip):
-                    self._sp_max_tip = tip
-            else:
-                self._sp_ok = False
-
-        # Ever growing tree: drop active reads this read's score exceeds;
-        # equal scores do not count as growth and stay active.
-        active = self._egt_active
-        while active and active[-1][1] < s:
-            active.pop()
-        active.append((self.reads_seen, s))
-
-        # Eventual prefix limit views and the score prefix-maximum.
-        self._ep_limit[event.process] = (event.eid, tip)
-        if not self._ep_prefix_max or s > self._ep_prefix_max[-1][1]:
-            self._ep_prefix_max.append((event.eid, s))
-
-        self.reads_seen += 1
-
-    def _is_valid(self, block: Block) -> bool:
-        memo = self._validator_memo
-        verdict = memo.get(block.block_id)
-        if verdict is None:
-            assert self.validator is not None
-            verdict = memo[block.block_id] = bool(self.validator(block))
-        return verdict
+    @property
+    def reads_seen(self) -> int:
+        return len(self.index.reads)
 
     # -- verdicts -------------------------------------------------------------
 
-    def block_validity_holds(self) -> bool:
-        return self._validity_ok
+    def reports(self) -> Tuple[ConsistencyReport, ConsistencyReport]:
+        """The ``(strong, eventual)`` reports of the history observed so far."""
+        if self._reports is None:
+            # Call-time import: repro.core.consistency imports this module.
+            from repro.core.consistency import check_consistency
 
-    def local_monotonic_read_holds(self) -> bool:
-        return self._lmr_ok
-
-    def strong_prefix_holds(self) -> bool:
-        return self._sp_ok
-
-    def ever_growing_tree_holds(self) -> bool:
-        if self.stall_threshold is None or not self._egt_active:
-            return True
-        oldest_index = self._egt_active[0][0]
-        # A violating read needs at least one later read (even with a zero
-        # threshold), hence the floor of 1 on the required stall count.
-        required = max(self.stall_threshold, 1)
-        return (self.reads_seen - 1 - oldest_index) < required
-
-    def eventual_prefix_holds(self) -> bool:
-        breaches = self.index.eventual_prefix_breaches(
-            list(self._ep_limit.values()),
-            self._ep_prefix_max,
-            self._pair_mcps,
-            # Climbing, not labels: the tree mutates on every read.
-            self.index.prefix_related_climb,
-        )
-        return next(breaches, None) is None
-
-    def _pair_mcps(self, a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        value = self._ep_pair_memo.get(key)
-        if value is None:
-            lca = self.index.lowest_common_ancestor(a, b)
-            score = self.index.path_score(lca, self.score)
-            if score is None:
-                # Generic score function: score the materialized LCA chain
-                # (only reachable with a custom score; both built-ins are
-                # index-backed).
-                score = self.score(self._materialize(lca))
-            value = self._ep_pair_memo[key] = score
-        return value
-
-    def _materialize(self, block_id: str) -> Blockchain:
-        path: List[Block] = []
-        cursor: Optional[str] = block_id
-        while cursor is not None:
-            path.append(self.index.block(cursor))
-            cursor = self.index.parent_of(cursor)
-        path.reverse()
-        return Blockchain(tuple(path))
+            self._reports = check_consistency(
+                None, self.score, self.validator, self.stall_threshold, index=self.index
+            )
+        return self._reports
 
     def property_verdicts(self) -> Dict[str, bool]:
         """Current verdict per property, keyed by the checker names."""
-        return {
-            "block-validity": self.block_validity_holds(),
-            "local-monotonic-read": self.local_monotonic_read_holds(),
-            "strong-prefix": self.strong_prefix_holds(),
-            "ever-growing-tree": self.ever_growing_tree_holds(),
-            "eventual-prefix": self.eventual_prefix_holds(),
-        }
+        strong, eventual = self.reports()
+        results = (*strong.results, eventual.result_for("eventual-prefix"))
+        return {result.name: result.holds for result in results}
 
     def strong_holds(self) -> bool:
         """BT Strong Consistency verdict on the history observed so far."""
-        return (
-            self._validity_ok
-            and self._lmr_ok
-            and self._sp_ok
-            and self.ever_growing_tree_holds()
-        )
+        return self.reports()[0].holds
 
     def eventual_holds(self) -> bool:
         """BT Eventual Consistency verdict on the history observed so far."""
-        return (
-            self._validity_ok
-            and self._lmr_ok
-            and self.ever_growing_tree_holds()
-            and self.eventual_prefix_holds()
-        )
+        return self.reports()[1].holds
 
     def summary(self) -> Dict[str, Any]:
         """JSON-ready snapshot of the verdicts and stream counters."""

@@ -1,7 +1,8 @@
 """Online degradation tracking for adversarial runs.
 
-The :class:`~repro.core.consistency_index.ConsistencyMonitor` maintains
-*verdicts* (does a consistency criterion hold) over a streaming history;
+The :class:`~repro.core.consistency_index.ConsistencyMonitor` answers
+*whether* a consistency criterion holds on a streaming history (it feeds
+the index the checkers of :mod:`repro.core.consistency` read);
 adversarial scenarios — healing partitions, churn, eclipse windows —
 need the quantitative counterpart: *how far* did the correct replicas'
 views diverge, and how quickly did they re-agree once the adversary

@@ -526,9 +526,10 @@ def run_protocol(
         synchronous channel with δ = 1).
     monitor:
         Optional :class:`~repro.core.consistency_index.ConsistencyMonitor`
-        subscribed to the recorder before the run starts, so consistency
-        verdicts are maintained online while events stream in.  The
-        monitor is returned on the result (``result.monitor``).
+        subscribed to the recorder before the run starts, so its index is
+        fed online while events stream in and the consistency reports
+        can be asked of it at any point.  The monitor is returned on the
+        result (``result.monitor``).
     final_reads:
         Issue one last ``read()`` at every replica after the run quiesces,
         so the "limit views" used by the eventual-prefix interpretation are

@@ -79,12 +79,6 @@ class TestAncestry:
         assert forked_index.prefix_related("a1", "a3")
         assert not forked_index.prefix_related("b2", "a2")
 
-    def test_climb_variant_agrees_with_labels(self, forked_index):
-        ids = forked_index.block_ids()
-        for a in ids:
-            for b in ids:
-                assert forked_index.prefix_related(a, b) == forked_index.prefix_related_climb(a, b)
-
     def test_labels_refresh_after_mutation(self, forked_index):
         a3 = forked_index.block("a3")
         assert not forked_index.prefix_related("a3", "b2")
@@ -115,6 +109,25 @@ class TestScores:
         assert forked_index.mcps_of_tips("a3", "a2", WeightScore()) == pytest.approx(2.0)
 
 
+class TestReadTable:
+    def test_reads_keep_arrival_order_and_scores_follow(self, forked_index):
+        rec = HistoryRecorder()
+        a1, a2, a3, b1 = map(forked_index.block, ("a1", "a2", "a3", "b1"))
+        first = rec.complete("p", "read", None, _chain(b1))
+        forked_index.add_read(first)
+        assert forked_index.reads == [first]
+        assert forked_index.read_tip(first.eid) == "b1"
+        assert forked_index.read_scores(LengthScore()) == [1.0]
+        second = rec.complete("q", "read", None, _chain(a1, a2, a3))
+        forked_index.add_read(second)
+        assert forked_index.reads == [first, second]
+        # Extended for the new read; recomputed for another score function;
+        # a score with no cached column scores the chains themselves.
+        assert forked_index.read_scores(LengthScore()) == [1.0, 3.0]
+        assert forked_index.read_scores(WeightScore()) == [0.5, 4.0]
+        assert forked_index.read_scores(lambda chain: 2.0 * chain.length) == [2.0, 6.0]
+
+
 class TestCounting:
     """The pair counts the prefix checkers decide from, on the two branches."""
 
@@ -133,20 +146,21 @@ class TestCounting:
         assert sum(counts) == forked_index.diverging_pair_count(tips)
 
     def test_eventual_prefix_breaches(self, forked_index):
-        limits = [(5, "a3"), (7, "b2"), (6, "a2")]
-        related = forked_index.prefix_related
-
-        def shared(a, b):
-            return forked_index.mcps_of_tips(a, b, LengthScore())
+        # An eight-read table whose reads 5, 6 and 7 returned a3, a2 and b2.
+        rec = HistoryRecorder()
+        for ids in [()] * 5 + [("a1", "a2", "a3"), ("a1", "a2"), ("b1", "b2")]:
+            chain = _chain(*map(forked_index.block, ids))
+            forked_index.add_read(rec.complete("p", "read", None, chain))
+        limits = [5, 7, 6]
 
         def breaches(ceilings):
-            return list(forked_index.eventual_prefix_breaches(limits, ceilings, shared, related))
+            return list(forked_index.eventual_prefix_breaches(limits, ceilings, LengthScore()))
 
         # The branches share only the genesis (score 0): any positive score
         # read before the earlier limit read of a conflicting pair objects.
-        assert breaches([(0, 1.0)]) == [(0, 1, 0.0), (1, 2, 0.0)]
+        assert breaches([(0, 1.0)]) == [(5, 7, 0.0), (6, 7, 0.0)]
         # ... a maximum reached at the cut itself, or later, does not,
-        assert breaches([(0, 0.0), (5, 3.0)]) == [(1, 2, 0.0)]
+        assert breaches([(0, 0.0), (5, 3.0)]) == [(6, 7, 0.0)]
         # and neither does a score no higher than the shared prefix.
         assert breaches([(0, 0.0)]) == []
 

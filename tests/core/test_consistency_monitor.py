@@ -1,17 +1,27 @@
 """Streaming ConsistencyMonitor vs. the post-hoc checkers.
 
-The monitor's contract: at any prefix of an execution its verdicts equal
-the post-hoc checkers evaluated on the history recorded so far.  The
-tests check that contract per event on generated histories, and at
-end-of-run on real protocol executions including crash faults and
-drop-heavy (partition-like) channels.
+The monitor's contract: at any prefix of an execution its reports equal
+the post-hoc checkers evaluated on the history recorded so far — name,
+verdict, count, witnesses and details.  The monitor asks those checkers,
+so what the tests hold fixed is its intake: the index it feeds event by
+event must be the one ``ConsistencyIndex.from_history`` builds.  They
+check that per event on generated histories, and at end-of-run on real
+protocol executions including crash faults and drop-heavy
+(partition-like) channels.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.core.consistency import BTEventualConsistency, BTStrongConsistency
+from repro.core.consistency import (
+    BTEventualConsistency,
+    BTStrongConsistency,
+    PropertyResult,
+    StrongPrefixChecker,
+)
 from repro.core.consistency_index import ConsistencyMonitor
 from repro.core.history import History, HistoryRecorder
 from repro.core.score import LengthScore, WeightScore
@@ -30,12 +40,10 @@ from tests.core.test_consistency_equivalence import checker_config, random_histo
 def _assert_agreement(monitor, history, score, validator=None, stall_threshold=None):
     strong = BTStrongConsistency(score, validator, stall_threshold).check(history)
     eventual = BTEventualConsistency(score, validator, stall_threshold).check(history)
-    verdicts = monitor.property_verdicts()
-    by_name = {r.name: r.holds for r in strong.results + eventual.results}
-    for name, holds in by_name.items():
-        assert verdicts[name] == holds, (
-            f"{name}: monitor={verdicts[name]} post-hoc={holds}"
-        )
+    assert monitor.reports() == (strong, eventual)
+    assert monitor.property_verdicts() == {
+        r.name: r.holds for r in strong.results + eventual.results
+    }
     assert monitor.strong_holds() == strong.holds
     assert monitor.eventual_holds() == eventual.holds
 
@@ -78,6 +86,66 @@ class TestReplayAgreement:
             monitor.observe(event)
             prefix = History(events[:k])
             _assert_agreement(monitor, prefix, score, validator, stall_threshold)
+
+
+class TestOneImplementation:
+    def test_monitor_reports_what_the_checker_returns(self, monkeypatch):
+        """The monitor decides nothing: a checker's answer is its answer."""
+        history = generate_chain_history(3, 6, 4, seed=1)
+        assert ConsistencyMonitor().replay(history).summary()["strong"] is True
+
+        sentinel = PropertyResult("strong-prefix", False, ("sentinel",), count=7)
+        monkeypatch.setattr(StrongPrefixChecker, "check", lambda self, history, index: sentinel)
+        monitor = ConsistencyMonitor().replay(history)
+        assert monitor.reports()[0].result_for("strong-prefix") is sentinel
+        # In the order the CLI and the JSON payload print them.
+        assert list(monitor.property_verdicts().items()) == [
+            ("block-validity", True),
+            ("local-monotonic-read", True),
+            ("strong-prefix", False),
+            ("ever-growing-tree", True),
+            ("eventual-prefix", True),
+        ]
+        assert not monitor.strong_holds() and monitor.eventual_holds()
+        summary = monitor.summary()
+        assert summary["strong"] is False and summary["eventual"] is True
+        assert summary["properties"]["strong-prefix"] is False
+
+    def test_reports_are_kept_until_the_next_event(self):
+        *earlier, last = figure3_history()
+        monitor = ConsistencyMonitor().replay(History(earlier))
+        kept = monitor.reports()
+        assert monitor.reports() is kept
+        monitor.observe(last)
+        assert monitor.reports() is not kept
+
+
+class TestPickledState:
+    """The monitor travels inside every ``monitor=True`` checkpoint."""
+
+    def test_round_trip_keeps_observing(self):
+        *earlier, last = figure3_history()
+        monitor = ConsistencyMonitor().replay(History(earlier))
+        monitor.reports()
+        restored = pickle.loads(pickle.dumps(monitor))
+        restored.observe(last)
+        assert restored.reports() == ConsistencyMonitor().replay(figure3_history()).reports()
+
+    def test_pre_merge_snapshot_is_refused(self):
+        """A monitor pickled while it decided the properties itself has no
+        read table for the checkers; it is refused with the reason, not
+        restored into one whose ``summary()`` fails after the run."""
+        old_state = dict(
+            vars(ConsistencyMonitor()),
+            reads_seen=0,
+            _validity_ok=True,
+            _lmr_ok=True,
+            _sp_ok=True,
+            _sp_max_tip=None,
+        )
+        old = ConsistencyMonitor.__new__(ConsistencyMonitor)
+        with pytest.raises(ValueError, match="kept its own per-property verdicts"):
+            old.__setstate__(old_state)
 
 
 class TestLiveRecording:

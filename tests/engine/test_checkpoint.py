@@ -19,6 +19,7 @@ import pytest
 from repro.engine import (
     CHECKPOINT_SCHEMA,
     CellTask,
+    ChannelSpec,
     CheckpointCorruptionError,
     CheckpointWriter,
     ExperimentSpec,
@@ -31,6 +32,7 @@ from repro.engine import (
     checkpoint_path_for,
     load_checkpoint,
     read_checkpoint_header,
+    resume_spec_from_checkpoint,
     run_spec_with_checkpoints,
     spec_digest,
 )
@@ -98,6 +100,25 @@ class TestCheckpointFormat:
         live = snapshot.restore()
         result = live.finish()
         assert result.history.events  # the continued run finished
+
+
+    def test_monitored_run_restores_inside_the_main_phase(self):
+        """The streaming monitor is part of the snapshot: restored, it is
+        still the recorder's subscriber and ends with the same reports."""
+        spec = _spec(
+            monitor=True,
+            channel=ChannelSpec(kind="synchronous", params={"delta": 3.0, "min_delay": 0.5}),
+            params={"token_rate": 0.4},
+        )
+        clean = spec.execute()
+        assert clean.consistency["strong"] is False  # fork-prone: verdicts to lose
+        snapshot = _one_snapshot(spec)
+        assert snapshot.phase == "main"
+        resumed = resume_spec_from_checkpoint(spec, snapshot)
+        assert resumed.consistency == clean.consistency
+        assert resumed.stable_dict() == clean.stable_dict()
+        assert resumed.run.monitor.events_seen == len(resumed.run.history)
+        assert resumed.run.monitor.reports() == clean.run.monitor.reports()
 
 
 class TestCheckpointWriter:
