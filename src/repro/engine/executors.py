@@ -1,14 +1,10 @@
 """Pluggable, resilient sweep execution backends.
 
-Until this module existed the :class:`~repro.engine.sweep.SweepRunner`
-fanned a sweep out over one ``multiprocessing.Pool.map`` call: a single
-worker exception or hang aborted the entire sweep and every
-computed-but-unreturned cell was lost.  The execution plane the
-"millions of users" north star needs is the opposite shape — per-cell
-submission, per-cell failure domains, and deterministic sharding across
-driver invocations (the Bobpp deterministic-partitioning model: results
-reproducible regardless of worker count, fault tolerance layered on
-top).
+A sweep is submitted cell by cell, every failure domain is one cell, and
+the grid shards deterministically across driver invocations (the Bobpp
+deterministic-partitioning model: every cell is seeded by its spec
+alone, so results are reproducible regardless of worker count and
+scheduling, with fault tolerance layered on top).
 
 Executors are *registered vocabulary* (``@register_executor``, mirroring
 ``@register_topology`` / ``@register_fault``; unknown names raise the
@@ -20,14 +16,14 @@ uniform :class:`~repro.core.errors.UnknownVocabularyError`):
   injected ``hang``/``kill`` faults are reported *synthetically* (as
   timeout / worker-death outcomes, without sleeping or dying) — which is
   precisely what makes every retry path unit-testable in milliseconds.
-* ``pool`` — one OS process per cell, at most ``jobs`` in flight.
-  Failures are per-cell: a worker exception becomes an error outcome for
-  that cell alone, a worker that dies (killed, OOM, ``os._exit``)
-  becomes a worker-death outcome, and a worker that exceeds the per-cell
-  ``timeout`` is terminated and reported as a timeout outcome.  When the
-  platform cannot spawn processes at all (no ``/dev/shm``, no ``fork``)
-  the batch degrades to the serial backend with a ``RuntimeWarning`` —
-  loudly, unlike the historical silent fallback.
+* ``pool`` — at most ``min(jobs, cells)`` persistent worker processes
+  per wave; the parent hands the next cell of the grid order to
+  whichever is idle.  A worker exception, a worker death (killed, OOM,
+  ``os._exit``) or a blown per-cell ``timeout`` costs one attempt of
+  that cell alone, and its worker is recycled.  When the platform cannot
+  start processes at all (no ``/dev/shm``, no ``fork``) the batch
+  degrades to the serial backend with a ``RuntimeWarning``, never
+  silently.  See :class:`PoolExecutor`.
 * ``shard`` — deterministic partition of the ``expand_grid`` order
   across ``--shard-index i/k`` driver invocations (cell ``c`` belongs to
   shard ``c % k``), each shard executing through an inner backend.
@@ -42,6 +38,12 @@ uniform :class:`~repro.core.errors.UnknownVocabularyError`):
   rates.  Injection happens *inside* the worker for process-based
   backends, so a hang genuinely exercises the timeout-kill path and a
   kill genuinely exercises the worker-death path.
+
+Every backend implements one method, :meth:`Executor.iter_batch`: a
+generator that yields each :class:`AttemptOutcome` *as its cell
+finishes*, so the runner can cache and journal a success at once and
+stop pulling — which closes the generator and tears the workers down —
+the moment an abort is certain.
 
 The retry / backoff / journal / failure-degradation loop that drives
 these backends lives in :class:`~repro.engine.sweep.SweepRunner`; this
@@ -59,8 +61,9 @@ import random
 import time
 import warnings
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 from repro.core.errors import UnknownVocabularyError
 from repro.engine.result import RunResult
@@ -299,8 +302,9 @@ class Executor(ABC):
 
     The resilience loop in :class:`~repro.engine.sweep.SweepRunner`
     drives an executor in *waves*: it submits every pending attempt of a
-    round through :meth:`run_batch`, classifies the outcomes, and
-    re-submits the retryable subset (with backoff) as the next wave.
+    round through :meth:`iter_batch`, handles each outcome as it
+    arrives, and re-submits the retryable subset (with backoff) as the
+    next wave.
     """
 
     def shard_of(self, n: int) -> Sequence[int]:
@@ -308,21 +312,24 @@ class Executor(ABC):
         return range(n)
 
     @abstractmethod
-    def run_batch(
-        self,
-        tasks: Sequence[CellTask],
-        timeout: Optional[float] = None,
-        stop_after_failures: Optional[int] = None,
-    ) -> List[AttemptOutcome]:
-        """Attempt every task once; outcomes in task order.
+    def iter_batch(
+        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
+    ) -> Iterator[AttemptOutcome]:
+        """Attempt every task once, yielding each outcome as it completes.
 
-        ``timeout`` is the per-cell wall-clock budget (enforced by
-        process-based backends).  ``stop_after_failures``, when set, lets
-        a sequential backend stop executing once more than that many
-        non-ok outcomes have accumulated (the runner passes it only on
-        final attempts, where an error is a final failure) — a truncated
-        outcome list is allowed and means the sweep is aborting anyway.
+        A generator: cells are started in task order and their outcomes
+        come back in completion order.  ``timeout`` is the per-cell
+        wall-clock budget (enforced by process-based backends).  Closing
+        the generator early abandons the cells not yet yielded and
+        releases whatever the batch started (worker processes, pipes).
         """
+
+    def run_batch(
+        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
+    ) -> List[AttemptOutcome]:
+        """Attempt every task once; the whole batch's outcomes in task order."""
+        rank = {task.index: position for position, task in enumerate(tasks)}
+        return sorted(self.iter_batch(tasks, timeout), key=lambda o: rank[o.task.index])
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +347,11 @@ class SerialExecutor(Executor):
     the retry machinery stay fast and deterministic.
     """
 
-    def run_batch(
-        self,
-        tasks: Sequence[CellTask],
-        timeout: Optional[float] = None,
-        stop_after_failures: Optional[int] = None,
-    ) -> List[AttemptOutcome]:
-        outcomes: List[AttemptOutcome] = []
-        failures = 0
+    def iter_batch(
+        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
+    ) -> Iterator[AttemptOutcome]:
         for task in tasks:
-            if stop_after_failures is not None and failures > stop_after_failures:
-                break
-            outcome = self._attempt(task, timeout)
-            if not outcome.ok:
-                failures += 1
-            outcomes.append(outcome)
-        return outcomes
+            yield self._attempt(task, timeout)
 
     def _attempt(self, task: CellTask, timeout: Optional[float]) -> AttemptOutcome:
         if task.inject == "hang":
@@ -396,102 +392,160 @@ class SerialExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# process-pool backend (one process per cell)
+# process-pool backend (persistent workers, one pool per wave)
 # ---------------------------------------------------------------------------
 
 
-def _cell_worker(
+def _attempt_in_worker(
     conn,
     payload: str,
     inject: Optional[str],
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
-) -> None:
-    """Worker entry point: JSON spec in, ``(status, ...)`` tuple out.
+    checkpoint_every: Optional[int],
+    checkpoint_path: Optional[str],
+    resume_from: Optional[str],
+) -> Tuple[str, str, Optional[int]]:
+    """One attempt inside a worker: JSON spec in, ``("ok", json, resumed)`` out.
 
     Chaos directives are honoured *here*, inside the worker, so the
     parent's timeout / worker-death handling is exercised for real: a
     ``hang`` sleeps until the parent terminates the process, a ``kill``
     exits without reporting, an ``exception`` raises through the normal
-    error path.
-
-    With checkpointing configured, the cell runs through
-    :func:`~repro.engine.checkpoint.run_spec_with_checkpoints` and a
-    success reports ``("ok", result_json, resumed_from_event)``.  A
-    ``hang`` injection then writes exactly one checkpoint before
-    stalling, so the parent's timeout-kill → retry-from-checkpoint path
-    is deterministic.
+    error path.  With a checkpoint path the cell runs through
+    :func:`~repro.engine.checkpoint.run_spec_with_checkpoints`
+    (``resumed`` = event count of the snapshot it resumed from), and a
+    ``hang`` writes exactly one checkpoint before stalling, so the
+    timeout-kill → retry-from-checkpoint path is deterministic.
     """
-    try:
-        if inject == "kill":
-            conn.close()
-            os._exit(KILL_EXIT_CODE)
-        if inject == "hang":
-            if checkpoint_every is not None and checkpoint_path is not None:
-                from repro.engine.checkpoint import CheckpointWriter, checkpoint_context
+    if inject == "kill":
+        conn.close()
+        os._exit(KILL_EXIT_CODE)
+    if inject == "hang":
+        if checkpoint_path is not None:
+            from repro.engine.checkpoint import CheckpointWriter, checkpoint_context
 
-                writer = CheckpointWriter(checkpoint_path, spec=json.loads(payload))
+            writer = CheckpointWriter(checkpoint_path, spec=json.loads(payload))
 
-                def _write_once_then_hang(live) -> None:
-                    writer(live)
-                    time.sleep(HANG_SECONDS)
-                    raise InjectedFault(
-                        "injected hang outlived HANG_SECONDS without a timeout"
-                    )
+            def _write_once_then_hang(live) -> None:
+                writer(live)
+                time.sleep(HANG_SECONDS)
+                raise InjectedFault("injected hang outlived HANG_SECONDS without a timeout")
 
-                with checkpoint_context(checkpoint_every, _write_once_then_hang):
-                    ExperimentSpec.from_json(payload).execute()
-                raise InjectedFault(
-                    "injected hang finished before the first checkpoint boundary"
-                )
-            time.sleep(HANG_SECONDS)
-            raise InjectedFault("injected hang outlived HANG_SECONDS without a timeout")
-        if inject == "exception":
-            raise InjectedFault("injected exception (chaos)")
-        if checkpoint_every is not None and checkpoint_path is not None:
-            from repro.engine.checkpoint import run_spec_with_checkpoints
+            with checkpoint_context(checkpoint_every, _write_once_then_hang):
+                ExperimentSpec.from_json(payload).execute()
+            raise InjectedFault("injected hang finished before the first checkpoint boundary")
+        time.sleep(HANG_SECONDS)
+        raise InjectedFault("injected hang outlived HANG_SECONDS without a timeout")
+    if inject == "exception":
+        raise InjectedFault("injected exception (chaos)")
+    spec = ExperimentSpec.from_json(payload)
+    if checkpoint_path is None:
+        return "ok", spec.execute().to_json(), None
+    from repro.engine.checkpoint import run_spec_with_checkpoints
 
-            spec = ExperimentSpec.from_json(payload)
-            result, resumed = run_spec_with_checkpoints(
-                spec,
-                every=checkpoint_every,
-                path=checkpoint_path,
-                resume_from=resume_from,
+    result, resumed = run_spec_with_checkpoints(
+        spec, every=checkpoint_every, path=checkpoint_path, resume_from=resume_from
+    )
+    return "ok", result.to_json(), resumed
+
+
+def _pool_worker(conn, inherited) -> None:
+    """Worker entry point: ``recv job → run → send report`` until EOF.
+
+    ``inherited`` holds the parent's ends of the pipes open when this
+    worker was started, its own included.  A forked child has copies and
+    closes them first: a pipe reads EOF only once *every* copy of its far
+    end is closed, and EOF is how workers stop, even under a killed driver.
+    A worker that reported anything but ``ok`` leaves by itself — the
+    parent recycles it, so a failed attempt shares no interpreter with
+    the next cell.
+    """
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, OSError):
+            return  # the parent closed the pipe (end of the wave) or is gone
+        try:
+            report = _attempt_in_worker(conn, *job)
+        except BaseException as error:  # noqa: BLE001 - must report, not crash silently
+            report = ("error", type(error).__name__, str(error))
+        try:
+            conn.send(report)
+        except (OSError, ValueError):
+            return
+        if report[0] != "ok":
+            return
+
+
+@dataclass
+class _Worker:
+    """Parent-side handle of one persistent worker process."""
+
+    proc: Any
+    conn: Any
+    #: The attempt the worker is running (``None`` = idle) and when it is due.
+    task: Optional[CellTask] = None
+    deadline: Optional[float] = None
+
+    @classmethod
+    def start(cls, ctx, siblings: Sequence["_Worker"]) -> "_Worker":
+        conn, child_conn = ctx.Pipe()
+        try:
+            proc = ctx.Process(
+                target=_pool_worker,
+                args=(child_conn, [conn, *(worker.conn for worker in siblings)]),
+                daemon=True,
             )
-            conn.send(("ok", result.to_json(), resumed))
-        else:
-            result = ExperimentSpec.from_json(payload).execute()
-            conn.send(("ok", result.to_json()))
-    except BaseException as error:  # noqa: BLE001 - must report, not crash silently
-        try:
-            conn.send(("error", type(error).__name__, str(error)))
-        except (OSError, ValueError):
-            pass
-    finally:
-        try:
-            conn.close()
-        except (OSError, ValueError):
-            pass
+            proc.start()
+        except (OSError, ImportError):
+            conn.close()  # a pipe made before the failure must not leak its fds
+            raise
+        finally:
+            child_conn.close()
+        return cls(proc, conn)
+
+    def stop(self) -> Optional[int]:
+        """Tear the worker down and release its fds; returns its exit code.
+
+        An idle worker leaves on the EOF that closing the pipe sends; one
+        still running a cell can only be terminated.  Join and close the
+        Process object too (its sentinel fd): a long flaky sweep recycles
+        many workers and must not leak an fd per kill.
+        """
+        if self.task is not None:
+            self.proc.terminate()
+        self.conn.close()
+        self.proc.join()
+        exitcode = self.proc.exitcode
+        self.proc.close()
+        return exitcode
 
 
 @register_executor("pool")
 class PoolExecutor(Executor):
-    """One OS process per cell, at most ``jobs`` in flight.
+    """At most ``min(jobs, cells)`` persistent worker processes per wave.
 
-    Submitting cells individually (instead of ``pool.map`` over the whole
-    batch) makes every failure domain a single cell: an exception, a
-    killed worker or a blown deadline costs one attempt of one cell, and
-    every other in-flight cell completes normally.  When the platform
-    cannot spawn processes at all, the remaining batch degrades to the
-    serial backend with a ``RuntimeWarning`` naming the reason.
+    The first ``jobs`` cells of a wave each start a worker; after that
+    the parent, which holds the one queue, hands the next cell of the
+    grid order to whichever worker is idle, so process start-up and a
+    cold interpreter are paid once per worker instead of once per cell.
+    A cell is seeded by its spec alone: which worker runs it, and when,
+    cannot change a byte of its result.
+
+    The failure domain is still one cell: an exception, a killed worker
+    or a blown deadline (counted from the moment the cell is handed to
+    its worker) costs one attempt of one cell, after which that worker is
+    recycled — torn down and, while cells remain, replaced.  The pool
+    lives for one wave: the batch tears every worker down when it ends,
+    is closed early or raises.  When a worker cannot be started, cells
+    already handed out finish where they are and the rest of the batch
+    runs on the serial backend, with a ``RuntimeWarning`` naming the reason.
     """
 
     def __init__(
         self,
         jobs: int = 2,
-        start_method: Optional[str] = None,
-        poll_interval: float = 0.005,
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
@@ -503,8 +557,6 @@ class PoolExecutor(Executor):
             if checkpoint_dir is None:
                 raise ValueError("checkpoint_every requires checkpoint_dir")
         self.jobs = jobs
-        self.start_method = start_method
-        self.poll_interval = poll_interval
         #: When both are set, each worker checkpoints its cell every N
         #: events to ``<checkpoint_dir>/<digest>.ckpt`` and retry attempts
         #: resume from the latest snapshot instead of restarting.
@@ -523,130 +575,109 @@ class PoolExecutor(Executor):
         resume_from = path if task.attempt > 1 and os.path.exists(path) else None
         return self.checkpoint_every, path, resume_from
 
-    def run_batch(
-        self,
-        tasks: Sequence[CellTask],
-        timeout: Optional[float] = None,
-        stop_after_failures: Optional[int] = None,
-    ) -> List[AttemptOutcome]:
-        outcomes: Dict[int, AttemptOutcome] = {}
-        queue: List[Tuple[int, CellTask]] = list(enumerate(tasks))
-        inflight: List[List[Any]] = []  # [pos, task, proc, conn, deadline]
-        ctx = multiprocessing.get_context(self.start_method)
-        degraded = False
-        while queue or inflight:
-            while queue and len(inflight) < self.jobs and not degraded:
-                pos, task = queue[0]
-                parent_conn = child_conn = None
-                try:
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    every, path, resume_from = self._checkpoint_args(task)
-                    proc = ctx.Process(
-                        target=_cell_worker,
-                        args=(child_conn, task.payload, task.inject, every, path, resume_from),
-                        daemon=True,
-                    )
-                    proc.start()
-                except (OSError, ImportError) as error:
-                    # A pipe created before the failure would otherwise leak
-                    # both its fds for the rest of the process lifetime.
-                    for end in (parent_conn, child_conn):
-                        if end is not None:
-                            try:
-                                end.close()
-                            except OSError:
-                                pass
-                    # Restricted environments (no /dev/shm, no fork) cannot
-                    # spawn workers at all; degrade the rest of the batch to
-                    # the serial backend — loudly, so users learn the sweep
-                    # lost its parallelism (and its timeout enforcement).
-                    warnings.warn(
-                        f"worker process construction failed ({error}); "
-                        "executing the remaining cells serially in-process",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    degraded = True
-                    break
-                queue.pop(0)
-                child_conn.close()
-                deadline = time.monotonic() + timeout if timeout is not None else None
-                inflight.append([pos, task, proc, parent_conn, deadline])
-            if degraded and not inflight:
-                serial = SerialExecutor()
-                rest = [task for _, task in queue]
-                for (pos, _), outcome in zip(queue, serial.run_batch(rest, timeout)):
-                    outcomes[pos] = outcome
-                queue = []
-                continue
-            progressed = False
-            still: List[List[Any]] = []
-            for entry in inflight:
-                pos, task, proc, conn, deadline = entry
-                outcome = self._poll_one(task, proc, conn, deadline)
-                if outcome is None:
-                    still.append(entry)
-                else:
-                    outcomes[pos] = outcome
-                    progressed = True
-            inflight = still
-            if inflight and not progressed:
-                time.sleep(self.poll_interval)
-        return [outcomes[pos] for pos in sorted(outcomes)]
+    def iter_batch(
+        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
+    ) -> Iterator[AttemptOutcome]:
+        from multiprocessing.connection import wait  # pulls in subprocess; pool users only
 
-    def _poll_one(self, task, proc, conn, deadline) -> Optional[AttemptOutcome]:
-        """One non-blocking look at an in-flight worker; ``None`` = still running."""
+        queue = deque(tasks)
+        size = min(self.jobs, len(queue))
+        workers: List[_Worker] = []
+        finished: List[AttemptOutcome] = []
+        serial_rest: List[CellTask] = []
+        try:
+            ctx = multiprocessing.get_context()
+            while True:
+                # Refill before handing outcomes back: a worker computes its
+                # next cell while the runner caches and journals the last.
+                while queue:
+                    worker = next((w for w in workers if w.task is None), None)
+                    if worker is None and len(workers) == size:
+                        break
+                    if worker is None:
+                        try:
+                            worker = _Worker.start(ctx, workers)
+                        except (OSError, ImportError) as error:
+                            # Restricted environments (no /dev/shm, no fork)
+                            # cannot start workers.  Say so: the sweep loses
+                            # its parallelism and its timeout enforcement.
+                            warnings.warn(
+                                f"worker process construction failed ({error}); "
+                                "executing the remaining cells serially in-process",
+                                RuntimeWarning,
+                                stacklevel=2,
+                            )
+                            serial_rest.extend(queue)
+                            queue.clear()
+                            break
+                        workers.append(worker)
+                    self._dispatch(worker, queue.popleft(), timeout)
+                yield from finished
+                finished.clear()
+                busy = [worker for worker in workers if worker.task is not None]
+                if not busy:
+                    break
+                budget = None
+                if timeout is not None:
+                    budget = max(0.0, min(w.deadline for w in busy) - time.monotonic())
+                wait([w.conn for w in busy] + [w.proc.sentinel for w in busy], budget)
+                for worker in busy:
+                    outcome = self._reap(worker)
+                    if outcome is None:
+                        continue
+                    finished.append(outcome)
+                    if not outcome.ok:
+                        workers.remove(worker)  # _reap stopped it; refill replaces it
+            yield from SerialExecutor().iter_batch(serial_rest, timeout)
+        finally:
+            for worker in workers:
+                worker.stop()
+
+    def _dispatch(self, worker: _Worker, task: CellTask, timeout: Optional[float]) -> None:
+        """Hand ``task`` to an idle worker; its deadline starts now."""
+        worker.task = task
+        worker.deadline = time.monotonic() + timeout if timeout is not None else None
+        try:
+            worker.conn.send((task.payload, task.inject, *self._checkpoint_args(task)))
+        except OSError:
+            pass  # the worker died while idle; the reap step reports it
+
+    def _reap(self, worker: _Worker) -> Optional[AttemptOutcome]:
+        """One non-blocking look at a busy worker; ``None`` = still running.
+
+        A worker whose attempt ended ``ok`` is left idle for its next
+        cell; after any other ending it is stopped here, and the caller
+        drops it from the pool.
+        """
+        task, proc, conn = worker.task, worker.proc, worker.conn
         if not conn.poll() and proc.is_alive():
-            if deadline is not None and time.monotonic() > deadline:
-                pid = proc.pid
-                proc.terminate()
-                # Join the terminated process and close both the pipe end
-                # and the Process object (its sentinel fd) — a long flaky
-                # sweep kills many workers and must not leak an fd per kill.
-                proc.join()
-                conn.close()
-                proc.close()
-                return AttemptOutcome(
-                    task,
-                    "timeout",
-                    error_type="CellTimeout",
-                    error_message=(
-                        f"cell exceeded the per-cell timeout; "
-                        f"worker pid {pid} terminated"
-                    ),
-                )
-            return None
+            if worker.deadline is None or time.monotonic() <= worker.deadline:
+                return None
+            message = f"cell exceeded the per-cell timeout; worker pid {proc.pid} terminated"
+            worker.stop()
+            return AttemptOutcome(task, "timeout", error_type="CellTimeout", error_message=message)
         # Read the pipe only now, after is_alive(): a worker that reports
         # and exits between the poll above and is_alive() is not alive but
         # left its message behind, and must not be taken for dead.
-        message = None
+        report = None
         if conn.poll():
             try:
-                message = conn.recv()
+                report = conn.recv()
             except (EOFError, OSError):
-                message = None
-        proc.join()
-        conn.close()
-        exitcode = proc.exitcode
-        proc.close()
-        if message is None:
-            return AttemptOutcome(
-                task,
-                "died",
-                error_type="WorkerDied",
-                error_message=f"worker exited with code {exitcode} without reporting",
-            )
-        if message[0] == "ok":
-            resumed = message[2] if len(message) > 2 else None
+                pass  # the worker died mid-send: no report
+        worker.task = None
+        if report is not None and report[0] == "ok":
             return AttemptOutcome(
                 task,
                 "ok",
-                result=RunResult.from_dict(json.loads(message[1])),
-                resumed_from_event=resumed,
+                result=RunResult.from_dict(json.loads(report[1])),
+                resumed_from_event=report[2],
             )
-        return AttemptOutcome(
-            task, "error", error_type=message[1], error_message=message[2]
-        )
+        exitcode = worker.stop()
+        if report is None:
+            message = f"worker exited with code {exitcode} without reporting"
+            return AttemptOutcome(task, "died", error_type="WorkerDied", error_message=message)
+        return AttemptOutcome(task, "error", error_type=report[1], error_message=report[2])
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +713,10 @@ class ShardExecutor(Executor):
     def shard_of(self, n: int) -> Sequence[int]:
         return range(self.shard_index, n, self.shard_count)
 
-    def run_batch(
-        self,
-        tasks: Sequence[CellTask],
-        timeout: Optional[float] = None,
-        stop_after_failures: Optional[int] = None,
-    ) -> List[AttemptOutcome]:
-        return self.inner.run_batch(tasks, timeout, stop_after_failures)
+    def iter_batch(
+        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
+    ) -> Iterator[AttemptOutcome]:
+        return self.inner.iter_batch(tasks, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -751,12 +779,9 @@ class FlakyExecutor(Executor):
                 return kind
         return None
 
-    def run_batch(
-        self,
-        tasks: Sequence[CellTask],
-        timeout: Optional[float] = None,
-        stop_after_failures: Optional[int] = None,
-    ) -> List[AttemptOutcome]:
+    def iter_batch(
+        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
+    ) -> Iterator[AttemptOutcome]:
         decorated: List[CellTask] = []
         for task in tasks:
             inject = self._injection_for(task)
@@ -764,7 +789,7 @@ class FlakyExecutor(Executor):
                 self.injections.append((task.index, task.attempt, inject))
                 task = dataclasses.replace(task, inject=inject)
             decorated.append(task)
-        return self.inner.run_batch(decorated, timeout, stop_after_failures)
+        return self.inner.iter_batch(decorated, timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +801,6 @@ def make_executor(
     name: str,
     *,
     jobs: int = 1,
-    start_method: Optional[str] = None,
     shard_index: Optional[int] = None,
     shard_count: Optional[int] = None,
     plan: Optional[Mapping[int, Mapping[int, str]]] = None,
@@ -797,34 +821,25 @@ def make_executor(
     and retries resume from the latest snapshot.
     """
     cls = get_executor(name)  # raises the uniform error for unknown names
-    base = inner
-    if base is None:
-        base = (
-            SerialExecutor()
-            if jobs <= 1 and checkpoint_every is None
-            else PoolExecutor(
-                jobs=max(jobs, 1),
-                start_method=start_method,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-            )
+
+    def pool() -> PoolExecutor:
+        return PoolExecutor(
+            jobs=max(jobs, 1), checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir
         )
+
     if cls is SerialExecutor:
         return SerialExecutor()
     if cls is PoolExecutor:
-        return PoolExecutor(
-            jobs=max(jobs, 1),
-            start_method=start_method,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-        )
+        return pool()
+    if inner is None:
+        inner = SerialExecutor() if jobs <= 1 and checkpoint_every is None else pool()
     if cls is ShardExecutor:
         if shard_index is None or shard_count is None:
             raise ValueError(
                 "the shard executor requires shard_index and shard_count "
                 "(--shard-index I/K)"
             )
-        return ShardExecutor(shard_index, shard_count, inner=base)
+        return ShardExecutor(shard_index, shard_count, inner=inner)
     if cls is FlakyExecutor:
-        return FlakyExecutor(base, plan=plan, rates=rates, seed=seed)
+        return FlakyExecutor(inner, plan=plan, rates=rates, seed=seed)
     return cls()  # third-party registration: nullary construction

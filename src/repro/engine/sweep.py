@@ -32,6 +32,7 @@ of worker scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -187,9 +188,11 @@ class SweepJournal:
 
     One JSON line per terminal cell event — digest, grid index, label,
     status (``ok`` / ``failed``), attempts used and (on failure) the
-    structured error.  Lines are appended with a flush after every cell,
-    so a crash of the *driver* loses at most the line being written;
-    :meth:`load` tolerates a torn tail line.  ``SweepRunner(resume=True,
+    structured error — appended, flushed and fsynced the moment the cell
+    finishes, so a crash of the *driver* loses at most the line being
+    written; :meth:`load` tolerates a torn tail line.  Within a wave the
+    lines are in completion order, not grid order: :meth:`load` is keyed
+    by digest and does not care.  ``SweepRunner(resume=True,
     journal=...)`` replays the journal to skip completed cells — serving
     successes from the result cache and reconstructing failures — and
     re-executes only unfinished ones.
@@ -249,11 +252,12 @@ class SweepRunner:
     """Execute a batch of specs through a resilient, pluggable backend.
 
     ``jobs=1`` runs in-process (results keep their live ``run`` objects);
-    ``jobs>1`` fans each cell out to its own worker process.  Each cell
-    is seeded by its spec alone, so every backend is bit-identical up to
-    timings.  ``executor`` overrides the jobs-derived default with a
-    registered backend name (``"serial"`` / ``"pool"`` / ``"shard"`` /
-    ``"flaky"``) or a live :class:`~repro.engine.executors.Executor`.
+    ``jobs>1`` fans the cells out over a warm pool of ``jobs`` worker
+    processes.  Each cell is seeded by its spec alone, so every backend
+    is bit-identical up to timings.  ``executor`` overrides the
+    jobs-derived default with a registered backend name (``"serial"`` /
+    ``"pool"`` / ``"shard"`` / ``"flaky"``) or a live
+    :class:`~repro.engine.executors.Executor`.
 
     The resilience layer around the backend:
 
@@ -266,24 +270,25 @@ class SweepRunner:
     * ``max_failures`` — cells that fail every attempt degrade to
       :class:`~repro.engine.executors.CellFailure` artifacts in the
       results; once their count *exceeds* this threshold the sweep
-      aborts (the default ``0`` preserves the historical fail-fast
-      behaviour; ``None`` never aborts).  Successes computed before an
-      abort are already cached and journaled.
+      aborts at once (the default ``0`` preserves the historical
+      fail-fast behaviour; ``None`` never aborts), abandoning only the
+      cells in flight at that instant.
     * ``journal`` / ``resume`` — every terminal cell outcome is appended
       to a :class:`SweepJournal`; ``resume=True`` replays it so a
       re-launched driver executes only unfinished cells.
 
-    With a :class:`~repro.engine.cache.ResultCache` attached, cells whose
+    Outcomes are handled as they arrive, not when their wave returns:
+    with a :class:`~repro.engine.cache.ResultCache` attached, cells whose
     spec digest is already stored are served from disk — byte-identical
-    payload, zero simulator events — and each success is stored back the
-    moment it completes, so a mid-sweep failure never discards finished
-    work.  Results always come back in spec order.
+    payload, zero simulator events — and each success is stored back (and
+    journaled) the moment it completes, so a failure, an abort or a
+    killed driver discards at most the ``jobs`` cells then in flight.
+    Results always come back in spec order.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        start_method: Optional[str] = None,
         cache: Optional[ResultCache] = None,
         *,
         executor: Optional[Union[str, Executor]] = None,
@@ -299,10 +304,9 @@ class SweepRunner:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.jobs = jobs
-        self.start_method = start_method
         self.cache = cache
         if isinstance(executor, str):
-            executor = make_executor(executor, jobs=jobs, start_method=start_method)
+            executor = make_executor(executor, jobs=jobs)
         self.executor = executor
         self.retries = retries
         self.timeout = timeout
@@ -334,7 +338,7 @@ class SweepRunner:
     def _default_executor(self, cells: int) -> Executor:
         if self.jobs == 1 or cells <= 1:
             return SerialExecutor()
-        return PoolExecutor(jobs=self.jobs, start_method=self.start_method)
+        return PoolExecutor(jobs=self.jobs)
 
     def run(
         self, specs: Sequence[ExperimentSpec]
@@ -397,99 +401,79 @@ class SweepRunner:
         tasks: List[CellTask],
         slots: Dict[int, Union[RunResult, CellFailure]],
     ) -> None:
-        """Wave-based retry loop; mutates ``slots`` as cells finish."""
+        """Wave-based retry loop; fills ``slots`` as each cell finishes."""
         failures: List[CellFailure] = []
         abort_exception: Optional[BaseException] = None
         wave = tasks
         while wave:
-            attempt = wave[0].attempt
-            final_attempt = attempt > self.retries
-            stop_after = None
-            if final_attempt and self.max_failures is not None:
-                # On final attempts every error is a final failure, so a
-                # sequential backend may stop once the abort is certain.
-                stop_after = max(0, self.max_failures - len(failures))
-            outcomes = executor.run_batch(
-                wave, timeout=self.timeout, stop_after_failures=stop_after
-            )
-            self.last_attempts += len(outcomes)
-            # Successes first: cache and journal every finished cell before
-            # surfacing any failure from the same wave, so a partial-failure
-            # abort never discards computed results.
-            for outcome in outcomes:
-                if not outcome.ok:
-                    continue
-                task = outcome.task
-                result = outcome.result
-                if self.cache is not None:
-                    try:
-                        self.cache.put(result)
-                    except OSError as error:
-                        # Never lose an already-computed sweep to a
-                        # cache-write failure (read-only dir, disk full):
-                        # mirror the read side, where bad entries degrade
-                        # to misses.
-                        warnings.warn(
-                            f"result cache write failed ({error}); "
-                            "continuing without caching this cell",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                if self.journal is not None:
-                    self.journal.record(
-                        digest=task.digest,
-                        index=task.index,
-                        label=task.label,
-                        status="ok",
-                        attempts=task.attempt,
-                        resumed_from_event=outcome.resumed_from_event,
-                    )
-                slots[task.index] = result
-                self.last_executed += 1
             retry: List[CellTask] = []
-            for outcome in outcomes:
-                if outcome.ok:
-                    continue
-                task = outcome.task
-                if task.attempt <= self.retries:
-                    retry.append(
-                        dataclasses.replace(task, attempt=task.attempt + 1, inject=None)
+            # Leaving the block — wave done, abort, Ctrl-C — closes the batch,
+            # which tears down whatever workers it started.
+            with contextlib.closing(executor.iter_batch(wave, timeout=self.timeout)) as batch:
+                for outcome in batch:
+                    self.last_attempts += 1
+                    task = outcome.task
+                    if outcome.ok:
+                        self._store(outcome.result)
+                        self._journal(task, "ok", resumed_from_event=outcome.resumed_from_event)
+                        slots[task.index] = outcome.result
+                        self.last_executed += 1
+                        continue
+                    if task.attempt <= self.retries:
+                        retry.append(
+                            dataclasses.replace(task, attempt=task.attempt + 1, inject=None)
+                        )
+                        continue
+                    failure = CellFailure(
+                        spec=task.spec, attempts=task.attempt, error=outcome.error_dict()
                     )
-                    continue
-                failure = CellFailure(
-                    spec=task.spec, attempts=task.attempt, error=outcome.error_dict()
-                )
-                if self.journal is not None:
-                    self.journal.record(
-                        digest=task.digest,
-                        index=task.index,
-                        label=task.label,
-                        status="failed",
-                        attempts=task.attempt,
-                        error=failure.error,
-                    )
-                slots[task.index] = failure
-                failures.append(failure)
-                self.last_executed += 1
-                if abort_exception is None and outcome.exception is not None:
-                    abort_exception = outcome.exception
-            self.last_failures += len(
-                [o for o in outcomes if not o.ok and o.task.attempt > self.retries]
-            )
-            if self.max_failures is not None and len(failures) > self.max_failures:
-                if abort_exception is not None:
-                    # The failing attempt ran in-process: preserve the
-                    # historical contract and surface the original error.
-                    raise abort_exception
-                raise SweepAbortedError(failures, self.max_failures)
+                    self._journal(task, "failed", error=failure.error)
+                    slots[task.index] = failure
+                    failures.append(failure)
+                    self.last_executed += 1
+                    self.last_failures += 1
+                    if abort_exception is None and outcome.exception is not None:
+                        abort_exception = outcome.exception
+                    if self.max_failures is not None and len(failures) > self.max_failures:
+                        # The abort is certain, so stop pulling: what arrived
+                        # is cached, only the cells still in flight are lost.
+                        if abort_exception is not None:
+                            # The failing attempt ran in-process: preserve the
+                            # historical contract and surface the original error.
+                            raise abort_exception
+                        raise SweepAbortedError(failures, self.max_failures)
             if retry:
-                delay = max(
-                    retry_delay(self.backoff, task.attempt, task.digest)
-                    for task in retry
-                )
+                retry.sort(key=lambda task: task.index)  # completion order -> grid order
+                delay = max(retry_delay(self.backoff, t.attempt, t.digest) for t in retry)
                 if delay > 0:
                     time.sleep(delay)
             wave = retry
+
+    def _store(self, result: RunResult) -> None:
+        if self.cache is None:
+            return
+        try:
+            self.cache.put(result)
+        except OSError as error:
+            # Never lose an already-computed sweep to a cache-write failure
+            # (read-only dir, disk full): mirror the read side, where bad
+            # entries degrade to misses.
+            warnings.warn(
+                f"result cache write failed ({error}); continuing without caching this cell",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    def _journal(self, task: CellTask, status: str, **details: Any) -> None:
+        if self.journal is not None:
+            self.journal.record(
+                digest=task.digest,
+                index=task.index,
+                label=task.label,
+                status=status,
+                attempts=task.attempt,
+                **details,
+            )
 
 
 def results_payload(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core.block import GENESIS, Block, BlockIdFactory, Blockchain
@@ -68,3 +70,17 @@ def make_chain(*ids: str) -> Blockchain:
 def chain_factory():
     """Expose :func:`make_chain` as a fixture."""
     return make_chain
+
+
+@pytest.fixture()
+def worker_starts(monkeypatch):
+    """The pid of every ``multiprocessing`` process started during the test."""
+    started = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        original(self)
+        started.append(self.pid)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started

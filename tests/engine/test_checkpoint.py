@@ -297,6 +297,26 @@ class TestPoolCheckpointRetries:
         assert entries[-1]["schema"] == "repro.sweep-journal/2"
         assert os.path.exists(checkpoint_path_for(ckpt_dir, spec_digest(spec)))
 
+    def test_retry_resumes_on_a_replacement_worker_of_the_same_wave(
+        self, tmp_path, worker_starts
+    ):
+        """Attempt 1 hangs after one checkpoint and its worker is killed;
+        the attempt queued behind it runs on the replacement worker and
+        picks the snapshot up (it is looked for at dispatch, not before)."""
+        import multiprocessing
+
+        spec = _spec(seed=5)
+        pool = PoolExecutor(jobs=1, checkpoint_every=100, checkpoint_dir=str(tmp_path))
+        hung = CellTask.for_spec(0, spec)
+        hung.inject = "hang"
+        retry = CellTask.for_spec(0, spec, attempt=2)
+        first, second = pool.iter_batch([hung, retry], timeout=1.0)
+        assert (first.status, second.status) == ("timeout", "ok")
+        assert second.resumed_from_event > 0
+        assert second.result.stable_dict() == spec.execute().stable_dict()
+        assert len(worker_starts) == 2
+        assert multiprocessing.active_children() == []
+
     def test_clean_pool_run_records_no_resume(self, tmp_path):
         spec = _spec(seed=6)
         journal_path = tmp_path / "journal.jsonl"

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +32,9 @@ from repro.engine import (
     make_executor,
     register_executor,
     retry_delay,
+    spec_digest,
 )
-from repro.engine.executors import EXECUTOR_REGISTRY
+from repro.engine.executors import EXECUTOR_REGISTRY, _Worker
 
 
 def small_specs(count, duration=20.0, seed=0):
@@ -38,6 +46,19 @@ def small_specs(count, duration=20.0, seed=0):
 
 def stable(record):
     return record.stable_dict()
+
+
+def count_executions(monkeypatch):
+    """Seeds of the cells ``ExperimentSpec.execute`` runs in this process."""
+    executed = []
+    original = ExperimentSpec.execute
+
+    def counting_execute(self):
+        executed.append(self.seed)
+        return original(self)
+
+    monkeypatch.setattr(ExperimentSpec, "execute", counting_execute)
+    return executed
 
 
 class TestRegistry:
@@ -108,11 +129,15 @@ class TestSerialExecutor:
         outcomes = SerialExecutor().run_batch(tasks, timeout=0.5)
         assert [o.status for o in outcomes] == ["timeout", "died"]
 
-    def test_stop_after_failures_truncates_the_batch(self):
-        bad = ExperimentSpec(protocol="hyperledger", params={"bogus": 1})
-        tasks = [CellTask.for_spec(i, bad) for i in range(4)]
-        outcomes = SerialExecutor().run_batch(tasks, stop_after_failures=1)
-        assert len(outcomes) == 2  # stopped once the abort became certain
+    def test_closing_the_batch_stops_executing(self, monkeypatch):
+        """The runner aborts by no longer pulling: a closed batch runs no
+        further cell (what ``stop_after_failures`` used to ask for)."""
+        executed = count_executions(monkeypatch)
+        tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(4))]
+        batch = SerialExecutor().iter_batch(tasks)
+        assert [next(batch).status, next(batch).status] == ["ok", "ok"]
+        batch.close()
+        assert executed == [0, 1]
 
 
 class TestPoolExecutor:
@@ -150,7 +175,7 @@ class TestPoolExecutor:
         assert outcome.error_type == "WorkerDied"
 
     def test_worker_that_reports_then_exits_between_the_two_reads_is_not_dead(self):
-        """Regression: ``_poll_one`` reads ``conn.poll()`` and then
+        """Regression: the reap step reads ``conn.poll()`` and then
         ``proc.is_alive()``; a worker that reports and exits between the
         two was declared ``WorkerDied`` with exit code 0."""
         (spec,) = small_specs(1)
@@ -180,12 +205,13 @@ class TestPoolExecutor:
                 return next(self.polls)
 
             def recv(self):
-                return ("ok", result.to_json())
+                return ("ok", result.to_json(), None)
 
             def close(self):
                 pass
 
-        outcome = PoolExecutor(jobs=1)._poll_one(task, ExitedProc(), LateConn(), None)
+        worker = _Worker(ExitedProc(), LateConn(), task=task)
+        outcome = PoolExecutor(jobs=1)._reap(worker)
         assert outcome.status == "ok", outcome.error_message
         assert stable(outcome.result) == stable(result)
 
@@ -209,9 +235,17 @@ class TestPoolExecutor:
         # Warm-up: multiprocessing opens long-lived bookkeeping fds
         # (resource tracker, semaphores) on first use — not leaks.
         pool.run_batch(hung_batch(2), timeout=0.05)
+        assert multiprocessing.active_children() == []
         before = len(os.listdir("/proc/self/fd"))
         outcomes = pool.run_batch(hung_batch(50), timeout=0.05)
         assert [o.status for o in outcomes] == ["timeout"] * 50
+        assert multiprocessing.active_children() == []
+        # A batch whose consumer raises is torn down the same way.
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            with contextlib.closing(pool.iter_batch(hung_batch(9), timeout=0.05)) as batch:
+                for _ in batch:
+                    raise RuntimeError("consumer failed")
+        assert multiprocessing.active_children() == []
         after = len(os.listdir("/proc/self/fd"))
         assert after <= before, f"fd table grew {before} -> {after} across 50 kills"
 
@@ -229,6 +263,110 @@ class TestPoolExecutor:
         with pytest.warns(RuntimeWarning, match="worker process construction failed"):
             outcomes = PoolExecutor(jobs=2).run_batch(tasks)
         assert [o.status for o in outcomes] == ["ok", "ok"]
+
+
+    def test_failure_to_build_a_later_worker_keeps_the_dispatched_cells(self, monkeypatch):
+        """The second worker cannot be built: the cell already handed to
+        the first finishes there, the rest run serially in-process."""
+        real = multiprocessing.get_context()
+
+        class SecondPipeBroken:
+            Process = real.Process
+            pipes = 0
+
+            def Pipe(self, duplex=True):
+                self.pipes += 1
+                if self.pipes > 1:
+                    raise OSError("out of file descriptors")
+                return real.Pipe(duplex)
+
+        context = SecondPipeBroken()
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+        tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(4))]
+        with pytest.warns(RuntimeWarning, match="worker process construction failed"):
+            outcomes = PoolExecutor(jobs=2).run_batch(tasks)
+        assert [o.status for o in outcomes] == ["ok"] * 4
+        assert [stable(o.result) for o in outcomes] == [
+            stable(o.result) for o in SerialExecutor().run_batch(tasks)
+        ]
+        # Only in-process results keep their live run.
+        assert [o.result.run is None for o in outcomes] == [True, False, False, False]
+        assert multiprocessing.active_children() == []
+
+
+def mixed_specs():
+    """12 cells of mixed protocols: the Table 1 systems + fork-prone bitcoin."""
+    from repro.engine import get_protocol, regime_spec, table1_spec
+    from repro.protocols.classification import TABLE1_SYSTEMS
+
+    fork_prone = get_protocol("bitcoin").fork_prone
+    return [table1_spec(name, n=4, duration=40.0, seed=7) for name in TABLE1_SYSTEMS] + [
+        regime_spec("bitcoin", fork_prone, n=4, duration=40.0, seed=seed) for seed in range(5)
+    ]
+
+
+class TestWarmPool:
+    """Worker reuse, isolation and recycling inside one wave."""
+
+    def test_two_workers_run_twelve_mixed_cells_identically_to_serial(self, worker_starts):
+        specs = mixed_specs()
+        assert len(specs) == 12
+        tasks = [CellTask.for_spec(i, s) for i, s in enumerate(specs)]
+        pooled = PoolExecutor(jobs=2).run_batch(tasks)
+        assert len(worker_starts) == 2
+        assert [o.status for o in pooled] == ["ok"] * 12
+        assert [stable(o.result) for o in pooled] == [stable(s.execute()) for s in specs]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_is_recycled_after_every_attempt_that_did_not_end_ok(self, worker_starts):
+        specs = small_specs(7)
+        tasks = [CellTask.for_spec(i, s) for i, s in enumerate(specs)]
+        for task, inject in zip(tasks, [None, "kill", None, "hang", None, "exception", None]):
+            task.inject = inject
+        outcomes = PoolExecutor(jobs=1).run_batch(tasks, timeout=0.5)
+        assert [o.status for o in outcomes] == [
+            "ok", "died", "ok", "timeout", "ok", "error", "ok",
+        ]  # fmt: skip
+        assert [stable(o.result) for o in outcomes[::2]] == [
+            stable(s.execute()) for s in specs[::2]
+        ]
+        assert len(worker_starts) == 4  # the first worker + one replacement per failure
+        assert multiprocessing.active_children() == []
+
+    def test_the_deadline_is_per_cell_from_dispatch(self, monkeypatch):
+        """Three cells on one worker under a timeout longer than one cell
+        and shorter than the batch: a deadline counted from the worker's
+        start would kill the third."""
+        original = ExperimentSpec.execute
+
+        def slow_execute(self):  # inherited by the forked worker
+            time.sleep(0.4)
+            return original(self)
+
+        monkeypatch.setattr(ExperimentSpec, "execute", slow_execute)
+        tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(3))]
+        began = time.monotonic()
+        outcomes = PoolExecutor(jobs=1).run_batch(tasks, timeout=1.0)
+        assert [o.status for o in outcomes] == ["ok"] * 3
+        if multiprocessing.get_start_method() == "fork":
+            assert time.monotonic() - began > 1.0
+
+    def test_a_worker_killed_between_two_cells_costs_at_most_one_attempt(self, worker_starts):
+        class KilledWhileIdle(PoolExecutor):
+            def _dispatch(self, worker, task, timeout):
+                if task.index == 1:  # its worker has reported cell 0 and is idle
+                    os.kill(worker.proc.pid, signal.SIGKILL)
+                    worker.proc.join(timeout=5)
+                super()._dispatch(worker, task, timeout)
+
+        specs = small_specs(3)
+        tasks = [CellTask.for_spec(i, s) for i, s in enumerate(specs)]
+        outcomes = KilledWhileIdle(jobs=1).run_batch(tasks)
+        assert [o.status for o in outcomes] == ["ok", "died", "ok"]
+        assert outcomes[1].error_type == "WorkerDied"
+        assert stable(outcomes[2].result) == stable(specs[2].execute())
+        assert len(worker_starts) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestShardExecutor:
@@ -400,6 +538,45 @@ class TestResilienceLoop:
         json.loads(json.dumps(payload))
 
 
+    @pytest.mark.parametrize("backend", ["serial", "pool", "shard", "flaky"])
+    def test_abort_is_prompt_on_every_backend(self, backend, monkeypatch):
+        """A bad cell first in a 6-cell wave under the zero-failure budget:
+        the runner stops pulling, so the rest of the grid is never handed
+        to a worker and none is left behind."""
+        handed_out = []
+        for cls, method in ((SerialExecutor, "_attempt"), (PoolExecutor, "_dispatch")):
+            original = getattr(cls, method)
+
+            def counting(self, *args, _original=original):
+                handed_out.append(args)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, method, counting)
+        bad = ExperimentSpec(protocol="hyperledger", params={"bogus": 1})
+        executor = make_executor(backend, jobs=2, shard_index=0, shard_count=1)
+        with pytest.raises((ValueError, SweepAbortedError), match="does not accept parameter"):
+            # Long cells: the good ones in flight must not finish first.
+            SweepRunner(executor=executor).run([bad] + small_specs(5, duration=5000.0))
+        # At most the cells in flight when the failure arrived, plus the
+        # one the pool hands to the replacement worker before reporting it.
+        assert len(handed_out) <= 3
+        assert multiprocessing.active_children() == []
+
+    def test_successes_that_arrived_before_a_pool_abort_are_cached(self, tmp_path):
+        good = small_specs(5)
+        bad = ExperimentSpec(protocol="hyperledger", params={"bogus": 1})
+        cache = ResultCache(tmp_path / "cache")
+        journal_path = tmp_path / "journal.jsonl"
+        runner = SweepRunner(executor=PoolExecutor(jobs=1), cache=cache, journal=journal_path)
+        with pytest.raises(SweepAbortedError):
+            runner.run(good[:2] + [bad] + good[2:])
+        slots, missing = cache.partition(good)
+        assert missing == [2, 3, 4]
+        entries = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        assert [e["status"] for e in entries] == ["ok", "ok", "failed"]
+        assert multiprocessing.active_children() == []
+
+
 class TestJournalAndResume:
     def test_journal_records_every_terminal_cell(self, tmp_path):
         specs = small_specs(2)
@@ -426,14 +603,7 @@ class TestJournalAndResume:
         # partial run.
         SweepRunner(cache=cache, journal=journal).run(specs[:2])
 
-        executions = []
-        original = ExperimentSpec.execute
-
-        def counting_execute(self):
-            executions.append(self.seed)
-            return original(self)
-
-        monkeypatch.setattr(ExperimentSpec, "execute", counting_execute)
+        executions = count_executions(monkeypatch)
         runner = SweepRunner(cache=cache, journal=journal, resume=True)
         records = runner.run(specs)
         assert executions == [specs[2].seed]
@@ -509,17 +679,8 @@ class TestJournalAndResume:
         boundary = data.rstrip(b"\n").rfind(b"\n") + 1
         journal_path.write_bytes(data[: boundary + 20])  # tear the final line
         # Evict the torn cell's cache entry so resume must recompute it.
-        from repro.engine import spec_digest
-
         (tmp_path / "cache" / f"{spec_digest(specs[1])}.json").unlink()
-        executions = []
-        original = ExperimentSpec.execute
-
-        def counting_execute(self):
-            executions.append(self.seed)
-            return original(self)
-
-        monkeypatch.setattr(ExperimentSpec, "execute", counting_execute)
+        executions = count_executions(monkeypatch)
         runner = SweepRunner(cache=cache, journal=journal_path, resume=True)
         records = runner.run(specs)
         assert executions == [specs[1].seed]
@@ -543,3 +704,144 @@ class TestJournalAndResume:
             SweepRunner(resume=True, cache=ResultCache(tmp_path / "c"))
         with pytest.raises(ValueError, match="requires a cache"):
             SweepRunner(resume=True, journal=tmp_path / "j.jsonl")
+
+    def test_interrupted_wave_keeps_every_outcome_that_arrived(self, tmp_path):
+        """The ``--jobs 1`` twin of the driver-kill test: outcomes are
+        cached and journaled as they arrive, not when the wave returns."""
+
+        class Interrupted(SerialExecutor):
+            def iter_batch(self, tasks, timeout=None):
+                for position, outcome in enumerate(super().iter_batch(tasks, timeout)):
+                    if position == 2:
+                        raise KeyboardInterrupt
+                    yield outcome
+
+        specs = small_specs(4)
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(executor=Interrupted(), cache=cache, journal=journal).run(specs)
+        assert sorted(journal.load()) == sorted(spec_digest(s) for s in specs[:2])
+        assert cache.partition(specs)[1] == [2, 3]
+        runner = SweepRunner(cache=cache, journal=journal, resume=True)
+        runner.run(specs)
+        assert runner.last_resumed == 2 and runner.last_executed == 2
+
+    def test_resume_does_not_care_about_journal_line_order(self, tmp_path):
+        """Within a wave the journal is in completion order; ``load`` is
+        keyed by digest, so resume restores the same cells either way."""
+
+        class LastCellFirst(SerialExecutor):
+            def iter_batch(self, tasks, timeout=None):
+                yield from reversed(list(super().iter_batch(tasks, timeout)))
+
+        specs = small_specs(4)
+        journal_path = tmp_path / "journal.jsonl"
+        cache = ResultCache(tmp_path / "cache")
+        first = SweepRunner(executor=LastCellFirst(), cache=cache, journal=journal_path)
+        records = first.run(specs)
+        assert [r.spec.seed for r in records] == [s.seed for s in specs]  # spec order
+        entries = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        assert [e["index"] for e in entries] == [3, 2, 1, 0]
+        runner = SweepRunner(cache=cache, journal=journal_path, resume=True)
+        resumed = runner.run(specs)
+        assert runner.last_resumed == 4 and runner.last_executed == 0
+        assert [stable(r) for r in resumed] == [stable(r) for r in records]
+
+
+def process_state(pid):
+    """The state letter of ``/proc/<pid>/stat`` (``None`` once the pid is gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rpartition(")")[2].split()[0]
+
+
+def children_of(pid):
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
+class TestDriverCrash:
+    """``SIGKILL`` of the sweep driver mid-wave: what finished is on disk,
+    the workers leave by themselves, ``--resume`` runs only the remainder."""
+
+    GRID = [
+        "sweep", "--protocol", "bitcoin", "--fork-prone", "--seeds", "0:60",
+        "--replicas", "5", "--duration", "120",
+    ]  # fmt: skip
+
+    def test_killed_driver_loses_only_the_cells_in_flight(self, tmp_path, capsys):
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to find the driver's workers")
+        from repro.cli import main
+
+        journal_path = tmp_path / "journal.jsonl"
+        cache_dir = tmp_path / "cache"
+        command = [
+            *self.GRID, "--jobs", "2", "--cache", str(cache_dir),
+            "--journal", str(journal_path), "--out", str(tmp_path / "resumed.json"),
+        ]  # fmt: skip
+        source = str(Path(sys.modules["repro"].__file__).parents[1])
+        driver = subprocess.Popen(
+            [sys.executable, "-m", "repro", *command],
+            env={**os.environ, "PYTHONPATH": source},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            patience = time.monotonic() + 60
+            while (
+                not journal_path.exists()
+                or len(journal_path.read_text().splitlines()) < 10
+            ):
+                assert driver.poll() is None, "the sweep ended before it could be killed"
+                assert time.monotonic() < patience
+                time.sleep(0.002)
+            workers = children_of(driver.pid)
+        finally:
+            driver.kill()
+            driver.wait(timeout=10)
+        assert 1 <= len(workers) <= 2
+
+        # (i) what the journal says is done, the cache holds; the kill may
+        # fall between one cell's cache write and its journal line.
+        journaled = set(SweepJournal(journal_path).load())
+        cached = {path.stem for path in cache_dir.glob("*.json")}
+        assert 10 <= len(journaled) < 60
+        assert journaled <= cached and len(cached - journaled) <= 1
+
+        # (ii) the workers read EOF on their pipes and leave by themselves.
+        patience = time.monotonic() + 2
+        try:
+            while any(process_state(pid) not in (None, "Z", "X") for pid in workers):
+                assert time.monotonic() < patience, "a worker outlived its killed driver"
+                time.sleep(0.01)
+        finally:
+            for pid in workers:  # a failing run must not leave them behind either
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+        # (iii) --resume executes only the remainder, to the same payload.
+        assert main([*command, "--resume"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert f"({len(cached - journaled)}/60 cells from cache" in summary
+        assert f"{len(journaled)} resumed from journal" in summary
+        assert len(SweepJournal(journal_path).load()) == 60 - len(cached - journaled)
+        assert main([*self.GRID, "--jobs", "2", "--out", str(tmp_path / "clean.json")]) == 0
+
+        def cells(name):
+            payload = json.loads((tmp_path / name).read_text())
+            return [{k: v for k, v in cell.items() if k != "timings"} for cell in payload["cells"]]
+
+        assert cells("resumed.json") == cells("clean.json")
