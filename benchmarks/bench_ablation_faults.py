@@ -5,7 +5,8 @@ number of silent Byzantine members in a 7-member committee system and the
 number of crashed miners in a proof-of-work system, and records whether
 the *correct* replicas keep their consistency guarantee and keep making
 progress.  Faults are part of the declarative :class:`ExperimentSpec`
-(``FaultSpec``), which routes the run to the registered fault runner.
+(``FaultSpec``): the registered ``silent`` / ``crash`` fault models,
+injected into the system's own runner.
 
 Expected shape: the committee system keeps Strong Consistency and keeps
 committing while f ≤ 2 (below the 2/3-quorum slack of n = 7) and halts —
@@ -26,13 +27,13 @@ BYZANTINE_COUNTS = (0, 1, 2, 3)
 
 
 def _committee_with_f(f: int, seed: int = 121):
-    byzantine = tuple(f"p{6 - i}" for i in range(f))
+    byzantine = [f"p{6 - i}" for i in range(f)]
     spec = ExperimentSpec(
         protocol="committee",
         replicas=7,
         duration=120.0,
         seed=seed,
-        fault=FaultSpec(kind="byzantine", byzantine=byzantine),
+        fault=FaultSpec(kind="silent", params={"members": byzantine}),
         label=f"byzantine={f}",
     )
     run = spec.execute().run
@@ -70,7 +71,7 @@ def test_crash_sweep_bitcoin(once):
                 replicas=5,
                 duration=120.0,
                 seed=122,
-                fault=FaultSpec(kind="crash", crash_at=crash_at),
+                fault=FaultSpec(kind="crash", params={"at": crash_at}),
                 params={"token_rate": 0.3},
                 label=f"crashed={crashed}",
             )

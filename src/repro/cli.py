@@ -421,20 +421,16 @@ def _split_topology_params(rest: str) -> List[str]:
     return pairs
 
 
-def _fault_kinds() -> List[str]:
-    """Every kind ``--fault`` accepts: legacy runner kinds + the registry."""
-    return sorted({"crash", "byzantine", *available_faults()})
-
-
 def _parse_fault(text: str) -> FaultSpec:
     """Parse ``--fault``: a kind, ``kind:key=value,...``, or a JSON object.
 
     Values go through :func:`json.loads` when they parse (so
     ``heal_at=60`` is a number, ``at={"p4": 30}`` a mapping,
-    ``members=["p5"]`` a list) and stay strings otherwise.  The keys
-    ``crash_at``, ``byzantine`` and ``seed`` address the spec fields of
-    the legacy runner faults; everything else is a constructor parameter
-    of the registered fault model.
+    ``members=["p5"]`` a list) and stay strings otherwise.  ``seed`` is
+    the spec field; everything else is a constructor parameter of the
+    registered fault model.  All three forms go through
+    :meth:`FaultSpec.from_dict`, the one reader of the old
+    ``crash:crash_at=...`` / ``byzantine:byzantine=...`` spelling.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -446,7 +442,7 @@ def _parse_fault(text: str) -> FaultSpec:
             ) from None
     elif ":" in text:
         kind, _, rest = text.partition(":")
-        fields: Dict[str, Any] = {}
+        fields: Dict[str, Any] = {"kind": kind.strip()}
         params: Dict[str, Any] = {}
         for pair in _split_topology_params(rest):
             if not pair:
@@ -465,13 +461,13 @@ def _parse_fault(text: str) -> FaultSpec:
                 fields[key] = value
             else:
                 params[key] = value
-        spec = FaultSpec(kind=kind.strip(), params=params, **fields)
+        spec = FaultSpec.from_dict({**fields, "params": params})
     else:
-        spec = FaultSpec(kind=text)
-    if spec.kind not in _fault_kinds():
+        spec = FaultSpec.from_dict(text)
+    if spec.kind not in available_faults():
         raise SystemExit(
             f"repro: error: unknown fault {spec.kind!r} "
-            f"(registered: {', '.join(_fault_kinds())})"
+            f"(registered: {', '.join(sorted(available_faults()))})"
         )
     return spec
 
@@ -638,9 +634,12 @@ def _cmd_resume_run(args: argparse.Namespace) -> str:
         if args.checkpoint_every is not None
         else None
     )
-    record = resume_spec_from_checkpoint(
-        spec, snapshot, every=args.checkpoint_every, writer=writer
-    )
+    try:
+        record = resume_spec_from_checkpoint(
+            spec, snapshot, every=args.checkpoint_every, writer=writer
+        )
+    except CheckpointCorruptionError as error:
+        raise SystemExit(f"repro resume-run: error: {error}") from None
     header = (
         f"resumed {spec.label or spec.protocol!r} from {args.checkpoint} "
         f"(clock {snapshot.clock:.2f}, {snapshot.event_count} events, "

@@ -44,7 +44,6 @@ from repro.engine.registry import (
     available_protocols,
     get_protocol,
     load_builtin_protocols,
-    register_fault_runner,
     register_protocol,
 )
 from repro.engine.spec import (
@@ -63,7 +62,6 @@ from repro.engine.checkpoint import (
     CheckpointCorruptionError,
     CheckpointWriter,
     SimulationCheckpoint,
-    checkpoint_context,
     checkpoint_path_for,
     load_checkpoint,
     read_checkpoint_header,
@@ -101,7 +99,6 @@ __all__ = [
     "available_protocols",
     "get_protocol",
     "load_builtin_protocols",
-    "register_fault_runner",
     "register_protocol",
     "ChannelSpec",
     "ExperimentSpec",
@@ -120,7 +117,6 @@ __all__ = [
     "CheckpointCorruptionError",
     "CheckpointWriter",
     "SimulationCheckpoint",
-    "checkpoint_context",
     "checkpoint_path_for",
     "load_checkpoint",
     "read_checkpoint_header",

@@ -25,12 +25,15 @@ header is rejected and the previous snapshot (``*.prev.ckpt``) is used
 instead.  :class:`CheckpointWriter` writes crash-safely — tmp file +
 ``fsync`` + atomic rename, rotating the prior snapshot first — so a
 kill at any instant leaves at least one loadable checkpoint behind.
+
+The cadence and the sink reach the run as the two keywords
+:func:`~repro.protocols.base.run_protocol` has for them
+(``checkpoint_every`` / ``checkpoint_sink``), passed explicitly by
+``ExperimentSpec.execute``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import hashlib
 import io
 import json
@@ -39,7 +42,7 @@ import pickle
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.result import RunResult
@@ -55,9 +58,6 @@ __all__ = [
     "checkpoint_path_for",
     "load_checkpoint",
     "read_checkpoint_header",
-    "AmbientCheckpointConfig",
-    "ambient_checkpoint_config",
-    "checkpoint_context",
     "run_spec_with_checkpoints",
     "resume_spec_from_checkpoint",
 ]
@@ -161,8 +161,19 @@ class SimulationCheckpoint:
         )
 
     def restore(self) -> "LiveRun":
-        """Rebuild the live run this snapshot captured."""
-        return pickle.loads(self.payload)
+        """Rebuild the live run this snapshot captured.
+
+        A payload naming a class or module this version does not have
+        is refused as a :class:`CheckpointCorruptionError`, not as a raw
+        unpickle error.
+        """
+        try:
+            return pickle.loads(self.payload)
+        except (AttributeError, ModuleNotFoundError) as error:
+            raise CheckpointCorruptionError(
+                f"snapshot was written by an older version of repro ({error}); "
+                "it cannot be resumed — re-run the spec from the start"
+            ) from error
 
 
 def _previous_path(path: str) -> str:
@@ -313,46 +324,6 @@ def load_checkpoint(path: str) -> SimulationCheckpoint:
         ) from error
 
 
-# -- ambient configuration -----------------------------------------------------
-#
-# ``run_protocol`` has nine registered protocol runners in front of it;
-# threading explicit checkpoint kwargs through every runner signature
-# would be invasive.  Instead ``ExperimentSpec.execute`` installs an
-# ambient configuration (a contextvar, so it nests and is task-safe)
-# that ``run_protocol`` consults when its explicit kwargs are ``None``.
-
-
-@dataclass
-class AmbientCheckpointConfig:
-    """The checkpoint cadence + sink active for the current context."""
-
-    every: int
-    sink: Callable[["LiveRun"], None]
-
-
-_ACTIVE_CONFIG: contextvars.ContextVar[Optional[AmbientCheckpointConfig]] = (
-    contextvars.ContextVar("repro_checkpoint_config", default=None)
-)
-
-
-def ambient_checkpoint_config() -> Optional[AmbientCheckpointConfig]:
-    """The ambient config installed by :func:`checkpoint_context`, if any."""
-    return _ACTIVE_CONFIG.get()
-
-
-@contextlib.contextmanager
-def checkpoint_context(
-    every: int, sink: Callable[["LiveRun"], None]
-) -> Iterator[AmbientCheckpointConfig]:
-    """Install an ambient checkpoint configuration for the enclosed block."""
-    config = AmbientCheckpointConfig(every=every, sink=sink)
-    token = _ACTIVE_CONFIG.set(config)
-    try:
-        yield config
-    finally:
-        _ACTIVE_CONFIG.reset(token)
-
-
 # -- spec-level driving --------------------------------------------------------
 
 
@@ -414,6 +385,4 @@ def run_spec_with_checkpoints(
                 spec, snapshot, every=every, writer=writer
             )
             return result, snapshot.event_count
-    with checkpoint_context(every, writer):
-        result = spec.execute()
-    return result, None
+    return spec.execute(checkpoint_every=every, checkpoint_sink=writer), None

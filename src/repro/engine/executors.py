@@ -421,7 +421,7 @@ def _attempt_in_worker(
         os._exit(KILL_EXIT_CODE)
     if inject == "hang":
         if checkpoint_path is not None:
-            from repro.engine.checkpoint import CheckpointWriter, checkpoint_context
+            from repro.engine.checkpoint import CheckpointWriter
 
             writer = CheckpointWriter(checkpoint_path, spec=json.loads(payload))
 
@@ -430,8 +430,9 @@ def _attempt_in_worker(
                 time.sleep(HANG_SECONDS)
                 raise InjectedFault("injected hang outlived HANG_SECONDS without a timeout")
 
-            with checkpoint_context(checkpoint_every, _write_once_then_hang):
-                ExperimentSpec.from_json(payload).execute()
+            ExperimentSpec.from_json(payload).execute(
+                checkpoint_every=checkpoint_every, checkpoint_sink=_write_once_then_hang
+            )
             raise InjectedFault("injected hang finished before the first checkpoint boundary")
         time.sleep(HANG_SECONDS)
         raise InjectedFault("injected hang outlived HANG_SECONDS without a timeout")

@@ -6,7 +6,10 @@ to carry, the ``default_runners`` dict inside ``reproduce_table1``, and
 ad-hoc imports in 20+ benchmark modules).  The registry replaces all of
 them: a protocol module decorates its runner with
 :func:`register_protocol` and every layer above — CLI, classification,
-sweeps, benchmarks — resolves the name through one table.
+sweeps, benchmarks — resolves the name through one table.  The built-in
+runners are generated from declarations
+(:func:`repro.protocols.base.system_runner`); any plain keyword callable
+returning a protocol ``RunResult`` registers just the same.
 
 The registry deliberately knows nothing about the protocol modules
 themselves (no imports from :mod:`repro.protocols` here), so protocol
@@ -21,9 +24,10 @@ entry points duplicated:
   proof-of-work systems run in a fork-prone regime there);
 * ``fork_prone`` — overrides for the CLI's ``--fork-prone`` flag;
 * ``fairness_merit`` — which merit distribution the fairness report of a
-  classified run should be evaluated against;
-* ``fault_runners`` — alternative runners keyed by fault kind (``crash``,
-  ``byzantine``), registered with :func:`register_fault_runner`.
+  classified run should be evaluated against.
+
+Faults are not a registry concern: every runner takes ``fault=``, a
+registered :class:`~repro.network.faults.FaultModel`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "ProtocolRegistry",
     "REGISTRY",
     "register_protocol",
-    "register_fault_runner",
     "load_builtin_protocols",
     "available_protocols",
     "get_protocol",
@@ -70,33 +73,19 @@ class ProtocolEntry:
     fork_prone: Mapping[str, Any] = field(default_factory=dict)
     fairness_merit: str = "uniform"
     description: str = ""
-    fault_runners: Dict[str, Runner] = field(default_factory=dict)
     _accepts: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if not self._accepts:
             self._accepts = _accepted_kwargs(self.runner)
 
-    def runner_for(self, fault_kind: Optional[str]) -> Runner:
-        """The runner handling ``fault_kind`` (``None`` → the base runner)."""
-        if fault_kind is None:
-            return self.runner
-        try:
-            return self.fault_runners[fault_kind]
-        except KeyError:
-            raise KeyError(
-                f"protocol {self.name!r} has no runner for fault kind {fault_kind!r} "
-                f"(available: {sorted(self.fault_runners) or 'none'})"
-            ) from None
+    def runner_for(self, _fault_kind: None) -> Runner:
+        """Alias of :attr:`runner`: the frozen ledger calls ``runner_for(None)``."""
+        return self.runner
 
-    def accepts(self, kwarg: str, fault_kind: Optional[str] = None) -> bool:
-        """``True`` iff the (fault-)runner takes ``kwarg``."""
-        accepted = (
-            self._accepts
-            if fault_kind is None
-            else _accepted_kwargs(self.runner_for(fault_kind))
-        )
-        return "*" in accepted or kwarg in accepted
+    def accepts(self, kwarg: str) -> bool:
+        """``True`` iff the runner takes ``kwarg``."""
+        return "*" in self._accepts or kwarg in self._accepts
 
 
 class ProtocolRegistry:
@@ -172,22 +161,6 @@ def register_protocol(
     return decorate
 
 
-def register_fault_runner(
-    protocol: str,
-    kind: str,
-    *,
-    registry: Optional[ProtocolRegistry] = None,
-) -> Callable[[Runner], Runner]:
-    """Decorator: attach a fault-injecting runner to a registered protocol."""
-
-    def decorate(runner: Runner) -> Runner:
-        target = registry if registry is not None else REGISTRY
-        target.get(protocol).fault_runners[kind] = runner
-        return runner
-
-    return decorate
-
-
 _BUILTINS_LOADED = False
 
 
@@ -195,19 +168,19 @@ def load_builtin_protocols() -> ProtocolRegistry:
     """Import every built-in protocol module so its registration runs.
 
     Idempotent; returns the default registry for convenience.  The import
-    list mirrors the paper's Section 5 systems plus the fault-injection
-    runners.
+    list mirrors the paper's Section 5 systems plus the generic
+    ``committee`` engine five of them are declared over.
     """
     global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:
         import repro.protocols.nakamoto  # noqa: F401
         import repro.protocols.ghost  # noqa: F401
+        import repro.protocols.committee  # noqa: F401
         import repro.protocols.byzcoin  # noqa: F401
         import repro.protocols.algorand  # noqa: F401
         import repro.protocols.peercensus  # noqa: F401
         import repro.protocols.redbelly  # noqa: F401
         import repro.protocols.hyperledger  # noqa: F401
-        import repro.protocols.faults  # noqa: F401
         _BUILTINS_LOADED = True
     return REGISTRY
 

@@ -236,92 +236,35 @@ WORKLOAD_FIELDS: Tuple[str, ...] = tuple(
 )
 
 
-#: Fault kinds dispatched to dedicated ``@register_fault_runner`` runners
-#: (the retained legacy path); everything else resolves through the
-#: ``@register_fault`` model registry and rides the generic ``fault=``
-#: runner keyword.
-_LEGACY_FAULT_KINDS: Tuple[str, ...] = ("crash", "byzantine")
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """Declarative adversary.
 
-    ``kind`` either names one of the two legacy runner faults
-    (``crash`` with ``crash_at``, ``byzantine`` with ``byzantine`` —
-    dispatched to their dedicated ``@register_fault_runner`` runners,
-    byte-compatible with every pre-existing spec) or a registered
-    :class:`~repro.network.faults.FaultModel` (``crash``/``silent``/
-    ``churn``/``partition``/``eclipse``); ``params`` are its constructor
-    arguments and ``seed`` defaults to the owning spec's seed, exactly
-    like :class:`TopologySpec`.  Setting ``params`` on a legacy kind
-    routes it through the model registry too (``crash`` is registered in
-    both vocabularies, event-for-event identical).
+    ``kind`` names a registered :class:`~repro.network.faults.FaultModel`
+    (``crash``/``silent``/``churn``/``partition``/``eclipse``); ``params``
+    are its constructor arguments and ``seed`` defaults to the owning
+    spec's seed, exactly like :class:`TopologySpec`.
 
-    ``params`` and ``seed`` are serialized only when set, so digests of
-    pre-existing fault specs — and their cache entries — are unchanged.
+    :meth:`from_dict` is the one reader of the pre-registry spelling
+    (``crash`` + ``crash_at``, ``byzantine`` + ``byzantine``);
+    :meth:`to_dict` writes the canonical form only, so an old artifact
+    loads, digests to its canonical twin, and a cache entry stored under
+    the old digest is a miss that re-runs.
     """
 
     kind: str
-    crash_at: Mapping[str, float] = field(default_factory=dict)
-    byzantine: Tuple[str, ...] = ()
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
 
-    @property
-    def uses_runner(self) -> bool:
-        """``True`` iff this spec dispatches to a legacy fault runner."""
-        return self.kind in _LEGACY_FAULT_KINDS and not self.params
-
-    @property
-    def runner_kind(self) -> Optional[str]:
-        """The ``register_fault_runner`` key, or ``None`` for model faults."""
-        return self.kind if self.uses_runner else None
-
     def build(self, default_seed: int) -> "FaultModel":
-        """Instantiate the registered fault model (non-runner kinds)."""
+        """Instantiate the registered fault model."""
         from repro.network.faults import build_fault
 
         seed = self.seed if self.seed is not None else default_seed
         return build_fault(self.kind, dict(self.params), seed=seed)
 
-    def runner_kwargs(self, default_seed: int) -> Dict[str, Any]:
-        """The keyword arguments this fault contributes to the runner."""
-        if self.uses_runner:
-            return self.to_kwargs()
-        return {"fault": self.build(default_seed)}
-
-    def to_kwargs(self) -> Dict[str, Any]:
-        """Legacy runner keywords (``crash_at`` / ``byzantine``).
-
-        An unknown kind raises the uniform
-        :class:`~repro.core.errors.UnknownVocabularyError` listing the
-        registered fault vocabulary, like every other registry lookup; a
-        registered *model* kind is a usage error here (those build
-        through :meth:`runner_kwargs`).
-        """
-        if self.kind == "crash":
-            return {"crash_at": dict(self.crash_at)}
-        if self.kind == "byzantine":
-            return {"byzantine": tuple(self.byzantine)}
-        from repro.network.faults import FAULT_REGISTRY, get_fault
-
-        get_fault(self.kind)  # raises UnknownVocabularyError for unknown kinds
-        raise ValueError(
-            f"fault kind {self.kind!r} is a registered fault model "
-            f"({', '.join(FAULT_REGISTRY)}); build it with runner_kwargs()"
-        )
-
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "kind": self.kind,
-            "crash_at": dict(self.crash_at),
-            "byzantine": list(self.byzantine),
-        }
-        # Only serialized when set: digests (and therefore cache entries)
-        # of pre-existing fault specs are unchanged.
-        if self.params:
-            data["params"] = dict(self.params)
+        data: Dict[str, Any] = {"kind": self.kind, "params": dict(self.params)}
         if self.seed is not None:
             data["seed"] = self.seed
         return data
@@ -330,14 +273,38 @@ class FaultSpec:
     def from_dict(cls, data: Union[str, Mapping[str, Any]]) -> "FaultSpec":
         if isinstance(data, str):
             # A bare kind name is the sweep-axis / CLI shorthand.
-            return cls(kind=data)
-        return cls(
-            kind=data["kind"],
-            crash_at=dict(data.get("crash_at", {})),
-            byzantine=tuple(data.get("byzantine", ())),
-            params=dict(data.get("params", {})),
-            seed=data.get("seed"),
-        )
+            data = {"kind": data}
+        kind = data["kind"]
+        params = dict(data.get("params", {}))
+        # The pre-registry spelling; a bare legacy kind harmed nobody.
+        if kind == "byzantine":
+            kind = "silent"
+            params = params or {"members": list(data.get("byzantine", ()))}
+        elif kind == "crash" and not params:
+            params = {"at": dict(data.get("crash_at", {}))}
+        return cls(kind=kind, params=params, seed=data.get("seed"))
+
+
+#: The spec field that sets each keyword option of
+#: :func:`repro.protocols.base.run_protocol` (``None``: no field does —
+#: ``core`` stays a ``run_*`` keyword for the test-side core oracle).
+_HARNESS_FIELDS: Mapping[str, Optional[str]] = {
+    "n": "replicas",
+    "duration": "duration",
+    "channel": "channel",
+    "topology": "topology",
+    "monitor": "monitor",
+    "fault": "fault",
+    "clients": "workload.clients",
+    "client_rate": "workload.client_rate",
+    "client_seed": "seed",
+    "checkpoint_every": "checkpoint_every",
+    "checkpoint_sink": "checkpoint_path",
+    "core": None,
+    "final_reads": None,
+    "drain": None,
+    "max_events": None,
+}
 
 
 @dataclass(frozen=True)
@@ -345,9 +312,11 @@ class ExperimentSpec:
     """One fully-described protocol experiment.
 
     ``params`` holds protocol-specific knobs (``token_rate``,
-    ``round_interval``, ``selection``, ...); unknown keys are rejected at
-    execution time against the runner's signature, so a typo fails loudly
-    instead of silently running the default regime.
+    ``round_interval``, ``selection``, ...): the parameters of the
+    system's declaration.  Unknown keys are rejected at execution time,
+    so a typo fails loudly instead of silently running the default
+    regime, and so is a key naming a run-harness option — those are spec
+    fields (:data:`_HARNESS_FIELDS`), never ``params``.
     """
 
     protocol: str
@@ -493,10 +462,9 @@ class ExperimentSpec:
         spec reproduces a bare ``run_*`` call exactly.
         """
         entry = get_protocol(self.protocol)
-        fault_kind = self.fault.runner_kind if self.fault is not None else None
 
         def put(key: str, value: Any) -> None:
-            if not entry.accepts(key, fault_kind):
+            if not entry.accepts(key):
                 raise ValueError(
                     f"protocol {self.protocol!r} does not accept parameter {key!r}"
                 )
@@ -528,45 +496,59 @@ class ExperimentSpec:
 
             put("monitor", ConsistencyMonitor(score=self.build_score()))
         for key, value in self.params.items():
+            if key in _HARNESS_FIELDS:
+                field_name = _HARNESS_FIELDS[key]
+                raise ValueError(
+                    f"params[{key!r}] names a run-harness option, not a parameter "
+                    f"of protocol {self.protocol!r}: "
+                    + (
+                        f"set the spec's {field_name!r} field instead"
+                        if field_name is not None
+                        else "no spec field sets it (it is a run_* keyword only)"
+                    )
+                )
             if key == "selection":
                 value = self._build_selection(value)
             put(key, value)
         if self.fault is not None:
-            for key, value in self.fault.runner_kwargs(self.seed).items():
-                put(key, value)
+            put("fault", self.fault.build(self.seed))
         return kwargs
 
     # -- execution ----------------------------------------------------------
 
-    def execute(self) -> "RunResult":
+    def execute(
+        self,
+        *,
+        checkpoint_every: Optional[int] = None,
+        checkpoint_sink: Optional[Any] = None,
+    ) -> "RunResult":
         """Run the experiment and analyse it; see :mod:`repro.engine.result`.
 
-        When the spec carries checkpoint knobs, an ambient checkpoint
-        configuration (:func:`repro.engine.checkpoint.checkpoint_context`)
-        is installed around the runner so ``run_protocol`` snapshots the
-        live run every ``checkpoint_every`` events without every runner
-        signature having to forward the kwargs.
+        ``checkpoint_every`` / ``checkpoint_sink`` are the two
+        ``run_protocol`` keywords, for a caller that owns its writer
+        (:func:`~repro.engine.checkpoint.run_spec_with_checkpoints`); the
+        spec's own checkpoint knobs, when set, take their place.
         """
         from repro.engine.result import RunResult, analyse_run
 
         entry = get_protocol(self.protocol)
-        fault_kind = self.fault.runner_kind if self.fault is not None else None
-        runner = entry.runner_for(fault_kind)
         kwargs = self.build_kwargs()
-        started = time.perf_counter()
         if self.checkpoint_every is not None:
-            from repro.engine.checkpoint import CheckpointWriter, checkpoint_context
+            from repro.engine.checkpoint import CheckpointWriter
 
             if self.checkpoint_every <= 0:
                 raise ValueError("checkpoint_every must be positive")
-            writer = CheckpointWriter(
+            checkpoint_every = self.checkpoint_every
+            checkpoint_sink = CheckpointWriter(
                 self.checkpoint_path or "checkpoint.ckpt",
                 spec=json.loads(self.to_json()),
             )
-            with checkpoint_context(self.checkpoint_every, writer):
-                run = runner(**kwargs)
-        else:
-            run = runner(**kwargs)
+        if checkpoint_every is not None:
+            kwargs.update(
+                checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink
+            )
+        started = time.perf_counter()
+        run = entry.runner(**kwargs)
         run_seconds = time.perf_counter() - started
         return analyse_run(self, entry, run, run_seconds)
 

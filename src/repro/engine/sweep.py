@@ -138,12 +138,12 @@ def _apply_override(data: Dict[str, Any], path: str, value: Any) -> None:
     elif top == "fault":
         if data.get("fault") is None:
             raise KeyError("cannot set a fault axis on a spec without a fault")
-        if key in ("kind", "seed", "crash_at", "byzantine"):
+        if key in ("kind", "seed"):
             data["fault"][key] = value
         else:
             # Everything else is a constructor parameter of the registered
             # fault model (``fault.heal_at``, ``fault.victim``, ...).
-            data["fault"].setdefault("params", {})[key] = value
+            data["fault"]["params"][key] = value
     else:
         raise KeyError(f"unknown axis root {top!r} in {path!r}")
 

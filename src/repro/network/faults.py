@@ -1,14 +1,12 @@
 """Registered adversary vocabulary: scheduled fault injection.
 
 Section 4.2's failure model allows Byzantine processes and makes "no
-assumption on the number of failures".  Until this module existed the
-repo expressed process-level adversaries as two bespoke runners
-(:mod:`repro.protocols.faults`); everything else — channels, topologies,
-protocols — was first-class registered vocabulary.  A :class:`FaultModel`
-closes that gap: it is a declarative adversary that injects its behaviour
-as *scheduled events through the simulator itself*, so it composes with
-every channel model, every topology and both event cores (``array`` /
-``heap``) byte-identically.
+assumption on the number of failures".  Like channels, topologies and
+protocols, adversaries are first-class registered vocabulary — the only
+way a run is faulted.  A :class:`FaultModel` is a declarative adversary
+that injects its behaviour as *scheduled events through the simulator
+itself*, so it composes with every system, every channel model, every
+topology and both event cores (``array`` / ``heap``) byte-identically.
 
 The lifecycle mirrors how :func:`repro.protocols.base.run_protocol`
 stages a run:
@@ -18,10 +16,9 @@ stages a run:
   applies construction-time behaviour (e.g. muting silent members).
 * :meth:`FaultModel.after_process_start` — called immediately after each
   process's own ``on_start()``, in registration order.  Crash faults
-  schedule their kill timer here, which reproduces the legacy
-  ``CrashingNakamotoReplica.on_start`` queue-insertion point exactly —
-  the property that makes the registry-based ``crash`` event-for-event
-  identical to the retained runner.
+  schedule their kill timer here, so it enters the queue right behind
+  the process's own start-up timers (the insertion point
+  ``tests/network/test_fault_models.py`` pins by history digest).
 * :meth:`FaultModel.after_start` — called once after every process has
   started; global adversarial events (partition splits and heals, churn
   leaves and joins, eclipse windows) are scheduled on the simulator here.
@@ -219,12 +216,9 @@ def state_sync(network: "Network", targets: Optional[Sequence[str]] = None) -> i
 class CrashFault(FaultModel):
     """Replicas named in ``at`` crash at their configured virtual time.
 
-    The registry re-expression of the legacy
-    :class:`~repro.protocols.faults.CrashingNakamotoReplica` runner: the
-    kill timer is scheduled through ``process.schedule`` immediately
-    after the process's own ``on_start()``, at the exact queue-insertion
-    point the legacy subclass used, so the recorded histories are
-    event-for-event identical.
+    The kill timer is scheduled through ``process.schedule`` immediately
+    after the process's own ``on_start()``; from then on the replica
+    neither produces, relays nor applies anything.
     """
 
     def __init__(self, at: Mapping[str, float]) -> None:
@@ -266,12 +260,11 @@ def _muted_multicast(receivers, kind, payload) -> int:  # noqa: ARG001
 class SilentFault(FaultModel):
     """``members`` become silent Byzantine: they receive but never send.
 
-    The registry re-expression of the legacy
-    :class:`~repro.protocols.faults.SilentCommitteeReplica`: outbound
-    primitives are muted at install time (before any ``on_start``), which
-    shadows the class methods exactly like the legacy subclass overrides
-    did — the muted replica still processes deliveries and updates its
-    local state, it just never proposes, votes or relays.
+    Outbound primitives are muted at install time (before any
+    ``on_start``) by shadowing the class methods — the muted replica
+    still processes deliveries and updates its local state, it just never
+    proposes, votes or relays: the cheapest adversary against quorum-based
+    commit and against block dissemination.
     """
 
     def __init__(self, members: Sequence[str]) -> None:
@@ -285,7 +278,7 @@ class SilentFault(FaultModel):
             process = network.process(pid)
             process.byzantine = True
             # Instance attributes shadow the class methods for exactly
-            # this process — the same muting the legacy subclass applied.
+            # this process.
             process.send = _muted_send
             process.broadcast = _muted_broadcast
             process.multicast = _muted_multicast

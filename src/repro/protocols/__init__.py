@@ -5,8 +5,9 @@ that the paper's classification depends on — the validation oracle the
 system maps to, its chain-selection / commit rule, and its communication
 pattern — on top of the message-passing substrate of :mod:`repro.network`:
 
-* :mod:`repro.protocols.base` — the replicated-BlockTree replica and the
-  run harness shared by every model;
+* :mod:`repro.protocols.base` — the replicated-BlockTree replica, the
+  run harness shared by every model, and the adapter that turns a
+  system's declaration into its ``run_*`` callable;
 * :mod:`repro.protocols.nakamoto` — Bitcoin: proof-of-work lottery
   (prodigal oracle), heaviest/longest chain, flooding;
 * :mod:`repro.protocols.ghost` — Ethereum: same oracle, GHOST selection;
@@ -24,13 +25,12 @@ pattern — on top of the message-passing substrate of :mod:`repro.network`:
 from repro.protocols.base import BlockchainReplica, ReplicaConfig, RunResult, run_protocol
 from repro.protocols.nakamoto import NakamotoReplica, run_bitcoin
 from repro.protocols.ghost import EthereumReplica, run_ethereum
-from repro.protocols.committee import CommitteeReplica, CommitteeConfig
+from repro.protocols.committee import CommitteeReplica, CommitteeConfig, run_committee
 from repro.protocols.byzcoin import run_byzcoin
 from repro.protocols.algorand import run_algorand
 from repro.protocols.peercensus import run_peercensus
 from repro.protocols.redbelly import run_redbelly
 from repro.protocols.hyperledger import run_hyperledger
-from repro.protocols.faults import run_bitcoin_with_crashes, run_committee_with_byzantine
 from repro.protocols.classification import ClassificationResult, classify_run, reproduce_table1
 
 __all__ = [
@@ -44,13 +44,12 @@ __all__ = [
     "run_ethereum",
     "CommitteeReplica",
     "CommitteeConfig",
+    "run_committee",
     "run_byzcoin",
     "run_algorand",
     "run_peercensus",
     "run_redbelly",
     "run_hyperledger",
-    "run_bitcoin_with_crashes",
-    "run_committee_with_byzantine",
     "ClassificationResult",
     "classify_run",
     "reproduce_table1",

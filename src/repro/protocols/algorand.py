@@ -23,12 +23,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.engine.registry import register_protocol
-from repro.network.channels import ChannelModel
-from repro.network.faults import FaultModel
-from repro.network.topology import Topology
-from repro.protocols.base import RunResult
+from repro.protocols.base import System, system_runner
 from repro.protocols.committee import run_committee_protocol, weighted_lottery_proposer
 from repro.workload.merit import MeritDistribution, proportional_merit
 
@@ -44,37 +40,27 @@ def default_stake(n: int) -> MeritDistribution:
     "algorand",
     description="Stake-weighted sortition + BA*-style commit (Algorand model)",
 )
+@system_runner
 def run_algorand(
-    *,
     n: int = 7,
-    duration: float = 200.0,
+    *,
     stake: Optional[MeritDistribution] = None,
-    channel: Optional[ChannelModel] = None,
     round_interval: float = 5.0,
     read_interval: float = 5.0,
     seed: int = 0,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run the Algorand model (stake-weighted sortition + BA*-style commit)."""
+) -> System:
+    """The Algorand model (stake-weighted sortition + BA*-style commit)."""
     stake_distribution = stake if stake is not None else default_stake(n)
 
     def strategy_factory(committee: Tuple[str, ...], merits: MeritDistribution):
         return weighted_lottery_proposer(merits, seed=seed + 17, committee=committee)
 
-    result = run_committee_protocol(
+    return run_committee_protocol.declaration(
         "algorand",
-        n=n,
-        duration=duration,
+        n,
         merit=stake_distribution,
         proposer_strategy_factory=strategy_factory,
         round_interval=round_interval,
-        channel=channel,
         read_interval=read_interval,
         seed=seed,
-        monitor=monitor,
-        topology=topology,
-        fault=fault,
     )
-    return result

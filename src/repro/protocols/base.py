@@ -20,10 +20,20 @@ selection function picks the parent, how a block is committed) lives in
 subclasses.  :func:`run_protocol` wires replicas, channels, the shared
 oracle and a read workload together and returns everything the analyses
 need (the recorded history, the replicas, the oracle, network counters).
+
+:func:`run_protocol` is also the one signature that names a *harness*
+option (how many replicas, for how long, over which channel / topology,
+under which fault, monitor, client population, event core, checkpoint
+cadence).  A system module only *declares* what Section 5 / Table 1 says
+differs — a function of the system's own parameters returning a
+:class:`System` — and :func:`system_runner` generates its public
+``run_*`` callable, which hands every other keyword here.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -47,7 +57,15 @@ from repro.network.topology import Topology
 from repro.oracle.theta import TokenOracle, ValidatedBlock
 from repro.workload.population import ClientPopulation
 
-__all__ = ["ReplicaConfig", "BlockchainReplica", "RunResult", "LiveRun", "run_protocol"]
+__all__ = [
+    "ReplicaConfig",
+    "BlockchainReplica",
+    "RunResult",
+    "LiveRun",
+    "run_protocol",
+    "System",
+    "system_runner",
+]
 
 
 class _SimulatorClock:
@@ -570,10 +588,8 @@ def run_protocol(
         events and ``checkpoint_sink`` receives the staged :class:`LiveRun`
         after every nonzero chunk (typically a
         :class:`~repro.engine.checkpoint.CheckpointWriter` bound method).
-        When both are ``None``, the ambient configuration installed by
-        :func:`repro.engine.checkpoint.checkpoint_context` (if any) is
-        used instead.  Chunking never perturbs event order, so the
-        recorded history is byte-identical either way.
+        Chunking never perturbs event order, so the recorded history is
+        byte-identical either way.
     """
     simulator = Simulator(core=core)
     recorder = HistoryRecorder()
@@ -605,9 +621,9 @@ def run_protocol(
         ).attach(recorder)
         fault.install(network)
         # Start processes one by one, giving the fault its per-process
-        # hook right after each ``on_start()`` — the exact queue-insertion
-        # point the legacy crash subclass used, which is what keeps the
-        # registry-based crash event-for-event identical to it.
+        # hook right after each ``on_start()``: a crash timer enters the
+        # queue right behind the process's own start-up timers (the
+        # insertion point tests/network/test_fault_models.py pins).
         for replica in replicas.values():
             replica.on_start()
             fault.after_process_start(replica)
@@ -638,15 +654,75 @@ def run_protocol(
         drain=drain,
         final_reads=final_reads,
     )
-    if checkpoint_every is None and checkpoint_sink is None:
-        # Lazy import: protocols must stay importable without the engine
-        # package, and the engine imports protocols at registration time.
-        from repro.engine.checkpoint import ambient_checkpoint_config
-
-        config = ambient_checkpoint_config()
-        if config is not None:
-            checkpoint_every = config.every
-            checkpoint_sink = config.sink
     return live.finish(
         checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink
     )
+
+
+@dataclass(frozen=True)
+class System:
+    """What Section 5 / Table 1 says differs from one system to the next.
+
+    The value a *declaration* returns: a function
+    ``declare(n, *, <the system's own parameters>)`` — ``n`` being the
+    process count the harness will build, its default the system's own —
+    names the run, builds the shared oracle (Θ_P or Θ_F,k=1, seeded), and
+    says how one replica is made (selection function, merit, commit rule).
+    """
+
+    name: str
+    oracle: TokenOracle
+    replica_factory: Callable[[str, TokenOracle, Network], BlockchainReplica]
+    #: The system's own channel / topology, used when the caller names
+    #: none (``None`` → :func:`run_protocol`'s default).
+    channel: Optional[ChannelModel] = None
+    topology: Optional[Topology] = None
+
+
+def system_runner(declare: Callable[..., System]) -> Callable[..., RunResult]:
+    """Generate a system's public ``run_*`` callable from its declaration.
+
+    The callable takes the declaration's parameters plus every keyword
+    option of :func:`run_protocol` (and carries that combined
+    ``__signature__``, which is what the protocol registry validates
+    specs against).  It calls ``declare`` with the former and hands the
+    latter to :func:`run_protocol` — the system's own channel / topology
+    standing in where the caller named none, the client population
+    seeded with the run's ``seed``.  A declaration that names a harness
+    option itself is refused here (duplicate parameter).
+    ``run.declaration`` is the undecorated function, for systems
+    declared in terms of another.
+    """
+    declared = inspect.signature(declare)
+    options = [
+        parameter
+        for name, parameter in inspect.signature(run_protocol).parameters.items()
+        if parameter.kind is parameter.KEYWORD_ONLY
+        and name not in ("n", "client_seed")
+    ]
+
+    @functools.wraps(declare)
+    def run(*args, **kwargs) -> RunResult:
+        own = {key: kwargs.pop(key) for key in tuple(kwargs) if key in declared.parameters}
+        bound = declared.bind(*args, **own)
+        bound.apply_defaults()
+        system = declare(*bound.args, **bound.kwargs)
+        if kwargs.get("channel") is None:
+            kwargs["channel"] = system.channel
+        if kwargs.get("topology") is None:
+            kwargs["topology"] = system.topology
+        return run_protocol(
+            system.name,
+            system.replica_factory,
+            system.oracle,
+            n=bound.arguments["n"],
+            client_seed=bound.arguments["seed"],
+            **kwargs,
+        )
+
+    run.__signature__ = declared.replace(
+        parameters=[*declared.parameters.values(), *options],
+        return_annotation=RunResult,
+    )
+    run.declaration = declare
+    return run

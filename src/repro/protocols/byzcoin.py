@@ -20,14 +20,10 @@ In the committee engine this maps to:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.engine.registry import register_protocol
-from repro.network.channels import ChannelModel
-from repro.network.faults import FaultModel
-from repro.network.topology import Topology
-from repro.protocols.base import RunResult
+from repro.protocols.base import System, system_runner
 from repro.protocols.committee import run_committee_protocol, weighted_lottery_proposer
 from repro.workload.merit import MeritDistribution, zipf_merit
 
@@ -39,37 +35,27 @@ __all__ = ["run_byzcoin"]
     fairness_merit="zipf",
     description="PoW-elected committee with PBFT-style commit (ByzCoin model)",
 )
+@system_runner
 def run_byzcoin(
-    *,
     n: int = 7,
-    duration: float = 200.0,
+    *,
     merit: Optional[MeritDistribution] = None,
-    channel: Optional[ChannelModel] = None,
     round_interval: float = 5.0,
     read_interval: float = 5.0,
     seed: int = 0,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run the ByzCoin model; hashing power defaults to a Zipf distribution."""
+) -> System:
+    """The ByzCoin model; hashing power defaults to a Zipf distribution."""
     hashing_power = merit if merit is not None else zipf_merit(n, exponent=1.0)
 
     def strategy_factory(committee: Tuple[str, ...], merits: MeritDistribution):
         return weighted_lottery_proposer(merits, seed=seed, committee=committee)
 
-    result = run_committee_protocol(
+    return run_committee_protocol.declaration(
         "byzcoin",
-        n=n,
-        duration=duration,
+        n,
         merit=hashing_power,
         proposer_strategy_factory=strategy_factory,
         round_interval=round_interval,
-        channel=channel,
         read_interval=read_interval,
         seed=seed,
-        monitor=monitor,
-        topology=topology,
-        fault=fault,
     )
-    return result

@@ -28,19 +28,24 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.block import Block
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.core.selection import FixedTipSelection, LongestChain
-from repro.network.channels import ChannelModel, SynchronousChannel
-from repro.network.faults import FaultModel
+from repro.engine.registry import register_protocol
+from repro.network.channels import SynchronousChannel
 from repro.network.simulator import Message, Network
-from repro.network.topology import Committee, Topology
+from repro.network.topology import Committee
 from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import FrugalOracle, TokenOracle, ValidatedBlock
-from repro.protocols.base import BlockchainReplica, ReplicaConfig, RunResult, run_protocol
+from repro.protocols.base import BlockchainReplica, ReplicaConfig, System, system_runner
 from repro.workload.merit import MeritDistribution, uniform_merit
 from repro.workload.transactions import TransactionGenerator
 
-__all__ = ["ProposerStrategy", "CommitteeConfig", "CommitteeReplica", "run_committee_protocol"]
+__all__ = [
+    "ProposerStrategy",
+    "CommitteeConfig",
+    "CommitteeReplica",
+    "run_committee_protocol",
+    "run_committee",
+]
 
 PROPOSAL = "proposal"
 VOTE = "vote"
@@ -293,29 +298,22 @@ class CommitteeReplica(BlockchainReplica):
         return LongestChain()(self.tree).tip.block_id
 
 
+@system_runner
 def run_committee_protocol(
     name: str,
-    *,
     n: int = 7,
-    duration: float = 200.0,
+    *,
     merit: Optional[MeritDistribution] = None,
     committee: Optional[Sequence[str]] = None,
     proposer_strategy_factory: Optional[
         Callable[[Tuple[str, ...], MeritDistribution], ProposerStrategy]
     ] = None,
     round_interval: float = 5.0,
-    channel: Optional[ChannelModel] = None,
     read_interval: float = 5.0,
     transactions_per_block: int = 4,
     seed: int = 0,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    core: str = "array",
-    clients: Optional[int] = None,
-    client_rate: float = 0.5,
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run a committee-based protocol and return its :class:`RunResult`.
+) -> System:
+    """A committee-based protocol named ``name``, over Θ_F,k=1.
 
     ``proposer_strategy_factory`` receives the committee and the merit
     distribution and returns the proposer strategy; the default is
@@ -325,11 +323,10 @@ def run_committee_protocol(
     :class:`~repro.network.topology.Committee` topology (members fan out
     to everyone so observers learn decided blocks; observers address the
     committee only) rather than ad-hoc per-message filtering — for member
-    senders its receiver lists coincide with full mesh, so this is
-    event-for-event identical to the pre-topology runs.  Pass
-    ``topology=`` to override (e.g. ``Committee(members,
-    include_observers=False)`` for committee-only dissemination, or a
-    :class:`~repro.network.topology.Sharded` overlay).
+    senders its receiver lists coincide with full mesh.  It is the
+    system's default only: pass ``topology=`` to override (e.g.
+    ``Committee(members, include_observers=False)`` for committee-only
+    dissemination, or a :class:`~repro.network.topology.Sharded` overlay).
     """
     merit_distribution = merit if merit is not None else uniform_merit(n)
     all_pids = tuple(f"p{i}" for i in range(n))
@@ -348,7 +345,6 @@ def run_committee_protocol(
     # The frugal oracle with k = 1; committee members draw from their tape
     # until a token is granted, so the scale just bounds the retry count.
     tapes = TapeFamily(seed=seed, probability_scale=float(len(committee_ids)))
-    oracle = FrugalOracle(k=1, tapes=tapes)
     tx_seed = seed + 1
 
     def factory(pid: str, orc: TokenOracle, network: Network) -> CommitteeReplica:  # noqa: ARG001
@@ -366,18 +362,40 @@ def run_committee_protocol(
             tx_generator=TransactionGenerator(seed=tx_seed + sum(ord(c) for c in pid)),
         )
 
-    return run_protocol(
+    return System(
         name,
+        FrugalOracle(k=1, tapes=tapes),
         factory,
-        oracle,
-        n=n,
-        duration=duration,
-        channel=channel if channel is not None else SynchronousChannel(delta=0.5, seed=seed),
-        monitor=monitor,
-        topology=topology if topology is not None else Committee(members=committee_ids),
-        core=core,
-        clients=clients,
-        client_rate=client_rate,
-        client_seed=seed,
-        fault=fault,
+        channel=SynchronousChannel(delta=0.5, seed=seed),
+        topology=Committee(members=committee_ids),
+    )
+
+
+@register_protocol(
+    "committee",
+    description="Generic round-robin committee (BFT quorum commit, k = 1)",
+)
+@system_runner
+def run_committee(
+    n: int = 7,
+    *,
+    round_interval: float = 5.0,
+    read_interval: float = 5.0,
+    transactions_per_block: int = 4,
+    seed: int = 0,
+) -> System:
+    """The generic committee: every replica a member, round-robin proposer.
+
+    With ``f`` silent members (``fault=SilentFault(...)``) the commit
+    quorum (⌊2n/3⌋ + 1 votes) is still reachable as long as
+    ``f ≤ n - quorum`` — the classical ``f < n/3`` resilience.  Rounds led
+    by a silent proposer simply produce no block.
+    """
+    return run_committee_protocol.declaration(
+        "committee",
+        n,
+        round_interval=round_interval,
+        read_interval=read_interval,
+        transactions_per_block=transactions_per_block,
+        seed=seed,
     )

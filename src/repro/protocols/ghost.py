@@ -19,16 +19,13 @@ paper reports.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.core.selection import GHOSTSelection
 from repro.engine.registry import register_protocol
-from repro.network.channels import ChannelModel
-from repro.network.faults import FaultModel
-from repro.network.topology import Topology
 from repro.oracle.theta import TokenOracle
-from repro.protocols.base import RunResult
+from repro.protocols.base import System, system_runner
 from repro.protocols.nakamoto import NakamotoReplica, run_bitcoin
 from repro.workload.merit import MeritDistribution
 
@@ -57,47 +54,34 @@ class EthereumReplica(NakamotoReplica):
     },
     description="GHOST selection over the prodigal oracle (Ethereum model)",
 )
+@system_runner
 def run_ethereum(
-    *,
     n: int = 8,
-    duration: float = 200.0,
+    *,
     mining_interval: float = 1.0,
     token_rate: float = 0.1,
     merit: Optional[MeritDistribution] = None,
-    channel: Optional[ChannelModel] = None,
     read_interval: float = 5.0,
     use_lrc: bool = True,
     seed: int = 0,
     oracle: Optional[TokenOracle] = None,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    core: str = "array",
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run the Ethereum model (GHOST selection over the prodigal oracle).
+) -> System:
+    """The Ethereum model: Bitcoin's declaration with GHOST selection.
 
     The default ``token_rate`` is higher than Bitcoin's to reflect the much
     shorter block interval, which is also what makes the GHOST-vs-longest
     comparison interesting (more simultaneous blocks, more forks).
     """
-    result = run_bitcoin(
-        n=n,
-        duration=duration,
+    bitcoin = run_bitcoin.declaration(
+        n,
         mining_interval=mining_interval,
         token_rate=token_rate,
         merit=merit,
-        channel=channel,
         selection=GHOSTSelection(),
         read_interval=read_interval,
         use_lrc=use_lrc,
         seed=seed,
         oracle=oracle,
         replica_cls=EthereumReplica,
-        monitor=monitor,
-        topology=topology,
-        core=core,
-        fault=fault,
     )
-    # Re-label: the harness was shared with the Bitcoin runner.
-    result.name = "ethereum"
-    return result
+    return replace(bitcoin, name="ethereum")

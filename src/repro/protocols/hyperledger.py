@@ -23,12 +23,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.engine.registry import register_protocol
-from repro.network.channels import ChannelModel
-from repro.network.faults import FaultModel
-from repro.network.topology import Topology
-from repro.protocols.base import RunResult
+from repro.protocols.base import System, system_runner
 from repro.protocols.committee import fixed_proposer, run_committee_protocol
 from repro.workload.merit import MeritDistribution, permissioned_merit
 
@@ -39,41 +35,32 @@ __all__ = ["run_hyperledger"]
     "hyperledger",
     description="Fixed orderer, permissioned writers (Hyperledger Fabric model)",
 )
+@system_runner
 def run_hyperledger(
-    *,
     n: int = 8,
+    *,
     writers: Optional[Sequence[str]] = None,
     orderer: str = "p0",
-    duration: float = 200.0,
-    channel: Optional[ChannelModel] = None,
     round_interval: float = 5.0,
     read_interval: float = 5.0,
     transactions_per_block: int = 6,
     seed: int = 0,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run the Hyperledger Fabric model (fixed orderer, permissioned writers)."""
+) -> System:
+    """The Hyperledger Fabric model (fixed orderer, permissioned writers)."""
     all_pids = [f"p{i}" for i in range(n)]
     writer_set = tuple(writers) if writers is not None else tuple(all_pids[: max(3, n // 2)])
     if orderer not in writer_set:
         writer_set = (orderer, *writer_set)
     merit: MeritDistribution = permissioned_merit(writer_set, readers=all_pids)
 
-    return run_committee_protocol(
+    return run_committee_protocol.declaration(
         "hyperledger",
-        n=n,
-        duration=duration,
+        n,
         merit=merit,
         committee=writer_set,
         proposer_strategy_factory=lambda committee, merits: fixed_proposer(orderer),  # noqa: ARG005
         round_interval=round_interval,
-        channel=channel,
         read_interval=read_interval,
         transactions_per_block=transactions_per_block,
         seed=seed,
-        monitor=monitor,
-        topology=topology,
-        fault=fault,
     )

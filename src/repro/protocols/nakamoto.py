@@ -25,16 +25,12 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.consistency_index import ConsistencyMonitor
-from repro.core.selection import HeaviestChain, LongestChain, SelectionFunction
+from repro.core.selection import HeaviestChain, SelectionFunction
 from repro.engine.registry import register_protocol
-from repro.network.channels import ChannelModel
-from repro.network.faults import FaultModel
 from repro.network.simulator import Network
-from repro.network.topology import Topology
 from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle, TokenOracle
-from repro.protocols.base import BlockchainReplica, ReplicaConfig, RunResult, run_protocol
+from repro.protocols.base import BlockchainReplica, ReplicaConfig, System, system_runner
 from repro.workload.merit import MeritDistribution, uniform_merit
 
 __all__ = ["NakamotoReplica", "run_bitcoin"]
@@ -108,28 +104,21 @@ _FORK_PRONE_CHANNEL = {"kind": "synchronous", "params": {"delta": 3.0, "min_dela
     fork_prone={"params": {"token_rate": 0.4}, "channel": _FORK_PRONE_CHANNEL},
     description="Nakamoto proof-of-work, heaviest chain, prodigal oracle",
 )
+@system_runner
 def run_bitcoin(
-    *,
     n: int = 8,
-    duration: float = 200.0,
+    *,
     mining_interval: float = 1.0,
     token_rate: float = 0.05,
     merit: Optional[MeritDistribution] = None,
-    channel: Optional[ChannelModel] = None,
     selection: Optional[SelectionFunction] = None,
     read_interval: float = 5.0,
     use_lrc: bool = True,
     seed: int = 0,
     oracle: Optional[TokenOracle] = None,
     replica_cls: type = NakamotoReplica,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    core: str = "array",
-    clients: Optional[int] = None,
-    client_rate: float = 0.5,
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run the Bitcoin model and return its :class:`RunResult`.
+) -> System:
+    """The Bitcoin model: merit-weighted lottery on Θ_P, heaviest chain.
 
     ``token_rate`` scales merits into per-attempt success probabilities:
     with uniform merit ``1/n`` and rate ``r`` each miner finds a block with
@@ -139,7 +128,6 @@ def run_bitcoin(
     """
     merit_distribution = merit if merit is not None else uniform_merit(n)
     tapes = TapeFamily(seed=seed, probability_scale=token_rate)
-    shared_oracle = oracle if oracle is not None else ProdigalOracle(tapes=tapes)
     chain_rule = selection if selection is not None else HeaviestChain()
 
     def factory(pid: str, orc: TokenOracle, network: Network) -> NakamotoReplica:  # noqa: ARG001
@@ -156,18 +144,8 @@ def run_bitcoin(
             mining_interval=mining_interval,
         )
 
-    return run_protocol(
+    return System(
         "bitcoin",
+        oracle if oracle is not None else ProdigalOracle(tapes=tapes),
         factory,
-        shared_oracle,
-        n=n,
-        duration=duration,
-        channel=channel,
-        monitor=monitor,
-        topology=topology,
-        core=core,
-        clients=clients,
-        client_rate=client_rate,
-        client_seed=seed,
-        fault=fault,
     )

@@ -21,12 +21,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.engine.registry import register_protocol
-from repro.network.channels import ChannelModel
-from repro.network.faults import FaultModel
-from repro.network.topology import Topology
-from repro.protocols.base import RunResult
+from repro.protocols.base import System, system_runner
 from repro.protocols.committee import run_committee_protocol, weighted_lottery_proposer
 from repro.workload.merit import MeritDistribution, zipf_merit
 
@@ -38,36 +34,27 @@ __all__ = ["run_peercensus"]
     fairness_merit="zipf",
     description="PoW identity issuance + BFT commit (PeerCensus model)",
 )
+@system_runner
 def run_peercensus(
-    *,
     n: int = 7,
-    duration: float = 200.0,
+    *,
     merit: Optional[MeritDistribution] = None,
-    channel: Optional[ChannelModel] = None,
     round_interval: float = 5.0,
     read_interval: float = 5.0,
     seed: int = 0,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run the PeerCensus model (PoW proposer + BFT commit, k = 1)."""
+) -> System:
+    """The PeerCensus model (PoW proposer + BFT commit, k = 1)."""
     hashing_power = merit if merit is not None else zipf_merit(n, exponent=0.8)
 
     def strategy_factory(committee: Tuple[str, ...], merits: MeritDistribution):
         return weighted_lottery_proposer(merits, seed=seed + 29, committee=committee)
 
-    return run_committee_protocol(
+    return run_committee_protocol.declaration(
         "peercensus",
-        n=n,
-        duration=duration,
+        n,
         merit=hashing_power,
         proposer_strategy_factory=strategy_factory,
         round_interval=round_interval,
-        channel=channel,
         read_interval=read_interval,
         seed=seed,
-        monitor=monitor,
-        topology=topology,
-        fault=fault,
     )

@@ -23,13 +23,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.engine.registry import register_protocol
-from repro.network.channels import ChannelModel
-from repro.network.faults import FaultModel
-from repro.network.topology import Topology
-from repro.protocols.base import RunResult
-from repro.protocols.committee import run_committee_protocol, round_robin_proposer
+from repro.protocols.base import System, system_runner
+from repro.protocols.committee import round_robin_proposer, run_committee_protocol
 from repro.workload.merit import MeritDistribution, permissioned_merit
 
 __all__ = ["run_redbelly"]
@@ -39,36 +35,27 @@ __all__ = ["run_redbelly"]
     "redbelly",
     description="Consortium writers, consensus-decided chain (Red Belly model)",
 )
+@system_runner
 def run_redbelly(
-    *,
     n: int = 8,
+    *,
     writers: Optional[Sequence[str]] = None,
-    duration: float = 200.0,
-    channel: Optional[ChannelModel] = None,
     round_interval: float = 5.0,
     read_interval: float = 5.0,
     seed: int = 0,
-    monitor: Optional[ConsistencyMonitor] = None,
-    topology: Optional[Topology] = None,
-    fault: Optional[FaultModel] = None,
-) -> RunResult:
-    """Run the Red Belly model: consortium writers, consensus-decided chain."""
+) -> System:
+    """The Red Belly model: consortium writers, consensus-decided chain."""
     all_pids = [f"p{i}" for i in range(n)]
     writer_set = tuple(writers) if writers is not None else tuple(all_pids[: max(2, n // 2)])
     merit: MeritDistribution = permissioned_merit(writer_set, readers=all_pids)
 
-    return run_committee_protocol(
+    return run_committee_protocol.declaration(
         "redbelly",
-        n=n,
-        duration=duration,
+        n,
         merit=merit,
         committee=writer_set,
         proposer_strategy_factory=lambda committee, merits: round_robin_proposer(committee),  # noqa: ARG005
         round_interval=round_interval,
-        channel=channel,
         read_interval=read_interval,
         seed=seed,
-        monitor=monitor,
-        topology=topology,
-        fault=fault,
     )

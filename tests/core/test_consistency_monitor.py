@@ -202,7 +202,7 @@ class TestProtocolRuns:
                 replicas=4,
                 duration=40.0,
                 seed=5,
-                fault=FaultSpec(kind="crash", crash_at={"p1": 12.0}),
+                fault=FaultSpec(kind="crash", params={"at": {"p1": 12.0}}),
                 params={"token_rate": 0.3},
             )
         )

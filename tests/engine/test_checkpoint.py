@@ -4,7 +4,7 @@ The byte-identity of restored *histories* is pinned by the equivalence
 oracle in ``tests/network/test_checkpoint_equivalence.py``; this module
 covers the artifact layer around it — the versioned on-disk format and
 its torn-file detection, the crash-safe writer and its previous-snapshot
-fallback, the ambient configuration, spec-digest stability, spec-level
+fallback, the refusal of stale payloads, spec-digest stability, spec-level
 execution, and the pool executor's checkpoint-aware retries.
 """
 
@@ -28,7 +28,6 @@ from repro.engine import (
     ResultCache,
     SimulationCheckpoint,
     SweepRunner,
-    checkpoint_context,
     checkpoint_path_for,
     load_checkpoint,
     read_checkpoint_header,
@@ -36,7 +35,6 @@ from repro.engine import (
     run_spec_with_checkpoints,
     spec_digest,
 )
-from repro.engine.checkpoint import ambient_checkpoint_config
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -47,10 +45,10 @@ def _spec(**overrides) -> ExperimentSpec:
 
 def _one_snapshot(spec: ExperimentSpec) -> SimulationCheckpoint:
     captured = []
-    with checkpoint_context(
-        150, lambda live: captured.append(SimulationCheckpoint.capture(live))
-    ):
-        spec.execute()
+    spec.execute(
+        checkpoint_every=150,
+        checkpoint_sink=lambda live: captured.append(SimulationCheckpoint.capture(live)),
+    )
     assert captured
     return captured[0]
 
@@ -126,8 +124,7 @@ class TestCheckpointWriter:
         path = str(tmp_path / "run.ckpt")
         spec = _spec()
         writer = CheckpointWriter(path, spec=json.loads(spec.to_json()))
-        with checkpoint_context(150, writer):
-            spec.execute()
+        spec.execute(checkpoint_every=150, checkpoint_sink=writer)
         assert writer.writes >= 2
         assert os.path.exists(path)
         assert os.path.exists(str(tmp_path / "run.prev.ckpt"))
@@ -141,8 +138,7 @@ class TestCheckpointWriter:
         path = str(tmp_path / "run.ckpt")
         spec = _spec()
         writer = CheckpointWriter(path, spec=json.loads(spec.to_json()))
-        with checkpoint_context(150, writer):
-            spec.execute()
+        spec.execute(checkpoint_every=150, checkpoint_sink=writer)
         good_prev = load_checkpoint(str(tmp_path / "run.prev.ckpt"))
         # Tear the primary the way a hard kill mid-write would.
         data = open(path, "rb").read()
@@ -160,30 +156,32 @@ class TestCheckpointWriter:
         path = str(tmp_path / "run.ckpt")
         spec = _spec()
         writer = CheckpointWriter(path, spec=json.loads(spec.to_json()))
-        with checkpoint_context(150, writer):
-            spec.execute()
+        spec.execute(checkpoint_every=150, checkpoint_sink=writer)
         head = read_checkpoint_header(path)
         assert head["schema"] == CHECKPOINT_SCHEMA
         assert head["spec"]["protocol"] == "bitcoin"
 
 
-class TestAmbientConfig:
-    def test_absent_by_default(self):
-        assert ambient_checkpoint_config() is None
+class _RetiredReplica:
+    """Stands in for a class a later version deleted (pickled by reference)."""
 
-    def test_install_and_reset(self):
-        sink = lambda live: None  # noqa: E731
-        with checkpoint_context(100, sink) as config:
-            assert ambient_checkpoint_config() is config
-            assert config.every == 100
-            assert config.sink is sink
-        assert ambient_checkpoint_config() is None
 
-    def test_reset_even_on_error(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with checkpoint_context(100, lambda live: None):
-                raise RuntimeError("boom")
-        assert ambient_checkpoint_config() is None
+class TestStalePayloads:
+    def test_payload_naming_a_deleted_class_is_refused_loudly(self, monkeypatch):
+        # What a .ckpt written before the fault runners were retired looks
+        # like to this version: a pickle whose class lookup fails.
+        payload = pickle.dumps(_RetiredReplica())
+        monkeypatch.delattr(f"{__name__}._RetiredReplica")
+        snapshot = SimulationCheckpoint(payload=payload, clock=0.0, event_count=0, phase="main")
+        with pytest.raises(CheckpointCorruptionError, match="older version.*re-run"):
+            snapshot.restore()
+
+    def test_payload_naming_a_deleted_module_is_refused_loudly(self):
+        # Protocol-0 pickle of ``repro.protocols.faults.CrashingNakamotoReplica``.
+        payload = b"crepro.protocols.faults\nCrashingNakamotoReplica\n."
+        snapshot = SimulationCheckpoint(payload=payload, clock=0.0, event_count=0, phase="main")
+        with pytest.raises(CheckpointCorruptionError, match="older version"):
+            snapshot.restore()
 
 
 class TestSpecKnobs:

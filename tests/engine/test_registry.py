@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.engine import ExperimentSpec, FaultSpec
 from repro.engine.registry import (
     ProtocolEntry,
     ProtocolRegistry,
@@ -11,6 +14,9 @@ from repro.engine.registry import (
     get_protocol,
     register_protocol,
 )
+from repro.engine.spec import _HARNESS_FIELDS
+from repro.network.faults import build_fault
+from repro.protocols.base import run_protocol, system_runner
 
 
 def _dummy_runner(*, n: int = 3, duration: float = 10.0, seed: int = 0, extra: float = 1.0):
@@ -52,24 +58,72 @@ class TestRegistration:
 
 
 class TestFaultRunners:
+    """Faults ride the one ``fault=`` keyword of the system's own runner."""
+
     def test_bitcoin_has_a_crash_runner(self):
-        from repro.protocols.faults import run_bitcoin_with_crashes
+        from repro.protocols.nakamoto import run_bitcoin
 
         entry = get_protocol("bitcoin")
-        assert entry.runner_for("crash") is run_bitcoin_with_crashes
-        assert entry.accepts("crash_at", "crash")
+        assert entry.runner is run_bitcoin
+        assert entry.accepts("fault") and not entry.accepts("crash_at")
+        run = entry.runner(
+            n=3, duration=20.0, seed=1, fault=build_fault("crash", {"at": {"p2": 5.0}})
+        )
+        assert not run.replicas["p2"].alive and run.name == "bitcoin"
 
     def test_committee_has_a_byzantine_runner(self):
         entry = get_protocol("committee")
-        assert entry.runner_for("byzantine") is entry.runner
+        assert entry.accepts("fault") and not entry.accepts("byzantine")
+        spec = ExperimentSpec(
+            protocol="committee", replicas=4, duration=20.0,
+            fault=FaultSpec("silent", params={"members": ["p3"]}),
+        )
+        record = spec.execute()
+        assert record.run.replicas["p3"].byzantine
+        assert record.protocol_name == "committee"
 
     def test_unknown_fault_kind_raises(self):
-        with pytest.raises(KeyError, match="no runner for fault kind"):
-            get_protocol("hyperledger").runner_for("crash")
+        # Every system takes every registered fault; only the kind can be unknown.
+        assert all(get_protocol(name).accepts("fault") for name in available_protocols())
+        spec = ExperimentSpec(protocol="hyperledger", fault=FaultSpec("gremlins"))
+        with pytest.raises(KeyError, match="unknown fault 'gremlins'"):
+            spec.build_kwargs()
 
     def test_none_fault_kind_is_the_base_runner(self):
+        # The alias the frozen ledger calls.
         entry = get_protocol("bitcoin")
         assert entry.runner_for(None) is entry.runner
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_declaration_and_harness_partition_the_runner_signature(self, name):
+        """Pass-through cannot grow back: a system's declaration names no
+        ``run_protocol`` option, and the two together are its runner."""
+        runner = get_protocol(name).runner
+        kinds = (inspect.Parameter.KEYWORD_ONLY,)
+        declared = {
+            key
+            for key, p in inspect.signature(runner.declaration).parameters.items()
+            if p.kind in kinds
+        }
+        harness = {
+            key
+            for key, p in inspect.signature(run_protocol).parameters.items()
+            if p.kind in kinds
+        } - {"client_seed"}  # bound to the run's seed by the adapter
+        assert declared.isdisjoint(harness)
+        assert declared | harness == set(inspect.signature(runner).parameters)
+        # ... and a spec can address every harness option it has a field
+        # for, none through ``params``.
+        assert harness | {"client_seed"} == set(_HARNESS_FIELDS)
+
+    def test_a_declaration_naming_a_harness_option_is_refused(self):
+        def run_leaky(n: int = 3, *, seed: int = 0, monitor=None):
+            raise AssertionError("never declared")
+
+        with pytest.raises(ValueError, match="duplicate parameter name: 'monitor'"):
+            system_runner(run_leaky)
 
 
 class TestRegimeMetadata:

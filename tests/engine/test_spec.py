@@ -57,7 +57,7 @@ class TestSerialization:
             seed=13,
             channel=ChannelSpec(kind="synchronous", params={"delta": 3.0}, drop_probability=0.2),
             workload=WorkloadSpec(use_lrc=False, merit="zipf", merit_exponent=1.5),
-            fault=FaultSpec(kind="crash", crash_at={"p1": 30.0}),
+            fault=FaultSpec(kind="crash", params={"at": {"p1": 30.0}}),
             oracle_k=2,
             params={"token_rate": 0.4},
             label="round-trip",
@@ -101,9 +101,31 @@ class TestBuildKwargs:
         )
         with pytest.raises(ValueError, match=message):
             cell.build_kwargs()
-        # The event-core switch is a different knob and keeps working.
+        # The event-core switch is no spec parameter either: it names the
+        # run harness, so it is refused with the reason, not as a typo.
         heap = ExperimentSpec(protocol="bitcoin", params={"core": "heap"})
-        assert heap.build_kwargs()["core"] == "heap"
+        with pytest.raises(ValueError, match=r"params\['core'\] names a run-harness option"):
+            heap.build_kwargs()
+
+    @pytest.mark.parametrize(
+        "key, hint",
+        [
+            ("core", "no spec field sets it"),
+            ("max_events", "no spec field sets it"),
+            ("n", "set the spec's 'replicas' field"),
+            ("channel", "set the spec's 'channel' field"),
+            ("monitor", "set the spec's 'monitor' field"),
+            ("topology", "set the spec's 'topology' field"),
+            ("fault", "set the spec's 'fault' field"),
+            ("clients", "set the spec's 'workload.clients' field"),
+        ],
+    )
+    @pytest.mark.parametrize("protocol", ["bitcoin", "hyperledger"])
+    def test_params_cannot_address_the_harness(self, protocol, key, hint):
+        spec = ExperimentSpec(protocol=protocol, params={key: None})
+        with pytest.raises(ValueError, match=hint) as excinfo:
+            spec.build_kwargs()
+        assert f"params[{key!r}]" in str(excinfo.value)
 
     def test_selection_string_is_materialized(self):
         from repro.core.selection import LongestChain
@@ -128,11 +150,14 @@ class TestBuildKwargs:
         assert kwargs["oracle"].k == 2
 
     def test_fault_spec_routes_kwargs(self):
+        from repro.network.faults import CrashFault
+
         kwargs = ExperimentSpec(
             protocol="bitcoin",
-            fault=FaultSpec(kind="crash", crash_at={"p0": 10.0}),
+            fault=FaultSpec(kind="crash", params={"at": {"p0": 10.0}}),
         ).build_kwargs()
-        assert kwargs["crash_at"] == {"p0": 10.0}
+        assert isinstance(kwargs["fault"], CrashFault)
+        assert kwargs["fault"].at == {"p0": 10.0} and "crash_at" not in kwargs
 
     def test_model_fault_spec_builds_fault_model(self):
         from repro.network.faults import PartitionFault
@@ -151,18 +176,25 @@ class TestBuildKwargs:
 
 class TestFaultSpec:
     def test_legacy_kinds_use_their_runners(self):
-        assert FaultSpec(kind="crash", crash_at={"p0": 5.0}).uses_runner
-        assert FaultSpec(kind="byzantine", byzantine=("p1",)).uses_runner
-        assert FaultSpec(kind="crash", crash_at={"p0": 5.0}).runner_kind == "crash"
+        """The system's own runner, that is: the pre-registry spelling
+        reads as the registry kind that rides its ``fault=`` keyword."""
+        crash = FaultSpec.from_dict({"kind": "crash", "crash_at": {"p0": 5.0}, "byzantine": []})
+        assert crash == FaultSpec(kind="crash", params={"at": {"p0": 5.0}})
+        silent = FaultSpec.from_dict({"kind": "byzantine", "crash_at": {}, "byzantine": ["p1"]})
+        assert silent == FaultSpec(kind="silent", params={"members": ["p1"]})
+        # A bare legacy kind harmed nobody, and still does not.
+        assert FaultSpec.from_dict("crash") == FaultSpec("crash", params={"at": {}})
+        assert FaultSpec.from_dict("byzantine") == FaultSpec("silent", params={"members": []})
+        # The empty legacy keys old artifacts carry beside ``params`` are ignored.
+        old = {"kind": "eclipse", "crash_at": {}, "byzantine": [], "params": {"victim": "p0", "until": 9.0}}
+        assert FaultSpec.from_dict(old) == FaultSpec("eclipse", params=old["params"])
 
     def test_params_route_legacy_kind_through_the_registry(self):
-        from repro.network.faults import CrashFault
+        from repro.network.faults import CrashFault, SilentFault
 
         spec = FaultSpec(kind="crash", params={"at": {"p0": 5.0}})
-        assert not spec.uses_runner
-        assert spec.runner_kind is None
-        kwargs = spec.runner_kwargs(default_seed=3)
-        assert isinstance(kwargs["fault"], CrashFault)
+        assert isinstance(spec.build(default_seed=3), CrashFault)
+        assert isinstance(FaultSpec.from_dict("byzantine").build(default_seed=3), SilentFault)
 
     def test_model_kind_builds_with_spec_seed_default(self):
         spec = FaultSpec(kind="eclipse", params={"victim": "p0", "until": 9.0})
@@ -174,22 +206,43 @@ class TestFaultSpec:
 
         spec = FaultSpec(kind="gremlins")
         with pytest.raises(UnknownVocabularyError) as excinfo:
-            spec.to_kwargs()
+            spec.build(default_seed=0)
         message = str(excinfo.value)
         assert message.startswith("unknown fault 'gremlins'; registered:")
         assert "'churn'" in message and "'partition'" in message
         # The uniform error still matches historic except clauses.
         assert isinstance(excinfo.value, (KeyError, ValueError))
 
-    def test_legacy_serialization_shape_unchanged(self):
-        # Digest stability: a pre-existing fault spec must serialize to
-        # exactly the pre-registry three-key shape (cache keys depend on it).
-        spec = FaultSpec(kind="crash", crash_at={"p1": 30.0})
-        assert spec.to_dict() == {
-            "kind": "crash",
-            "crash_at": {"p1": 30.0},
-            "byzantine": [],
-        }
+    def test_digest_rule_old_keys_read_canonical_form_written(self, tmp_path):
+        """Old keys are read, the canonical form is written, and a cache
+        entry stored under the old digest is a miss — never a hit."""
+        import hashlib
+        import json
+
+        from repro.engine import ResultCache, spec_digest
+
+        canonical = ExperimentSpec(
+            protocol="bitcoin", fault=FaultSpec("crash", params={"at": {"p1": 30.0}})
+        )
+        legacy = json.loads(canonical.to_json())
+        legacy["fault"] = {"kind": "crash", "crash_at": {"p1": 30.0}, "byzantine": []}
+        legacy_text = json.dumps(legacy, sort_keys=True)
+        legacy_digest = hashlib.sha256(legacy_text.encode("utf-8")).hexdigest()
+
+        read = ExperimentSpec.from_json(legacy_text)
+        assert read == canonical
+        assert read.fault.to_dict() == {"kind": "crash", "params": {"at": {"p1": 30.0}}}
+        assert ExperimentSpec.from_json(read.to_json()) == read
+        assert spec_digest(read) == spec_digest(canonical) != legacy_digest
+
+        # What an old cache directory holds: the legacy-spelled payload
+        # under the legacy digest.
+        cache = ResultCache(tmp_path)
+        (tmp_path / f"{legacy_digest}.json").write_text(
+            json.dumps({"spec": legacy, "protocol_name": "bitcoin-crash"})
+        )
+        assert cache.get(read) is None and cache.get(canonical) is None
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_params_and_seed_round_trip(self):
         spec = FaultSpec(kind="churn", params={"leave": {"p2": 10.0}}, seed=5)

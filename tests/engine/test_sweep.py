@@ -100,13 +100,14 @@ class TestFaultAxes:
         assert all(s.fault.params["victim"] == "p1" for s in specs)
 
     def test_legacy_fault_fields_stay_addressable(self):
-        base = ExperimentSpec(
-            protocol="bitcoin", fault=FaultSpec(kind="crash", crash_at={"p0": 10.0})
-        )
-        (spec,) = expand_grid(base, {"fault.crash_at": [{"p1": 25.0}]})
-        assert spec.fault.crash_at == {"p1": 25.0}
+        # ... under their registry names: a fault read from the old
+        # spelling is an ordinary kind/params/seed spec to the axes.
+        legacy = {"kind": "crash", "crash_at": {"p0": 10.0}, "byzantine": []}
+        base = ExperimentSpec(protocol="bitcoin", fault=FaultSpec.from_dict(legacy))
+        (spec,) = expand_grid(base, {"fault.at": [{"p1": 25.0}]})
+        assert spec.fault.params == {"at": {"p1": 25.0}}
         (seeded,) = expand_grid(base, {"fault.seed": [9]})
-        assert seeded.fault.seed == 9
+        assert seeded.fault.seed == 9 and seeded.fault.params == base.fault.params
 
 
 class TestSweepRunner:

@@ -5,13 +5,16 @@ seed forwarding), each fault model's constructor validation, and the two
 equivalence bars the tentpole demands:
 
 * ``crash`` and ``silent`` built through the registry must reproduce the
-  retained legacy runners event-for-event (identical ``History.events``);
+  retired legacy runners event-for-event (their ``History.events`` are
+  pinned by digest, recorded before the runners were deleted);
 * the healing adversaries (``partition``, ``churn``, ``eclipse``) must
   actually degrade the run while active and actually recover after their
   heal time, as observed by the :class:`DegradationMonitor`.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -31,7 +34,7 @@ from repro.network.faults import (
     register_fault,
     state_sync,
 )
-from repro.protocols.faults import run_bitcoin_with_crashes, run_committee_with_byzantine
+from repro.protocols.committee import run_committee
 from repro.protocols.nakamoto import run_bitcoin
 
 
@@ -112,11 +115,26 @@ class TestValidation:
             run_bitcoin(n=3, duration=10.0, seed=1, fault=fault)
 
 
+#: sha256 over ``repr(history.events)`` and ``messages_sent``, recorded at
+#: commit 3c21c03 from ``run_bitcoin_with_crashes(n=5, duration=120.0,
+#: token_rate=0.3, seed=17, crash_at={"p4": 30.0, "p2": 60.0})``,
+#: ``run_committee_with_byzantine(n=7, duration=120.0, seed=5,
+#: byzantine=("p5", "p6"))`` and the same call without ``byzantine`` — the
+#: last commit that had those two runners.
+LEGACY_PINS = {
+    "bitcoin-crash": ("308dd6b52a75365c7343145205e13b6b7427c65ba79b9cbe36aa219497f9aa2c", 583),
+    "committee-silent": ("d53e9fddc776323103e10c9e6c8cb31b7017de85a21620bc7f0f503db4ca5107", 168),
+    "committee": ("104b91982407258a9a291fcf1232c977409d0b230109f142b60d19ca5835f2b7", 1344),
+}
+
+
+def _pin(run):
+    digest = hashlib.sha256(repr(run.history.events).encode("utf-8")).hexdigest()
+    return digest, run.network.messages_sent
+
+
 class TestLegacyEquivalence:
     def test_crash_fault_matches_legacy_runner_event_for_event(self):
-        legacy = run_bitcoin_with_crashes(
-            n=5, duration=120.0, token_rate=0.3, seed=17, crash_at={"p4": 30.0, "p2": 60.0}
-        )
         registered = run_bitcoin(
             n=5,
             duration=120.0,
@@ -125,24 +143,25 @@ class TestLegacyEquivalence:
             channel=SynchronousChannel(delta=1.0, seed=17),
             fault=build_fault("crash", {"at": {"p4": 30.0, "p2": 60.0}}),
         )
-        assert legacy.history.events == registered.history.events
+        assert _pin(registered) == LEGACY_PINS["bitcoin-crash"]
         assert not registered.replicas["p4"].alive
         assert not registered.replicas["p2"].alive
-        assert legacy.network.messages_sent == registered.network.messages_sent
 
     def test_silent_fault_matches_legacy_runner_event_for_event(self):
-        legacy = run_committee_with_byzantine(n=7, duration=120.0, seed=5, byzantine=("p5", "p6"))
-        registered = run_committee_with_byzantine(
+        registered = run_committee(
             n=7,
             duration=120.0,
             seed=5,
-            byzantine=(),
             fault=build_fault("silent", {"members": ("p5", "p6")}),
         )
-        assert legacy.history.events == registered.history.events
+        assert _pin(registered) == LEGACY_PINS["committee-silent"]
         assert registered.replicas["p5"].byzantine
         assert registered.replicas["p6"].byzantine
-        assert legacy.network.messages_sent == registered.network.messages_sent
+
+    def test_bare_committee_matches_its_legacy_runner_event_for_event(self):
+        run = run_committee(n=7, duration=120.0, seed=5)
+        assert _pin(run) == LEGACY_PINS["committee"]
+        assert run.name == "committee"
 
 
 def _partition_fault(heal_at):

@@ -5,17 +5,26 @@ from __future__ import annotations
 import pytest
 
 from repro.core.consistency import check_eventual_consistency, check_strong_consistency
-from repro.protocols.faults import (
-    run_bitcoin_with_crashes,
-    run_committee_with_byzantine,
-)
+from repro.engine import ExperimentSpec, FaultSpec
+from repro.network.faults import build_fault
+from repro.protocols import run_bitcoin
+
+
+def _silent_committee(members, *, n=7, duration=120.0, seed=19):
+    """A generic-committee run with ``members`` silent, through the spec."""
+    spec = ExperimentSpec(
+        protocol="committee", replicas=n, duration=duration, seed=seed,
+        fault=FaultSpec("silent", params={"members": list(members)}),
+    )
+    return spec.execute().run
 
 
 class TestCrashFaults:
     @pytest.fixture(scope="class")
     def crash_run(self):
-        return run_bitcoin_with_crashes(
-            n=5, duration=120.0, token_rate=0.3, seed=17, crash_at={"p4": 30.0}
+        return run_bitcoin(
+            n=5, duration=120.0, token_rate=0.3, seed=17,
+            fault=build_fault("crash", {"at": {"p4": 30.0}}),
         )
 
     def test_crashed_replica_is_not_correct(self, crash_run):
@@ -42,16 +51,14 @@ class TestCrashFaults:
 
     def test_crash_time_validation(self):
         with pytest.raises(ValueError):
-            run_bitcoin_with_crashes(n=3, duration=10.0, crash_at={"p0": -1.0})
+            run_bitcoin(n=3, duration=10.0, fault=build_fault("crash", {"at": {"p0": -1.0}}))
 
 
 class TestByzantineFaults:
     @pytest.fixture(scope="class")
     def byzantine_run(self):
         # n = 7, f = 2 silent members: quorum (floor(14/3)+1 = 5) still reachable.
-        return run_committee_with_byzantine(
-            n=7, duration=120.0, seed=19, byzantine=("p5", "p6")
-        )
+        return _silent_committee(("p5", "p6"))
 
     def test_byzantine_replicas_flagged(self, byzantine_run):
         assert set(byzantine_run.correct_replicas) == {f"p{i}" for i in range(5)}
@@ -79,12 +86,10 @@ class TestByzantineFaults:
 
     def test_too_many_byzantine_members_halt_progress(self):
         # f = 4 of 7 silent members: the 5-vote quorum can never be formed.
-        run = run_committee_with_byzantine(
-            n=7, duration=80.0, seed=20, byzantine=("p3", "p4", "p5", "p6")
-        )
+        run = _silent_committee(("p3", "p4", "p5", "p6"), duration=80.0, seed=20)
         committed = sum(r.blocks_committed for r in run.replicas.values())
         assert committed == 0
 
     def test_unknown_byzantine_name_rejected(self):
         with pytest.raises(ValueError):
-            run_committee_with_byzantine(n=3, duration=10.0, byzantine=("ghost",))
+            _silent_committee(("ghost",), n=3, duration=10.0)

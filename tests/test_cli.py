@@ -388,8 +388,12 @@ class TestFaultFlags:
 
         spec = _parse_fault("partition")
         assert spec.kind == "partition" and spec.params == {}
+        # The old spelling is still read, into the registry kinds.
         spec = _parse_fault('crash:crash_at={"p1": 30.0}')
-        assert spec.crash_at == {"p1": 30.0} and spec.params == {}
+        assert spec.kind == "crash" and spec.params == {"at": {"p1": 30.0}}
+        spec = _parse_fault('byzantine:byzantine=["p2"],seed=4')
+        assert (spec.kind, spec.params, spec.seed) == ("silent", {"members": ["p2"]}, 4)
+        assert _parse_fault("byzantine").params == {"members": []}
         spec = _parse_fault(
             'partition:groups=[["p0","p1"],["p2","p3"]],at=10,heal_at=40'
         )
@@ -413,9 +417,9 @@ class TestFaultFlags:
         capsys.readouterr()
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert all(
-            cell["spec"]["fault"] == {
-                "kind": "crash", "crash_at": {"p3": 10.0}, "byzantine": [],
-            }
+            cell["spec"]["fault"] == {"kind": "crash", "params": {"at": {"p3": 10.0}}}
+            and cell["protocol_name"] == "bitcoin"
+            and "degradation" in cell
             for cell in payload["cells"]
         )
 

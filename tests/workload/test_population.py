@@ -10,12 +10,16 @@ leave pre-existing spec digests untouched.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.engine.cache import spec_digest
+from repro.engine.registry import available_protocols
 from repro.engine.spec import ExperimentSpec, WorkloadSpec
 from repro.engine.sweep import expand_grid
+from repro.protocols.committee import CommitteeReplica
 from repro.workload.population import ClientPopulation
 
 
@@ -192,6 +196,32 @@ def test_population_spec_executes_end_to_end():
     assert "workload_generation_seconds" in result.timings
     # Round-trips keep the population fields.
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("protocol", available_protocols())
+def test_every_system_takes_a_population(protocol):
+    """The harness owns the population, so all eight systems accept it —
+    and the committee family proposes the client operations it received."""
+    spec = ExperimentSpec(
+        protocol=protocol, replicas=4, duration=40.0, seed=3,
+        workload=WorkloadSpec(clients=200),
+    )
+    result = spec.execute()
+    network = result.network
+    assert network["client_ops"] > 0
+    assert network["messages_sent"] == (
+        network["messages_delivered"]
+        + network["messages_dropped"]
+        + network.get("messages_quarantined", 0)
+    )
+    replicas = result.run.replicas.values()
+    if all(isinstance(replica, CommitteeReplica) for replica in replicas):
+        # ``_propose`` took its mempool branch: operations left the
+        # mempools and sit, as ``coin<n>`` ids, in committed blocks.
+        drained = network["client_ops"] - sum(len(r.mempool) for r in replicas)
+        committed = {item for r in replicas for block in r.tree for item in block.payload}
+        assert 0 < len(committed) <= drained
+        assert all(re.fullmatch(r"coin\d+", item) for item in committed)
 
 
 def test_ten_thousand_clients_through_declarative_spec():
