@@ -40,6 +40,7 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set,
 import numpy as np
 
 from repro.core.block import GENESIS_ID, Block, Blockchain, genesis_block
+from repro.core.errors import StaleSnapshotError
 from repro.network._hotpath import tree_append_index
 
 __all__ = ["BlockTree", "UnknownParentError", "DuplicateBlockError"]
@@ -543,7 +544,7 @@ class BlockTree:
         # a tree whose every query would fail.  (The leaf-index memo arrived
         # with the columns, so a state that has them needs no defaults.)
         if state.get("_columns") is None:
-            raise ValueError(
+            raise StaleSnapshotError(
                 "cannot restore this BlockTree snapshot: it was taken on the "
                 "dict score index, which has been removed (trees now keep "
                 "their indexes on numpy columns); re-run instead of resuming"

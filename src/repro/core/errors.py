@@ -1,4 +1,4 @@
-"""Shared error types for the registered spec vocabularies.
+"""Shared error types: spec vocabularies and stale snapshots.
 
 The engine's declarative layer resolves several *names* into
 implementations: protocol names (``@register_protocol``), channel kinds
@@ -19,13 +19,19 @@ so existing ``except``/``pytest.raises`` clauses keep matching.
 This lives in :mod:`repro.core` — the bottom of the layering — because
 both the network substrate (topology registry) and the engine (protocol /
 channel / selection vocabularies) raise it.
+
+:class:`StaleSnapshotError` is what a ``__setstate__`` raises when it is
+handed state in a format its class no longer reads (a checkpoint written
+by an older version).  ``SimulationCheckpoint.restore`` turns exactly
+this error into a "re-run the spec" refusal; any other exception out of
+an unpickle is a defect or real corruption and propagates as itself.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["UnknownVocabularyError"]
+__all__ = ["UnknownVocabularyError", "StaleSnapshotError"]
 
 
 class UnknownVocabularyError(KeyError, ValueError):
@@ -54,3 +60,11 @@ class UnknownVocabularyError(KeyError, ValueError):
         # KeyError.__str__ would wrap the message in quotes (it reprs its
         # sole argument); the plain message is what belongs in tracebacks.
         return self.message
+
+
+class StaleSnapshotError(ValueError):
+    """Pickled state is in a format this version's class refuses to read.
+
+    A :class:`ValueError` (what these refusals historically raised) whose
+    message names what changed and ends in "re-run instead of resuming".
+    """

@@ -3,7 +3,8 @@
 A :class:`SimulationCheckpoint` snapshots a staged
 :class:`~repro.protocols.base.LiveRun` — pending events from both event
 cores (heap entries verbatim; array-core staged tuples, deferred blocks,
-overflow heap and interned dispatch table), every rng bit-generator
+column blocks, a partly consumed column run, overflow heap and interned
+dispatch table), every rng bit-generator
 state, :class:`~repro.network.simulator.Network` membership/caches/
 counters, per-process protocol state (block tree, mempool, LRC relay
 state), fault-model schedules and the recorder tail — into a versioned
@@ -43,6 +44,8 @@ import time
 import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
+
+from repro.core.errors import StaleSnapshotError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.result import RunResult
@@ -163,13 +166,16 @@ class SimulationCheckpoint:
     def restore(self) -> "LiveRun":
         """Rebuild the live run this snapshot captured.
 
-        A payload naming a class or module this version does not have
-        is refused as a :class:`CheckpointCorruptionError`, not as a raw
-        unpickle error.
+        A payload naming a class or module this version does not have,
+        or holding state in a format one of its classes refuses (its
+        ``__setstate__`` raises :class:`~repro.core.errors.StaleSnapshotError`
+        naming what changed), is refused as a
+        :class:`CheckpointCorruptionError`; any other unpickle error is
+        a defect or real damage and propagates as itself.
         """
         try:
             return pickle.loads(self.payload)
-        except (AttributeError, ModuleNotFoundError) as error:
+        except (AttributeError, ModuleNotFoundError, StaleSnapshotError) as error:
             raise CheckpointCorruptionError(
                 f"snapshot was written by an older version of repro ({error}); "
                 "it cannot be resumed — re-run the spec from the start"

@@ -21,6 +21,14 @@ The loop itself is the calendar-queue pop protocol:
 Ordering is exactly the heap core's ``(time, seq)``; the equivalence
 tests assert recorded histories are byte-identical.
 
+Column segments: a run entry whose method is the core's ``column``
+marker stands for a stretch of column events (``Simulator.schedule_column``)
+with no other event between them.  The loop treats its head like any
+other entry — compared against the overflow head and ``until`` — and
+then lets ``_ColumnRun.take`` consume as much of the stretch as is due,
+accounting exactly the events taken; a partly consumed segment keeps its
+run slot with the head time/seq of what is left.
+
 Batch dispatch (the compiled callback plane): when the active run holds
 two or more *consecutive* entries sharing one interned method — detected
 by object identity, since interning stores exactly one method object per
@@ -54,6 +62,7 @@ def drain_events(core, sim, until, max_events):
     processed = 0
     overflow = core._overflow
     no_arg = core.no_arg
+    column = core.column
     pos = core._run_pos
     now = sim.now
     spans = core._span_handlers
@@ -104,6 +113,36 @@ def drain_events(core, sim, until, max_events):
                     _, _, method, arg = heappop(overflow)
                 else:
                     method = run_methods[pos]
+                    if method is column:
+                        # A segment of column events: the core hands the
+                        # due part of it to the sinks in one step; the
+                        # entry stays, re-headed, until it is used up.
+                        columns = core._columns
+                        end = run_args[pos]
+                        start = columns.pos
+                        try:
+                            if timer is None:
+                                columns.take(end, until, max_events - processed, overflow)
+                            else:
+                                t0 = timer()
+                                columns.take(end, until, max_events - processed, overflow)
+                                sim.callback_seconds += timer() - t0
+                        finally:
+                            # ``take`` moves its cursor before it delivers,
+                            # so a sink that raises still leaves the range
+                            # accounted and the entry headed correctly.
+                            cursor = columns.pos
+                            processed += cursor - start
+                            if cursor == end:
+                                pos += 1
+                            elif cursor > start:
+                                run_times[pos] = float(columns.times[cursor])
+                                run_seqs[pos] = int(columns.seqs[cursor])
+                            time = columns.clock
+                            if time > now:
+                                now = time
+                                sim.now = time
+                        continue
                     if (
                         spans
                         and pos + 1 < length

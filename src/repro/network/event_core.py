@@ -21,7 +21,17 @@ storage is numpy:
   heap pushes;
 * scalar pushes append to a small per-bucket staging list (a Python
   list append is ~2x faster than a numpy scalar row write) that is
-  flushed into the arrays when the bucket is materialized.
+  flushed into the arrays when the bucket is materialized;
+* **column events** (:meth:`ArrayEventCore.schedule_column`: a sink
+  receiving ``values[i]`` at ``times[i]``, the client-population
+  workload) are a fourth per-bucket store of ``(times, seqs, mid, int64
+  values)`` slices, ``mid`` interning ``sink.append``.  They never
+  become Python objects: the materialized bucket keeps them as one
+  :class:`_ColumnRun` — all its column blocks merged by one
+  ``lexsort`` — and the run lists only carry one entry per *segment*,
+  a ``(time, seq)``-contiguous stretch of column events between two
+  events of any other kind, which the drain hands to
+  ``sink.extend_column`` in one step.
 
 Draining pops the lowest-slot bucket (a tiny heap of slot numbers),
 sorts it once by ``(time, seq)``, and walks it with the loop in
@@ -29,7 +39,10 @@ sorts it once by ``(time, seq)``, and walks it with the loop in
 earlier* while it drains go to a small overflow heap that interleaves
 with the run — this preserves exact ``(time, seq)`` order, so recorded
 histories are byte-identical to the heap core's (asserted by the
-equivalence suite).
+equivalence suite).  A segment step is exact too: it is clipped by
+``until``, by the events left in the drain call's budget and by the
+overflow head (:meth:`_ColumnRun.take`), and a partly taken segment
+stays in the run, re-headed, for the next step or the next snapshot.
 
 The drain loop (:mod:`repro.network._drain`) and the callback-plane hot
 paths (:mod:`repro.network._hotpath`) are importable as compiled
@@ -45,34 +58,46 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.errors import StaleSnapshotError
 from repro.network import _drain, _hotpath
 
 __all__ = [
     "ArrayEventCore",
     "EVENT_DTYPE",
     "NO_ARG",
+    "COLUMN",
     "COMPILED_MODULES",
 ]
 
-class _NoArgType:
-    """Singleton type of :data:`NO_ARG`.
 
-    Pickles by global name (``__reduce__`` returns ``"NO_ARG"``) so a
-    checkpointed queue entry carrying the sentinel restores to the *same*
-    object — both cores dispatch on ``arg is NO_ARG`` identity, which a
-    plain ``object()`` would break across a pickle round-trip.
+class _Sentinel:
+    """Identity-dispatched queue marker that survives a pickle round-trip.
+
+    Pickles by global name (``__reduce__`` returns it) so a checkpointed
+    queue entry carrying the marker restores to the *same* object — both
+    cores dispatch on ``arg is NO_ARG`` identity, which a plain
+    ``object()`` would break across a pickle round-trip.
     """
 
-    __slots__ = ()
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __reduce__(self):
-        return "NO_ARG"
+        return self.name
 
 
 #: Sentinel marking "call the method with no argument".  The heap core in
 #: :mod:`repro.network.simulator` re-exports this as ``_NO_ARG`` so both
 #: cores dispatch through the same identity check.
-NO_ARG = _NoArgType()
+NO_ARG = _Sentinel("NO_ARG")
+
+#: Method marker of a run entry that stands for a *segment* of column
+#: events (its arg is the segment's end position in the active
+#: :class:`_ColumnRun`); the drain loop takes the segment in one step.
+COLUMN = _Sentinel("COLUMN")
+
 
 def _is_compiled(module) -> bool:
     return str(getattr(module, "__file__", "")).endswith((".so", ".pyd"))
@@ -95,84 +120,62 @@ EVENT_DTYPE = np.dtype(
 _METHOD_TABLE_LIMIT = 32767  # max live i2 index
 
 
-def _pack_int_args(args):
-    """Pack a homogeneous list of Python ints into an int64 array.
-
-    Checkpoint-only representation: bulk-scheduled workload blocks carry
-    per-event args as plain int lists, which pickle one object at a
-    time.  An int64 array pickles as a single buffer — 10-20x faster and
-    smaller.  Lists holding anything other than plain ints (multicast
-    message objects, floats, mixed payloads) are kept as-is.
-    """
-    if not isinstance(args, list) or not args or type(args[0]) is not int:
-        return args
-    try:
-        return np.asarray(args, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return args
-
-
-def _unpack_int_args(packed):
-    """Invert :func:`_pack_int_args`; ``tolist`` restores identical ints."""
-    if isinstance(packed, np.ndarray):
-        return packed.tolist()
-    return packed
+_BUCKET_TABLE_TAG = "bucket-table/2"
 
 
 def _pack_bucket_table(buckets):
     """Consolidate a bucket table's deferred blocks for pickling.
 
     A long run's pending workload lives in tens of thousands of small
-    per-bucket ``(times, seqs, mid, args)`` blocks; pickled one by one,
+    per-bucket pieces — ``(times, seqs, mid, args)`` fan-out blocks and
+    ``(times, seqs, mid, values)`` column blocks; pickled one by one,
     the fixed per-array cost dominates (~8us each, regardless of size).
-    Concatenating every block into four whole-table columns plus one
-    per-block metadata array turns the snapshot into a handful of large
-    buffer writes.  Blocks whose args are not plain ints (multicast
-    message objects) keep their arg lists verbatim, in block order.
+    Concatenating every piece into whole-table columns plus one
+    per-piece metadata array turns the snapshot into a handful of large
+    buffer writes.  A metadata row is ``(slot, mid, length, is_column)``:
+    a fan-out block's arg list rides ``block_args`` verbatim, in row
+    order; a column block's values are the next ``length`` entries of
+    the int64 ``values`` column.
     """
-    try:
-        return _pack_bucket_table_columns(buckets, pack_ints=True)
-    except (TypeError, ValueError, OverflowError):
-        # A block whose args *started* with a plain int but held mixed
-        # types further in.  Not produced by any current scheduling
-        # path; repack with every arg list kept verbatim.
-        return _pack_bucket_table_columns(buckets, pack_ints=False)
-
-
-def _pack_bucket_table_columns(buckets, pack_ints):
     slots = np.fromiter(buckets.keys(), dtype=np.int64, count=len(buckets))
     rest = []  # per-bucket (rows, count, stage, args) — the non-block state
-    meta = []  # per-block (slot, mid, length, int_packed) rows
-    t_parts, s_parts, raw_args = [], [], []
-    int_chain = []  # args of every int block, flattened; converted once
+    meta = []
+    t_parts, s_parts, v_parts, block_args = [], [], [], []
     for slot, bucket in buckets.items():
         count = bucket.count
         rows = bucket.data[:count].copy() if count else None
         rest.append((rows, count, bucket.stage, bucket.args))
         for bt, bs, bmid, bargs in bucket.blocks:
-            int_packed = pack_ints and bool(bargs) and type(bargs[0]) is int
-            meta.append((slot, bmid, len(bt), 1 if int_packed else 0))
+            meta.append((slot, bmid, len(bt), 0))
             t_parts.append(bt)
             s_parts.append(bs)
-            if int_packed:
-                int_chain.extend(bargs)
-            else:
-                raw_args.append(bargs)
+            block_args.append(bargs)
+        for ct, cs, cmid, cv in bucket.columns:
+            meta.append((slot, cmid, len(ct), 1))
+            t_parts.append(ct)
+            s_parts.append(cs)
+            v_parts.append(cv)
     return (
-        "bucket-table/1",
+        _BUCKET_TABLE_TAG,
         slots,
         rest,
         np.array(meta, dtype=np.int64) if meta else None,
         np.concatenate(t_parts) if t_parts else None,
         np.concatenate(s_parts) if s_parts else None,
-        np.asarray(int_chain, dtype=np.int64) if int_chain else None,
-        raw_args,
+        block_args,
+        np.concatenate(v_parts) if v_parts else None,
     )
 
 
 def _unpack_bucket_table(packed):
     """Invert :func:`_pack_bucket_table` into a fresh bucket dict."""
-    _tag, slots, rest, meta, times, seqs, int_args, raw_args = packed
+    if packed[0] != _BUCKET_TABLE_TAG:
+        raise StaleSnapshotError(
+            f"cannot restore this event calendar: its bucket table is {packed[0]!r}, "
+            f"written before client operations became column events (this version "
+            f"reads {_BUCKET_TABLE_TAG!r}); re-run instead of resuming"
+        )
+    _tag, slots, rest, meta, times, seqs, block_args, values = packed
     buckets = {}
     for slot, (rows, count, stage, args) in zip(slots.tolist(), rest):
         bucket = _Bucket()
@@ -184,25 +187,24 @@ def _unpack_bucket_table(packed):
             bucket.count = count
         buckets[slot] = bucket
     if meta is not None:
-        pos = apos = rpos = 0
-        for slot, mid, length, int_packed in meta.tolist():
+        pos = vpos = 0
+        block_args = iter(block_args)
+        for slot, mid, length, is_column in meta.tolist():
             bt = times[pos : pos + length]
             bs = seqs[pos : pos + length]
             pos += length
-            if int_packed:
-                bargs = int_args[apos : apos + length].tolist()
-                apos += length
+            if is_column:
+                buckets[slot].columns.append((bt, bs, mid, values[vpos : vpos + length]))
+                vpos += length
             else:
-                bargs = raw_args[rpos]
-                rpos += 1
-            buckets[slot].blocks.append((bt, bs, mid, bargs))
+                buckets[slot].blocks.append((bt, bs, mid, next(block_args)))
     return buckets
 
 
 class _Bucket:
     """Events of one time slot.
 
-    Three complementary stores, all merged (and sorted once) when the
+    Four complementary stores, all merged (and sorted once) when the
     bucket is materialized:
 
     * ``data`` — the canonical :data:`EVENT_DTYPE` structured array,
@@ -211,14 +213,21 @@ class _Bucket:
       fast path: appending ``(times, seqs, mid, args)`` views is O(1),
       so a multicast pays no per-bucket numpy fill at insert time;
     * ``stage`` — scalar pushes as plain tuples (a list append is ~2x
-      faster than a numpy scalar row write).
+      faster than a numpy scalar row write);
+    * ``columns`` — column events (:meth:`ArrayEventCore.schedule_column`)
+      as ``(times, seqs, mid, int64 values)`` views, ``mid`` interning
+      ``sink.append``.  They never turn into Python objects: the run
+      keeps them as a :class:`_ColumnRun` beside its lists.
 
     ``args`` is the bucket-local arg intern pool for ``data``/``stage``
     rows; blocks carry their own arg lists, chained after it at
-    materialization.
+    materialization.  Buckets are pickled only through
+    :func:`_pack_bucket_table`.
     """
 
-    __slots__ = ("data", "count", "t", "s", "m", "a", "blocks", "stage", "args")
+    __slots__ = (
+        "data", "count", "t", "s", "m", "a", "blocks", "stage", "args", "columns"
+    )
 
     def __init__(self) -> None:
         self.data: Optional[np.ndarray] = None
@@ -230,6 +239,7 @@ class _Bucket:
         self.blocks: List[Tuple[Any, Any, int, List[Any]]] = []
         self.stage: List[Tuple[float, int, int, int]] = []
         self.args: List[Any] = []  # bucket-local arg intern pool
+        self.columns: List[Tuple[Any, Any, int, Any]] = []
 
     def reserve(self, extra: int) -> None:
         needed = self.count + extra
@@ -248,43 +258,95 @@ class _Bucket:
         self.m = grown["method"]
         self.a = grown["arg"]
 
-    # -- pickling (checkpoint support) --------------------------------------
-    #
-    # The cached field views ``t``/``s``/``m``/``a`` alias ``data``; a
-    # default pickle would materialize them as four *independent* arrays,
-    # severing the aliasing ``reserve`` relies on.  State is therefore the
-    # filled row prefix plus the deferred stores, and ``__setstate__``
-    # rebuilds the views by reserving fresh storage.
 
-    def __getstate__(self):
-        rows = self.data[: self.count].copy() if self.count else None
-        # Bulk-scheduled blocks (the client-workload path) carry their
-        # args as plain lists — often hundreds of thousands of Python
-        # ints, which pickle one object at a time.  Packing homogeneous
-        # int lists into int64 arrays turns them into buffer copies;
-        # ``__setstate__`` unpacks with ``tolist()`` so the restored
-        # lists hold identical Python ints.
-        blocks = [
-            (times, seqs, mid, _pack_int_args(args))
-            for times, seqs, mid, args in self.blocks
-        ]
-        return (rows, self.count, blocks, self.stage, self.args)
+class _ColumnRun:
+    """The active run's column events: one merged ``(time, seq)`` order.
 
-    def __setstate__(self, state):
-        rows, count, blocks, stage, args = state
-        self.data = None
-        self.count = 0
-        self.t = self.s = self.m = self.a = None
-        self.blocks = [
-            (times, seqs, mid, _unpack_int_args(packed))
-            for times, seqs, mid, packed in blocks
-        ]
-        self.stage = stage
-        self.args = args
-        if count:
-            self.reserve(count)
-            self.data[:count] = rows
-            self.count = count
+    Built when a bucket holding column events is materialized.  The
+    blocks of every sink (found as the ``__self__`` of the interned
+    ``sink.append``) are concatenated and sorted once (``times``,
+    ``seqs``, ``lanes`` — ``lanes[i]`` indexes ``sinks``); ``values`` is
+    the same events regrouped lane by lane, each lane in ``(time, seq)``
+    order, so taking the merged range ``[pos, stop)`` is one ``bincount``
+    plus one ``extend_column`` slice per sink that has events in it.
+    ``pos`` is the merged cursor and ``cursors[lane]`` the per-lane one;
+    both only move forward, which is all a snapshot mid-segment needs.
+    """
+
+    __slots__ = ("times", "seqs", "lanes", "sinks", "values", "cursors", "pos", "clock")
+
+    def __init__(self, columns, methods) -> None:
+        sinks: List[Any] = []
+        lane_of: Dict[int, int] = {}
+        block_lanes = []
+        for _, _, mid, _ in columns:
+            lane = lane_of.get(mid)
+            if lane is None:
+                lane = lane_of[mid] = len(sinks)
+                sinks.append(methods[mid].__self__)
+            block_lanes.append(lane)
+        times = np.concatenate([column[0] for column in columns])
+        seqs = np.concatenate([column[1] for column in columns])
+        values = np.concatenate([column[3] for column in columns])
+        # The narrowest lane dtype: 8/16-bit keys get numpy's radix sort.
+        lanes = np.repeat(
+            np.array(block_lanes, dtype=np.min_scalar_type(len(sinks))),
+            [len(column[0]) for column in columns],
+        )
+        order = np.lexsort((seqs, times))
+        self.times = times[order]
+        self.seqs = seqs[order]
+        self.lanes = lanes = lanes[order]
+        self.sinks = sinks
+        self.values = values[order[np.argsort(lanes, kind="stable")]]
+        ends = np.cumsum(np.bincount(lanes, minlength=len(sinks))).tolist()
+        self.cursors = [0] + ends[:-1]
+        self.pos = 0
+        self.clock = 0.0  # time of the last event taken
+
+    def cut(self, time: float, seq: int, lo: int, hi: int) -> int:
+        """First position in ``[lo, hi)`` not sorting before ``(time, seq)``."""
+        times = self.times
+        pos = lo + int(times[lo:hi].searchsorted(time, side="left"))
+        seqs = self.seqs
+        while pos < hi and times[pos] == time and seqs[pos] < seq:
+            pos += 1
+        return pos
+
+    def take(self, end: int, until: Optional[float], budget: int, overflow) -> None:
+        """Hand the due events of ``[pos, end)`` to their sinks and move ``pos``.
+
+        Exactly the events the scalar loop would dispatch before it next
+        has to look up: clipped by ``until`` (an event at exactly
+        ``until`` still runs), by the ``budget`` of events left in this
+        drain call and by the overflow head — which cannot move under
+        the step, because a column sink neither schedules nor reads the
+        clock.  The caller guarantees the event at ``pos`` is due, so at
+        least one event is taken.  Every cursor moves *before* the first
+        sink is called: should a sink break its contract and raise, the
+        range is consumed and accounted — ``pending`` stays exact and
+        a resumed drain delivers nothing in it a second time.
+        """
+        start = self.pos
+        stop = end if end - start <= budget else start + budget
+        times = self.times
+        if until is not None and times[stop - 1] > until:
+            stop = start + int(times[start:stop].searchsorted(until, side="right"))
+        if overflow:
+            head = overflow[0]
+            if times[stop - 1] >= head[0]:
+                stop = self.cut(head[0], head[1], start, stop)
+        counts = np.bincount(self.lanes[start:stop], minlength=len(self.sinks)).tolist()
+        cursors = self.cursors
+        starts = cursors[:]
+        for lane, count in enumerate(counts):
+            cursors[lane] += count
+        self.pos = stop
+        self.clock = float(times[stop - 1])
+        values = self.values
+        for sink, cursor, count in zip(self.sinks, starts, counts):
+            if count:
+                sink.extend_column(values[cursor : cursor + count])
 
 
 class ArrayEventCore:
@@ -301,6 +363,7 @@ class ArrayEventCore:
     __slots__ = (
         "slot_width",
         "no_arg",
+        "column",
         "_inv_width",
         "_seq",
         "_inserted",
@@ -319,6 +382,7 @@ class ArrayEventCore:
         "_run_pos",
         "_run_len",
         "_run_slot",
+        "_columns",
         "_span_handlers",
         "_span_cell",
     )
@@ -328,6 +392,7 @@ class ArrayEventCore:
             raise ValueError("slot_width must be positive")
         self.slot_width = slot_width
         self.no_arg = NO_ARG
+        self.column = COLUMN
         self._inv_width = 1.0 / slot_width
         self._seq = 0  # same numbering as the heap core's itertools.count()
         self._inserted = 0
@@ -353,6 +418,9 @@ class ArrayEventCore:
         self._run_pos = 0
         self._run_len = 0
         self._run_slot: Optional[int] = None
+        # The active run's column events (None when it has none); run
+        # entries whose method is COLUMN are segments of it.
+        self._columns: Optional[_ColumnRun] = None
         # Batch dispatch (the compiled callback plane): methods mapped
         # here have same-method run spans handed to their handler in one
         # call instead of per-event dispatch; the cell carries the
@@ -400,14 +468,11 @@ class ArrayEventCore:
         return state
 
     def __setstate__(self, state):
-        # Slots added after a checkpoint format shipped get defaults
-        # first, so pre-PR10 snapshots restore cleanly.
-        self._span_handlers = {}
-        self._span_cell = [0]
-        packed = state.pop("_buckets")
+        # Unpacked first: a bucket table in an older format is refused
+        # there, before anything of the snapshot is taken over.
+        self._buckets = _unpack_bucket_table(state.pop("_buckets"))
         for name, value in state.items():
             setattr(self, name, value)
-        self._buckets = _unpack_bucket_table(packed)
 
     # -- insertion -------------------------------------------------------------
 
@@ -522,22 +587,17 @@ class ArrayEventCore:
                     first, times, seqs, self._intern_method(method, k), args
                 )
                 return k
-        # General case: one stable argsort groups the block by slot (and,
-        # because slots are monotone in time, puts any entries belonging
-        # to the active slot or earlier in a prefix).  Within a bucket
-        # insertion order is irrelevant — materialization sorts by
-        # (time, seq) — so permuted views are fine.
+        # General case: one stable argsort groups the block by slot.
+        # Within a bucket insertion order is irrelevant — materialization
+        # sorts by (time, seq) — so permuted views are fine.
         order = np.argsort(slots, kind="stable")
         ss = slots[order]
         ts = times[order]
         qs = base + order
         picked = order.tolist()
         ags = [args[i] for i in picked]
-        start = 0
-        if run_slot is not None and int(ss[0]) <= run_slot:
-            # The prefix landing in (or before) the slot currently being
-            # drained goes to the overflow heap, entry by entry.
-            start = int(np.searchsorted(ss, run_slot, side="right"))
+        start, edges = self._bucket_shares(ss)
+        if start:
             overflow = self._overflow
             prefix_times = ts[:start].tolist()
             prefix_seqs = qs[:start].tolist()
@@ -548,16 +608,88 @@ class ArrayEventCore:
             if start == k:
                 return k
         mid = self._intern_method(method, k - start)
-        slot_list = ss[start:].tolist()
-        bounds = np.flatnonzero(ss[start + 1 :] != ss[start:-1]).tolist()
+        slot_list = ss.tolist()
         prev = start
-        for b in bounds:
-            nxt = start + b + 1
-            self._append_block(
-                slot_list[prev - start], ts[prev:nxt], qs[prev:nxt], mid, ags[prev:nxt]
+        for nxt in edges:
+            self._append_block(slot_list[prev], ts[prev:nxt], qs[prev:nxt], mid, ags[prev:nxt])
+            prev = nxt
+        return k
+
+    def _bucket_shares(self, slots: np.ndarray):
+        """How a bulk insert grouped by slot is split — decided here only.
+
+        Returns ``(start, edges)``.  Slots are monotone in time, so the
+        entries landing in (or before) the slot currently being drained
+        are the prefix ``[0, start)``: they go to the overflow heap,
+        entry by entry.  ``edges`` are the ends of the groups that
+        follow, each one bucket's share: ``[start, edges[0])``,
+        ``[edges[0], edges[1])``, ... up to ``len(slots)``.
+        """
+        start = 0
+        run_slot = self._run_slot
+        if run_slot is not None and int(slots[0]) <= run_slot:
+            start = int(np.searchsorted(slots, run_slot, side="right"))
+        edges = (np.flatnonzero(slots[start + 1 :] != slots[start:-1]) + (start + 1)).tolist()
+        edges.append(len(slots))
+        return start, edges
+
+    def schedule_column(
+        self, now: float, times: np.ndarray, values: np.ndarray, sink: Any
+    ) -> int:
+        """Bulk insert *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.
+
+        Same events, sequence numbers and order as ``schedule_block(now,
+        times, sink.append, values.tolist())`` — ``sink.append`` is what
+        gets interned, and :meth:`_bucket_shares` splits the block — but
+        each bucket's share stays ``(times, seqs, mid, int64 values)``
+        slices, whose run hands whole ``(time, seq)``-contiguous ranges
+        to ``sink.extend_column``.  Entries landing in (or before) the
+        slot currently being drained become ordinary ``sink.append``
+        events on the overflow heap.
+        """
+        k = len(times)
+        if k == 0:
+            return 0
+        if float(times.min()) < now:
+            raise ValueError("cannot schedule into the past")
+        base = self._seq
+        self._seq = base + k
+        self._inserted += k
+        slots = (times * self._inv_width).astype(np.int64)
+        seqs = np.arange(base, base + k, dtype=np.int64)
+        if k > 1 and bool((slots[1:] < slots[:-1]).any()):
+            # Group by slot; the stable sort keeps seqs ascending per slot.
+            # (A population's stream arrives time-sorted: nothing to do.)
+            order = np.argsort(slots, kind="stable")
+            slots = slots[order]
+            times = times[order]
+            seqs = seqs[order]
+            values = values[order]
+        start, edges = self._bucket_shares(slots)
+        append = sink.append
+        if start:
+            overflow = self._overflow
+            for time, seq, value in zip(
+                times[:start].tolist(), seqs[:start].tolist(), values[:start].tolist()
+            ):
+                heappush(overflow, (time, seq, append, value))
+            if start == k:
+                return k
+        slot_list = slots.tolist()
+        buckets = self._buckets
+        mid = self._intern_method(append, k - start)
+        prev = start
+        for nxt in edges:
+            slot = slot_list[prev]
+            bucket = buckets.get(slot)
+            if bucket is None:
+                bucket = _Bucket()
+                buckets[slot] = bucket
+                heappush(self._bucket_heap, slot)
+            bucket.columns.append(
+                (times[prev:nxt], seqs[prev:nxt], mid, values[prev:nxt])
             )
             prev = nxt
-        self._append_block(slot_list[prev - start], ts[prev:], qs[prev:], mid, ags[prev:])
         return k
 
     def _append_block(self, slot, times, seqs, mid, args) -> None:
@@ -756,6 +888,7 @@ class ArrayEventCore:
             self._run_args = []
             self._run_pos = 0
             self._run_len = 0
+            self._columns = None
             return False
         slot = heappop(heap)
         bucket = self._buckets.pop(slot)
@@ -765,6 +898,7 @@ class ArrayEventCore:
         blocks = bucket.blocks
         count = bucket.count
         release = self._release_method
+        columns = bucket.columns
         if not blocks and count == 0:
             # Scalar pushes only (timers, small protocol steps): a plain
             # tuple sort beats numpy at these sizes.
@@ -861,6 +995,13 @@ class ArrayEventCore:
                 for mid, c in enumerate(counts.tolist()):
                     if c:
                         release(mid, c)
+        if columns:
+            self._columns = _ColumnRun(columns, table)
+            for _, cs, mid, _ in columns:
+                release(mid, len(cs))
+            times, seqs, methods, args = self._weave_segments(times, seqs, methods, args)
+        else:
+            self._columns = None
         self._run_times = times
         self._run_seqs = seqs
         self._run_methods = methods
@@ -869,3 +1010,45 @@ class ArrayEventCore:
         self._run_len = len(times)
         self._run_slot = slot
         return True
+
+    def _weave_segments(self, times, seqs, methods, args):
+        """The run lists with the active :class:`_ColumnRun`'s segments woven in.
+
+        The merged column order is cut at the ``(time, seq)`` position of
+        every regular run entry; each non-empty stretch between two cuts
+        becomes one run entry ``(head time, head seq, COLUMN, end)`` in
+        front of the regular entry that bounds it.
+        """
+        columns = self._columns
+        total = len(columns.times)
+        if times:
+            at = np.array(times, dtype=np.float64)
+            cuts = columns.times.searchsorted(at, side="left")
+            ties = columns.times.searchsorted(at, side="right") > cuts
+            for i in np.flatnonzero(ties).tolist():
+                cuts[i] = columns.cut(times[i], seqs[i], int(cuts[i]), total)
+            bounds = np.concatenate(([0], cuts, [total]))
+        else:
+            bounds = np.array([0, total])
+        # One segment per non-empty stretch; ``before[k]`` is the index of
+        # the regular entry segment k goes in front of.
+        before = np.flatnonzero(bounds[1:] > bounds[:-1])
+        heads = bounds[before]
+        indexes = before.tolist()
+
+        def weave(regular: List[Any], entries: List[Any]) -> List[Any]:
+            woven: List[Any] = []
+            prev = 0
+            for index, entry in zip(indexes, entries):
+                woven += regular[prev:index]
+                woven.append(entry)
+                prev = index
+            woven += regular[prev:]
+            return woven
+
+        return (
+            weave(times, columns.times[heads].tolist()),
+            weave(seqs, columns.seqs[heads].tolist()),
+            weave(methods, [COLUMN] * len(indexes)),
+            weave(args, bounds[before + 1].tolist()),
+        )

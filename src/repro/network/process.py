@@ -158,6 +158,18 @@ class Process:
         """
         return None
 
+    def client_op_sink(self) -> Optional[Any]:
+        """Column sink equivalent to this process's ``on_client_op``, if any.
+
+        A population workload may hand a process's whole operation
+        stream to ``Simulator.schedule_column`` **only** when delivering
+        an operation is provably ``sink.append(op)`` and nothing else.
+        The default is ``None`` — every operation is dispatched to
+        ``on_client_op`` at its own timestamp — which is always safe.
+        ``BlockchainReplica`` overrides this with the stock-hook guard.
+        """
+        return None
+
     def crash(self) -> None:
         """Crash this process immediately."""
         self.alive = False

@@ -308,14 +308,17 @@ class Simulator:
 
         The workload-plane primitive: ``times`` may be a numpy float64
         array (used as-is, no per-entry conversion) and ``args`` a
-        same-length sequence.  Sequence numbers follow array order, as
-        for :meth:`schedule_many`; a timestamp before ``now`` raises
+        same-length sequence (a numpy array is scheduled as its
+        ``tolist()``, so callbacks receive plain Python scalars).
+        Sequence numbers follow array order, as for
+        :meth:`schedule_many`; a timestamp before ``now`` raises
         :class:`ValueError`.
         """
+        args = args.tolist() if isinstance(args, np.ndarray) else list(args)
         core = self._array_core
         if core is not None:
             arr = np.ascontiguousarray(times, dtype=np.float64)
-            return core.schedule_block(self.now, arr, method, list(args))
+            return core.schedule_block(self.now, arr, method, args)
         queue = self._queue
         push = heapq.heappush
         sequence = self._sequence
@@ -327,6 +330,32 @@ class Simulator:
             push(queue, (time, next(sequence), method, arg))
             count += 1
         return count
+
+    def schedule_column(self, times: Sequence[float], values: Sequence[int], sink: Any) -> int:
+        """Bulk insert *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.
+
+        Defined as ``schedule_block(times, sink.append, values.tolist())``
+        — which is what the heap core executes — for a sink that keeps
+        the contract the array core relies on to never turn the block
+        into Python objects: ``sink.extend_column(v)`` is equivalent to
+        ``sink.append`` over the int64 array ``v`` in order (the sink may
+        keep ``v``), neither method schedules an event, reads the clock
+        or raises, and ``sink.append`` is an ordinary bound method (the
+        array core interns it and finds the sink as its ``__self__``).
+        Under that contract the array core delivers whole ``(time,
+        seq)``-contiguous ranges with one ``extend_column`` call per
+        sink, cut exactly where the scalar loop would have had to look up
+        (``until``, the ``max_events`` budget, an event of another kind
+        sorting in between).
+        """
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        if len(values) != len(times):
+            raise ValueError("times and values must have the same length")
+        core = self._array_core
+        if core is None:
+            return self.schedule_block(times, sink.append, values)
+        arr = np.ascontiguousarray(times, dtype=np.float64)
+        return core.schedule_column(self.now, arr, values, sink)
 
     @property
     def pending(self) -> int:

@@ -34,13 +34,17 @@ from __future__ import annotations
 
 import functools
 import inspect
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Type, Union
+
+import numpy as np
 
 from repro.core.block import Block, BlockIdFactory, Blockchain
 from repro.core.blocktree import BlockTree
 from repro.core.consistency_index import ConsistencyMonitor
 from repro.core.degradation import DegradationMonitor
+from repro.core.errors import StaleSnapshotError
 from repro.core.history import History, HistoryRecorder
 from repro.core.score import LengthScore, ScoreFunction
 from repro.core.selection import LongestChain, SelectionFunction
@@ -59,6 +63,7 @@ from repro.workload.population import ClientPopulation
 
 __all__ = [
     "ReplicaConfig",
+    "Mempool",
     "BlockchainReplica",
     "RunResult",
     "LiveRun",
@@ -119,6 +124,76 @@ class ReplicaConfig:
     merit: float = 1.0
 
 
+class Mempool:
+    """FIFO of pending client operations (integer coin ids), kept in chunks.
+
+    The column sink of the population workload
+    (``Simulator.schedule_column``): :meth:`extend_column` keeps the int64
+    array it is given as one chunk, :meth:`append` adds a single
+    operation, and :meth:`take` pops from the front in O(taken) — never
+    O(pending), however long the backlog grows.  Neither feeding method
+    schedules, reads a clock or raises, and ``extend_column(v)`` leaves
+    the queue exactly as ``append`` over ``v`` in order would.
+    """
+
+    __slots__ = ("_chunks", "_offset", "_size")
+
+    def __init__(self) -> None:
+        #: int64 arrays (columns) and lists (runs of scalar appends), oldest first.
+        self._chunks: Deque[Union[np.ndarray, List[int]]] = deque()
+        self._offset = 0  # operations of ``_chunks[0]`` already taken
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __bool__(self) -> bool:
+        return self._size > 0
+
+    def append(self, op: int) -> None:
+        chunks = self._chunks
+        if chunks and type(chunks[-1]) is list:
+            chunks[-1].append(op)
+        else:
+            chunks.append([op])
+        self._size += 1
+
+    def extend_column(self, ops: np.ndarray) -> None:
+        self._chunks.append(ops)
+        self._size += len(ops)
+
+    def take(self, limit: int) -> List[int]:
+        """Pop up to ``limit`` operations, oldest first, as Python ints."""
+        taken: List[int] = []
+        chunks = self._chunks
+        while chunks and len(taken) < limit:
+            chunk = chunks[0]
+            start = self._offset
+            stop = start + limit - len(taken)
+            if stop >= len(chunk):
+                chunks.popleft()
+                self._offset = 0
+            else:
+                self._offset = stop
+            part = chunk[start:stop]
+            taken += part if type(part) is list else part.tolist()
+        self._size -= len(taken)
+        return taken
+
+    # Pickles as one int64 buffer, whatever the chunking was.
+
+    def __getstate__(self):
+        chunks = list(self._chunks)
+        if not chunks:
+            return (np.empty(0, dtype=np.int64),)
+        chunks[0] = chunks[0][self._offset :]
+        return (np.concatenate(chunks, dtype=np.int64),)
+
+    def __setstate__(self, state) -> None:
+        self.__init__()
+        self.extend_column(state[0])
+
+
 class BlockchainReplica(Process):
     """A process maintaining a replicated BlockTree."""
 
@@ -135,9 +210,10 @@ class BlockchainReplica(Process):
         self.ids = BlockIdFactory(prefix=f"{pid}_b")
         self._orphans: Dict[str, List[Block]] = {}
         #: Client operations (integer coin ids) awaiting inclusion in a
-        #: block, fed by :meth:`on_client_op` (the population workload's
-        #: bulk-scheduled arrival callback).
-        self.mempool: List[int] = []
+        #: block, fed by :meth:`on_client_op` — or, for a stock replica,
+        #: straight off the calendar as the population workload's column
+        #: sink (:meth:`client_op_sink`).
+        self.mempool = Mempool()
         self.blocks_created = 0
         self.blocks_adopted = 0
         self.producing = True
@@ -303,15 +379,36 @@ class BlockchainReplica(Process):
         """
         self.mempool.append(op)
 
+    def client_op_sink(self) -> Optional[Mempool]:
+        """The mempool, as long as :meth:`on_client_op` is the stock one.
+
+        A subclass overriding :meth:`on_client_op` (to log, filter or
+        react to arrivals) keeps the ``None`` default, so it still sees
+        every operation individually at its own timestamp.
+        """
+        if type(self).on_client_op is BlockchainReplica.on_client_op:
+            return self.mempool
+        return None
+
     def drain_mempool(self, limit: int) -> Tuple[str, ...]:
         """Pop up to ``limit`` pending operations as a block payload.
 
         Coin ids are rendered in the ``coin<n>`` form the validity
         predicates expect; operations are included first-come-first-served.
         """
-        take = self.mempool[:limit]
-        del self.mempool[:limit]
-        return tuple(f"coin{op}" for op in take)
+        return tuple(f"coin{op}" for op in self.mempool.take(limit))
+
+    def __setstate__(self, state) -> None:
+        # A replica checkpointed while the mempool was a plain list would
+        # restore fine and fail at its next ``drain_mempool``: refuse it
+        # with the reason instead.
+        if type(state.get("mempool")) is list:
+            raise StaleSnapshotError(
+                "cannot restore this replica snapshot: it was taken when the "
+                "mempool was a Python list (it is a chunked int64 Mempool now); "
+                "re-run instead of resuming"
+            )
+        self.__dict__.update(state)
 
     # -- read workload ------------------------------------------------------------------
 
@@ -573,7 +670,9 @@ def run_protocol(
         is generated column-wise (``client_rate`` operations per client
         per time unit, seeded by ``client_seed``) and bulk-inserted into
         the calendar before the run; replicas accumulate the arrivals in
-        their mempools and include them in block payloads.
+        their mempools and include them in block payloads.  The
+        operations scheduled are added to ``max_events`` (a bound on what
+        the *protocol* may do), and the sum rides the :class:`LiveRun`.
     fault:
         Optional registered :class:`~repro.network.faults.FaultModel`
         injecting scheduled adversarial events (crashes, silent members,
@@ -647,7 +746,9 @@ def run_protocol(
         replicas=replicas,
         oracle=oracle,
         duration=duration,
-        max_events=max_events,
+        # ``max_events`` guards against runaway *protocols*; the client
+        # operations the harness itself scheduled are not charged to it.
+        max_events=max_events + (population.scheduled_ops if population is not None else 0),
         monitor=monitor,
         population=population,
         degradation=degradation,

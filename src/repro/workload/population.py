@@ -18,12 +18,20 @@ population's operation streams as numpy columns:
 * operation payloads are integer coin ids (optionally re-spending an
   earlier coin with probability ``conflict_rate``, drawn column-wise).
 
-The streams are bulk-inserted into the event calendar through
-``Simulator.schedule_block`` — one vectorized insert per replica — so a
-10k-client population costs a few array operations, not hundreds of
-thousands of heap pushes.  Everything derives from ``seed``; two
-populations with equal parameters produce identical streams under both
-simulator cores.
+The streams stay columns all the way to the mempool.  A stock replica
+names its mempool as a *column sink* (``Process.client_op_sink``), and
+its ``(times, ops)`` arrays go to ``Simulator.schedule_column`` as they
+are: the array core keeps them as int64 slices per time-slot bucket and
+hands every run of arrivals that no other event interrupts to
+``Mempool.extend_column`` in one call — no Python int, no queue entry
+and no callback per operation.  A target that gives no sink (a replica
+overriding ``on_client_op``, a bare ``Process``) gets the same arrays
+through ``Simulator.schedule_block``, one ``on_client_op(op)`` call per
+operation.  Both routes are one vectorized insert per replica and
+assign the same sequence numbers, so which one a target takes never
+shows in a history.  Everything derives from ``seed``; two populations
+with equal parameters produce identical streams under both simulator
+cores.
 """
 
 from __future__ import annotations
@@ -134,10 +142,15 @@ class ClientPopulation:
     def schedule_on(self, network) -> int:
         """Bulk-insert every stream into ``network``'s event calendar.
 
-        One ``schedule_block`` call per replica, in ``processes`` order —
-        the insertion order (and therefore the seq numbering) is
-        identical under the array and heap cores.  Returns the number of
-        operations scheduled.
+        One bulk insert per replica, in ``processes`` order — the
+        insertion order (and therefore the seq numbering) is identical
+        under the array and heap cores.  A replica that names a column
+        sink (:meth:`Process.client_op_sink
+        <repro.network.process.Process.client_op_sink>`: receiving an
+        operation is ``sink.append(op)`` and nothing else) gets its
+        ``(times, ops)`` arrays as column events; any other target has
+        every operation dispatched to its ``on_client_op``.  Returns the
+        number of operations scheduled.
         """
         simulator = network.simulator
         scheduled = 0
@@ -146,9 +159,11 @@ class ClientPopulation:
             if not len(times):
                 continue
             replica = network.process(pid)
-            scheduled += simulator.schedule_block(
-                times, replica.on_client_op, ops.tolist()
-            )
+            sink = replica.client_op_sink()
+            if sink is not None:
+                scheduled += simulator.schedule_column(times, ops, sink)
+            else:
+                scheduled += simulator.schedule_block(times, replica.on_client_op, ops)
         self.scheduled_ops = scheduled
         return scheduled
 

@@ -166,6 +166,16 @@ class _RetiredReplica:
     """Stands in for a class a later version deleted (pickled by reference)."""
 
 
+class _BrokenState:
+    """A ``__setstate__`` with a defect of its own, not a format refusal."""
+
+    def __getstate__(self):
+        return {"x": 1}
+
+    def __setstate__(self, state):
+        raise ValueError("defect, not staleness")
+
+
 class TestStalePayloads:
     def test_payload_naming_a_deleted_class_is_refused_loudly(self, monkeypatch):
         # What a .ckpt written before the fault runners were retired looks
@@ -182,6 +192,17 @@ class TestStalePayloads:
         snapshot = SimulationCheckpoint(payload=payload, clock=0.0, event_count=0, phase="main")
         with pytest.raises(CheckpointCorruptionError, match="older version"):
             snapshot.restore()
+
+
+    def test_an_unrelated_value_error_is_not_reported_as_a_version_mismatch(self):
+        # Only ``StaleSnapshotError`` means "older version"; a ValueError
+        # from anything else in the unpickle must surface as what it is.
+        snapshot = SimulationCheckpoint(
+            payload=pickle.dumps(_BrokenState()), clock=0.0, event_count=0, phase="main"
+        )
+        with pytest.raises(ValueError, match="defect, not staleness") as caught:
+            snapshot.restore()
+        assert not isinstance(caught.value, CheckpointCorruptionError)
 
 
 class TestSpecKnobs:

@@ -22,6 +22,7 @@ all of it, ``_run(scalar_network=True)`` for its network alone.
 
 from __future__ import annotations
 
+import pickle
 from contextlib import ExitStack
 from unittest import mock
 
@@ -33,6 +34,7 @@ from repro.network import _hotpath
 from repro.network.faults import available_faults
 from repro.network.process import Process
 from repro.protocols.base import BlockchainReplica
+from tests.network.column_script import ListSink, Script, play
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
 
@@ -185,3 +187,220 @@ def test_fork_heavy_run_actually_forks():
     result = _run("synchronous", seed=3, core="array", faulty=False)
     trees = [replica.tree for replica in result.replicas.values()]
     assert any(len(tree.leaves()) > 1 for tree in trees)
+
+
+# -- column events: the array core against their heap definition ---------------
+#
+# ``schedule_column(times, values, sink)`` *is* ``schedule_block(times,
+# sink.append, values.tolist())`` — what the heap core runs.  Each case
+# below drains one script on both cores and compares, after every chunk,
+# the dispatch log (clock + every sink's length as each scalar event saw
+# them), every sink's contents, ``sim.now``, ``events_processed`` and
+# ``pending``.  Slot width is 0.25, so times below 0.25 share one bucket.
+
+
+# 0.125 and 0.1875 are binary fractions, so sums reach them exactly.
+_ONE_SLOT = [0.02, 0.05, 0.125, 0.125, 0.1875, 0.2, 0.24]
+
+_COLUMN_CASES = {
+    # (a) `until` falls inside a segment; the events at exactly `until` run.
+    "until_inside_segment": (
+        [("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7])],
+        [(0.125, 100), (0.125, 100), (0.19, 100), (None, 100)],
+    ),
+    # (b) the budget ends mid-segment and the next chunk resumes it.
+    "budget_inside_segment": (
+        [
+            ("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7]),
+            ("column", 1, [0.03, 0.11, 0.21], [8, 9, 10]),
+        ],
+        [(None, 3)],
+    ),
+    # (c) a scalar callback schedules into the active slot: the overflow
+    # head preempts the segment it lands in, at its exact (time, seq).
+    "overflow_preempts_segment": (
+        [
+            ("scalar", 0.0625, "parent", ("scalar", 0.0625, "child@0.125")),
+            ("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7]),
+            ("scalar", 0.0625, "tie-parent", ("scalar", 0.125, "child@0.1875")),
+        ],
+        [(None, 100)],
+    ),
+    # (d) a column event and a scalar event at the *same* timestamp, in
+    # both seq orders (scalar first at 0.125, column first at 0.1875).
+    "same_timestamp_both_orders": (
+        [
+            ("scalar", 0.125, "before-column"),
+            ("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7]),
+            ("scalar", 0.1875, "after-column"),
+            ("column", 1, [0.125, 0.1875], [8, 9]),
+        ],
+        [(None, 2), (None, 100)],
+    ),
+    # (e) `schedule_column` mid-run: entries in the active slot become
+    # overflow events, the rest lands in later buckets.
+    "column_scheduled_mid_run": (
+        [
+            ("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7]),
+            (
+                "scalar", 0.05, "spawner",
+                ("column", 1, [0.0, 0.05, 0.07, 0.3, 0.9], [8, 9, 10, 11, 12]),
+            ),
+            ("scalar", 0.31, "late"),
+        ],
+        [(0.12, 4), (None, 3)],
+    ),
+    # Two blocks for one sink in one bucket, times interleaved and
+    # unsorted, plus a block spanning several buckets out of order.
+    "interleaved_blocks_one_sink": (
+        [
+            ("column", 0, [0.2, 0.04, 0.12], [1, 2, 3]),
+            ("column", 1, [0.06, 0.7, 0.06, 0.3], [4, 5, 6, 7]),
+            ("column", 0, [0.08, 0.04, 0.61], [8, 9, 10]),
+            ("scalar", 0.07, "mid"),
+            ("scalar", 0.65, "far"),
+        ],
+        [(None, 5), (None, 100)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLUMN_CASES))
+def test_column_events_match_their_heap_definition(case: str):
+    ops, steps = _COLUMN_CASES[case]
+    array = play("array", ops, steps)
+    heap = play("heap", ops, steps)
+    assert array == heap
+    log, sinks, _now, processed, pending = array[-1]
+    assert pending == 0
+    assert processed == len(log) + sum(len(items) for items in sinks)
+
+
+def test_column_cases_cut_where_they_claim_to():
+    """The scripts above are only worth comparing if they exercise the
+    cuts: spot-check the states the array core reports."""
+    ops, steps = _COLUMN_CASES["until_inside_segment"]
+    states = play("array", ops, steps)
+    assert [state[1][0] for state in states] == [
+        [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5],
+        [1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7],
+    ]
+    ops, steps = _COLUMN_CASES["budget_inside_segment"]
+    assert [state[3] for state in play("array", ops, steps)] == [3, 6, 9, 10, 10]
+    ops, steps = _COLUMN_CASES["overflow_preempts_segment"]
+    log = play("array", ops, steps)[-1][0]
+    # Both children were scheduled after the column block (higher seq),
+    # so every column event at their timestamp precedes them.
+    assert log == [
+        (0.0625, "parent", (2, 0)),
+        (0.0625, "tie-parent", (2, 0)),
+        (0.125, "child@0.125", (4, 0)),
+        (0.1875, "child@0.1875", (5, 0)),
+    ]
+    ops, steps = _COLUMN_CASES["same_timestamp_both_orders"]
+    log = play("array", ops, steps)[-1][0]
+    assert log == [
+        (0.125, "before-column", (2, 0)),  # no 0.125 column event yet
+        (0.1875, "after-column", (5, 1)),  # sink 0's 0.1875 event, not sink 1's (later seq)
+    ]
+
+
+def test_column_run_survives_a_snapshot_mid_segment():
+    """Pickle the whole script at every chunk boundary (budget 3 splits
+    every segment), restore each snapshot and finish it: same final state."""
+    ops, _ = _COLUMN_CASES["interleaved_blocks_one_sink"]
+    clean = Script("array").apply(ops).run([(None, 100)])[-1]
+    snapshots = []
+    Script("array").apply(ops).run(
+        [(None, 3)], on_chunk=lambda script: snapshots.append(pickle.dumps(script))
+    )
+    assert len(snapshots) >= 4
+    partly_taken = 0
+    for blob in snapshots:
+        restored = pickle.loads(blob)
+        columns = restored.sim._array_core._columns
+        partly_taken += columns is not None and 0 < columns.pos < len(columns.times)
+        assert restored.run([(None, 100)])[-1] == clean
+    assert partly_taken >= 2
+
+
+class _CountingSink(ListSink):
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def append(self, value: int) -> None:
+        self.calls.append("append")
+        super().append(value)
+
+    def extend_column(self, column) -> None:
+        self.calls.append(len(column))
+        super().extend_column(column)
+
+
+def test_segments_reach_the_sink_as_columns():
+    """The point of the column route: one ``extend_column`` per sink and
+    segment, where the heap oracle calls ``append`` per event."""
+    calls = {}
+    for core in ("array", "heap"):
+        script = Script(core, sinks=1)
+        script.sinks[0] = sink = _CountingSink()
+        script.apply([("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7]), ("scalar", 0.12, "cut")])
+        script.sim.run()
+        calls[core] = sink.calls
+        assert sink.items == [1, 2, 3, 4, 5, 6, 7]
+    assert calls["array"] == [2, 5]
+    assert calls["heap"] == ["append"] * 7
+
+
+class _RaisingSink(ListSink):
+    """Breaks the sink contract once: the first ``extend_column`` raises."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.armed = True
+
+    def extend_column(self, column) -> None:
+        if self.armed:
+            self.armed = False
+            raise RuntimeError("sink broke its contract")
+        super().extend_column(column)
+
+
+def test_a_raising_sink_leaves_the_accounting_exact():
+    """The step's range is consumed before any sink is called, so an
+    exception out of one neither drifts ``pending`` nor lets a resumed
+    drain deliver a value twice."""
+    script = Script("array", sinks=3)
+    script.sinks[1] = _RaisingSink()
+    script.apply([
+        ("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7]),
+        ("column", 1, [0.03, 0.11, 0.21], [8, 9, 10]),
+        ("column", 2, [0.04, 0.12, 0.22], [11, 12, 13]),
+        ("scalar", 0.15, "cut"),
+    ])
+    sim = script.sim
+    with pytest.raises(RuntimeError, match="broke its contract"):
+        sim.run()
+    # The first segment (everything before the scalar at 0.15) is gone.
+    assert sim.events_processed == 8 and sim.pending == 6
+    assert sim.now == 0.125
+    sim.run()
+    assert sim.events_processed == 14 and sim.pending == 0
+    delivered = [value for sink in script.sinks for value in sink.items]
+    assert len(delivered) == len(set(delivered))
+    assert script.sinks[0].items == [1, 2, 3, 4, 5, 6, 7]
+    assert script.sinks[1].items == [10]  # 8 and 9 went down with the exception
+    assert script.log == [(0.15, "cut", (4, 0, 0))]
+
+
+def test_schedule_column_validates_like_schedule_block():
+    for core in ("array", "heap"):
+        script = Script(core)
+        script.scalar(1.0, "advance")
+        script.sim.run()
+        with pytest.raises(ValueError, match="into the past"):
+            script.column(0, [0.5], [1])
+        with pytest.raises(ValueError, match="same length"):
+            script.column(0, [1.5, 2.5], [1])
+        assert script.column(0, [], []) == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.block import GENESIS_ID, Block
@@ -10,7 +13,13 @@ from repro.network.channels import SynchronousChannel
 from repro.network.simulator import Network, Simulator
 from repro.oracle.tape import DeterministicTape, TapeFamily
 from repro.oracle.theta import ProdigalOracle
-from repro.protocols.base import BlockchainReplica, ReplicaConfig, RunResult, run_protocol
+from repro.protocols.base import (
+    BlockchainReplica,
+    Mempool,
+    ReplicaConfig,
+    RunResult,
+    run_protocol,
+)
 from repro.oracle.theta import ValidatedBlock
 
 
@@ -80,6 +89,84 @@ class TestReplicaBasics:
         replica.stop_production()
         network.simulator.run(until=20.0)
         assert len(network.history().read_responses("p0")) == 1
+
+
+def _column(*ops: int) -> np.ndarray:
+    return np.array(ops, dtype=np.int64)
+
+
+class TestMempool:
+    def test_empty(self):
+        pool = Mempool()
+        assert len(pool) == 0 and not pool
+        assert pool.take(5) == []
+
+    def test_take_crosses_chunk_boundaries_in_fifo_order(self):
+        pool = Mempool()
+        pool.extend_column(_column(1, 2, 3))
+        pool.extend_column(_column(4, 5))
+        pool.extend_column(_column(6, 7, 8, 9))
+        assert len(pool) == 9 and pool
+        assert pool.take(2) == [1, 2]
+        assert pool.take(4) == [3, 4, 5, 6]  # rest of one chunk, a whole one, part of a third
+        assert len(pool) == 3
+        assert pool.take(3) == [7, 8, 9]
+        assert not pool and pool.take(1) == []
+
+    def test_take_more_than_present_returns_what_there_is(self):
+        pool = Mempool()
+        pool.extend_column(_column(1, 2))
+        pool.append(3)
+        assert pool.take(100) == [1, 2, 3]
+        assert len(pool) == 0
+
+    def test_scalar_appends_interleave_with_columns_in_arrival_order(self):
+        pool = Mempool()
+        pool.append(1)
+        pool.append(2)
+        pool.extend_column(_column(3, 4))
+        pool.append(5)
+        pool.extend_column(_column(6))
+        pool.append(7)
+        assert pool.take(1) == [1]
+        pool.append(8)  # appended while the head chunk is partly taken
+        assert len(pool) == 7
+        assert pool.take(10) == [2, 3, 4, 5, 6, 7, 8]
+
+    def test_extend_column_equals_append_over_the_column(self):
+        by_column, by_append = Mempool(), Mempool()
+        for column in (_column(5, 1, 9), _column(), _column(2)):
+            by_column.extend_column(column)
+            for op in column.tolist():
+                by_append.append(op)
+        assert len(by_column) == len(by_append) == 4
+        assert by_column.take(4) == by_append.take(4) == [5, 1, 9, 2]
+
+    def test_taken_operations_are_python_ints(self):
+        pool = Mempool()
+        pool.extend_column(_column(1, 2))
+        assert all(type(op) is int for op in pool.take(2))
+
+    def test_pickle_round_trip_mid_chunk(self):
+        pool = Mempool()
+        pool.extend_column(_column(1, 2, 3))
+        pool.append(4)
+        pool.extend_column(_column(5, 6))
+        assert pool.take(2) == [1, 2]
+        restored = pickle.loads(pickle.dumps(pool))
+        assert len(restored) == len(pool) == 4
+        restored.append(7)
+        assert restored.take(10) == [3, 4, 5, 6, 7]
+        assert pool.take(10) == [3, 4, 5, 6]  # pickling did not disturb the original
+        assert len(pickle.loads(pickle.dumps(Mempool()))) == 0
+
+    def test_replica_drains_its_mempool_as_coin_ids(self):
+        _, replica = _attached_replica()
+        replica.on_client_op(3)
+        replica.mempool.extend_column(_column(10, 11))
+        assert replica.drain_mempool(2) == ("coin3", "coin10")
+        assert replica.drain_mempool(5) == ("coin11",)
+        assert replica.drain_mempool(5) == ()
 
 
 class TestRunHarness:
