@@ -1,7 +1,8 @@
 """Ablation A1 — fork rate versus oracle bound k and network delay.
 
-A design-choice study called out in DESIGN.md: the paper's oracles differ
-only in the per-parent fork bound, so we measure how many forks (and how
+A design-choice study (the CLI's ``fork-sweep``, README "CLI"): the
+paper's oracles differ only in the per-parent fork bound, so we measure
+how many forks (and how
 much wasted work) actually materialize as a function of (i) the frugal
 bound k used by the validation oracle and (ii) the network delay, in an
 otherwise identical proof-of-work-style run.

@@ -1,11 +1,14 @@
 """Shared helpers for the benchmark harness.
 
-Every module in this directory regenerates one artefact of the paper
-(figure, table, theorem or ablation) — see DESIGN.md §3 for the full
-experiment index and EXPERIMENTS.md for the recorded outcomes.  Each
-benchmark both *times* the relevant operation (via pytest-benchmark) and
-*asserts* the paper-level expectation, so a passing
-``pytest benchmarks/ --benchmark-only`` run is itself the reproduction.
+Every ``bench_*.py`` module in this directory regenerates one artefact
+of the paper — the file names are the index (``bench_fig*``,
+``bench_thm*``, ``bench_table1_*``, ``bench_ablation_*``) and each
+module's docstring states the outcome it expects.  Each benchmark both
+*times* the relevant operation (via pytest-benchmark) and *asserts* the
+paper-level expectation, so a passing
+``pytest benchmarks/bench_*.py --benchmark-disable`` run (the "Paper
+reproduction" step of ``.github/workflows/ci.yml``) is itself the
+reproduction.
 """
 
 from __future__ import annotations

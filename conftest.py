@@ -1,8 +1,8 @@
 """Repository-level pytest configuration.
 
 Makes the ``src`` layout importable without ``PYTHONPATH=src``.  The
-repository is not installable (``setup.py`` carries no metadata and only
-serves ``build_ext``); a ``repro`` already importable takes precedence.
+repository is not installable (it carries no package metadata); a
+``repro`` already importable takes precedence.
 """
 
 import sys

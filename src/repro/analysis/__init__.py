@@ -1,8 +1,9 @@
 """Analysis utilities: fork statistics, convergence metrics, report rendering.
 
 These are the measurement tools the benchmark harness uses to turn raw
-runs (histories + replica trees) into the numbers and tables reported in
-EXPERIMENTS.md:
+runs (histories + replica trees) into the numbers and tables printed by
+the CLI (README "CLI") and the reproduction scripts
+(``benchmarks/bench_*.py``):
 
 * :mod:`repro.analysis.forks` — per-run fork statistics (fork points,
   maximal fork degree, wasted blocks), the quantities the k-fork-coherence

@@ -13,8 +13,9 @@ exercised:
   worst-case ratio, which the fairness ablation bench sweeps against merit
   skew.
 
-This is an *extension* relative to the paper (flagged as such in
-DESIGN.md / EXPERIMENTS.md): the definitions follow the chain-quality
+This is an *extension* relative to the paper (no figure or theorem
+script reads it; ``benchmarks/bench_ablation_fairness.py`` and the
+``classify`` report do): the definitions follow the chain-quality
 notion of Garay et al.'s Bitcoin backbone analysis, which the paper cites
 for Bitcoin's eventual-consistency result.
 """

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benches, examples and EXPERIMENTS.md.
+"""Plain-text table rendering for the CLI, ``benchmarks/bench_*.py`` and ``examples/``.
 
 The original paper's evaluation artefacts are figures of admissible
 histories, a hierarchy diagram and one classification table; this

@@ -421,24 +421,23 @@ def _split_topology_params(rest: str) -> List[str]:
     return pairs
 
 
-def _parse_fault(text: str) -> FaultSpec:
-    """Parse ``--fault``: a kind, ``kind:key=value,...``, or a JSON object.
+def _parse_component(text: str, noun: str, spec_cls, available, field_keys=()):
+    """Parse ``--fault`` / ``--topology``: a kind, ``kind:key=value,...``, or JSON.
 
     Values go through :func:`json.loads` when they parse (so
     ``heal_at=60`` is a number, ``at={"p4": 30}`` a mapping,
-    ``members=["p5"]`` a list) and stay strings otherwise.  ``seed`` is
-    the spec field; everything else is a constructor parameter of the
-    registered fault model.  All three forms go through
-    :meth:`FaultSpec.from_dict`, the one reader of the old
-    ``crash:crash_at=...`` / ``byzantine:byzantine=...`` spelling.
+    ``members=["p5"]`` a list, ``include_observers=false`` a bool) and
+    stay strings otherwise.  A key in ``field_keys`` is a field of the
+    spec; every other key is a constructor parameter of the registered
+    model.  All three forms go through ``spec_cls.from_dict``.
     """
     text = text.strip()
     if text.startswith("{"):
         try:
-            spec = FaultSpec.from_dict(json.loads(text))
+            spec = spec_cls.from_dict(json.loads(text))
         except json.JSONDecodeError as error:
             raise SystemExit(
-                f"repro: error: cannot parse fault JSON {text!r} ({error})"
+                f"repro: error: cannot parse {noun} JSON {text!r} ({error})"
             ) from None
     elif ":" in text:
         kind, _, rest = text.partition(":")
@@ -450,68 +449,37 @@ def _parse_fault(text: str) -> FaultSpec:
             key, eq, raw = pair.partition("=")
             if not eq:
                 raise SystemExit(
-                    f"repro: error: fault parameter {pair!r} is not 'key=value'"
+                    f"repro: error: {noun} parameter {pair!r} is not 'key=value'"
                 )
             try:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
             key = key.strip()
-            if key in ("crash_at", "byzantine", "seed"):
-                fields[key] = value
-            else:
-                params[key] = value
-        spec = FaultSpec.from_dict({**fields, "params": params})
+            (fields if key in field_keys else params)[key] = value
+        spec = spec_cls.from_dict({**fields, "params": params})
     else:
-        spec = FaultSpec.from_dict(text)
-    if spec.kind not in available_faults():
+        spec = spec_cls.from_dict(text)
+    if spec.kind not in available():
         raise SystemExit(
-            f"repro: error: unknown fault {spec.kind!r} "
-            f"(registered: {', '.join(sorted(available_faults()))})"
+            f"repro: error: unknown {noun} {spec.kind!r} "
+            f"(registered: {', '.join(sorted(available()))})"
         )
     return spec
+
+
+def _parse_fault(text: str) -> FaultSpec:
+    """``--fault``; ``seed`` is the spec field, and :meth:`FaultSpec.from_dict`
+    is the one reader of the old ``crash:crash_at=...`` /
+    ``byzantine:byzantine=...`` spelling."""
+    return _parse_component(
+        text, "fault", FaultSpec, available_faults, ("crash_at", "byzantine", "seed")
+    )
 
 
 def _parse_topology(text: str) -> TopologySpec:
-    """Parse ``--topology``: a kind, ``kind:key=value,...``, or a JSON object.
-
-    Parameter values go through :func:`json.loads` when they parse (so
-    ``fanout=4`` is an int, ``members=["p0","p1"]`` a list,
-    ``include_observers=false`` a bool) and stay strings otherwise.
-    """
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            spec = TopologySpec.from_dict(json.loads(text))
-        except json.JSONDecodeError as error:
-            raise SystemExit(
-                f"repro: error: cannot parse topology JSON {text!r} ({error})"
-            ) from None
-    elif ":" in text:
-        kind, _, rest = text.partition(":")
-        params = {}
-        for pair in _split_topology_params(rest):
-            if not pair:
-                continue
-            key, eq, raw = pair.partition("=")
-            if not eq:
-                raise SystemExit(
-                    f"repro: error: topology parameter {pair!r} is not 'key=value'"
-                )
-            try:
-                value = json.loads(raw)
-            except json.JSONDecodeError:
-                value = raw
-            params[key.strip()] = value
-        spec = TopologySpec(kind=kind.strip(), params=params)
-    else:
-        spec = TopologySpec(kind=text)
-    if spec.kind not in available_topologies():
-        raise SystemExit(
-            f"repro: error: unknown topology {spec.kind!r} "
-            f"(registered: {', '.join(sorted(available_topologies()))})"
-        )
-    return spec
+    """``--topology``; every key, ``seed`` included, is a topology parameter."""
+    return _parse_component(text, "topology", TopologySpec, available_topologies)
 
 
 def _regime_spec(

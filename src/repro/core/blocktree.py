@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.core.block import GENESIS_ID, Block, Blockchain, genesis_block
 from repro.core.errors import StaleSnapshotError
-from repro.network._hotpath import tree_append_index
 
 __all__ = ["BlockTree", "UnknownParentError", "DuplicateBlockError"]
 
@@ -78,6 +77,39 @@ class _TreeColumns:
             grown = np.zeros(capacity, dtype=old.dtype)
             grown[:size] = old[:size]
             setattr(self, name, grown)
+
+    def append(self, parent_id: str, block_id: str, weight: float) -> int:
+        """``BlockTree.append``'s index maintenance; returns the new height.
+
+        Assign the next slot, extend the id/parent columns, set height /
+        cumulative weight, seed the subtree weight and add ``weight`` along
+        the ancestor path with one fancy-indexed update (the same IEEE
+        additions, one per ancestor, as a per-block dict walk).
+        """
+        slots = self.slots
+        parent = slots[parent_id]
+        slot = self.size
+        if slot >= len(self.height):
+            self.grow()
+        height = self.height
+        cum = self.cum_weight
+        sub = self.subtree_weight
+        parents = self.parents
+        slots[block_id] = slot
+        self.ids.append(block_id)
+        parents.append(parent)
+        new_height = int(height[parent]) + 1
+        height[slot] = new_height
+        cum[slot] = float(cum[parent]) + weight
+        sub[slot] = weight
+        self.size = slot + 1
+        path = []
+        cursor = parent
+        while cursor >= 0:
+            path.append(cursor)
+            cursor = parents[cursor]
+        sub[path] += weight
+        return new_height
 
     def copy(self) -> "_TreeColumns":
         clone = object.__new__(_TreeColumns)
@@ -145,9 +177,9 @@ class BlockTree:
         # Score indexes: per-block height, cumulative root-to-block weight
         # (accumulated root-first, so it is bit-identical to
         # ``WeightScore`` summing the materialized chain) and subtree
-        # weight, on numpy columns maintained by
-        # :func:`repro.network._hotpath.tree_append_index`.  They are what
-        # the selection rules read instead of rebuilding every chain.
+        # weight, on numpy columns maintained by :meth:`_TreeColumns.append`.
+        # They are what the selection rules read instead of rebuilding
+        # every chain.
         self._columns = _TreeColumns(root)
         # (leaf ids, height column, cum-weight column) memo for the
         # vectorized tip selection, tagged with the version it was built
@@ -303,9 +335,7 @@ class BlockTree:
             self._fork_points[block.parent_id] = None
         if len(siblings) > self._max_fork_degree:
             self._max_fork_degree = len(siblings)
-        height = tree_append_index(
-            self._columns, block.parent_id, block.block_id, block.weight
-        )
+        height = self._columns.append(block.parent_id, block.block_id, block.weight)
         self._by_height.setdefault(height, []).append(block.block_id)
         if height > self._height:
             self._height = height

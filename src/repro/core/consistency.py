@@ -47,8 +47,8 @@ Finite-prefix interpretation
 Ever Growing Tree and Eventual Prefix quantify over infinite histories
 ("the set of later reads ... is finite").  A finite recorded execution is
 always a *prefix* of such a history, so literal evaluation would accept
-everything.  We follow the standard prefix interpretation (documented in
-DESIGN.md §5):
+everything.  We follow the standard prefix interpretation (this section
+is its statement; ``tests/core/test_consistency.py`` pins both rules):
 
 * *Ever Growing Tree* — a violation is reported only when a read of score
   ``s`` is followed by at least ``stall_threshold`` later reads, **all** of

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.block import Blockchain
-from repro.network._hotpath import record_replication
 
 __all__ = [
     "EventKind",
@@ -462,11 +461,25 @@ class HistoryRecorder:
     def _replication(
         self, kind: EventKind, process: str, parent_id: str, block_id: str
     ) -> Event:
-        # The dominant recorder call in block workloads: the monomorphic
-        # body in ``repro.network._hotpath``, compiled when the extension
-        # built.  (The body it replaced is test code:
-        # ``tests/network/reference_plane.py::ReferenceHistoryRecorder``.)
-        return record_replication(self, kind, process, parent_id, block_id)
+        # The dominant recorder call in block workloads: ``_next_seq``,
+        # ``_next_time`` and ``_record`` written out inline.  The generic
+        # spelling is the test-side oracle
+        # ``tests/network/reference_plane.py::ReferenceHistoryRecorder``.
+        seqs = self._seq
+        seq = seqs.get(process, 0) + 1
+        seqs[process] = seq
+        event = Event(
+            eid=next(self._clock),
+            kind=kind,
+            process=process,
+            operation=kind.value,
+            argument=(parent_id, block_id),
+            seq=seq,
+        )
+        self._append(event)
+        for listener in self._listeners:
+            listener(event)
+        return event
 
     # -- extraction ----------------------------------------------------------------
 

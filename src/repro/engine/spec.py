@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.errors import UnknownVocabularyError
@@ -347,6 +347,10 @@ class ExperimentSpec:
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if not self.duration >= 0:
+            raise ValueError(f"duration must be >= 0, got {self.duration!r}")
+
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -380,6 +384,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
+        accepted = [spec_field.name for spec_field in fields(cls)]
+        unknown = sorted(set(data).difference(accepted))
+        if unknown:
+            raise ValueError(
+                f"unknown spec key(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(accepted)}"
+            )
         oracle_k = data.get("oracle_k")
         if isinstance(oracle_k, str):
             oracle_k = math.inf if oracle_k in ("inf", "Infinity", "∞") else float(oracle_k)

@@ -35,7 +35,7 @@ storage is numpy:
 
 Draining pops the lowest-slot bucket (a tiny heap of slot numbers),
 sorts it once by ``(time, seq)``, and walks it with the loop in
-:mod:`repro.network._drain`.  Events scheduled *into the active slot or
+:meth:`ArrayEventCore.drain`.  Events scheduled *into the active slot or
 earlier* while it drains go to a small overflow heap that interleaves
 with the run — this preserves exact ``(time, seq)`` order, so recorded
 histories are byte-identical to the heap core's (asserted by the
@@ -43,12 +43,6 @@ equivalence suite).  A segment step is exact too: it is clipped by
 ``until``, by the events left in the drain call's budget and by the
 overflow head (:meth:`_ColumnRun.take`), and a partly taken segment
 stays in the run, re-headed, for the next step or the next snapshot.
-
-The drain loop (:mod:`repro.network._drain`) and the callback-plane hot
-paths (:mod:`repro.network._hotpath`) are importable as compiled
-extensions when ``setup.py`` was able to build them (mypyc);
-``COMPILED_MODULES`` reports which flavour of each is live.  Absent a
-compiler the pure-Python modules are used and results are identical.
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import StaleSnapshotError
-from repro.network import _drain, _hotpath
 
 __all__ = [
     "ArrayEventCore",
@@ -99,19 +92,8 @@ NO_ARG = _Sentinel("NO_ARG")
 COLUMN = _Sentinel("COLUMN")
 
 
-def _is_compiled(module) -> bool:
-    return str(getattr(module, "__file__", "")).endswith((".so", ".pyd"))
-
-
-#: Per-module report of which hot-path flavour is live: True when the
-#: import resolved to a compiled extension (mypyc build), False under
-#: the pure-Python fallback.  ``benchmarks/ledger/run.py`` records this
-#: dict in every run's fingerprint and the compiled-flavour CI job asserts
-#: every value is True.
-COMPILED_MODULES = {
-    "_drain": _is_compiled(_drain),
-    "_hotpath": _is_compiled(_hotpath),
-}
+#: Only reader: the frozen ledger's fingerprint (ledger/run.py:136); ROADMAP item 1 removes both.
+COMPILED_MODULES = {"_drain": False, "_hotpath": False}
 
 EVENT_DTYPE = np.dtype(
     [("time", "f8"), ("seq", "i8"), ("method", "i2"), ("arg", "i8")]
@@ -421,10 +403,10 @@ class ArrayEventCore:
         # The active run's column events (None when it has none); run
         # entries whose method is COLUMN are segments of it.
         self._columns: Optional[_ColumnRun] = None
-        # Batch dispatch (the compiled callback plane): methods mapped
-        # here have same-method run spans handed to their handler in one
-        # call instead of per-event dispatch; the cell carries the
-        # handler's consumed count for exception-path accounting.
+        # Batch dispatch: methods mapped here have same-method run spans
+        # handed to their handler in one call instead of per-event
+        # dispatch; the cell carries the handler's consumed count for
+        # exception-path accounting.
         self._span_handlers: Dict[Any, Callable] = {}
         self._span_cell: List[int] = [0]
 
@@ -867,7 +849,183 @@ class ArrayEventCore:
     # -- drain -----------------------------------------------------------------
 
     def drain(self, sim, until: Optional[float], max_events: int) -> int:
-        return _drain.drain_events(self, sim, until, max_events)
+        """Process queued events in ``(time, seq)`` order; returns the count.
+
+        Mirrors the heap core's run loop contract: stops once the next event
+        would pass ``until`` (leaving it queued), stops at ``max_events``,
+        advances ``sim.now`` before each dispatch, and accounts processed
+        events on the simulator even if a callback raises.  The run cursor
+        is kept in a local and written back on every exit path (including
+        exceptions); the loop itself is the only reader in between.
+
+        Each pop compares the head of the active run with the head of the
+        overflow heap; when both are exhausted the next bucket is
+        materialized (:meth:`_start_next_run`).  A run entry whose method
+        is ``COLUMN`` is a segment of column events: its head is compared
+        like any other entry's, then :meth:`_ColumnRun.take` consumes as
+        much of it as is due and a partly consumed segment keeps its run
+        slot with the head time/seq of what is left.
+
+        Batch dispatch: when two or more *consecutive* run entries share
+        one interned method — detected by object identity, since interning
+        stores exactly one method object per live id — and that method has
+        a span handler (:meth:`register_span_handler`), the whole span is
+        handed to the handler in one call.  The handler replays the scalar
+        clock/guard protocol itself (``Network._deliver_span``) and reports
+        progress through ``cell`` so exception-path accounting stays exact.
+
+        When ``sim.callback_timer`` is set (``timed_callbacks()`` profiling),
+        each dispatch is bracketed with the timer and accumulated onto
+        ``sim.callback_seconds`` — the ledger row
+        ``network.simulator.callback_s``.
+        """
+        processed = 0
+        overflow = self._overflow
+        no_arg = self.no_arg
+        column = self.column
+        pos = self._run_pos
+        now = sim.now
+        spans = self._span_handlers
+        cell = self._span_cell
+        timer = getattr(sim, "callback_timer", None)
+        # Span end-scan memo: the run arrays are immutable while the run is
+        # active (mid-run schedules go to the overflow heap), so a scanned
+        # span boundary stays valid for the whole run.  Without the memo an
+        # overflow preemption mid-span would force a rescan of the remaining
+        # region on every resume — quadratic on callback-heavy floods.
+        span_end = 0
+        span_method = None
+        try:
+            while processed < max_events:
+                if pos >= self._run_len and not overflow:
+                    self._run_pos = pos
+                    if not self._start_next_run():
+                        break
+                    pos = 0
+                    span_end = 0
+                    span_method = None
+                run_times = self._run_times
+                run_seqs = self._run_seqs
+                run_methods = self._run_methods
+                run_args = self._run_args
+                length = self._run_len
+                while processed < max_events:
+                    from_overflow = False
+                    if pos < length:
+                        time = run_times[pos]
+                        if overflow:
+                            head = overflow[0]
+                            head_time = head[0]
+                            if head_time < time or (
+                                head_time == time and head[1] < run_seqs[pos]
+                            ):
+                                from_overflow = True
+                                time = head_time
+                    elif overflow:
+                        time = overflow[0][0]
+                        from_overflow = True
+                    else:
+                        break
+                    if until is not None and time > until:
+                        return processed
+                    if from_overflow:
+                        method = None
+                        _, _, method, arg = heappop(overflow)
+                    else:
+                        method = run_methods[pos]
+                        if method is column:
+                            # A segment of column events: the core hands the
+                            # due part of it to the sinks in one step; the
+                            # entry stays, re-headed, until it is used up.
+                            columns = self._columns
+                            end = run_args[pos]
+                            start = columns.pos
+                            try:
+                                if timer is None:
+                                    columns.take(end, until, max_events - processed, overflow)
+                                else:
+                                    t0 = timer()
+                                    columns.take(end, until, max_events - processed, overflow)
+                                    sim.callback_seconds += timer() - t0
+                            finally:
+                                # ``take`` moves its cursor before it delivers,
+                                # so a sink that raises still leaves the range
+                                # accounted and the entry headed correctly.
+                                cursor = columns.pos
+                                processed += cursor - start
+                                if cursor == end:
+                                    pos += 1
+                                elif cursor > start:
+                                    run_times[pos] = float(columns.times[cursor])
+                                    run_seqs[pos] = int(columns.seqs[cursor])
+                                time = columns.clock
+                                if time > now:
+                                    now = time
+                                    sim.now = time
+                            continue
+                        if (
+                            spans
+                            and pos + 1 < length
+                            and run_methods[pos + 1] is method
+                        ):
+                            handler = spans.get(method)
+                            if handler is not None:
+                                if method is span_method and pos < span_end:
+                                    end = span_end
+                                else:
+                                    end = pos + 2
+                                    while end < length and run_methods[end] is method:
+                                        end += 1
+                                    span_method = method
+                                    span_end = end
+                                budget = pos + (max_events - processed)
+                                if end > budget:
+                                    end = budget
+                                cell[0] = 0
+                                consumed = 0
+                                try:
+                                    if timer is None:
+                                        consumed = handler(
+                                            run_times, run_seqs, run_args,
+                                            pos, end, until, cell,
+                                        )
+                                    else:
+                                        t0 = timer()
+                                        consumed = handler(
+                                            run_times, run_seqs, run_args,
+                                            pos, end, until, cell,
+                                        )
+                                        sim.callback_seconds += timer() - t0
+                                finally:
+                                    if consumed == 0:
+                                        consumed = cell[0]
+                                    processed += consumed
+                                    pos += consumed
+                                    now = sim.now
+                                continue
+                        arg = run_args[pos]
+                        pos += 1
+                    if time > now:
+                        now = time
+                        sim.now = time
+                    if timer is None:
+                        if arg is no_arg:
+                            method()
+                        else:
+                            method(arg)
+                    else:
+                        t0 = timer()
+                        if arg is no_arg:
+                            method()
+                        else:
+                            method(arg)
+                        sim.callback_seconds += timer() - t0
+                    processed += 1
+        finally:
+            self._run_pos = pos
+            sim.events_processed += processed
+            self._consumed += processed
+        return processed
 
     def _start_next_run(self) -> bool:
         """Materialize the lowest-slot bucket as the active run.

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.history import HistoryRecorder
-from repro.network import _hotpath
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.simulator import Message, Network
@@ -143,7 +142,17 @@ class Process:
         Returns the number of messages consumed (always >= 1); the
         remainder is re-dispatched through the scalar guards.
         """
-        return _hotpath.dispatch_batch(self, deliveries)
+        network = self.network
+        sim = network.simulator
+        count = 0
+        for time, seq, message in deliveries:
+            if count and network.batch_interrupted(self, time, seq):
+                break
+            if time > sim.now:
+                sim.now = time
+            count += 1
+            self.on_message(message)
+        return count
 
     def batch_dup_seen(self) -> Optional[Set[str]]:
         """Seen-block-id set for the batch plane's duplicate-flood skip.

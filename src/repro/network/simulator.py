@@ -58,13 +58,12 @@ from typing import (
 
 from repro.core.errors import UnknownVocabularyError
 from repro.core.history import HistoryRecorder
-from repro.network import _hotpath
 from repro.network.channels import batched_delays
 from repro.network.event_core import NO_ARG, ArrayEventCore
+from repro.network.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.network.channels import ChannelModel
-    from repro.network.process import Process
     from repro.network.topology import Topology
 
 __all__ = ["Simulator", "Message", "Network", "MULTICAST", "timed_callbacks"]
@@ -523,7 +522,7 @@ class Network:
         # receiver KeyError reserved for genuine addressing bugs.
         self._departed: set = set()
         # Receiver classification for the span batch-dispatch path
-        # (`_hotpath.deliver_span`): pids proven to take the straight
+        # (`_deliver_span`): pids proven to take the straight
         # scalar dispatch / the custom-``on_message_batch`` path.  Both
         # are populated lazily per span and only *dropped* on membership
         # change — a stale entry can at worst miss a duplicate-flood
@@ -539,9 +538,9 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_quarantined = 0
-        # Compiled callback plane: consecutive queue entries sharing one
-        # delivery callback are handed to the span handlers in one call
-        # (scalar-exact; see `_hotpath.deliver_span`).
+        # Batch dispatch: consecutive queue entries sharing one delivery
+        # callback are handed to the span handlers in one call
+        # (scalar-exact; see `_deliver_span`).
         simulator.register_batch_handler(self._deliver, self._deliver_span)
         simulator.register_batch_handler(
             self._deliver_multicast, self._deliver_multicast_span
@@ -744,27 +743,242 @@ class Network:
         return receivers
 
     def _deliver(self, message: Message) -> None:
-        # Departed-pid / liveness guards live in one helper shared with
-        # the multicast twin and the compiled span path: a quarantined
-        # (deregistered) receiver absorbs the message, a crashed process
-        # receives nothing, a live one gets ``on_message``.
-        _hotpath.deliver_one(self, message.receiver, message)
+        self._deliver_one(message.receiver, message)
 
     def _deliver_multicast(self, entry: Tuple[str, Message]) -> None:
         """Deliver a shared multicast envelope to one recipient."""
-        _hotpath.deliver_one(self, entry[0], entry[1])
+        self._deliver_one(entry[0], entry[1])
 
-    def _deliver_span(self, times, seqs, args, pos, end, until, cell) -> int:
-        """Batch-dispatch a span of consecutive ``_deliver`` events."""
-        return _hotpath.deliver_span(
-            self, times, seqs, args, pos, end, until, cell, False
-        )
+    def _deliver_one(self, pid: str, message: Message) -> None:
+        """Deliver ``message`` to ``pid`` under the departed/liveness guards.
+
+        The single helper behind :meth:`_deliver` (point-to-point, pid
+        read off the message) and :meth:`_deliver_multicast` (shared
+        envelope, pid carried beside it): a departed pid quarantines the
+        message, a dead process drops it silently, a live one receives it.
+        """
+        process = self._processes.get(pid)
+        if process is None:
+            # Receiver deregistered between send and delivery (dynamic
+            # membership): the message is quarantined, not delivered.
+            self.messages_quarantined += 1
+            return
+        if process.alive:
+            self.messages_delivered += 1
+            process.on_message(message)
 
     def _deliver_multicast_span(self, times, seqs, args, pos, end, until, cell) -> int:
         """Batch-dispatch a span of consecutive ``_deliver_multicast`` events."""
-        return _hotpath.deliver_span(
-            self, times, seqs, args, pos, end, until, cell, True
-        )
+        return self._deliver_span(times, seqs, args, pos, end, until, cell, True)
+
+    def _deliver_span(
+        self, times, seqs, args, pos, end, until, cell, multicast=False
+    ) -> int:
+        """Batch-dispatch a span of same-callback delivery events.
+
+        Invoked by the drain loop for run entries ``pos:end`` that all share
+        one interned delivery method.  ``multicast`` selects the argument
+        shape: ``(pid, envelope)`` tuples for ``_deliver_multicast`` spans,
+        bare messages (pid on ``message.receiver``) for ``_deliver`` spans.
+
+        The scalar protocol is replayed per message — overflow-preemption
+        and ``until`` checks, clock advance, departed/dead guards — and
+        consecutive deliveries to one live receiver are collected into a
+        single ``process.on_message_batch`` call.  ``cell[0]`` tracks the
+        consumed count for the drain loop's exception accounting; the return
+        value is the total consumed (>= 1).
+
+        Duplicate ``BlockAnnouncement`` floods — the bulk of gossip traffic,
+        where every block reaches every node once per relaying neighbour —
+        are skipped against the receiver's transport seen-set without
+        dispatching at all.  The skip is exact: a duplicate's scalar path is
+        ``on_message -> transport.handle -> seen-set hit -> None`` (nothing
+        recorded, nothing mutated, the delivered counter bumped), and
+        :meth:`Process.batch_dup_seen` only exposes the seen-set when both
+        hooks on that path are the stock implementations.
+
+        Receivers are classified lazily, with different staleness contracts
+        per class:
+
+        * ``scalar_fast`` — no seen-set *and* the stock ``on_message_batch``:
+          straight per-event ``on_message`` dispatch, no sub-run scan.
+        * ``batch_only`` — no seen-set but a custom ``on_message_batch``:
+          sub-runs are collected and handed to the hook.
+        * ``dup_sets`` — a live seen-set; dropped after every real dispatch,
+          since an arbitrary callback could swap transports.
+
+        The first two live on the network (``_span_scalar`` /
+        ``_span_batch_only``), surviving across spans and drains, and are
+        only dropped on ``register``/``deregister``.  That persistence is
+        safe because going stale can only *miss a skip* (a receiver that
+        gains a seen-set keeps taking the exact scalar path) or dispatch
+        scalar to a batch-capable receiver — and ``on_message_batch`` is
+        required to be scalar-equivalent anyway.  ``dup_sets`` stays local
+        to one span call: its binding is only trusted between dispatches.
+
+        The process table is re-read per event (registration may churn under
+        any callback) and the overflow/``until``/liveness checks still run
+        per event, so preemption ordering is untouched.
+        """
+        # ``broadcast`` imports this module, so its payload class is looked
+        # up here, once per span.
+        from repro.network.broadcast import BlockAnnouncement
+
+        base_batch = Process.on_message_batch
+        sim = self.simulator
+        core = sim._array_core
+        overflow = core._overflow
+        processes = self._processes
+        dup_sets = {}
+        scalar_fast = self._span_scalar
+        batch_only = self._span_batch_only
+        last_message = None
+        last_block_id = None
+        delivered = 0
+        quarantined = 0
+        count = 0
+        k = pos
+        # Callbacks never advance the clock themselves (only the drain and
+        # ``on_message_batch`` do, and the batch path refreshes below), so
+        # the comparison can run against a local mirror of ``sim.now``.
+        now = sim.now
+        try:
+            while k < end:
+                time = times[k]
+                if count:
+                    # First event already cleared these checks in the drain
+                    # loop; later ones must re-check because callbacks can
+                    # push overflow events or the until clip may bite.
+                    if overflow:
+                        head = overflow[0]
+                        head_time = head[0]
+                        if head_time < time or (head_time == time and head[1] < seqs[k]):
+                            break
+                    if until is not None and time > until:
+                        break
+                if time > now:
+                    now = time
+                    sim.now = time
+                entry = args[k]
+                if multicast:
+                    pid = entry[0]
+                    message = entry[1]
+                else:
+                    message = entry
+                    pid = message.receiver
+                process = processes.get(pid)
+                if process is None:
+                    quarantined += 1
+                    count += 1
+                    k += 1
+                    continue
+                if not process.alive:
+                    count += 1
+                    k += 1
+                    continue
+                if pid in scalar_fast:
+                    delivered += 1
+                    count += 1
+                    process.on_message(message)
+                    if dup_sets:
+                        dup_sets.clear()
+                    k += 1
+                    continue
+                if pid in batch_only:
+                    seen = None
+                else:
+                    # The seen-set binding can only change under a real
+                    # dispatch (``dup_sets`` is cleared there), so a cached
+                    # set stays valid between dispatches; a ``None`` answer
+                    # is sticky for the whole span (stale = skip nothing).
+                    seen = dup_sets.get(pid)
+                    if seen is None:
+                        seen = process.batch_dup_seen()
+                        if seen is None:
+                            if type(process).on_message_batch is base_batch:
+                                scalar_fast.add(pid)
+                                delivered += 1
+                                count += 1
+                                process.on_message(message)
+                                if dup_sets:
+                                    dup_sets.clear()
+                                k += 1
+                                continue
+                            batch_only.add(pid)
+                        else:
+                            dup_sets[pid] = seen
+                if seen is not None:
+                    # Multicast spans hand one shared envelope to many
+                    # receivers; memoize its announcement id across events.
+                    if message is last_message:
+                        block_id = last_block_id
+                    else:
+                        block_id = None
+                        if message.kind == "block":
+                            payload = message.payload
+                            if type(payload) is BlockAnnouncement:
+                                block_id = payload.block.block_id
+                        last_message = message
+                        last_block_id = block_id
+                    if block_id is not None and block_id in seen:
+                        # Duplicate flood: scalar path is a pure no-op apart
+                        # from the delivered counter and the clock advance
+                        # (already applied above).
+                        delivered += 1
+                        count += 1
+                        k += 1
+                        continue
+                # Collect the same-receiver sub-run (clipped by ``until``).
+                j = k + 1
+                if multicast:
+                    if until is None:
+                        while j < end and args[j][0] == pid:
+                            j += 1
+                    else:
+                        while j < end and args[j][0] == pid and times[j] <= until:
+                            j += 1
+                else:
+                    if until is None:
+                        while j < end and args[j].receiver == pid:
+                            j += 1
+                    else:
+                        while j < end and args[j].receiver == pid and times[j] <= until:
+                            j += 1
+                if j == k + 1:
+                    delivered += 1
+                    count += 1
+                    process.on_message(message)
+                    if dup_sets:
+                        dup_sets.clear()
+                    k = j
+                    continue
+                if multicast:
+                    deliveries = [(times[i], seqs[i], args[i][1]) for i in range(k, j)]
+                else:
+                    deliveries = [(times[i], seqs[i], args[i]) for i in range(k, j)]
+                consumed = process.on_message_batch(deliveries)
+                if consumed < 1 or consumed > j - k:
+                    raise RuntimeError(
+                        "on_message_batch consumed %r of %d deliveries"
+                        % (consumed, j - k)
+                    )
+                delivered += consumed
+                count += consumed
+                if dup_sets:
+                    dup_sets.clear()
+                last_time = deliveries[consumed - 1][0]
+                if last_time > sim.now:
+                    sim.now = last_time
+                now = sim.now
+                k += consumed
+        finally:
+            # ``cell[0]`` is only read by the drain loop when the handler
+            # raised mid-span; keeping it current here (instead of per
+            # event) takes a store off the skip path.
+            cell[0] = count
+            self.messages_delivered += delivered
+            self.messages_quarantined += quarantined
+        return count
 
     def batch_interrupted(self, process: "Process", time: float, seq: int) -> bool:
         """Should an in-flight delivery batch stop before ``(time, seq)``?

@@ -1,8 +1,8 @@
 """Columnar block index vs the dict index it replaced (the PR 10 oracle).
 
 ``BlockTree`` maintains its score indexes (heights, cumulative and
-subtree weights) on preallocated numpy columns through the compiled
-callback plane's ``tree_append_index`` hot path; the pre-PR10 per-block
+subtree weights) on preallocated numpy columns through
+``_TreeColumns.append``; the pre-PR10 per-block
 dicts are the test-side ``ReferenceBlockTree``
 (``tests/network/reference_plane.py``).  These tests pin the two to each
 other on randomized fork-heavy trees — every query, every selection rule

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from repro.engine import (
     ExperimentSpec,
     FaultSpec,
     RunResult,
+    TopologySpec,
     WorkloadSpec,
     table1_spec,
 )
@@ -61,8 +63,25 @@ class TestSerialization:
             oracle_k=2,
             params={"token_rate": 0.4},
             label="round-trip",
+            topology=TopologySpec(kind="gossip", params={"fanout": 2}, seed=5),
+            monitor=True,
+            checkpoint_every=500,
+            checkpoint_path="run.ckpt",
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec
+        # Every field is set, so this is every key ``from_dict`` must accept.
+        assert set(spec.to_dict()) == {f.name for f in dataclasses.fields(ExperimentSpec)}
+
+    def test_unknown_top_level_keys_are_refused_by_name(self):
+        data = {**ExperimentSpec(protocol="bitcoin").to_dict(), "bogus": 1, "durration": 5}
+        with pytest.raises(ValueError, match=r"'bogus', 'durration'.*accepted: protocol, "):
+            ExperimentSpec.from_dict(data)
+
+    def test_negative_duration_is_refused(self):
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            ExperimentSpec(protocol="bitcoin", duration=-5)
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            ExperimentSpec.from_dict({"protocol": "bitcoin", "duration": -5})
 
     def test_infinite_oracle_bound_survives_json(self):
         spec = ExperimentSpec(protocol="bitcoin", oracle_k=math.inf)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.convergence import convergence_summary
@@ -91,3 +96,25 @@ class TestMixedSystems:
         history = run.history.without_failed_appends()
         assert check_strong_consistency(history).holds
         assert check_eventual_consistency(history).holds
+
+
+def test_classify_output_does_not_depend_on_the_hash_seed():
+    """Determinism per seed must not lean on ``str`` hashing (set / dict
+    order): the ledger pins ``PYTHONHASHSEED=0``, so two other values."""
+    source = str(Path(sys.modules["repro"].__file__).parents[1])
+    command = [
+        sys.executable, "-m", "repro", "classify", "bitcoin",
+        "--fork-prone", "--duration", "60", "--seed", "7",
+    ]  # fmt: skip
+    outputs = [
+        subprocess.run(
+            command,
+            env={**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        for hash_seed in ("1", "12345")
+    ]
+    assert outputs[0] == outputs[1]
+    assert b"R(BT-ADT_EC" in outputs[0]

@@ -16,11 +16,11 @@ the tests only, as subclasses that put the old bodies back:
 :func:`reference_plane` makes :func:`repro.protocols.base.run_protocol`
 build a run from them, part by part; with ``core="heap"`` on top that is
 the whole oracle leg of ``tests/network/test_core_equivalence.py``.  None
-of these classes calls into :mod:`repro.network._hotpath`'s
-``deliver_span`` / ``record_replication`` / ``tree_append_index`` or
-``Process.on_message_batch`` (``test_core_equivalence.py`` proves it
-by making them raise), so the equivalence tests hold the pure *and* the
-compiled flavour of those functions to code that shares nothing with them.
+of these classes calls ``Network._deliver_span`` /
+``_deliver_multicast_span``, ``HistoryRecorder._replication``,
+``_TreeColumns.append`` or ``Process.on_message_batch``
+(``test_core_equivalence.py`` proves it by making them raise), so the
+equivalence tests hold those methods to code that shares nothing with them.
 Do not "optimize" anything in this module.
 """
 

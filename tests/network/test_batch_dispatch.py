@@ -1,4 +1,4 @@
-"""Unit tests for the batch-dispatch half of the compiled callback plane.
+"""Unit tests for the batch-dispatch half of the callback plane.
 
 The protocol-level byte-identity suite lives in
 ``test_core_equivalence.py``; here the focus is the dispatch machinery
@@ -205,7 +205,7 @@ def test_overriding_on_message_disables_dup_skip():
     assert result.replicas["p0"].batch_dup_seen() is None
 
 
-# -- compiled-flavour report --------------------------------------------------
+# -- the ledger fingerprint's constant (stays until ROADMAP item 1) -----------
 
 
 def test_compiled_modules_report_shape():

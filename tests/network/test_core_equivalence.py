@@ -28,11 +28,11 @@ from unittest import mock
 
 import pytest
 
-import repro.core.blocktree as blocktree_module
-import repro.core.history as history_module
-from repro.network import _hotpath
+from repro.core.blocktree import _TreeColumns
+from repro.core.history import HistoryRecorder
 from repro.network.faults import available_faults
 from repro.network.process import Process
+from repro.network.simulator import Network
 from repro.protocols.base import BlockchainReplica
 from tests.network.column_script import ListSink, Script, play
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
@@ -150,12 +150,13 @@ def _trip(*args, **kwargs):
 
 
 #: The fast paths the reference plane is the oracle *for*, each patched
-#: where its name is looked up at call time (``on_message_batch`` on the
-#: override these replicas dispatch through).
+#: on the class that defines it (``on_message_batch`` on the override
+#: these replicas dispatch through).  ``_deliver_multicast_span`` is a
+#: call into ``_deliver_span``, so the one patch stops both.
 _FAST_PATHS = {
-    "deliver_span": (_hotpath, "deliver_span"),
-    "record_replication": (history_module, "record_replication"),
-    "tree_append_index": (blocktree_module, "tree_append_index"),
+    "deliver_span": (Network, "_deliver_span"),
+    "record_replication": (HistoryRecorder, "_replication"),
+    "tree_append_index": (_TreeColumns, "append"),
     "on_message_batch": (BlockchainReplica, "on_message_batch"),
 }
 
@@ -166,7 +167,11 @@ def test_reference_plane_runs_none_of_the_fast_paths():
     to completion and records the history it records without the patches."""
     expected = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
     with ExitStack() as stack:
-        for target, name in (*_FAST_PATHS.values(), (Process, "on_message_batch")):
+        for target, name in (
+            *_FAST_PATHS.values(),
+            (Network, "_deliver_multicast_span"),
+            (Process, "on_message_batch"),
+        ):
             stack.enter_context(mock.patch.object(target, name, _trip))
         oracle = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
     assert oracle.history.events == expected.history.events

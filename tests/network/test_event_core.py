@@ -3,8 +3,8 @@
 Covers the :class:`~repro.network.simulator.Simulator` surface under both
 cores — scalar pushes, bulk inserts, fan-outs, block scheduling, the
 ``until``/``max_events`` run contract — plus the array core's internals:
-method-table interning and recycling, the overflow heap for pushes into
-the active slot, and the pure-Python drain fallback.  The protocol-level
+method-table interning and recycling and the overflow heap for pushes
+into the active slot.  The protocol-level
 byte-identity suite lives in ``test_core_equivalence.py``; here the
 focus is the event-core API itself.
 """
@@ -56,17 +56,6 @@ def test_slot_width_must_be_positive():
 
 def test_event_dtype_shape():
     assert EVENT_DTYPE.names == ("time", "seq", "method", "arg")
-
-
-def test_pure_python_fallback_is_live():
-    """The drain loop is the pure-Python module unless mypyc built the
-    extension (``COMPILED_MODULES`` reports which, see
-    ``test_batch_dispatch.py``); everything works through either."""
-    sim = Simulator(core="array")
-    fired = []
-    sim.schedule(1.0, lambda: fired.append("x"))
-    assert sim.run() == 1
-    assert fired == ["x"]
 
 
 # -- scalar scheduling -------------------------------------------------------
