@@ -14,11 +14,16 @@ storage is numpy:
   argument objects are interned per bucket and the whole pool is dropped
   when the bucket drains, so no per-slot free-list bookkeeping runs on
   the hot path;
-* a fan-out (:meth:`ArrayEventCore.schedule_block`) is one vectorized
-  column fill per touched bucket — the shared method is interned once,
-  times arrive as one numpy array, and slot grouping is a single stable
-  argsort — plus one ``lexsort`` per bucket at drain time, instead of k
-  heap pushes;
+* a fan-out (:meth:`ArrayEventCore.schedule_block`) interns its shared
+  method once and, unless it reaches into the slot being drained, is
+  appended whole to the **fan-out log** — a deferred-split store keyed by
+  method id.  The log is flushed when the next run starts and when the
+  core is pickled (a snapshot never holds one): per method, one
+  concatenate, one stable argsort by slot and one column block per
+  touched bucket (:meth:`ArrayEventCore._split_block`, the same code
+  that splits a block touching the active slot on the spot) — so a
+  run's relays are bucketed once, not once per multicast — plus one
+  ``lexsort`` per bucket at drain time, instead of k heap pushes;
 * scalar pushes append to a small per-bucket staging list (a Python
   list append is ~2x faster than a numpy scalar row write) that is
   flushed into the arrays when the bucket is materialized;
@@ -191,9 +196,9 @@ class _Bucket:
 
     * ``data`` — the canonical :data:`EVENT_DTYPE` structured array,
       filled by the generic bulk path (:meth:`ArrayEventCore.extend`);
-    * ``blocks`` — deferred shared-method column blocks from the fan-out
-      fast path: appending ``(times, seqs, mid, args)`` views is O(1),
-      so a multicast pays no per-bucket numpy fill at insert time;
+    * ``blocks`` — this bucket's shares of shared-method fan-outs
+      (:meth:`ArrayEventCore._split_block`): appending ``(times, seqs,
+      mid, args)`` views is O(1), no per-bucket numpy fill;
     * ``stage`` — scalar pushes as plain tuples (a list append is ~2x
       faster than a numpy scalar row write);
     * ``columns`` — column events (:meth:`ArrayEventCore.schedule_column`)
@@ -353,6 +358,7 @@ class ArrayEventCore:
         "_buckets",
         "_bucket_heap",
         "_overflow",
+        "_fanout_log",
         "_methods",
         "_method_ids",
         "_method_refs",
@@ -384,6 +390,10 @@ class ArrayEventCore:
         # Events routed past the bucket plane while their slot is being
         # drained; plain (time, seq, method, arg) tuples, never interned.
         self._overflow: List[Tuple[float, int, Callable, Any]] = []
+        # Fan-out blocks lying wholly beyond the active slot, per method
+        # id, as (times, seqs, args); split into buckets all at once
+        # when the next run starts or a snapshot is taken.
+        self._fanout_log: Dict[int, List[Tuple[Any, Any, List[Any]]]] = {}
         # Interned method-dispatch table.  Slot refcounts are decremented
         # in bulk when a bucket materializes; zero-ref slots are recycled
         # through the free list so one-shot closures (Process.schedule
@@ -440,7 +450,9 @@ class ArrayEventCore:
 
     def __getstate__(self):
         # The bucket table is repacked into whole-table columns (see
-        # :func:`_pack_bucket_table`); every other slot pickles as-is.
+        # :func:`_pack_bucket_table`), the fan-out log flushed into it
+        # first; every other slot pickles as-is.
+        self._flush_fanout_log()
         state = {
             name: getattr(self, name)
             for name in self.__slots__
@@ -453,6 +465,7 @@ class ArrayEventCore:
         # Unpacked first: a bucket table in an older format is refused
         # there, before anything of the snapshot is taken over.
         self._buckets = _unpack_bucket_table(state.pop("_buckets"))
+        self._fanout_log = {}  # absent from snapshots older than the log
         for name, value in state.items():
             setattr(self, name, value)
 
@@ -542,42 +555,51 @@ class ArrayEventCore:
         """Bulk insert one shared ``method`` at ``times[i]`` with ``args[i]``.
 
         The fan-out fast path: ``times`` is already a float64 array (e.g.
-        ``now`` plus a channel's batched delay vector), the method is
-        interned exactly once, and each touched bucket receives one
-        vectorized column fill.  Sequence numbers follow array order.
-        ``validate=False`` skips the past-timestamp check for callers
-        whose times are ``now`` plus non-negative delays by construction
-        (the multicast plane).
+        ``now`` plus a channel's batched delay vector) and the method is
+        interned exactly once.  Sequence numbers follow array order.  A
+        block whose earliest time lies beyond the active slot is logged
+        whole and split with the rest of the log when the next run
+        starts (:meth:`_flush_fanout_log`); one that reaches into the
+        active slot is split here.  ``args`` is kept by reference and
+        never mutated.  ``validate=False`` skips the past-timestamp
+        check for callers whose times are ``now`` plus non-negative
+        delays by construction (the multicast plane).
         """
         k = len(times)
         if k == 0:
             return 0
-        if validate and float(times.min()) < now:
+        earliest = float(times.min())
+        if validate and earliest < now:
             raise ValueError("cannot schedule into the past")
         base = self._seq
         self._seq = base + k
         self._inserted += k
-        slots = (times * self._inv_width).astype(np.int64)
+        seqs = np.arange(base, base + k, dtype=np.int64)
         run_slot = self._run_slot
-        first = int(slots[0])
-        if int(slots[k - 1]) == first and (run_slot is None or first > run_slot):
-            # Cheap probe: a block whose ends share an inactive slot is
-            # usually single-slot — confirm without a full sort.
-            if int(slots.min()) == first and int(slots.max()) == first:
-                seqs = np.arange(base, base + k, dtype=np.int64)
-                self._append_block(
-                    first, times, seqs, self._intern_method(method, k), args
-                )
-                return k
-        # General case: one stable argsort groups the block by slot.
-        # Within a bucket insertion order is irrelevant — materialization
-        # sorts by (time, seq) — so permuted views are fine.
+        if run_slot is None or int(earliest * self._inv_width) > run_slot:
+            # Nothing of the block can run before the next bucket is
+            # materialized, so which buckets it lands in is decided then.
+            mid = self._intern_method(method, k)
+            self._fanout_log.setdefault(mid, []).append((times, seqs, args))
+        else:
+            self._split_block(times, seqs, args, method, -1)
+        return k
+
+    def _split_block(self, times, seqs, args, method, mid) -> None:
+        """Cut one shared-method block into the buckets (and overflow) it touches.
+
+        One stable argsort groups the block by slot.  Within a bucket
+        insertion order is irrelevant — materialization sorts by (time,
+        seq) — so permuted views are fine.  ``mid`` is the method's id
+        when its references are already counted (the fan-out log), -1
+        when those of the entries that reach a bucket still have to be.
+        """
+        slots = (times * self._inv_width).astype(np.int64)
         order = np.argsort(slots, kind="stable")
         ss = slots[order]
         ts = times[order]
-        qs = base + order
-        picked = order.tolist()
-        ags = [args[i] for i in picked]
+        qs = seqs[order]
+        ags = [args[i] for i in order.tolist()]
         start, edges = self._bucket_shares(ss)
         if start:
             overflow = self._overflow
@@ -587,15 +609,31 @@ class ArrayEventCore:
                 heappush(
                     overflow, (prefix_times[i], prefix_seqs[i], method, ags[i])
                 )
-            if start == k:
-                return k
-        mid = self._intern_method(method, k - start)
+            if start == len(ags):
+                return
+        if mid < 0:
+            mid = self._intern_method(method, len(ags) - start)
         slot_list = ss.tolist()
         prev = start
         for nxt in edges:
             self._append_block(slot_list[prev], ts[prev:nxt], qs[prev:nxt], mid, ags[prev:nxt])
             prev = nxt
-        return k
+
+    def _flush_fanout_log(self) -> None:
+        """Bucket every logged fan-out block: one :meth:`_split_block` per method.
+
+        Every logged time lies beyond the active slot (and slots only
+        move forward), so no entry goes to the overflow heap here.
+        """
+        log, self._fanout_log = self._fanout_log, {}
+        for mid, logged in log.items():
+            self._split_block(
+                np.concatenate([entry[0] for entry in logged]),
+                np.concatenate([entry[1] for entry in logged]),
+                [arg for entry in logged for arg in entry[2]],
+                self._methods[mid],
+                mid,
+            )
 
     def _bucket_shares(self, slots: np.ndarray):
         """How a bulk insert grouped by slot is split — decided here only.
@@ -1030,6 +1068,7 @@ class ArrayEventCore:
     def _start_next_run(self) -> bool:
         """Materialize the lowest-slot bucket as the active run.
 
+        The fan-out log is bucketed first, so the table is complete.
         Returns False (and clears the run marker) when no bucket is left.
         Invariants relied on: every heap entry corresponds to a live
         bucket (buckets are only removed here, together with their heap
@@ -1037,6 +1076,7 @@ class ArrayEventCore:
         strictly greater than ``_run_slot`` (same-or-earlier pushes were
         diverted to the overflow heap).
         """
+        self._flush_fanout_log()
         heap = self._bucket_heap
         if not heap:
             self._run_slot = None

@@ -263,8 +263,10 @@ class Simulator:
         had filtered it out of a :meth:`schedule_many` batch.  Everything
         else is scheduled at ``now + delays[i]`` with argument
         ``args[i]``, sequence numbers in vector order.  Under the array
-        core the shared method is interned once and each touched bucket
-        receives one vectorized fill — the multicast hot path.
+        core the shared method is interned once and the block is split
+        into buckets with the rest of its run's — the multicast hot path.
+        A list ``args`` is kept by reference (the core never mutates it),
+        so the caller must not change it afterwards.
         """
         now = self.now
         if None in delays:
@@ -277,19 +279,19 @@ class Simulator:
             args = [arg for _, arg in kept]
         core = self._array_core
         if core is not None:
+            if type(args) is not list:
+                args = list(args)
             if len(delays) < 16:
                 # Small fan-outs (typical multicast degree): the scalar
                 # staging path skips the asarray/argsort constants.  A
                 # Python float add is the same IEEE-754 operation as the
                 # vectorized broadcast, so timestamps are bit-identical.
                 times = [float(now + delay) for delay in delays]
-                return core.schedule_small(
-                    now, times, method, list(args), validate=False
-                )
+                return core.schedule_small(now, times, method, args, validate=False)
             times = np.asarray(delays, dtype=np.float64) + now
             # Channel delays are non-negative by contract, so the block
             # cannot land before ``now`` — skip the validation pass.
-            return core.schedule_block(now, times, method, list(args), validate=False)
+            return core.schedule_block(now, times, method, args, validate=False)
         queue = self._queue
         push = heapq.heappush
         sequence = self._sequence

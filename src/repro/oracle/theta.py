@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.block import Block
 from repro.core.history import HistoryRecorder
@@ -90,7 +90,10 @@ class TokenOracle:
     # -- the two oracle operations -------------------------------------------
 
     def get_token(
-        self, parent: Block | str, block: Block, process: Optional[str] = None
+        self,
+        parent: Block | str,
+        block: Block | Callable[[], Block],
+        process: Optional[str] = None,
     ) -> Optional[ValidatedBlock]:
         """``getToken(obj_h, obj_ℓ)``.
 
@@ -98,13 +101,22 @@ class TokenOracle:
         block is re-parented under ``parent``, stamped with ``tkn_h`` and
         returned as a :class:`ValidatedBlock` (an element of ``O'``).  On
         failure returns ``None`` (the paper's ``⊥``).
+
+        ``block`` may be a zero-argument callable building the candidate:
+        it is called at most once, and only when the block is needed —
+        the popped cell holds ``tkn``, a recorder logs the invocation
+        (whose argument names the block), or ``process`` is not given.
         """
         parent_id = parent.block_id if isinstance(parent, Block) else parent
+        recorded = self._recorder is not None
+        if callable(block) and (recorded or process is None):
+            block = block()
         invoker = process if process is not None else (block.creator or "p?")
-        op = self._invoke(invoker, "getToken", (parent_id, block.block_id))
-        success = self.tapes.draw(invoker)
+        op = self._invoke(invoker, "getToken", (parent_id, block.block_id)) if recorded else None
         result: Optional[ValidatedBlock] = None
-        if success:
+        if self.tapes.draw(invoker):
+            if callable(block):
+                block = block()
             token = token_for(parent_id)
             validated = block.with_parent(parent_id).with_token(token)
             result = ValidatedBlock(block=validated, token=token, parent_id=parent_id)

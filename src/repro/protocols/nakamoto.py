@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.core.block import Block
 from repro.core.selection import HeaviestChain, SelectionFunction
 from repro.engine.registry import register_protocol
 from repro.network.simulator import Network
@@ -69,14 +70,37 @@ class NakamotoReplica(BlockchainReplica):
     def try_mine(self) -> bool:
         """One proof-of-work attempt: ``getToken`` on the local tip.
 
-        Returns ``True`` iff a block was produced and committed.
+        Returns ``True`` iff a block was produced and committed.  Θ
+        answers ⊥ far more often than ``tkn``, so with the stock hooks
+        the candidate is handed over as a callable that the oracle calls
+        only when it needs the block, and a lost attempt burns what its
+        discarded candidate used to consume: one block id and one
+        payload's worth of transaction names or mempool operations.
         """
-        candidate = self.make_candidate(payload=self._next_payload())
-        parent = self.current_tip()
-        validated = self.oracle.get_token(parent, candidate, process=self.pid)
+        oracle = self.oracle
+        kind = type(self)
+        built = []
+
+        def build() -> Block:
+            built.append(self.make_candidate(payload=self._next_payload()))
+            return built[0]
+
+        lazy = (
+            kind.make_candidate is BlockchainReplica.make_candidate
+            and kind._next_payload is NakamotoReplica._next_payload
+            and type(oracle).get_token is TokenOracle.get_token
+        )
+        candidate = build if lazy else build()
+        validated = oracle.get_token(self.current_tip(), candidate, process=self.pid)
         if validated is None:
+            if not built:
+                self.ids()
+                if self.mempool:
+                    self.mempool.take(self.transactions_per_block)
+                else:
+                    self._tx_counter += self.transactions_per_block
             return False
-        consumed = self.oracle.consume_token(validated, process=self.pid)
+        consumed = oracle.consume_token(validated, process=self.pid)
         if not any(v.block_id == validated.block_id for v in consumed):
             # Unreachable with the prodigal oracle, but a frugal-oracle
             # variant (used by ablations) can reject the k+1-th fork.

@@ -97,6 +97,7 @@ def run(
     seed: int,
     *,
     core: str = "array",
+    n: int = 5,
     faulty: bool = False,
     topology: str = "full",
     fault=None,
@@ -104,7 +105,8 @@ def run(
     reference: bool = False,
     **run_kwargs,
 ):
-    """One run; ``reference`` builds it from the whole oracle plane
+    """One run of ``n`` miners (16 or more make every relay a fan-out
+    *block*); ``reference`` builds it from the whole oracle plane
     (``tests/network/reference_plane.py``), ``scalar_network`` from its
     network alone.  ``run_kwargs`` go to ``run_protocol`` as they are."""
     tapes = TapeFamily(seed=seed, probability_scale=0.5)
@@ -130,7 +132,7 @@ def run(
             f"equiv-{kind}",
             factory,
             oracle,
-            n=5,
+            n=n,
             duration=50.0,
             channel=channel_of(kind, seed),
             topology=topology_of(topology, seed),

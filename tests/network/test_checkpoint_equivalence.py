@@ -89,6 +89,41 @@ def test_restores_identical_for_every_fault_kind(fault_kind: str, core: str):
     _assert_restores_identical("lossy", seed=13, core=core, fault_kind=fault_kind)
 
 
+@pytest.mark.parametrize("kind", ("synchronous", "asynchronous"))
+def test_restores_identical_with_relays_still_in_the_fanout_log(kind: str):
+    """Eighteen miners: every relay is a 17-entry fan-out block, which
+    the array core logs and only buckets when the next run starts — or
+    when a snapshot is taken.  Restore at seeded-random boundaries where
+    relays were logged but not yet bucketed; the asynchronous channel
+    also sends part of some blocks through the overflow heap."""
+    clean = _run(kind, 3, n=18)
+    snapshots = []
+
+    def sink(live) -> None:
+        waiting = bool(live.simulator._array_core._fanout_log)
+        snapshot = SimulationCheckpoint.capture(live)
+        # Taking the snapshot bucketed the log; it never holds one.
+        assert not live.simulator._array_core._fanout_log
+        if waiting:
+            snapshots.append(snapshot)
+
+    capture = _run(kind, 3, n=18, checkpoint_every=7 * EVERY + 1, checkpoint_sink=sink)
+    assert capture.history.events == clean.history.events
+    assert len(snapshots) >= 2 * K
+    for snapshot in random.Random(f"fanout-log:{kind}").sample(snapshots, K):
+        live = snapshot.restore()
+        assert not live.simulator._array_core._fanout_log
+        result = live.finish()
+        assert result.history.events == clean.history.events
+        assert result.network.messages_sent == clean.network.messages_sent
+        assert result.network.messages_delivered == clean.network.messages_delivered
+        assert (
+            result.network.simulator.events_processed
+            == clean.network.simulator.events_processed
+        )
+        assert result.network.simulator.pending == 0
+
+
 def test_snapshots_span_both_event_phases():
     """Sanity: the oracle scenarios snapshot in main *and* drain phases."""
     snapshots = []

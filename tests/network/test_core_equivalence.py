@@ -23,6 +23,7 @@ all of it, ``_run(scalar_network=True)`` for its network alone.
 from __future__ import annotations
 
 import pickle
+import random
 from contextlib import ExitStack
 from unittest import mock
 
@@ -30,11 +31,14 @@ import pytest
 
 from repro.core.blocktree import _TreeColumns
 from repro.core.history import HistoryRecorder
+from repro.network.channels import AsynchronousChannel, SynchronousChannel
+from repro.network.event_core import ArrayEventCore
 from repro.network.faults import available_faults
 from repro.network.process import Process
 from repro.network.simulator import Network
 from repro.protocols.base import BlockchainReplica
 from tests.network.column_script import ListSink, Script, play
+from tests.network.flood_script import Flood
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
 
@@ -409,3 +413,113 @@ def test_schedule_column_validates_like_schedule_block():
         with pytest.raises(ValueError, match="same length"):
             script.column(0, [1.5, 2.5], [1])
         assert script.column(0, [], []) == 0
+
+
+# -- the fan-out log: a run's relays are bucketed once -------------------------
+#
+# A fan-out block lying wholly beyond the slot being drained is not cut
+# into buckets when it is inserted: it waits in ``_fanout_log`` and is
+# split with everything else logged until the next run starts or a
+# snapshot is taken.  Each case below drains one 18-process relay flood
+# (``flood_script.Flood``: every relay is a 17-entry block) on both cores
+# and compares, after every chunk, the delivery log, ``sim.now``,
+# ``events_processed``, ``pending`` and the message counters.
+
+_RUMORS = [(0.0, "p0", "a"), (0.125, "p7", "b"), (1.25, "p3", "c")]
+
+
+def _flood(core: str, channel: str, audits: bool = False) -> Flood:
+    if channel == "synchronous":
+        # Every delay exceeds a slot (0.25): relays lie wholly beyond it.
+        model = SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
+    elif channel == "lockstep":
+        # Every delay is exactly 0.5: each wave of deliveries is one
+        # timestamp, ordered by nothing but the sequence numbers.
+        model = SynchronousChannel(delta=0.5, min_delay=0.5, seed=4)
+    else:
+        # Most relays have an entry shorter than what is left of the slot,
+        # a few have none.
+        model = AsynchronousChannel(mean_delay=3.0, tail_probability=0.1, seed=4)
+    return Flood(core, model, audits=audits).start(_RUMORS)
+
+
+_FLOOD_CASES = {
+    # (i) `until` and the chunk budget both stop a drain mid-flood.
+    "until_and_budget_cut_the_flood": (
+        "synchronous", False, [(0.6, 7), (0.9, 1000), (1.45, 13), (None, 50)],
+    ),
+    # (iii) part of a relay lands in the slot being drained (overflow
+    # heap, entry by entry), the rest beyond it.
+    "block_straddles_the_active_slot": ("asynchronous", False, [(0.5, 40), (None, 23)]),
+    # Seventeen relays and their audit rows logged at one instant and due
+    # at one instant: the seqs a flush rebuilds are all that orders them.
+    "lockstep_ties_are_broken_by_seq": ("lockstep", True, [(None, 29)]),
+    # (iv) relays and audit rows — two shared methods — wait side by side.
+    "two_methods_share_one_flush": ("synchronous", True, [(1.0, 25), (None, 60)]),
+}
+
+
+def _assert_every_method_released(core: ArrayEventCore) -> None:
+    assert core._method_ids == {}
+    assert not any(core._method_refs)
+    assert sorted(core._method_free) == list(range(len(core._methods)))
+
+
+@pytest.mark.parametrize("case", sorted(_FLOOD_CASES))
+def test_logged_relays_match_the_heap_core(case: str):
+    channel, audits, steps = _FLOOD_CASES[case]
+    waiting = []  # (blocks, methods) in the log at every chunk boundary
+    shares = []  # (overflow prefix, block length) of every split
+    bucket_shares = ArrayEventCore._bucket_shares
+
+    def spy(core, slots):
+        start, edges = bucket_shares(core, slots)
+        shares.append((start, len(slots)))
+        return start, edges
+
+    def look(flood: Flood) -> None:
+        waiting.append((flood.logged_blocks(), len(flood.sim._array_core._fanout_log)))
+
+    flood = _flood("array", channel, audits)
+    with mock.patch.object(ArrayEventCore, "_bucket_shares", spy):
+        array = flood.run(steps, on_chunk=look)
+    heap = _flood("heap", channel, audits).run(steps)
+    assert array == heap
+    log, _now, processed, pending, sent, delivered = array[-1]
+    assert pending == 0
+    assert sent == delivered == 3 * (18 + 18 * 17)
+    assert processed == len(log) + len(_RUMORS)
+    _assert_every_method_released(flood.sim._array_core)
+    # The case is only worth comparing if it cuts where it claims to.
+    assert sum(blocks > 0 for blocks, _ in waiting) >= 3
+    if case == "block_straddles_the_active_slot":
+        assert sum(0 < start < total for start, total in shares) >= 10
+        assert any(start == 0 and total > 17 for start, total in shares)  # a merged flush
+    else:
+        # Nothing but the originators' own copies ever met the active slot.
+        assert sum(start > 0 for start, _ in shares) == len(_RUMORS)
+    if audits:
+        assert any(methods == 2 for _, methods in waiting)
+
+
+def test_flood_survives_a_snapshot_with_relays_still_logged():
+    """(ii) Pickle the whole flood at chunk boundaries where relays are
+    logged but not yet bucketed; a snapshot holds no log, restores to
+    the same future, and taking it does not disturb the run it is of."""
+    clean = _flood("array", "synchronous", audits=True).run([(None, 10**6)])[-1]
+    snapshots = []
+
+    def snapshot(flood: Flood) -> None:
+        if flood.logged_blocks():
+            snapshots.append(pickle.dumps(flood))
+            assert flood.logged_blocks() == 0  # flushed, not dropped: see below
+
+    steps = [(0.7, 37), (1.45, 53), (None, 71)]
+    captured = _flood("array", "synchronous", audits=True).run(steps, on_chunk=snapshot)
+    assert captured[-1] == clean
+    assert len(snapshots) >= 6
+    for blob in random.Random(24).sample(snapshots, 4):
+        restored = pickle.loads(blob)
+        assert restored.logged_blocks() == 0
+        assert restored.run([(None, 10**6)])[-1] == clean
+        _assert_every_method_released(restored.sim._array_core)

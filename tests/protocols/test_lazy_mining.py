@@ -1,0 +1,201 @@
+"""Lazy ``getToken`` equals the eager one, attempt for attempt.
+
+``NakamotoReplica.try_mine`` builds its candidate only when the oracle
+needs it and burns, on ⊥, what the discarded candidate used to consume.
+The old bodies are the oracle (``tests/protocols/reference_mining.py``);
+every run here is executed both ways and compared on everything an
+attempt can touch: the recorded history, every replica's tree (block
+ids, parents, payloads, tokens, rounds), the tape cells popped, the
+tokens granted, what is left in every mempool, the next transaction
+name and block id, and — with a recorder on the oracle — the logged
+``getToken`` / ``consumeToken`` operations.
+
+Also pinned here, not changed: a *lost* attempt drains up to
+``transactions_per_block`` client operations from the mempool and they
+are gone with the discarded candidate.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+
+from repro.core.block import Block
+from repro.core.history import HistoryRecorder
+from repro.oracle.tape import TapeFamily
+from repro.oracle.theta import ProdigalOracle
+from repro.protocols.base import BlockchainReplica
+from repro.protocols.nakamoto import NakamotoReplica, run_bitcoin
+from tests.protocols.reference_mining import ReferenceMiner, ReferenceProdigalOracle
+
+
+def _run(seed, token_rate, clients, recorded, *, replica_cls, oracle_cls):
+    oracle = oracle_cls(
+        tapes=TapeFamily(seed=seed, probability_scale=token_rate),
+        recorder=HistoryRecorder() if recorded else None,
+    )
+    return run_bitcoin(
+        n=4, duration=40.0, seed=seed, token_rate=token_rate, clients=clients,
+        oracle=oracle, replica_cls=replica_cls,
+    )
+
+
+def _footprint(result):
+    """Everything a mining attempt reads or writes, after the run."""
+    oracle = result.oracle
+    recorder = oracle._recorder
+    return {
+        "history": result.history.events,
+        "trees": {pid: list(replica.tree) for pid, replica in result.replicas.items()},
+        "cells": {pid: oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas},
+        "granted": oracle.granted_counts(),
+        "consumed": oracle.consumed_counts(),
+        "mempools": {
+            pid: replica.mempool.__getstate__()[0].tolist()
+            for pid, replica in result.replicas.items()
+        },
+        "tx_counters": {pid: replica._tx_counter for pid, replica in result.replicas.items()},
+        "next_ids": {pid: replica.ids() for pid, replica in result.replicas.items()},
+        "oracle_ops": None if recorder is None else recorder.history().events,
+    }
+
+
+@pytest.mark.parametrize("recorded", (False, True), ids=("bare", "recorded"))
+@pytest.mark.parametrize("clients", (None, 50), ids=("tx_counter", "mempool"))
+@pytest.mark.parametrize("token_rate", (0.05, 0.4, 1.0))
+@pytest.mark.parametrize("seed", (1, 7))
+def test_lazy_attempt_matches_the_eager_one(seed, token_rate, clients, recorded):
+    lazy = _footprint(
+        _run(seed, token_rate, clients, recorded,
+             replica_cls=NakamotoReplica, oracle_cls=ProdigalOracle)
+    )
+    eager = _footprint(
+        _run(seed, token_rate, clients, recorded,
+             replica_cls=ReferenceMiner, oracle_cls=ReferenceProdigalOracle)
+    )
+    assert lazy == eager
+    attempts = sum(lazy["cells"].values())
+    granted = sum(lazy["granted"].values())
+    # The runs are worth comparing: the lottery was both won and lost.
+    assert granted > 0
+    assert attempts > granted or token_rate == 1.0
+    if recorded:
+        assert len(lazy["oracle_ops"]) == 2 * (attempts + granted)
+    if clients:
+        assert any(payload.startswith("coin")
+                   for tree in lazy["trees"].values() for block in tree
+                   for payload in block.payload)
+
+
+def _counting(calls):
+    original = BlockchainReplica.make_candidate
+
+    def make_candidate(self, payload=()):
+        calls.append(self.pid)
+        return original(self, payload)
+
+    return make_candidate
+
+
+@pytest.mark.parametrize("recorded", (False, True), ids=("bare", "recorded"))
+def test_stock_hooks_build_a_candidate_only_when_the_oracle_needs_one(recorded):
+    calls = []
+    with mock.patch.object(BlockchainReplica, "make_candidate", _counting(calls)):
+        result = _run(1, 0.4, None, recorded,
+                      replica_cls=NakamotoReplica, oracle_cls=ProdigalOracle)
+    attempts = sum(result.oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas)
+    granted = sum(result.oracle.granted_counts().values())
+    assert 0 < granted < attempts
+    # A recorder logs the block id with the invocation, so it needs every
+    # candidate; without one only a won lottery builds its block.
+    assert len(calls) == (attempts if recorded else granted)
+
+
+class _OwnCandidates(NakamotoReplica):
+    """Overrides ``make_candidate``: every attempt must reach it."""
+
+    made = 0
+
+    def make_candidate(self, payload=()):
+        type(self).made += 1
+        return super().make_candidate(payload)
+
+
+class _OwnPayloads(NakamotoReplica):
+    """Overrides ``_next_payload``: every attempt must reach it."""
+
+    asked = 0
+
+    def _next_payload(self):
+        type(self).asked += 1
+        return super()._next_payload()
+
+
+class _BlocksOnly(ReferenceProdigalOracle):
+    """Overrides ``get_token``: it must be handed blocks, not callables."""
+
+    def get_token(self, parent, block, process=None):
+        assert isinstance(block, Block)
+        return super().get_token(parent, block, process)
+
+
+@pytest.mark.parametrize("clients", (None, 50), ids=("tx_counter", "mempool"))
+def test_overridden_hooks_keep_the_eager_path(clients):
+    stock = _footprint(
+        _run(1, 0.4, clients, False, replica_cls=NakamotoReplica, oracle_cls=ProdigalOracle)
+    )
+    attempts = sum(stock["cells"].values())
+    assert sum(stock["granted"].values()) < attempts
+
+    _OwnCandidates.made = 0
+    own = _run(1, 0.4, clients, False, replica_cls=_OwnCandidates, oracle_cls=ProdigalOracle)
+    assert _OwnCandidates.made == attempts
+    assert _footprint(own) == stock
+
+    _OwnPayloads.asked = 0
+    own = _run(1, 0.4, clients, False, replica_cls=_OwnPayloads, oracle_cls=ProdigalOracle)
+    assert _OwnPayloads.asked == attempts
+    assert _footprint(own) == stock
+
+    own = _run(1, 0.4, clients, False, replica_cls=NakamotoReplica, oracle_cls=_BlocksOnly)
+    assert _footprint(own) == stock
+
+
+def test_get_token_calls_a_lazy_candidate_at_most_once():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return Block("x", "b0", creator="p")
+
+    oracle = ProdigalOracle(tapes=TapeFamily(seed=3, probability_scale=0.5))
+    outcomes = [oracle.get_token("b0", build, process="p") for _ in range(40)]
+    won = [outcome for outcome in outcomes if outcome is not None]
+    assert 0 < len(won) < 40
+    assert len(calls) == len(won)
+    assert all(outcome.block.token == "tkn_b0" for outcome in won)
+    # Without a process name the invoker is the block's creator.
+    calls.clear()
+    oracle.get_token("b0", build)
+    assert len(calls) == 1
+
+
+def test_a_lost_attempt_still_drops_the_operations_it_drained():
+    """Pinned, not fixed: of 1 248 client operations, 629 are neither
+    pending nor in any block — each was taken from a mempool for a
+    candidate that lost the lottery.  Fixing it moves every population
+    history, so it is a later, behaviour-changing PR (see ROADMAP)."""
+    result = run_bitcoin(
+        n=4, duration=50.0, seed=1, token_rate=0.4, clients=50, client_rate=0.5
+    )
+    scheduled = result.population.scheduled_ops
+    pending = sum(len(replica.mempool) for replica in result.replicas.values())
+    included = {
+        payload
+        for replica in result.replicas.values()
+        for block in replica.tree
+        for payload in block.payload
+    }
+    assert (scheduled, pending, len(included)) == (1248, 516, 103)
+    assert scheduled - pending - len(included) == 629
