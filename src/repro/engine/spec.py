@@ -21,7 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import UnknownVocabularyError
 from repro.core.score import LengthScore, ScoreFunction, WeightScore
@@ -76,6 +76,16 @@ _SCORES = {
 }
 
 
+def _refuse_unknown_keys(noun: str, data: Mapping[str, Any], accepted: Sequence[str]) -> None:
+    """A typo in a spec dict fails by name instead of running the default."""
+    unknown = sorted(set(data).difference(accepted))
+    if unknown:
+        raise ValueError(
+            f"unknown {noun} key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Declarative channel model.
@@ -115,6 +125,7 @@ class ChannelSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChannelSpec":
+        _refuse_unknown_keys("channel", data, [f.name for f in fields(cls)])
         return cls(
             kind=data.get("kind", "synchronous"),
             params=dict(data.get("params", {})),
@@ -159,6 +170,7 @@ class TopologySpec:
         if isinstance(data, str):
             # A bare kind name ("gossip") is the sweep-axis / CLI shorthand.
             return cls(kind=data)
+        _refuse_unknown_keys("topology", data, [f.name for f in fields(cls)])
         return cls(
             kind=data.get("kind", "full"),
             params=dict(data.get("params", {})),
@@ -216,6 +228,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
+        _refuse_unknown_keys("workload", data, WORKLOAD_FIELDS)
         clients = data.get("clients")
         client_rate = data.get("client_rate")
         return cls(
@@ -274,6 +287,9 @@ class FaultSpec:
         if isinstance(data, str):
             # A bare kind name is the sweep-axis / CLI shorthand.
             data = {"kind": data}
+        _refuse_unknown_keys(
+            "fault", data, [*(f.name for f in fields(cls)), "byzantine", "crash_at"]
+        )
         kind = data["kind"]
         params = dict(data.get("params", {}))
         # The pre-registry spelling; a bare legacy kind harmed nobody.
@@ -384,13 +400,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        accepted = [spec_field.name for spec_field in fields(cls)]
-        unknown = sorted(set(data).difference(accepted))
-        if unknown:
-            raise ValueError(
-                f"unknown spec key(s) {', '.join(map(repr, unknown))}; "
-                f"accepted: {', '.join(accepted)}"
-            )
+        _refuse_unknown_keys("spec", data, [spec_field.name for spec_field in fields(cls)])
         oracle_k = data.get("oracle_k")
         if isinstance(oracle_k, str):
             oracle_k = math.inf if oracle_k in ("inf", "Infinity", "∞") else float(oracle_k)

@@ -103,53 +103,6 @@ class FloodingBroadcast:
             self._on_deliver(announcement, message.sender)
         return announcement
 
-    def handle_batch(self, deliveries) -> int:
-        """Batched :meth:`handle`: vectorized seen-set path for dup floods.
-
-        ``deliveries`` holds ``(time, seq, message)`` triples addressed
-        to the owner (see :meth:`Process.on_message_batch
-        <repro.network.process.Process.on_message_batch>`).  A duplicate
-        ``BlockAnnouncement`` is a pure no-op in the scalar path — the
-        seen-set check records nothing and calls nothing — so runs of
-        duplicates are skipped against the seen set alone, without the
-        per-message preemption check.  That skip is only taken while
-        ``clean`` holds (owner alive and registered, overflow heap
-        empty): a duplicate dispatches no callback, so neither fact can
-        change under it, while a *real* delivery can crash the owner or
-        push overflow events and therefore re-evaluates both.  First
-        deliveries and non-block messages replay the exact scalar
-        semantics via ``owner.on_message``.  Returns the consumed count.
-        """
-        owner = self.owner
-        network = owner.network
-        sim = network.simulator
-        delivered = self._delivered
-        processes = network._processes
-        pid = owner.pid
-        count = 0
-        clean = not network._overflow_pending()
-        for time, seq, message in deliveries:
-            if clean and message.kind == BLOCK_KIND:
-                payload = message.payload
-                if (
-                    type(payload) is BlockAnnouncement
-                    and payload.block.block_id in delivered
-                ):
-                    count += 1
-                    continue
-            if count and network.batch_interrupted(owner, time, seq):
-                break
-            if time > sim.now:
-                sim.now = time
-            count += 1
-            owner.on_message(message)
-            clean = (
-                owner.alive
-                and processes.get(pid) is owner
-                and not network._overflow_pending()
-            )
-        return count
-
     @property
     def delivered_blocks(self) -> Tuple[str, ...]:
         return tuple(sorted(self._delivered))

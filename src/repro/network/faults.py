@@ -342,7 +342,7 @@ class ChurnFault(FaultModel):
 
     def _rejoin(self, network: "Network", process: "Process") -> None:
         network.register(process)
-        process.alive = True
+        process.revive()
         if self.resync:
             state_sync(network, targets=(process.pid,))
         process.on_start()

@@ -133,14 +133,14 @@ class Process:
 
         ``deliveries`` holds ``(time, seq, message)`` triples in
         ``(time, seq)`` order, handed over by the array core's batch
-        dispatch when consecutive queue entries share one delivery
-        callback.  The default implementation replays the exact scalar
-        semantics — advance the virtual clock, call :meth:`on_message`,
-        stop when this process dies or departs mid-batch or an overflow
-        event preempts the run — so subclasses that only override
-        :meth:`on_message` behave identically under both dispatch modes.
-        Returns the number of messages consumed (always >= 1); the
-        remainder is re-dispatched through the scalar guards.
+        dispatch — only to a subclass that overrides this hook — when
+        consecutive queue entries are deliveries to this process.  The
+        default implementation, which such an override may call, replays
+        the exact scalar semantics: advance the virtual clock, call
+        :meth:`on_message`, stop when this process dies or departs
+        mid-batch or an overflow event preempts the run.  Returns the
+        number of messages consumed (always >= 1); the remainder is
+        re-dispatched through the scalar guards.
         """
         network = self.network
         sim = network.simulator
@@ -180,8 +180,21 @@ class Process:
         return None
 
     def crash(self) -> None:
-        """Crash this process immediately."""
+        """Crash this process immediately.
+
+        Liveness changes go through :meth:`crash` and :meth:`revive`: they
+        invalidate the network's duplicate-skip table, which a bare
+        assignment to ``alive`` would leave stale.
+        """
         self.alive = False
+        if self.network is not None:
+            self.network._epoch += 1
+
+    def revive(self) -> None:
+        """Bring a crashed process back to life (a churn rejoin)."""
+        self.alive = True
+        if self.network is not None:
+            self.network._epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flags = []

@@ -18,12 +18,16 @@ module provides:
 The simulator is intentionally single-threaded: determinism and
 reproducibility of the paper's histories matter far more here than wall
 clock parallelism.  What the event core *is* optimized for is allocation
-pressure on the fan-out hot path: queue entries are plain
-``(time, seq, method, arg)`` tuples rather than per-recipient lambda
-closures, an n-way multicast shares a single :class:`Message` envelope and
-draws all its channel delays in one batched call
-(:func:`repro.network.channels.batched_delays`), and
-:meth:`Simulator.schedule_many` bulk-inserts the resulting deliveries.
+pressure on the fan-out hot path.  An n-way multicast draws all its
+channel delays in one batched call
+(:func:`repro.network.channels.batched_delays`) and parks its single
+:class:`Message` envelope in a slot of the network's envelope table; each
+delivery is then one int code, ``slot << 16 | receiver index``, and the
+whole fan-out reaches the event core as one block through
+:meth:`Simulator.schedule_fanout` — no tuple, closure or envelope per
+receiver.  Delivering a code decodes it (:meth:`Network._deliver_multicast`);
+a span of them is walked by :meth:`Network._deliver_span`, which accounts a
+stretch of duplicate block announcements in one step.
 That batched plane is the only message plane in this module, timed by
 the ledger row ``network.simulator.gossip_msgs_per_s``.  The pre-batching
 scalar fan-out — one :meth:`Network.send` per receiver, per-event
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
@@ -56,7 +61,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.core.errors import UnknownVocabularyError
+from repro.core.errors import StaleSnapshotError, UnknownVocabularyError
 from repro.core.history import HistoryRecorder
 from repro.network.channels import batched_delays
 from repro.network.event_core import NO_ARG, ArrayEventCore
@@ -99,6 +104,15 @@ def timed_callbacks():
 #: recipient of each delivery is the queue entry's argument, not the
 #: envelope; processes address replies through ``message.sender``.
 MULTICAST = "*"
+
+#: A multicast delivery is the int ``slot << _SLOT_SHIFT | receiver index``
+#: (:meth:`Network._multicast_trusted`); the hot loops spell the shift and
+#: the mask out as literals.
+_SLOT_SHIFT = 16
+_RECEIVER_MASK = (1 << _SLOT_SHIFT) - 1
+
+#: Skip-table entry of a receiver whose duplicates must be dispatched.
+_NO_SKIP: frozenset = frozenset()
 
 #: Queue-entry marker for a no-argument callback (the ``schedule``/
 #: ``schedule_at`` API).  A private sentinel rather than ``None`` so that
@@ -488,6 +502,14 @@ class Network:
     fan-out to its neighbor set.  Static topologies have their per-sender
     receiver lists cached alongside the full-mesh ``_others`` exclusion
     cache; both caches are invalidated when membership changes.
+
+    A multicast's envelope lives in a slot of the network's *envelope
+    table* beside its block id (``None`` unless the payload is a
+    :class:`~repro.network.broadcast.BlockAnnouncement`), and each of its
+    deliveries is one int code naming the slot and the receiver's
+    registration-order index.  A slot is recycled once its last delivery
+    time is behind the clock, so the table holds the multicasts in flight,
+    not the run's history, and a snapshot carries only those.
     """
 
     def __init__(
@@ -497,6 +519,7 @@ class Network:
         recorder: Optional[HistoryRecorder] = None,
         topology: Optional["Topology"] = None,
     ) -> None:
+        from repro.network.broadcast import BlockAnnouncement
         from repro.network.topology import FullMesh
 
         self.simulator = simulator
@@ -523,15 +546,27 @@ class Network:
         # counted, silently absorbed — rather than raising the unknown-
         # receiver KeyError reserved for genuine addressing bugs.
         self._departed: set = set()
-        # Receiver classification for the span batch-dispatch path
-        # (`_deliver_span`): pids proven to take the straight
-        # scalar dispatch / the custom-``on_message_batch`` path.  Both
-        # are populated lazily per span and only *dropped* on membership
-        # change — a stale entry can at worst miss a duplicate-flood
-        # skip or dispatch scalar to a batch-capable receiver, and
-        # ``on_message_batch`` is required to be scalar-equivalent.
-        self._span_scalar: set = set()
-        self._span_batch_only: set = set()
+        # Registration-order receiver indexes (the low bits of a multicast
+        # delivery code); a pid keeps its index across deregister and
+        # re-register.
+        self._receiver_index: Dict[str, int] = {}
+        self._receiver_pids: List[str] = []
+        # The envelope table: slot -> shared envelope and its block id;
+        # ``_in_flight`` is a heap of (last delivery time, slot), and
+        # ``_free_slots`` holds the slots recycled behind the clock.
+        self._announcement = BlockAnnouncement
+        self._envelopes: List[Optional[Message]] = []
+        self._envelope_blocks: List[Optional[str]] = []
+        self._in_flight: List[Tuple[float, int]] = []
+        self._free_slots: List[int] = []
+        # Receiver index -> the seen-set a duplicate announcement is
+        # skipped against (``_NO_SKIP`` for a departed, dead or non-stock
+        # receiver), valid while ``_skip_epoch == _epoch``.  Register,
+        # deregister, ``Process.crash`` and ``Process.revive`` bump the
+        # epoch; the table is rebuilt on the next multicast span.
+        self._epoch = 0
+        self._skip_epoch = -1
+        self._skip_table: List[Any] = []
         # Active message filters (fault models: partitions, eclipses).
         # Empty on the hot path; a fan-out blocked by a filter counts as
         # sent + dropped and consumes no channel randomness.
@@ -551,15 +586,20 @@ class Network:
     # -- membership -------------------------------------------------------------
 
     def register(self, process: "Process") -> None:
-        if process.pid in self._processes:
-            raise ValueError(f"process {process.pid!r} already registered")
-        self._processes[process.pid] = process
-        self._pids = self._pids + (process.pid,)
+        pid = process.pid
+        if pid in self._processes:
+            raise ValueError(f"process {pid!r} already registered")
+        if pid not in self._receiver_index:
+            if len(self._receiver_pids) > _RECEIVER_MASK:
+                raise ValueError(f"more than {_RECEIVER_MASK + 1} processes registered")
+            self._receiver_index[pid] = len(self._receiver_pids)
+            self._receiver_pids.append(pid)
+        self._processes[pid] = process
+        self._pids = self._pids + (pid,)
         self._others.clear()
         self._topology_receivers.clear()
-        self._departed.discard(process.pid)
-        self._span_scalar.discard(process.pid)
-        self._span_batch_only.discard(process.pid)
+        self._departed.discard(pid)
+        self._epoch += 1
         if process.network is not self:
             # A rejoining process (churn) keeps its existing transport
             # wiring and merit registration; attaching again would reset
@@ -584,8 +624,7 @@ class Network:
         self._others.clear()
         self._topology_receivers.clear()
         self._departed.add(pid)
-        self._span_scalar.discard(pid)
-        self._span_batch_only.discard(pid)
+        self._epoch += 1
         return process
 
     def process(self, pid: str) -> "Process":
@@ -650,10 +689,10 @@ class Network:
         """Send one payload to many receivers; returns messages not dropped.
 
         Builds a single shared envelope, draws every fan-out delay in one
-        batched channel call, and bulk-inserts the deliveries — one tuple
-        per recipient instead of one :class:`Message` plus one closure.
-        Stream- and order-identical to the per-recipient scalar loop (see
-        the module docstring).
+        batched channel call, and bulk-inserts the deliveries — one int
+        code per recipient instead of one :class:`Message` plus one
+        closure.  Stream- and order-identical to the per-recipient scalar
+        loop (see the module docstring).
         """
         processes = self._processes
         if sender not in processes:
@@ -687,14 +726,55 @@ class Network:
         now = simulator.now
         envelope = Message(sender, MULTICAST, kind, payload, now)
         delays = batched_delays(self.channel, sender, receivers, now)
+        slot = self._claim_slot(envelope, now)
+        base = slot << _SLOT_SHIFT
+        index = self._receiver_index
         scheduled = simulator.schedule_fanout(
             delays,
             self._deliver_multicast,
-            [(pid, envelope) for pid in receivers],
+            [base | index[pid] for pid in receivers],
         )
+        if scheduled == 0:
+            self._envelopes[slot] = self._envelope_blocks[slot] = None
+            self._free_slots.append(slot)
+        else:
+            if scheduled < len(delays):
+                delays = [delay for delay in delays if delay is not None]
+            heapq.heappush(self._in_flight, (now + max(delays), slot))
         self.messages_sent += attempted
         self.messages_dropped += attempted - scheduled
         return scheduled
+
+    def _claim_slot(self, envelope: Message, now: float) -> int:
+        """An envelope-table slot for ``envelope``, recycling what is behind ``now``."""
+        self._recycle_slots(now)
+        block_id = None
+        if envelope.kind == "block" and type(envelope.payload) is self._announcement:
+            block_id = envelope.payload.block.block_id
+        free = self._free_slots
+        if free:
+            slot = free.pop()
+            self._envelopes[slot] = envelope
+            self._envelope_blocks[slot] = block_id
+            return slot
+        self._envelopes.append(envelope)
+        self._envelope_blocks.append(block_id)
+        return len(self._envelopes) - 1
+
+    def _recycle_slots(self, now: float) -> None:
+        """Free every slot whose last delivery time is before ``now``.
+
+        Nothing still queued is timed before the clock, so no pending
+        code can name such a slot.
+        """
+        in_flight = self._in_flight
+        envelopes = self._envelopes
+        blocks = self._envelope_blocks
+        free = self._free_slots
+        while in_flight and in_flight[0][0] < now:
+            slot = heapq.heappop(in_flight)[1]
+            envelopes[slot] = blocks[slot] = None
+            free.append(slot)
 
     def broadcast(self, sender: str, kind: str, payload: Any, include_self: bool = True) -> int:
         """Fan out to the sender's topology neighbors; returns messages not dropped.
@@ -747,16 +827,18 @@ class Network:
     def _deliver(self, message: Message) -> None:
         self._deliver_one(message.receiver, message)
 
-    def _deliver_multicast(self, entry: Tuple[str, Message]) -> None:
-        """Deliver a shared multicast envelope to one recipient."""
-        self._deliver_one(entry[0], entry[1])
+    def _deliver_multicast(self, code: int) -> None:
+        """Deliver the envelope in slot ``code >> 16`` to receiver ``code & 0xFFFF``."""
+        self._deliver_one(
+            self._receiver_pids[code & _RECEIVER_MASK], self._envelopes[code >> _SLOT_SHIFT]
+        )
 
     def _deliver_one(self, pid: str, message: Message) -> None:
         """Deliver ``message`` to ``pid`` under the departed/liveness guards.
 
         The single helper behind :meth:`_deliver` (point-to-point, pid
         read off the message) and :meth:`_deliver_multicast` (shared
-        envelope, pid carried beside it): a departed pid quarantines the
+        envelope, pid decoded beside it): a departed pid quarantines the
         message, a dead process drops it silently, a live one receives it.
         """
         process = self._processes.get(pid)
@@ -780,94 +862,81 @@ class Network:
 
         Invoked by the drain loop for run entries ``pos:end`` that all share
         one interned delivery method.  ``multicast`` selects the argument
-        shape: ``(pid, envelope)`` tuples for ``_deliver_multicast`` spans,
-        bare messages (pid on ``message.receiver``) for ``_deliver`` spans.
+        shape: int codes for ``_deliver_multicast`` spans, bare messages
+        (pid on ``message.receiver``) for ``_deliver`` spans.  ``cell[0]``
+        tracks the consumed count for the drain loop's exception
+        accounting; the return value is the total consumed (>= 1).
 
-        The scalar protocol is replayed per message — overflow-preemption
-        and ``until`` checks, clock advance, departed/dead guards — and
-        consecutive deliveries to one live receiver are collected into a
-        single ``process.on_message_batch`` call.  ``cell[0]`` tracks the
-        consumed count for the drain loop's exception accounting; the return
-        value is the total consumed (>= 1).
+        The span is cut once, up front, where the scalar loop would stop:
+        at ``until`` and before the overflow head (:meth:`_span_stop`).
+        Only a dispatch can move the cut — by pushing an overflow event
+        that sorts earlier — so it is recomputed after a dispatch whenever
+        the overflow heap holds anything.
 
-        Duplicate ``BlockAnnouncement`` floods — the bulk of gossip traffic,
-        where every block reaches every node once per relaying neighbour —
-        are skipped against the receiver's transport seen-set without
-        dispatching at all.  The skip is exact: a duplicate's scalar path is
-        ``on_message -> transport.handle -> seen-set hit -> None`` (nothing
-        recorded, nothing mutated, the delivered counter bumped), and
-        :meth:`Process.batch_dup_seen` only exposes the seen-set when both
-        hooks on that path are the stock implementations.
+        In a multicast span, a stretch of duplicate ``BlockAnnouncement``
+        deliveries — the bulk of an LRC flood, where every block reaches
+        every replica once per relayer — is accounted in one step.  A
+        code is a duplicate when its slot's block id is in the seen-set
+        the skip table holds for its receiver (:meth:`_refresh_skip_table`:
+        only for a registered, live receiver whose hooks are the stock
+        ones).  Its scalar path is ``on_message -> transport.handle ->
+        seen-set hit -> None``: nothing recorded, nothing mutated, the
+        delivered counter bumped.  So the stretch moves the delivered and
+        consumed counts and the clock, and nothing else.
 
-        Receivers are classified lazily, with different staleness contracts
-        per class:
-
-        * ``scalar_fast`` — no seen-set *and* the stock ``on_message_batch``:
-          straight per-event ``on_message`` dispatch, no sub-run scan.
-        * ``batch_only`` — no seen-set but a custom ``on_message_batch``:
-          sub-runs are collected and handed to the hook.
-        * ``dup_sets`` — a live seen-set; dropped after every real dispatch,
-          since an arbitrary callback could swap transports.
-
-        The first two live on the network (``_span_scalar`` /
-        ``_span_batch_only``), surviving across spans and drains, and are
-        only dropped on ``register``/``deregister``.  That persistence is
-        safe because going stale can only *miss a skip* (a receiver that
-        gains a seen-set keeps taking the exact scalar path) or dispatch
-        scalar to a batch-capable receiver — and ``on_message_batch`` is
-        required to be scalar-equivalent anyway.  ``dup_sets`` stays local
-        to one span call: its binding is only trusted between dispatches.
-
-        The process table is re-read per event (registration may churn under
-        any callback) and the overflow/``until``/liveness checks still run
-        per event, so preemption ordering is untouched.
+        The delivery that ends a stretch goes through the scalar-exact
+        path: departed pids are quarantined, dead ones dropped, a live
+        receiver gets ``on_message`` — or, if it overrides
+        ``Process.on_message_batch``, its whole same-receiver sub-run.
         """
-        # ``broadcast`` imports this module, so its payload class is looked
-        # up here, once per span.
-        from repro.network.broadcast import BlockAnnouncement
-
-        base_batch = Process.on_message_batch
         sim = self.simulator
-        core = sim._array_core
-        overflow = core._overflow
         processes = self._processes
-        dup_sets = {}
-        scalar_fast = self._span_scalar
-        batch_only = self._span_batch_only
-        last_message = None
-        last_block_id = None
+        base_batch = Process.on_message_batch
+        overflow = sim._array_core._overflow
+        stop = self._span_stop(times, seqs, pos, end, until)
+        if multicast:
+            if self._skip_epoch != self._epoch:
+                self._refresh_skip_table()
+            skip = self._skip_table
+            blocks = self._envelope_blocks
+            envelopes = self._envelopes
+            pids = self._receiver_pids
         delivered = 0
         quarantined = 0
         count = 0
         k = pos
         # Callbacks never advance the clock themselves (only the drain and
         # ``on_message_batch`` do, and the batch path refreshes below), so
-        # the comparison can run against a local mirror of ``sim.now``.
+        # the comparisons can run against a local mirror of ``sim.now``.
         now = sim.now
         try:
-            while k < end:
-                time = times[k]
-                if count:
-                    # First event already cleared these checks in the drain
-                    # loop; later ones must re-check because callbacks can
-                    # push overflow events or the until clip may bite.
-                    if overflow:
-                        head = overflow[0]
-                        head_time = head[0]
-                        if head_time < time or (head_time == time and head[1] < seqs[k]):
+            while k < stop:
+                if multicast:
+                    code = args[k]
+                    if blocks[code >> 16] in skip[code & 0xFFFF]:
+                        for j in range(k + 1, stop):
+                            code = args[j]
+                            if blocks[code >> 16] not in skip[code & 0xFFFF]:
+                                break
+                        else:
+                            j = stop
+                        delivered += j - k
+                        count += j - k
+                        k = j
+                        if times[k - 1] > now:
+                            now = times[k - 1]
+                            sim.now = now
+                        if k == stop:
                             break
-                    if until is not None and time > until:
-                        break
+                    message = envelopes[code >> 16]
+                    pid = pids[code & 0xFFFF]
+                else:
+                    message = args[k]
+                    pid = message.receiver
+                time = times[k]
                 if time > now:
                     now = time
                     sim.now = time
-                entry = args[k]
-                if multicast:
-                    pid = entry[0]
-                    message = entry[1]
-                else:
-                    message = entry
-                    pid = message.receiver
                 process = processes.get(pid)
                 if process is None:
                     quarantined += 1
@@ -878,101 +947,48 @@ class Network:
                     count += 1
                     k += 1
                     continue
-                if pid in scalar_fast:
-                    delivered += 1
-                    count += 1
-                    process.on_message(message)
-                    if dup_sets:
-                        dup_sets.clear()
-                    k += 1
-                    continue
-                if pid in batch_only:
-                    seen = None
-                else:
-                    # The seen-set binding can only change under a real
-                    # dispatch (``dup_sets`` is cleared there), so a cached
-                    # set stays valid between dispatches; a ``None`` answer
-                    # is sticky for the whole span (stale = skip nothing).
-                    seen = dup_sets.get(pid)
-                    if seen is None:
-                        seen = process.batch_dup_seen()
-                        if seen is None:
-                            if type(process).on_message_batch is base_batch:
-                                scalar_fast.add(pid)
-                                delivered += 1
-                                count += 1
-                                process.on_message(message)
-                                if dup_sets:
-                                    dup_sets.clear()
-                                k += 1
-                                continue
-                            batch_only.add(pid)
-                        else:
-                            dup_sets[pid] = seen
-                if seen is not None:
-                    # Multicast spans hand one shared envelope to many
-                    # receivers; memoize its announcement id across events.
-                    if message is last_message:
-                        block_id = last_block_id
-                    else:
-                        block_id = None
-                        if message.kind == "block":
-                            payload = message.payload
-                            if type(payload) is BlockAnnouncement:
-                                block_id = payload.block.block_id
-                        last_message = message
-                        last_block_id = block_id
-                    if block_id is not None and block_id in seen:
-                        # Duplicate flood: scalar path is a pure no-op apart
-                        # from the delivered counter and the clock advance
-                        # (already applied above).
-                        delivered += 1
-                        count += 1
-                        k += 1
-                        continue
-                # Collect the same-receiver sub-run (clipped by ``until``).
                 j = k + 1
-                if multicast:
-                    if until is None:
-                        while j < end and args[j][0] == pid:
+                if type(process).on_message_batch is not base_batch:
+                    # A custom batcher gets its same-receiver sub-run.
+                    if multicast:
+                        receiver = code & 0xFFFF
+                        while j < stop and args[j] & 0xFFFF == receiver:
                             j += 1
                     else:
-                        while j < end and args[j][0] == pid and times[j] <= until:
-                            j += 1
-                else:
-                    if until is None:
-                        while j < end and args[j].receiver == pid:
-                            j += 1
-                    else:
-                        while j < end and args[j].receiver == pid and times[j] <= until:
+                        while j < stop and args[j].receiver == pid:
                             j += 1
                 if j == k + 1:
                     delivered += 1
                     count += 1
-                    process.on_message(message)
-                    if dup_sets:
-                        dup_sets.clear()
                     k = j
-                    continue
-                if multicast:
-                    deliveries = [(times[i], seqs[i], args[i][1]) for i in range(k, j)]
+                    process.on_message(message)
                 else:
-                    deliveries = [(times[i], seqs[i], args[i]) for i in range(k, j)]
-                consumed = process.on_message_batch(deliveries)
-                if consumed < 1 or consumed > j - k:
-                    raise RuntimeError(
-                        "on_message_batch consumed %r of %d deliveries"
-                        % (consumed, j - k)
-                    )
-                delivered += consumed
-                count += consumed
-                if dup_sets:
-                    dup_sets.clear()
-                last_time = deliveries[consumed - 1][0]
-                if last_time > sim.now:
-                    sim.now = last_time
-                now = sim.now
-                k += consumed
+                    if multicast:
+                        deliveries = [
+                            (times[i], seqs[i], envelopes[args[i] >> 16]) for i in range(k, j)
+                        ]
+                    else:
+                        deliveries = [(times[i], seqs[i], args[i]) for i in range(k, j)]
+                    consumed = process.on_message_batch(deliveries)
+                    if consumed < 1 or consumed > j - k:
+                        raise RuntimeError(
+                            "on_message_batch consumed %r of %d deliveries"
+                            % (consumed, j - k)
+                        )
+                    delivered += consumed
+                    count += consumed
+                    last_time = deliveries[consumed - 1][0]
+                    if last_time > sim.now:
+                        sim.now = last_time
+                    now = sim.now
+                    k += consumed
+                # The dispatch may have pushed an overflow event that cuts
+                # the span earlier, or changed membership or liveness.
+                if overflow:
+                    stop = self._span_stop(times, seqs, k, stop, until)
+                if multicast and self._skip_epoch != self._epoch:
+                    self._refresh_skip_table()
+                    skip = self._skip_table
         finally:
             # ``cell[0]`` is only read by the drain loop when the handler
             # raised mid-span; keeping it current here (instead of per
@@ -981,6 +997,45 @@ class Network:
             self.messages_delivered += delivered
             self.messages_quarantined += quarantined
         return count
+
+    def _span_stop(self, times, seqs, lo: int, end: int, until: Optional[float]) -> int:
+        """First position in ``[lo, end)`` the scalar loop would not reach.
+
+        That is the first event past ``until`` or sorting after the head
+        of the overflow heap, whichever comes first (the run is in
+        ``(time, seq)`` order, so both are cuts).
+        """
+        stop = end
+        if until is not None and lo < end and times[end - 1] > until:
+            stop = bisect_right(times, until, lo, end)
+        overflow = self.simulator._array_core._overflow
+        if overflow and lo < stop:
+            head_time, head_seq = overflow[0][0], overflow[0][1]
+            if times[stop - 1] >= head_time:
+                cut = bisect_left(times, head_time, lo, stop)
+                while cut < stop and times[cut] == head_time and seqs[cut] < head_seq:
+                    cut += 1
+                stop = cut
+        return stop
+
+    def _refresh_skip_table(self) -> None:
+        """Rebuild the receiver-index -> seen-set table for this epoch.
+
+        A receiver's duplicates are skipped against
+        :meth:`Process.batch_dup_seen` — only non-``None`` when both hooks
+        on the scalar duplicate path are the stock ones — and only while
+        it is registered and alive; every other index gets ``_NO_SKIP``.
+        """
+        processes = self._processes
+        table = []
+        for pid in self._receiver_pids:
+            process = processes.get(pid)
+            seen = None
+            if process is not None and process.alive:
+                seen = process.batch_dup_seen()
+            table.append(_NO_SKIP if seen is None else seen)
+        self._skip_table = table
+        self._skip_epoch = self._epoch
 
     def batch_interrupted(self, process: "Process", time: float, seq: int) -> bool:
         """Should an in-flight delivery batch stop before ``(time, seq)``?
@@ -1002,14 +1057,25 @@ class Network:
                 return True
         return False
 
-    def _overflow_pending(self) -> bool:
-        """Any events in the array core's overflow heap right now?
+    # -- pickling (checkpoint support) ---------------------------------------------
 
-        The flood dedup fast path may skip per-message preemption checks
-        only while this is False (no event can sort into the batch).
-        """
-        core = self.simulator._array_core
-        return core is not None and bool(core._overflow)
+    def __getstate__(self):
+        # A snapshot holds only the envelopes still in flight; the skip
+        # table is rebuilt on the first multicast span after a restore.
+        self._recycle_slots(self.simulator.now)
+        state = self.__dict__.copy()
+        state["_skip_table"] = []
+        state["_skip_epoch"] = -1
+        return state
+
+    def __setstate__(self, state):
+        if "_envelopes" not in state:
+            raise StaleSnapshotError(
+                "cannot restore this network snapshot: it was taken when a "
+                "multicast delivery was a (pid, envelope) tuple (it is an int "
+                "code into the envelope table now); re-run instead of resuming"
+            )
+        self.__dict__.update(state)
 
     # -- lifecycle --------------------------------------------------------------------
 

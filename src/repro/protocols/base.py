@@ -288,33 +288,11 @@ class BlockchainReplica(Process):
         else:
             self.on_protocol_message(message)
 
-    def on_message_batch(self, deliveries) -> int:
-        """Route delivery batches through the transport's dup-flood skip.
-
-        Only safe when both hooks the fast path models are the stock
-        ones: a subclass overriding :meth:`on_message` (adversaries may
-        act on duplicates) or a transport overriding ``handle`` falls
-        back to the default scalar-exact loop.
-        """
-        transport = self._transport
-        if (
-            transport is None
-            or type(self).on_message is not BlockchainReplica.on_message
-        ):
-            return super().on_message_batch(deliveries)
-        handle = type(transport).handle
-        if (
-            handle is not FloodingBroadcast.handle
-            and handle is not LightReliableCommunication.handle
-        ):
-            return super().on_message_batch(deliveries)
-        return transport.handle_batch(deliveries)
-
     def batch_dup_seen(self):
         """Expose the transport seen-set for the span-level dup skip.
 
-        Same stock-hook guards as :meth:`on_message_batch`: a subclass
-        overriding :meth:`on_message` (adversaries may act on
+        Only when both hooks on the duplicate path are the stock ones: a
+        subclass overriding :meth:`on_message` (adversaries may act on
         duplicates) or a transport overriding ``handle`` keeps the
         ``None`` default, so every delivery still dispatches.
         """

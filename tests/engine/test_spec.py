@@ -77,6 +77,42 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"'bogus', 'durration'.*accepted: protocol, "):
             ExperimentSpec.from_dict(data)
 
+    def test_unknown_channel_keys_are_refused_by_name(self):
+        data = {"kind": "synchronous", "parms": {"delta": 3.0}}
+        with pytest.raises(
+            ValueError,
+            match=r"unknown channel key\(s\) 'parms'; accepted: kind, params, "
+            r"drop_probability, seed",
+        ):
+            ExperimentSpec.from_dict({"protocol": "bitcoin", "channel": data})
+
+    def test_unknown_topology_keys_are_refused_by_name(self):
+        with pytest.raises(
+            ValueError, match=r"unknown topology key\(s\) 'fanout'; accepted: kind, params, seed"
+        ):
+            TopologySpec.from_dict({"kind": "gossip", "fanout": 2})
+        assert TopologySpec.from_dict("gossip") == TopologySpec(kind="gossip")
+
+    def test_unknown_workload_keys_are_refused_by_name(self):
+        with pytest.raises(
+            ValueError, match=r"unknown workload key\(s\) 'client'; accepted: read_interval, "
+        ):
+            ExperimentSpec.from_dict({"protocol": "bitcoin", "workload": {"client": 10}})
+
+    def test_unknown_fault_keys_are_refused_by_name_but_legacy_spellings_load(self):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown fault key\(s\) 'heal_at'; accepted: kind, params, seed, "
+            r"byzantine, crash_at",
+        ):
+            FaultSpec.from_dict({"kind": "partition", "heal_at": 40})
+        assert FaultSpec.from_dict({"kind": "crash", "crash_at": {"p1": 3.0}}) == FaultSpec(
+            kind="crash", params={"at": {"p1": 3.0}}
+        )
+        assert FaultSpec.from_dict({"kind": "byzantine", "byzantine": ["p2"]}) == FaultSpec(
+            kind="silent", params={"members": ["p2"]}
+        )
+
     def test_negative_duration_is_refused(self):
         with pytest.raises(ValueError, match="duration must be >= 0"):
             ExperimentSpec(protocol="bitcoin", duration=-5)

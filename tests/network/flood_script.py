@@ -15,18 +15,32 @@ reports its state after every chunk, like ``column_script.Script``; the
 cases in ``test_core_equivalence.py`` compare those state lists across
 cores.
 
-A :class:`Flood` holds only data and bound methods, so it pickles whole —
-the snapshot cases restore one mid-flood and finish it.
+:class:`BlockFlood` is the same flood of stock replicas disseminating
+blocks over LRC, the shape whose duplicates ``Network._deliver_span``
+accounts a stretch at a time.  Its replicas keep the stock ``on_message``
+and transport, so their duplicates are skippable; what a case varies is
+scripted on top: an action run on a replica's first reception of a block
+(crash or deregister a peer, a churn leave or rejoin), a receiver with a
+custom ``on_message_batch``, blocks multicast to a chosen receiver list.
+Its state is the recorded history plus every counter.
+
+A flood holds only data and bound methods, so it pickles whole — the
+snapshot cases restore one mid-flood and finish it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.block import GENESIS_ID
+from repro.network.broadcast import BlockAnnouncement
 from repro.network.process import Process
 from repro.network.simulator import Message, Network, Simulator
+from repro.oracle.tape import TapeFamily
+from repro.oracle.theta import ProdigalOracle, ValidatedBlock
+from repro.protocols.base import BlockchainReplica, ReplicaConfig
 
 #: (until or None, events per chunk)
 Step = Tuple[Optional[float], int]
@@ -116,3 +130,105 @@ class Flood:
             self.sim.run(until=until, checkpoint_every=chunk, checkpoint_sink=chunk_done)
             states.append(self.state())
         return states
+
+
+class Replica(BlockchainReplica):
+    """A stock replica that runs a scripted action on a first reception."""
+
+    def __init__(self, pid: str, flood: "BlockFlood", oracle: ProdigalOracle) -> None:
+        super().__init__(pid, oracle, ReplicaConfig(read_interval=0.0))
+        self.flood = flood
+
+    def _on_block_delivered(self, announcement: BlockAnnouncement, sender: str) -> None:
+        super()._on_block_delivered(announcement, sender)
+        action = self.flood.actions.get((self.pid, announcement.block.payload[0]))
+        if action is not None:
+            action(self.flood)
+
+
+class Batcher(Replica):
+    """A custom batcher, scalar-exact: takes at most two deliveries a call."""
+
+    def on_message_batch(self, deliveries) -> int:
+        self.flood.batches.append(len(deliveries))
+        return super().on_message_batch(deliveries[:2])
+
+
+#: (time, originator, block name, receivers or None for a broadcast)
+Origin = Tuple[float, str, str, Optional[Sequence[str]]]
+
+
+def crash(pid: str, flood: "BlockFlood") -> None:
+    flood.replicas[pid].crash()
+
+
+def revive(pid: str, flood: "BlockFlood") -> None:
+    flood.replicas[pid].revive()
+
+
+def deregister(pid: str, flood: "BlockFlood") -> None:
+    flood.network.deregister(pid)
+
+
+def leave(pid: str, flood: "BlockFlood") -> None:
+    """A churn departure (``ChurnFault._leave``): deregistered, then crashed."""
+    flood.network.deregister(pid).crash()
+
+
+def rejoin(pid: str, flood: "BlockFlood") -> None:
+    """A churn rejoin (``ChurnFault._rejoin``): registered again, then revived."""
+    flood.network.register(flood.replicas[pid])
+    flood.replicas[pid].revive()
+
+
+class BlockFlood(Flood):
+    """Stock replicas flooding blocks over LRC; ``start`` takes :data:`Origin` s."""
+
+    def __init__(
+        self,
+        core: str,
+        channel: Any,
+        processes: int = 18,
+        batcher: Optional[str] = None,
+        actions: Optional[Dict[Tuple[str, str], Callable[["BlockFlood"], None]]] = None,
+    ) -> None:
+        self.sim = Simulator(core=core)
+        self.network = Network(self.sim, channel)
+        self.actions = dict(actions or {})
+        self.batches: List[int] = []  # sizes handed to the batcher (array core only)
+        oracle = ProdigalOracle(tapes=TapeFamily(seed=0))
+        self.replicas: Dict[str, Replica] = {}
+        for index in range(processes):
+            pid = f"p{index}"
+            replica = (Batcher if pid == batcher else Replica)(pid, self, oracle)
+            self.network.register(replica)
+            self.replicas[pid] = replica
+
+    def start(self, origins: Sequence[Origin]) -> "BlockFlood":
+        for time, pid, name, receivers in origins:
+            self.sim.call_at(time, self._originate, (pid, name, receivers))
+        return self
+
+    def _originate(self, entry: Tuple[str, str, Optional[Sequence[str]]]) -> None:
+        pid, name, receivers = entry
+        replica = self.replicas[pid]
+        block = replica.ids.make_block(GENESIS_ID, payload=(name,), creator=pid, round=0)
+        replica.commit_local_block(
+            ValidatedBlock(block=block, token=name, parent_id=GENESIS_ID),
+            announce=receivers is None,
+        )
+        if receivers is not None:
+            replica.multicast(receivers, "block", BlockAnnouncement(GENESIS_ID, block))
+
+    def state(self) -> Tuple[Any, ...]:
+        network = self.network
+        return (
+            network.recorder.history().events,
+            float(self.sim.now),
+            self.sim.events_processed,
+            self.sim.pending,
+            network.messages_sent,
+            network.messages_delivered,
+            network.messages_dropped,
+            network.messages_quarantined,
+        )

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 from contextlib import ExitStack
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -38,7 +40,15 @@ from repro.network.process import Process
 from repro.network.simulator import Network
 from repro.protocols.base import BlockchainReplica
 from tests.network.column_script import ListSink, Script, play
-from tests.network.flood_script import Flood
+from tests.network.flood_script import (
+    BlockFlood,
+    Flood,
+    crash,
+    deregister,
+    leave,
+    rejoin,
+    revive,
+)
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
 
@@ -154,14 +164,14 @@ def _trip(*args, **kwargs):
 
 
 #: The fast paths the reference plane is the oracle *for*, each patched
-#: on the class that defines it (``on_message_batch`` on the override
-#: these replicas dispatch through).  ``_deliver_multicast_span`` is a
-#: call into ``_deliver_span``, so the one patch stops both.
+#: on the class that defines it.  ``_deliver_multicast_span`` is a call
+#: into ``_deliver_span``, so the one patch stops both; the skip table is
+#: what the span's duplicate stretches are read against.
 _FAST_PATHS = {
     "deliver_span": (Network, "_deliver_span"),
     "record_replication": (HistoryRecorder, "_replication"),
     "tree_append_index": (_TreeColumns, "append"),
-    "on_message_batch": (BlockchainReplica, "on_message_batch"),
+    "dup_skip_table": (Network, "_refresh_skip_table"),
 }
 
 
@@ -175,6 +185,7 @@ def test_reference_plane_runs_none_of_the_fast_paths():
             *_FAST_PATHS.values(),
             (Network, "_deliver_multicast_span"),
             (Process, "on_message_batch"),
+            (BlockchainReplica, "batch_dup_seen"),
         ):
             stack.enter_context(mock.patch.object(target, name, _trip))
         oracle = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
@@ -523,3 +534,167 @@ def test_flood_survives_a_snapshot_with_relays_still_logged():
         assert restored.logged_blocks() == 0
         assert restored.run([(None, 10**6)])[-1] == clean
         _assert_every_method_released(restored.sim._array_core)
+
+
+# -- duplicate stretches: the span skip against the heap core -----------------
+#
+# ``Network._deliver_span`` accounts a stretch of duplicate announcements
+# in one step, reading a receiver-index -> seen-set table that only a
+# network epoch keeps honest.  Each case below drains one 18-replica
+# block flood (``flood_script.BlockFlood``) on both cores and compares,
+# after every chunk, the recorded history, ``sim.now``,
+# ``events_processed``, ``pending`` and the four message counters.
+
+_BLOCKS = [(0.0, "p0", "a", None), (0.3, "p9", "b", None), (1.25, "p4", "c", None)]
+
+
+def _block_flood(core: str, channel: str = "synchronous", **kwargs) -> BlockFlood:
+    if channel == "synchronous":
+        model = SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
+    elif channel == "lockstep":  # every delay is 0.5, so only seqs order a wave
+        model = SynchronousChannel(delta=0.5, min_delay=0.5, seed=4)
+    else:  # many relays land in the slot being drained
+        model = AsynchronousChannel(mean_delay=1.0, tail_probability=0.1, seed=4)
+    origins = kwargs.pop("origins", _BLOCKS)
+    return BlockFlood(core, model, **kwargs).start(origins)
+
+
+def _is_duplicate(network: Network, code: int) -> bool:
+    return network._envelope_blocks[code >> 16] in network._skip_table[code & 0xFFFF]
+
+
+def _assert_flood_matches_heap(steps, **kwargs) -> BlockFlood:
+    flood = _block_flood("array", **kwargs)
+    array = flood.run(steps)
+    heap = _block_flood("heap", **kwargs).run(steps)
+    assert array == heap
+    assert array[-1][3] == 0  # pending
+    _assert_every_method_released(flood.sim._array_core)
+    return flood
+
+
+def _mid_span_refreshes(pids):
+    """Spy on the skip table: for each rebuild made *inside* a multicast
+    span (after a dispatch, ``k > pos``), whether the rest of the span
+    still holds deliveries to any of ``pids``."""
+    seen = []
+    refresh = Network._refresh_skip_table
+
+    def spy(network):
+        refresh(network)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_deliver_span":
+            frame = caller.f_locals
+            if frame["multicast"] and frame.get("k", frame["pos"]) > frame["pos"]:
+                wanted = {network._receiver_index[pid] for pid in pids}
+                rest = frame["args"][frame["k"] : frame["end"]]
+                seen.append(any(code & 0xFFFF in wanted for code in rest))
+
+    return seen, mock.patch.object(Network, "_refresh_skip_table", spy)
+
+
+def test_crash_and_deregister_in_mid_span_match_the_heap_core():
+    """A first reception crashes one peer and deregisters another while
+    the span still holds deliveries to them: the rest of the span must
+    see one dead (dropped) and one departed (quarantined) receiver."""
+    actions = {("p2", "b"): partial(crash, "p5"), ("p3", "b"): partial(deregister, "p6")}
+    seen, patch = _mid_span_refreshes(["p5", "p6"])
+    with patch:
+        flood = _assert_flood_matches_heap([(None, 10**6)], actions=actions)
+    network = flood.network
+    assert not flood.replicas["p5"].alive and "p6" not in network.process_ids
+    assert network.messages_quarantined > 0
+    assert seen.count(True) == 2  # both actions ran inside a span that went on to them
+
+
+def test_churn_rejoin_in_mid_span_matches_the_heap_core():
+    """A churn leave and rejoin, and a crash and revive, each done by a
+    first reception in mid-span; afterwards both replicas' duplicates
+    are skipped again (the revive is the last epoch change, so the table
+    follows it alone)."""
+    actions = {
+        ("p2", "a"): partial(leave, "p6"),
+        ("p3", "b"): partial(rejoin, "p6"),
+        ("p4", "a"): partial(crash, "p7"),
+        ("p5", "c"): partial(revive, "p7"),
+    }
+    seen, patch = _mid_span_refreshes(["p6", "p7"])
+    with patch:
+        flood = _assert_flood_matches_heap(
+            [(0.8, 41), (1.6, 1000), (None, 97)], actions=actions
+        )
+    assert True in seen
+    network = flood.network
+    for pid in ("p6", "p7"):
+        replica = flood.replicas[pid]
+        assert replica.alive and pid in network.process_ids
+        assert network._skip_table[network._receiver_index[pid]] is replica.transport._delivered
+        assert len(replica.tree) == 4  # caught up on blocks first heard after coming back
+    assert network.messages_quarantined > 0
+
+
+@pytest.mark.parametrize("channel", ("synchronous", "asynchronous"))
+def test_cuts_inside_a_duplicate_stretch_match_the_heap_core(channel: str):
+    """``until``, the chunk budget and — over short asynchronous delays,
+    whose relays land in the slot being drained — the overflow head each
+    stop a span between two duplicates."""
+    cuts = []
+    deliver_span = Network._deliver_span
+
+    def spy(network, times, seqs, args, pos, end, until, cell, multicast=False):
+        consumed = deliver_span(network, times, seqs, args, pos, end, until, cell, multicast)
+        k = pos + consumed
+        if multicast and k < len(args) and type(args[k]) is int:
+            if _is_duplicate(network, args[k - 1]) and _is_duplicate(network, args[k]):
+                if until is not None and times[k] > until:
+                    cuts.append("until")
+                else:
+                    cuts.append("budget" if k == end else "overflow")
+        return consumed
+
+    steps = [(0.9, 37), (1.3, 1000), (1.77, 23), (2.6, 1000), (None, 61)]
+    with mock.patch.object(Network, "_deliver_span", spy):
+        _assert_flood_matches_heap(steps, channel=channel)
+    assert cuts.count("until") >= 2 and cuts.count("budget") >= 5
+    if channel == "asynchronous":
+        assert cuts.count("overflow") >= 5
+
+
+def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future():
+    """Pickle the flood at every chunk boundary; the snapshots hold live
+    envelope slots, and later ones come after slots were recycled and
+    claimed again.  Each restores to the clean run's future."""
+    steps = [(None, 29)]
+    clean = _block_flood("array", "lockstep").run(steps)[-1]
+    assert clean == _block_flood("heap", "lockstep").run(steps)[-1]
+    snapshots = []
+
+    def snapshot(flood: BlockFlood) -> None:
+        network = flood.network
+        blob = pickle.dumps(flood)
+        live = sum(envelope is not None for envelope in network._envelopes)
+        reused = len(network._envelopes) < flood.sim.events_processed // 17
+        snapshots.append((blob, live, reused))
+
+    _block_flood("array", "lockstep").run(steps, on_chunk=snapshot)
+    assert sum(live > 0 for _, live, _ in snapshots) >= 5
+    assert sum(live > 0 and reused for _, live, reused in snapshots) >= 3
+    for blob, _, _ in snapshots:
+        restored = pickle.loads(blob)
+        assert restored.network._skip_table == []  # rebuilt on first use
+        assert restored.run([(None, 10**6)])[-1] == clean
+
+
+def test_a_custom_batcher_mixed_into_the_span_matches_the_heap_core():
+    """``p3`` overrides ``on_message_batch``: three blocks multicast to it
+    alone arrive back to back in one span and reach it as one sub-run."""
+    origins = _BLOCKS + [
+        (0.25, "p1", "x", ["p3"]),
+        (0.25, "p2", "y", ["p3"]),
+        (0.25, "p5", "z", ["p3"]),
+    ]
+    flood = _assert_flood_matches_heap(
+        [(None, 10**6)], channel="lockstep", origins=origins, batcher="p3"
+    )
+    assert 3 in flood.batches
+    assert len(flood.replicas["p8"].tree) == 7  # p3 relayed x, y and z
