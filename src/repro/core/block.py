@@ -149,6 +149,10 @@ class BlockIdFactory:
     def __call__(self) -> str:
         return f"{self._prefix}{next(self._counter)}"
 
+    def burn(self) -> None:
+        """Use up the next identifier without formatting it."""
+        next(self._counter)
+
     def make_block(
         self,
         parent_id: str,

@@ -37,21 +37,40 @@ class _AliveGuard:
     pending timer entries, and closures cannot cross a pickle boundary.
     A fresh instance per call preserves the historical behaviour of the
     event cores' method interning (each timer is a distinct callback).
+
+    The guard also records the owner's incarnation: a timer set before a
+    crash stays dead after a :meth:`Process.revive`, so a process that
+    rejoins and restarts its timer chains in ``on_start`` runs each chain
+    once, however soon it comes back.
     """
 
-    __slots__ = ("process", "action")
+    __slots__ = ("process", "action", "incarnation")
 
     def __init__(self, process: "Process", action) -> None:
         self.process = process
         self.action = action
+        self.incarnation = process.incarnation
 
     def __call__(self) -> None:
-        if self.process.alive:
+        process = self.process
+        if process.alive and process.incarnation == self.incarnation:
             self.action()
+
+    def __setstate__(self, state) -> None:
+        # A guard pickled before incarnations existed belongs to a
+        # process that was never revived since: incarnation 0.
+        slots = state[1]
+        self.process = slots["process"]
+        self.action = slots["action"]
+        self.incarnation = slots.get("incarnation", 0)
 
 
 class Process:
     """Base class for all simulated processes."""
+
+    #: Bumped by :meth:`revive`; timers set in an earlier life never fire.
+    #: A class default, so a process pickled before it existed restores.
+    incarnation = 0
 
     def __init__(self, pid: str) -> None:
         self.pid = pid
@@ -191,8 +210,13 @@ class Process:
             self.network._epoch += 1
 
     def revive(self) -> None:
-        """Bring a crashed process back to life (a churn rejoin)."""
+        """Bring a crashed process back to life (a churn rejoin).
+
+        Starts a new incarnation: timers scheduled before the crash are
+        dropped when they fire, the rejoin's ``on_start()`` sets new ones.
+        """
         self.alive = True
+        self.incarnation += 1
         if self.network is not None:
             self.network._epoch += 1
 

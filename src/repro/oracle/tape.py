@@ -41,7 +41,11 @@ class MeritTape:
 
     Cells are generated lazily in blocks of ``block_size`` draws so that
     protocol runs performing millions of ``getToken`` calls stay in NumPy
-    rather than paying one RNG call per draw.
+    rather than paying one RNG call per draw.  The current block is kept
+    whole, as a list of bools read at a cursor: popping a cell is one
+    index and one increment, and whether it holds :data:`TOKEN` is known
+    before the caller has looked at anything else — which is what lets
+    ``getToken`` answer ⊥ without consulting a tree.
 
     Parameters
     ----------
@@ -54,6 +58,11 @@ class MeritTape:
         probability produce identical sequences.
     """
 
+    #: Index of the head cell in ``_buffer``.  A class default so that a
+    #: tape pickled when ``_buffer`` held only the remaining cells (and
+    #: had no cursor) restores with its head at index 0.
+    _cursor = 0
+
     def __init__(self, probability: float, seed: int = 0, block_size: int = 1024) -> None:
         if not 0.0 < probability <= 1.0:
             raise ValueError(f"token probability must be in (0, 1], got {probability}")
@@ -63,24 +72,27 @@ class MeritTape:
         self._rng = np.random.default_rng(seed)
         self._block_size = block_size
         self._buffer: List[bool] = []
+        self._cursor = 0
         self._position = 0  # number of cells popped so far
 
     def _refill(self) -> None:
-        draws = self._rng.random(self._block_size) < self.probability
-        self._buffer.extend(bool(x) for x in draws)
+        self._buffer = (self._rng.random(self._block_size) < self.probability).tolist()
+        self._cursor = 0
 
     def head(self) -> str:
         """Peek at the current head cell without consuming it."""
-        if not self._buffer:
+        if self._cursor >= len(self._buffer):
             self._refill()
-        return TOKEN if self._buffer[0] else BOTTOM
+        return TOKEN if self._buffer[self._cursor] else BOTTOM
 
     def pop(self) -> str:
         """Consume and return the head cell (the oracle's ``pop``)."""
-        value = self.head()
-        self._buffer.pop(0)
+        if self._cursor >= len(self._buffer):
+            self._refill()
+        cursor = self._cursor
+        self._cursor = cursor + 1
         self._position += 1
-        return value
+        return TOKEN if self._buffer[cursor] else BOTTOM
 
     @property
     def cells_consumed(self) -> int:
@@ -179,7 +191,10 @@ class TapeFamily:
 
     def draw(self, process: str) -> bool:
         """Pop the head of ``process``'s tape; ``True`` iff it holds a token."""
-        return self.tape_of(process).pop() == TOKEN
+        tape = self._tapes.get(process)
+        if tape is None:
+            tape = self.tape_of(process)
+        return tape.pop() == TOKEN
 
     def processes(self) -> Tuple[str, ...]:
         return tuple(sorted(set(self._merits) | set(self._tapes)))

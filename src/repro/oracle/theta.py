@@ -37,6 +37,10 @@ def token_for(parent_id: str) -> str:
     return f"tkn_{parent_id}"
 
 
+def _id_of(obj: Block | str) -> str:
+    return obj.block_id if isinstance(obj, Block) else obj
+
+
 @dataclass(frozen=True)
 class ValidatedBlock:
     """The paper's ``b_ℓ^{tkn_h}``: a block plus the token that validates it.
@@ -91,7 +95,7 @@ class TokenOracle:
 
     def get_token(
         self,
-        parent: Block | str,
+        parent: Block | str | Callable[[], Block | str],
         block: Block | Callable[[], Block],
         process: Optional[str] = None,
     ) -> Optional[ValidatedBlock]:
@@ -102,27 +106,39 @@ class TokenOracle:
         returned as a :class:`ValidatedBlock` (an element of ``O'``).  On
         failure returns ``None`` (the paper's ``⊥``).
 
-        ``block`` may be a zero-argument callable building the candidate:
-        it is called at most once, and only when the block is needed —
-        the popped cell holds ``tkn``, a recorder logs the invocation
-        (whose argument names the block), or ``process`` is not given.
+        The tape decides first.  ``parent`` and ``block`` may each be a
+        zero-argument callable; each is called at most once, parent
+        before block.  With a named ``process`` and no recorder the cell
+        is popped before either is resolved, so a ⊥ calls neither — a
+        miner asking for its selected tip and its candidate pays for
+        them only when it wins.  A recorder logs the invocation with both
+        ids, and without ``process`` the invoker is the block's creator,
+        so in those two cases both are resolved before the pop.
         """
-        parent_id = parent.block_id if isinstance(parent, Block) else parent
-        recorded = self._recorder is not None
-        if callable(block) and (recorded or process is None):
+        if process is not None and self._recorder is None:
+            if not self.tapes.draw(process):
+                return None
+            return self._grant(
+                parent() if callable(parent) else parent,
+                block() if callable(block) else block,
+            )
+        if callable(parent):
+            parent = parent()
+        if callable(block):
             block = block()
         invoker = process if process is not None else (block.creator or "p?")
-        op = self._invoke(invoker, "getToken", (parent_id, block.block_id)) if recorded else None
-        result: Optional[ValidatedBlock] = None
-        if self.tapes.draw(invoker):
-            if callable(block):
-                block = block()
-            token = token_for(parent_id)
-            validated = block.with_parent(parent_id).with_token(token)
-            result = ValidatedBlock(block=validated, token=token, parent_id=parent_id)
-            self._granted_tokens[parent_id] = self._granted_tokens.get(parent_id, 0) + 1
+        op = self._invoke(invoker, "getToken", (_id_of(parent), block.block_id))
+        result = self._grant(parent, block) if self.tapes.draw(invoker) else None
         self._respond(op, result)
         return result
+
+    def _grant(self, parent: Block | str, block: Block) -> ValidatedBlock:
+        """The won lottery's ``b_ℓ^{tkn_h}``, counted as granted for ``b_h``."""
+        parent_id = _id_of(parent)
+        token = token_for(parent_id)
+        validated = block.with_parent(parent_id).with_token(token)
+        self._granted_tokens[parent_id] = self._granted_tokens.get(parent_id, 0) + 1
+        return ValidatedBlock(block=validated, token=token, parent_id=parent_id)
 
     def consume_token(
         self, validated: ValidatedBlock, process: Optional[str] = None

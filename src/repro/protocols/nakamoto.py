@@ -14,15 +14,19 @@ The paper's classification of Bitcoin:
 * the resulting system implements ``R(BT-ADT_EC, Θ_P)``: Eventual — not
   Strong — consistency.
 
-Each replica "mines" by attempting one ``getToken`` per mining step on the
-tip of its locally selected chain.  On success it consumes the token,
-applies the block locally (``update`` + ``send``) and floods it.  Forks
-arise exactly as in the real system: two replicas may both win a token for
-the same parent before hearing of each other's block.
+Each replica "mines" by attempting one ``getToken`` per mining step.  The
+merit tape decides first: the attempt pops its cell, and only a ``tkn``
+asks for the tip of the locally selected chain and builds the block on
+it, so a lost lottery never consults the tree.  On success the replica
+consumes the token, applies the block locally (``update`` + ``send``)
+and floods it.  Forks arise exactly as in the real system: two replicas
+may both win a token for the same parent before hearing of each other's
+block.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 from repro.core.block import Block
@@ -72,40 +76,37 @@ class NakamotoReplica(BlockchainReplica):
 
         Returns ``True`` iff a block was produced and committed.  Θ
         answers ⊥ far more often than ``tkn``, so with the stock hooks
-        the candidate is handed over as a callable that the oracle calls
-        only when it needs the block, and a lost attempt burns what its
-        discarded candidate used to consume: one block id and one
-        payload's worth of transaction names or mempool operations.
+        and an unrecorded oracle the tip and the candidate are handed
+        over as callables: the tape is popped first and a ⊥ resolves
+        neither.  A lost attempt then burns what its candidate would have
+        consumed — one block id and one payload's worth of transaction
+        names or mempool operations — so ids and payloads are those of
+        the eager attempt, which every other case still makes.
         """
         oracle = self.oracle
-        kind = type(self)
-        built = []
-
-        def build() -> Block:
-            built.append(self.make_candidate(payload=self._next_payload()))
-            return built[0]
-
-        lazy = (
-            kind.make_candidate is BlockchainReplica.make_candidate
-            and kind._next_payload is NakamotoReplica._next_payload
-            and type(oracle).get_token is TokenOracle.get_token
-        )
-        candidate = build if lazy else build()
-        validated = oracle.get_token(self.current_tip(), candidate, process=self.pid)
-        if validated is None:
-            if not built:
-                self.ids()
+        if oracle._recorder is None and _tape_first(type(self), type(oracle)):
+            validated = oracle.get_token(self.current_tip, self._candidate, process=self.pid)
+            if validated is None:
+                self.ids.burn()
                 if self.mempool:
                     self.mempool.take(self.transactions_per_block)
                 else:
                     self._tx_counter += self.transactions_per_block
-            return False
+                return False
+        else:
+            candidate = self._candidate()
+            validated = oracle.get_token(self.current_tip(), candidate, process=self.pid)
+            if validated is None:
+                return False
         consumed = oracle.consume_token(validated, process=self.pid)
         if not any(v.block_id == validated.block_id for v in consumed):
             # Unreachable with the prodigal oracle, but a frugal-oracle
             # variant (used by ablations) can reject the k+1-th fork.
             return False
         return self.commit_local_block(validated)
+
+    def _candidate(self) -> Block:
+        return self.make_candidate(payload=self._next_payload())
 
     def _next_payload(self) -> Tuple[str, ...]:
         if self.mempool:
@@ -117,6 +118,22 @@ class NakamotoReplica(BlockchainReplica):
         return tuple(
             f"tx_{self.pid}_{i}" for i in range(start, self._tx_counter)
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _tape_first(replica_kind: type, oracle_kind: type) -> bool:
+    """Whether an attempt may leave tip and candidate to the tape.
+
+    Only when every hook the attempt runs is the stock one: a subclass
+    overriding one of them may count or log each call, and an oracle
+    overriding ``get_token`` may want blocks, not callables.
+    """
+    return (
+        replica_kind.current_tip is BlockchainReplica.current_tip
+        and replica_kind.make_candidate is BlockchainReplica.make_candidate
+        and replica_kind._next_payload is NakamotoReplica._next_payload
+        and oracle_kind.get_token is TokenOracle.get_token
+    )
 
 
 _FORK_PRONE_CHANNEL = {"kind": "synchronous", "params": {"delta": 3.0, "min_delay": 0.5}}

@@ -103,13 +103,16 @@ def run(
     fault=None,
     scalar_network: bool = False,
     reference: bool = False,
+    tapes: TapeFamily | None = None,
     **run_kwargs,
 ):
     """One run of ``n`` miners (16 or more make every relay a fan-out
     *block*); ``reference`` builds it from the whole oracle plane
     (``tests/network/reference_plane.py``), ``scalar_network`` from its
-    network alone.  ``run_kwargs`` go to ``run_protocol`` as they are."""
-    tapes = TapeFamily(seed=seed, probability_scale=0.5)
+    network alone; ``tapes`` replaces the seeded merit tapes.
+    ``run_kwargs`` go to ``run_protocol`` as they are."""
+    if tapes is None:
+        tapes = TapeFamily(seed=seed, probability_scale=0.5)
     oracle = ProdigalOracle(tapes=tapes)
     # Dict-indexed trees answer no indexed selection: the oracle leg
     # selects by brute force.

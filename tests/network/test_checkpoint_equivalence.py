@@ -18,6 +18,7 @@ import pytest
 
 from repro.engine.checkpoint import SimulationCheckpoint
 from repro.network.faults import available_faults
+from repro.oracle.tape import MeritTape, TapeFamily
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
 #: Chunk size small enough that every scenario crosses several snapshot
@@ -122,6 +123,52 @@ def test_restores_identical_with_relays_still_in_the_fanout_log(kind: str):
             == clean.network.simulator.events_processed
         )
         assert result.network.simulator.pending == 0
+
+
+#: Cells per merit-tape block in the cursor scenarios: small, so a run
+#: of fifty draws per miner crosses a dozen refills.
+BLOCK = 4
+
+
+def _short_block_tapes() -> TapeFamily:
+    tapes = TapeFamily(seed=3)
+    for i in range(5):
+        tapes.set_tape(f"p{i}", MeritTape(0.1, seed=i, block_size=BLOCK))
+    return tapes
+
+
+@pytest.mark.parametrize("where", ("block start", "mid-block", "block end"))
+def test_restores_identical_wherever_the_tape_cursor_stands(where: str):
+    """A merit tape pickles its block and a cursor into it.  Restore at
+    snapshots where ``p0``'s cursor is 0 on a fresh block, inside the
+    block, or at ``block_size`` (the next pop refills): each continues
+    as the uninterrupted run does.  A fresh block is made by peeking the
+    head of a spent one — the refill the next pop would have done."""
+    clean = _run("synchronous", 3, tapes=_short_block_tapes())
+    snapshots = []
+
+    def sink(live) -> None:
+        tape = live.oracle.tapes.tape_of("p0")
+        cursor, filled = tape._cursor, len(tape._buffer) == BLOCK
+        if where == "block start" and filled and cursor == BLOCK:
+            tape.head()
+            cursor = tape._cursor
+        wanted = {"block start": cursor == 0, "mid-block": 0 < cursor < BLOCK,
+                  "block end": cursor == BLOCK}[where]
+        if filled and wanted:
+            snapshots.append(SimulationCheckpoint.capture(live))
+
+    capture = _run("synchronous", 3, tapes=_short_block_tapes(),
+                   checkpoint_every=10, checkpoint_sink=sink)
+    assert capture.history.events == clean.history.events
+    assert len(snapshots) >= K
+    consumed = {pid: clean.oracle.tapes.tape_of(pid).cells_consumed for pid in clean.replicas}
+    for snapshot in random.Random(f"tape-cursor:{where}").sample(snapshots, K):
+        result = snapshot.restore().finish()
+        assert result.history.events == clean.history.events
+        assert {
+            pid: result.oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas
+        } == consumed
 
 
 def test_snapshots_span_both_event_phases():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.oracle.tape import BOTTOM, TOKEN, DeterministicTape, MeritTape, TapeFamily
@@ -46,6 +48,35 @@ class TestMeritTape:
     def test_refill_crosses_block_boundaries(self):
         tape = MeritTape(0.5, seed=3, block_size=4)
         assert len([tape.pop() for _ in range(10)]) == 10
+
+
+    @pytest.mark.parametrize("popped", (0, 3, 4, 9))
+    def test_pickle_restores_the_head_and_what_follows(self, popped):
+        tape = MeritTape(0.5, seed=5, block_size=4)
+        for _ in range(popped):
+            tape.pop()
+        restored = pickle.loads(pickle.dumps(tape))
+        assert restored.cells_consumed == popped
+        assert [restored.pop() for _ in range(13)] == [tape.pop() for _ in range(13)]
+
+    def test_a_pickle_of_the_remaining_cells_shape_pops_the_same_sequence(self):
+        """Before the cursor, ``_buffer`` held only the cells not yet
+        popped (``list.pop(0)`` took the head) and there was no
+        ``_cursor``: such a pickle restores with the class default."""
+        reference = MeritTape(0.3, seed=11, block_size=8)
+        tape = MeritTape(0.3, seed=11, block_size=8)
+        for _ in range(5):
+            reference.pop()
+            tape.pop()
+        state = dict(tape.__dict__)
+        state["_buffer"] = state["_buffer"][state.pop("_cursor"):]
+        old = MeritTape.__new__(MeritTape)
+        old.__dict__.update(state)
+        restored = pickle.loads(pickle.dumps(old))
+        assert "_cursor" not in restored.__dict__
+        assert restored.head() == reference.head()
+        assert [restored.pop() for _ in range(30)] == [reference.pop() for _ in range(30)]
+        assert restored.cells_consumed == reference.cells_consumed == 35
 
 
 class TestDeterministicTape:

@@ -1,14 +1,16 @@
-"""Lazy ``getToken`` equals the eager one, attempt for attempt.
+"""Tape-first ``getToken`` equals the eager one, attempt for attempt.
 
-``NakamotoReplica.try_mine`` builds its candidate only when the oracle
-needs it and burns, on ⊥, what the discarded candidate used to consume.
-The old bodies are the oracle (``tests/protocols/reference_mining.py``);
-every run here is executed both ways and compared on everything an
-attempt can touch: the recorded history, every replica's tree (block
-ids, parents, payloads, tokens, rounds), the tape cells popped, the
-tokens granted, what is left in every mempool, the next transaction
-name and block id, and — with a recorder on the oracle — the logged
-``getToken`` / ``consumeToken`` operations.
+``NakamotoReplica.try_mine`` pops the merit tape before anything else:
+the tip of the selected chain and the candidate block are resolved only
+for a ``tkn``, and a ⊥ burns what the discarded candidate used to
+consume.  The old bodies are the oracle
+(``tests/protocols/reference_mining.py``); every run here is executed
+both ways and compared on everything an attempt can touch: the recorded
+history, every replica's tree (block ids, parents, payloads, tokens,
+rounds), the tape cells popped, the tokens granted, what is left in
+every mempool, the next transaction name and block id, and — with a
+recorder on the oracle — the logged ``getToken`` / ``consumeToken``
+operations.
 
 Also pinned here, not changed: a *lost* attempt drains up to
 ``transactions_per_block`` client operations from the mempool and they
@@ -23,6 +25,7 @@ import pytest
 
 from repro.core.block import Block
 from repro.core.history import HistoryRecorder
+from repro.core.selection import HeaviestChain
 from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle
 from repro.protocols.base import BlockchainReplica
@@ -179,6 +182,118 @@ def test_get_token_calls_a_lazy_candidate_at_most_once():
     calls.clear()
     oracle.get_token("b0", build)
     assert len(calls) == 1
+
+
+class _OwnTip(NakamotoReplica):
+    """Overrides ``current_tip``: every attempt must ask it for the parent."""
+
+    asked = 0
+
+    def current_tip(self):
+        type(self).asked += 1
+        return super().current_tip()
+
+
+@pytest.mark.parametrize("clients", (None, 50), ids=("tx_counter", "mempool"))
+def test_an_overridden_current_tip_keeps_the_eager_path(clients):
+    eager = _footprint(
+        _run(1, 0.4, clients, False,
+             replica_cls=ReferenceMiner, oracle_cls=ReferenceProdigalOracle)
+    )
+    attempts = sum(eager["cells"].values())
+    _OwnTip.asked = 0
+    own = _run(1, 0.4, clients, False, replica_cls=_OwnTip, oracle_cls=ProdigalOracle)
+    # One ask for the candidate's parent, one for ``getToken``'s.
+    assert _OwnTip.asked == 2 * attempts
+    assert _footprint(own) == eager
+
+
+@pytest.mark.parametrize("recorded", (False, True), ids=("bare", "recorded"))
+def test_get_token_without_a_process_matches_the_eager_oracle(recorded):
+    """With no ``process`` the invoker is the block's creator, so the
+    block is resolved before the pop — and the parent with it."""
+
+    def oracle(cls):
+        return cls(
+            tapes=TapeFamily(seed=3, probability_scale=0.5),
+            recorder=HistoryRecorder() if recorded else None,
+        )
+
+    lazy, eager = oracle(ProdigalOracle), oracle(ReferenceProdigalOracle)
+    resolved = []
+
+    def tip(i):
+        return Block(f"tip{i}", "b0")
+
+    def candidate(i):
+        return Block(f"x{i}", "b0", creator="p")
+
+    def asked(kind, make, i):
+        def resolve():
+            resolved.append(kind)
+            return make(i)
+        return resolve
+
+    outcomes = []
+    for i in range(40):
+        outcomes.append(lazy.get_token(asked("parent", tip, i), asked("block", candidate, i)))
+        assert outcomes[-1] == eager.get_token(tip(i), candidate(i))
+    assert resolved == ["parent", "block"] * 40
+    assert 0 < sum(outcome is not None for outcome in outcomes) < 40
+    assert lazy.tapes.tape_of("p").cells_consumed == eager.tapes.tape_of("p").cells_consumed
+    assert lazy._granted_tokens == eager._granted_tokens
+    if recorded:
+        assert lazy._recorder.history().events == eager._recorder.history().events
+
+
+class _CountingSelection:
+    """The heaviest-chain rule, counting how often it is asked."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, tree):
+        self.calls += 1
+        return HeaviestChain()(tree)
+
+
+class _CountAttempts:
+    """Logs (won, selection calls) per mining attempt."""
+
+    attempts: list
+
+    def try_mine(self):
+        selection = self.config.selection
+        before = selection.calls
+        won = super().try_mine()
+        self.attempts.append((won, selection.calls - before))
+        return won
+
+
+class _TapeFirst(_CountAttempts, NakamotoReplica):
+    attempts = []
+
+
+class _Eager(_CountAttempts, ReferenceMiner):
+    attempts = []
+
+
+def test_a_lost_attempt_consults_no_chain_and_a_won_one_two():
+    runs = {}
+    for replica_cls, oracle_cls in ((_TapeFirst, ProdigalOracle),
+                                    (_Eager, ReferenceProdigalOracle)):
+        replica_cls.attempts = []
+        oracle = oracle_cls(tapes=TapeFamily(seed=1, probability_scale=0.4))
+        run_bitcoin(n=4, duration=40.0, seed=1, token_rate=0.4, oracle=oracle,
+                    selection=_CountingSelection(), replica_cls=replica_cls)
+        runs[replica_cls] = replica_cls.attempts
+    tape_first, eager = runs[_TapeFirst], runs[_Eager]
+    assert [won for won, _ in tape_first] == [won for won, _ in eager]
+    assert 0 < sum(won for won, _ in eager) < len(eager)
+    # The eager attempt asks twice (candidate, then getToken's parent)
+    # whatever the tape says; a tape-first one only when it wins.
+    assert {calls for _, calls in eager} == {2}
+    assert {(won, calls) for won, calls in tape_first} == {(False, 0), (True, 2)}
 
 
 def test_a_lost_attempt_still_drops_the_operations_it_drained():
