@@ -3,7 +3,8 @@
 ``python -m repro <command>`` exposes the most useful entry points without
 writing any Python:
 
-* ``table1`` — run the seven system models and print the reproduced Table 1;
+* ``table1`` — run the seven system models and print the reproduced Table 1
+  (exit status 1 when any row does not match the paper);
 * ``classify`` — run a single system model and print its classification,
   fork statistics, convergence and fairness summaries (``--monitor``
   additionally streams the consistency verdicts during the run through
@@ -36,7 +37,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import render_classification_table, render_table
 from repro.core.errors import UnknownVocabularyError
@@ -501,9 +502,11 @@ def _regime_spec(
 # ---------------------------------------------------------------------------
 
 
-def _cmd_table1(args: argparse.Namespace) -> str:
+def _cmd_table1(args: argparse.Namespace) -> Tuple[str, int]:
+    """The table, and exit status 1 when any row's match column says no."""
     results = reproduce_table1(n=args.replicas, duration=args.duration, seed=args.seed)
-    return render_classification_table(results)
+    differs = any(result.matches_paper is False for result in results.values())
+    return render_classification_table(results), int(differs)
 
 
 def _cmd_classify(args: argparse.Namespace) -> str:
@@ -921,7 +924,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     return f"{table}\n\n{summary}"
 
 
-_COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
+#: Each command returns its output, or its output and a nonzero exit status.
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], Union[str, Tuple[str, int]]]] = {
     "table1": _cmd_table1,
     "classify": _cmd_classify,
     "resume-run": _cmd_resume_run,
@@ -937,8 +941,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     output = _COMMANDS[args.command](args)
+    status = 0
+    if isinstance(output, tuple):
+        output, status = output
     print(output)
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -54,10 +54,17 @@ class _TreeColumns:
     cumulative root-to-block weight and subtree weight that the
     selection rules read.  Arrays are preallocated and doubled on
     demand; pickling trims them to the filled prefix.
+
+    Subtree weights settle lazily: ``append`` only seeds the new block's
+    own weight, and the blocks from ``settled`` on still owe theirs to
+    their ancestors.  :meth:`settle` pays that debt, in append order,
+    before anything reads the column (``BlockTree.subtree_weight``,
+    ``ghost_tip``, ``copy``, pickling), so every ancestor receives the
+    same IEEE additions in the same order as an eager walk per append.
     """
 
     __slots__ = ("slots", "ids", "parents", "height", "cum_weight",
-                 "subtree_weight", "size")
+                 "subtree_weight", "size", "settled")
 
     def __init__(self, root: Block, capacity: int = 256) -> None:
         self.slots: Dict[str, int] = {root.block_id: 0}
@@ -68,6 +75,7 @@ class _TreeColumns:
         self.subtree_weight = np.zeros(capacity, dtype=np.float64)
         self.subtree_weight[0] = root.weight
         self.size = 1
+        self.settled = 1
 
     def grow(self) -> None:
         capacity = max(64, 2 * len(self.height))
@@ -82,9 +90,8 @@ class _TreeColumns:
         """``BlockTree.append``'s index maintenance; returns the new height.
 
         Assign the next slot, extend the id/parent columns, set height /
-        cumulative weight, seed the subtree weight and add ``weight`` along
-        the ancestor path with one fancy-indexed update (the same IEEE
-        additions, one per ancestor, as a per-block dict walk).
+        cumulative weight and seed the subtree weight; the ancestors get
+        ``weight`` when the column is next read (:meth:`settle`).
         """
         slots = self.slots
         parent = slots[parent_id]
@@ -92,26 +99,47 @@ class _TreeColumns:
         if slot >= len(self.height):
             self.grow()
         height = self.height
-        cum = self.cum_weight
-        sub = self.subtree_weight
-        parents = self.parents
         slots[block_id] = slot
         self.ids.append(block_id)
-        parents.append(parent)
+        self.parents.append(parent)
         new_height = int(height[parent]) + 1
         height[slot] = new_height
+        cum = self.cum_weight
         cum[slot] = float(cum[parent]) + weight
-        sub[slot] = weight
+        self.subtree_weight[slot] = weight
         self.size = slot + 1
-        path = []
-        cursor = parent
-        while cursor >= 0:
-            path.append(cursor)
-            cursor = parents[cursor]
-        sub[path] += weight
         return new_height
 
+    def settle(self) -> None:
+        """Add every unsettled block's weight along its ancestor path.
+
+        The paths are concatenated in append order and applied with one
+        ``np.add.at``, which adds repeated indexes one after another in
+        index order — so each ancestor sums its descendants' weights in
+        the order they were appended, as the eager walk did.  An
+        unsettled block's own entry is still exactly its weight: only
+        later blocks, settled after it, add to it.
+        """
+        start = self.settled
+        size = self.size
+        if start == size:
+            return
+        parents = self.parents
+        path: List[int] = []
+        lengths: List[int] = []
+        for slot in range(start, size):
+            before = len(path)
+            cursor = parents[slot]
+            while cursor >= 0:
+                path.append(cursor)
+                cursor = parents[cursor]
+            lengths.append(len(path) - before)
+        sub = self.subtree_weight
+        np.add.at(sub, path, np.repeat(sub[start:size], lengths))
+        self.settled = size
+
     def copy(self) -> "_TreeColumns":
+        self.settle()
         clone = object.__new__(_TreeColumns)
         clone.slots = dict(self.slots)
         clone.ids = list(self.ids)
@@ -119,12 +147,14 @@ class _TreeColumns:
         clone.height = self.height[: self.size].copy()
         clone.cum_weight = self.cum_weight[: self.size].copy()
         clone.subtree_weight = self.subtree_weight[: self.size].copy()
-        clone.size = self.size
+        clone.size = clone.settled = self.size
         return clone
 
     # Checkpoint support: trim the preallocated tails (a restored column
-    # set regrows on the next append).
+    # set regrows on the next append) and settle first, so a snapshot
+    # holds final subtree weights.
     def __getstate__(self):
+        self.settle()
         return (
             self.slots,
             self.ids,
@@ -145,6 +175,7 @@ class _TreeColumns:
             self.subtree_weight,
             self.size,
         ) = state
+        self.settled = self.size
 
 
 class UnknownParentError(KeyError):
@@ -177,7 +208,8 @@ class BlockTree:
         # Score indexes: per-block height, cumulative root-to-block weight
         # (accumulated root-first, so it is bit-identical to
         # ``WeightScore`` summing the materialized chain) and subtree
-        # weight, on numpy columns maintained by :meth:`_TreeColumns.append`.
+        # weight, on numpy columns maintained by :meth:`_TreeColumns.append`
+        # (subtree weights settled lazily, see :class:`_TreeColumns`).
         # They are what the selection rules read instead of rebuilding
         # every chain.
         self._columns = _TreeColumns(root)
@@ -458,6 +490,7 @@ class BlockTree:
         tree (Sompolinsky & Zohar; used by the Ethereum model).
         """
         cols = self._columns
+        cols.settle()
         return float(cols.subtree_weight[cols.slots[block_id]])
 
     def leaf_index(self) -> Tuple[List[str], Any, Any]:
@@ -500,6 +533,7 @@ class BlockTree:
         ``max`` over ``(weight, child)`` keys does.
         """
         cols = self._columns
+        cols.settle()
         children = self._children
         slots = cols.slots
         sub = cols.subtree_weight

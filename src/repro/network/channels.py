@@ -28,11 +28,23 @@ element, exactly as the scalar calls do, so a batched multicast and a
 per-recipient loop produce the same delays from the same seed.  The
 stream tests (``tests/network/test_channel_batching.py``) hold every
 ``delays_for`` to that scalar loop, which they spell out themselves.
+
+A model may also promise a *delay floor*: ``delay_floor(now)`` returns a
+lower bound on every delay it gives a message sent at ``now`` to a
+receiver other than its sender, and promises never to drop such a
+message; ``None`` (or no such method) promises nothing.  For fan-outs
+under that promise the network may defer the draws of several relays
+and take them together through :func:`batched_delays_many`:
+``delays_for_many(fanouts)`` over ``(sender, receivers, now)`` triples
+returns their delays concatenated, as one float64 array, and is
+stream-identical to calling ``delays_for`` on each triple in order.
+:class:`SynchronousChannel` makes it one ``uniform`` draw; for any other
+model the helper loops ``delays_for``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -44,6 +56,7 @@ __all__ = [
     "LossyChannel",
     "TargetedLossChannel",
     "batched_delays",
+    "batched_delays_many",
 ]
 
 #: The batched return type: one entry per receiver, ``None`` = dropped.
@@ -108,6 +121,36 @@ def batched_delays(
     return [channel.delay_for(sender, receiver, now) for receiver in receivers]
 
 
+#: One deferred fan-out: ``(sender, receivers, now)``.
+Fanout = Tuple[str, Sequence[str], float]
+
+
+def batched_delays_many(channel: ChannelModel, fanouts: Sequence[Fanout]) -> np.ndarray:
+    """Sample several fan-outs through ``channel``, in order, as one float64 array.
+
+    Defined only for fan-outs the channel promises not to drop (see the
+    module docstring's delay floor).  Uses the model's own
+    ``delays_for_many`` when it has one, and otherwise loops
+    :func:`batched_delays` — the same draws in the same order either way.
+    """
+    many = getattr(channel, "delays_for_many", None)
+    if many is not None:
+        return many(fanouts)
+    return _delays_one_by_one(channel, fanouts)
+
+
+def _delays_one_by_one(channel: ChannelModel, fanouts: Sequence[Fanout]) -> np.ndarray:
+    """``batched_delays`` on each fan-out in turn, concatenated."""
+    return np.array(
+        [
+            delay
+            for sender, receivers, now in fanouts
+            for delay in batched_delays(channel, sender, receivers, now)
+        ],
+        dtype=np.float64,
+    )
+
+
 class SynchronousChannel:
     """Delivery within a known bound δ.
 
@@ -149,6 +192,23 @@ class SynchronousChannel:
             for slot, value in zip(remote, draws.tolist()):
                 delays[slot] = value
         return delays
+
+    def delay_floor(self, now: float) -> float:  # noqa: ARG002
+        """Every remote delay is at least ``min_delay``, and none is dropped."""
+        return self.min_delay
+
+    def delays_for_many(self, fanouts: Sequence[Fanout]) -> np.ndarray:
+        """Several fan-outs' delays, concatenated, in one ``uniform`` draw.
+
+        Without self-deliveries every entry draws once, in fan-out
+        order, which is what the ``delays_for`` calls in sequence
+        consume; a fan-out that names its sender takes the per-fan-out
+        path instead.
+        """
+        if any(sender in receivers for sender, receivers, _ in fanouts):
+            return _delays_one_by_one(self, fanouts)
+        total = sum(len(receivers) for _, receivers, _ in fanouts)
+        return self._rng.uniform(self.min_delay, self.delta, size=total)
 
 
 class AsynchronousChannel:
@@ -253,6 +313,12 @@ class PartiallySynchronousChannel:
         if now >= self.gst:
             return self._post.delays_for(sender, receivers, now)
         return self._pre.delays_for(sender, receivers, now)
+
+    def delay_floor(self, now: float) -> Optional[float]:
+        """The synchronous floor from GST on; no promise before it."""
+        if now >= self.gst:
+            return self._post.min_delay
+        return None
 
 
 class LossyChannel:

@@ -23,7 +23,11 @@ storage is numpy:
   touched bucket (:meth:`ArrayEventCore._split_block`, the same code
   that splits a block touching the active slot on the spot) — so a
   run's relays are bucketed once, not once per multicast — plus one
-  ``lexsort`` per bucket at drain time, instead of k heap pushes;
+  ``lexsort`` per bucket at drain time, instead of k heap pushes.  A
+  caller that took its sequence numbers earlier (:meth:`~ArrayEventCore.reserve`:
+  the network's parked relays) hands its block to
+  :meth:`~ArrayEventCore.schedule_reserved`, with int64 arg arrays that
+  a flush decodes with one ``tolist``;
 * scalar pushes append to a small per-bucket staging list (a Python
   list append is ~2x faster than a numpy scalar row write) that is
   flushed into the arrays when the bucket is materialized;
@@ -391,9 +395,10 @@ class ArrayEventCore:
         # drained; plain (time, seq, method, arg) tuples, never interned.
         self._overflow: List[Tuple[float, int, Callable, Any]] = []
         # Fan-out blocks lying wholly beyond the active slot, per method
-        # id, as (times, seqs, args); split into buckets all at once
-        # when the next run starts or a snapshot is taken.
-        self._fanout_log: Dict[int, List[Tuple[Any, Any, List[Any]]]] = {}
+        # id, as (times, seqs, args) with args a list or an int64 array;
+        # split into buckets all at once when the next run starts or a
+        # snapshot is taken.
+        self._fanout_log: Dict[int, List[Tuple[Any, Any, Any]]] = {}
         # Interned method-dispatch table.  Slot refcounts are decremented
         # in bulk when a bucket materializes; zero-ref slots are recycled
         # through the free list so one-shot closures (Process.schedule
@@ -568,22 +573,41 @@ class ArrayEventCore:
         k = len(times)
         if k == 0:
             return 0
-        earliest = float(times.min())
-        if validate and earliest < now:
+        if validate and float(times.min()) < now:
             raise ValueError("cannot schedule into the past")
+        base = self.reserve(k)
+        self.schedule_reserved(times, np.arange(base, base + k, dtype=np.int64), method, args)
+        return k
+
+    def reserve(self, k: int) -> int:
+        """Take the next ``k`` sequence numbers for a later
+        :meth:`schedule_reserved`; returns the first.
+
+        The entries count as pending from here on.
+        """
         base = self._seq
         self._seq = base + k
         self._inserted += k
-        seqs = np.arange(base, base + k, dtype=np.int64)
+        return base
+
+    def schedule_reserved(
+        self, times: np.ndarray, seqs: np.ndarray, method: Callable, args: Any
+    ) -> None:
+        """The :meth:`schedule_block` twin for entries whose ``seqs`` were reserved.
+
+        ``seqs`` is an int64 array from earlier :meth:`reserve` calls and
+        ``args`` a list or an int64 array, both kept by reference.  The
+        block is logged whole when it lies beyond the active slot, split
+        here otherwise — exactly as :meth:`schedule_block` places it.
+        """
         run_slot = self._run_slot
-        if run_slot is None or int(earliest * self._inv_width) > run_slot:
+        if run_slot is None or int(float(times.min()) * self._inv_width) > run_slot:
             # Nothing of the block can run before the next bucket is
             # materialized, so which buckets it lands in is decided then.
-            mid = self._intern_method(method, k)
+            mid = self._intern_method(method, len(times))
             self._fanout_log.setdefault(mid, []).append((times, seqs, args))
         else:
             self._split_block(times, seqs, args, method, -1)
-        return k
 
     def _split_block(self, times, seqs, args, method, mid) -> None:
         """Cut one shared-method block into the buckets (and overflow) it touches.
@@ -593,13 +617,17 @@ class ArrayEventCore:
         seq) — so permuted views are fine.  ``mid`` is the method's id
         when its references are already counted (the fan-out log), -1
         when those of the entries that reach a bucket still have to be.
+        ``args`` is a list or an int64 array (decoded with one ``tolist``).
         """
         slots = (times * self._inv_width).astype(np.int64)
         order = np.argsort(slots, kind="stable")
         ss = slots[order]
         ts = times[order]
         qs = seqs[order]
-        ags = [args[i] for i in order.tolist()]
+        if type(args) is np.ndarray:
+            ags = args[order].tolist()
+        else:
+            ags = [args[i] for i in order.tolist()]
         start, edges = self._bucket_shares(ss)
         if start:
             overflow = self._overflow
@@ -623,14 +651,25 @@ class ArrayEventCore:
         """Bucket every logged fan-out block: one :meth:`_split_block` per method.
 
         Every logged time lies beyond the active slot (and slots only
-        move forward), so no entry goes to the overflow heap here.
+        move forward), so no entry goes to the overflow heap here.  A
+        method whose blocks all carry int64 arg arrays (the network's
+        parked relays) is decoded with one ``tolist`` per flush.
         """
         log, self._fanout_log = self._fanout_log, {}
         for mid, logged in log.items():
+            parts = [entry[2] for entry in logged]
+            if all(type(part) is np.ndarray for part in parts):
+                args = np.concatenate(parts)
+            else:
+                args = [
+                    arg
+                    for part in parts
+                    for arg in (part.tolist() if type(part) is np.ndarray else part)
+                ]
             self._split_block(
                 np.concatenate([entry[0] for entry in logged]),
                 np.concatenate([entry[1] for entry in logged]),
-                [arg for entry in logged for arg in entry[2]],
+                args,
                 self._methods[mid],
                 mid,
             )

@@ -28,6 +28,25 @@ whole fan-out reaches the event core as one block through
 receiver.  Delivering a code decodes it (:meth:`Network._deliver_multicast`);
 a span of them is walked by :meth:`Network._deliver_span`, which accounts a
 stretch of duplicate block announcements in one step.
+
+Within such a span the relays it provokes (Light Reliable Communication
+forwards every block on first reception) are *parked*
+(:meth:`Network._park`) rather than drawn and scheduled one by one,
+provided the fan-out takes the block path (16+ receivers, its sender not
+among them), no message filter is active, and the channel promises a
+delay floor (:mod:`repro.network.channels`) under which every delivery
+lands after the span's last entry.  A parked relay takes its envelope
+slot, its sent count and its sequence numbers at once; when the span
+ends — however it ends — or anything else is about to draw on the
+channel, all parked relays are flushed together
+(:meth:`Network._flush_parked`): one channel draw in relay order, one
+fan-out block of int64 ``(times, seqs, codes)``.  This is exact: the
+channel is consumed in the order the relays were made, every delivery
+keeps the ``(time, seq)`` it would have had, and nothing the span still
+dispatches can observe the difference, because no parked delivery sorts
+before the span's end — so it could not have cut the span or been
+dispatched in it.
+
 That batched plane is the only message plane in this module, timed by
 the ledger row ``network.simulator.gossip_msgs_per_s``.  The pre-batching
 scalar fan-out — one :meth:`Network.send` per receiver, per-event
@@ -63,7 +82,7 @@ from typing import (
 
 from repro.core.errors import StaleSnapshotError, UnknownVocabularyError
 from repro.core.history import HistoryRecorder
-from repro.network.channels import batched_delays
+from repro.network.channels import batched_delays, batched_delays_many
 from repro.network.event_core import NO_ARG, ArrayEventCore
 from repro.network.process import Process
 
@@ -537,6 +556,9 @@ class Network:
         # (every LRC relay) would otherwise rebuild this list — and
         # re-validate each receiver against the process table — per call.
         self._others: Dict[str, Tuple[str, ...]] = {}
+        # id(receiver tuple) -> (that tuple, its receiver indexes as int64),
+        # the low bits of a parked relay's codes; cleared with ``_others``.
+        self._receiver_codes: Dict[int, Tuple[Tuple[str, ...], np.ndarray]] = {}
         # (sender, include_self) -> receiver tuple for static non-fullmesh
         # topologies; validated against the process table once per entry
         # and invalidated on register, exactly like ``_others``.
@@ -567,6 +589,11 @@ class Network:
         self._epoch = 0
         self._skip_epoch = -1
         self._skip_table: List[Any] = []
+        # Parked relays (see ``_deliver_span``): ``(sender, receivers, now,
+        # slot, first seq, receiver indexes)`` in relay order, and the time
+        # a parked delivery must lie beyond — None outside a multicast span.
+        self._parked: List[Tuple[Any, ...]] = []
+        self._park_limit: Optional[float] = None
         # Active message filters (fault models: partitions, eclipses).
         # Empty on the hot path; a fan-out blocked by a filter counts as
         # sent + dropped and consumes no channel randomness.
@@ -597,6 +624,7 @@ class Network:
         self._processes[pid] = process
         self._pids = self._pids + (pid,)
         self._others.clear()
+        self._receiver_codes.clear()
         self._topology_receivers.clear()
         self._departed.discard(pid)
         self._epoch += 1
@@ -622,6 +650,7 @@ class Network:
             raise KeyError(f"unknown process {pid!r}") from None
         self._pids = tuple(p for p in self._pids if p != pid)
         self._others.clear()
+        self._receiver_codes.clear()
         self._topology_receivers.clear()
         self._departed.add(pid)
         self._epoch += 1
@@ -676,6 +705,8 @@ class Network:
         now = self.simulator.now
         message = Message(sender, receiver, kind, payload, now)
         self.messages_sent += 1
+        if self._parked:
+            self._flush_parked()  # the parked relays drew before this send
         delay = self.channel.delay_for(sender, receiver, now)
         if delay is None:
             self.messages_dropped += 1
@@ -713,8 +744,30 @@ class Network:
     def _multicast_trusted(
         self, sender: str, receivers: Sequence[str], kind: str, payload: Any
     ) -> int:
-        """The multicast fast path: receivers already known to be registered."""
+        """The multicast fast path: receivers already known to be registered.
+
+        Inside a multicast span (``_park_limit`` set) a block-sized
+        fan-out whose every delivery the channel's delay floor puts past
+        the span's last entry is parked (:meth:`_park`) instead.  Any
+        other fan-out flushes the parked ones first, so the channel is
+        drawn in relay order.
+        """
         attempted = len(receivers)
+        simulator = self.simulator
+        now = simulator.now
+        limit = self._park_limit
+        if (
+            limit is not None
+            and attempted >= 16
+            and not self._message_filters
+            and type(receivers) is tuple
+            and sender not in receivers
+        ):
+            floor = self.channel.delay_floor(now)
+            if floor is not None and now + floor > limit:
+                return self._park(sender, receivers, kind, payload, now)
+        if self._parked:
+            self._flush_parked()
         if self._message_filters:
             # Filtered pairs are dropped before the channel draw, so a
             # partition consumes no randomness for severed edges — the
@@ -722,8 +775,6 @@ class Network:
             receivers = [
                 pid for pid in receivers if self._filter_allows(sender, pid)
             ]
-        simulator = self.simulator
-        now = simulator.now
         envelope = Message(sender, MULTICAST, kind, payload, now)
         delays = batched_delays(self.channel, sender, receivers, now)
         slot = self._claim_slot(envelope, now)
@@ -744,6 +795,57 @@ class Network:
         self.messages_sent += attempted
         self.messages_dropped += attempted - scheduled
         return scheduled
+
+    def _park(
+        self, sender: str, receivers: Tuple[str, ...], kind: str, payload: Any, now: float
+    ) -> int:
+        """Relay now, draw and schedule at the flush: claim the slot and the seqs.
+
+        The envelope slot, the ``k`` sequence numbers and the sent count
+        are taken here, in relay order, exactly as an unparked fan-out
+        takes them; only the channel draw and the queue insert wait for
+        :meth:`_flush_parked`.
+        """
+        k = len(receivers)
+        slot = self._claim_slot(Message(sender, MULTICAST, kind, payload, now), now)
+        cached = self._receiver_codes.get(id(receivers))
+        if cached is not None and cached[0] is receivers:
+            indexes = cached[1]
+        else:
+            index = self._receiver_index
+            indexes = np.fromiter((index[pid] for pid in receivers), dtype=np.int64, count=k)
+            self._receiver_codes[id(receivers)] = (receivers, indexes)
+        base = self.simulator._array_core.reserve(k)
+        self._parked.append((sender, receivers, now, slot, base, indexes))
+        self.messages_sent += k
+        return k
+
+    def _flush_parked(self) -> None:
+        """Schedule every parked relay: one channel draw and one fan-out block.
+
+        The draw takes the parked fan-outs in relay order
+        (:func:`batched_delays_many`), so it consumes the channel exactly
+        as their unparked draws would have; each entry gets the seq its
+        relay reserved and the code of its slot and receiver, and each
+        slot its last delivery time in ``_in_flight``.
+        """
+        parked, self._parked = self._parked, []
+        _, receiver_sets, nows, slots, bases, indexes = zip(*parked)
+        delays = batched_delays_many(self.channel, [entry[:3] for entry in parked])
+        counts = np.fromiter(map(len, receiver_sets), dtype=np.int64, count=len(parked))
+        starts = np.zeros(len(parked), dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
+        times = np.repeat(np.array(nows, dtype=np.float64), counts) + delays
+        seqs = np.arange(len(times), dtype=np.int64) + np.repeat(
+            np.array(bases, dtype=np.int64) - starts, counts
+        )
+        codes = np.concatenate(indexes) | np.repeat(
+            np.array(slots, dtype=np.int64) << _SLOT_SHIFT, counts
+        )
+        self.simulator._array_core.schedule_reserved(times, seqs, self._deliver_multicast, codes)
+        in_flight = self._in_flight
+        for last, slot in zip(np.maximum.reduceat(times, starts).tolist(), slots):
+            heapq.heappush(in_flight, (last, slot))
 
     def _claim_slot(self, envelope: Message, now: float) -> int:
         """An envelope-table slot for ``envelope``, recycling what is behind ``now``."""
@@ -888,6 +990,11 @@ class Network:
         path: departed pids are quarantined, dead ones dropped, a live
         receiver gets ``on_message`` — or, if it overrides
         ``Process.on_message_batch``, its whole same-receiver sub-run.
+
+        While a multicast span runs, ``_park_limit`` is the time of its
+        last entry (lowered whenever an overflow cut moves ``stop``), and
+        relays whose channel floor puts them past it are parked; every
+        exit from the span flushes them (see the module docstring).
         """
         sim = self.simulator
         processes = self._processes
@@ -901,6 +1008,10 @@ class Network:
             blocks = self._envelope_blocks
             envelopes = self._envelopes
             pids = self._receiver_pids
+            # Relays made while this span runs may be parked (see
+            # ``_multicast_trusted``) if the channel promises a floor.
+            if getattr(self.channel, "delay_floor", None) is not None:
+                self._park_limit = times[stop - 1]
         delivered = 0
         quarantined = 0
         count = 0
@@ -986,10 +1097,15 @@ class Network:
                 # the span earlier, or changed membership or liveness.
                 if overflow:
                     stop = self._span_stop(times, seqs, k, stop, until)
+                    if self._park_limit is not None:
+                        self._park_limit = times[stop - 1]
                 if multicast and self._skip_epoch != self._epoch:
                     self._refresh_skip_table()
                     skip = self._skip_table
         finally:
+            self._park_limit = None
+            if self._parked:
+                self._flush_parked()
             # ``cell[0]`` is only read by the drain loop when the handler
             # raised mid-span; keeping it current here (instead of per
             # event) takes a store off the skip path.
@@ -1061,11 +1177,15 @@ class Network:
 
     def __getstate__(self):
         # A snapshot holds only the envelopes still in flight; the skip
-        # table is rebuilt on the first multicast span after a restore.
+        # table is rebuilt on the first multicast span after a restore,
+        # the receiver-code cache on the first parked relay.  Snapshots
+        # are taken between drains, and every span flushes what it parked.
+        assert not self._parked, "a snapshot was taken with relays parked"
         self._recycle_slots(self.simulator.now)
         state = self.__dict__.copy()
         state["_skip_table"] = []
         state["_skip_epoch"] = -1
+        state["_receiver_codes"] = {}
         return state
 
     def __setstate__(self, state):
@@ -1075,6 +1195,10 @@ class Network:
                 "multicast delivery was a (pid, envelope) tuple (it is an int "
                 "code into the envelope table now); re-run instead of resuming"
             )
+        # Snapshots from before relays were parked lack the parking state.
+        self._parked = []
+        self._park_limit = None
+        self._receiver_codes = {}
         self.__dict__.update(state)
 
     # -- lifecycle --------------------------------------------------------------------

@@ -126,3 +126,47 @@ def test_pre_columns_checkpoint_is_refused():
         old = BlockTree.__new__(BlockTree)
         with pytest.raises(ValueError, match="dict score index, which has been removed"):
             old.__setstate__(state)
+
+
+@pytest.mark.parametrize("seed", (2, 11, 31))
+def test_lazily_settled_subtree_weights_are_bit_identical(seed: int):
+    """Subtree weights settle when read: with non-dyadic weights (whose sums
+    depend on the order they are added in) every read, copy and pickle
+    interleaved between appends sees the eager dict walk's exact floats."""
+    rng = random.Random(seed)
+    tree, reference = BlockTree(), ReferenceBlockTree()
+    ids = [GENESIS_ID]
+    unsettled = 0
+    for i in range(400):
+        parent = rng.choice(ids[-6:] if rng.random() < 0.7 else ids)
+        weight = rng.choice((0.1, 0.7, 0.3, 1.1, 1 / 3, 2.9e-3))
+        for target in (tree, reference):
+            target.append(Block(f"x{i}", parent, weight=weight))
+        ids.append(f"x{i}")
+        columns = tree._columns
+        unsettled = max(unsettled, columns.size - columns.settled)
+        roll = rng.random()
+        if roll < 0.05:
+            tree = tree.copy()
+        elif roll < 0.1:
+            tree = pickle.loads(pickle.dumps(tree))
+        elif roll < 0.2:
+            probe = rng.choice(ids)
+            assert tree.subtree_weight(probe) == reference.subtree_weight(probe)
+        elif roll < 0.25:
+            assert GHOSTSelection()(tree).ids == ReferenceGHOSTSelection()(reference).ids
+    assert unsettled >= 5  # reads were rare enough for debts to pile up
+    for block_id in ids:
+        assert tree.subtree_weight(block_id) == reference.subtree_weight(block_id)
+
+
+def test_appends_leave_subtree_weights_unsettled_until_read():
+    tree = BlockTree()
+    tree.append(Block("a", GENESIS_ID, weight=0.1))
+    tree.append(Block("b", "a", weight=0.7))
+    columns = tree._columns
+    assert (columns.settled, columns.size) == (1, 3)
+    assert columns.subtree_weight[: columns.size].tolist() == [0.0, 0.1, 0.7]
+    assert tree.subtree_weight(GENESIS_ID) == (0.0 + 0.1) + 0.7
+    assert columns.settled == 3
+    assert columns.subtree_weight[: columns.size].tolist() == [0.1 + 0.7, 0.1 + 0.7, 0.7]

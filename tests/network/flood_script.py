@@ -20,9 +20,11 @@ blocks over LRC, the shape whose duplicates ``Network._deliver_span``
 accounts a stretch at a time.  Its replicas keep the stock ``on_message``
 and transport, so their duplicates are skippable; what a case varies is
 scripted on top: an action run on a replica's first reception of a block
-(crash or deregister a peer, a churn leave or rejoin), a receiver with a
-custom ``on_message_batch``, blocks multicast to a chosen receiver list.
-Its state is the recorded history plus every counter.
+(crash or deregister a peer, a churn leave or rejoin; a send, a timer, a
+small or a block-sized multicast, a partition installed or healed, an
+exception — what must flush or stop the relays a span parked), a
+receiver with a custom ``on_message_batch``, blocks multicast to a chosen
+receiver list.  Its state is the recorded history plus every counter.
 
 A flood holds only data and bound methods, so it pickles whole — the
 snapshot cases restore one mid-flood and finish it.
@@ -30,6 +32,7 @@ snapshot cases restore one mid-flood and finish it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,6 +182,54 @@ def rejoin(pid: str, flood: "BlockFlood") -> None:
     """A churn rejoin (``ChurnFault._rejoin``): registered again, then revived."""
     flood.network.register(flood.replicas[pid])
     flood.replicas[pid].revive()
+
+
+def ping(pid: str, to: str, flood: "BlockFlood") -> None:
+    """A point-to-point send (one scalar channel draw)."""
+    flood.replicas[pid].send(to, "ping", pid)
+
+
+def chirp(pid: str, receivers: Sequence[str], flood: "BlockFlood") -> None:
+    """A multicast to an explicit receiver list (a list, never parked)."""
+    flood.replicas[pid].multicast(list(receivers), "ping", pid)
+
+
+def shout(pid: str, flood: "BlockFlood") -> None:
+    """A ping to every other process: a block-sized fan-out."""
+    flood.replicas[pid].broadcast("ping", pid, include_self=False)
+
+
+def timer(pid: str, delay: float, flood: "BlockFlood") -> None:
+    """A timer ``delay`` from now that makes ``pid`` shout; a short one lands
+    in the slot being drained and cuts the span at its (time, seq)."""
+    flood.replicas[pid].schedule(delay, partial(shout, pid, flood))
+
+
+class Boom(Exception):
+    """Raised by :func:`boom`."""
+
+
+def boom(flood: "BlockFlood") -> None:
+    raise Boom
+
+
+class Severed:
+    """A partition filter: only pids on the same side talk."""
+
+    def __init__(self, side: Sequence[str]) -> None:
+        self.side = frozenset(side)
+
+    def __call__(self, sender: str, receiver: str) -> bool:
+        return (sender in self.side) == (receiver in self.side)
+
+
+def partition(side: Sequence[str], flood: "BlockFlood") -> None:
+    flood.severed = Severed(side)
+    flood.network.add_message_filter(flood.severed)
+
+
+def heal(flood: "BlockFlood") -> None:
+    flood.network.remove_message_filter(flood.severed)
 
 
 class BlockFlood(Flood):

@@ -7,11 +7,13 @@ state afterwards.  These tests pin that property for all five channel
 models against :func:`_scalar_delays_for` below (the pre-batching scalar
 loop, one ``delay_for`` per receiver in receiver order), across seeds,
 mixed self/remote fan-outs, and the GST boundary of the partially
-synchronous model.
+synchronous model — and hold ``batched_delays_many``, the one draw that
+flushes a span's parked relays, to ``delays_for`` on each fan-out in turn.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.network.channels import (
@@ -21,6 +23,7 @@ from repro.network.channels import (
     SynchronousChannel,
     TargetedLossChannel,
     batched_delays,
+    batched_delays_many,
 )
 
 
@@ -83,8 +86,10 @@ def test_batched_equals_scalar_stream(model: str, seed: int):
 def test_partial_synchrony_gst_boundary(seed: int):
     """Batches straddle nothing: a multicast is entirely pre- or post-GST."""
     gst = 50.0
-    make = lambda: PartiallySynchronousChannel(gst=gst, delta=1.0, pre_gst_mean=5.0, seed=seed)
-    batched_channel, scalar_channel = make(), make()
+    batched_channel, scalar_channel = (
+        PartiallySynchronousChannel(gst=gst, delta=1.0, pre_gst_mean=5.0, seed=seed)
+        for _ in range(2)
+    )
     receivers = [f"p{i}" for i in range(12)]
     for now in (gst - 1e-9, gst, gst + 1e-9):
         batch = batched_channel.delays_for("a", receivers, now)
@@ -100,8 +105,9 @@ def test_partial_synchrony_gst_boundary(seed: int):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lossy_drop_accounting_matches_scalar(seed: int):
-    make = lambda: LossyChannel(SynchronousChannel(delta=1.0, seed=seed), 0.5, seed=seed)
-    batched_channel, scalar_channel = make(), make()
+    batched_channel, scalar_channel = (
+        LossyChannel(SynchronousChannel(delta=1.0, seed=seed), 0.5, seed=seed) for _ in range(2)
+    )
     receivers = [f"p{i}" for i in range(40)] + ["a"]
     batch = batched_channel.delays_for("a", receivers, 0.0)
     scalar = _scalar_delays_for(scalar_channel, "a", receivers, 0.0)
@@ -158,3 +164,56 @@ def test_wrappers_accept_scalar_only_inner_models():
     assert lossy.delays_for("a", ["b", "c", "a"], 0.0) == [0.5, 0.5, 0.5]
     targeted = TargetedLossChannel(_ScalarOnly(), drop_if=lambda s, r, t: r == "b")
     assert targeted.delays_for("a", ["b", "c"], 0.0) == [None, 0.5]
+
+
+#: Fan-outs a flush takes together, in relay order: remote-only ones, one
+#: naming its sender, an empty one, and instants on both sides of the GST.
+FANOUTS = (
+    ("a", tuple(f"p{i}" for i in range(17)), 49.5),
+    ("p3", ("b", "c", "d"), 49.9),
+    ("c", ("a", "c", "d", "e"), 50.0),
+    ("d", (), 50.0),
+    ("p1", tuple(f"p{i}" for i in range(2, 40)), 61.25),
+)
+
+
+def _drop_free(seed: int):
+    """Every model, the loss wrappers with nothing to drop: a flush only
+    ever takes fan-outs its channel promised not to drop."""
+    factories = _factories(seed)
+    factories["lossy"] = lambda: LossyChannel(SynchronousChannel(delta=1.0, seed=seed), 0.0, seed)
+    factories["targeted"] = lambda: TargetedLossChannel(
+        SynchronousChannel(delta=1.0, seed=seed), drop_if=lambda s, r, t: False
+    )
+    factories["scalar-only"] = _ScalarOnly
+    return factories
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("model", sorted(_drop_free(0)))
+@pytest.mark.parametrize("fanouts", (FANOUTS, FANOUTS[:1] + FANOUTS[-1:]), ids=("mixed", "remote"))
+def test_delays_for_many_is_the_per_fanout_sequence(model: str, seed: int, fanouts):
+    """One flush draw == ``delays_for`` on each fan-out in order, and the
+    generators end where that sequence leaves them."""
+    make = _drop_free(seed)[model]
+    flushed, one_by_one = make(), make()
+    many = batched_delays_many(flushed, fanouts)
+    expected = [
+        delay
+        for sender, receivers, now in fanouts
+        for delay in batched_delays(one_by_one, sender, receivers, now)
+    ]
+    assert type(many) is np.ndarray and many.dtype == np.float64
+    assert many.tolist() == expected
+    for _ in range(5):
+        assert flushed.delay_for("a", "z", 60.0) == one_by_one.delay_for("a", "z", 60.0)
+
+
+def test_only_the_synchronous_models_promise_a_floor():
+    synchronous = SynchronousChannel(delta=2.0, min_delay=0.3, seed=1)
+    assert synchronous.delay_floor(0.0) == 0.3
+    assert min(synchronous.delays_for("a", [f"p{i}" for i in range(500)], 0.0)) >= 0.3
+    partial = PartiallySynchronousChannel(gst=50.0, delta=1.0, seed=1)
+    assert partial.delay_floor(49.9) is None and partial.delay_floor(50.0) == 0.1
+    for model in ("asynchronous", "lossy", "targeted"):
+        assert getattr(_factories(1)[model](), "delay_floor", None) is None

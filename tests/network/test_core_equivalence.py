@@ -25,6 +25,7 @@ from __future__ import annotations
 import pickle
 import random
 import sys
+from collections import Counter
 from contextlib import ExitStack
 from functools import partial
 from unittest import mock
@@ -33,7 +34,12 @@ import pytest
 
 from repro.core.blocktree import _TreeColumns
 from repro.core.history import HistoryRecorder
-from repro.network.channels import AsynchronousChannel, SynchronousChannel
+from repro.network.channels import (
+    AsynchronousChannel,
+    LossyChannel,
+    PartiallySynchronousChannel,
+    SynchronousChannel,
+)
 from repro.network.event_core import ArrayEventCore
 from repro.network.faults import available_faults
 from repro.network.process import Process
@@ -42,12 +48,20 @@ from repro.protocols.base import BlockchainReplica
 from tests.network.column_script import ListSink, Script, play
 from tests.network.flood_script import (
     BlockFlood,
+    Boom,
     Flood,
+    boom,
+    chirp,
     crash,
     deregister,
+    heal,
     leave,
+    partition,
+    ping,
     rejoin,
     revive,
+    shout,
+    timer,
 )
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
@@ -553,6 +567,12 @@ def _block_flood(core: str, channel: str = "synchronous", **kwargs) -> BlockFloo
         model = SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
     elif channel == "lockstep":  # every delay is 0.5, so only seqs order a wave
         model = SynchronousChannel(delta=0.5, min_delay=0.5, seed=4)
+    elif channel == "short":  # a floor of 0.1: only a span's late relays clear it
+        model = SynchronousChannel(delta=0.6, min_delay=0.1, seed=4)
+    elif channel == "partial":  # no floor before GST, then the synchronous 0.1
+        model = PartiallySynchronousChannel(gst=1.0, delta=0.6, pre_gst_mean=0.5, seed=4)
+    elif channel == "lossy":  # drops: no floor promise
+        model = LossyChannel(SynchronousChannel(delta=1.5, min_delay=0.5, seed=4), 0.2, seed=5)
     else:  # many relays land in the slot being drained
         model = AsynchronousChannel(mean_delay=1.0, tail_probability=0.1, seed=4)
     origins = kwargs.pop("origins", _BLOCKS)
@@ -698,3 +718,186 @@ def test_a_custom_batcher_mixed_into_the_span_matches_the_heap_core():
     )
     assert 3 in flood.batches
     assert len(flood.replicas["p8"].tree) == 7  # p3 relayed x, y and z
+
+
+# -- parked relays: a span's relays drawn once, against the heap core ----------
+#
+# While ``Network._deliver_span`` runs a multicast span, a block-sized relay
+# whose channel floor puts every delivery past the span's last entry is
+# parked: its slot, seqs and sent count are taken at once, its channel draw
+# and queue insert at the flush that ends the span or precedes any other
+# draw.  Each case drains one 18-replica block flood on both cores and
+# compares the state after every chunk; the heap core has no spans, so it
+# never parks.
+
+
+def _parking_spies():
+    """Count block-sized relays made in a span, parked relays (and those
+    that cleared only the limit an overflow cut lowered), flushes (by the
+    caller that forced them) and the overflow cuts that moved a span's stop
+    with relays parked."""
+    seen = Counter()
+    first_limit = [0.0]
+    park, flush, span_stop = Network._park, Network._flush_parked, Network._span_stop
+    multicast = Network._multicast_trusted
+
+    def park_spy(network, sender, receivers, kind, payload, now):
+        seen["parked"] += 1
+        # Cleared only because an overflow cut lowered the span's limit.
+        seen["parked past a cut"] += now + network.channel.delay_floor(now) <= first_limit[0]
+        return park(network, sender, receivers, kind, payload, now)
+
+    def multicast_spy(network, sender, receivers, *args):
+        in_span = network._park_limit is not None and len(receivers) >= 16
+        seen["block relays in a span"] += in_span
+        return multicast(network, sender, receivers, *args)
+
+    def flush_spy(network):
+        seen["flush by " + sys._getframe(1).f_code.co_name] += 1
+        return flush(network)
+
+    def span_stop_spy(network, times, seqs, lo, end, until):
+        stop = span_stop(network, times, seqs, lo, end, until)
+        if lo == sys._getframe(1).f_locals.get("pos"):
+            first_limit[0] = times[stop - 1]  # the limit a span starts with
+        else:
+            seen["cut with relays parked"] += bool(network._parked) and stop < end
+        return stop
+
+    stack = ExitStack()
+    for name, spy in (
+        ("_park", park_spy),
+        ("_flush_parked", flush_spy),
+        ("_span_stop", span_stop_spy),
+        ("_multicast_trusted", multicast_spy),
+    ):
+        stack.enter_context(mock.patch.object(Network, name, spy))
+    return seen, stack
+
+
+_ALL_AT_ONCE = [(None, 10**6)]
+_CUTS = [(0.9, 37), (1.3, 1000), (1.77, 23), (2.6, 1000), (None, 61)]
+_SIDE = [f"p{i}" for i in range(9)]
+
+#: name -> (channel, steps, first-reception actions, does anything park)
+_PARK_CASES = {
+    "floor_clears_every_span": ("synchronous", _ALL_AT_ONCE, {}, True),
+    "short_floor_parks_late_relays": (
+        "short",
+        _CUTS,
+        {(f"p{i}", "b"): partial(timer, f"p{i}", 0.02 * i) for i in range(1, 18, 2)},
+        True,
+    ),
+    "partial_parks_from_gst_on": ("partial", _CUTS, {}, True),
+    "asynchronous_never_parks": ("asynchronous", _CUTS, {}, False),
+    "lossy_never_parks": ("lossy", _CUTS, {}, False),
+    "send_timer_and_multicast_in_a_first_delivery": (
+        "synchronous",
+        _ALL_AT_ONCE,
+        {
+            **{(f"p{i}", "a"): partial(ping, f"p{i}", "p0") for i in range(1, 18, 3)},
+            **{(f"p{i}", "b"): partial(chirp, f"p{i}", ["p1", "p2"]) for i in range(2, 18, 3)},
+            **{(f"p{i}", "c"): partial(shout, f"p{i}") for i in range(3, 18, 4)},
+            ("p4", "a"): partial(timer, "p4", 0.01),
+            ("p6", "c"): partial(timer, "p6", 0.6),
+        },
+        True,
+    ),
+    "partition_installed_and_healed_mid_span": (
+        "synchronous",
+        _ALL_AT_ONCE,
+        {("p2", "a"): partial(partition, _SIDE), ("p5", "c"): heal},
+        True,
+    ),
+    "until_budget_and_overflow_cuts": (
+        "synchronous",
+        _CUTS,
+        {(f"p{i}", name): partial(timer, f"p{i}", 0.01 * i) for i in (2, 5, 11)
+         for name in ("a", "b", "c")},
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARK_CASES))
+def test_parked_relays_match_the_heap_core(case: str):
+    channel, steps, actions, parks = _PARK_CASES[case]
+    seen, spies = _parking_spies()
+    with spies:
+        flood = _assert_flood_matches_heap(steps, channel=channel, actions=actions)
+    assert (seen["parked"] > 0) == parks, seen
+    assert not flood.network._parked
+    # The case is only worth comparing if it reaches what it claims to.
+    if case == "floor_clears_every_span":
+        assert seen["parked"] == seen["block relays in a span"], seen
+    if case == "short_floor_parks_late_relays":
+        assert seen["parked"] < seen["block relays in a span"], seen  # early ones did not clear
+        assert seen["parked past a cut"] > 0, seen
+    if case == "send_timer_and_multicast_in_a_first_delivery":
+        assert seen["flush by send"] >= 2 and seen["flush by _multicast_trusted"] >= 2, seen
+    if case == "until_budget_and_overflow_cuts":
+        assert seen["cut with relays parked"] >= 3, seen
+
+
+def _drain_through_booms(flood: BlockFlood, steps) -> list:
+    """Run ``steps``; a :class:`Boom` out of a callback ends a step early,
+    the state is taken there and the same step goes on."""
+    states = []
+    for until, chunk in steps:
+        while True:
+            try:
+                states.extend(flood.run([(until, chunk)]))
+                break
+            except Boom:
+                states.append(flood.state() + ("boom",))
+    return states
+
+
+def test_a_raising_callback_mid_span_flushes_what_it_parked():
+    """A first reception raises while the span has relays parked: the span's
+    ``finally`` schedules them, and the drain goes on exactly like the heap
+    core's after the same exception."""
+    actions = {("p5", "a"): boom, ("p11", "b"): boom, ("p3", "c"): boom}
+    seen, spies = _parking_spies()
+    with spies:
+        flood = _block_flood("array", actions=actions)
+        array = _drain_through_booms(flood, _CUTS)
+    heap = _drain_through_booms(_block_flood("heap", actions=actions), _CUTS)
+    assert [state[-1] for state in array].count("boom") == 3
+    # A span counts the raising delivery as processed, the heap loop does
+    # not (``events_processed``, index 2): that count aside, the two runs
+    # agree after every step.
+    assert [state[:2] + state[3:] for state in array] == [
+        state[:2] + state[3:] for state in heap
+    ]
+    assert array[-1][2] == heap[-1][2] + 3
+    assert seen["parked"] > 0 and not flood.network._parked
+    _assert_every_method_released(flood.sim._array_core)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_snapshots_at_random_boundaries_restore_to_the_same_future(seed: int):
+    """Pickle the flood at seeded-random chunk boundaries: no snapshot can
+    hold a parked relay, and each restores to the clean run's future."""
+    rng = random.Random(seed)
+    actions = {("p3", "a"): partial(timer, "p3", 0.01), ("p4", "b"): partial(ping, "p4", "p0")}
+    clean = _block_flood("heap", actions=actions).run(_ALL_AT_ONCE)[-1]
+    snapshots = []
+
+    def maybe_snapshot(flood: BlockFlood) -> None:
+        if rng.random() < 0.4:
+            snapshots.append(pickle.dumps(flood))
+
+    flood = _block_flood("array", actions=actions)
+    steps = [(None, rng.randint(3, 40)) for _ in range(40)]
+    flood.run(steps + _ALL_AT_ONCE, on_chunk=maybe_snapshot)
+    assert len(snapshots) >= 10
+    for blob in snapshots:
+        assert pickle.loads(blob).run(_ALL_AT_ONCE)[-1] == clean
+
+
+def test_a_network_with_relays_parked_refuses_to_pickle():
+    flood = _block_flood("array")
+    flood.network._parked.append(("p0", ("p1",), 0.0, 0, 0, None))
+    with pytest.raises(AssertionError, match="relays parked"):
+        pickle.dumps(flood.network)

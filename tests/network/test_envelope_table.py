@@ -12,11 +12,13 @@ from __future__ import annotations
 import pickle
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.core.errors import StaleSnapshotError
 from repro.network.channels import SynchronousChannel
-from repro.network.simulator import Network, Simulator
+from repro.network.event_core import ArrayEventCore
+from repro.network.simulator import Network
 from tests.network.flood_script import BlockFlood, Flood
 
 #: Three rumors, each relayed by all 18 processes (17-entry fan-outs).
@@ -29,7 +31,15 @@ def test_a_relay_logs_ints_not_tuples():
     network = flood.network
     core = flood.sim._array_core
     logged = core._fanout_log[core._method_ids[network._deliver_multicast]]
-    codes = [code for _times, _seqs, args in logged for code in args]
+    # A relay made in a multicast span is parked and logged in an int64
+    # array with the others of its span; any other fan-out logs an int list.
+    assert any(type(args) is np.ndarray for _times, _seqs, args in logged)
+    codes = []
+    for _times, _seqs, args in logged:
+        if type(args) is np.ndarray:
+            assert args.dtype == np.int64
+            args = args.tolist()
+        codes.extend(args)
     assert len(codes) >= 17 and all(type(code) is int for code in codes)
     decoded = {
         (network._envelopes[code >> 16].payload, network._receiver_pids[code & 0xFFFF])
@@ -74,18 +84,23 @@ def _table_snapshot(network: Network) -> bytes:
 
 def test_the_envelope_table_holds_the_multicasts_in_flight():
     sends = []  # (send time, last delivery time) of every scheduled fan-out
-    schedule_fanout = Simulator.schedule_fanout
-
-    def spy(sim, delays, method, args):
-        scheduled = schedule_fanout(sim, delays, method, args)
-        if scheduled:
-            sends.append((sim.now, sim.now + max(d for d in delays if d is not None)))
-        return scheduled
-
     flood = _stationary_flood()
     network = flood.network
+    schedule_reserved = ArrayEventCore.schedule_reserved
+
+    def spy(core, times, seqs, method, args):
+        # Every fan-out here is a block (48 processes), scheduled alone or
+        # with the other relays parked in its span: split it by slot.
+        schedule_reserved(core, times, seqs, method, args)
+        last = {}
+        for code, time in zip(np.asarray(args, dtype=np.int64).tolist(), times.tolist()):
+            slot = code >> 16
+            last[slot] = max(time, last.get(slot, time))
+        for slot, time in last.items():
+            sends.append((network._envelopes[slot].sent_at, time))
+
     readings = []
-    with mock.patch.object(Simulator, "schedule_fanout", spy):
+    with mock.patch.object(ArrayEventCore, "schedule_reserved", spy):
         for until in (50.0, 100.0):
             flood.sim.run(until=until)
             size = len(_table_snapshot(network))

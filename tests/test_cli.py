@@ -6,7 +6,10 @@ import json
 
 import pytest
 
+from repro import cli
+from repro.analysis.report import render_classification_table
 from repro.cli import build_parser, main
+from repro.protocols.classification import ClassificationResult, reproduce_table1
 
 
 class TestParser:
@@ -55,11 +58,39 @@ class TestCommands:
         assert "R(BT-ADT_EC, Θ_P)" in out
 
     def test_table1_command(self, capsys):
-        assert main(["table1", "--replicas", "4", "--duration", "60", "--seed", "7"]) == 0
+        status = main(["table1", "--replicas", "4", "--duration", "60", "--seed", "7"])
         out = capsys.readouterr().out
         assert "Table 1" in out
         for system in ("bitcoin", "ethereum", "hyperledger", "redbelly"):
             assert system in out
+        # A run this short can land bitcoin on SC: the status follows the table.
+        differs = any(line.split()[-1] == "NO" for line in out.splitlines() if line.strip())
+        assert status == int(differs)
+
+    @pytest.mark.parametrize(
+        "overrides, status",
+        [({}, 0), ({"ethereum": False}, 1), ({"bitcoin": None}, 0), ({"redbelly": False}, 1)],
+    )
+    def test_table1_exits_1_when_a_row_differs_from_the_paper(
+        self, monkeypatch, capsys, table1_results, overrides, status
+    ):
+        # Every row matches the paper except the overridden ones.
+        monkeypatch.setattr(
+            ClassificationResult,
+            "matches_paper",
+            property(lambda result: overrides.get(result.name, True)),
+        )
+        monkeypatch.setattr(cli, "reproduce_table1", lambda **_kwargs: table1_results)
+        assert main(["table1"]) == status
+        # The printed table is the render of the results, nothing more or less.
+        expected = render_classification_table(table1_results)
+        assert capsys.readouterr().out == expected + "\n"
+        assert ("NO " in expected) == (status == 1)
+
+
+@pytest.fixture(scope="module")
+def table1_results():
+    return reproduce_table1(n=3, duration=20.0, seed=7)
 
 
 class TestSweepCommand:
