@@ -34,6 +34,7 @@ prints plain text only (no plotting dependencies).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -69,8 +70,8 @@ from repro.engine import (
     spec_digest,
 )
 from repro.engine.executors import INJECTION_KINDS
-from repro.network.faults import available_faults
-from repro.network.topology import available_topologies
+from repro.network.faults import FAULT_REGISTRY
+from repro.network.topology import TOPOLOGY_REGISTRY, available_topologies
 from repro.protocols.classification import reproduce_table1
 from repro.workload.scenarios import figure2_history, figure3_history, figure4_history
 
@@ -422,7 +423,7 @@ def _split_topology_params(rest: str) -> List[str]:
     return pairs
 
 
-def _parse_component(text: str, noun: str, spec_cls, available, field_keys=()):
+def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
     """Parse ``--fault`` / ``--topology``: a kind, ``kind:key=value,...``, or JSON.
 
     Values go through :func:`json.loads` when they parse (so
@@ -430,7 +431,10 @@ def _parse_component(text: str, noun: str, spec_cls, available, field_keys=()):
     ``members=["p5"]`` a list, ``include_observers=false`` a bool) and
     stay strings otherwise.  A key in ``field_keys`` is a field of the
     spec; every other key is a constructor parameter of the registered
-    model.  All three forms go through ``spec_cls.from_dict``.
+    model.  All three forms go through ``spec_cls.from_dict``.  The
+    parameters are bound to the registered class's signature (``seed``
+    counts as supplied where the class takes one), so a missing or
+    unknown one is a usage error here, before any run starts.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -461,11 +465,19 @@ def _parse_component(text: str, noun: str, spec_cls, available, field_keys=()):
         spec = spec_cls.from_dict({**fields, "params": params})
     else:
         spec = spec_cls.from_dict(text)
-    if spec.kind not in available():
+    if spec.kind not in registry:
         raise SystemExit(
             f"repro: error: unknown {noun} {spec.kind!r} "
-            f"(registered: {', '.join(sorted(available()))})"
+            f"(registered: {', '.join(sorted(registry))})"
         )
+    signature = inspect.signature(registry[spec.kind])
+    supplied = dict(spec.params)
+    if "seed" in signature.parameters:
+        supplied.setdefault("seed", 0)
+    try:
+        signature.bind(**supplied)
+    except TypeError as error:
+        raise SystemExit(f"repro: error: {noun} {spec.kind!r}: {error}") from None
     return spec
 
 
@@ -474,13 +486,13 @@ def _parse_fault(text: str) -> FaultSpec:
     is the one reader of the old ``crash:crash_at=...`` /
     ``byzantine:byzantine=...`` spelling."""
     return _parse_component(
-        text, "fault", FaultSpec, available_faults, ("crash_at", "byzantine", "seed")
+        text, "fault", FaultSpec, FAULT_REGISTRY, ("crash_at", "byzantine", "seed")
     )
 
 
 def _parse_topology(text: str) -> TopologySpec:
     """``--topology``; every key, ``seed`` included, is a topology parameter."""
-    return _parse_component(text, "topology", TopologySpec, available_topologies)
+    return _parse_component(text, "topology", TopologySpec, TOPOLOGY_REGISTRY)
 
 
 def _regime_spec(

@@ -6,9 +6,10 @@ abstractions the paper reasons about:
 * :mod:`repro.network.simulator` — the event loop and virtual clock;
 * :mod:`repro.network.channels` — channel models: asynchronous,
   synchronous (δ-bounded), partially synchronous (GST), lossy;
-* :mod:`repro.network.process` — the process framework, including crash
-  and Byzantine behaviours, wired to a shared
+* :mod:`repro.network.process` — the process framework, wired to a shared
   :class:`~repro.core.history.HistoryRecorder`;
+* :mod:`repro.network.faults` — the registered crash and Byzantine
+  adversaries (crash, silent, churn, partition, eclipse);
 * :mod:`repro.network.topology` — pluggable dissemination topologies
   (full mesh, gossip fan-out, committee, sharded, ring, random-regular)
   deciding who hears each broadcast, registered as spec vocabulary;
@@ -27,7 +28,7 @@ from repro.network.channels import (
     PartiallySynchronousChannel,
     LossyChannel,
 )
-from repro.network.process import Process, CrashingProcess, SilentProcess
+from repro.network.process import Process
 from repro.network.topology import (
     Topology,
     FullMesh,
@@ -57,8 +58,6 @@ __all__ = [
     "PartiallySynchronousChannel",
     "LossyChannel",
     "Process",
-    "CrashingProcess",
-    "SilentProcess",
     "Topology",
     "FullMesh",
     "GossipFanout",

@@ -2,18 +2,19 @@
 
 The heap core (``Simulator(core="heap")``) stores every pending event as
 a Python tuple in one global ``heapq`` — O(log n) object-churning pushes
-and pops.  This module replaces that with a *calendar queue* whose
-storage is numpy:
+and pops.  This module replaces that with a *calendar queue*: events
+live in per-time-slot **buckets**, each with three stores that are
+merged and sorted once by ``(time, seq)`` when the bucket is
+materialized:
 
-* events live in per-time-slot **buckets** — growable numpy structured
-  arrays with dtype ``time: f8, seq: i8, method: i2, arg: i8``;
-* the ``method`` column is an index into an **interned method-dispatch
-  table** (reference-counted, slots recycled when a bucket drains, so
-  one-shot closures cannot exhaust the 32767-entry i2 space);
-* the ``arg`` column is an index into the bucket's **arg intern pool** —
-  argument objects are interned per bucket and the whole pool is dropped
-  when the bucket drains, so no per-slot free-list bookkeeping runs on
-  the hot path;
+* scalar pushes append ``(time, seq, method id, arg index)`` tuples to
+  a per-bucket staging list (a Python list append is ~2x faster than a
+  numpy scalar row write).  The method id indexes an **interned
+  method-dispatch table** (reference-counted, slots recycled when a
+  bucket drains, so one-shot closures cannot exhaust it); the arg index
+  points into the bucket's **arg intern pool**, dropped whole when the
+  bucket drains, so no per-slot free-list bookkeeping runs on the hot
+  path;
 * a fan-out (:meth:`ArrayEventCore.schedule_block`) interns its shared
   method once and, unless it reaches into the slot being drained, is
   appended whole to the **fan-out log** — a deferred-split store keyed by
@@ -28,12 +29,9 @@ storage is numpy:
   the network's parked relays) hands its block to
   :meth:`~ArrayEventCore.schedule_reserved`, with int64 arg arrays that
   a flush decodes with one ``tolist``;
-* scalar pushes append to a small per-bucket staging list (a Python
-  list append is ~2x faster than a numpy scalar row write) that is
-  flushed into the arrays when the bucket is materialized;
 * **column events** (:meth:`ArrayEventCore.schedule_column`: a sink
   receiving ``values[i]`` at ``times[i]``, the client-population
-  workload) are a fourth per-bucket store of ``(times, seqs, mid, int64
+  workload) are the third per-bucket store, of ``(times, seqs, mid, int64
   values)`` slices, ``mid`` interning ``sink.append``.  They never
   become Python objects: the materialized bucket keeps them as one
   :class:`_ColumnRun` — all its column blocks merged by one
@@ -65,7 +63,6 @@ from repro.core.errors import StaleSnapshotError
 
 __all__ = [
     "ArrayEventCore",
-    "EVENT_DTYPE",
     "NO_ARG",
     "COLUMN",
     "COMPILED_MODULES",
@@ -104,14 +101,16 @@ COLUMN = _Sentinel("COLUMN")
 #: Only reader: the frozen ledger's fingerprint (ledger/run.py:136); ROADMAP item 1 removes both.
 COMPILED_MODULES = {"_drain": False, "_hotpath": False}
 
-EVENT_DTYPE = np.dtype(
-    [("time", "f8"), ("seq", "i8"), ("method", "i2"), ("arg", "i8")]
-)
-
-_METHOD_TABLE_LIMIT = 32767  # max live i2 index
+_METHOD_TABLE_LIMIT = 32767  # max live method id
 
 
-_BUCKET_TABLE_TAG = "bucket-table/2"
+_BUCKET_TABLE_TAG = "bucket-table/3"
+
+#: Why a snapshot's older bucket table cannot be read.
+_STALE_BUCKET_TABLES = {
+    "bucket-table/1": "written before client operations became column events",
+    "bucket-table/2": "written while buckets still had a structured-array store",
+}
 
 
 def _pack_bucket_table(buckets):
@@ -129,13 +128,11 @@ def _pack_bucket_table(buckets):
     the int64 ``values`` column.
     """
     slots = np.fromiter(buckets.keys(), dtype=np.int64, count=len(buckets))
-    rest = []  # per-bucket (rows, count, stage, args) — the non-block state
+    rest = []  # per-bucket (stage, args) — the non-block state
     meta = []
     t_parts, s_parts, v_parts, block_args = [], [], [], []
     for slot, bucket in buckets.items():
-        count = bucket.count
-        rows = bucket.data[:count].copy() if count else None
-        rest.append((rows, count, bucket.stage, bucket.args))
+        rest.append((bucket.stage, bucket.args))
         for bt, bs, bmid, bargs in bucket.blocks:
             meta.append((slot, bmid, len(bt), 0))
             t_parts.append(bt)
@@ -163,19 +160,15 @@ def _unpack_bucket_table(packed):
     if packed[0] != _BUCKET_TABLE_TAG:
         raise StaleSnapshotError(
             f"cannot restore this event calendar: its bucket table is {packed[0]!r}, "
-            f"written before client operations became column events (this version "
-            f"reads {_BUCKET_TABLE_TAG!r}); re-run instead of resuming"
+            f"{_STALE_BUCKET_TABLES.get(packed[0], 'of an unknown format')} (this "
+            f"version reads {_BUCKET_TABLE_TAG!r}); re-run instead of resuming"
         )
     _tag, slots, rest, meta, times, seqs, block_args, values = packed
     buckets = {}
-    for slot, (rows, count, stage, args) in zip(slots.tolist(), rest):
+    for slot, (stage, args) in zip(slots.tolist(), rest):
         bucket = _Bucket()
         bucket.stage = stage
         bucket.args = args
-        if count:
-            bucket.reserve(count)
-            bucket.data[:count] = rows
-            bucket.count = count
         buckets[slot] = bucket
     if meta is not None:
         pos = vpos = 0
@@ -195,11 +188,9 @@ def _unpack_bucket_table(packed):
 class _Bucket:
     """Events of one time slot.
 
-    Four complementary stores, all merged (and sorted once) when the
+    Three complementary stores, all merged (and sorted once) when the
     bucket is materialized:
 
-    * ``data`` — the canonical :data:`EVENT_DTYPE` structured array,
-      filled by the generic bulk path (:meth:`ArrayEventCore.extend`);
     * ``blocks`` — this bucket's shares of shared-method fan-outs
       (:meth:`ArrayEventCore._split_block`): appending ``(times, seqs,
       mid, args)`` views is O(1), no per-bucket numpy fill;
@@ -210,44 +201,19 @@ class _Bucket:
       ``sink.append``.  They never turn into Python objects: the run
       keeps them as a :class:`_ColumnRun` beside its lists.
 
-    ``args`` is the bucket-local arg intern pool for ``data``/``stage``
-    rows; blocks carry their own arg lists, chained after it at
+    ``args`` is the bucket-local arg intern pool for ``stage`` rows;
+    blocks carry their own arg lists, chained after it at
     materialization.  Buckets are pickled only through
     :func:`_pack_bucket_table`.
     """
 
-    __slots__ = (
-        "data", "count", "t", "s", "m", "a", "blocks", "stage", "args", "columns"
-    )
+    __slots__ = ("blocks", "stage", "args", "columns")
 
     def __init__(self) -> None:
-        self.data: Optional[np.ndarray] = None
-        self.count = 0
-        self.t: Any = None  # cached field views of ``data``
-        self.s: Any = None
-        self.m: Any = None
-        self.a: Any = None
         self.blocks: List[Tuple[Any, Any, int, List[Any]]] = []
         self.stage: List[Tuple[float, int, int, int]] = []
         self.args: List[Any] = []  # bucket-local arg intern pool
         self.columns: List[Tuple[Any, Any, int, Any]] = []
-
-    def reserve(self, extra: int) -> None:
-        needed = self.count + extra
-        data = self.data
-        if data is not None and needed <= len(data):
-            return
-        capacity = 64
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty(capacity, dtype=EVENT_DTYPE)
-        if data is not None and self.count:
-            grown[: self.count] = data[: self.count]
-        self.data = grown
-        self.t = grown["time"]
-        self.s = grown["seq"]
-        self.m = grown["method"]
-        self.a = grown["arg"]
 
 
 class _ColumnRun:
@@ -760,134 +726,6 @@ class ArrayEventCore:
             heappush(self._bucket_heap, slot)
         bucket.blocks.append((times, seqs, mid, args))
 
-    def extend(self, now: float, entries: List[Tuple[float, Callable, Any]]) -> int:
-        """Bulk insert ``(time, method, arg)`` entries; returns the count.
-
-        The generic :meth:`Simulator.schedule_many` backend: per-entry
-        methods, so each is interned individually.  The whole batch is
-        validated against ``now`` before any entry is inserted (the heap
-        core raises at the first offending entry, having already pushed
-        the earlier ones — an error-path-only difference).  Sequence
-        numbers follow list order, matching what the same entries pushed
-        one by one would receive.
-        """
-        k = len(entries)
-        if k == 0:
-            return 0
-        if k < 16:
-            # Small batches: per-entry scalar staging (the ``push`` body,
-            # batch-validated first) beats the fromiter/argsort setup.
-            for entry in entries:
-                if entry[0] < now:
-                    raise ValueError("cannot schedule into the past")
-            base = self._seq
-            self._seq = base + k
-            self._inserted += k
-            inv = self._inv_width
-            run_slot = self._run_slot
-            buckets = self._buckets
-            for i in range(k):
-                time, method, arg = entries[i]
-                seq = base + i
-                slot = int(time * inv)
-                if run_slot is not None and slot <= run_slot:
-                    heappush(self._overflow, (time, seq, method, arg))
-                    continue
-                bucket = buckets.get(slot)
-                if bucket is None:
-                    bucket = _Bucket()
-                    buckets[slot] = bucket
-                    heappush(self._bucket_heap, slot)
-                mid = self._intern_method(method, 1)
-                pool = bucket.args
-                bucket.stage.append((time, seq, mid, len(pool)))
-                pool.append(arg)
-            return k
-        times = np.fromiter((entry[0] for entry in entries), dtype=np.float64, count=k)
-        if float(times.min()) < now:
-            raise ValueError("cannot schedule into the past")
-        base = self._seq
-        self._seq = base + k
-        self._inserted += k
-        slots = (times * self._inv_width).astype(np.int64)
-        run_slot = self._run_slot
-        if run_slot is not None and int(slots.min()) <= run_slot:
-            self._extend_mixed(run_slot, entries, times, slots, base)
-            return k
-        seqs = np.arange(base, base + k, dtype=np.int64)
-        intern = self._intern_method
-        slot_list = slots.tolist()
-        first = slot_list[0]
-        if all(slot == first for slot in slot_list):
-            mids = np.fromiter(
-                (intern(entry[1], 1) for entry in entries), dtype=np.int16, count=k
-            )
-            self._bulk_into(first, times, seqs, mids, [entry[2] for entry in entries])
-            return k
-        order = np.argsort(slots, kind="stable")
-        picked = order.tolist()
-        ts = times[order]
-        qs = seqs[order]
-        mids = np.fromiter(
-            (intern(entries[i][1], 1) for i in picked), dtype=np.int16, count=k
-        )
-        ags = [entries[i][2] for i in picked]
-        ss = slots[order]
-        slot_sorted = ss.tolist()
-        bounds = np.flatnonzero(ss[1:] != ss[:-1]) + 1
-        prev = 0
-        for b in bounds.tolist():
-            self._bulk_into(
-                slot_sorted[prev], ts[prev:b], qs[prev:b], mids[prev:b], ags[prev:b]
-            )
-            prev = b
-        self._bulk_into(slot_sorted[prev], ts[prev:], qs[prev:], mids[prev:], ags[prev:])
-        return k
-
-    def _extend_mixed(self, run_slot, entries, times, slots, base) -> None:
-        """Entry-by-entry routing for batches straddling the active slot."""
-        overflow = self._overflow
-        time_list = times.tolist()
-        slot_list = slots.tolist()
-        buckets = self._buckets
-        for i in range(len(entries)):
-            slot = slot_list[i]
-            time = time_list[i]
-            _, method, arg = entries[i]
-            seq = base + i
-            if slot <= run_slot:
-                heappush(overflow, (time, seq, method, arg))
-                continue
-            bucket = buckets.get(slot)
-            if bucket is None:
-                bucket = _Bucket()
-                buckets[slot] = bucket
-                heappush(self._bucket_heap, slot)
-            mid = self._intern_method(method, 1)
-            args = bucket.args
-            bucket.stage.append((time, seq, mid, len(args)))
-            args.append(arg)
-
-    def _bulk_into(self, slot, times, seqs, mids, args) -> None:
-        """Append one column block to ``slot``'s bucket (``mids`` may be
-        a scalar id, broadcast over the block)."""
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            bucket = _Bucket()
-            self._buckets[slot] = bucket
-            heappush(self._bucket_heap, slot)
-        m = len(times)
-        bucket.reserve(m)
-        n0 = bucket.count
-        n1 = n0 + m
-        start = len(bucket.args)
-        bucket.t[n0:n1] = times
-        bucket.s[n0:n1] = seqs
-        bucket.m[n0:n1] = mids
-        bucket.a[n0:n1] = np.arange(start, start + m, dtype=np.int64)
-        bucket.args.extend(args)
-        bucket.count = n1
-
     # -- method interning ------------------------------------------------------
 
     def _intern_method(self, method: Callable, count: int) -> int:
@@ -1133,10 +971,9 @@ class ArrayEventCore:
         pool = bucket.args
         stage = bucket.stage
         blocks = bucket.blocks
-        count = bucket.count
         release = self._release_method
         columns = bucket.columns
-        if not blocks and count == 0:
+        if not blocks:
             # Scalar pushes only (timers, small protocol steps): a plain
             # tuple sort beats numpy at these sizes.
             stage.sort()  # seqs are unique, so (time, seq) decides every tie
@@ -1149,7 +986,7 @@ class ArrayEventCore:
                 methods.append(table[mid])
                 args.append(pool[row[3]])
                 release(mid, 1)
-        elif count == 0 and len(stage) + sum(len(b[3]) for b in blocks) <= 32:
+        elif len(stage) + sum(len(b[3]) for b in blocks) <= 32:
             # Small mixed bucket (a few scalar pushes plus small fan-out
             # blocks — the sparse-traffic shape): a tuple merge and one
             # list sort beat the concatenate/lexsort constants.
@@ -1173,38 +1010,30 @@ class ArrayEventCore:
                 args.append(arg)
                 release(mid, 1)
         else:
-            # Merge the structured rows, the staged scalars and the
-            # deferred fan-out blocks into one column set, then sort once.
+            # Merge the staged scalars and the deferred fan-out blocks
+            # into one column set, then sort once.
             t_parts = []
             s_parts = []
             m_parts = []
             a_parts = []
-            if count:
-                t_parts.append(bucket.t[:count])
-                s_parts.append(bucket.s[:count])
-                m_parts.append(bucket.m[:count].astype(np.int64))
-                a_parts.append(bucket.a[:count])
             if stage:
                 t_col, s_col, m_col, a_col = zip(*stage)
                 t_parts.append(np.array(t_col, dtype=np.float64))
                 s_parts.append(np.array(s_col, dtype=np.int64))
                 m_parts.append(np.array(m_col, dtype=np.int64))
                 a_parts.append(np.array(a_col, dtype=np.int64))
-            if blocks:
-                offset = len(pool)
-                mid_vals = []
-                lens = []
-                for bt, bs, bmid, bargs in blocks:
-                    t_parts.append(bt)
-                    s_parts.append(bs)
-                    mid_vals.append(bmid)
-                    lens.append(len(bargs))
-                    pool.extend(bargs)
-                total = len(pool) - offset
-                m_parts.append(
-                    np.repeat(np.array(mid_vals, dtype=np.int64), np.array(lens))
-                )
-                a_parts.append(np.arange(offset, offset + total, dtype=np.int64))
+            offset = len(pool)
+            mid_vals = []
+            lens = []
+            for bt, bs, bmid, bargs in blocks:
+                t_parts.append(bt)
+                s_parts.append(bs)
+                mid_vals.append(bmid)
+                lens.append(len(bargs))
+                pool.extend(bargs)
+            total = len(pool) - offset
+            m_parts.append(np.repeat(np.array(mid_vals, dtype=np.int64), np.array(lens)))
+            a_parts.append(np.arange(offset, offset + total, dtype=np.int64))
             if len(t_parts) == 1:
                 t_all = t_parts[0]
                 s_all = s_parts[0]

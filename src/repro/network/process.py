@@ -5,28 +5,24 @@ A :class:`Process` is a state machine driven by two callbacks —
 timers it schedules on the simulator.  Protocol replicas
 (:mod:`repro.protocols.base`) subclass it.
 
-Failure behaviours follow Section 4.2's Byzantine model:
-
-* :class:`CrashingProcess` mixin — halts at a configured time (crash
-  fault); the network stops delivering to it and it stops emitting;
-* :class:`SilentProcess` — a Byzantine process that withholds every
-  message it should send (the adversary used by the update-agreement and
-  LRC necessity experiments);
-* arbitrary Byzantine behaviours are obtained by overriding the callbacks
-  in protocol-specific subclasses (e.g. the equivocating proposer used by
-  the consensus-protocol tests).
+Failure behaviours follow Section 4.2's Byzantine model.  Crashes and
+silent (withholding) members are registered faults
+(:mod:`repro.network.faults`), scheduled through :meth:`Process.crash`
+and by muting the outbound primitives; other Byzantine behaviours are
+obtained by overriding the callbacks in protocol-specific subclasses
+(e.g. the equivocating proposer used by the consensus-protocol tests).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Optional, Set, TYPE_CHECKING
 
 from repro.core.history import HistoryRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.simulator import Message, Network
 
-__all__ = ["Process", "CrashingProcess", "SilentProcess"]
+__all__ = ["Process"]
 
 
 class _AliveGuard:
@@ -145,34 +141,6 @@ class Process:
     def on_message(self, message: "Message") -> None:
         """Called for every delivered message (override as needed)."""
 
-    def on_message_batch(
-        self, deliveries: List[Tuple[float, int, "Message"]]
-    ) -> int:
-        """Handle a run of consecutive deliveries addressed to this process.
-
-        ``deliveries`` holds ``(time, seq, message)`` triples in
-        ``(time, seq)`` order, handed over by the array core's batch
-        dispatch — only to a subclass that overrides this hook — when
-        consecutive queue entries are deliveries to this process.  The
-        default implementation, which such an override may call, replays
-        the exact scalar semantics: advance the virtual clock, call
-        :meth:`on_message`, stop when this process dies or departs
-        mid-batch or an overflow event preempts the run.  Returns the
-        number of messages consumed (always >= 1); the remainder is
-        re-dispatched through the scalar guards.
-        """
-        network = self.network
-        sim = network.simulator
-        count = 0
-        for time, seq, message in deliveries:
-            if count and network.batch_interrupted(self, time, seq):
-                break
-            if time > sim.now:
-                sim.now = time
-            count += 1
-            self.on_message(message)
-        return count
-
     def batch_dup_seen(self) -> Optional[Set[str]]:
         """Seen-block-id set for the batch plane's duplicate-flood skip.
 
@@ -228,38 +196,3 @@ class Process:
             flags.append("byzantine")
         suffix = f" [{', '.join(flags)}]" if flags else ""
         return f"{type(self).__name__}({self.pid}{suffix})"
-
-
-class CrashingProcess(Process):
-    """A process that crashes at a pre-programmed virtual time."""
-
-    def __init__(self, pid: str, crash_at: float) -> None:
-        super().__init__(pid)
-        if crash_at < 0:
-            raise ValueError("crash_at must be non-negative")
-        self.crash_at = crash_at
-
-    def on_start(self) -> None:
-        self.schedule(self.crash_at, self.crash)
-
-
-class SilentProcess(Process):
-    """A Byzantine process that never sends anything.
-
-    It still receives messages (and may update internal state), but all
-    outbound traffic is suppressed — the cheapest adversary able to break
-    properties that need every correct process's updates to circulate.
-    """
-
-    def __init__(self, pid: str) -> None:
-        super().__init__(pid)
-        self.byzantine = True
-
-    def send(self, receiver: str, kind: str, payload: Any) -> bool:  # noqa: ARG002
-        return False
-
-    def broadcast(self, kind: str, payload: Any, include_self: bool = True) -> int:  # noqa: ARG002
-        return 0
-
-    def multicast(self, receivers, kind: str, payload: Any) -> int:  # noqa: ARG002
-        return 0

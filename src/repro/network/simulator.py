@@ -27,7 +27,9 @@ whole fan-out reaches the event core as one block through
 :meth:`Simulator.schedule_fanout` — no tuple, closure or envelope per
 receiver.  Delivering a code decodes it (:meth:`Network._deliver_multicast`);
 a span of them is walked by :meth:`Network._deliver_span`, which accounts a
-stretch of duplicate block announcements in one step.
+stretch of duplicate block announcements in one step.  A point-to-point
+:meth:`Network.send` is one ``_deliver`` event, which the drain loop
+dispatches on its own like any timer.
 
 Within such a span the relays it provokes (Light Reliable Communication
 forwards every block on first reception) are *parked*
@@ -72,7 +74,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -84,10 +85,10 @@ from repro.core.errors import StaleSnapshotError, UnknownVocabularyError
 from repro.core.history import HistoryRecorder
 from repro.network.channels import batched_delays, batched_delays_many
 from repro.network.event_core import NO_ARG, ArrayEventCore
-from repro.network.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.network.channels import ChannelModel
+    from repro.network.process import Process
     from repro.network.topology import Topology
 
 __all__ = ["Simulator", "Message", "Network", "MULTICAST", "timed_callbacks"]
@@ -135,8 +136,8 @@ _NO_SKIP: frozenset = frozenset()
 
 #: Queue-entry marker for a no-argument callback (the ``schedule``/
 #: ``schedule_at`` API).  A private sentinel rather than ``None`` so that
-#: ``call_at(t, fn, None)`` / ``schedule_many`` entries carrying a
-#: legitimate ``None`` argument still invoke ``fn(None)``.  Owned by the
+#: ``call_at(t, fn, None)`` entries carrying a legitimate ``None``
+#: argument still invoke ``fn(None)``.  Owned by the
 #: array core module (both cores dispatch on the same identity check).
 _NO_ARG = NO_ARG
 
@@ -249,40 +250,6 @@ class Simulator:
             return
         heapq.heappush(self._queue, (time, next(self._sequence), method, arg))
 
-    def schedule_many(
-        self, entries: Iterable[Tuple[float, Callable[[Any], None], Any]]
-    ) -> int:
-        """Bulk insert ``(time, method, arg)`` entries; returns the count.
-
-        ``entries`` may be any iterable — including a one-shot generator —
-        and is materialized exactly once before insertion, so lazily built
-        fan-outs are safe.  Sequence numbers are assigned in iteration
-        order, so a batched fan-out tie-breaks exactly like the equivalent
-        sequence of :meth:`call_at` calls (a property the seq-parity
-        regression test pins down).
-
-        An entry timestamped before ``now`` raises :class:`ValueError`
-        under both cores; the array core validates the whole batch before
-        inserting anything, while the heap core raises at the first
-        offending entry (an error-path-only difference).
-        """
-        if not isinstance(entries, list):
-            entries = list(entries)
-        core = self._array_core
-        if core is not None:
-            return core.extend(self.now, entries)
-        queue = self._queue
-        push = heapq.heappush
-        sequence = self._sequence
-        now = self.now
-        count = 0
-        for time, method, arg in entries:
-            if time < now:
-                raise ValueError("cannot schedule into the past")
-            push(queue, (time, next(sequence), method, arg))
-            count += 1
-        return count
-
     def schedule_fanout(
         self,
         delays: Sequence[Optional[float]],
@@ -293,7 +260,7 @@ class Simulator:
 
         ``delays[i] is None`` marks a dropped recipient: its entry is
         skipped and consumes no sequence number, exactly as if the caller
-        had filtered it out of a :meth:`schedule_many` batch.  Everything
+        had filtered it out of the vector.  Everything
         else is scheduled at ``now + delays[i]`` with argument
         ``args[i]``, sequence numbers in vector order.  Under the array
         core the shared method is interned once and the block is split
@@ -344,9 +311,9 @@ class Simulator:
         array (used as-is, no per-entry conversion) and ``args`` a
         same-length sequence (a numpy array is scheduled as its
         ``tolist()``, so callbacks receive plain Python scalars).
-        Sequence numbers follow array order, as for
-        :meth:`schedule_many`; a timestamp before ``now`` raises
-        :class:`ValueError`.
+        Sequence numbers follow array order, as for the same entries
+        inserted one by one with :meth:`call_at`; a timestamp before
+        ``now`` raises :class:`ValueError`.
         """
         args = args.tolist() if isinstance(args, np.ndarray) else list(args)
         core = self._array_core
@@ -602,13 +569,9 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.messages_quarantined = 0
-        # Batch dispatch: consecutive queue entries sharing one delivery
-        # callback are handed to the span handlers in one call
-        # (scalar-exact; see `_deliver_span`).
-        simulator.register_batch_handler(self._deliver, self._deliver_span)
-        simulator.register_batch_handler(
-            self._deliver_multicast, self._deliver_multicast_span
-        )
+        # Batch dispatch: consecutive multicast deliveries are handed to
+        # the span handler in one call (scalar-exact; see `_deliver_span`).
+        simulator.register_batch_handler(self._deliver_multicast, self._deliver_span)
 
     # -- membership -------------------------------------------------------------
 
@@ -953,21 +916,14 @@ class Network:
             self.messages_delivered += 1
             process.on_message(message)
 
-    def _deliver_multicast_span(self, times, seqs, args, pos, end, until, cell) -> int:
-        """Batch-dispatch a span of consecutive ``_deliver_multicast`` events."""
-        return self._deliver_span(times, seqs, args, pos, end, until, cell, True)
+    def _deliver_span(self, times, seqs, args, pos, end, until, cell) -> int:
+        """Batch-dispatch a span of consecutive ``_deliver_multicast`` events.
 
-    def _deliver_span(
-        self, times, seqs, args, pos, end, until, cell, multicast=False
-    ) -> int:
-        """Batch-dispatch a span of same-callback delivery events.
-
-        Invoked by the drain loop for run entries ``pos:end`` that all share
-        one interned delivery method.  ``multicast`` selects the argument
-        shape: int codes for ``_deliver_multicast`` spans, bare messages
-        (pid on ``message.receiver``) for ``_deliver`` spans.  ``cell[0]``
-        tracks the consumed count for the drain loop's exception
-        accounting; the return value is the total consumed (>= 1).
+        Invoked by the drain loop for run entries ``pos:end`` that all
+        share the interned ``_deliver_multicast``; each arg is an int code
+        ``slot << 16 | receiver index``.  ``cell[0]`` tracks the consumed
+        count for the drain loop's exception accounting; the return value
+        is the total consumed (>= 1).
 
         The span is cut once, up front, where the scalar loop would stop:
         at ``until`` and before the overflow head (:meth:`_span_stop`).
@@ -975,131 +931,87 @@ class Network:
         that sorts earlier — so it is recomputed after a dispatch whenever
         the overflow heap holds anything.
 
-        In a multicast span, a stretch of duplicate ``BlockAnnouncement``
-        deliveries — the bulk of an LRC flood, where every block reaches
-        every replica once per relayer — is accounted in one step.  A
-        code is a duplicate when its slot's block id is in the seen-set
-        the skip table holds for its receiver (:meth:`_refresh_skip_table`:
-        only for a registered, live receiver whose hooks are the stock
-        ones).  Its scalar path is ``on_message -> transport.handle ->
-        seen-set hit -> None``: nothing recorded, nothing mutated, the
-        delivered counter bumped.  So the stretch moves the delivered and
-        consumed counts and the clock, and nothing else.
+        A stretch of duplicate ``BlockAnnouncement`` deliveries — the bulk
+        of an LRC flood, where every block reaches every replica once per
+        relayer — is accounted in one step.  A code is a duplicate when
+        its slot's block id is in the seen-set the skip table holds for
+        its receiver (:meth:`_refresh_skip_table`: only for a registered,
+        live receiver whose hooks are the stock ones).  Its scalar path is
+        ``on_message -> transport.handle -> seen-set hit -> None``:
+        nothing recorded, nothing mutated, the delivered counter bumped.
+        So the stretch moves the delivered and consumed counts and the
+        clock, and nothing else.
 
         The delivery that ends a stretch goes through the scalar-exact
         path: departed pids are quarantined, dead ones dropped, a live
-        receiver gets ``on_message`` — or, if it overrides
-        ``Process.on_message_batch``, its whole same-receiver sub-run.
+        receiver gets ``on_message``.
 
-        While a multicast span runs, ``_park_limit`` is the time of its
-        last entry (lowered whenever an overflow cut moves ``stop``), and
-        relays whose channel floor puts them past it are parked; every
-        exit from the span flushes them (see the module docstring).
+        While the span runs, ``_park_limit`` is the time of its last entry
+        (lowered whenever an overflow cut moves ``stop``), and relays whose
+        channel floor puts them past it are parked; every exit from the
+        span flushes them (see the module docstring).
         """
         sim = self.simulator
         processes = self._processes
-        base_batch = Process.on_message_batch
         overflow = sim._array_core._overflow
         stop = self._span_stop(times, seqs, pos, end, until)
-        if multicast:
-            if self._skip_epoch != self._epoch:
-                self._refresh_skip_table()
-            skip = self._skip_table
-            blocks = self._envelope_blocks
-            envelopes = self._envelopes
-            pids = self._receiver_pids
-            # Relays made while this span runs may be parked (see
-            # ``_multicast_trusted``) if the channel promises a floor.
-            if getattr(self.channel, "delay_floor", None) is not None:
-                self._park_limit = times[stop - 1]
+        if self._skip_epoch != self._epoch:
+            self._refresh_skip_table()
+        skip = self._skip_table
+        blocks = self._envelope_blocks
+        envelopes = self._envelopes
+        pids = self._receiver_pids
+        # Relays made while this span runs may be parked (see
+        # ``_multicast_trusted``) if the channel promises a floor.
+        if getattr(self.channel, "delay_floor", None) is not None:
+            self._park_limit = times[stop - 1]
         delivered = 0
         quarantined = 0
         count = 0
         k = pos
-        # Callbacks never advance the clock themselves (only the drain and
-        # ``on_message_batch`` do, and the batch path refreshes below), so
-        # the comparisons can run against a local mirror of ``sim.now``.
+        # Callbacks never advance the clock themselves (only the drain
+        # does), so the comparisons can run against a local mirror of
+        # ``sim.now``.
         now = sim.now
         try:
             while k < stop:
-                if multicast:
-                    code = args[k]
-                    if blocks[code >> 16] in skip[code & 0xFFFF]:
-                        for j in range(k + 1, stop):
-                            code = args[j]
-                            if blocks[code >> 16] not in skip[code & 0xFFFF]:
-                                break
-                        else:
-                            j = stop
-                        delivered += j - k
-                        count += j - k
-                        k = j
-                        if times[k - 1] > now:
-                            now = times[k - 1]
-                            sim.now = now
-                        if k == stop:
+                code = args[k]
+                if blocks[code >> 16] in skip[code & 0xFFFF]:
+                    for j in range(k + 1, stop):
+                        code = args[j]
+                        if blocks[code >> 16] not in skip[code & 0xFFFF]:
                             break
-                    message = envelopes[code >> 16]
-                    pid = pids[code & 0xFFFF]
-                else:
-                    message = args[k]
-                    pid = message.receiver
+                    else:
+                        j = stop
+                    delivered += j - k
+                    count += j - k
+                    k = j
+                    if times[k - 1] > now:
+                        now = times[k - 1]
+                        sim.now = now
+                    if k == stop:
+                        break
                 time = times[k]
                 if time > now:
                     now = time
                     sim.now = time
-                process = processes.get(pid)
+                process = processes.get(pids[code & 0xFFFF])
+                count += 1
+                k += 1
                 if process is None:
                     quarantined += 1
-                    count += 1
-                    k += 1
                     continue
                 if not process.alive:
-                    count += 1
-                    k += 1
                     continue
-                j = k + 1
-                if type(process).on_message_batch is not base_batch:
-                    # A custom batcher gets its same-receiver sub-run.
-                    if multicast:
-                        receiver = code & 0xFFFF
-                        while j < stop and args[j] & 0xFFFF == receiver:
-                            j += 1
-                    else:
-                        while j < stop and args[j].receiver == pid:
-                            j += 1
-                if j == k + 1:
-                    delivered += 1
-                    count += 1
-                    k = j
-                    process.on_message(message)
-                else:
-                    if multicast:
-                        deliveries = [
-                            (times[i], seqs[i], envelopes[args[i] >> 16]) for i in range(k, j)
-                        ]
-                    else:
-                        deliveries = [(times[i], seqs[i], args[i]) for i in range(k, j)]
-                    consumed = process.on_message_batch(deliveries)
-                    if consumed < 1 or consumed > j - k:
-                        raise RuntimeError(
-                            "on_message_batch consumed %r of %d deliveries"
-                            % (consumed, j - k)
-                        )
-                    delivered += consumed
-                    count += consumed
-                    last_time = deliveries[consumed - 1][0]
-                    if last_time > sim.now:
-                        sim.now = last_time
-                    now = sim.now
-                    k += consumed
+                delivered += 1
+                process.on_message(envelopes[code >> 16])
                 # The dispatch may have pushed an overflow event that cuts
                 # the span earlier, or changed membership or liveness.
                 if overflow:
                     stop = self._span_stop(times, seqs, k, stop, until)
                     if self._park_limit is not None:
                         self._park_limit = times[stop - 1]
-                if multicast and self._skip_epoch != self._epoch:
+                if self._skip_epoch != self._epoch:
                     self._refresh_skip_table()
                     skip = self._skip_table
         finally:
@@ -1152,26 +1064,6 @@ class Network:
             table.append(_NO_SKIP if seen is None else seen)
         self._skip_table = table
         self._skip_epoch = self._epoch
-
-    def batch_interrupted(self, process: "Process", time: float, seq: int) -> bool:
-        """Should an in-flight delivery batch stop before ``(time, seq)``?
-
-        True when the receiving process died or departed mid-batch (the
-        scalar guards must re-run), or when an event pushed into the
-        overflow heap by an earlier callback now sorts before the next
-        delivery.  Called by ``Process.on_message_batch`` between
-        messages; the remainder of the batch is re-dispatched through
-        the scalar-exact span loop.
-        """
-        if not process.alive or self._processes.get(process.pid) is not process:
-            return True
-        core = self.simulator._array_core
-        if core is not None and core._overflow:
-            head = core._overflow[0]
-            head_time = head[0]
-            if head_time < time or (head_time == time and head[1] < seq):
-                return True
-        return False
 
     # -- pickling (checkpoint support) ---------------------------------------------
 

@@ -22,9 +22,8 @@ and transport, so their duplicates are skippable; what a case varies is
 scripted on top: an action run on a replica's first reception of a block
 (crash or deregister a peer, a churn leave or rejoin; a send, a timer, a
 small or a block-sized multicast, a partition installed or healed, an
-exception — what must flush or stop the relays a span parked), a
-receiver with a custom ``on_message_batch``, blocks multicast to a chosen
-receiver list.  Its state is the recorded history plus every counter.
+exception — what must flush or stop the relays a span parked), blocks
+multicast to a chosen receiver list.  Its state is the recorded history plus every counter.
 
 A flood holds only data and bound methods, so it pickles whole — the
 snapshot cases restore one mid-flood and finish it.
@@ -149,14 +148,6 @@ class Replica(BlockchainReplica):
             action(self.flood)
 
 
-class Batcher(Replica):
-    """A custom batcher, scalar-exact: takes at most two deliveries a call."""
-
-    def on_message_batch(self, deliveries) -> int:
-        self.flood.batches.append(len(deliveries))
-        return super().on_message_batch(deliveries[:2])
-
-
 #: (time, originator, block name, receivers or None for a broadcast)
 Origin = Tuple[float, str, str, Optional[Sequence[str]]]
 
@@ -240,18 +231,16 @@ class BlockFlood(Flood):
         core: str,
         channel: Any,
         processes: int = 18,
-        batcher: Optional[str] = None,
         actions: Optional[Dict[Tuple[str, str], Callable[["BlockFlood"], None]]] = None,
     ) -> None:
         self.sim = Simulator(core=core)
         self.network = Network(self.sim, channel)
         self.actions = dict(actions or {})
-        self.batches: List[int] = []  # sizes handed to the batcher (array core only)
         oracle = ProdigalOracle(tapes=TapeFamily(seed=0))
         self.replicas: Dict[str, Replica] = {}
         for index in range(processes):
             pid = f"p{index}"
-            replica = (Batcher if pid == batcher else Replica)(pid, self, oracle)
+            replica = Replica(pid, self, oracle)
             self.network.register(replica)
             self.replicas[pid] = replica
 

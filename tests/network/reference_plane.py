@@ -16,10 +16,9 @@ the tests only, as subclasses that put the old bodies back:
 :func:`reference_plane` makes :func:`repro.protocols.base.run_protocol`
 build a run from them, part by part; with ``core="heap"`` on top that is
 the whole oracle leg of ``tests/network/test_core_equivalence.py``.  None
-of these classes calls ``Network._deliver_span`` /
-``_deliver_multicast_span``, ``Network._refresh_skip_table``,
-``HistoryRecorder._replication``, ``_TreeColumns.append``,
-``BlockchainReplica.batch_dup_seen`` or ``Process.on_message_batch``
+of these classes calls ``Network._deliver_span``,
+``Network._refresh_skip_table``, ``HistoryRecorder._replication``,
+``_TreeColumns.append`` or ``BlockchainReplica.batch_dup_seen``
 (``test_core_equivalence.py`` proves it by making them raise), so the
 equivalence tests hold those methods to code that shares nothing with them.
 Do not "optimize" anything in this module.
@@ -44,8 +43,8 @@ class ReferenceNetwork(Network):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        # ``Network`` registers its span handlers unconditionally; without
-        # them the array core dispatches every delivery on its own, as the
+        # ``Network`` registers its span handler unconditionally; without
+        # it the array core dispatches every delivery on its own, as the
         # heap core always does.
         core = self.simulator._array_core
         if core is not None:

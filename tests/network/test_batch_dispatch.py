@@ -3,9 +3,9 @@
 The protocol-level byte-identity suite lives in
 ``test_core_equivalence.py``; here the focus is the dispatch machinery
 itself: ``schedule_fanout`` degenerate delay vectors, batch-vs-scalar
-delivery parity under mid-batch membership churn and crashes, the
-``on_message_batch`` consumption contract, and the stock-hook guards
-behind ``batch_dup_seen`` (the span-level duplicate-flood skip).
+delivery parity under mid-batch membership churn and crashes, and the
+stock-hook guards behind ``batch_dup_seen`` (the span-level
+duplicate-flood skip).
 """
 
 from __future__ import annotations
@@ -119,53 +119,6 @@ def test_batched_network_matches_scalar_with_mid_batch_churn():
     # Once "b" processed its "die", nothing further was delivered to it.
     b_entries = [entry for entry in batched_log if entry[1] == "b"]
     assert b_entries[-1][2] == "die"
-
-
-# -- on_message_batch consumption contract -----------------------------------
-
-
-class BadBatcher(LoggingProcess):
-    def __init__(self, pid, log, consumed):
-        super().__init__(pid, log)
-        self.consumed = consumed
-
-    def on_message_batch(self, deliveries) -> int:
-        return self.consumed
-
-
-@pytest.mark.parametrize("consumed", (0, 99))
-def test_on_message_batch_consumption_bounds_enforced(consumed: int):
-    """Consuming nothing (livelock) or more than was handed over
-    (skipped deliveries) is a contract violation, not a silent drift."""
-    sim = Simulator(core="array")
-    network = Network(sim, SynchronousChannel(delta=1.0, min_delay=0.5, seed=3))
-    log: list = []
-    network.register(LoggingProcess("a", log))
-    network.register(BadBatcher("bad", log, consumed))
-    for i in range(4):
-        network.send("a", "bad", "data", f"m{i}")
-    with pytest.raises(RuntimeError, match="on_message_batch consumed"):
-        sim.run()
-
-
-def test_partial_batch_consumption_redispatches_remainder():
-    """A batch consumed halfway resumes through the scalar guards."""
-
-    class TwoAtATime(LoggingProcess):
-        def on_message_batch(self, deliveries) -> int:
-            limit = min(2, len(deliveries))
-            return super().on_message_batch(deliveries[:limit])
-
-    sim = Simulator(core="array")
-    network = Network(sim, SynchronousChannel(delta=1.0, min_delay=0.5, seed=3))
-    log: list = []
-    network.register(LoggingProcess("a", log))
-    network.register(TwoAtATime("slow", log))
-    for i in range(5):
-        network.send("a", "slow", "data", f"m{i}")
-    sim.run()
-    assert sorted(entry[2] for entry in log) == [f"m{i}" for i in range(5)]
-    assert network.messages_delivered == 5
 
 
 # -- batch_dup_seen stock-hook guards ----------------------------------------

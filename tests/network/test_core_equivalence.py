@@ -42,7 +42,6 @@ from repro.network.channels import (
 )
 from repro.network.event_core import ArrayEventCore
 from repro.network.faults import available_faults
-from repro.network.process import Process
 from repro.network.simulator import Network
 from repro.protocols.base import BlockchainReplica
 from tests.network.column_script import ListSink, Script, play
@@ -178,9 +177,8 @@ def _trip(*args, **kwargs):
 
 
 #: The fast paths the reference plane is the oracle *for*, each patched
-#: on the class that defines it.  ``_deliver_multicast_span`` is a call
-#: into ``_deliver_span``, so the one patch stops both; the skip table is
-#: what the span's duplicate stretches are read against.
+#: on the class that defines it; the skip table is what the span's
+#: duplicate stretches are read against.
 _FAST_PATHS = {
     "deliver_span": (Network, "_deliver_span"),
     "record_replication": (HistoryRecorder, "_replication"),
@@ -191,14 +189,12 @@ _FAST_PATHS = {
 
 def test_reference_plane_runs_none_of_the_fast_paths():
     """The oracle is independent of what it checks: with every fast path
-    (and the base ``on_message_batch``) raising, the oracle leg still runs
-    to completion and records the history it records without the patches."""
+    raising, the oracle leg still runs to completion and records the
+    history it records without the patches."""
     expected = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
     with ExitStack() as stack:
         for target, name in (
             *_FAST_PATHS.values(),
-            (Network, "_deliver_multicast_span"),
-            (Process, "on_message_batch"),
             (BlockchainReplica, "batch_dup_seen"),
         ):
             stack.enter_context(mock.patch.object(target, name, _trip))
@@ -605,7 +601,7 @@ def _mid_span_refreshes(pids):
         caller = sys._getframe(1)
         if caller.f_code.co_name == "_deliver_span":
             frame = caller.f_locals
-            if frame["multicast"] and frame.get("k", frame["pos"]) > frame["pos"]:
+            if frame.get("k", frame["pos"]) > frame["pos"]:
                 wanted = {network._receiver_index[pid] for pid in pids}
                 rest = frame["args"][frame["k"] : frame["end"]]
                 seen.append(any(code & 0xFFFF in wanted for code in rest))
@@ -661,10 +657,10 @@ def test_cuts_inside_a_duplicate_stretch_match_the_heap_core(channel: str):
     cuts = []
     deliver_span = Network._deliver_span
 
-    def spy(network, times, seqs, args, pos, end, until, cell, multicast=False):
-        consumed = deliver_span(network, times, seqs, args, pos, end, until, cell, multicast)
+    def spy(network, times, seqs, args, pos, end, until, cell):
+        consumed = deliver_span(network, times, seqs, args, pos, end, until, cell)
         k = pos + consumed
-        if multicast and k < len(args) and type(args[k]) is int:
+        if k < len(args) and type(args[k]) is int:
             if _is_duplicate(network, args[k - 1]) and _is_duplicate(network, args[k]):
                 if until is not None and times[k] > until:
                     cuts.append("until")
@@ -703,21 +699,6 @@ def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future():
         restored = pickle.loads(blob)
         assert restored.network._skip_table == []  # rebuilt on first use
         assert restored.run([(None, 10**6)])[-1] == clean
-
-
-def test_a_custom_batcher_mixed_into_the_span_matches_the_heap_core():
-    """``p3`` overrides ``on_message_batch``: three blocks multicast to it
-    alone arrive back to back in one span and reach it as one sub-run."""
-    origins = _BLOCKS + [
-        (0.25, "p1", "x", ["p3"]),
-        (0.25, "p2", "y", ["p3"]),
-        (0.25, "p5", "z", ["p3"]),
-    ]
-    flood = _assert_flood_matches_heap(
-        [(None, 10**6)], channel="lockstep", origins=origins, batcher="p3"
-    )
-    assert 3 in flood.batches
-    assert len(flood.replicas["p8"].tree) == 7  # p3 relayed x, y and z
 
 
 # -- parked relays: a span's relays drawn once, against the heap core ----------

@@ -1,7 +1,7 @@
 """Unit tests for the array-native event calendar.
 
 Covers the :class:`~repro.network.simulator.Simulator` surface under both
-cores — scalar pushes, bulk inserts, fan-outs, block scheduling, the
+cores — scalar pushes, fan-outs, block scheduling, the
 ``until``/``max_events`` run contract — plus the array core's internals:
 method-table interning and recycling and the overflow heap for pushes
 into the active slot.  The protocol-level
@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import UnknownVocabularyError
-from repro.network.event_core import (
-    EVENT_DTYPE,
-    NO_ARG,
-    ArrayEventCore,
-)
+from repro.network.event_core import NO_ARG, ArrayEventCore
 from repro.network.simulator import Simulator
 
 
@@ -52,10 +48,6 @@ def test_slot_width_must_be_positive():
         ArrayEventCore(slot_width=0.0)
     with pytest.raises(ValueError):
         ArrayEventCore(slot_width=-1.0)
-
-
-def test_event_dtype_shape():
-    assert EVENT_DTYPE.names == ("time", "seq", "method", "arg")
 
 
 # -- scalar scheduling -------------------------------------------------------
@@ -99,69 +91,6 @@ def test_same_time_ties_resolve_in_insertion_order():
     assert _both_cores_agree(build) == ["a", "b", "c", "d"]
 
 
-# -- schedule_many -----------------------------------------------------------
-
-
-def test_schedule_many_accepts_one_shot_generator():
-    """The generator-safety regression: a lazily built fan-out must be
-    materialized exactly once, not silently re-iterated or half-consumed."""
-    sim = Simulator(core="array")
-    trace = []
-    entries = ((float(i), trace.append, i) for i in range(5))
-    assert sim.schedule_many(entries) == 5
-    assert sim.pending == 5
-    sim.run()
-    assert trace == [0, 1, 2, 3, 4]
-
-
-def test_schedule_many_seq_parity_with_call_at():
-    """A batch tie-breaks exactly like the same entries pushed one by one."""
-
-    def batched(sim, trace):
-        sim.call_at(1.0, trace.append, "first")
-        sim.schedule_many([(1.0, trace.append, "m0"), (1.0, trace.append, "m1")])
-        sim.call_at(1.0, trace.append, "last")
-
-    def scalar(sim, trace):
-        sim.call_at(1.0, trace.append, "first")
-        sim.call_at(1.0, trace.append, "m0")
-        sim.call_at(1.0, trace.append, "m1")
-        sim.call_at(1.0, trace.append, "last")
-
-    for core in ("array", "heap"):
-        assert _trace_run(core, batched) == _trace_run(core, scalar)
-    assert _both_cores_agree(batched) == ["first", "m0", "m1", "last"]
-
-
-def test_schedule_many_validates_before_inserting():
-    """The array core rejects the whole batch atomically."""
-    sim = Simulator(core="array")
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(ValueError):
-        sim.schedule_many([(2.0, lambda a: None, "ok"), (0.5, lambda a: None, "past")])
-    assert sim.pending == 0
-
-
-def test_schedule_many_empty_batch():
-    sim = Simulator(core="array")
-    assert sim.schedule_many([]) == 0
-    assert sim.schedule_many(iter(())) == 0
-    assert sim.pending == 0
-
-
-def test_schedule_many_spanning_many_slots():
-    """A batch wider than one 0.25 time slot lands in many buckets but
-    fires in global (time, seq) order regardless."""
-
-    def build(sim, trace):
-        times = [7.9, 0.1, 3.3, 3.3, 12.0, 0.1]
-        sim.schedule_many([(t, trace.append, (t, i)) for i, t in enumerate(times)])
-
-    trace = _both_cores_agree(build)
-    assert trace == [(0.1, 1), (0.1, 5), (3.3, 2), (3.3, 3), (7.9, 0), (12.0, 4)]
-
-
 # -- schedule_fanout / schedule_block ----------------------------------------
 
 
@@ -199,6 +128,37 @@ def test_schedule_block_interleaves_with_scalar_pushes():
         sim.call_at(1.5, trace.append, "scalar-after")
 
     assert _both_cores_agree(build) == ["scalar-before", "blk0", "scalar-after", "blk1"]
+
+
+def test_schedule_block_seq_parity_with_call_at():
+    """A block tie-breaks exactly like the same entries pushed one by one."""
+
+    def batched(sim, trace):
+        sim.call_at(1.0, trace.append, "first")
+        sim.schedule_block([1.0, 1.0], trace.append, ["m0", "m1"])
+        sim.call_at(1.0, trace.append, "last")
+
+    def scalar(sim, trace):
+        sim.call_at(1.0, trace.append, "first")
+        sim.call_at(1.0, trace.append, "m0")
+        sim.call_at(1.0, trace.append, "m1")
+        sim.call_at(1.0, trace.append, "last")
+
+    for core in ("array", "heap"):
+        assert _trace_run(core, batched) == _trace_run(core, scalar)
+    assert _both_cores_agree(batched) == ["first", "m0", "m1", "last"]
+
+
+def test_schedule_block_spanning_many_slots():
+    """A block wider than one 0.25 time slot lands in many buckets but
+    fires in global (time, seq) order regardless."""
+
+    def build(sim, trace):
+        times = [7.9, 0.1, 3.3, 3.3, 12.0, 0.1]
+        sim.schedule_block(times, trace.append, [(t, i) for i, t in enumerate(times)])
+
+    trace = _both_cores_agree(build)
+    assert trace == [(0.1, 1), (0.1, 5), (3.3, 2), (3.3, 3), (7.9, 0), (12.0, 4)]
 
 
 # -- run contract ------------------------------------------------------------
@@ -288,12 +248,8 @@ def test_randomized_mixed_workload_parity(seed: int):
             if kind == 0:
                 sim.call_at(t, reentrant, ("call_at", i))
             elif kind == 1:
-                sim.schedule_many(
-                    [
-                        (t + float(d), reentrant, ("many", i, j))
-                        for j, d in enumerate(rng.uniform(0.0, 5.0, size=3))
-                    ]
-                )
+                for j, d in enumerate(rng.uniform(0.0, 5.0, size=3)):
+                    sim.call_at(t + float(d), reentrant, ("many", i, j))
             elif kind == 2:
                 times = t + rng.uniform(0.0, 5.0, size=4)
                 sim.schedule_block(times, reentrant, [("block", i, j) for j in range(4)])
@@ -322,7 +278,7 @@ def test_method_table_interns_shared_callbacks():
 
 
 def test_method_table_recycles_slots_across_drains():
-    """One-shot closures cannot exhaust the i2 index space: drained
+    """One-shot closures cannot exhaust the method table: drained
     buckets release their methods and the slots are reused."""
     sim = Simulator(core="array")
     core = sim._array_core

@@ -122,35 +122,6 @@ class TestSimulator:
         simulator.schedule_at(4.0, lambda: None)
         assert simulator.pending == 1
 
-    def test_schedule_many_bulk_insert(self):
-        simulator = Simulator()
-        log: list[str] = []
-        count = simulator.schedule_many(
-            (t, log.append, tag) for t, tag in ((2.0, "b"), (1.0, "a"), (2.0, "c"))
-        )
-        assert count == 3
-        simulator.run()
-        # Timestamp order, ties in insertion order.
-        assert log == ["a", "b", "c"]
-        assert simulator.now == 2.0
-
-    def test_schedule_many_rejects_past_times(self):
-        simulator = Simulator()
-        simulator.schedule(1.0, lambda: None)
-        simulator.run()
-        with pytest.raises(ValueError):
-            simulator.schedule_many([(0.5, lambda _: None, "x")])
-
-    def test_schedule_many_ties_with_schedule_preserve_global_order(self):
-        """schedule_many shares the sequence counter with schedule/call_at."""
-        simulator = Simulator()
-        log: list[str] = []
-        simulator.schedule(1.0, lambda: log.append("closure"))
-        simulator.schedule_many([(1.0, log.append, "bulk")])
-        simulator.call_at(1.0, log.append, "call_at")
-        simulator.run()
-        assert log == ["closure", "bulk", "call_at"]
-
 
 class TestNetwork:
     def _network(self, delta: float = 1.0) -> tuple[Network, Echo, Echo]:

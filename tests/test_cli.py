@@ -417,8 +417,8 @@ class TestFaultFlags:
     def test_fault_parse_forms(self):
         from repro.cli import _parse_fault
 
-        spec = _parse_fault("partition")
-        assert spec.kind == "partition" and spec.params == {}
+        spec = _parse_fault("crash")
+        assert spec.kind == "crash" and spec.params == {"at": {}}
         # The old spelling is still read, into the registry kinds.
         spec = _parse_fault('crash:crash_at={"p1": 30.0}')
         assert spec.kind == "crash" and spec.params == {"at": {"p1": 30.0}}
@@ -437,6 +437,42 @@ class TestFaultFlags:
         assert spec.kind == "churn" and spec.params == {"leave": {"p4": 20.0}}
         with pytest.raises(SystemExit, match="not 'key=value'"):
             _parse_fault("eclipse:victim")
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--fault", "silent", "fault 'silent': missing a required argument: 'members'"),
+            ("--fault", "partition", "fault 'partition': missing a required argument: 'groups'"),
+            (
+                "--fault",
+                'churn:leave={"p1":10},rejoin={"p1":40}',
+                "fault 'churn': got an unexpected keyword argument 'rejoin'",
+            ),
+            (
+                "--topology",
+                "gossip:bogus=3",
+                "topology 'gossip': got an unexpected keyword argument 'bogus'",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ("classify", "sweep"))
+    def test_bad_component_parameters_fail_before_any_run(
+        self, tmp_path, command, flag, value, message
+    ):
+        """A missing or unknown constructor parameter is one usage error,
+        like an unknown kind: a sweep stops before it runs a cell."""
+        out = tmp_path / "results.json"
+        argv = {
+            "classify": ["classify", "bitcoin", "--duration", "10"],
+            "sweep": [
+                "sweep", "--protocol", "bitcoin", "--duration", "10",
+                "--seeds", "0:2", "--out", str(out),
+            ],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, value])
+        assert excinfo.value.code == f"repro: error: {message}"
+        assert not out.exists()
 
     def test_sweep_base_fault_applies_to_every_cell(self, capsys, tmp_path):
         out = tmp_path / "results.json"

@@ -230,10 +230,14 @@ def test_checkpoint_with_a_list_mempool_is_refused_with_the_reason():
         stale.restore()
 
 
-def test_checkpoint_with_an_older_bucket_table_is_refused_with_the_reason():
-    with mock.patch.object(event_core, "_BUCKET_TABLE_TAG", "bucket-table/1"):
+@pytest.mark.parametrize(
+    "tag, reason",
+    [("bucket-table/1", "column events"), ("bucket-table/2", "structured-array store")],
+)
+def test_checkpoint_with_an_older_bucket_table_is_refused_with_the_reason(tag, reason):
+    with mock.patch.object(event_core, "_BUCKET_TABLE_TAG", tag):
         _, snapshots = _snapshots("array")
-    with pytest.raises(CheckpointCorruptionError, match="bucket-table/1.*column events.*re-run"):
+    with pytest.raises(CheckpointCorruptionError, match=f"{tag}.*{reason}.*re-run"):
         snapshots[3].restore()
 
 
