@@ -113,6 +113,24 @@ def test_schedule_fanout_all_dropped():
     assert sim.pending == 0
 
 
+def test_schedule_block_validates_before_inserting():
+    """The array core rejects the whole block atomically."""
+    sim = Simulator(core="array")
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.schedule_block([2.0, 0.5], lambda a: None, ["ok", "past"])
+    assert sim.pending == 0
+
+
+@pytest.mark.parametrize("core", ("array", "heap"))
+def test_schedule_block_empty_block(core: str):
+    sim = Simulator(core=core)
+    assert sim.schedule_block([], lambda a: None, []) == 0
+    assert sim.schedule_block(np.array([], dtype=np.float64), lambda a: None, []) == 0
+    assert sim.pending == 0
+
+
 def test_schedule_block_takes_numpy_times():
     def build(sim, trace):
         times = np.array([4.0, 1.5, 1.5, 9.25], dtype=np.float64)

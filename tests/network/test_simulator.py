@@ -122,6 +122,16 @@ class TestSimulator:
         simulator.schedule_at(4.0, lambda: None)
         assert simulator.pending == 1
 
+    def test_schedule_block_ties_with_schedule_preserve_global_order(self):
+        """schedule_block shares the sequence counter with schedule/call_at."""
+        simulator = Simulator()
+        log: list[str] = []
+        simulator.schedule(1.0, lambda: log.append("closure"))
+        simulator.schedule_block([1.0], log.append, ["bulk"])
+        simulator.call_at(1.0, log.append, "call_at")
+        simulator.run()
+        assert log == ["closure", "bulk", "call_at"]
+
 
 class TestNetwork:
     def _network(self, delta: float = 1.0) -> tuple[Network, Echo, Echo]:
