@@ -36,7 +36,16 @@ Anceaume, Del Pozzo, Ludinard, Potop-Butucaru and Tucci-Piergiovanni
     Workload/scenario generators (including the exact histories of
     Figures 2, 3, 4 and 13) and analysis utilities (fork statistics,
     convergence metrics, report rendering).
+
+``MODEL_VERSION`` names the simulator model that produced an artifact.
+It is hashed into every spec digest (cache file, sweep journal key,
+checkpoint path) and written into every checkpoint header, and a
+checkpoint of another version is refused.  Bump it with any change to a
+history, verdict, payload or pickled format.
 """
+
+#: Set before any import, so every module can read ``repro.MODEL_VERSION``.
+MODEL_VERSION = 1
 
 from repro.core.block import Block, Blockchain, GENESIS, genesis_block
 from repro.core.blocktree import BlockTree
@@ -81,5 +90,6 @@ __all__ = [
     "FrugalOracle",
     "ProdigalOracle",
     "RefinedBTADT",
+    "MODEL_VERSION",
     "__version__",
 ]

@@ -475,6 +475,7 @@ def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
     if "seed" in signature.parameters:
         supplied.setdefault("seed", 0)
     try:
+        signature.bind_partial(**supplied)  # an unknown name before a missing one
         signature.bind(**supplied)
     except TypeError as error:
         raise SystemExit(f"repro: error: {noun} {spec.kind!r}: {error}") from None
@@ -482,12 +483,8 @@ def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
 
 
 def _parse_fault(text: str) -> FaultSpec:
-    """``--fault``; ``seed`` is the spec field, and :meth:`FaultSpec.from_dict`
-    is the one reader of the old ``crash:crash_at=...`` /
-    ``byzantine:byzantine=...`` spelling."""
-    return _parse_component(
-        text, "fault", FaultSpec, FAULT_REGISTRY, ("crash_at", "byzantine", "seed")
-    )
+    """``--fault``; ``seed`` is the spec field, every other key a parameter."""
+    return _parse_component(text, "fault", FaultSpec, FAULT_REGISTRY, ("seed",))
 
 
 def _parse_topology(text: str) -> TopologySpec:
@@ -617,12 +614,9 @@ def _cmd_resume_run(args: argparse.Namespace) -> str:
         if args.checkpoint_every is not None
         else None
     )
-    try:
-        record = resume_spec_from_checkpoint(
-            spec, snapshot, every=args.checkpoint_every, writer=writer
-        )
-    except CheckpointCorruptionError as error:
-        raise SystemExit(f"repro resume-run: error: {error}") from None
+    record = resume_spec_from_checkpoint(
+        spec, snapshot, every=args.checkpoint_every, writer=writer
+    )
     header = (
         f"resumed {spec.label or spec.protocol!r} from {args.checkpoint} "
         f"(clock {snapshot.clock:.2f}, {snapshot.event_count} events, "

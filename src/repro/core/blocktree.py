@@ -40,7 +40,6 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set,
 import numpy as np
 
 from repro.core.block import GENESIS_ID, Block, Blockchain, genesis_block
-from repro.core.errors import StaleSnapshotError
 
 __all__ = ["BlockTree", "UnknownParentError", "DuplicateBlockError"]
 
@@ -600,20 +599,6 @@ class BlockTree:
         clone._version = self._version
         clone._selection_memo = dict(self._selection_memo)
         return clone
-
-    def __setstate__(self, state):
-        # A tree checkpointed before the columnar index existed (or built
-        # on the since-removed dict index) carries no columns, and nothing
-        # here can read its dicts any more: refuse it instead of restoring
-        # a tree whose every query would fail.  (The leaf-index memo arrived
-        # with the columns, so a state that has them needs no defaults.)
-        if state.get("_columns") is None:
-            raise StaleSnapshotError(
-                "cannot restore this BlockTree snapshot: it was taken on the "
-                "dict score index, which has been removed (trees now keep "
-                "their indexes on numpy columns); re-run instead of resuming"
-            )
-        self.__dict__.update(state)
 
     # -- presentation ---------------------------------------------------------
 

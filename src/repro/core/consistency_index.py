@@ -63,7 +63,6 @@ from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.block import Block, Blockchain
-from repro.core.errors import StaleSnapshotError
 from repro.core.history import Event, History, HistoryRecorder
 from repro.core.score import LengthScore, ScoreFunction, WeightScore, mcps
 
@@ -516,18 +515,6 @@ class ConsistencyMonitor:
         self.index = ConsistencyIndex()
         self.events_seen = 0
         self._reports: Optional[Tuple[ConsistencyReport, ConsistencyReport]] = None
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # A monitor checkpointed while it decided the properties itself
-        # carries sticky verdicts and an index with no read table: refuse
-        # it instead of restoring a monitor whose summary() would fail.
-        if "_sp_ok" in state:
-            raise StaleSnapshotError(
-                "cannot restore this ConsistencyMonitor snapshot: it was taken when "
-                "the monitor kept its own per-property verdicts, and its index has no "
-                "read table for the checkers that decide now; re-run instead of resuming"
-            )
-        self.__dict__.update(state)
 
     # -- wiring ---------------------------------------------------------------
 

@@ -6,13 +6,15 @@ simulation (all randomness derives from ``spec.seed``), so an executed
 spec comes around again — across sweeps, benches and CLI invocations.
 
 :class:`ResultCache` is a content-addressed store of JSON files: the key
-is the SHA-256 digest of ``spec.to_json()`` (the canonical, sort-keyed
-serialization), the value is ``result.to_json()`` verbatim.  Hitting the
-cache therefore returns a *byte-identical* artifact — including the
-original run's wall-clock ``timings`` — and performs zero simulator
-events.  Invalidation is purely structural: change any spec field and the
-digest (hence the file) changes; delete the cache directory and
-everything re-runs.  Corrupt or unreadable entries are treated as misses.
+is the SHA-256 digest of :data:`repro.MODEL_VERSION` together with
+``spec.to_json()`` (the canonical, sort-keyed serialization), the value
+is ``result.to_json()`` verbatim.  Hitting the cache therefore returns a
+*byte-identical* artifact — including the original run's wall-clock
+``timings`` — and performs zero simulator events.  Invalidation is by
+spec and model version: change any spec field, or bump the version with
+a behaviour change, and the digest (hence the file) changes; delete the
+cache directory and everything re-runs.  Corrupt or unreadable entries
+are treated as misses.
 
 The cache deliberately stores only the serializable payload: live ``run``
 objects never round-trip, exactly as with the multiprocessing sweep path.
@@ -25,8 +27,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Union
 
+import repro
 from repro.engine.result import RunResult
 from repro.engine.spec import ExperimentSpec
 
@@ -37,12 +40,14 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def spec_digest(spec: ExperimentSpec) -> str:
-    """Content address of a spec: SHA-256 over its canonical JSON form."""
-    return hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()
+    """Content address of a spec: SHA-256 over the model version and its
+    canonical JSON form."""
+    text = f"model_version={repro.MODEL_VERSION}\n{spec.to_json()}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ResultCache:
-    """Content-addressed, file-per-result cache keyed on spec JSON."""
+    """Content-addressed, file-per-result cache keyed on spec and model version."""
 
     def __init__(self, directory: Union[str, Path] = DEFAULT_CACHE_DIR) -> None:
         self.directory = Path(directory)
@@ -97,26 +102,6 @@ class ResultCache:
                 pass
             raise
         return path
-
-    # -- batch helper --------------------------------------------------------
-
-    def partition(
-        self, specs: Sequence[ExperimentSpec]
-    ) -> Tuple[List[Optional[RunResult]], List[int]]:
-        """Split a batch into cached results and the indices still to run.
-
-        Returns ``(slots, missing)`` where ``slots[i]`` is the cached
-        result for ``specs[i]`` (or ``None``) and ``missing`` lists the
-        indices whose specs must actually execute.
-        """
-        slots: List[Optional[RunResult]] = []
-        missing: List[int] = []
-        for index, spec in enumerate(specs):
-            cached = self.get(spec)
-            slots.append(cached)
-            if cached is None:
-                missing.append(index)
-        return slots, missing
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

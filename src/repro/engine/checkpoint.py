@@ -16,16 +16,22 @@ fault kind).
 
 On-disk format (``repro.checkpoint/1``)::
 
-    {"schema": "repro.checkpoint/1", "clock": ..., "event_count": ...,
-     "phase": ..., "pickle_bytes": N, "sha256": "...", "spec": {...}?}\\n
+    {"schema": "repro.checkpoint/1", "model_version": ..., "clock": ...,
+     "event_count": ..., "phase": ..., "pickle_bytes": N, "sha256": "...",
+     "spec": {...}?}\\n
     <N bytes of pickle protocol-highest payload>
 
 The single JSON header line makes torn files detectable without
 unpickling: a snapshot whose byte length or digest disagrees with its
 header is rejected and the previous snapshot (``*.prev.ckpt``) is used
-instead.  :class:`CheckpointWriter` writes crash-safely — tmp file +
-``fsync`` + atomic rename, rotating the prior snapshot first — so a
-kill at any instant leaves at least one loadable checkpoint behind.
+instead.  It also carries :data:`repro.MODEL_VERSION`, and a snapshot of
+any other version, or of none, is refused before its payload is read:
+that is the one compatibility rule, so no class keeps a reader for an
+older pickled format.
+
+:class:`CheckpointWriter` writes crash-safely — tmp file + ``fsync`` +
+atomic rename, rotating the prior snapshot first — so a kill at any
+instant leaves at least one loadable checkpoint behind.
 
 The cadence and the sink reach the run as the two keywords
 :func:`~repro.protocols.base.run_protocol` has for them
@@ -45,7 +51,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
 
-from repro.core.errors import StaleSnapshotError
+import repro
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.result import RunResult
@@ -107,6 +113,7 @@ class SimulationCheckpoint:
     def header(self) -> Dict[str, Any]:
         head: Dict[str, Any] = {
             "schema": CHECKPOINT_SCHEMA,
+            "model_version": repro.MODEL_VERSION,
             "clock": self.clock,
             "event_count": self.event_count,
             "phase": self.phase,
@@ -130,7 +137,8 @@ class SimulationCheckpoint:
 
         Raises :class:`CheckpointCorruptionError` for torn or tampered
         files: missing header newline, undecodable header, truncated or
-        over-long payload, or digest mismatch.
+        over-long payload, or digest mismatch — and for a snapshot of
+        another model version (or none), which must be re-run.
         """
         newline = data.find(b"\n")
         if newline < 0:
@@ -144,6 +152,12 @@ class SimulationCheckpoint:
         if head.get("schema") != CHECKPOINT_SCHEMA:
             raise CheckpointCorruptionError(
                 f"unsupported checkpoint schema {head.get('schema')!r}"
+            )
+        if head.get("model_version") != repro.MODEL_VERSION:
+            raise CheckpointCorruptionError(
+                f"checkpoint was written at model version {head.get('model_version')!r}, "
+                f"this is model version {repro.MODEL_VERSION}; it cannot be resumed — "
+                "re-run the spec from the start"
             )
         payload = data[newline + 1 :]
         expected = head.get("pickle_bytes")
@@ -164,22 +178,8 @@ class SimulationCheckpoint:
         )
 
     def restore(self) -> "LiveRun":
-        """Rebuild the live run this snapshot captured.
-
-        A payload naming a class or module this version does not have,
-        or holding state in a format one of its classes refuses (its
-        ``__setstate__`` raises :class:`~repro.core.errors.StaleSnapshotError`
-        naming what changed), is refused as a
-        :class:`CheckpointCorruptionError`; any other unpickle error is
-        a defect or real damage and propagates as itself.
-        """
-        try:
-            return pickle.loads(self.payload)
-        except (AttributeError, ModuleNotFoundError, StaleSnapshotError) as error:
-            raise CheckpointCorruptionError(
-                f"snapshot was written by an older version of repro ({error}); "
-                "it cannot be resumed — re-run the spec from the start"
-            ) from error
+        """Rebuild the live run this snapshot captured."""
+        return pickle.loads(self.payload)
 
 
 def _previous_path(path: str) -> str:

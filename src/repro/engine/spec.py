@@ -86,6 +86,14 @@ def _refuse_unknown_keys(noun: str, data: Mapping[str, Any], accepted: Sequence[
         )
 
 
+def _integer(name: str, value: Any) -> int:
+    """An int or an integral float; ``2.7``, ``"3"`` or ``true`` fail by name
+    instead of running a spec other than the one written."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Declarative channel model.
@@ -236,7 +244,7 @@ class WorkloadSpec:
             use_lrc=data.get("use_lrc"),
             merit=data.get("merit"),
             merit_exponent=float(data.get("merit_exponent", 1.0)),
-            clients=int(clients) if clients is not None else None,
+            clients=_integer("workload.clients", clients) if clients is not None else None,
             client_rate=float(client_rate) if client_rate is not None else None,
         )
 
@@ -257,12 +265,6 @@ class FaultSpec:
     (``crash``/``silent``/``churn``/``partition``/``eclipse``); ``params``
     are its constructor arguments and ``seed`` defaults to the owning
     spec's seed, exactly like :class:`TopologySpec`.
-
-    :meth:`from_dict` is the one reader of the pre-registry spelling
-    (``crash`` + ``crash_at``, ``byzantine`` + ``byzantine``);
-    :meth:`to_dict` writes the canonical form only, so an old artifact
-    loads, digests to its canonical twin, and a cache entry stored under
-    the old digest is a miss that re-runs.
     """
 
     kind: str
@@ -287,18 +289,8 @@ class FaultSpec:
         if isinstance(data, str):
             # A bare kind name is the sweep-axis / CLI shorthand.
             data = {"kind": data}
-        _refuse_unknown_keys(
-            "fault", data, [*(f.name for f in fields(cls)), "byzantine", "crash_at"]
-        )
-        kind = data["kind"]
-        params = dict(data.get("params", {}))
-        # The pre-registry spelling; a bare legacy kind harmed nobody.
-        if kind == "byzantine":
-            kind = "silent"
-            params = params or {"members": list(data.get("byzantine", ()))}
-        elif kind == "crash" and not params:
-            params = {"at": dict(data.get("crash_at", {}))}
-        return cls(kind=kind, params=params, seed=data.get("seed"))
+        _refuse_unknown_keys("fault", data, [f.name for f in fields(cls)])
+        return cls(kind=data["kind"], params=dict(data.get("params", {})), seed=data.get("seed"))
 
 
 #: The spec field that sets each keyword option of
@@ -407,11 +399,14 @@ class ExperimentSpec:
         channel = data.get("channel")
         topology = data.get("topology")
         fault = data.get("fault")
+        monitor = data.get("monitor", False)
+        if type(monitor) is not bool:
+            raise ValueError(f"monitor must be true or false, got {monitor!r}")
         return cls(
             protocol=data["protocol"],
-            replicas=int(data.get("replicas", 5)),
+            replicas=_integer("replicas", data.get("replicas", 5)),
             duration=float(data.get("duration", 100.0)),
-            seed=int(data.get("seed", 0)),
+            seed=_integer("seed", data.get("seed", 0)),
             channel=ChannelSpec.from_dict(channel) if channel else None,
             topology=TopologySpec.from_dict(topology) if topology else None,
             workload=WorkloadSpec.from_dict(data.get("workload", {})),
@@ -420,9 +415,9 @@ class ExperimentSpec:
             score=data.get("score", "length"),
             params=dict(data.get("params", {})),
             label=data.get("label"),
-            monitor=bool(data.get("monitor", False)),
+            monitor=monitor,
             checkpoint_every=(
-                int(data["checkpoint_every"])
+                _integer("checkpoint_every", data["checkpoint_every"])
                 if data.get("checkpoint_every") is not None
                 else None
             ),

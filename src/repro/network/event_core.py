@@ -59,8 +59,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.errors import StaleSnapshotError
-
 __all__ = [
     "ArrayEventCore",
     "NO_ARG",
@@ -104,15 +102,6 @@ COMPILED_MODULES = {"_drain": False, "_hotpath": False}
 _METHOD_TABLE_LIMIT = 32767  # max live method id
 
 
-_BUCKET_TABLE_TAG = "bucket-table/3"
-
-#: Why a snapshot's older bucket table cannot be read.
-_STALE_BUCKET_TABLES = {
-    "bucket-table/1": "written before client operations became column events",
-    "bucket-table/2": "written while buckets still had a structured-array store",
-}
-
-
 def _pack_bucket_table(buckets):
     """Consolidate a bucket table's deferred blocks for pickling.
 
@@ -144,7 +133,6 @@ def _pack_bucket_table(buckets):
             s_parts.append(cs)
             v_parts.append(cv)
     return (
-        _BUCKET_TABLE_TAG,
         slots,
         rest,
         np.array(meta, dtype=np.int64) if meta else None,
@@ -157,13 +145,7 @@ def _pack_bucket_table(buckets):
 
 def _unpack_bucket_table(packed):
     """Invert :func:`_pack_bucket_table` into a fresh bucket dict."""
-    if packed[0] != _BUCKET_TABLE_TAG:
-        raise StaleSnapshotError(
-            f"cannot restore this event calendar: its bucket table is {packed[0]!r}, "
-            f"{_STALE_BUCKET_TABLES.get(packed[0], 'of an unknown format')} (this "
-            f"version reads {_BUCKET_TABLE_TAG!r}); re-run instead of resuming"
-        )
-    _tag, slots, rest, meta, times, seqs, block_args, values = packed
+    slots, rest, meta, times, seqs, block_args, values = packed
     buckets = {}
     for slot, (stage, args) in zip(slots.tolist(), rest):
         bucket = _Bucket()
@@ -433,10 +415,7 @@ class ArrayEventCore:
         return state
 
     def __setstate__(self, state):
-        # Unpacked first: a bucket table in an older format is refused
-        # there, before anything of the snapshot is taken over.
         self._buckets = _unpack_bucket_table(state.pop("_buckets"))
-        self._fanout_log = {}  # absent from snapshots older than the log
         for name, value in state.items():
             setattr(self, name, value)
 

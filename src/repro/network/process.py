@@ -52,20 +52,11 @@ class _AliveGuard:
         if process.alive and process.incarnation == self.incarnation:
             self.action()
 
-    def __setstate__(self, state) -> None:
-        # A guard pickled before incarnations existed belongs to a
-        # process that was never revived since: incarnation 0.
-        slots = state[1]
-        self.process = slots["process"]
-        self.action = slots["action"]
-        self.incarnation = slots.get("incarnation", 0)
-
 
 class Process:
     """Base class for all simulated processes."""
 
     #: Bumped by :meth:`revive`; timers set in an earlier life never fire.
-    #: A class default, so a process pickled before it existed restores.
     incarnation = 0
 
     def __init__(self, pid: str) -> None:

@@ -81,7 +81,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.core.errors import StaleSnapshotError, UnknownVocabularyError
+from repro.core.errors import UnknownVocabularyError
 from repro.core.history import HistoryRecorder
 from repro.network.channels import batched_delays, batched_delays_many
 from repro.network.event_core import NO_ARG, ArrayEventCore
@@ -1079,19 +1079,6 @@ class Network:
         state["_skip_epoch"] = -1
         state["_receiver_codes"] = {}
         return state
-
-    def __setstate__(self, state):
-        if "_envelopes" not in state:
-            raise StaleSnapshotError(
-                "cannot restore this network snapshot: it was taken when a "
-                "multicast delivery was a (pid, envelope) tuple (it is an int "
-                "code into the envelope table now); re-run instead of resuming"
-            )
-        # Snapshots from before relays were parked lack the parking state.
-        self._parked = []
-        self._park_limit = None
-        self._receiver_codes = {}
-        self.__dict__.update(state)
 
     # -- lifecycle --------------------------------------------------------------------
 

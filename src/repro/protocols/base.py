@@ -44,7 +44,6 @@ from repro.core.block import Block, BlockIdFactory, Blockchain
 from repro.core.blocktree import BlockTree
 from repro.core.consistency_index import ConsistencyMonitor
 from repro.core.degradation import DegradationMonitor
-from repro.core.errors import StaleSnapshotError
 from repro.core.history import History, HistoryRecorder
 from repro.core.score import LengthScore, ScoreFunction
 from repro.core.selection import LongestChain, SelectionFunction
@@ -375,18 +374,6 @@ class BlockchainReplica(Process):
         predicates expect; operations are included first-come-first-served.
         """
         return tuple(f"coin{op}" for op in self.mempool.take(limit))
-
-    def __setstate__(self, state) -> None:
-        # A replica checkpointed while the mempool was a plain list would
-        # restore fine and fail at its next ``drain_mempool``: refuse it
-        # with the reason instead.
-        if type(state.get("mempool")) is list:
-            raise StaleSnapshotError(
-                "cannot restore this replica snapshot: it was taken when the "
-                "mempool was a Python list (it is a chunked int64 Mempool now); "
-                "re-run instead of resuming"
-            )
-        self.__dict__.update(state)
 
     # -- read workload ------------------------------------------------------------------
 

@@ -114,20 +114,6 @@ def test_copy_isolates_columns():
         assert clone.subtree_weight("x0") != tree.subtree_weight("x0")
 
 
-def test_pre_columns_checkpoint_is_refused():
-    """A snapshot taken on the dict index cannot be read by anything in
-    ``src/`` any more; it is refused with the reason, not restored into
-    a tree whose queries would fail one by one."""
-    reference = ReferenceBlockTree()
-    reference.append(Block("x", GENESIS_ID))
-    without_columns = reference.__dict__.copy()
-    without_columns.pop("_columns")
-    for state in (without_columns, reference.__dict__.copy()):
-        old = BlockTree.__new__(BlockTree)
-        with pytest.raises(ValueError, match="dict score index, which has been removed"):
-            old.__setstate__(state)
-
-
 @pytest.mark.parametrize("seed", (2, 11, 31))
 def test_lazily_settled_subtree_weights_are_bit_identical(seed: int):
     """Subtree weights settle when read: with non-dyadic weights (whose sums

@@ -131,22 +131,6 @@ class TestPickledState:
         restored.observe(last)
         assert restored.reports() == ConsistencyMonitor().replay(figure3_history()).reports()
 
-    def test_pre_merge_snapshot_is_refused(self):
-        """A monitor pickled while it decided the properties itself has no
-        read table for the checkers; it is refused with the reason, not
-        restored into one whose ``summary()`` fails after the run."""
-        old_state = dict(
-            vars(ConsistencyMonitor()),
-            reads_seen=0,
-            _validity_ok=True,
-            _lmr_ok=True,
-            _sp_ok=True,
-            _sp_max_tip=None,
-        )
-        old = ConsistencyMonitor.__new__(ConsistencyMonitor)
-        with pytest.raises(ValueError, match="kept its own per-property verdicts"):
-            old.__setstate__(old_state)
-
 
 class TestLiveRecording:
     def test_attach_sees_recorder_events(self):

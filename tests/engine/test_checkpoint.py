@@ -4,8 +4,9 @@ The byte-identity of restored *histories* is pinned by the equivalence
 oracle in ``tests/network/test_checkpoint_equivalence.py``; this module
 covers the artifact layer around it — the versioned on-disk format and
 its torn-file detection, the crash-safe writer and its previous-snapshot
-fallback, the refusal of stale payloads, spec-digest stability, spec-level
-execution, and the pool executor's checkpoint-aware retries.
+fallback, the refusal of another model version's snapshots, spec-digest
+stability, spec-level execution, and the pool executor's checkpoint-aware
+retries.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pickle
 
 import pytest
 
+import repro
 from repro.engine import (
     CHECKPOINT_SCHEMA,
     CellTask,
@@ -162,47 +164,77 @@ class TestCheckpointWriter:
         assert head["spec"]["protocol"] == "bitcoin"
 
 
-class _RetiredReplica:
-    """Stands in for a class a later version deleted (pickled by reference)."""
+def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
+    """A spec-carrying ``.ckpt`` as the CLI and the pool write it."""
+    writer = CheckpointWriter(path, spec=json.loads(spec.to_json()))
+    spec.execute(checkpoint_every=150, checkpoint_sink=writer)
+    os.unlink(str(path).replace(".ckpt", ".prev.ckpt"))
 
 
-class _BrokenState:
-    """A ``__setstate__`` with a defect of its own, not a format refusal."""
-
-    def __getstate__(self):
-        return {"x": 1}
-
-    def __setstate__(self, state):
-        raise ValueError("defect, not staleness")
-
-
-class TestStalePayloads:
-    def test_payload_naming_a_deleted_class_is_refused_loudly(self, monkeypatch):
-        # What a .ckpt written before the fault runners were retired looks
-        # like to this version: a pickle whose class lookup fails.
-        payload = pickle.dumps(_RetiredReplica())
-        monkeypatch.delattr(f"{__name__}._RetiredReplica")
-        snapshot = SimulationCheckpoint(payload=payload, clock=0.0, event_count=0, phase="main")
-        with pytest.raises(CheckpointCorruptionError, match="older version.*re-run"):
-            snapshot.restore()
-
-    def test_payload_naming_a_deleted_module_is_refused_loudly(self):
-        # Protocol-0 pickle of ``repro.protocols.faults.CrashingNakamotoReplica``.
-        payload = b"crepro.protocols.faults\nCrashingNakamotoReplica\n."
-        snapshot = SimulationCheckpoint(payload=payload, clock=0.0, event_count=0, phase="main")
-        with pytest.raises(CheckpointCorruptionError, match="older version"):
-            snapshot.restore()
+def _age(path: str, written: str, monkeypatch) -> str:
+    """Make the checkpoint at ``path`` one this model version must refuse:
+    one written at the version before (``"older"``), or before versions
+    were recorded (``"unversioned"``).  Returns the refusal's message."""
+    if written == "older":
+        monkeypatch.setattr(repro, "MODEL_VERSION", repro.MODEL_VERSION + 1)
+        versions = "1, this is model version 2"
+    else:
+        data = open(path, "rb").read()
+        newline = data.index(b"\n")
+        head = json.loads(data[:newline])
+        del head["model_version"]
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(head, sort_keys=True).encode() + data[newline:])
+        versions = "None, this is model version 1"
+    return (
+        f"checkpoint was written at model version {versions}; "
+        "it cannot be resumed — re-run the spec from the start"
+    )
 
 
-    def test_an_unrelated_value_error_is_not_reported_as_a_version_mismatch(self):
-        # Only ``StaleSnapshotError`` means "older version"; a ValueError
-        # from anything else in the unpickle must surface as what it is.
-        snapshot = SimulationCheckpoint(
-            payload=pickle.dumps(_BrokenState()), clock=0.0, event_count=0, phase="main"
-        )
-        with pytest.raises(ValueError, match="defect, not staleness") as caught:
-            snapshot.restore()
-        assert not isinstance(caught.value, CheckpointCorruptionError)
+class TestModelVersion:
+    """A checkpoint of another model version, or of none, is never read."""
+
+    def test_header_carries_the_model_version(self):
+        snapshot = _one_snapshot(_spec())
+        head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
+        assert head["model_version"] == repro.MODEL_VERSION == 1
+
+    @pytest.mark.parametrize("written", ["older", "unversioned"])
+    def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):
+        path = str(tmp_path / "cell.ckpt")
+        _write_cell_checkpoint(path, _spec())
+        refusal = _age(path, written, monkeypatch)
+        with pytest.warns(RuntimeWarning, match="failed integrity checks"):
+            with pytest.raises(CheckpointCorruptionError) as excinfo:
+                load_checkpoint(path)
+        assert str(excinfo.value) == refusal
+
+    @pytest.mark.parametrize("written", ["older", "unversioned"])
+    def test_run_spec_with_checkpoints_warns_and_reruns(self, tmp_path, monkeypatch, written):
+        path = str(tmp_path / "cell.ckpt")
+        spec = _spec()
+        _write_cell_checkpoint(path, spec)
+        refusal = _age(path, written, monkeypatch)
+        with pytest.warns(RuntimeWarning) as caught:
+            result, resumed = run_spec_with_checkpoints(
+                spec, every=150, path=str(tmp_path / "next.ckpt"), resume_from=path
+            )
+        assert f"({refusal}); re-running from the start" in str(caught[-1].message)
+        assert resumed is None
+        assert result.stable_dict() == spec.execute().stable_dict()
+
+    @pytest.mark.parametrize("written", ["older", "unversioned"])
+    def test_resume_run_is_one_error_line(self, tmp_path, monkeypatch, written):
+        from repro.cli import main
+
+        path = str(tmp_path / "cell.ckpt")
+        _write_cell_checkpoint(path, _spec())
+        refusal = _age(path, written, monkeypatch)
+        with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as excinfo:
+            main(["resume-run", path])
+        # SystemExit with a string: printed as one stderr line, exit status 1.
+        assert excinfo.value.code == f"repro resume-run: error: {refusal}"
 
 
 class TestSpecKnobs:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.errors import UnknownVocabularyError
 from repro.engine import (
     CellFailure,
@@ -511,8 +512,7 @@ class TestResilienceLoop:
             SweepRunner(jobs=1, cache=cache).run(specs)
         # Regression: the two good cells were computed before the failure
         # surfaced; with per-cell puts they are already cached.
-        slots, missing = cache.partition(specs[:2])
-        assert missing == [] and all(r is not None for r in slots)
+        assert all(cache.get(spec) is not None for spec in specs[:2])
 
     def test_payload_carries_structured_failures(self):
         from repro.engine import results_payload
@@ -570,8 +570,7 @@ class TestResilienceLoop:
         runner = SweepRunner(executor=PoolExecutor(jobs=1), cache=cache, journal=journal_path)
         with pytest.raises(SweepAbortedError):
             runner.run(good[:2] + [bad] + good[2:])
-        slots, missing = cache.partition(good)
-        assert missing == [2, 3, 4]
+        assert [cache.get(spec) is None for spec in good] == [False, False, True, True, True]
         entries = [json.loads(line) for line in journal_path.read_text().splitlines()]
         assert [e["status"] for e in entries] == ["ok", "ok", "failed"]
         assert multiprocessing.active_children() == []
@@ -699,6 +698,34 @@ class TestJournalAndResume:
             records = runner.run(specs)
         assert runner.last_executed == 1 and len(records) == 1
 
+    def test_a_cache_written_at_one_model_version_misses_at_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        specs = small_specs(2)
+        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(cache=cache).run(specs)
+        assert all(cache.get(spec) is not None for spec in specs)
+        monkeypatch.setattr(repro, "MODEL_VERSION", repro.MODEL_VERSION + 1)
+        assert [cache.get(spec) for spec in specs] == [None, None]
+        executions = count_executions(monkeypatch)
+        runner = SweepRunner(cache=cache)
+        runner.run(specs)
+        assert executions == [0, 1] and runner.last_cache_hits == 0
+
+    def test_a_journal_written_at_one_model_version_resumes_nothing_at_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        specs = small_specs(3)
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(cache=cache, journal=journal).run(specs)
+        monkeypatch.setattr(repro, "MODEL_VERSION", repro.MODEL_VERSION + 1)
+        executions = count_executions(monkeypatch)
+        runner = SweepRunner(cache=cache, journal=journal, resume=True)
+        runner.run(specs)
+        assert executions == [0, 1, 2]
+        assert runner.last_resumed == 0 and runner.last_executed == 3
+
     def test_resume_requires_journal_and_cache(self, tmp_path):
         with pytest.raises(ValueError, match="requires a journal"):
             SweepRunner(resume=True, cache=ResultCache(tmp_path / "c"))
@@ -722,7 +749,7 @@ class TestJournalAndResume:
         with pytest.raises(KeyboardInterrupt):
             SweepRunner(executor=Interrupted(), cache=cache, journal=journal).run(specs)
         assert sorted(journal.load()) == sorted(spec_digest(s) for s in specs[:2])
-        assert cache.partition(specs)[1] == [2, 3]
+        assert [cache.get(spec) is None for spec in specs] == [False, False, True, True]
         runner = SweepRunner(cache=cache, journal=journal, resume=True)
         runner.run(specs)
         assert runner.last_resumed == 2 and runner.last_executed == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -99,19 +100,38 @@ class TestSerialization:
         ):
             ExperimentSpec.from_dict({"protocol": "bitcoin", "workload": {"client": 10}})
 
-    def test_unknown_fault_keys_are_refused_by_name_but_legacy_spellings_load(self):
+    def test_unknown_fault_keys_are_refused_by_name(self):
         with pytest.raises(
-            ValueError,
-            match=r"unknown fault key\(s\) 'heal_at'; accepted: kind, params, seed, "
-            r"byzantine, crash_at",
+            ValueError, match=r"unknown fault key\(s\) 'heal_at'; accepted: kind, params, seed$"
         ):
             FaultSpec.from_dict({"kind": "partition", "heal_at": 40})
-        assert FaultSpec.from_dict({"kind": "crash", "crash_at": {"p1": 3.0}}) == FaultSpec(
-            kind="crash", params={"at": {"p1": 3.0}}
-        )
-        assert FaultSpec.from_dict({"kind": "byzantine", "byzantine": ["p2"]}) == FaultSpec(
-            kind="silent", params={"members": ["p2"]}
-        )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"replicas": 2.7}, "replicas must be an integer, got 2.7"),
+            ({"replicas": "3"}, "replicas must be an integer, got '3'"),
+            ({"replicas": True}, "replicas must be an integer, got True"),
+            ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+            ({"checkpoint_every": 150.5}, "checkpoint_every must be an integer, got 150.5"),
+            ({"workload": {"clients": 2.7}}, "workload.clients must be an integer, got 2.7"),
+            ({"monitor": "false"}, "monitor must be true or false, got 'false'"),
+            ({"monitor": 1}, "monitor must be true or false, got 1"),
+            ({"replicas": 3.0, "seed": 7.0, "workload": {"clients": 10.0}}, None),
+        ],
+    )
+    def test_from_dict_runs_the_spec_it_was_given_or_refuses_it(self, data, message):
+        """``int()`` would truncate and ``bool()`` would turn ``"false"``
+        on: a spec would run, and be cached as, something other than what
+        its file says."""
+        data = {"protocol": "bitcoin", **data}
+        if message is None:
+            spec = ExperimentSpec.from_dict(data)
+            assert (spec.replicas, spec.seed, spec.workload.clients) == (3, 7, 10)
+            assert type(spec.replicas) is type(spec.seed) is type(spec.workload.clients) is int
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentSpec.from_dict(data)
 
     def test_negative_duration_is_refused(self):
         with pytest.raises(ValueError, match="duration must be >= 0"):
@@ -230,26 +250,31 @@ class TestBuildKwargs:
 
 
 class TestFaultSpec:
-    def test_legacy_kinds_use_their_runners(self):
-        """The system's own runner, that is: the pre-registry spelling
-        reads as the registry kind that rides its ``fault=`` keyword."""
-        crash = FaultSpec.from_dict({"kind": "crash", "crash_at": {"p0": 5.0}, "byzantine": []})
-        assert crash == FaultSpec(kind="crash", params={"at": {"p0": 5.0}})
-        silent = FaultSpec.from_dict({"kind": "byzantine", "crash_at": {}, "byzantine": ["p1"]})
-        assert silent == FaultSpec(kind="silent", params={"members": ["p1"]})
-        # A bare legacy kind harmed nobody, and still does not.
-        assert FaultSpec.from_dict("crash") == FaultSpec("crash", params={"at": {}})
-        assert FaultSpec.from_dict("byzantine") == FaultSpec("silent", params={"members": []})
-        # The empty legacy keys old artifacts carry beside ``params`` are ignored.
-        old = {"kind": "eclipse", "crash_at": {}, "byzantine": [], "params": {"victim": "p0", "until": 9.0}}
-        assert FaultSpec.from_dict(old) == FaultSpec("eclipse", params=old["params"])
+    def test_pre_registry_spellings_are_refused_by_name(self):
+        """The ``crash_at`` / ``byzantine`` fields and the ``byzantine`` kind
+        are gone: each fails naming itself, like any unknown key or kind."""
+        from repro.core.errors import UnknownVocabularyError
+
+        for legacy, key in (
+            ({"kind": "crash", "crash_at": {"p0": 5.0}}, "'crash_at'"),
+            ({"kind": "byzantine", "byzantine": ["p1"]}, "'byzantine'"),
+            (
+                {"kind": "eclipse", "crash_at": {}, "byzantine": [], "params": {}},
+                "'byzantine', 'crash_at'",
+            ),
+        ):
+            with pytest.raises(ValueError, match=f"unknown fault key\\(s\\) {key};"):
+                FaultSpec.from_dict(legacy)
+        with pytest.raises(UnknownVocabularyError, match="unknown fault 'byzantine'"):
+            FaultSpec.from_dict("byzantine").build(default_seed=3)
 
     def test_params_route_legacy_kind_through_the_registry(self):
         from repro.network.faults import CrashFault, SilentFault
 
         spec = FaultSpec(kind="crash", params={"at": {"p0": 5.0}})
         assert isinstance(spec.build(default_seed=3), CrashFault)
-        assert isinstance(FaultSpec.from_dict("byzantine").build(default_seed=3), SilentFault)
+        silent = FaultSpec("silent", params={"members": []})
+        assert isinstance(silent.build(default_seed=3), SilentFault)
 
     def test_model_kind_builds_with_spec_seed_default(self):
         spec = FaultSpec(kind="eclipse", params={"victim": "p0", "until": 9.0})
@@ -268,36 +293,33 @@ class TestFaultSpec:
         # The uniform error still matches historic except clauses.
         assert isinstance(excinfo.value, (KeyError, ValueError))
 
-    def test_digest_rule_old_keys_read_canonical_form_written(self, tmp_path):
-        """Old keys are read, the canonical form is written, and a cache
-        entry stored under the old digest is a miss — never a hit."""
+    def test_old_spelled_artifacts_are_refused_and_old_cache_entries_miss(self, tmp_path):
+        """A spec in the pre-registry spelling is refused by name, and a
+        cache entry stored under its digest is a miss — never a hit."""
         import hashlib
         import json
 
-        from repro.engine import ResultCache, spec_digest
+        from repro.engine import ResultCache
 
         canonical = ExperimentSpec(
             protocol="bitcoin", fault=FaultSpec("crash", params={"at": {"p1": 30.0}})
         )
+        assert canonical.fault.to_dict() == {"kind": "crash", "params": {"at": {"p1": 30.0}}}
         legacy = json.loads(canonical.to_json())
         legacy["fault"] = {"kind": "crash", "crash_at": {"p1": 30.0}, "byzantine": []}
         legacy_text = json.dumps(legacy, sort_keys=True)
-        legacy_digest = hashlib.sha256(legacy_text.encode("utf-8")).hexdigest()
-
-        read = ExperimentSpec.from_json(legacy_text)
-        assert read == canonical
-        assert read.fault.to_dict() == {"kind": "crash", "params": {"at": {"p1": 30.0}}}
-        assert ExperimentSpec.from_json(read.to_json()) == read
-        assert spec_digest(read) == spec_digest(canonical) != legacy_digest
+        with pytest.raises(ValueError, match=r"unknown fault key\(s\) 'byzantine', 'crash_at'"):
+            ExperimentSpec.from_json(legacy_text)
 
         # What an old cache directory holds: the legacy-spelled payload
         # under the legacy digest.
         cache = ResultCache(tmp_path)
+        legacy_digest = hashlib.sha256(legacy_text.encode("utf-8")).hexdigest()
         (tmp_path / f"{legacy_digest}.json").write_text(
             json.dumps({"spec": legacy, "protocol_name": "bitcoin-crash"})
         )
-        assert cache.get(read) is None and cache.get(canonical) is None
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert cache.get(canonical) is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_params_and_seed_round_trip(self):
         spec = FaultSpec(kind="churn", params={"leave": {"p2": 10.0}}, seed=5)

@@ -99,11 +99,13 @@ class TestFaultAxes:
         assert [s.fault.params["until"] for s in specs] == [20.0, 40.0]
         assert all(s.fault.params["victim"] == "p1" for s in specs)
 
-    def test_legacy_fault_fields_stay_addressable(self):
-        # ... under their registry names: a fault read from the old
-        # spelling is an ordinary kind/params/seed spec to the axes.
+    def test_legacy_fault_fields_are_refused_by_name(self):
+        # A fault axis in the pre-registry spelling fails naming the old
+        # key; the registry names are the only ones the axes address.
         legacy = {"kind": "crash", "crash_at": {"p0": 10.0}, "byzantine": []}
-        base = ExperimentSpec(protocol="bitcoin", fault=FaultSpec.from_dict(legacy))
+        with pytest.raises(ValueError, match=r"unknown fault key\(s\) 'byzantine', 'crash_at'"):
+            expand_grid(ExperimentSpec(protocol="bitcoin"), {"fault": [legacy]})
+        base = ExperimentSpec(protocol="bitcoin", fault=FaultSpec("crash", params={"at": {}}))
         (spec,) = expand_grid(base, {"fault.at": [{"p1": 25.0}]})
         assert spec.fault.params == {"at": {"p1": 25.0}}
         (seeded,) = expand_grid(base, {"fault.seed": [9]})
@@ -181,8 +183,7 @@ class TestSweepRunner:
             SweepRunner(jobs=1, cache=cache).run(good + [bad])
         # Regression (per-cell puts): both good cells were computed before
         # the bad one surfaced its error, and must already be on disk.
-        slots, missing = cache.partition(good)
-        assert missing == []
+        assert all(cache.get(spec) is not None for spec in good)
         rerun = SweepRunner(jobs=1, cache=cache)
         records = rerun.run(good)
         assert rerun.last_cache_hits == 2

@@ -13,9 +13,7 @@ import pickle
 from unittest import mock
 
 import numpy as np
-import pytest
 
-from repro.core.errors import StaleSnapshotError
 from repro.network.channels import SynchronousChannel
 from repro.network.event_core import ArrayEventCore
 from repro.network.simulator import Network
@@ -57,15 +55,6 @@ def test_receiver_indexes_survive_deregister_and_register():
     network.register(process)
     assert network._receiver_index == before
     assert network.process_ids == ("p0", "p2", "p3", "p1")
-
-
-def test_a_snapshot_from_before_the_envelope_table_is_refused():
-    flood = Flood("array", SynchronousChannel(seed=1), processes=4)
-    state = flood.network.__getstate__()
-    for name in ("_envelopes", "_envelope_blocks", "_in_flight", "_free_slots"):
-        del state[name]
-    with pytest.raises(StaleSnapshotError, match=r"\(pid, envelope\) tuple"):
-        Network.__new__(Network).__setstate__(state)
 
 
 def _stationary_flood() -> BlockFlood:

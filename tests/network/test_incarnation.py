@@ -82,12 +82,8 @@ def test_revive_drops_timers_of_the_earlier_incarnation():
     assert ticker.ticks == [1.0, 2.0, 3.7, 4.7, 5.7]
 
 
-def test_a_guard_pickled_without_an_incarnation_restores_as_the_first():
+def test_a_guard_keeps_its_incarnation_through_a_pickle():
     ticker = _Ticker("t")
-    # What unpickling a guard of the old, two-slot shape does.
-    restored = _AliveGuard.__new__(_AliveGuard)
-    restored.__setstate__((None, {"process": ticker, "action": ticker.on_start}))
-    assert restored.incarnation == 0
     ticker.incarnation = 3
     guard = pickle.loads(pickle.dumps(_AliveGuard(ticker, ticker.on_start)))
     assert guard.incarnation == 3

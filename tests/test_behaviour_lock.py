@@ -11,11 +11,14 @@ commands:
   bytes);
 * ``repro table1`` and ``repro classify bitcoin --fork-prone``.
 
-A refactor that moves any history, verdict or payload fails
-:func:`test_behaviour_lock`.  A deliberate behaviour change rewrites the
-lock in the same commit::
+It also holds :data:`repro.MODEL_VERSION`.  A refactor that moves any
+history, verdict or payload fails :func:`test_behaviour_lock`.  A
+deliberate behaviour change bumps the version and rewrites the lock in
+the same commit::
 
     PYTHONPATH=src python tests/test_behaviour_lock.py
+
+which refuses to rewrite moved digests under the locked version.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ import hashlib
 import io
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
+import pytest
+
+import repro
 from repro import cli
 from repro.engine import (
     ChannelSpec,
@@ -105,9 +111,20 @@ def _locked_texts() -> Iterator[Tuple[str, str]]:
     yield "stdout:classify-bitcoin-fork-prone", _stdout("classify", "bitcoin", "--fork-prone")
 
 
-def compute_lock() -> Dict[str, Dict[str, str]]:
+def compute_lock() -> Dict[str, Any]:
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in _locked_texts()}
-    return {"digests": digests}
+    return {"digests": digests, "model_version": repro.MODEL_VERSION}
+
+
+def rewrite_lock() -> None:
+    """Write the lock afresh, unless digests moved under the locked version."""
+    fresh = compute_lock()
+    locked = json.loads(LOCK_PATH.read_text())
+    moved = locked["digests"] != fresh["digests"]
+    if moved and locked["model_version"] == fresh["model_version"]:
+        raise SystemExit("behaviour changed: bump repro.MODEL_VERSION")
+    LOCK_PATH.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {LOCK_PATH}")
 
 
 def test_behaviour_lock():
@@ -115,6 +132,19 @@ def test_behaviour_lock():
     assert compute_lock() == locked
 
 
+def test_moved_digests_are_rewritten_only_with_a_version_bump(tmp_path, monkeypatch):
+    lock = tmp_path / "behaviour.lock"
+    locked = {"digests": {"cell": "0" * 64}, "model_version": repro.MODEL_VERSION}
+    lock.write_text(json.dumps(locked))
+    monkeypatch.setattr(f"{__name__}.LOCK_PATH", lock)
+    monkeypatch.setattr(f"{__name__}._locked_texts", lambda: iter([("cell", "moved")]))
+    with pytest.raises(SystemExit, match="behaviour changed: bump repro.MODEL_VERSION"):
+        rewrite_lock()
+    assert json.loads(lock.read_text()) == locked
+    monkeypatch.setattr(repro, "MODEL_VERSION", repro.MODEL_VERSION + 1)
+    rewrite_lock()
+    assert json.loads(lock.read_text()) == compute_lock()
+
+
 if __name__ == "__main__":
-    LOCK_PATH.write_text(json.dumps(compute_lock(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {LOCK_PATH}")
+    rewrite_lock()

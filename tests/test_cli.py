@@ -417,14 +417,15 @@ class TestFaultFlags:
     def test_fault_parse_forms(self):
         from repro.cli import _parse_fault
 
-        spec = _parse_fault("crash")
-        assert spec.kind == "crash" and spec.params == {"at": {}}
-        # The old spelling is still read, into the registry kinds.
-        spec = _parse_fault('crash:crash_at={"p1": 30.0}')
+        spec = _parse_fault('crash:at={"p1": 30.0}')
         assert spec.kind == "crash" and spec.params == {"at": {"p1": 30.0}}
-        spec = _parse_fault('byzantine:byzantine=["p2"],seed=4')
+        spec = _parse_fault('silent:members=["p2"],seed=4')
         assert (spec.kind, spec.params, spec.seed) == ("silent", {"members": ["p2"]}, 4)
-        assert _parse_fault("byzantine").params == {"members": []}
+        # The pre-registry spelling is refused by name.
+        with pytest.raises(SystemExit, match="unexpected keyword argument 'crash_at'"):
+            _parse_fault('crash:crash_at={"p1": 30.0}')
+        with pytest.raises(SystemExit, match="unknown fault 'byzantine'"):
+            _parse_fault('byzantine:byzantine=["p2"],seed=4')
         spec = _parse_fault(
             'partition:groups=[["p0","p1"],["p2","p3"]],at=10,heal_at=40'
         )
@@ -443,6 +444,11 @@ class TestFaultFlags:
         [
             ("--fault", "silent", "fault 'silent': missing a required argument: 'members'"),
             ("--fault", "partition", "fault 'partition': missing a required argument: 'groups'"),
+            (
+                "--fault",
+                'crash:crash_at={"p1":30}',
+                "fault 'crash': got an unexpected keyword argument 'crash_at'",
+            ),
             (
                 "--fault",
                 'churn:leave={"p1":10},rejoin={"p1":40}',
@@ -479,7 +485,7 @@ class TestFaultFlags:
         assert main([
             "sweep", "--protocol", "bitcoin", "--replicas", "4",
             "--duration", "30", "--seeds", "0:2",
-            "--fault", 'crash:crash_at={"p3": 10.0}', "--out", str(out),
+            "--fault", 'crash:at={"p3": 10.0}', "--out", str(out),
         ]) == 0
         capsys.readouterr()
         payload = json.loads(out.read_text(encoding="utf-8"))

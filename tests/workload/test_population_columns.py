@@ -7,23 +7,20 @@ overrides ``on_client_op`` still sees every operation at its own
 timestamp, a bare ``Process`` is still a valid target, the runaway bound
 does not count the harness's own workload, ``timed_callbacks()`` still
 splits the drain, and a checkpoint taken in the middle of a column
-segment restores to the same history — while one written before the
-mempool was a column sink is refused with the reason.
+segment restores to the same history.
 """
 
 from __future__ import annotations
 
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.engine.checkpoint import CheckpointCorruptionError, SimulationCheckpoint
+from repro.engine.checkpoint import SimulationCheckpoint
 from repro.engine.registry import get_protocol
 from repro.engine.result import analyse_run
 from repro.engine.spec import ExperimentSpec, WorkloadSpec
-from repro.network import event_core
 from repro.network.channels import SynchronousChannel
 from repro.network.process import Process
 from repro.network.simulator import Network, Simulator, timed_callbacks
@@ -215,30 +212,6 @@ def test_snapshots_do_split_column_segments():
         if columns is not None and 0 < columns.pos < len(columns.times):
             partial += 1
     assert partial > 5
-
-
-# -- checkpoints from before column events ---------------------------------------
-
-
-def test_checkpoint_with_a_list_mempool_is_refused_with_the_reason():
-    _, snapshots = _snapshots("heap")
-    live = snapshots[3].restore()
-    for replica in live.replicas.values():
-        replica.mempool = [1, 2, 3]  # what a replica's state held before this format
-    stale = SimulationCheckpoint.capture(live)
-    with pytest.raises(CheckpointCorruptionError, match="mempool was a Python list.*re-run"):
-        stale.restore()
-
-
-@pytest.mark.parametrize(
-    "tag, reason",
-    [("bucket-table/1", "column events"), ("bucket-table/2", "structured-array store")],
-)
-def test_checkpoint_with_an_older_bucket_table_is_refused_with_the_reason(tag, reason):
-    with mock.patch.object(event_core, "_BUCKET_TABLE_TAG", tag):
-        _, snapshots = _snapshots("array")
-    with pytest.raises(CheckpointCorruptionError, match=f"{tag}.*{reason}.*re-run"):
-        snapshots[3].restore()
 
 
 def test_mempool_pickles_as_one_buffer_inside_a_snapshot():
