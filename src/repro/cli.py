@@ -17,10 +17,11 @@ writing any Python:
   sweep cell, on ``sweep``); the continued history is byte-identical to
   an uninterrupted run;
 * ``fork-sweep`` — the fork-rate ablation (oracle bound × delay);
-* ``sweep`` — expand a parameter grid into :class:`ExperimentSpec` cells,
-  fan them out through a pluggable executor backend (``--backend``,
-  ``--shard-index I/K``) with per-cell retries, timeouts and journaled
-  resume (``--retries``, ``--timeout``, ``--journal``/``--resume``), and
+* ``sweep`` — expand a parameter grid into :class:`ExperimentSpec` cells
+  (or one shard of it, ``--shard-index I/K``), run them serially or on a
+  worker pool (``--jobs``, ``--backend``) with per-cell retries, timeouts
+  and journaled resume (``--retries``, ``--timeout``,
+  ``--journal``/``--resume``), and
   dump the results as JSON (``--cache DIR`` memoizes cells on their spec
   digest, so re-runs are served from disk without simulating anything).
 
@@ -41,7 +42,6 @@ import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import render_classification_table, render_table
-from repro.core.errors import UnknownVocabularyError
 from repro.core.consistency import check_eventual_consistency, check_strong_consistency
 from repro.core.hierarchy import message_passing_hierarchy, refinement_hierarchy
 from repro.engine import (
@@ -54,16 +54,16 @@ from repro.engine import (
     ExperimentSpec,
     FaultSpec,
     FlakyExecutor,
+    PoolExecutor,
     ResultCache,
+    SerialExecutor,
     SweepRunner,
     TopologySpec,
-    available_executors,
     available_protocols,
     checkpoint_path_for,
     expand_grid,
     get_protocol,
     load_checkpoint,
-    make_executor,
     regime_spec,
     resume_spec_from_checkpoint,
     results_payload,
@@ -240,11 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend",
         default=None,
-        metavar="NAME",
+        choices=("serial", "pool"),
         help=(
-            "execution backend: a registered executor "
-            f"({', '.join(available_executors())}); default derives from "
-            "--jobs (serial for 1, pool otherwise)"
+            "execution backend; default derives from --jobs (serial for 1, "
+            "pool otherwise) and --checkpoint-every implies pool"
         ),
     )
     sweep.add_argument(
@@ -252,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I/K",
         help=(
-            "run only shard I of K (cells I, I+K, I+2K, ... of the grid); "
-            "implies --backend shard; shards sharing --cache DIR merge into "
-            "the full sweep byte-identically"
+            "run only shard I of K (cells I, I+K, I+2K, ... of the grid) on "
+            "whichever backend; shards sharing --cache DIR merge into the "
+            "full sweep byte-identically"
         ),
     )
     sweep.add_argument(
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KIND=P,...",
         help=(
-            "chaos testing: wrap the backend in the flaky executor injecting "
+            "chaos testing: wrap the backend in a FlakyExecutor injecting "
             "faults at the given seeded per-attempt rates, e.g. "
             "'exception=0.2,hang=0.1,kill=0.05'"
         ),
@@ -433,8 +432,9 @@ def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
     spec; every other key is a constructor parameter of the registered
     model.  All three forms go through ``spec_cls.from_dict``.  The
     parameters are bound to the registered class's signature (``seed``
-    counts as supplied where the class takes one), so a missing or
-    unknown one is a usage error here, before any run starts.
+    counts as supplied where the class takes one) and the model is built
+    once, so a missing, unknown or wrongly typed one is a usage error
+    here, before any run starts.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -477,7 +477,8 @@ def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
     try:
         signature.bind_partial(**supplied)  # an unknown name before a missing one
         signature.bind(**supplied)
-    except TypeError as error:
+        spec.build(0)
+    except (TypeError, ValueError) as error:
         raise SystemExit(f"repro: error: {noun} {spec.kind!r}: {error}") from None
     return spec
 
@@ -733,70 +734,31 @@ def _parse_flaky_rates(text: str) -> Dict[str, float]:
     return rates
 
 
-def _build_sweep_executor(args: argparse.Namespace, shard: Optional[tuple]):
-    """Resolve --backend / --shard-index / --flaky-rates into an executor.
+def _build_sweep_executor(args: argparse.Namespace):
+    """Serial or pool (``--checkpoint-every`` implies pool), maybe made flaky.
 
     ``None`` means "let the runner derive the default from --jobs".
     """
-    backend = args.backend
-    if shard is not None:
-        if backend not in (None, "shard"):
-            raise SystemExit(
-                f"repro sweep: error: --shard-index requires --backend shard, not {backend!r}"
-            )
-        backend = "shard"
-    elif backend == "shard":
-        raise SystemExit(
-            "repro sweep: error: --backend shard requires --shard-index I/K"
-        )
     rates = _parse_flaky_rates(args.flaky_rates) if args.flaky_rates is not None else None
-    checkpoint_every = args.checkpoint_every
-    checkpoint_dir = None
-    if checkpoint_every is not None:
-        if backend == "serial":
+    executor = None
+    if args.checkpoint_every is not None:
+        if args.backend == "serial":
             raise SystemExit(
                 "repro sweep: error: --checkpoint-every requires a process "
-                "backend (pool/shard/flaky), not --backend serial"
+                "backend (pool), not --backend serial"
             )
-        checkpoint_dir = args.checkpoint_dir or DEFAULT_CHECKPOINT_DIR
-    executor = None
-    if backend is not None:
-        try:
-            executor = make_executor(
-                backend,
-                jobs=args.jobs,
-                shard_index=shard[0] if shard is not None else None,
-                shard_count=shard[1] if shard is not None else None,
-                rates=rates,
-                seed=args.flaky_seed,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir,
-            )
-        except UnknownVocabularyError as error:
-            raise SystemExit(f"repro sweep: error: {error}") from None
-    elif checkpoint_every is not None:
-        # Checkpointing needs workers: replace the jobs-derived default
-        # (which would be serial for --jobs 1) with a checkpointing pool.
-        executor = make_executor(
-            "pool",
+        executor = PoolExecutor(
             jobs=args.jobs,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir or DEFAULT_CHECKPOINT_DIR,
         )
-    if rates is not None and not isinstance(executor, FlakyExecutor):
-        # --flaky-rates composes with any backend: wrap whatever was chosen
-        # (or the jobs-derived default) in the chaos executor.
-        inner = executor
-        executor = make_executor(
-            "flaky",
-            jobs=args.jobs,
-            rates=rates,
-            seed=args.flaky_seed,
-            inner=inner,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-        )
-    return executor
+    elif args.backend is not None:
+        executor = SerialExecutor() if args.backend == "serial" else PoolExecutor(jobs=args.jobs)
+    if rates is None:
+        return executor
+    if executor is None:
+        executor = SerialExecutor() if args.jobs <= 1 else PoolExecutor(jobs=args.jobs)
+    return FlakyExecutor(executor, rates=rates, seed=args.flaky_seed)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
@@ -863,7 +825,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
     specs = expand_grid(base, axes)
     shard = _parse_shard(args.shard_index) if args.shard_index is not None else None
-    executor = _build_sweep_executor(args, shard)
+    executor = _build_sweep_executor(args)
     cache = ResultCache(args.cache) if args.cache is not None else None
     if args.resume and args.journal is None:
         raise SystemExit("repro sweep: error: --resume requires --journal")
@@ -882,6 +844,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         max_failures=None if args.max_failures < 0 else args.max_failures,
         journal=args.journal,
         resume=args.resume,
+        shard=shard,
     )
     records = runner.run(specs)
 

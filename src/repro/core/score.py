@@ -11,16 +11,13 @@ Section 3.1.2 of the paper introduces:
 
 Scores drive three of the four consistency properties (Local Monotonic
 Read, Ever Growing Tree, Eventual Prefix), so they get their own module
-with small, well-tested implementations and a vectorized helper for the
-pairwise computations the checkers perform on long histories.
+with small, well-tested implementations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, Tuple, runtime_checkable
-
-import numpy as np
+from typing import Protocol, Sequence, runtime_checkable
 
 from repro.core.block import Blockchain
 
@@ -30,7 +27,6 @@ __all__ = [
     "WeightScore",
     "mcps",
     "common_prefix_length",
-    "pairwise_mcps_matrix",
     "is_monotonic_score",
 ]
 
@@ -135,55 +131,3 @@ def is_monotonic_score(score: ScoreFunction, chains: Sequence[Blockchain]) -> bo
         if not score(chain) > score(chain.prefix(chain.length - 1)):
             return False
     return True
-
-
-def pairwise_mcps_matrix(
-    chains: Sequence[Blockchain], score: ScoreFunction | None = None
-) -> np.ndarray:
-    """Matrix ``M[i, j] = mcps(chains[i], chains[j])`` for all pairs.
-
-    The Eventual Prefix checker compares every pair of "later" reads; for
-    histories with hundreds of reads doing this chain-by-chain in Python
-    is the hot path, so we encode chains as integer id arrays once and let
-    NumPy find the first mismatch per pair.
-
-    Only the length score can be fully vectorized this way; for other
-    score functions we fall back to evaluating the score of the common
-    prefix pairwise (still reusing the integer encoding to find the split
-    point).
-    """
-    n = len(chains)
-    result = np.zeros((n, n), dtype=float)
-    if n == 0:
-        return result
-
-    # Encode block ids as small integers, padding with -1 (distinct pads
-    # per row index parity would break prefix detection, so use a single
-    # sentinel and rely on genuine ids never colliding with it).
-    id_map: dict[str, int] = {}
-    encoded: list[np.ndarray] = []
-    for chain in chains:
-        row = np.empty(len(chain.ids), dtype=np.int64)
-        for k, bid in enumerate(chain.ids):
-            row[k] = id_map.setdefault(bid, len(id_map))
-        encoded.append(row)
-
-    length_score = score is None or isinstance(score, LengthScore)
-    scorer = score if score is not None else LengthScore()
-
-    for i in range(n):
-        for j in range(i, n):
-            a, b = encoded[i], encoded[j]
-            limit = min(a.shape[0], b.shape[0])
-            if limit == 0:
-                shared = 0
-            else:
-                neq = np.nonzero(a[:limit] != b[:limit])[0]
-                shared = int(neq[0]) if neq.size else limit
-            if length_score:
-                value = float(shared - 1)
-            else:
-                value = scorer(chains[i].prefix(shared - 1))
-            result[i, j] = value
-            result[j, i] = value
-    return result

@@ -13,15 +13,18 @@ models goes through:
   + timings);
 * :mod:`repro.engine.sweep` — grid expansion and the
   :class:`SweepRunner` resilience loop (retries, timeouts, failure
-  degradation, journaled resume) over a pluggable executor backend;
-* :mod:`repro.engine.executors` — the ``@register_executor`` vocabulary
-  of execution backends (``serial`` / ``pool`` / ``shard`` / ``flaky``)
-  plus the :class:`CellFailure` artifact and chaos-injection machinery;
+  degradation, journaled resume, ``shard=(i, k)`` grid selection) over
+  an executor backend;
+* :mod:`repro.engine.executors` — the two execution backends
+  (:class:`SerialExecutor`, :class:`PoolExecutor`), the
+  :class:`FlakyExecutor` chaos wrapper around either, and the
+  :class:`CellFailure` artifact;
 * :mod:`repro.engine.checkpoint` — deterministic checkpoint/restore for
   long runs: :class:`SimulationCheckpoint` snapshots, the crash-safe
   :class:`CheckpointWriter`, and checkpoint-aware spec execution;
 * :mod:`repro.engine.cache` — :class:`ResultCache`, the content-addressed
-  memoization store keyed on ``ExperimentSpec.to_json()`` (wired into
+  memoization store keyed on :func:`spec_digest` (the model version and
+  ``ExperimentSpec.to_json()``; wired into
   :class:`SweepRunner` and the CLI's ``--cache`` flag).
 
 Performance is measured from outside the package, by ``benchmarks/ledger``
@@ -75,12 +78,7 @@ from repro.engine.executors import (
     FlakyExecutor,
     PoolExecutor,
     SerialExecutor,
-    ShardExecutor,
     SweepAbortedError,
-    available_executors,
-    get_executor,
-    make_executor,
-    register_executor,
     retry_delay,
 )
 from repro.engine.result import RunResult, analyse_run
@@ -132,12 +130,7 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "ShardExecutor",
     "FlakyExecutor",
     "SweepAbortedError",
-    "register_executor",
-    "available_executors",
-    "get_executor",
-    "make_executor",
     "retry_delay",
 ]

@@ -1,43 +1,31 @@
-"""Pluggable, resilient sweep execution backends.
+"""Sweep execution backends: where and how a batch of cell attempts runs.
 
-A sweep is submitted cell by cell, every failure domain is one cell, and
-the grid shards deterministically across driver invocations (the Bobpp
-deterministic-partitioning model: every cell is seeded by its spec
-alone, so results are reproducible regardless of worker count and
-scheduling, with fault tolerance layered on top).
+A sweep is submitted cell by cell and every failure domain is one cell.
+Every cell is seeded by its spec alone, so results are reproducible
+regardless of worker count and scheduling.  There are two backends:
 
-Executors are *registered vocabulary* (``@register_executor``, mirroring
-``@register_topology`` / ``@register_fault``; unknown names raise the
-uniform :class:`~repro.core.errors.UnknownVocabularyError`):
-
-* ``serial`` — in-process execution, one cell at a time.  Results keep
-  their live ``run`` objects, exactly like the historical ``jobs=1``
-  path.  A serial backend cannot preempt a genuinely hung cell, so
-  injected ``hang``/``kill`` faults are reported *synthetically* (as
-  timeout / worker-death outcomes, without sleeping or dying) — which is
-  precisely what makes every retry path unit-testable in milliseconds.
-* ``pool`` — at most ``min(jobs, cells)`` persistent worker processes
-  per wave; the parent hands the next cell of the grid order to
-  whichever is idle.  A worker exception, a worker death (killed, OOM,
-  ``os._exit``) or a blown per-cell ``timeout`` costs one attempt of
-  that cell alone, and its worker is recycled.  When the platform cannot
-  start processes at all (no ``/dev/shm``, no ``fork``) the batch
+* :class:`SerialExecutor` — in-process execution, one cell at a time.
+  Results keep their live ``run`` objects, exactly like the historical
+  ``jobs=1`` path.  A serial backend cannot preempt a genuinely hung
+  cell, so injected ``hang``/``kill`` faults are reported
+  *synthetically* (as timeout / worker-death outcomes, without sleeping
+  or dying) — which is precisely what makes every retry path
+  unit-testable in milliseconds.
+* :class:`PoolExecutor` — at most ``min(jobs, cells)`` persistent worker
+  processes per wave; the parent hands the next cell of the grid order
+  to whichever is idle.  A worker exception, a worker death (killed,
+  OOM, ``os._exit``) or a blown per-cell ``timeout`` costs one attempt
+  of that cell alone, and its worker is recycled.  When the platform
+  cannot start processes at all (no ``/dev/shm``, no ``fork``) the batch
   degrades to the serial backend with a ``RuntimeWarning``, never
-  silently.  See :class:`PoolExecutor`.
-* ``shard`` — deterministic partition of the ``expand_grid`` order
-  across ``--shard-index i/k`` driver invocations (cell ``c`` belongs to
-  shard ``c % k``), each shard executing through an inner backend.
-  Because every cell is seeded entirely by its spec, the union of the
-  ``k`` shard outputs is byte-identical (up to wall-clock ``timings``)
-  to one serial run of the same grid; shards share a content-addressed
-  :class:`~repro.engine.cache.ResultCache` directory, so a final cached
-  invocation merges the sweep with zero simulator events.
-* ``flaky`` — the chaos wrapper: decorates any backend with injected
-  faults (``exception`` / ``hang`` / ``kill``) on chosen cell attempts,
-  either from an explicit plan or from seeded per-``(digest, attempt)``
-  rates.  Injection happens *inside* the worker for process-based
-  backends, so a hang genuinely exercises the timeout-kill path and a
-  kill genuinely exercises the worker-death path.
+  silently.
+
+:class:`FlakyExecutor` is not a third backend but a chaos wrapper around
+either: it decorates each task with an injected fault (``exception`` /
+``hang`` / ``kill``) on chosen cell attempts, from an explicit plan or
+from seeded per-``(digest, attempt)`` rates.  Injection happens *inside*
+the worker under the pool backend, so a hang genuinely exercises the
+timeout-kill path and a kill genuinely exercises the worker-death path.
 
 Every backend implements one method, :meth:`Executor.iter_batch`: a
 generator that yields each :class:`AttemptOutcome` *as its cell
@@ -45,10 +33,11 @@ finishes*, so the runner can cache and journal a success at once and
 stop pulling — which closes the generator and tears the workers down —
 the moment an abort is certain.
 
-The retry / backoff / journal / failure-degradation loop that drives
-these backends lives in :class:`~repro.engine.sweep.SweepRunner`; this
-module supplies the building blocks (:class:`CellTask`,
-:class:`AttemptOutcome`, :class:`CellFailure`, :func:`retry_delay`).
+Which cells run is not the backend's business: the retry / backoff /
+journal / failure-degradation loop, and the ``shard=(i, k)`` grid
+selection, live in :class:`~repro.engine.sweep.SweepRunner`; this module
+supplies the building blocks (:class:`CellTask`, :class:`AttemptOutcome`,
+:class:`CellFailure`, :func:`retry_delay`).
 """
 
 from __future__ import annotations
@@ -63,7 +52,7 @@ import warnings
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import UnknownVocabularyError
 from repro.engine.result import RunResult
@@ -78,18 +67,12 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "ShardExecutor",
     "FlakyExecutor",
-    "register_executor",
-    "available_executors",
-    "get_executor",
-    "make_executor",
     "retry_delay",
-    "EXECUTOR_REGISTRY",
     "INJECTION_KINDS",
 ]
 
-#: Chaos injection kinds the flaky executor (and the backends) understand.
+#: Chaos injection kinds :class:`FlakyExecutor` (and the backends) understand.
 INJECTION_KINDS: Tuple[str, ...] = ("exception", "hang", "kill")
 
 #: How long a hang-injected worker sleeps before failing loudly.  Long
@@ -255,48 +238,6 @@ def retry_delay(backoff: float, attempt: int, digest: str, seed: int = 0) -> flo
     return backoff * (2.0 ** max(0, attempt - 2)) * (1.0 + 0.5 * jitter)
 
 
-# ---------------------------------------------------------------------------
-# registry (mirrors @register_topology / @register_fault)
-# ---------------------------------------------------------------------------
-
-#: Name -> executor class, in registration order.
-EXECUTOR_REGISTRY: Dict[str, Type["Executor"]] = {}
-
-
-def register_executor(name: str):
-    """Class decorator: register an :class:`Executor` under ``name``.
-
-    The decorated class is returned unchanged; a name collision raises so
-    two modules cannot silently shadow each other's backends (the same
-    contract as every other registered vocabulary).
-    """
-
-    def decorate(cls: Type["Executor"]) -> Type["Executor"]:
-        if name in EXECUTOR_REGISTRY:
-            raise ValueError(f"executor {name!r} already registered")
-        EXECUTOR_REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def available_executors() -> Tuple[str, ...]:
-    """Names of every registered executor backend."""
-    return tuple(EXECUTOR_REGISTRY)
-
-
-def get_executor(name: str) -> Type["Executor"]:
-    """Resolve ``name`` to its executor class.
-
-    Raises the uniform :class:`~repro.core.errors.UnknownVocabularyError`
-    listing the registered names, like every other spec vocabulary.
-    """
-    try:
-        return EXECUTOR_REGISTRY[name]
-    except KeyError:
-        raise UnknownVocabularyError("executor", name, EXECUTOR_REGISTRY) from None
-
-
 class Executor(ABC):
     """One way of running a batch of cell attempts.
 
@@ -307,10 +248,6 @@ class Executor(ABC):
     next wave.
     """
 
-    def shard_of(self, n: int) -> Sequence[int]:
-        """The grid indices this executor is responsible for (default: all)."""
-        return range(n)
-
     @abstractmethod
     def iter_batch(
         self, tasks: Sequence[CellTask], timeout: Optional[float] = None
@@ -319,7 +256,7 @@ class Executor(ABC):
 
         A generator: cells are started in task order and their outcomes
         come back in completion order.  ``timeout`` is the per-cell
-        wall-clock budget (enforced by process-based backends).  Closing
+        wall-clock budget (enforced by the pool backend).  Closing
         the generator early abandons the cells not yet yielded and
         releases whatever the batch started (worker processes, pipes).
         """
@@ -337,7 +274,6 @@ class Executor(ABC):
 # ---------------------------------------------------------------------------
 
 
-@register_executor("serial")
 class SerialExecutor(Executor):
     """In-process, one-cell-at-a-time execution.
 
@@ -523,7 +459,6 @@ class _Worker:
         return exitcode
 
 
-@register_executor("pool")
 class PoolExecutor(Executor):
     """At most ``min(jobs, cells)`` persistent worker processes per wave.
 
@@ -682,52 +617,12 @@ class PoolExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# shard backend
-# ---------------------------------------------------------------------------
-
-
-@register_executor("shard")
-class ShardExecutor(Executor):
-    """Deterministic partition of the grid across driver invocations.
-
-    Cell ``c`` of the ``expand_grid`` order belongs to shard
-    ``c % shard_count`` — a pure function of the grid, independent of
-    timing, worker count and machine, so ``k`` invocations with
-    ``--shard-index 0/k .. (k-1)/k`` cover every cell exactly once.
-    Execution within the shard goes through ``inner`` (serial or pool);
-    results merge through the shared content-addressed result cache.
-    """
-
-    def __init__(
-        self, shard_index: int, shard_count: int, inner: Optional[Executor] = None
-    ) -> None:
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        if not 0 <= shard_index < shard_count:
-            raise ValueError(
-                f"shard_index must be in [0, {shard_count}), got {shard_index}"
-            )
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.inner = inner if inner is not None else SerialExecutor()
-
-    def shard_of(self, n: int) -> Sequence[int]:
-        return range(self.shard_index, n, self.shard_count)
-
-    def iter_batch(
-        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
-    ) -> Iterator[AttemptOutcome]:
-        return self.inner.iter_batch(tasks, timeout)
-
-
-# ---------------------------------------------------------------------------
 # chaos wrapper
 # ---------------------------------------------------------------------------
 
 
-@register_executor("flaky")
 class FlakyExecutor(Executor):
-    """Seeded fault injection around any backend.
+    """Seeded fault injection around either backend (a wrapper, not a third one).
 
     ``plan`` maps grid index → ``{attempt: kind}`` for exact scripted
     faults (the unit-test mode); ``rates`` maps kind → probability for
@@ -738,8 +633,8 @@ class FlakyExecutor(Executor):
     kills it), ``kill`` (the worker dies without reporting).
 
     Injection directives ride the :class:`CellTask` into the backend, so
-    process-based backends exercise their *real* timeout and
-    worker-death machinery; the serial backend reports hang/kill
+    the pool backend exercises its *real* timeout and worker-death
+    machinery; the serial backend reports hang/kill
     synthetically (see :class:`SerialExecutor`).
     """
 
@@ -762,9 +657,6 @@ class FlakyExecutor(Executor):
         self.seed = seed
         #: Every injection performed: ``(index, attempt, kind)`` triples.
         self.injections: List[Tuple[int, int, str]] = []
-
-    def shard_of(self, n: int) -> Sequence[int]:
-        return self.inner.shard_of(n)
 
     def _injection_for(self, task: CellTask) -> Optional[str]:
         planned = self.plan.get(task.index, {}).get(task.attempt)
@@ -791,56 +683,3 @@ class FlakyExecutor(Executor):
                 task = dataclasses.replace(task, inject=inject)
             decorated.append(task)
         return self.inner.iter_batch(decorated, timeout)
-
-
-# ---------------------------------------------------------------------------
-# construction helper (the CLI-facing factory)
-# ---------------------------------------------------------------------------
-
-
-def make_executor(
-    name: str,
-    *,
-    jobs: int = 1,
-    shard_index: Optional[int] = None,
-    shard_count: Optional[int] = None,
-    plan: Optional[Mapping[int, Mapping[int, str]]] = None,
-    rates: Optional[Mapping[str, float]] = None,
-    seed: int = 0,
-    inner: Optional[Executor] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> Executor:
-    """Build a registered executor from flat (CLI-shaped) parameters.
-
-    Wrapping backends (``shard``, ``flaky``) execute through ``inner``
-    when given, else through the jobs-derived default (serial for
-    ``jobs=1``, pool otherwise) — so ``--backend shard --jobs 4`` shards
-    the grid *and* fans each shard out over four workers.  The checkpoint
-    knobs apply to process-pool execution (directly or as the inner
-    backend of a wrapper): each worker snapshots its cell every N events
-    and retries resume from the latest snapshot.
-    """
-    cls = get_executor(name)  # raises the uniform error for unknown names
-
-    def pool() -> PoolExecutor:
-        return PoolExecutor(
-            jobs=max(jobs, 1), checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir
-        )
-
-    if cls is SerialExecutor:
-        return SerialExecutor()
-    if cls is PoolExecutor:
-        return pool()
-    if inner is None:
-        inner = SerialExecutor() if jobs <= 1 and checkpoint_every is None else pool()
-    if cls is ShardExecutor:
-        if shard_index is None or shard_count is None:
-            raise ValueError(
-                "the shard executor requires shard_index and shard_count "
-                "(--shard-index I/K)"
-            )
-        return ShardExecutor(shard_index, shard_count, inner=inner)
-    if cls is FlakyExecutor:
-        return FlakyExecutor(inner, plan=plan, rates=rates, seed=seed)
-    return cls()  # third-party registration: nullary construction

@@ -16,18 +16,24 @@ loops).  Axis names address spec fields with dotted paths::
     workload.use_lrc, workload.read_interval    — workload fields
     workload.clients, workload.client_rate      — client population axis
 
-:class:`SweepRunner` executes a list of specs through a pluggable
-:class:`~repro.engine.executors.Executor` backend (``serial`` / ``pool``
-/ ``shard`` / ``flaky``; see :mod:`repro.engine.executors`), wrapped in a
-resilience loop: per-cell timeouts, retries with seeded exponential
-backoff, failed cells degraded to structured
-:class:`~repro.engine.executors.CellFailure` artifacts (bounded by
-``max_failures``), and an append-only :class:`SweepJournal` manifest
-enabling ``resume=True`` to skip completed cells after a driver crash.
-Every cell is an independent simulation seeded entirely by its spec, so
-all backends produce identical per-cell artifacts (only the wall-clock
-``timings`` differ); results always come back in spec order regardless
-of worker scheduling.
+:class:`SweepRunner` executes a list of specs through one of two
+:class:`~repro.engine.executors.Executor` backends (``serial`` or
+``pool``; see :mod:`repro.engine.executors`), wrapped in a resilience
+loop: per-cell timeouts, retries with seeded exponential backoff, failed
+cells degraded to structured :class:`~repro.engine.executors.CellFailure`
+artifacts (bounded by ``max_failures``), and an append-only
+:class:`SweepJournal` manifest enabling ``resume=True`` to skip completed
+cells after a driver crash.  Every cell is an independent simulation
+seeded entirely by its spec, so both backends produce identical per-cell
+artifacts (only the wall-clock ``timings`` differ); results always come
+back in spec order regardless of worker scheduling.
+
+Because a cell's result depends on its spec alone, which cells a driver
+invocation owns is a property of the grid, not of how it runs (Bobpp's
+deterministic partition): ``SweepRunner(shard=(i, k))`` runs grid cells
+``i, i+k, i+2k, ...``, so ``k`` invocations sharing one
+:class:`~repro.engine.cache.ResultCache` cover the grid exactly once and
+a final cached run merges it byte-identically with zero simulator events.
 """
 
 from __future__ import annotations
@@ -40,8 +46,9 @@ import os
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.errors import UnknownVocabularyError
 from repro.engine.cache import ResultCache, spec_digest
 from repro.engine.executors import (
     CellFailure,
@@ -50,7 +57,6 @@ from repro.engine.executors import (
     PoolExecutor,
     SerialExecutor,
     SweepAbortedError,
-    make_executor,
     retry_delay,
 )
 from repro.engine.result import RunResult
@@ -83,6 +89,10 @@ SWEEP_SCHEMA = "repro.sweep/2"
 #: checkpoint the successful attempt resumed from); ``/1`` lines carry
 #: the same required keys and :meth:`SweepJournal.load` parses both.
 JOURNAL_SCHEMA = "repro.sweep-journal/2"
+
+
+#: The backend names ``SweepRunner(executor=...)`` accepts.
+_BACKENDS = ("serial", "pool")
 
 
 def derive_seed(base_seed: int, cell_index: int) -> int:
@@ -249,15 +259,17 @@ class SweepJournal:
 
 
 class SweepRunner:
-    """Execute a batch of specs through a resilient, pluggable backend.
+    """Execute a batch of specs through a resilient backend.
 
     ``jobs=1`` runs in-process (results keep their live ``run`` objects);
     ``jobs>1`` fans the cells out over a warm pool of ``jobs`` worker
-    processes.  Each cell is seeded by its spec alone, so every backend
-    is bit-identical up to timings.  ``executor`` overrides the
-    jobs-derived default with a registered backend name (``"serial"`` /
-    ``"pool"`` / ``"shard"`` / ``"flaky"``) or a live
-    :class:`~repro.engine.executors.Executor`.
+    processes.  Each cell is seeded by its spec alone, so both backends
+    are bit-identical up to timings.  ``executor`` overrides the
+    jobs-derived default with a backend name (``"serial"`` / ``"pool"``)
+    or a live :class:`~repro.engine.executors.Executor` (for instance a
+    :class:`~repro.engine.executors.FlakyExecutor` around either).
+    ``shard=(i, k)`` runs only grid cells ``i, i+k, i+2k, ...``; their
+    results, journal lines and ``last_indices`` keep their grid indices.
 
     The resilience layer around the backend:
 
@@ -298,15 +310,24 @@ class SweepRunner:
         max_failures: Optional[int] = 0,
         journal: Optional[Union[str, Path, SweepJournal]] = None,
         resume: bool = False,
+        shard: Optional[Tuple[int, int]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        index, count = shard if shard is not None else (0, 1)
+        if count < 1:
+            raise ValueError(f"shard count must be >= 1, got {count}")
+        if not 0 <= index < count:
+            raise ValueError(f"shard index must be in [0, {count}), got {index}")
+        self.shard = (index, count)
         self.jobs = jobs
         self.cache = cache
         if isinstance(executor, str):
-            executor = make_executor(executor, jobs=jobs)
+            if executor not in _BACKENDS:
+                raise UnknownVocabularyError("executor", executor, _BACKENDS)
+            executor = SerialExecutor() if executor == "serial" else PoolExecutor(jobs=jobs)
         self.executor = executor
         self.retries = retries
         self.timeout = timeout
@@ -332,7 +353,7 @@ class SweepRunner:
         self.last_failures = 0
         #: Total attempts submitted to the backend (retries included).
         self.last_attempts = 0
-        #: Grid indices the backend's shard selected in the most recent run.
+        #: Grid indices the shard selected in the most recent run.
         self.last_indices: List[int] = []
 
     def _default_executor(self, cells: int) -> Executor:
@@ -345,7 +366,7 @@ class SweepRunner:
     ) -> List[Union[RunResult, CellFailure]]:
         specs = list(specs)
         executor = self.executor or self._default_executor(len(specs))
-        indices = list(executor.shard_of(len(specs)))
+        indices = list(range(self.shard[0], len(specs), self.shard[1]))
         self.last_indices = indices
         self.last_cache_hits = 0
         self.last_executed = 0
@@ -486,7 +507,7 @@ def results_payload(
     ``cells`` holds successful results and :class:`CellFailure` artifacts
     (marked ``"cell_failure": true``) in grid order; ``failures`` counts
     the latter.  ``shard=(i, k)`` stamps shard provenance on partial
-    payloads produced by ``--backend shard``.
+    payloads produced by ``SweepRunner(shard=(i, k))`` (``--shard-index``).
     """
     payload: Dict[str, Any] = {
         "schema": SWEEP_SCHEMA,

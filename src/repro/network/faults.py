@@ -212,6 +212,15 @@ def state_sync(network: "Network", targets: Optional[Sequence[str]] = None) -> i
 # ---------------------------------------------------------------------------
 
 
+def _times(name: str, times: Mapping[str, float]) -> Dict[str, float]:
+    """A ``pid -> virtual time`` parameter, refused by name unless a mapping."""
+    if not isinstance(times, Mapping):
+        raise TypeError(
+            f"{name} must map replica ids to times, got {type(times).__name__}"
+        )
+    return {pid: float(t) for pid, t in times.items()}
+
+
 @register_fault("crash")
 class CrashFault(FaultModel):
     """Replicas named in ``at`` crash at their configured virtual time.
@@ -222,7 +231,7 @@ class CrashFault(FaultModel):
     """
 
     def __init__(self, at: Mapping[str, float]) -> None:
-        self.at = {pid: float(t) for pid, t in at.items()}
+        self.at = _times("at", at)
         for pid, t in self.at.items():
             if t < 0:
                 raise ValueError("crash_at must be non-negative")
@@ -305,8 +314,8 @@ class ChurnFault(FaultModel):
         join: Optional[Mapping[str, float]] = None,
         resync: bool = True,
     ) -> None:
-        self.leave = {pid: float(t) for pid, t in leave.items()}
-        self.join = {pid: float(t) for pid, t in (join or {}).items()}
+        self.leave = _times("leave", leave)
+        self.join = _times("join", {} if join is None else join)
         self.resync = bool(resync)
         for pid, t in self.leave.items():
             if t < 0:

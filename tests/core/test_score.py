@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.block import GENESIS, Block, Blockchain
@@ -12,7 +11,6 @@ from repro.core.score import (
     common_prefix_length,
     is_monotonic_score,
     mcps,
-    pairwise_mcps_matrix,
 )
 
 
@@ -73,35 +71,6 @@ class TestMcps:
         b = chain_factory("a", "b", "x")
         assert common_prefix_length(a, b) == 2
         assert mcps(a, b) == 2.0
-
-
-class TestPairwiseMatrix:
-    def test_matrix_is_symmetric_with_self_scores_on_diagonal(self, chain_factory):
-        chains = [chain_factory("a"), chain_factory("a", "b"), chain_factory("x")]
-        matrix = pairwise_mcps_matrix(chains)
-        assert matrix.shape == (3, 3)
-        assert np.allclose(matrix, matrix.T)
-        assert matrix[0, 0] == 1.0
-        assert matrix[1, 1] == 2.0
-
-    def test_matrix_matches_pairwise_mcps(self, chain_factory):
-        chains = [
-            chain_factory("a", "b", "c"),
-            chain_factory("a", "b", "x"),
-            chain_factory("q"),
-        ]
-        matrix = pairwise_mcps_matrix(chains)
-        for i, ci in enumerate(chains):
-            for j, cj in enumerate(chains):
-                assert matrix[i, j] == mcps(ci, cj)
-
-    def test_matrix_with_weight_score(self, chain_factory):
-        chains = [chain_factory("a", "b"), chain_factory("a", "c")]
-        matrix = pairwise_mcps_matrix(chains, WeightScore())
-        assert matrix[0, 1] == pytest.approx(1.0)
-
-    def test_empty_input(self):
-        assert pairwise_mcps_matrix([]).shape == (0, 0)
 
 
 class TestMonotonicityHelper:

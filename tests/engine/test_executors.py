@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable executor backends and the resilience loop."""
+"""Unit tests for the two executor backends, the flaky wrapper and the resilience loop."""
 
 from __future__ import annotations
 
@@ -24,18 +24,13 @@ from repro.engine import (
     PoolExecutor,
     ResultCache,
     SerialExecutor,
-    ShardExecutor,
     SweepAbortedError,
     SweepJournal,
     SweepRunner,
-    available_executors,
-    get_executor,
-    make_executor,
-    register_executor,
     retry_delay,
     spec_digest,
 )
-from repro.engine.executors import EXECUTOR_REGISTRY, _Worker
+from repro.engine.executors import _Worker
 
 
 def small_specs(count, duration=20.0, seed=0):
@@ -62,49 +57,22 @@ def count_executions(monkeypatch):
     return executed
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert set(available_executors()) >= {"serial", "pool", "shard", "flaky"}
+class TestBackendNames:
+    def test_runner_accepts_backend_names(self):
+        assert isinstance(SweepRunner(executor="serial").executor, SerialExecutor)
+        pool = SweepRunner(jobs=3, executor="pool").executor
+        assert isinstance(pool, PoolExecutor) and pool.jobs == 3
 
-    def test_get_executor_resolves(self):
-        assert get_executor("serial") is SerialExecutor
-        assert get_executor("pool") is PoolExecutor
-
-    def test_unknown_name_raises_uniform_vocabulary_error(self):
+    @pytest.mark.parametrize("name", ["warp", "shard", "flaky"])
+    def test_unknown_name_raises_uniform_vocabulary_error(self, name):
         with pytest.raises(UnknownVocabularyError) as excinfo:
-            get_executor("warp")
+            SweepRunner(executor=name)
         message = str(excinfo.value)
-        assert "unknown executor 'warp'" in message
-        for name in available_executors():
-            assert repr(name) in message
+        assert f"unknown executor {name!r}" in message
+        assert "'serial'" in message and "'pool'" in message
         # The uniform error is catchable as both KeyError and ValueError.
         assert isinstance(excinfo.value, KeyError)
         assert isinstance(excinfo.value, ValueError)
-
-    def test_make_executor_unknown_name(self):
-        with pytest.raises(UnknownVocabularyError, match="unknown executor"):
-            make_executor("warp")
-
-    def test_runner_accepts_backend_names(self):
-        runner = SweepRunner(executor="serial")
-        assert isinstance(runner.executor, SerialExecutor)
-        with pytest.raises(UnknownVocabularyError):
-            SweepRunner(executor="warp")
-
-    def test_collision_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor("serial")(SerialExecutor)
-        assert EXECUTOR_REGISTRY["serial"] is SerialExecutor
-
-    def test_third_party_registration_constructs_nullary(self):
-        @register_executor("test-noop")
-        class NoopExecutor(SerialExecutor):
-            pass
-
-        try:
-            assert isinstance(make_executor("test-noop"), NoopExecutor)
-        finally:
-            del EXECUTOR_REGISTRY["test-noop"]
 
 
 class TestSerialExecutor:
@@ -265,7 +233,6 @@ class TestPoolExecutor:
             outcomes = PoolExecutor(jobs=2).run_batch(tasks)
         assert [o.status for o in outcomes] == ["ok", "ok"]
 
-
     def test_failure_to_build_a_later_worker_keeps_the_dispatched_cells(self, monkeypatch):
         """The second worker cannot be built: the cell already handed to
         the first finishes there, the rest run serially in-process."""
@@ -370,20 +337,26 @@ class TestWarmPool:
         assert multiprocessing.active_children() == []
 
 
-class TestShardExecutor:
-    def test_shard_of_partitions_deterministically(self):
-        shards = [ShardExecutor(i, 4).shard_of(10) for i in range(4)]
-        flat = sorted(index for shard in shards for index in shard)
-        assert flat == list(range(10))
-        assert list(shards[1]) == [1, 5, 9]
+class TestShardSelection:
+    def test_shard_selects_every_kth_grid_cell(self):
+        specs = small_specs(10, duration=5.0)
+        shards = []
+        for index in range(4):
+            runner = SweepRunner(shard=(index, 4))
+            records = runner.run(specs)
+            assert [r.spec for r in records] == [specs[i] for i in runner.last_indices]
+            shards.append(runner.last_indices)
+        assert sorted(index for shard in shards for index in shard) == list(range(10))
+        assert shards[1] == [1, 5, 9]
 
-    def test_invalid_shard_parameters_rejected(self):
-        with pytest.raises(ValueError, match="shard_index"):
-            ShardExecutor(4, 4)
-        with pytest.raises(ValueError, match="shard_count"):
-            ShardExecutor(0, 0)
-        with pytest.raises(ValueError, match="shard_index and shard_count"):
-            make_executor("shard")
+    @pytest.mark.parametrize(
+        "shard, message",
+        [((4, 4), r"shard index must be in \[0, 4\)"), ((0, 0), "shard count must be >= 1")],
+        ids=["index-out-of-range", "zero-count"],
+    )
+    def test_invalid_shard_parameters_rejected(self, shard, message):
+        with pytest.raises(ValueError, match=message):
+            SweepRunner(shard=shard)
 
     def test_shard_union_is_byte_identical_to_serial(self, tmp_path):
         specs = small_specs(5)
@@ -391,10 +364,7 @@ class TestShardExecutor:
         cache_dir = tmp_path / "cache"
         union = {}
         for index in range(4):
-            runner = SweepRunner(
-                cache=ResultCache(cache_dir),
-                executor=make_executor("shard", shard_index=index, shard_count=4),
-            )
+            runner = SweepRunner(cache=ResultCache(cache_dir), shard=(index, 4))
             records = runner.run(specs)
             for grid_index, record in zip(runner.last_indices, records):
                 union[grid_index] = record
@@ -406,6 +376,14 @@ class TestShardExecutor:
         merged = merge.run(specs)
         assert merge.last_cache_hits == 5 and merge.last_executed == 0
         assert [stable(r) for r in merged] == [stable(r) for r in serial]
+
+    def test_sharded_journal_keeps_grid_indices(self, tmp_path):
+        specs = small_specs(5)
+        journal_path = tmp_path / "journal.jsonl"
+        SweepRunner(shard=(1, 2), journal=journal_path).run(specs)
+        entries = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        assert [e["index"] for e in entries] == [1, 3]
+        assert [e["digest"] for e in entries] == [spec_digest(specs[i]) for i in (1, 3)]
 
 
 class TestFlakyExecutor:
@@ -537,9 +515,17 @@ class TestResilienceLoop:
         # The whole payload round-trips through strict JSON.
         json.loads(json.dumps(payload))
 
-
-    @pytest.mark.parametrize("backend", ["serial", "pool", "shard", "flaky"])
-    def test_abort_is_prompt_on_every_backend(self, backend, monkeypatch):
+    @pytest.mark.parametrize(
+        "runner_kwargs",
+        [
+            lambda: {"executor": SerialExecutor()},
+            lambda: {"executor": PoolExecutor(jobs=2)},
+            lambda: {"executor": PoolExecutor(jobs=2), "shard": (0, 1)},
+            lambda: {"executor": FlakyExecutor(PoolExecutor(jobs=2))},
+        ],
+        ids=["serial", "pool", "shard", "flaky"],
+    )
+    def test_abort_is_prompt_on_every_backend(self, runner_kwargs, monkeypatch):
         """A bad cell first in a 6-cell wave under the zero-failure budget:
         the runner stops pulling, so the rest of the grid is never handed
         to a worker and none is left behind."""
@@ -553,10 +539,9 @@ class TestResilienceLoop:
 
             monkeypatch.setattr(cls, method, counting)
         bad = ExperimentSpec(protocol="hyperledger", params={"bogus": 1})
-        executor = make_executor(backend, jobs=2, shard_index=0, shard_count=1)
         with pytest.raises((ValueError, SweepAbortedError), match="does not accept parameter"):
             # Long cells: the good ones in flight must not finish first.
-            SweepRunner(executor=executor).run([bad] + small_specs(5, duration=5000.0))
+            SweepRunner(**runner_kwargs()).run([bad] + small_specs(5, duration=5000.0))
         # At most the cells in flight when the failure arrived, plus the
         # one the pool hands to the replacement worker before reporting it.
         assert len(handed_out) <= 3

@@ -80,6 +80,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             CrashFault(at={"p0": -1.0})
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: CrashFault(at=10), "at"),
+            (lambda: ChurnFault(leave=3), "leave"),
+            (lambda: ChurnFault(leave={"p0": 5.0}, join=9), "join"),
+        ],
+        ids=["crash-at", "churn-leave", "churn-join"],
+    )
+    def test_time_maps_refuse_a_non_mapping_by_name(self, build, name):
+        with pytest.raises(TypeError, match=f"^{name} must map replica ids to times, got int$"):
+            build()
+
     def test_churn_rejects_join_without_leave(self):
         with pytest.raises(ValueError, match="never leave"):
             ChurnFault(leave={"p0": 5.0}, join={"p1": 9.0})

@@ -180,25 +180,63 @@ class TestSweepCommand:
         args = build_parser().parse_args(["sweep", "--protocol", "bitcoin", "--journal"])
         assert args.journal == "sweep.journal.jsonl"
 
-    def test_sweep_unknown_backend_lists_registered(self, capsys):
+    @pytest.mark.parametrize("backend", ["warp", "shard", "flaky"])
+    def test_sweep_backend_is_serial_or_pool(self, capsys, backend):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--protocol", "bitcoin", "--backend", "warp"])
-        message = str(excinfo.value)
-        assert "unknown executor 'warp'" in message
-        assert "'serial'" in message and "'shard'" in message
+            main(["sweep", "--protocol", "bitcoin", "--backend", backend])
+        assert excinfo.value.code == 2  # an argparse usage error
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{backend}'" in err
+        assert "'serial', 'pool'" in err
 
     def test_sweep_shard_flag_validation(self):
-        with pytest.raises(SystemExit, match="requires --shard-index"):
-            main(["sweep", "--protocol", "bitcoin", "--backend", "shard"])
         with pytest.raises(SystemExit, match="cannot parse --shard-index"):
             main(["sweep", "--protocol", "bitcoin", "--shard-index", "four"])
         with pytest.raises(SystemExit, match="out of range"):
             main(["sweep", "--protocol", "bitcoin", "--shard-index", "4/4"])
-        with pytest.raises(SystemExit, match="requires --backend shard"):
-            main([
-                "sweep", "--protocol", "bitcoin",
-                "--backend", "serial", "--shard-index", "0/4",
-            ])
+
+    def test_sweep_shard_runs_on_the_pool_backend(self, capsys, tmp_path):
+        common = [
+            "sweep", "--protocol", "hyperledger", "--replicas", "3",
+            "--duration", "30", "--seeds", "0:4",
+        ]
+        shard_out, serial_out = tmp_path / "shard.json", tmp_path / "serial.json"
+        assert main(common + [
+            "--backend", "pool", "--jobs", "2", "--shard-index", "0/2", "--out", str(shard_out),
+        ]) == 0
+        assert "[shard 0/2: 2/4 grid cells]" in capsys.readouterr().out
+        assert main(common + ["--out", str(serial_out)]) == 0
+        capsys.readouterr()
+
+        def stable_cells(path):
+            return [
+                {k: v for k, v in cell.items() if k != "timings"}
+                for cell in json.loads(path.read_text())["cells"]
+            ]
+
+        assert stable_cells(shard_out) == stable_cells(serial_out)[0::2]
+
+    def test_sharded_chaos_journal_matches_the_full_sweep_on_its_cells(
+        self, capsys, tmp_path
+    ):
+        """Injections are drawn per cell digest and attempt, so a shard
+        journals exactly the lines the full sweep journals for its cells."""
+        common = [
+            "sweep", "--protocol", "hyperledger", "--replicas", "3",
+            "--duration", "20", "--seeds", "0:6", "--flaky-rates", "exception=0.5",
+            "--retries", "2", "--retry-backoff", "0", "--max-failures", "-1",
+            "--out", str(tmp_path / "results.json"),
+        ]
+        shard_journal, full_journal = tmp_path / "shard.jsonl", tmp_path / "full.jsonl"
+        assert main(common + ["--shard-index", "1/2", "--journal", str(shard_journal)]) == 0
+        assert main(common + ["--journal", str(full_journal)]) == 0
+        capsys.readouterr()
+        shard_lines = shard_journal.read_text().splitlines()
+        full_lines = full_journal.read_text().splitlines()
+        assert shard_lines == [
+            line for line in full_lines if json.loads(line)["index"] % 2 == 1
+        ]
+        assert any(json.loads(line)["attempts"] > 1 for line in shard_lines)
 
     def test_sweep_resume_flag_validation(self):
         with pytest.raises(SystemExit, match="requires --journal"):
@@ -458,6 +496,20 @@ class TestFaultFlags:
                 "--topology",
                 "gossip:bogus=3",
                 "topology 'gossip': got an unexpected keyword argument 'bogus'",
+            ),
+            # Wrongly typed values: the model is built once, before any run.
+            ("--fault", "crash:at=10", "fault 'crash': at must map replica ids to times, got int"),
+            ("--fault", "partition:groups=3", "fault 'partition': 'int' object is not iterable"),
+            ("--fault", "silent:members=5", "fault 'silent': 'int' object is not iterable"),
+            (
+                "--fault",
+                "churn:leave=3",
+                "fault 'churn': leave must map replica ids to times, got int",
+            ),
+            (
+                "--topology",
+                'gossip:fanout="abc"',
+                "topology 'gossip': '<' not supported between instances of 'str' and 'int'",
             ),
         ],
     )
