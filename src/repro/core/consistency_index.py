@@ -174,7 +174,8 @@ class ConsistencyIndex:
                 f"index genesis {self._root!r}"
             )
         stop = blocks[i]
-        if known[stop.block_id] != stop:
+        stored = known[stop.block_id]
+        if stored is not stop and stored != stop:
             raise InconsistentChainError(
                 f"block id {stop.block_id!r} carries different content in "
                 "different read results"

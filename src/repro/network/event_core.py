@@ -28,7 +28,12 @@ materialized:
   caller that took its sequence numbers earlier (:meth:`~ArrayEventCore.reserve`:
   the network's parked relays) hands its block to
   :meth:`~ArrayEventCore.schedule_reserved`, with int64 arg arrays that
-  a flush decodes with one ``tolist``;
+  stay int64 in the buckets.  When such a bucket is materialized, the
+  method's classifier (:meth:`~ArrayEventCore.register_span_handler`)
+  marks the events already known to be count-only — a flood's duplicate
+  deliveries — and each maximal stretch of them is split off into numpy
+  side arrays (:class:`_Duplicates`) behind one run entry, which the span
+  handler takes in one step: they never become Python objects;
 * **column events** (:meth:`ArrayEventCore.schedule_column`: a sink
   receiving ``values[i]`` at ``times[i]``, the client-population
   workload) are the third per-bucket store, of ``(times, seqs, mid, int64
@@ -46,9 +51,9 @@ sorts it once by ``(time, seq)``, and walks it with the loop in
 earlier* while it drains go to a small overflow heap that interleaves
 with the run — this preserves exact ``(time, seq)`` order, so recorded
 histories are byte-identical to the heap core's (asserted by the
-equivalence suite).  A segment step is exact too: it is clipped by
-``until``, by the events left in the drain call's budget and by the
-overflow head (:meth:`_ColumnRun.take`), and a partly taken segment
+equivalence suite).  A segment or stretch step is exact too: it is
+clipped by ``until``, by the events left in the drain call's budget and
+by the overflow head (:meth:`_SideRun.due`), and a partly taken one
 stays in the run, re-headed, for the next step or the next snapshot.
 """
 
@@ -198,7 +203,51 @@ class _Bucket:
         self.columns: List[Tuple[Any, Any, int, Any]] = []
 
 
-class _ColumnRun:
+class _SideRun:
+    """Run events kept as sorted numpy columns, taken from ``pos`` on (a
+    cursor that only moves forward, all a snapshot mid-stretch needs)."""
+
+    __slots__ = ("times", "seqs", "pos")
+
+    def cut(self, time: float, seq: int, lo: int, hi: int) -> int:
+        """First position in ``[lo, hi)`` not sorting before ``(time, seq)``."""
+        times = self.times
+        pos = lo + int(times[lo:hi].searchsorted(time, side="left"))
+        seqs = self.seqs
+        while pos < hi and times[pos] == time and seqs[pos] < seq:
+            pos += 1
+        return pos
+
+    def due(self, end: int, until: Optional[float], budget: int, overflow) -> int:
+        """End of what the scalar loop would dispatch of ``[pos, end)`` (its first
+        event due) before it next looks up: clipped by ``until`` (an event at
+        exactly ``until`` runs), the drain call's ``budget`` and the overflow head."""
+        start = self.pos
+        stop = end if end - start <= budget else start + budget
+        times = self.times
+        if until is not None and times[stop - 1] > until:
+            stop = start + int(times[start:stop].searchsorted(until, side="right"))
+        if overflow:
+            head = overflow[0]
+            if times[stop - 1] >= head[0]:
+                stop = self.cut(head[0], head[1], start, stop)
+        return stop
+
+
+class _Duplicates(_SideRun):
+    """The sorted bucket a run's duplicates were split off from: the run entry
+    ``~i`` stands for ``[starts[i], ends[i])``, last event at ``lasts[i]``."""
+
+    __slots__ = ("codes", "starts", "ends", "lasts")
+
+    def __init__(self, times, seqs, codes, bounds) -> None:
+        self.times, self.seqs, self.codes = times, seqs, codes
+        self.starts, self.ends = bounds[::2].tolist(), bounds[1::2].tolist()
+        self.lasts = times.take(bounds[1::2] - 1).tolist()
+        self.pos = 0
+
+
+class _ColumnRun(_SideRun):
     """The active run's column events: one merged ``(time, seq)`` order.
 
     Built when a bucket holding column events is materialized.  The
@@ -208,11 +257,10 @@ class _ColumnRun:
     the same events regrouped lane by lane, each lane in ``(time, seq)``
     order, so taking the merged range ``[pos, stop)`` is one ``bincount``
     plus one ``extend_column`` slice per sink that has events in it.
-    ``pos`` is the merged cursor and ``cursors[lane]`` the per-lane one;
-    both only move forward, which is all a snapshot mid-segment needs.
+    ``pos`` is the merged cursor and ``cursors[lane]`` the per-lane one.
     """
 
-    __slots__ = ("times", "seqs", "lanes", "sinks", "values", "cursors", "pos", "clock")
+    __slots__ = ("lanes", "sinks", "values", "cursors", "clock")
 
     def __init__(self, columns, methods) -> None:
         sinks: List[Any] = []
@@ -243,38 +291,19 @@ class _ColumnRun:
         self.pos = 0
         self.clock = 0.0  # time of the last event taken
 
-    def cut(self, time: float, seq: int, lo: int, hi: int) -> int:
-        """First position in ``[lo, hi)`` not sorting before ``(time, seq)``."""
-        times = self.times
-        pos = lo + int(times[lo:hi].searchsorted(time, side="left"))
-        seqs = self.seqs
-        while pos < hi and times[pos] == time and seqs[pos] < seq:
-            pos += 1
-        return pos
-
     def take(self, end: int, until: Optional[float], budget: int, overflow) -> None:
-        """Hand the due events of ``[pos, end)`` to their sinks and move ``pos``.
+        """Hand the due events of ``[pos, end)`` (:meth:`due`) to their sinks.
 
-        Exactly the events the scalar loop would dispatch before it next
-        has to look up: clipped by ``until`` (an event at exactly
-        ``until`` still runs), by the ``budget`` of events left in this
-        drain call and by the overflow head — which cannot move under
-        the step, because a column sink neither schedules nor reads the
-        clock.  The caller guarantees the event at ``pos`` is due, so at
-        least one event is taken.  Every cursor moves *before* the first
-        sink is called: should a sink break its contract and raise, the
-        range is consumed and accounted — ``pending`` stays exact and
-        a resumed drain delivers nothing in it a second time.
+        The overflow head cannot move under the step, because a column
+        sink neither schedules nor reads the clock.  Every cursor moves
+        *before* the first sink is called: should a sink break its
+        contract and raise, the range is consumed and accounted —
+        ``pending`` stays exact and a resumed drain delivers nothing in
+        it a second time.
         """
         start = self.pos
-        stop = end if end - start <= budget else start + budget
+        stop = self.due(end, until, budget, overflow)
         times = self.times
-        if until is not None and times[stop - 1] > until:
-            stop = start + int(times[start:stop].searchsorted(until, side="right"))
-        if overflow:
-            head = overflow[0]
-            if times[stop - 1] >= head[0]:
-                stop = self.cut(head[0], head[1], start, stop)
         counts = np.bincount(self.lanes[start:stop], minlength=len(self.sinks)).tolist()
         cursors = self.cursors
         starts = cursors[:]
@@ -323,7 +352,9 @@ class ArrayEventCore:
         "_run_len",
         "_run_slot",
         "_columns",
+        "_dups",
         "_span_handlers",
+        "_classifiers",
         "_span_cell",
     )
 
@@ -366,26 +397,32 @@ class ArrayEventCore:
         # The active run's column events (None when it has none); run
         # entries whose method is COLUMN are segments of it.
         self._columns: Optional[_ColumnRun] = None
+        # The active run's split-off duplicates (None when it has none).
+        self._dups: Optional[_Duplicates] = None
         # Batch dispatch: methods mapped here have same-method run spans
         # handed to their handler in one call instead of per-event
-        # dispatch; the cell carries the handler's consumed count for
+        # dispatch; the cell carries the handler's progress for
         # exception-path accounting.
         self._span_handlers: Dict[Any, Callable] = {}
-        self._span_cell: List[int] = [0]
+        self._classifiers: Dict[Any, Callable] = {}
+        self._span_cell: List[int] = [0, 0]
 
-    def register_span_handler(self, method: Callable, handler: Callable) -> None:
+    def register_span_handler(
+        self, method: Callable, handler: Callable, classify: Callable
+    ) -> None:
         """Route same-method run spans of ``method`` to ``handler``.
 
         The drain loop probes consecutive run entries for *identity*
         with the current method object (interning guarantees exactly one
         object per live method id, so identity equals same-id) and, when
         two or more share it, calls ``handler(times, seqs, args, pos,
-        end, until, cell)`` instead of dispatching each event.  The
-        handler must consume >= 1 event, return the consumed count, and
-        keep ``cell[0]`` current so an exception mid-span still accounts
-        the events it processed.
+        end, until, budget, cell)`` instead of dispatching each event.
+        It takes at most the ``budget`` events left, makes progress, and
+        keeps ``cell`` at ``[events taken, run position reached]``, also
+        when raising.  ``classify`` is :meth:`_split_duplicates`' classifier.
         """
         self._span_handlers[method] = handler
+        self._classifiers[method] = classify
 
     # -- introspection ---------------------------------------------------------
 
@@ -562,7 +599,7 @@ class ArrayEventCore:
         seq) — so permuted views are fine.  ``mid`` is the method's id
         when its references are already counted (the fan-out log), -1
         when those of the entries that reach a bucket still have to be.
-        ``args`` is a list or an int64 array (decoded with one ``tolist``).
+        ``args`` is a list or an int64 array, kept as such but for the overflow share.
         """
         slots = (times * self._inv_width).astype(np.int64)
         order = np.argsort(slots, kind="stable")
@@ -570,26 +607,22 @@ class ArrayEventCore:
         ts = times[order]
         qs = seqs[order]
         if type(args) is np.ndarray:
-            ags = args[order].tolist()
+            ags = args[order]
         else:
             ags = [args[i] for i in order.tolist()]
         start, edges = self._bucket_shares(ss)
         if start:
             overflow = self._overflow
-            prefix_times = ts[:start].tolist()
-            prefix_seqs = qs[:start].tolist()
-            for i in range(start):
-                heappush(
-                    overflow, (prefix_times[i], prefix_seqs[i], method, ags[i])
-                )
+            prefix = ags[:start].tolist() if type(ags) is np.ndarray else ags[:start]
+            for time, seq, arg in zip(ts[:start].tolist(), qs[:start].tolist(), prefix):
+                heappush(overflow, (time, seq, method, arg))
             if start == len(ags):
                 return
         if mid < 0:
             mid = self._intern_method(method, len(ags) - start)
-        slot_list = ss.tolist()
         prev = start
-        for nxt in edges:
-            self._append_block(slot_list[prev], ts[prev:nxt], qs[prev:nxt], mid, ags[prev:nxt])
+        for slot, nxt in zip(ss.take([start] + edges[:-1]).tolist(), edges):
+            self._append_block(slot, ts[prev:nxt], qs[prev:nxt], mid, ags[prev:nxt])
             prev = nxt
 
     def _flush_fanout_log(self) -> None:
@@ -598,13 +631,13 @@ class ArrayEventCore:
         Every logged time lies beyond the active slot (and slots only
         move forward), so no entry goes to the overflow heap here.  A
         method whose blocks all carry int64 arg arrays (the network's
-        parked relays) is decoded with one ``tolist`` per flush.
+        parked relays), or that has a classifier, keeps one int64 array.
         """
         log, self._fanout_log = self._fanout_log, {}
         for mid, logged in log.items():
             parts = [entry[2] for entry in logged]
-            if all(type(part) is np.ndarray for part in parts):
-                args = np.concatenate(parts)
+            if all(type(p) is np.ndarray for p in parts) or self._methods[mid] in self._classifiers:
+                args = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
             else:
                 args = [
                     arg
@@ -872,29 +905,24 @@ class ArrayEventCore:
                                         end += 1
                                     span_method = method
                                     span_end = end
-                                budget = pos + (max_events - processed)
-                                if end > budget:
-                                    end = budget
                                 cell[0] = 0
-                                consumed = 0
+                                cell[1] = pos
                                 try:
                                     if timer is None:
-                                        consumed = handler(
+                                        handler(
                                             run_times, run_seqs, run_args,
-                                            pos, end, until, cell,
+                                            pos, end, until, max_events - processed, cell,
                                         )
                                     else:
                                         t0 = timer()
-                                        consumed = handler(
+                                        handler(
                                             run_times, run_seqs, run_args,
-                                            pos, end, until, cell,
+                                            pos, end, until, max_events - processed, cell,
                                         )
                                         sim.callback_seconds += timer() - t0
                                 finally:
-                                    if consumed == 0:
-                                        consumed = cell[0]
-                                    processed += consumed
-                                    pos += consumed
+                                    processed += cell[0]
+                                    pos = cell[1]
                                     now = sim.now
                                 continue
                         arg = run_args[pos]
@@ -942,7 +970,7 @@ class ArrayEventCore:
             self._run_args = []
             self._run_pos = 0
             self._run_len = 0
-            self._columns = None
+            self._columns = self._dups = None
             return False
         slot = heappop(heap)
         bucket = self._buckets.pop(slot)
@@ -952,6 +980,7 @@ class ArrayEventCore:
         blocks = bucket.blocks
         release = self._release_method
         columns = bucket.columns
+        self._dups = None
         if not blocks:
             # Scalar pushes only (timers, small protocol steps): a plain
             # tuple sort beats numpy at these sizes.
@@ -973,10 +1002,10 @@ class ArrayEventCore:
             for time, seq, mid, aidx in stage:
                 rows.append((time, seq, mid, pool[aidx]))
             for bt, bs, bmid, bargs in blocks:
-                bt_list = bt.tolist()
-                bs_list = bs.tolist()
-                for i in range(len(bargs)):
-                    rows.append((bt_list[i], bs_list[i], bmid, bargs[i]))
+                if type(bargs) is np.ndarray:
+                    bargs = bargs.tolist()
+                for time, seq, arg in zip(bt.tolist(), bs.tolist(), bargs):
+                    rows.append((time, seq, bmid, arg))
             rows.sort()  # seqs unique: (time, seq) decides, args never compared
             times = []
             seqs = []
@@ -990,56 +1019,60 @@ class ArrayEventCore:
                 release(mid, 1)
         else:
             # Merge the staged scalars and the deferred fan-out blocks
-            # into one column set, then sort once.
+            # into one column set, then sort once.  ``v_all`` holds ``~i``
+            # for arg ``pool[i]``, or the int64 arg of a method with a
+            # classifier (unless column segments would have to be woven in).
+            classified = () if columns else self._classifiers.keys() & self._span_handlers.keys()
             t_parts = []
             s_parts = []
             m_parts = []
-            a_parts = []
+            v_parts = []
             if stage:
                 t_col, s_col, m_col, a_col = zip(*stage)
                 t_parts.append(np.array(t_col, dtype=np.float64))
                 s_parts.append(np.array(s_col, dtype=np.int64))
                 m_parts.append(np.array(m_col, dtype=np.int64))
-                a_parts.append(np.array(a_col, dtype=np.int64))
-            offset = len(pool)
+                v_parts.append(~np.array(a_col, dtype=np.int64))
+            mids = set()
             mid_vals = []
             lens = []
             for bt, bs, bmid, bargs in blocks:
                 t_parts.append(bt)
                 s_parts.append(bs)
                 mid_vals.append(bmid)
-                lens.append(len(bargs))
-                pool.extend(bargs)
-            total = len(pool) - offset
+                lens.append(len(bt))
+                if table[bmid] in classified:
+                    mids.add(bmid)
+                    v_parts.append(np.asarray(bargs, dtype=np.int64))
+                else:
+                    v_parts.append(~np.arange(len(pool), len(pool) + len(bt)))
+                    pool.extend(bargs.tolist() if type(bargs) is np.ndarray else bargs)
             m_parts.append(np.repeat(np.array(mid_vals, dtype=np.int64), np.array(lens)))
-            a_parts.append(np.arange(offset, offset + total, dtype=np.int64))
-            if len(t_parts) == 1:
-                t_all = t_parts[0]
-                s_all = s_parts[0]
-                m_all = m_parts[0]
-                a_all = a_parts[0]
-            else:
-                t_all = np.concatenate(t_parts)
-                s_all = np.concatenate(s_parts)
-                m_all = np.concatenate(m_parts)
-                a_all = np.concatenate(a_parts)
+            t_all = np.concatenate(t_parts)
+            s_all = np.concatenate(s_parts)
+            m_all = np.concatenate(m_parts)
+            v_all = np.concatenate(v_parts)
             order = np.lexsort((s_all, t_all))
-            times = t_all[order].tolist()
-            seqs = s_all[order].tolist()
-            aids = a_all[order].tolist()
-            args = [pool[i] for i in aids]
+            t_s = t_all.take(order)
+            if len(mids) == 1:  # (not when two networks share the simulator)
+                times, seqs, args, order = self._split_duplicates(
+                    order, t_s, s_all, v_all, mids.pop(), pool
+                )
+            else:
+                times = t_s.tolist()
+                seqs = s_all[order].tolist()
+                args = [pool[~i] if i < 0 else i for i in v_all[order].tolist()]
             counts = np.bincount(m_all)  # order-independent refcounts
             live = np.flatnonzero(counts)
             if live.size == 1:
                 # One shared callback (the common multicast bucket).
                 mid = int(live[0])
                 methods = [table[mid]] * len(times)
-                release(mid, len(times))
+                release(mid, int(counts[mid]))
             else:
                 methods = [table[i] for i in m_all[order].tolist()]
-                for mid, c in enumerate(counts.tolist()):
-                    if c:
-                        release(mid, c)
+                for mid, c in zip(live.tolist(), counts[live].tolist()):
+                    release(mid, c)
         if columns:
             self._columns = _ColumnRun(columns, table)
             for _, cs, mid, _ in columns:
@@ -1055,6 +1088,33 @@ class ArrayEventCore:
         self._run_len = len(times)
         self._run_slot = slot
         return True
+
+    def _split_duplicates(self, order, t_s, s_all, v_all, mid, pool):
+        """Split what ``mid``'s classifier marks in its int64 args off the sorted
+        bucket; returns the run's times, seqs, args and order.  Of each maximal
+        stretch of marks all but the last go to :attr:`_dups`, the first staying
+        as arg ``~i``: followed by its own method, it reaches the span test."""
+        n = len(order)
+        s_s = s_all.take(order)
+        v_s = v_all.take(order)
+        # One mask buffer of a rounded size: numpy keeps freed buffers under
+        # 1 KiB per size, and masks sized by every bucket would pile up there.
+        work = np.zeros((4, (n + 256) & ~255), dtype=bool)
+        mine = np.greater_equal(v_s, 0, out=work[0, :n])
+        marked = work[1, : n + 1]  # the last entry never collapses
+        marked[:-1][mine] = self._classifiers[self._methods[mid]](v_s[mine])
+        edge = work[2, : n + 1]  # edge[1 + i]: entry i collapses
+        np.logical_and(marked[:-1], marked[1:], out=edge[1:])
+        bounds = np.flatnonzero(np.not_equal(edge[1:], edge[:-1], out=work[3, :n]))
+        keep = np.logical_not(edge[1:], out=work[0, :n])
+        keep[bounds[::2]] = True
+        kept = np.flatnonzero(keep)
+        args = [pool[~arg] if arg < 0 else arg for arg in v_s.take(kept).tolist()]
+        if bounds.size:
+            self._dups = _Duplicates(t_s, s_s, v_s, bounds)
+            for i, at in enumerate(kept.searchsorted(bounds[::2]).tolist()):
+                args[at] = ~i
+        return t_s.take(kept).tolist(), s_s.take(kept).tolist(), args, order.take(kept)
 
     def _weave_segments(self, times, seqs, methods, args):
         """The run lists with the active :class:`_ColumnRun`'s segments woven in.

@@ -199,21 +199,6 @@ class Simulator:
         self.callback_seconds: float = 0.0
         self.drain_seconds: float = 0.0
 
-    def register_batch_handler(
-        self, method: Callable[[Any], None], handler: Callable[..., int]
-    ) -> None:
-        """Route same-method event spans of ``method`` to ``handler``.
-
-        Forwarded to the array core's span-handler table (see
-        :meth:`ArrayEventCore.register_span_handler
-        <repro.network.event_core.ArrayEventCore.register_span_handler>`);
-        a no-op under the heap core, whose scalar loop is the oracle the
-        batch-dispatch plane is equivalence-tested against.
-        """
-        core = self._array_core
-        if core is not None:
-            core.register_span_handler(method, handler)
-
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
@@ -556,6 +541,8 @@ class Network:
         self._epoch = 0
         self._skip_epoch = -1
         self._skip_table: List[Any] = []
+        # The epoch the active run's duplicates were split off under.
+        self._dup_epoch = -1
         # Parked relays (see ``_deliver_span``): ``(sender, receivers, now,
         # slot, first seq, receiver indexes)`` in relay order, and the time
         # a parked delivery must lie beyond — None outside a multicast span.
@@ -571,7 +558,10 @@ class Network:
         self.messages_quarantined = 0
         # Batch dispatch: consecutive multicast deliveries are handed to
         # the span handler in one call (scalar-exact; see `_deliver_span`).
-        simulator.register_batch_handler(self._deliver_multicast, self._deliver_span)
+        if simulator._array_core is not None:
+            simulator._array_core.register_span_handler(
+                self._deliver_multicast, self._deliver_span, self._classify_duplicates
+            )
 
     # -- membership -------------------------------------------------------------
 
@@ -916,20 +906,20 @@ class Network:
             self.messages_delivered += 1
             process.on_message(message)
 
-    def _deliver_span(self, times, seqs, args, pos, end, until, cell) -> int:
+    def _deliver_span(self, times, seqs, args, pos, end, until, budget, cell) -> None:
         """Batch-dispatch a span of consecutive ``_deliver_multicast`` events.
 
         Invoked by the drain loop for run entries ``pos:end`` that all
-        share the interned ``_deliver_multicast``; each arg is an int code
-        ``slot << 16 | receiver index``.  ``cell[0]`` tracks the consumed
-        count for the drain loop's exception accounting; the return value
-        is the total consumed (>= 1).
+        share the interned ``_deliver_multicast``, with ``budget`` events
+        left in the drain call; each arg is an int code ``slot << 16 |
+        receiver index``.  ``cell`` ends as ``[events consumed, run position
+        reached]``, also when a callback raises.
 
         The span is cut once, up front, where the scalar loop would stop:
-        at ``until`` and before the overflow head (:meth:`_span_stop`).
-        Only a dispatch can move the cut — by pushing an overflow event
-        that sorts earlier — so it is recomputed after a dispatch whenever
-        the overflow heap holds anything.
+        at ``until``, at the budget and before the overflow head
+        (:meth:`_span_stop`).  Only a dispatch can move the cut — by
+        pushing an overflow event that sorts earlier — so it is recomputed
+        after a dispatch whenever the overflow heap holds anything.
 
         A stretch of duplicate ``BlockAnnouncement`` deliveries — the bulk
         of an LRC flood, where every block reaches every replica once per
@@ -942,19 +932,27 @@ class Network:
         So the stretch moves the delivered and consumed counts and the
         clock, and nothing else.
 
+        Most come split off when their bucket is materialized
+        (:meth:`_classify_duplicates`): arg ``~i`` is stretch ``i`` of
+        ``ArrayEventCore._dups``, cut and re-headed like a column segment, or
+        sent the scalar way through the overflow heap once the epoch moved.
+        The scan is for duplicates made during the run and in small buckets.
+
         The delivery that ends a stretch goes through the scalar-exact
         path: departed pids are quarantined, dead ones dropped, a live
         receiver gets ``on_message``.
 
         While the span runs, ``_park_limit`` is the time of its last entry
-        (lowered whenever an overflow cut moves ``stop``), and relays whose
-        channel floor puts them past it are parked; every exit from the
-        span flushes them (see the module docstring).
+        (lowered whenever an overflow cut moves ``stop``; no parking when
+        that entry is a stretch), and relays whose channel floor puts them
+        past it are parked; every exit from the span flushes them (see the
+        module docstring).
         """
         sim = self.simulator
         processes = self._processes
         overflow = sim._array_core._overflow
-        stop = self._span_stop(times, seqs, pos, end, until)
+        dups = sim._array_core._dups
+        stop = self._span_stop(times, seqs, pos, min(end, pos + budget), until)
         if self._skip_epoch != self._epoch:
             self._refresh_skip_table()
         skip = self._skip_table
@@ -964,7 +962,7 @@ class Network:
         # Relays made while this span runs may be parked (see
         # ``_multicast_trusted``) if the channel promises a floor.
         if getattr(self.channel, "delay_floor", None) is not None:
-            self._park_limit = times[stop - 1]
+            self._park_limit = times[stop - 1] if args[stop - 1] >= 0 else np.inf
         delivered = 0
         quarantined = 0
         count = 0
@@ -976,10 +974,39 @@ class Network:
         try:
             while k < stop:
                 code = args[k]
-                if blocks[code >> 16] in skip[code & 0xFFFF]:
+                if code < 0:
+                    first = dups.pos = max(dups.pos, dups.starts[~code])
+                    last = dups.ends[~code]
+                    if self._dup_epoch == self._epoch:
+                        time = dups.lasts[~code]
+                        cut = until is not None and time > until or last - first > budget - count
+                        if cut or overflow and overflow[0][0] <= time:
+                            dups.pos = dups.due(last, until, budget - count, overflow)
+                            time = float(dups.times[dups.pos - 1])
+                        else:
+                            dups.pos = last
+                        delivered += dups.pos - first
+                        count += dups.pos - first
+                        if time > now:
+                            now = sim.now = time
+                    else:  # the marks may be stale: the rest goes the scalar way
+                        rest = slice(first, last)
+                        for entry in zip(
+                            dups.times[rest].tolist(), dups.seqs[rest].tolist(),
+                            itertools.repeat(self._deliver_multicast), dups.codes[rest].tolist(),
+                        ):
+                            heapq.heappush(overflow, entry)
+                        dups.pos = last
+                    if dups.pos < last:  # cut inside: the entry stays, re-headed
+                        times[k] = float(dups.times[dups.pos])
+                        seqs[k] = int(dups.seqs[dups.pos])
+                        break
+                    k += 1
+                    stop = min(stop, k + budget - count)
+                elif blocks[code >> 16] in skip[code & 0xFFFF]:
                     for j in range(k + 1, stop):
                         code = args[j]
-                        if blocks[code >> 16] not in skip[code & 0xFFFF]:
+                        if code < 0 or blocks[code >> 16] not in skip[code & 0xFFFF]:
                             break
                     else:
                         j = stop
@@ -989,27 +1016,27 @@ class Network:
                     if times[k - 1] > now:
                         now = times[k - 1]
                         sim.now = now
-                    if k == stop:
-                        break
-                time = times[k]
-                if time > now:
-                    now = time
-                    sim.now = time
-                process = processes.get(pids[code & 0xFFFF])
-                count += 1
-                k += 1
-                if process is None:
-                    quarantined += 1
                     continue
-                if not process.alive:
-                    continue
-                delivered += 1
-                process.on_message(envelopes[code >> 16])
+                else:
+                    time = times[k]
+                    if time > now:
+                        now = time
+                        sim.now = time
+                    process = processes.get(pids[code & 0xFFFF])
+                    count += 1
+                    k += 1
+                    if process is None:
+                        quarantined += 1
+                        continue
+                    if not process.alive:
+                        continue
+                    delivered += 1
+                    process.on_message(envelopes[code >> 16])
                 # The dispatch may have pushed an overflow event that cuts
                 # the span earlier, or changed membership or liveness.
                 if overflow:
                     stop = self._span_stop(times, seqs, k, stop, until)
-                    if self._park_limit is not None:
+                    if self._park_limit is not None and args[stop - 1] >= 0:
                         self._park_limit = times[stop - 1]
                 if self._skip_epoch != self._epoch:
                     self._refresh_skip_table()
@@ -1018,13 +1045,10 @@ class Network:
             self._park_limit = None
             if self._parked:
                 self._flush_parked()
-            # ``cell[0]`` is only read by the drain loop when the handler
-            # raised mid-span; keeping it current here (instead of per
-            # event) takes a store off the skip path.
             cell[0] = count
+            cell[1] = k
             self.messages_delivered += delivered
             self.messages_quarantined += quarantined
-        return count
 
     def _span_stop(self, times, seqs, lo: int, end: int, until: Optional[float]) -> int:
         """First position in ``[lo, end)`` the scalar loop would not reach.
@@ -1045,6 +1069,26 @@ class Network:
                     cut += 1
                 stop = cut
         return stop
+
+    def _classify_duplicates(self, codes: np.ndarray) -> np.ndarray:
+        """Mark the codes whose block the skip table holds for their receiver:
+        seen-sets only grow, so the marks hold while ``_epoch`` stays put."""
+        if self._skip_epoch != self._epoch:
+            self._refresh_skip_table()
+        self._dup_epoch = self._epoch
+        blocks = self._envelope_blocks
+        slots = codes >> _SLOT_SHIFT
+        present = np.zeros(len(blocks), dtype=bool)
+        present[slots] = True
+        used = np.flatnonzero(present)
+        rows: Dict[Optional[str], int] = {}
+        row_of = np.zeros(len(blocks), dtype=np.int64)
+        row_of[used] = [rows.setdefault(blocks[slot], len(rows)) for slot in used.tolist()]
+        skip = self._skip_table
+        # int64 marks: a bool array this size would stay in numpy's cache.
+        seen = np.frombuffer(bytes([block in ids for block in rows for ids in skip]), np.uint8)
+        seen = seen.astype(np.int64)
+        return seen.take(row_of.take(slots) * len(skip) + (codes & _RECEIVER_MASK))
 
     def _refresh_skip_table(self) -> None:
         """Rebuild the receiver-index -> seen-set table for this epoch.

@@ -58,11 +58,6 @@ class MeritTape:
         probability produce identical sequences.
     """
 
-    #: Index of the head cell in ``_buffer``.  A class default so that a
-    #: tape pickled when ``_buffer`` held only the remaining cells (and
-    #: had no cursor) restores with its head at index 0.
-    _cursor = 0
-
     def __init__(self, probability: float, seed: int = 0, block_size: int = 1024) -> None:
         if not 0.0 < probability <= 1.0:
             raise ValueError(f"token probability must be in (0, 1], got {probability}")

@@ -17,8 +17,9 @@ the tests only, as subclasses that put the old bodies back:
 build a run from them, part by part; with ``core="heap"`` on top that is
 the whole oracle leg of ``tests/network/test_core_equivalence.py``.  None
 of these classes calls ``Network._deliver_span``,
-``Network._refresh_skip_table``, ``HistoryRecorder._replication``,
-``_TreeColumns.append`` or ``BlockchainReplica.batch_dup_seen``
+``Network._refresh_skip_table``, ``Network._classify_duplicates``,
+``HistoryRecorder._replication``, ``_TreeColumns.append`` or
+``BlockchainReplica.batch_dup_seen``
 (``test_core_equivalence.py`` proves it by making them raise), so the
 equivalence tests hold those methods to code that shares nothing with them.
 Do not "optimize" anything in this module.

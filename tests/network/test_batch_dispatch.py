@@ -10,6 +10,8 @@ duplicate-flood skip).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.core.selection import HeaviestChain
@@ -147,15 +149,48 @@ def test_stock_replica_exposes_transport_seen_set():
     assert seen, "the run delivered blocks, so the seen-set is non-empty"
 
 
+class DupWatcher(NakamotoReplica):
+    """An adversary that inspects duplicates: counts every delivery."""
+
+    def on_message(self, message) -> None:
+        self.watched = getattr(self, "watched", 0) + 1
+        super().on_message(message)
+
+
 def test_overriding_on_message_disables_dup_skip():
     """An adversary that inspects duplicates must see every delivery."""
-
-    class DupWatcher(NakamotoReplica):
-        def on_message(self, message) -> None:
-            super().on_message(message)
-
     result = _tiny_protocol_run(DupWatcher)
     assert result.replicas["p0"].batch_dup_seen() is None
+
+
+def test_a_watchers_duplicates_are_never_split_off():
+    """Among 18 stock miners (relays are fan-out blocks, buckets take the
+    numpy path and their known duplicates are split off) a watcher is
+    never marked, and sees exactly the deliveries the heap core gives it."""
+    marked_receivers = set()
+    classify = Network._classify_duplicates
+
+    def spy(network, codes):
+        marks = classify(network, codes)
+        marked_receivers.update((codes[marks != 0] & 0xFFFF).tolist())
+        return marks
+
+    def run(core: str):
+        def factory(pid, orc, network):  # noqa: ARG001
+            config = ReplicaConfig(selection=HeaviestChain(), use_lrc=True, merit=0.2)
+            return (DupWatcher if pid == "p0" else NakamotoReplica)(
+                pid, orc, config, mining_interval=2.0
+            )
+
+        oracle = ProdigalOracle(tapes=TapeFamily(seed=5, probability_scale=0.5))
+        return run_protocol("dup-watch", factory, oracle, n=18, duration=20.0, core=core)
+
+    with mock.patch.object(Network, "_classify_duplicates", spy):
+        array = run("array")
+    heap = run("heap")
+    assert marked_receivers and array.network._receiver_index["p0"] not in marked_receivers
+    assert array.replicas["p0"].watched == heap.replicas["p0"].watched > 0
+    assert array.history.events == heap.history.events
 
 
 # -- the ledger fingerprint's constant (stays until ROADMAP item 1) -----------

@@ -22,6 +22,7 @@ all of it, ``_run(scalar_network=True)`` for its network alone.
 
 from __future__ import annotations
 
+import heapq
 import pickle
 import random
 import sys
@@ -178,27 +179,37 @@ def _trip(*args, **kwargs):
 
 #: The fast paths the reference plane is the oracle *for*, each patched
 #: on the class that defines it; the skip table is what the span's
-#: duplicate stretches are read against.
+#: duplicate stretches are read against, and the classifier what splits
+#: them off when a bucket is materialized.
 _FAST_PATHS = {
     "deliver_span": (Network, "_deliver_span"),
     "record_replication": (HistoryRecorder, "_replication"),
     "tree_append_index": (_TreeColumns, "append"),
     "dup_skip_table": (Network, "_refresh_skip_table"),
+    "dup_classifier": (Network, "_classify_duplicates"),
 }
+
+#: Miners of the fast-path scenario: with 18, relays are fan-out blocks
+#: even after the lossy channel's drops, so buckets take the numpy path.
+_FAST_PATH_MINERS = 18
 
 
 def test_reference_plane_runs_none_of_the_fast_paths():
     """The oracle is independent of what it checks: with every fast path
     raising, the oracle leg still runs to completion and records the
     history it records without the patches."""
-    expected = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
+    expected = _run(
+        "lossy", seed=9, core="heap", faulty=False, reference=True, n=_FAST_PATH_MINERS
+    )
     with ExitStack() as stack:
         for target, name in (
             *_FAST_PATHS.values(),
             (BlockchainReplica, "batch_dup_seen"),
         ):
             stack.enter_context(mock.patch.object(target, name, _trip))
-        oracle = _run("lossy", seed=9, core="heap", faulty=False, reference=True)
+        oracle = _run(
+            "lossy", seed=9, core="heap", faulty=False, reference=True, n=_FAST_PATH_MINERS
+        )
     assert oracle.history.events == expected.history.events
     assert len(oracle.history.append_invocations()) > 0
 
@@ -209,7 +220,7 @@ def test_live_plane_runs_every_fast_path(fast_path: str):
     plane reaches each of them."""
     target, name = _FAST_PATHS[fast_path]
     with mock.patch.object(target, name, _trip), pytest.raises(_Tripped):
-        _run("lossy", seed=9, core="array", faulty=False)
+        _run("lossy", seed=9, core="array", faulty=False, n=_FAST_PATH_MINERS)
 
 
 def test_fork_heavy_run_actually_forks():
@@ -550,10 +561,14 @@ def test_flood_survives_a_snapshot_with_relays_still_logged():
 #
 # ``Network._deliver_span`` accounts a stretch of duplicate announcements
 # in one step, reading a receiver-index -> seen-set table that only a
-# network epoch keeps honest.  Each case below drains one 18-replica
-# block flood (``flood_script.BlockFlood``) on both cores and compares,
-# after every chunk, the recorded history, ``sim.now``,
-# ``events_processed``, ``pending`` and the four message counters.
+# network epoch keeps honest.  Most stretches never reach it as codes: the
+# array core splits the deliveries ``Network._classify_duplicates`` marks
+# off a bucket when it is materialized, and the run holds one entry per
+# *collapsed* stretch (arg ``~i``, its events in ``ArrayEventCore._dups``).
+# Each case below drains one 18-replica block flood
+# (``flood_script.BlockFlood``) on both cores and compares, after every
+# chunk, the recorded history, ``sim.now``, ``events_processed``,
+# ``pending`` and the four message counters.
 
 _BLOCKS = [(0.0, "p0", "a", None), (0.3, "p9", "b", None), (1.25, "p4", "c", None)]
 
@@ -577,6 +592,23 @@ def _block_flood(core: str, channel: str = "synchronous", **kwargs) -> BlockFloo
 
 def _is_duplicate(network: Network, code: int) -> bool:
     return network._envelope_blocks[code >> 16] in network._skip_table[code & 0xFFFF]
+
+
+def _codes(network: Network, arg: int) -> list:
+    """The delivery codes a run entry still stands for: itself, or what is
+    left of the collapsed stretch ``~arg``."""
+    if arg >= 0:
+        return [arg]
+    dups = network.simulator._array_core._dups
+    return dups.codes[max(dups.pos, dups.starts[~arg]) : dups.ends[~arg]].tolist()
+
+
+def _cut_inside(network: Network, args, k: int) -> bool:
+    """Whether run entry ``k`` is a collapsed stretch a span took part of."""
+    dups = network.simulator._array_core._dups
+    if k >= len(args) or type(args[k]) is not int or args[k] >= 0:
+        return False
+    return dups.pos > dups.starts[~args[k]]
 
 
 def _assert_flood_matches_heap(steps, **kwargs) -> BlockFlood:
@@ -604,7 +636,9 @@ def _mid_span_refreshes(pids):
             if frame.get("k", frame["pos"]) > frame["pos"]:
                 wanted = {network._receiver_index[pid] for pid in pids}
                 rest = frame["args"][frame["k"] : frame["end"]]
-                seen.append(any(code & 0xFFFF in wanted for code in rest))
+                seen.append(
+                    any(code & 0xFFFF in wanted for arg in rest for code in _codes(network, arg))
+                )
 
     return seen, mock.patch.object(Network, "_refresh_skip_table", spy)
 
@@ -653,27 +687,98 @@ def test_churn_rejoin_in_mid_span_matches_the_heap_core():
 def test_cuts_inside_a_duplicate_stretch_match_the_heap_core(channel: str):
     """``until``, the chunk budget and — over short asynchronous delays,
     whose relays land in the slot being drained — the overflow head each
-    stop a span between two duplicates."""
-    cuts = []
+    stop a span inside a stretch of duplicates: between two duplicate
+    codes, or inside a collapsed stretch, which stays in the run
+    re-headed at what is left of it."""
+    cuts = Counter()
     deliver_span = Network._deliver_span
 
-    def spy(network, times, seqs, args, pos, end, until, cell):
-        consumed = deliver_span(network, times, seqs, args, pos, end, until, cell)
-        k = pos + consumed
-        if k < len(args) and type(args[k]) is int:
-            if _is_duplicate(network, args[k - 1]) and _is_duplicate(network, args[k]):
-                if until is not None and times[k] > until:
-                    cuts.append("until")
-                else:
-                    cuts.append("budget" if k == end else "overflow")
-        return consumed
+    def spy(network, times, seqs, args, pos, end, until, budget, cell):
+        deliver_span(network, times, seqs, args, pos, end, until, budget, cell)
+        events, k = cell
+        if _cut_inside(network, args, k):
+            dups = network.simulator._array_core._dups
+            assert (times[k], seqs[k]) == (dups.times[dups.pos], dups.seqs[dups.pos])
+            where = "inside"
+        elif k < end and min(args[k - 1], args[k]) >= 0 and all(
+            _is_duplicate(network, args[i]) for i in (k - 1, k)
+        ):
+            where = "between"
+        else:
+            return
+        if until is not None and times[k] > until:
+            cuts[where, "until"] += 1
+        else:
+            cuts[where, "budget" if events == budget else "overflow"] += 1
 
     steps = [(0.9, 37), (1.3, 1000), (1.77, 23), (2.6, 1000), (None, 61)]
     with mock.patch.object(Network, "_deliver_span", spy):
         _assert_flood_matches_heap(steps, channel=channel)
-    assert cuts.count("until") >= 2 and cuts.count("budget") >= 5
+    assert cuts["inside", "until"] >= 2 and cuts["inside", "budget"] >= 5, cuts
+    assert cuts["between", "budget"] >= 1, cuts  # the code scan is cut too
     if channel == "asynchronous":
-        assert cuts.count("overflow") >= 5
+        assert cuts["inside", "overflow"] >= 8 and cuts["between", "overflow"] >= 4, cuts
+
+
+#: First receptions that move the network epoch while the deliveries a
+#: bucket's split marked are still to come: a crash, a deregistration, and
+#: a churn leave followed by the rejoin whose revive resets the receiver.
+_EPOCH_MOVES = {
+    "crash": {("p2", "c"): partial(crash, "p7")},
+    "deregister": {("p3", "b"): partial(deregister, "p6")},
+    "churn_rejoin": {("p2", "a"): partial(leave, "p6"), ("p3", "b"): partial(rejoin, "p6")},
+}
+
+
+@pytest.mark.parametrize("move", sorted(_EPOCH_MOVES))
+@pytest.mark.parametrize("steps", ([(None, 10**6)], [(0.9, 37), (1.77, 23), (None, 61)]))
+def test_a_moved_epoch_sends_the_rest_of_a_collapsed_stretch_the_scalar_way(move, steps):
+    """Once the epoch moves, a stretch's marks may be stale (a receiver
+    died, left or came back): the rest of it goes to the overflow heap,
+    delivery by delivery, and the drain dispatches it like the heap core."""
+    flood = _block_flood("array", actions=_EPOCH_MOVES[move])
+    overflow = flood.sim._array_core._overflow
+    handed = []
+    push = heapq.heappush
+
+    def spy(heap, entry):
+        if heap is overflow and getattr(entry[2], "__func__", None) is Network._deliver_multicast:
+            handed.append(entry)
+        push(heap, entry)
+
+    with mock.patch.object(heapq, "heappush", spy):
+        array = flood.run(steps)
+    assert array == _block_flood("heap", actions=_EPOCH_MOVES[move]).run(steps)
+    assert array[-1][3] == 0
+    assert len(handed) >= 10  # a synchronous channel never puts a relay there itself
+    _assert_every_method_released(flood.sim._array_core)
+
+
+def _inside_a_stretch(flood: BlockFlood) -> bool:
+    core = flood.sim._array_core
+    return core._run_pos < core._run_len and _cut_inside(
+        flood.network, core._run_args, core._run_pos
+    )
+
+
+@pytest.mark.parametrize("channel", ("synchronous", "asynchronous"))
+def test_a_snapshot_inside_a_collapsed_stretch_restores_to_the_same_future(channel: str):
+    """Pickle the flood at chunk boundaries that fall inside a collapsed
+    stretch (its run entry re-headed, ``_dups.pos`` past its start): each
+    snapshot restores to the clean run's future."""
+    clean = _block_flood("heap", channel).run([(None, 10**6)])[-1]
+    snapshots = []
+
+    def snapshot(flood: BlockFlood) -> None:
+        if _inside_a_stretch(flood):
+            snapshots.append(pickle.dumps(flood))
+
+    _block_flood("array", channel).run([(None, 13)], on_chunk=snapshot)
+    assert len(snapshots) >= 20
+    for blob in snapshots[::3]:
+        restored = pickle.loads(blob)
+        assert _inside_a_stretch(restored)
+        assert restored.run([(None, 10**6)])[-1] == clean
 
 
 def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future():

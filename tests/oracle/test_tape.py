@@ -59,25 +59,6 @@ class TestMeritTape:
         assert restored.cells_consumed == popped
         assert [restored.pop() for _ in range(13)] == [tape.pop() for _ in range(13)]
 
-    def test_a_pickle_of_the_remaining_cells_shape_pops_the_same_sequence(self):
-        """Before the cursor, ``_buffer`` held only the cells not yet
-        popped (``list.pop(0)`` took the head) and there was no
-        ``_cursor``: such a pickle restores with the class default."""
-        reference = MeritTape(0.3, seed=11, block_size=8)
-        tape = MeritTape(0.3, seed=11, block_size=8)
-        for _ in range(5):
-            reference.pop()
-            tape.pop()
-        state = dict(tape.__dict__)
-        state["_buffer"] = state["_buffer"][state.pop("_cursor"):]
-        old = MeritTape.__new__(MeritTape)
-        old.__dict__.update(state)
-        restored = pickle.loads(pickle.dumps(old))
-        assert "_cursor" not in restored.__dict__
-        assert restored.head() == reference.head()
-        assert [restored.pop() for _ in range(30)] == [reference.pop() for _ in range(30)]
-        assert restored.cells_consumed == reference.cells_consumed == 35
-
 
 class TestDeterministicTape:
     def test_pattern_then_tail(self):
