@@ -72,6 +72,7 @@ from repro.engine import (
 from repro.engine.executors import INJECTION_KINDS
 from repro.network.faults import FAULT_REGISTRY
 from repro.network.topology import TOPOLOGY_REGISTRY, available_topologies
+from repro.protocols.base import process_ids
 from repro.protocols.classification import reproduce_table1
 from repro.workload.scenarios import figure2_history, figure3_history, figure4_history
 
@@ -488,6 +489,25 @@ def _parse_fault(text: str) -> FaultSpec:
     return _parse_component(text, "fault", FaultSpec, FAULT_REGISTRY, ("seed",))
 
 
+def _check_fault_members(command: str, fault: FaultSpec, replica_counts: Sequence[int]) -> None:
+    """Refuse a fault naming a replica some run will not have: exit 2, before any run.
+
+    The smallest replica count implies the fewest ids, so it is the one
+    checked, by the same :meth:`~repro.network.faults.FaultModel.check_members`
+    a run's ``install`` calls.
+    """
+    n = min(replica_counts)
+    try:
+        fault.build(0).check_members(process_ids(n))
+    except ValueError as error:
+        print(
+            f"repro {command}: error: fault {fault.kind!r}: {error} "
+            f"(a run of {n} replicas has p0..p{n - 1})",
+            file=sys.stderr,
+        )
+        raise SystemExit(2) from None
+
+
 def _parse_topology(text: str) -> TopologySpec:
     """``--topology``; every key, ``seed`` included, is a topology parameter."""
     return _parse_component(text, "topology", TopologySpec, TOPOLOGY_REGISTRY)
@@ -534,6 +554,7 @@ def _cmd_classify(args: argparse.Namespace) -> str:
         spec = spec.with_updates(topology=_parse_topology(args.topology))
     if args.fault is not None:
         spec = spec.with_updates(fault=_parse_fault(args.fault))
+        _check_fault_members("classify", spec.fault, [args.replicas])
     if args.checkpoint_every is not None:
         # The file is named by the digest of the knob-free spec, so the
         # path is stable however often the cadence changes.
@@ -822,6 +843,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     bounds = _parse_axis(args.oracle_bounds, _parse_bound)
     if bounds is not None:
         axes["oracle_k"] = bounds
+    if base.fault is not None:
+        _check_fault_members("sweep", base.fault, replica_counts or [args.replicas])
 
     specs = expand_grid(base, axes)
     shard = _parse_shard(args.shard_index) if args.shard_index is not None else None

@@ -295,7 +295,8 @@ class FaultSpec:
 
 #: The spec field that sets each keyword option of
 #: :func:`repro.protocols.base.run_protocol` (``None``: no field does —
-#: ``core`` stays a ``run_*`` keyword for the test-side core oracle).
+#: ``core`` stays a ``run_*`` keyword, the override of the store
+#: :func:`~repro.network.simulator.core_for_run` picks).
 _HARNESS_FIELDS: Mapping[str, Optional[str]] = {
     "n": "replicas",
     "duration": "duration",

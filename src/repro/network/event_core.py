@@ -1,11 +1,16 @@
 """Array-native event calendar for the discrete-event simulator.
 
-The heap core (``Simulator(core="heap")``) stores every pending event as
-a Python tuple in one global ``heapq`` — O(log n) object-churning pushes
-and pops.  This module replaces that with a *calendar queue*: events
-live in per-time-slot **buckets**, each with three stores that are
-merged and sorted once by ``(time, seq)`` when the bucket is
-materialized:
+The simulator has two event stores.  The heap core
+(``Simulator(core="heap")``) keeps every pending event as a Python tuple
+in one global ``heapq`` — O(log n) object-churning pushes and pops, but
+no per-bucket constants, so a small run (at most
+:data:`~repro.network.simulator.BLOCK_FANOUT` processes, no clients)
+drains faster on it.  This module is the other one, the store every
+larger run or client population drains on
+(:func:`~repro.network.simulator.core_for_run` picks): a *calendar
+queue*, in which events live in per-time-slot **buckets**, each with
+three stores that are merged and sorted once by ``(time, seq)`` when the
+bucket is materialized:
 
 * scalar pushes append ``(time, seq, method id, arg index)`` tuples to
   a per-bucket staging list (a Python list append is ~2x faster than a

@@ -85,12 +85,30 @@ __all__ = [
 class FaultModel(ABC):
     """A declarative adversary acting through scheduled simulator events.
 
-    All hooks default to no-ops so a concrete fault only implements the
-    stages it needs; see the module docstring for when each is called.
+    All hooks but :meth:`install` (which checks membership) default to
+    no-ops, so a concrete fault only implements the stages it needs and
+    names its replicas in :meth:`replica_ids`; see the module docstring
+    for when each is called.
     """
 
     def install(self, network: "Network") -> None:
         """Validate membership and apply pre-start behaviour."""
+        self.check_members(network.process_ids)
+
+    def replica_ids(self) -> Tuple[str, ...]:
+        """Every replica id this fault names."""
+        return ()
+
+    def check_members(self, process_ids: Sequence[str]) -> None:
+        """Refuse a fault naming a replica that is not in ``process_ids``.
+
+        :meth:`install` calls it on the network's process table; the CLI
+        calls it on the ids a command's replica count implies, before
+        any run starts.
+        """
+        unknown = sorted(set(self.replica_ids()) - set(process_ids))
+        if unknown:
+            raise ValueError(f"unknown replicas {unknown}")
 
     def after_process_start(self, process: "Process") -> None:
         """Called right after ``process.on_start()``, in registration order."""
@@ -221,6 +239,17 @@ def _times(name: str, times: Mapping[str, float]) -> Dict[str, float]:
     return {pid: float(t) for pid, t in times.items()}
 
 
+def _ids(name: str, ids: Sequence[Any], of: str = "replica ids") -> Tuple[Any, ...]:
+    """A list parameter of replica ids, refused by name if a bare string.
+
+    A string is a sequence of characters, so ``members="p1"`` would
+    otherwise name the replicas ``"p"`` and ``"1"``.
+    """
+    if isinstance(ids, str):
+        raise TypeError(f"{name} must be a list of {of}, got str")
+    return tuple(ids)
+
+
 @register_fault("crash")
 class CrashFault(FaultModel):
     """Replicas named in ``at`` crash at their configured virtual time.
@@ -236,10 +265,8 @@ class CrashFault(FaultModel):
             if t < 0:
                 raise ValueError("crash_at must be non-negative")
 
-    def install(self, network: "Network") -> None:
-        unknown = sorted(set(self.at) - set(network.process_ids))
-        if unknown:
-            raise ValueError(f"unknown crash replicas {unknown}")
+    def replica_ids(self) -> Tuple[str, ...]:
+        return tuple(self.at)
 
     def after_process_start(self, process: "Process") -> None:
         when = self.at.get(process.pid)
@@ -277,12 +304,13 @@ class SilentFault(FaultModel):
     """
 
     def __init__(self, members: Sequence[str]) -> None:
-        self.members = tuple(members)
+        self.members = _ids("members", members)
+
+    def replica_ids(self) -> Tuple[str, ...]:
+        return self.members
 
     def install(self, network: "Network") -> None:
-        unknown = sorted(set(self.members) - set(network.process_ids))
-        if unknown:
-            raise ValueError(f"unknown byzantine replicas {unknown}")
+        super().install(network)
         for pid in self.members:
             process = network.process(pid)
             process.byzantine = True
@@ -327,10 +355,8 @@ class ChurnFault(FaultModel):
             if t <= self.leave[pid]:
                 raise ValueError(f"{pid!r} must rejoin strictly after leaving")
 
-    def install(self, network: "Network") -> None:
-        unknown = sorted(set(self.leave) - set(network.process_ids))
-        if unknown:
-            raise ValueError(f"unknown churn replicas {unknown}")
+    def replica_ids(self) -> Tuple[str, ...]:
+        return tuple(self.leave)
 
     def after_start(self, network: "Network") -> None:
         simulator = network.simulator
@@ -420,7 +446,9 @@ class PartitionFault(FaultModel):
         heal_at: Optional[float] = None,
         resync: bool = True,
     ) -> None:
-        self.groups = tuple(tuple(group) for group in groups)
+        self.groups = tuple(
+            _ids("each group", group) for group in _ids("groups", groups, "replica-id lists")
+        )
         if not self.groups or any(not group for group in self.groups):
             raise ValueError("partition groups must be non-empty")
         seen: Dict[str, int] = {}
@@ -439,10 +467,8 @@ class PartitionFault(FaultModel):
             raise ValueError("heal_at must be after the partition time")
         self._filter = None
 
-    def install(self, network: "Network") -> None:
-        unknown = sorted(set(self._group_of) - set(network.process_ids))
-        if unknown:
-            raise ValueError(f"unknown partition replicas {unknown}")
+    def replica_ids(self) -> Tuple[str, ...]:
+        return tuple(self._group_of)
 
     def after_start(self, network: "Network") -> None:
         simulator = network.simulator
@@ -502,9 +528,8 @@ class EclipseFault(FaultModel):
             raise ValueError("eclipse window must end after it starts")
         self._filter = None
 
-    def install(self, network: "Network") -> None:
-        if self.victim not in network.process_ids:
-            raise ValueError(f"unknown eclipse victim {self.victim!r}")
+    def replica_ids(self) -> Tuple[str, ...]:
+        return (self.victim,)
 
     def after_start(self, network: "Network") -> None:
         simulator = network.simulator

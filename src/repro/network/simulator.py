@@ -7,7 +7,9 @@ module provides:
 * :class:`Simulator` — a classical discrete-event engine: a priority queue
   of timestamped callbacks, a virtual clock, and a run loop.  Everything is
   deterministic given the seeds of the channel models and protocols, which
-  makes every benchmark re-run bit-identical.
+  makes every benchmark re-run bit-identical.  The queue is one of two
+  event stores, a ``heapq`` or the array calendar queue, and
+  :func:`core_for_run` picks one from the run's size.
 * :class:`Message` — an immutable envelope (sender, receiver, kind,
   payload, send time).
 * :class:`Network` — glue between the simulator, a channel model deciding
@@ -34,11 +36,12 @@ dispatches on its own like any timer.
 Within such a span the relays it provokes (Light Reliable Communication
 forwards every block on first reception) are *parked*
 (:meth:`Network._park`) rather than drawn and scheduled one by one,
-provided the fan-out takes the block path (16+ receivers, its sender not
-among them), no message filter is active, and the channel promises a
-delay floor (:mod:`repro.network.channels`) under which every delivery
-lands after the span's last entry.  A parked relay takes its envelope
-slot, its sent count and its sequence numbers at once; when the span
+provided the fan-out takes the block path (:data:`BLOCK_FANOUT` or more
+receivers, its sender not among them), no message filter is active, and
+the channel promises a delay floor (:mod:`repro.network.channels`) under
+which every delivery lands after the span's last entry.  A parked relay
+takes its envelope slot, its sent count and its sequence numbers at
+once; when the span
 ends — however it ends — or anything else is about to draw on the
 channel, all parked relays are flushed together
 (:meth:`Network._flush_parked`): one channel draw in relay order, one
@@ -91,7 +94,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.network.process import Process
     from repro.network.topology import Topology
 
-__all__ = ["Simulator", "Message", "Network", "MULTICAST", "timed_callbacks"]
+__all__ = [
+    "Simulator",
+    "Message",
+    "Network",
+    "MULTICAST",
+    "BLOCK_FANOUT",
+    "core_for_run",
+    "timed_callbacks",
+]
 
 #: Module toggle read at :class:`Simulator` construction: when True, the
 #: run loops bracket every callback dispatch with ``perf_counter`` and
@@ -131,6 +142,14 @@ MULTICAST = "*"
 _SLOT_SHIFT = 16
 _RECEIVER_MASK = (1 << _SLOT_SHIFT) - 1
 
+#: The fan-out size from which the array core batches: a fan-out of this
+#: many deliveries or more reaches it as one block
+#: (:meth:`Simulator.schedule_fanout`) and may be parked inside a span
+#: (:meth:`Network._multicast_trusted`); a smaller one is staged entry by
+#: entry.  A run of at most this many processes has almost nothing to
+#: batch, so it drains on the heap core (:func:`core_for_run`).
+BLOCK_FANOUT = 16
+
 #: Skip-table entry of a receiver whose duplicates must be dispatched.
 _NO_SKIP: frozenset = frozenset()
 
@@ -169,11 +188,13 @@ class Simulator:
     :class:`~repro.network.event_core.ArrayEventCore` — vectorized bulk
     inserts, one sort per time-slot bucket, interned method dispatch.
     ``core="heap"`` keeps the classical ``heapq`` of
-    ``(time, seq, method, arg)`` tuples verbatim; it is retained as the
-    equivalence oracle, and the two cores produce identical event
-    orderings (``seq`` is a global insertion counter under both, so ties
-    on ``time`` resolve in insertion order and comparisons never reach
-    the uncomparable callables).
+    ``(time, seq, method, arg)`` tuples.  Both are production paths:
+    :func:`core_for_run` gives a run of at most :data:`BLOCK_FANOUT`
+    processes without clients to the heap and everything else to the
+    array core, and each is the other's equivalence oracle.  The two produce
+    identical event orderings (``seq`` is a global insertion counter
+    under both, so ties on ``time`` resolve in insertion order and
+    comparisons never reach the uncomparable callables).
 
     ``arg is _NO_ARG`` marks a no-argument callback (the public
     :meth:`schedule` API); otherwise the run loop calls ``method(arg)``.
@@ -266,7 +287,7 @@ class Simulator:
         if core is not None:
             if type(args) is not list:
                 args = list(args)
-            if len(delays) < 16:
+            if len(delays) < BLOCK_FANOUT:
                 # Small fan-outs (typical multicast degree): the scalar
                 # staging path skips the asarray/argsort constants.  A
                 # Python float add is the same IEEE-754 operation as the
@@ -426,8 +447,8 @@ class Simulator:
     def _run_heap(self, until: Optional[float], max_events: int) -> int:
         """The pre-array run loop, verbatim: pop tuples off one heapq.
 
-        (Plus the optional ``timed_callbacks`` brackets, so the heap
-        oracle leg reports the same ``callback_share`` metric.)
+        (Plus the optional ``timed_callbacks`` brackets, so a heap run
+        reports the same ``callback_share`` metric.)
         """
         queue = self._queue
         pop = heapq.heappop
@@ -456,6 +477,19 @@ class Simulator:
         finally:
             self.events_processed += processed
         return processed
+
+
+def core_for_run(processes: int, clients: Optional[int] = None) -> str:
+    """The event store for a run of ``processes`` replicas: ``"heap"`` or ``"array"``.
+
+    Up to :data:`BLOCK_FANOUT` processes and no client population, a
+    relay reaches fewer than :data:`BLOCK_FANOUT` others, so it is never
+    parked, and the array core has almost nothing to batch: the heap
+    drains the same history faster (the crossover is between 20 and 32
+    processes).  A larger run, or one with column events (``clients``),
+    keeps the array core.
+    """
+    return "heap" if processes <= BLOCK_FANOUT and not clients else "array"
 
 
 class Network:
@@ -711,7 +745,7 @@ class Network:
         limit = self._park_limit
         if (
             limit is not None
-            and attempted >= 16
+            and attempted >= BLOCK_FANOUT
             and not self._message_filters
             and type(receivers) is tuple
             and sender not in receivers

@@ -36,7 +36,7 @@ import functools
 import inspect
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.network.broadcast import (
 from repro.network.channels import ChannelModel, SynchronousChannel
 from repro.network.faults import FaultModel
 from repro.network.process import Process
-from repro.network.simulator import Message, Network, Simulator
+from repro.network.simulator import Message, Network, Simulator, core_for_run
 from repro.network.topology import Topology
 from repro.oracle.theta import TokenOracle, ValidatedBlock
 from repro.workload.population import ClientPopulation
@@ -66,6 +66,7 @@ __all__ = [
     "BlockchainReplica",
     "RunResult",
     "LiveRun",
+    "process_ids",
     "run_protocol",
     "System",
     "system_runner",
@@ -570,6 +571,11 @@ class LiveRun:
         )
 
 
+def process_ids(n: int) -> Tuple[str, ...]:
+    """The replica ids of a run of ``n`` processes, in registration order."""
+    return tuple(f"p{index}" for index in range(n))
+
+
 def run_protocol(
     name: str,
     replica_factory: Callable[[str, TokenOracle, Network], BlockchainReplica],
@@ -583,7 +589,7 @@ def run_protocol(
     max_events: int = 2_000_000,
     monitor: Optional[ConsistencyMonitor] = None,
     topology: Optional[Topology] = None,
-    core: str = "array",
+    core: Optional[str] = None,
     clients: Optional[int] = None,
     client_rate: float = 0.5,
     client_seed: int = 0,
@@ -627,9 +633,12 @@ def run_protocol(
         sharded topologies restrict each sender's fan-out.
     core:
         Event-calendar implementation: ``"array"`` (the array-native
-        calendar queue, the default) or ``"heap"`` (the original
-        heapq-of-tuples core, retained verbatim as the equivalence
-        oracle).  The two produce byte-identical histories.
+        calendar queue) or ``"heap"`` (the heapq-of-tuples core).
+        ``None`` lets :func:`~repro.network.simulator.core_for_run` pick
+        from ``n`` and ``clients``: the heap for a run of at most
+        :data:`~repro.network.simulator.BLOCK_FANOUT` processes without
+        clients, the array core otherwise.  The two produce
+        byte-identical histories, so naming one only changes speed.
     clients, client_rate, client_seed:
         When ``clients`` is set, a :class:`ClientPopulation` of that size
         is generated column-wise (``client_rate`` operations per client
@@ -655,7 +664,7 @@ def run_protocol(
         Chunking never perturbs event order, so the recorded history is
         byte-identical either way.
     """
-    simulator = Simulator(core=core)
+    simulator = Simulator(core=core if core is not None else core_for_run(n, clients))
     recorder = HistoryRecorder()
     if monitor is not None:
         monitor.attach(recorder)
@@ -666,8 +675,7 @@ def run_protocol(
         topology=topology,
     )
     replicas: Dict[str, BlockchainReplica] = {}
-    for index in range(n):
-        pid = f"p{index}"
+    for pid in process_ids(n):
         replica = replica_factory(pid, oracle, network)
         network.register(replica)
         replicas[pid] = replica

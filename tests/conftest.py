@@ -9,6 +9,8 @@ import pytest
 from repro.core.block import GENESIS, Block, BlockIdFactory, Blockchain
 from repro.core.blocktree import BlockTree
 from repro.core.history import HistoryRecorder
+from repro.network.simulator import Simulator
+from repro.protocols import base
 
 
 @pytest.fixture()
@@ -84,3 +86,16 @@ def worker_starts(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
     return started
+
+
+@pytest.fixture(params=Simulator.CORES)
+def event_core(request, monkeypatch) -> str:
+    """Every run the test makes drains on one event store, each in turn.
+
+    ``run_protocol`` picks its store from the run's size
+    (:func:`~repro.network.simulator.core_for_run`), so a small run
+    would otherwise only ever reach the heap.  Pin one store with
+    ``@pytest.mark.parametrize("event_core", ["array"], indirect=True)``.
+    """
+    monkeypatch.setattr(base, "core_for_run", lambda processes, clients=None: request.param)
+    return request.param

@@ -55,6 +55,7 @@ def _one_snapshot(spec: ExperimentSpec) -> SimulationCheckpoint:
     return captured[0]
 
 
+@pytest.mark.usefixtures("event_core")
 class TestCheckpointFormat:
     def test_round_trip(self):
         snapshot = _one_snapshot(_spec())
@@ -121,6 +122,7 @@ class TestCheckpointFormat:
         assert resumed.run.monitor.reports() == clean.run.monitor.reports()
 
 
+@pytest.mark.usefixtures("event_core")
 class TestCheckpointWriter:
     def test_write_then_rotate(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
@@ -192,6 +194,7 @@ def _age(path: str, written: str, monkeypatch) -> str:
     )
 
 
+@pytest.mark.usefixtures("event_core")
 class TestModelVersion:
     """A checkpoint of another model version, or of none, is never read."""
 
@@ -253,6 +256,7 @@ class TestSpecKnobs:
         assert restored.checkpoint_every == 500
         assert restored.checkpoint_path == spec.checkpoint_path
 
+    @pytest.mark.usefixtures("event_core")
     def test_execute_honours_knobs(self, tmp_path):
         path = str(tmp_path / "spec.ckpt")
         spec = _spec(checkpoint_every=150, checkpoint_path=path)
@@ -270,6 +274,7 @@ class TestSpecKnobs:
             _spec(checkpoint_every=0).execute()
 
 
+@pytest.mark.usefixtures("event_core")
 class TestRunSpecWithCheckpoints:
     def test_clean_run_writes_and_matches(self, tmp_path):
         path = str(tmp_path / "cell.ckpt")
@@ -313,6 +318,10 @@ class TestRunSpecWithCheckpoints:
         assert result.stable_dict() == spec.execute().stable_dict()
 
 
+# Pool retries are about the workers, and one of them waits out a hang:
+# pinned to the array core rather than run twice.
+@pytest.mark.parametrize("event_core", ["array"], indirect=True)
+@pytest.mark.usefixtures("event_core")
 class TestPoolCheckpointRetries:
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):

@@ -124,8 +124,31 @@ class TestValidation:
         ),
     )
     def test_install_rejects_unknown_replicas(self, fault):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match=r"^unknown replicas \['p9'\]$"):
             run_bitcoin(n=3, duration=10.0, seed=1, fault=fault)
+        # The check install makes is the one a caller can make beforehand.
+        fault.check_members(("p0", "p1", "p2", "p9"))
+        with pytest.raises(ValueError, match=r"^unknown replicas \['p9'\]$"):
+            fault.check_members(("p0", "p1", "p2"))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SilentFault("p1"), "members must be a list of replica ids, got str"),
+            (
+                lambda: PartitionFault(groups="[[p0,p1],[p2,p7]]"),
+                "groups must be a list of replica-id lists, got str",
+            ),
+            (
+                lambda: PartitionFault(groups=["p0p1", ["p2"]]),
+                "each group must be a list of replica ids, got str",
+            ),
+        ],
+        ids=["silent-members", "partition-groups", "partition-group"],
+    )
+    def test_replica_id_lists_refuse_a_bare_string_by_name(self, build, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            build()
 
 
 #: sha256 over ``repr(history.events)`` and ``messages_sent``, recorded at
@@ -146,6 +169,7 @@ def _pin(run):
     return digest, run.network.messages_sent
 
 
+@pytest.mark.usefixtures("event_core")
 class TestLegacyEquivalence:
     def test_crash_fault_matches_legacy_runner_event_for_event(self):
         registered = run_bitcoin(
@@ -183,6 +207,7 @@ def _partition_fault(heal_at):
     )
 
 
+@pytest.mark.usefixtures("event_core")
 class TestHealingAdversaries:
     def test_partition_splits_then_heals(self):
         result = run_bitcoin(
@@ -249,6 +274,7 @@ class TestHealingAdversaries:
         assert noop.degradation is not None  # monitor attached, run unperturbed
 
 
+@pytest.mark.usefixtures("event_core")
 class TestStateSync:
     def test_sync_is_idempotent_on_agreeing_replicas(self):
         result = run_bitcoin(n=4, duration=60.0, token_rate=0.4, seed=11)

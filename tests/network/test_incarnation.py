@@ -34,6 +34,7 @@ def _churn_run(join: float):
 # A rejoin 0.4 after the leave is inside both the mining interval (1.0)
 # and the read interval (5.0); one 2.4 after it is inside the read
 # interval only.
+@pytest.mark.usefixtures("event_core")
 @pytest.mark.parametrize("join", (10.7, 12.7))
 def test_a_rejoin_inside_a_timer_interval_runs_one_chain_of_each(join):
     result = _churn_run(join)
@@ -49,6 +50,7 @@ def test_a_rejoin_inside_a_timer_interval_runs_one_chain_of_each(join):
     assert reads["p1"] == reads["p2"] == reads["p3"] == 11
 
 
+@pytest.mark.usefixtures("event_core")
 def test_a_rejoin_after_the_old_timers_fired_changes_nothing():
     """With a gap longer than every interval the old timers fire while
     the process is down — dropped then as before."""

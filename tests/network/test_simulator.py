@@ -416,6 +416,7 @@ class TestDropAccounting:
         assert network.messages_delivered == in_flight
         assert network.messages_dropped > 0
 
+    @pytest.mark.usefixtures("event_core")
     def test_lossy_protocol_run_balances_too(self):
         from repro.engine import ChannelSpec, ExperimentSpec
 

@@ -7,6 +7,7 @@ import pytest
 from repro.core.consistency import check_eventual_consistency, check_strong_consistency
 from repro.engine import ExperimentSpec, FaultSpec
 from repro.network.faults import build_fault
+from repro.network.simulator import Simulator
 from repro.protocols import run_bitcoin
 
 
@@ -19,9 +20,20 @@ def _silent_committee(members, *, n=7, duration=120.0, seed=19):
     return spec.execute().run
 
 
+# The shared runs are made once per event store (both are production
+# paths: ``run_protocol`` picks one by the run's size).
+@pytest.fixture(scope="class", params=Simulator.CORES)
+def class_core(request):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            "repro.protocols.base.core_for_run", lambda processes, clients=None: request.param
+        )
+        yield request.param
+
+
 class TestCrashFaults:
     @pytest.fixture(scope="class")
-    def crash_run(self):
+    def crash_run(self, class_core):
         return run_bitcoin(
             n=5, duration=120.0, token_rate=0.3, seed=17,
             fault=build_fault("crash", {"at": {"p4": 30.0}}),
@@ -56,7 +68,7 @@ class TestCrashFaults:
 
 class TestByzantineFaults:
     @pytest.fixture(scope="class")
-    def byzantine_run(self):
+    def byzantine_run(self, class_core):
         # n = 7, f = 2 silent members: quorum (floor(14/3)+1 = 5) still reachable.
         return _silent_committee(("p5", "p6"))
 
@@ -84,6 +96,7 @@ class TestByzantineFaults:
         }
         assert creators.isdisjoint({"p5", "p6"})
 
+    @pytest.mark.usefixtures("event_core")
     def test_too_many_byzantine_members_halt_progress(self):
         # f = 4 of 7 silent members: the 5-vote quorum can never be formed.
         run = _silent_committee(("p3", "p4", "p5", "p6"), duration=80.0, seed=20)

@@ -501,6 +501,17 @@ class TestFaultFlags:
             ("--fault", "crash:at=10", "fault 'crash': at must map replica ids to times, got int"),
             ("--fault", "partition:groups=3", "fault 'partition': 'int' object is not iterable"),
             ("--fault", "silent:members=5", "fault 'silent': 'int' object is not iterable"),
+            # A bare string is not split into one-character replica ids.
+            (
+                "--fault",
+                "silent:members=p9",
+                "fault 'silent': members must be a list of replica ids, got str",
+            ),
+            (
+                "--fault",
+                "partition:groups=[[p0,p1],[p2,p7]]",
+                "fault 'partition': groups must be a list of replica-id lists, got str",
+            ),
             (
                 "--fault",
                 "churn:leave=3",
@@ -530,6 +541,33 @@ class TestFaultFlags:
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, flag, value])
         assert excinfo.value.code == f"repro: error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault, unknown",
+        [('silent:members=["p9"]', "['p9']"), ('crash:at={"p9": 5, "p4": 2}', "['p4', 'p9']")],
+    )
+    @pytest.mark.parametrize("command", ("classify", "sweep"))
+    def test_unknown_fault_members_are_a_usage_error_before_any_run(
+        self, capsys, tmp_path, command, fault, unknown
+    ):
+        out = tmp_path / "results.json"
+        argv = {
+            "classify": ["classify", "bitcoin", "--replicas", "4", "--duration", "10"],
+            # The smallest count of the axis decides: p4 exists at 6 only.
+            "sweep": [
+                "sweep", "--protocol", "bitcoin", "--replica-counts", "6,4",
+                "--duration", "10", "--seeds", "0:2", "--out", str(out),
+            ],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--fault", fault])
+        assert excinfo.value.code == 2
+        kind = fault.partition(":")[0]
+        assert capsys.readouterr().err == (
+            f"repro {command}: error: fault {kind!r}: unknown replicas {unknown} "
+            "(a run of 4 replicas has p0..p3)\n"
+        )
         assert not out.exists()
 
     def test_sweep_base_fault_applies_to_every_cell(self, capsys, tmp_path):
