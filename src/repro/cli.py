@@ -932,6 +932,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    duration = getattr(args, "duration", None)
+    if duration is not None and not 0 <= duration < math.inf:
+        # Every spec refuses it (a NaN or negative horizon), or it never ends.
+        print(
+            f"repro {args.command}: error: --duration must be a finite number >= 0, "
+            f"got {duration!r}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     output = _COMMANDS[args.command](args)
     status = 0
     if isinstance(output, tuple):

@@ -357,8 +357,8 @@ class ExperimentSpec:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration!r}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be >= 0 and finite, got {self.duration!r}")
 
     # -- serialization ------------------------------------------------------
 

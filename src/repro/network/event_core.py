@@ -9,7 +9,7 @@ drains faster on it.  This module is the other one, the store every
 larger run or client population drains on
 (:func:`~repro.network.simulator.core_for_run` picks): a *calendar
 queue*, in which events live in per-time-slot **buckets**, each with
-three stores that are merged and sorted once by ``(time, seq)`` when the
+two stores that are merged and sorted once by ``(time, seq)`` when the
 bucket is materialized:
 
 * scalar pushes append ``(time, seq, method id, arg index)`` tuples to
@@ -38,17 +38,17 @@ bucket is materialized:
   marks the events already known to be count-only — a flood's duplicate
   deliveries — and each maximal stretch of them is split off into numpy
   side arrays (:class:`_Duplicates`) behind one run entry, which the span
-  handler takes in one step: they never become Python objects;
-* **column events** (:meth:`ArrayEventCore.schedule_column`: a sink
-  receiving ``values[i]`` at ``times[i]``, the client-population
-  workload) are the third per-bucket store, of ``(times, seqs, mid, int64
-  values)`` slices, ``mid`` interning ``sink.append``.  They never
-  become Python objects: the materialized bucket keeps them as one
-  :class:`_ColumnRun` — all its column blocks merged by one
-  ``lexsort`` — and the run lists only carry one entry per *segment*,
-  a ``(time, seq)``-contiguous stretch of column events between two
-  events of any other kind, which the drain hands to
-  ``sink.extend_column`` in one step.
+  handler takes in one step: they never become Python objects.
+
+**Column events** (:meth:`ArrayEventCore.schedule_column`, the client
+population) never enter the buckets.  Each column is a :class:`Lane` —
+``(time, seq)``-sorted arrays and cursors — that its sink *pulls* from
+(:func:`pull_lanes`) whenever it is read or written: what sorts before
+the event being dispatched (its seq is ``_mark``, its time ``sim.now``).
+Nothing else observes an arrival, so the drain only accounts for the
+lane events it passes (:meth:`ArrayEventCore._pass_lanes`): once when it
+returns, or before each dispatch while its ``max_events`` budget could
+end among them.
 
 Draining pops the lowest-slot bucket (a tiny heap of slot numbers),
 sorts it once by ``(time, seq)``, and walks it with the loop in
@@ -56,9 +56,9 @@ sorts it once by ``(time, seq)``, and walks it with the loop in
 earlier* while it drains go to a small overflow heap that interleaves
 with the run — this preserves exact ``(time, seq)`` order, so recorded
 histories are byte-identical to the heap core's (asserted by the
-equivalence suite).  A segment or stretch step is exact too: it is
+equivalence suite).  A stretch of duplicates is taken exactly too: it is
 clipped by ``until``, by the events left in the drain call's budget and
-by the overflow head (:meth:`_SideRun.due`), and a partly taken one
+by the overflow head (:meth:`_Duplicates.due`), and a partly taken one
 stays in the run, re-headed, for the next step or the next snapshot.
 """
 
@@ -71,9 +71,10 @@ import numpy as np
 
 __all__ = [
     "ArrayEventCore",
+    "Lane",
     "NO_ARG",
-    "COLUMN",
     "COMPILED_MODULES",
+    "pull_lanes",
 ]
 
 
@@ -100,48 +101,56 @@ class _Sentinel:
 #: cores dispatch through the same identity check.
 NO_ARG = _Sentinel("NO_ARG")
 
-#: Method marker of a run entry that stands for a *segment* of column
-#: events (its arg is the segment's end position in the active
-#: :class:`_ColumnRun`); the drain loop takes the segment in one step.
-COLUMN = _Sentinel("COLUMN")
-
 
 #: Only reader: the frozen ledger's fingerprint (ledger/run.py:136); ROADMAP item 1 removes both.
 COMPILED_MODULES = {"_drain": False, "_hotpath": False}
 
 _METHOD_TABLE_LIMIT = 32767  # max live method id
 
+_INF = float("inf")
+
+
+def refuse_time(time: float, now: float) -> None:
+    """Raise the :class:`ValueError` for an event ``time`` that is not in ``[now, inf)``.
+
+    The entry points test ``now <= time < inf`` (one chained comparison,
+    which NaN fails too) and call this only when it fails.
+    """
+    if time < now:
+        raise ValueError("cannot schedule into the past")
+    raise ValueError(f"event times must be finite, got {time!r}")
+
+
+def _check_times(now: float, times: np.ndarray) -> None:
+    """Refuse a block holding a time before ``now``, a NaN or an infinity."""
+    lo = float(times.min())
+    hi = float(times.max())
+    if not now <= lo <= hi < _INF:
+        refuse_time(lo if lo < now else hi, now)
+
 
 def _pack_bucket_table(buckets):
     """Consolidate a bucket table's deferred blocks for pickling.
 
     A long run's pending workload lives in tens of thousands of small
-    per-bucket pieces — ``(times, seqs, mid, args)`` fan-out blocks and
-    ``(times, seqs, mid, values)`` column blocks; pickled one by one,
-    the fixed per-array cost dominates (~8us each, regardless of size).
-    Concatenating every piece into whole-table columns plus one
-    per-piece metadata array turns the snapshot into a handful of large
-    buffer writes.  A metadata row is ``(slot, mid, length, is_column)``:
-    a fan-out block's arg list rides ``block_args`` verbatim, in row
-    order; a column block's values are the next ``length`` entries of
-    the int64 ``values`` column.
+    per-bucket ``(times, seqs, mid, args)`` fan-out blocks; pickled one
+    by one, the fixed per-array cost dominates (~8us each, regardless of
+    size).  Concatenating every block into whole-table columns plus one
+    per-block metadata array turns the snapshot into a handful of large
+    buffer writes.  A metadata row is ``(slot, mid, length)``; the
+    blocks' arg lists ride ``block_args`` verbatim, in row order.
     """
     slots = np.fromiter(buckets.keys(), dtype=np.int64, count=len(buckets))
     rest = []  # per-bucket (stage, args) — the non-block state
     meta = []
-    t_parts, s_parts, v_parts, block_args = [], [], [], []
+    t_parts, s_parts, block_args = [], [], []
     for slot, bucket in buckets.items():
         rest.append((bucket.stage, bucket.args))
         for bt, bs, bmid, bargs in bucket.blocks:
-            meta.append((slot, bmid, len(bt), 0))
+            meta.append((slot, bmid, len(bt)))
             t_parts.append(bt)
             s_parts.append(bs)
             block_args.append(bargs)
-        for ct, cs, cmid, cv in bucket.columns:
-            meta.append((slot, cmid, len(ct), 1))
-            t_parts.append(ct)
-            s_parts.append(cs)
-            v_parts.append(cv)
     return (
         slots,
         rest,
@@ -149,13 +158,12 @@ def _pack_bucket_table(buckets):
         np.concatenate(t_parts) if t_parts else None,
         np.concatenate(s_parts) if s_parts else None,
         block_args,
-        np.concatenate(v_parts) if v_parts else None,
     )
 
 
 def _unpack_bucket_table(packed):
     """Invert :func:`_pack_bucket_table` into a fresh bucket dict."""
-    slots, rest, meta, times, seqs, block_args, values = packed
+    slots, rest, meta, times, seqs, block_args = packed
     buckets = {}
     for slot, (stage, args) in zip(slots.tolist(), rest):
         bucket = _Bucket()
@@ -163,35 +171,25 @@ def _unpack_bucket_table(packed):
         bucket.args = args
         buckets[slot] = bucket
     if meta is not None:
-        pos = vpos = 0
-        block_args = iter(block_args)
-        for slot, mid, length, is_column in meta.tolist():
-            bt = times[pos : pos + length]
-            bs = seqs[pos : pos + length]
-            pos += length
-            if is_column:
-                buckets[slot].columns.append((bt, bs, mid, values[vpos : vpos + length]))
-                vpos += length
-            else:
-                buckets[slot].blocks.append((bt, bs, mid, next(block_args)))
+        pos = 0
+        for (slot, mid, length), bargs in zip(meta.tolist(), block_args):
+            end = pos + length
+            buckets[slot].blocks.append((times[pos:end], seqs[pos:end], mid, bargs))
+            pos = end
     return buckets
 
 
 class _Bucket:
     """Events of one time slot.
 
-    Three complementary stores, all merged (and sorted once) when the
-    bucket is materialized:
+    Two complementary stores, merged (and sorted once) when the bucket
+    is materialized:
 
     * ``blocks`` — this bucket's shares of shared-method fan-outs
       (:meth:`ArrayEventCore._split_block`): appending ``(times, seqs,
       mid, args)`` views is O(1), no per-bucket numpy fill;
     * ``stage`` — scalar pushes as plain tuples (a list append is ~2x
-      faster than a numpy scalar row write);
-    * ``columns`` — column events (:meth:`ArrayEventCore.schedule_column`)
-      as ``(times, seqs, mid, int64 values)`` views, ``mid`` interning
-      ``sink.append``.  They never turn into Python objects: the run
-      keeps them as a :class:`_ColumnRun` beside its lists.
+      faster than a numpy scalar row write).
 
     ``args`` is the bucket-local arg intern pool for ``stage`` rows;
     blocks carry their own arg lists, chained after it at
@@ -199,29 +197,27 @@ class _Bucket:
     :func:`_pack_bucket_table`.
     """
 
-    __slots__ = ("blocks", "stage", "args", "columns")
+    __slots__ = ("blocks", "stage", "args")
 
     def __init__(self) -> None:
         self.blocks: List[Tuple[Any, Any, int, List[Any]]] = []
         self.stage: List[Tuple[float, int, int, int]] = []
         self.args: List[Any] = []  # bucket-local arg intern pool
-        self.columns: List[Tuple[Any, Any, int, Any]] = []
 
 
-class _SideRun:
-    """Run events kept as sorted numpy columns, taken from ``pos`` on (a
-    cursor that only moves forward, all a snapshot mid-stretch needs)."""
+class _Duplicates:
+    """The sorted bucket a run's duplicates were split off from: the run entry
+    ``~i`` stands for ``[starts[i], ends[i])``, last event at ``lasts[i]``;
+    taken from ``pos`` on (a cursor that only moves forward, all a snapshot
+    mid-stretch needs)."""
 
-    __slots__ = ("times", "seqs", "pos")
+    __slots__ = ("times", "seqs", "pos", "codes", "starts", "ends", "lasts")
 
-    def cut(self, time: float, seq: int, lo: int, hi: int) -> int:
-        """First position in ``[lo, hi)`` not sorting before ``(time, seq)``."""
-        times = self.times
-        pos = lo + int(times[lo:hi].searchsorted(time, side="left"))
-        seqs = self.seqs
-        while pos < hi and times[pos] == time and seqs[pos] < seq:
-            pos += 1
-        return pos
+    def __init__(self, times, seqs, codes, bounds) -> None:
+        self.times, self.seqs, self.codes = times, seqs, codes
+        self.starts, self.ends = bounds[::2].tolist(), bounds[1::2].tolist()
+        self.lasts = times.take(bounds[1::2] - 1).tolist()
+        self.pos = 0
 
     def due(self, end: int, until: Optional[float], budget: int, overflow) -> int:
         """End of what the scalar loop would dispatch of ``[pos, end)`` (its first
@@ -233,93 +229,102 @@ class _SideRun:
         if until is not None and times[stop - 1] > until:
             stop = start + int(times[start:stop].searchsorted(until, side="right"))
         if overflow:
-            head = overflow[0]
-            if times[stop - 1] >= head[0]:
-                stop = self.cut(head[0], head[1], start, stop)
+            time, seq = overflow[0][:2]
+            if times[stop - 1] >= time:  # stop before the head
+                hi = stop
+                stop = start + int(times[start:hi].searchsorted(time, side="left"))
+                while stop < hi and times[stop] == time and self.seqs[stop] < seq:
+                    stop += 1
         return stop
 
 
-class _Duplicates(_SideRun):
-    """The sorted bucket a run's duplicates were split off from: the run entry
-    ``~i`` stands for ``[starts[i], ends[i])``, last event at ``lasts[i]``."""
+class Lane:
+    """One column's arrivals for one sink (:meth:`ArrayEventCore.schedule_column`).
 
-    __slots__ = ("codes", "starts", "ends", "lasts")
-
-    def __init__(self, times, seqs, codes, bounds) -> None:
-        self.times, self.seqs, self.codes = times, seqs, codes
-        self.starts, self.ends = bounds[::2].tolist(), bounds[1::2].tolist()
-        self.lasts = times.take(bounds[1::2] - 1).tolist()
-        self.pos = 0
-
-
-class _ColumnRun(_SideRun):
-    """The active run's column events: one merged ``(time, seq)`` order.
-
-    Built when a bucket holding column events is materialized.  The
-    blocks of every sink (found as the ``__self__`` of the interned
-    ``sink.append``) are concatenated and sorted once (``times``,
-    ``seqs``, ``lanes`` — ``lanes[i]`` indexes ``sinks``); ``values`` is
-    the same events regrouped lane by lane, each lane in ``(time, seq)``
-    order, so taking the merged range ``[pos, stop)`` is one ``bincount``
-    plus one ``extend_column`` slice per sink that has events in it.
-    ``pos`` is the merged cursor and ``cursors[lane]`` the per-lane one.
+    ``times``/``values`` are sorted by ``(time, seq)``; the seq of entry
+    ``i`` is ``base + i`` when the column came in time order (every
+    population stream does), ``seqs[i]`` otherwise.  Two cursors only
+    move forward: ``pos``, what the sink has pulled (``head`` is the next
+    entry's time, ``inf`` past the end), and ``counted``, what the core
+    has accounted as processed.
     """
 
-    __slots__ = ("lanes", "sinks", "values", "cursors", "clock")
+    __slots__ = ("sim", "sink", "times", "seqs", "base", "values", "pos", "head", "counted")
 
-    def __init__(self, columns, methods) -> None:
-        sinks: List[Any] = []
-        lane_of: Dict[int, int] = {}
-        block_lanes = []
-        for _, _, mid, _ in columns:
-            lane = lane_of.get(mid)
-            if lane is None:
-                lane = lane_of[mid] = len(sinks)
-                sinks.append(methods[mid].__self__)
-            block_lanes.append(lane)
-        times = np.concatenate([column[0] for column in columns])
-        seqs = np.concatenate([column[1] for column in columns])
-        values = np.concatenate([column[3] for column in columns])
-        # The narrowest lane dtype: 8/16-bit keys get numpy's radix sort.
-        lanes = np.repeat(
-            np.array(block_lanes, dtype=np.min_scalar_type(len(sinks))),
-            [len(column[0]) for column in columns],
-        )
-        order = np.lexsort((seqs, times))
-        self.times = times[order]
-        self.seqs = seqs[order]
-        self.lanes = lanes = lanes[order]
-        self.sinks = sinks
-        self.values = values[order[np.argsort(lanes, kind="stable")]]
-        ends = np.cumsum(np.bincount(lanes, minlength=len(sinks))).tolist()
-        self.cursors = [0] + ends[:-1]
-        self.pos = 0
-        self.clock = 0.0  # time of the last event taken
+    def __init__(self, sim, sink, times, seqs, base, values) -> None:
+        self.sim, self.sink, self.times, self.seqs = sim, sink, times, seqs
+        self.base, self.values = base, values
+        self.pos = self.counted = 0
+        self.head = float(times[0])
 
-    def take(self, end: int, until: Optional[float], budget: int, overflow) -> None:
-        """Hand the due events of ``[pos, end)`` (:meth:`due`) to their sinks.
-
-        The overflow head cannot move under the step, because a column
-        sink neither schedules nor reads the clock.  Every cursor moves
-        *before* the first sink is called: should a sink break its
-        contract and raise, the range is consumed and accounted —
-        ``pending`` stays exact and a resumed drain delivers nothing in
-        it a second time.
-        """
-        start = self.pos
-        stop = self.due(end, until, budget, overflow)
+    def cut(self, time: float, seq: int, lo: int) -> int:
+        """First position from ``lo`` on that does not sort before ``(time, seq)``."""
         times = self.times
-        counts = np.bincount(self.lanes[start:stop], minlength=len(self.sinks)).tolist()
-        cursors = self.cursors
-        starts = cursors[:]
-        for lane, count in enumerate(counts):
-            cursors[lane] += count
-        self.pos = stop
-        self.clock = float(times[stop - 1])
-        values = self.values
-        for sink, cursor, count in zip(self.sinks, starts, counts):
-            if count:
-                sink.extend_column(values[cursor : cursor + count])
+        if lo == len(times) or times[lo] > time:
+            return lo
+        at = int(times.searchsorted(time))
+        if at < len(times) and times[at] == time:
+            hi = int(times.searchsorted(time, side="right"))
+            if self.seqs is None:
+                at = min(max(seq - self.base, at), hi)
+            else:
+                at += int(self.seqs[at:hi].searchsorted(seq))
+        return max(at, lo)
+
+    def seq_range(self, start: int, stop: int) -> np.ndarray:
+        if self.seqs is None:
+            return np.arange(self.base + start, self.base + stop, dtype=np.int64)
+        return self.seqs[start:stop]
+
+    def due(self) -> int:
+        """End of what sorts before ``(sim.now, core._mark)``: due now."""
+        sim = self.sim
+        now = sim.now
+        if self.head > now:
+            return self.pos
+        return self.cut(now, sim._array_core._mark, self.pos)
+
+    # A snapshot keeps what is not pulled yet.
+
+    def __getstate__(self):
+        pos = self.pos
+        seqs = None if self.seqs is None else self.seqs[pos:]
+        return (
+            self.sim, self.sink, self.times[pos:], seqs, self.base + pos,
+            self.values[pos:], self.counted - pos,
+        )
+
+    def __setstate__(self, state) -> None:
+        self.sim, self.sink, self.times, self.seqs, self.base, self.values, self.counted = state
+        self.pos = 0
+        self.head = float(self.times[0]) if len(self.times) else _INF
+
+
+def pull_lanes(lanes: List[Lane]) -> Optional[np.ndarray]:
+    """Take what ``lanes`` (one sink's) hold due, merged in ``(time, seq)`` order.
+
+    Returns an int64 array, or None when nothing is due; lanes pulled to
+    the end leave the list.  A sink calls this before every read or write
+    of its contents (see ``Simulator.schedule_column``).
+    """
+    due = []
+    for lane in lanes:
+        stop = lane.due()
+        if stop > lane.pos:
+            due.append((lane, lane.pos, stop))
+    if not due:
+        return None
+    for lane, _, stop in due:
+        lane.pos = stop
+        lane.head = float(lane.times[stop]) if stop < len(lane.times) else _INF
+    lanes[:] = [lane for lane in lanes if lane.head != _INF]
+    if len(due) == 1:
+        lane, start, stop = due[0]
+        return lane.values[start:stop]
+    times = np.concatenate([lane.times[start:stop] for lane, start, stop in due])
+    seqs = np.concatenate([lane.seq_range(start, stop) for lane, start, stop in due])
+    values = np.concatenate([lane.values[start:stop] for lane, start, stop in due])
+    return values[np.lexsort((seqs, times))]
 
 
 class ArrayEventCore:
@@ -336,7 +341,6 @@ class ArrayEventCore:
     __slots__ = (
         "slot_width",
         "no_arg",
-        "column",
         "_inv_width",
         "_seq",
         "_inserted",
@@ -356,11 +360,14 @@ class ArrayEventCore:
         "_run_pos",
         "_run_len",
         "_run_slot",
-        "_columns",
         "_dups",
         "_span_handlers",
         "_classifiers",
         "_span_cell",
+        "_lanes",
+        "_lane_pending",
+        "_mark",
+        "_draining",
     )
 
     def __init__(self, slot_width: float = 0.25) -> None:
@@ -368,7 +375,6 @@ class ArrayEventCore:
             raise ValueError("slot_width must be positive")
         self.slot_width = slot_width
         self.no_arg = NO_ARG
-        self.column = COLUMN
         self._inv_width = 1.0 / slot_width
         self._seq = 0  # same numbering as the heap core's itertools.count()
         self._inserted = 0
@@ -399,9 +405,6 @@ class ArrayEventCore:
         self._run_pos = 0
         self._run_len = 0
         self._run_slot: Optional[int] = None
-        # The active run's column events (None when it has none); run
-        # entries whose method is COLUMN are segments of it.
-        self._columns: Optional[_ColumnRun] = None
         # The active run's split-off duplicates (None when it has none).
         self._dups: Optional[_Duplicates] = None
         # Batch dispatch: methods mapped here have same-method run spans
@@ -411,6 +414,14 @@ class ArrayEventCore:
         self._span_handlers: Dict[Any, Callable] = {}
         self._classifiers: Dict[Any, Callable] = {}
         self._span_cell: List[int] = [0, 0]
+        # Column events: the lanes holding arrivals not yet accounted
+        # (``_lane_pending`` of them), and the seq of the event being
+        # dispatched (between drains: of the first one not processed),
+        # which with ``sim.now`` says what a lane has due.
+        self._lanes: List[Lane] = []
+        self._lane_pending = 0
+        self._mark = 0
+        self._draining = False
 
     def register_span_handler(
         self, method: Callable, handler: Callable, classify: Callable
@@ -446,8 +457,12 @@ class ArrayEventCore:
     def __getstate__(self):
         # The bucket table is repacked into whole-table columns (see
         # :func:`_pack_bucket_table`), the fan-out log flushed into it
-        # first; every other slot pickles as-is.
+        # first, and every sink of a lane pulls what it has due, so a lane
+        # is pickled with its cursors settled whichever is pickled first;
+        # every other slot pickles as-is.
         self._flush_fanout_log()
+        for lane in self._lanes:
+            lane.sink.pull()
         state = {
             name: getattr(self, name)
             for name in self.__slots__
@@ -460,6 +475,9 @@ class ArrayEventCore:
         self._buckets = _unpack_bucket_table(state.pop("_buckets"))
         for name, value in state.items():
             setattr(self, name, value)
+        # A sink keeps its lanes out of its own pickled state.
+        for lane in self._lanes:
+            lane.sink.add_lane(lane)
 
     # -- insertion -------------------------------------------------------------
 
@@ -484,14 +502,7 @@ class ArrayEventCore:
         args.append(arg)
         return seq
 
-    def schedule_small(
-        self,
-        now: float,
-        times: List[float],
-        method: Callable,
-        args: List[Any],
-        validate: bool = True,
-    ) -> int:
+    def schedule_small(self, times: List[float], method: Callable, args: List[Any]) -> int:
         """Scalar-staged twin of :meth:`schedule_block` for small fan-outs.
 
         At typical multicast sizes (a handful of receivers) the numpy
@@ -500,15 +511,12 @@ class ArrayEventCore:
         a plain tuple instead.  Sequence numbers, overflow routing and
         method refcounts are identical to the block path (the method is
         interned lazily so a fan-out routed entirely to the overflow
-        heap leaves no zero-ref table entry behind).
+        heap leaves no zero-ref table entry behind).  The times are not
+        checked: the multicast plane's are ``now`` plus channel delays.
         """
         k = len(times)
         if k == 0:
             return 0
-        if validate:
-            for time in times:
-                if time < now:
-                    raise ValueError("cannot schedule into the past")
         base = self._seq
         self._seq = base + k
         self._inserted += k
@@ -555,13 +563,14 @@ class ArrayEventCore:
         active slot is split here.  ``args`` is kept by reference and
         never mutated.  ``validate=False`` skips the past-timestamp
         check for callers whose times are ``now`` plus non-negative
-        delays by construction (the multicast plane).
+        delays by construction (the multicast plane); it refuses a time
+        before ``now``, a NaN and an infinity.
         """
         k = len(times)
         if k == 0:
             return 0
-        if validate and float(times.min()) < now:
-            raise ValueError("cannot schedule into the past")
+        if validate:
+            _check_times(now, times)
         base = self.reserve(k)
         self.schedule_reserved(times, np.arange(base, base + k, dtype=np.int64), method, args)
         return k
@@ -675,63 +684,35 @@ class ArrayEventCore:
         edges.append(len(slots))
         return start, edges
 
-    def schedule_column(
-        self, now: float, times: np.ndarray, values: np.ndarray, sink: Any
-    ) -> int:
-        """Bulk insert *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.
+    def schedule_column(self, sim, times: np.ndarray, values: np.ndarray, sink: Any) -> int:
+        """Register *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.
 
-        Same events, sequence numbers and order as ``schedule_block(now,
-        times, sink.append, values.tolist())`` — ``sink.append`` is what
-        gets interned, and :meth:`_bucket_shares` splits the block — but
-        each bucket's share stays ``(times, seqs, mid, int64 values)``
-        slices, whose run hands whole ``(time, seq)``-contiguous ranges
-        to ``sink.extend_column``.  Entries landing in (or before) the
-        slot currently being drained become ordinary ``sink.append``
-        events on the overflow heap.
+        Accounted as ``schedule_block(sim.now, times, sink.append,
+        values.tolist())``, but kept out of the buckets as one :class:`Lane`
+        handed to ``sink.add_lane``.  A running drain sized its budget check
+        by the lanes it started with, so a column scheduled from a callback
+        is inserted as those ``sink.append`` events instead.
         """
         k = len(times)
         if k == 0:
             return 0
-        if float(times.min()) < now:
-            raise ValueError("cannot schedule into the past")
-        base = self._seq
-        self._seq = base + k
-        self._inserted += k
-        slots = (times * self._inv_width).astype(np.int64)
-        seqs = np.arange(base, base + k, dtype=np.int64)
-        if k > 1 and bool((slots[1:] < slots[:-1]).any()):
-            # Group by slot; the stable sort keeps seqs ascending per slot.
+        now = sim.now
+        _check_times(now, times)
+        if self._draining:
+            return self.schedule_block(now, times, sink.append, values.tolist(), validate=False)
+        base = self.reserve(k)
+        seqs = None
+        if k > 1 and bool((times[1:] < times[:-1]).any()):
+            # The stable sort keeps seqs ascending among equal times.
             # (A population's stream arrives time-sorted: nothing to do.)
-            order = np.argsort(slots, kind="stable")
-            slots = slots[order]
+            order = np.argsort(times, kind="stable")
             times = times[order]
-            seqs = seqs[order]
             values = values[order]
-        start, edges = self._bucket_shares(slots)
-        append = sink.append
-        if start:
-            overflow = self._overflow
-            for time, seq, value in zip(
-                times[:start].tolist(), seqs[:start].tolist(), values[:start].tolist()
-            ):
-                heappush(overflow, (time, seq, append, value))
-            if start == k:
-                return k
-        slot_list = slots.tolist()
-        buckets = self._buckets
-        mid = self._intern_method(append, k - start)
-        prev = start
-        for nxt in edges:
-            slot = slot_list[prev]
-            bucket = buckets.get(slot)
-            if bucket is None:
-                bucket = _Bucket()
-                buckets[slot] = bucket
-                heappush(self._bucket_heap, slot)
-            bucket.columns.append(
-                (times[prev:nxt], seqs[prev:nxt], mid, values[prev:nxt])
-            )
-            prev = nxt
+            seqs = order + base
+        lane = Lane(sim, sink, times, seqs, base, values)
+        self._lanes.append(lane)
+        self._lane_pending += k
+        sink.add_lane(lane)
         return k
 
     def _append_block(self, slot, times, seqs, mid, args) -> None:
@@ -792,19 +773,26 @@ class ArrayEventCore:
 
         Each pop compares the head of the active run with the head of the
         overflow heap; when both are exhausted the next bucket is
-        materialized (:meth:`_start_next_run`).  A run entry whose method
-        is ``COLUMN`` is a segment of column events: its head is compared
-        like any other entry's, then :meth:`_ColumnRun.take` consumes as
-        much of it as is due and a partly consumed segment keeps its run
-        slot with the head time/seq of what is left.
+        materialized (:meth:`_start_next_run`).
+
+        Lane events count as processed but are never dispatched.  While
+        there are lanes, ``stop`` lies below every time, so each event
+        takes the branch that publishes its seq as ``_mark`` (without
+        lanes no sink has anything left due, and the branch is only the
+        ``until`` test).  Below ``limit`` (the budget less the lane events
+        not yet accounted) the budget cannot end among lane events, which
+        are accounted once, on the way out; from there on (``exact``) each
+        event first accounts those sorting before it and is dispatched
+        alone, so the drain stops at exactly the budget.
 
         Batch dispatch: when two or more *consecutive* run entries share
         one interned method — detected by object identity, since interning
         stores exactly one method object per live id — and that method has
         a span handler (:meth:`register_span_handler`), the whole span is
         handed to the handler in one call.  The handler replays the scalar
-        clock/guard protocol itself (``Network._deliver_span``) and reports
-        progress through ``cell`` so exception-path accounting stays exact.
+        clock/guard protocol itself (``Network._deliver_span``, which
+        publishes ``_mark`` before each callback) and reports progress
+        through ``cell`` so exception-path accounting stays exact.
 
         When ``sim.callback_timer`` is set (``timed_callbacks()`` profiling),
         each dispatch is bracketed with the timer and accumulated onto
@@ -814,7 +802,6 @@ class ArrayEventCore:
         processed = 0
         overflow = self._overflow
         no_arg = self.no_arg
-        column = self.column
         pos = self._run_pos
         now = sim.now
         spans = self._span_handlers
@@ -827,11 +814,26 @@ class ArrayEventCore:
         # region on every resume — quadratic on callback-heavy floods.
         span_end = 0
         span_method = None
+        horizon = _INF if until is None else until
+        # With lanes, every event takes the branch that publishes its seq.
+        stop = -1.0 if self._lanes else horizon
+        limit = max_events - self._lane_pending
+        exact = False  # each event first accounts the lane events before it
+        stopped = None  # the horizon, once the drain reached it or ran dry
+        cut = False  # the budget ended among lane events
+        self._draining = True
         try:
-            while processed < max_events:
+            while True:
+                if processed >= limit:
+                    if processed >= max_events:
+                        break
+                    limit = max_events
+                    exact = bool(self._lanes)
+                    stop = -1.0 if exact else horizon
                 if pos >= self._run_len and not overflow:
                     self._run_pos = pos
                     if not self._start_next_run():
+                        stopped = horizon
                         break
                     pos = 0
                     span_end = 0
@@ -841,7 +843,7 @@ class ArrayEventCore:
                 run_methods = self._run_methods
                 run_args = self._run_args
                 length = self._run_len
-                while processed < max_events:
+                while processed < limit:
                     from_overflow = False
                     if pos < length:
                         time = run_times[pos]
@@ -858,43 +860,23 @@ class ArrayEventCore:
                         from_overflow = True
                     else:
                         break
-                    if until is not None and time > until:
-                        return processed
+                    if time > stop:
+                        if time > horizon:
+                            stopped = horizon
+                            break
+                        seq = overflow[0][1] if from_overflow else run_seqs[pos]
+                        if exact:
+                            passed, cut = self._pass_lanes(sim, time, seq, max_events - processed)
+                            processed += passed
+                            if cut:
+                                break
+                            limit = processed + 1
+                        self._mark = seq
                     if from_overflow:
                         method = None
                         _, _, method, arg = heappop(overflow)
                     else:
                         method = run_methods[pos]
-                        if method is column:
-                            # A segment of column events: the core hands the
-                            # due part of it to the sinks in one step; the
-                            # entry stays, re-headed, until it is used up.
-                            columns = self._columns
-                            end = run_args[pos]
-                            start = columns.pos
-                            try:
-                                if timer is None:
-                                    columns.take(end, until, max_events - processed, overflow)
-                                else:
-                                    t0 = timer()
-                                    columns.take(end, until, max_events - processed, overflow)
-                                    sim.callback_seconds += timer() - t0
-                            finally:
-                                # ``take`` moves its cursor before it delivers,
-                                # so a sink that raises still leaves the range
-                                # accounted and the entry headed correctly.
-                                cursor = columns.pos
-                                processed += cursor - start
-                                if cursor == end:
-                                    pos += 1
-                                elif cursor > start:
-                                    run_times[pos] = float(columns.times[cursor])
-                                    run_seqs[pos] = int(columns.seqs[cursor])
-                                time = columns.clock
-                                if time > now:
-                                    now = time
-                                    sim.now = time
-                            continue
                         if (
                             spans
                             and pos + 1 < length
@@ -916,13 +898,13 @@ class ArrayEventCore:
                                     if timer is None:
                                         handler(
                                             run_times, run_seqs, run_args,
-                                            pos, end, until, max_events - processed, cell,
+                                            pos, end, until, limit - processed, cell,
                                         )
                                     else:
                                         t0 = timer()
                                         handler(
                                             run_times, run_seqs, run_args,
-                                            pos, end, until, max_events - processed, cell,
+                                            pos, end, until, limit - processed, cell,
                                         )
                                         sim.callback_seconds += timer() - t0
                                 finally:
@@ -948,11 +930,60 @@ class ArrayEventCore:
                             method(arg)
                         sim.callback_seconds += timer() - t0
                     processed += 1
+                if stopped is not None or cut:
+                    break
+            if stopped is not None and self._lanes:
+                processed += self._pass_lanes(sim, stopped, self._seq, max_events - processed)[0]
+            # Leave the mark past what was processed and short of what was not:
+            # the smallest seq a lane has left at the time of the last event.
+            mark = self._seq
+            now = sim.now
+            for lane in self._lanes:
+                if lane.times[lane.counted] == now:
+                    mark = min(mark, int(lane.seq_range(lane.counted, lane.counted + 1)[0]))
+            self._mark = mark
+        except BaseException:
+            if self._lanes:
+                # The lane events sorting before the one that raised were passed.
+                processed += self._pass_lanes(sim, sim.now, self._mark, max_events - processed)[0]
+            raise
         finally:
+            self._draining = False
             self._run_pos = pos
             sim.events_processed += processed
             self._consumed += processed
         return processed
+
+    def _pass_lanes(self, sim, time: float, seq: int, budget: int) -> Tuple[int, bool]:
+        """Account the lane events sorting before ``(time, seq)`` as processed.
+
+        At most ``budget`` of them, the first in ``(time, seq)`` order:
+        returns ``(count, cut)``, ``cut`` when that used the budget up.
+        The clock moves up to the last one accounted.
+        """
+        lanes = self._lanes
+        ends = [lane.cut(time, seq, lane.counted) for lane in lanes]
+        count = sum(ends) - sum(lane.counted for lane in lanes)
+        cut = 0 < budget <= count
+        if cut:
+            due = list(zip(lanes, ends))
+            times = np.concatenate([lane.times[lane.counted : end] for lane, end in due])
+            seqs = np.concatenate([lane.seq_range(lane.counted, end) for lane, end in due])
+            last = np.lexsort((seqs, times))[budget - 1]
+            time, seq = float(times[last]), int(seqs[last]) + 1
+            ends = [lane.cut(time, seq, lane.counted) for lane in lanes]
+            count = budget
+        if count:
+            last = max(
+                float(lane.times[end - 1]) for lane, end in zip(lanes, ends) if end > lane.counted
+            )
+            if last > sim.now:
+                sim.now = last
+            for lane, end in zip(lanes, ends):
+                lane.counted = end
+            self._lane_pending -= count
+            self._lanes = [lane for lane in lanes if lane.counted < len(lane.times)]
+        return count, cut
 
     def _start_next_run(self) -> bool:
         """Materialize the lowest-slot bucket as the active run.
@@ -975,7 +1006,7 @@ class ArrayEventCore:
             self._run_args = []
             self._run_pos = 0
             self._run_len = 0
-            self._columns = self._dups = None
+            self._dups = None
             return False
         slot = heappop(heap)
         bucket = self._buckets.pop(slot)
@@ -984,7 +1015,6 @@ class ArrayEventCore:
         stage = bucket.stage
         blocks = bucket.blocks
         release = self._release_method
-        columns = bucket.columns
         self._dups = None
         if not blocks:
             # Scalar pushes only (timers, small protocol steps): a plain
@@ -1026,8 +1056,8 @@ class ArrayEventCore:
             # Merge the staged scalars and the deferred fan-out blocks
             # into one column set, then sort once.  ``v_all`` holds ``~i``
             # for arg ``pool[i]``, or the int64 arg of a method with a
-            # classifier (unless column segments would have to be woven in).
-            classified = () if columns else self._classifiers.keys() & self._span_handlers.keys()
+            # classifier.
+            classified = self._classifiers.keys() & self._span_handlers.keys()
             t_parts = []
             s_parts = []
             m_parts = []
@@ -1078,13 +1108,6 @@ class ArrayEventCore:
                 methods = [table[i] for i in m_all[order].tolist()]
                 for mid, c in zip(live.tolist(), counts[live].tolist()):
                     release(mid, c)
-        if columns:
-            self._columns = _ColumnRun(columns, table)
-            for _, cs, mid, _ in columns:
-                release(mid, len(cs))
-            times, seqs, methods, args = self._weave_segments(times, seqs, methods, args)
-        else:
-            self._columns = None
         self._run_times = times
         self._run_seqs = seqs
         self._run_methods = methods
@@ -1120,45 +1143,3 @@ class ArrayEventCore:
             for i, at in enumerate(kept.searchsorted(bounds[::2]).tolist()):
                 args[at] = ~i
         return t_s.take(kept).tolist(), s_s.take(kept).tolist(), args, order.take(kept)
-
-    def _weave_segments(self, times, seqs, methods, args):
-        """The run lists with the active :class:`_ColumnRun`'s segments woven in.
-
-        The merged column order is cut at the ``(time, seq)`` position of
-        every regular run entry; each non-empty stretch between two cuts
-        becomes one run entry ``(head time, head seq, COLUMN, end)`` in
-        front of the regular entry that bounds it.
-        """
-        columns = self._columns
-        total = len(columns.times)
-        if times:
-            at = np.array(times, dtype=np.float64)
-            cuts = columns.times.searchsorted(at, side="left")
-            ties = columns.times.searchsorted(at, side="right") > cuts
-            for i in np.flatnonzero(ties).tolist():
-                cuts[i] = columns.cut(times[i], seqs[i], int(cuts[i]), total)
-            bounds = np.concatenate(([0], cuts, [total]))
-        else:
-            bounds = np.array([0, total])
-        # One segment per non-empty stretch; ``before[k]`` is the index of
-        # the regular entry segment k goes in front of.
-        before = np.flatnonzero(bounds[1:] > bounds[:-1])
-        heads = bounds[before]
-        indexes = before.tolist()
-
-        def weave(regular: List[Any], entries: List[Any]) -> List[Any]:
-            woven: List[Any] = []
-            prev = 0
-            for index, entry in zip(indexes, entries):
-                woven += regular[prev:index]
-                woven.append(entry)
-                prev = index
-            woven += regular[prev:]
-            return woven
-
-        return (
-            weave(times, columns.times[heads].tolist()),
-            weave(seqs, columns.seqs[heads].tolist()),
-            weave(methods, [COLUMN] * len(indexes)),
-            weave(args, bounds[before + 1].tolist()),
-        )

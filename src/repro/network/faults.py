@@ -47,6 +47,7 @@ same way before rebooting its timers via ``on_start()``.
 from __future__ import annotations
 
 import inspect
+import math
 from abc import ABC
 from functools import partial
 from typing import (
@@ -230,13 +231,25 @@ def state_sync(network: "Network", targets: Optional[Sequence[str]] = None) -> i
 # ---------------------------------------------------------------------------
 
 
+def _time(name: str, value: float) -> float:
+    """A virtual-time parameter, refused by name unless finite and non-negative.
+
+    A NaN would break the event queue's order and an infinity never fires.
+    """
+    time = float(value)
+    if not 0 <= time < math.inf:
+        raise ValueError(f"{name} must be a finite non-negative time, got {time!r}")
+    return time
+
+
 def _times(name: str, times: Mapping[str, float]) -> Dict[str, float]:
-    """A ``pid -> virtual time`` parameter, refused by name unless a mapping."""
+    """A ``pid -> virtual time`` parameter, refused by name unless a mapping
+    of finite non-negative times."""
     if not isinstance(times, Mapping):
         raise TypeError(
             f"{name} must map replica ids to times, got {type(times).__name__}"
         )
-    return {pid: float(t) for pid, t in times.items()}
+    return {pid: _time(f"{name}[{pid!r}]", t) for pid, t in times.items()}
 
 
 def _ids(name: str, ids: Sequence[Any], of: str = "replica ids") -> Tuple[Any, ...]:
@@ -261,9 +274,6 @@ class CrashFault(FaultModel):
 
     def __init__(self, at: Mapping[str, float]) -> None:
         self.at = _times("at", at)
-        for pid, t in self.at.items():
-            if t < 0:
-                raise ValueError("crash_at must be non-negative")
 
     def replica_ids(self) -> Tuple[str, ...]:
         return tuple(self.at)
@@ -345,9 +355,6 @@ class ChurnFault(FaultModel):
         self.leave = _times("leave", leave)
         self.join = _times("join", {} if join is None else join)
         self.resync = bool(resync)
-        for pid, t in self.leave.items():
-            if t < 0:
-                raise ValueError("leave times must be non-negative")
         stranger = sorted(set(self.join) - set(self.leave))
         if stranger:
             raise ValueError(f"join names replicas that never leave: {stranger}")
@@ -458,11 +465,9 @@ class PartitionFault(FaultModel):
                     raise ValueError(f"replica {pid!r} appears in two groups")
                 seen[pid] = gi
         self._group_of = seen
-        self.at = float(at)
-        self.heal_at = None if heal_at is None else float(heal_at)
+        self.at = _time("at", at)
+        self.heal_at = None if heal_at is None else _time("heal_at", heal_at)
         self.resync = bool(resync)
-        if self.at < 0:
-            raise ValueError("partition time must be non-negative")
         if self.heal_at is not None and self.heal_at <= self.at:
             raise ValueError("heal_at must be after the partition time")
         self._filter = None
@@ -519,11 +524,9 @@ class EclipseFault(FaultModel):
         resync: bool = True,
     ) -> None:
         self.victim = victim
-        self.at = float(at)
-        self.until = float(until)
+        self.at = _time("at", at)
+        self.until = _time("until", until)
         self.resync = bool(resync)
-        if self.at < 0:
-            raise ValueError("eclipse start must be non-negative")
         if self.until <= self.at:
             raise ValueError("eclipse window must end after it starts")
         self._filter = None

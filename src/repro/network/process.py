@@ -149,8 +149,9 @@ class Process:
         """Column sink equivalent to this process's ``on_client_op``, if any.
 
         A population workload may hand a process's whole operation
-        stream to ``Simulator.schedule_column`` **only** when delivering
-        an operation is provably ``sink.append(op)`` and nothing else.
+        stream to ``Simulator.schedule_column`` (whose sink pulls what is
+        due when it is read) **only** when delivering an operation is
+        provably ``sink.append(op)`` and nothing else.
         The default is ``None`` — every operation is dispatched to
         ``on_client_op`` at its own timestamp — which is always safe.
         ``BlockchainReplica`` overrides this with the stock-hook guard.

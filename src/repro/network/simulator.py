@@ -87,7 +87,7 @@ from typing import (
 from repro.core.errors import UnknownVocabularyError
 from repro.core.history import HistoryRecorder
 from repro.network.channels import batched_delays, batched_delays_many
-from repro.network.event_core import NO_ARG, ArrayEventCore
+from repro.network.event_core import NO_ARG, ArrayEventCore, refuse_time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.network.channels import ChannelModel
@@ -149,6 +149,8 @@ _RECEIVER_MASK = (1 << _SLOT_SHIFT) - 1
 #: entry.  A run of at most this many processes has almost nothing to
 #: batch, so it drains on the heap core (:func:`core_for_run`).
 BLOCK_FANOUT = 16
+
+_INF = float("inf")
 
 #: Skip-table entry of a receiver whose duplicates must be dispatched.
 _NO_SKIP: frozenset = frozenset()
@@ -222,8 +224,8 @@ class Simulator:
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
+        if not 0 <= delay < _INF:
+            refuse_time(delay, 0)
         core = self._array_core
         if core is not None:
             core.push(self.now + delay, action, _NO_ARG)
@@ -234,8 +236,8 @@ class Simulator:
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at an absolute virtual time."""
-        if time < self.now:
-            raise ValueError("cannot schedule into the past")
+        if not self.now <= time < _INF:
+            refuse_time(time, self.now)
         core = self._array_core
         if core is not None:
             core.push(time, action, _NO_ARG)
@@ -248,8 +250,8 @@ class Simulator:
         The single-argument form the message plane uses: no closure is
         allocated, the bound method and its argument ride the queue entry.
         """
-        if time < self.now:
-            raise ValueError("cannot schedule into the past")
+        if not self.now <= time < _INF:
+            refuse_time(time, self.now)
         core = self._array_core
         if core is not None:
             core.push(time, method, arg)
@@ -293,7 +295,7 @@ class Simulator:
                 # Python float add is the same IEEE-754 operation as the
                 # vectorized broadcast, so timestamps are bit-identical.
                 times = [float(now + delay) for delay in delays]
-                return core.schedule_small(now, times, method, args, validate=False)
+                return core.schedule_small(times, method, args)
             times = np.asarray(delays, dtype=np.float64) + now
             # Channel delays are non-negative by contract, so the block
             # cannot land before ``now`` — skip the validation pass.
@@ -319,7 +321,7 @@ class Simulator:
         ``tolist()``, so callbacks receive plain Python scalars).
         Sequence numbers follow array order, as for the same entries
         inserted one by one with :meth:`call_at`; a timestamp before
-        ``now`` raises :class:`ValueError`.
+        ``now``, a NaN or an infinity raises :class:`ValueError`.
         """
         args = args.tolist() if isinstance(args, np.ndarray) else list(args)
         core = self._array_core
@@ -330,30 +332,27 @@ class Simulator:
         push = heapq.heappush
         sequence = self._sequence
         now = self.now
-        count = 0
+        for time in times:  # before any insert: a refused block leaves no trace
+            if not now <= time < _INF:
+                refuse_time(time, now)
         for time, arg in zip(times, args):
-            if time < now:
-                raise ValueError("cannot schedule into the past")
             push(queue, (time, next(sequence), method, arg))
-            count += 1
-        return count
+        return min(len(times), len(args))
 
     def schedule_column(self, times: Sequence[float], values: Sequence[int], sink: Any) -> int:
         """Bulk insert *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.
 
         Defined as ``schedule_block(times, sink.append, values.tolist())``
-        — which is what the heap core executes — for a sink that keeps
-        the contract the array core relies on to never turn the block
-        into Python objects: ``sink.extend_column(v)`` is equivalent to
-        ``sink.append`` over the int64 array ``v`` in order (the sink may
-        keep ``v``), neither method schedules an event, reads the clock
-        or raises, and ``sink.append`` is an ordinary bound method (the
-        array core interns it and finds the sink as its ``__self__``).
-        Under that contract the array core delivers whole ``(time,
-        seq)``-contiguous ranges with one ``extend_column`` call per
-        sink, cut exactly where the scalar loop would have had to look up
-        (``until``, the ``max_events`` budget, an event of another kind
-        sorting in between).
+        — what the heap core executes.  The array core keeps the column
+        out of its calendar as one :class:`~repro.network.event_core.Lane`
+        that the sink *pulls* from: ``sink.add_lane(lane)`` keeps it (also
+        when a snapshot is restored, so the sink leaves its lanes out of
+        its own pickled state), and before every read or write of its
+        contents, ``append`` and pickling included, the sink's ``pull()``
+        adds what :func:`~repro.network.event_core.pull_lanes` returns;
+        ``sink.append`` schedules nothing, reads no clock and does not
+        raise.  Counts, ``pending``, ``now``, cuts, snapshots and every
+        history are those of the heap definition.
         """
         values = np.ascontiguousarray(values, dtype=np.int64)
         if len(values) != len(times):
@@ -362,7 +361,7 @@ class Simulator:
         if core is None:
             return self.schedule_block(times, sink.append, values)
         arr = np.ascontiguousarray(times, dtype=np.float64)
-        return core.schedule_column(self.now, arr, values, sink)
+        return core.schedule_column(self, arr, values, sink)
 
     @property
     def pending(self) -> int:
@@ -968,8 +967,9 @@ class Network:
 
         Most come split off when their bucket is materialized
         (:meth:`_classify_duplicates`): arg ``~i`` is stretch ``i`` of
-        ``ArrayEventCore._dups``, cut and re-headed like a column segment, or
-        sent the scalar way through the overflow heap once the epoch moved.
+        ``ArrayEventCore._dups``, cut where the scalar loop would stop and
+        re-headed when cut inside, or sent the scalar way through the
+        overflow heap once the epoch moved.
         The scan is for duplicates made during the run and in small buckets.
 
         The delivery that ends a stretch goes through the scalar-exact
@@ -983,9 +983,11 @@ class Network:
         module docstring).
         """
         sim = self.simulator
+        core = sim._array_core
+        lanes = core._lanes  # while there are any, each callback publishes its seq
         processes = self._processes
-        overflow = sim._array_core._overflow
-        dups = sim._array_core._dups
+        overflow = core._overflow
+        dups = core._dups
         stop = self._span_stop(times, seqs, pos, min(end, pos + budget), until)
         if self._skip_epoch != self._epoch:
             self._refresh_skip_table()
@@ -1065,6 +1067,8 @@ class Network:
                     if not process.alive:
                         continue
                     delivered += 1
+                    if lanes:  # what a lane has due (see ArrayEventCore.drain)
+                        core._mark = seqs[k - 1]
                     process.on_message(envelopes[code >> 16])
                 # The dispatch may have pushed an overflow event that cuts
                 # the span earlier, or changed membership or liveness.

@@ -53,6 +53,7 @@ from repro.network.broadcast import (
     LightReliableCommunication,
 )
 from repro.network.channels import ChannelModel, SynchronousChannel
+from repro.network.event_core import Lane, pull_lanes
 from repro.network.faults import FaultModel
 from repro.network.process import Process
 from repro.network.simulator import Message, Network, Simulator, core_for_run
@@ -127,30 +128,38 @@ class ReplicaConfig:
 class Mempool:
     """FIFO of pending client operations (integer coin ids), kept in chunks.
 
-    The column sink of the population workload
-    (``Simulator.schedule_column``): :meth:`extend_column` keeps the int64
-    array it is given as one chunk, :meth:`append` adds a single
-    operation, and :meth:`take` pops from the front in O(taken) — never
-    O(pending), however long the backlog grows.  Neither feeding method
-    schedules, reads a clock or raises, and ``extend_column(v)`` leaves
-    the queue exactly as ``append`` over ``v`` in order would.
+    The population workload's sink (``Simulator.schedule_column``): every
+    read or write — ``len``, truth, :meth:`take`, :meth:`append`,
+    pickling — first :meth:`pull` s what its lanes hold due, as one int64
+    chunk.  :meth:`take` pops from the front in O(taken), never
+    O(pending), however long the backlog grows.
     """
 
-    __slots__ = ("_chunks", "_offset", "_size")
+    __slots__ = ("_chunks", "_offset", "_size", "_lanes")
 
     def __init__(self) -> None:
         #: int64 arrays (columns) and lists (runs of scalar appends), oldest first.
         self._chunks: Deque[Union[np.ndarray, List[int]]] = deque()
         self._offset = 0  # operations of ``_chunks[0]`` already taken
         self._size = 0
+        self._lanes: List[Lane] = []
 
-    def __len__(self) -> int:
+    def add_lane(self, lane: Lane) -> None:
+        self._lanes.append(lane)
+
+    def pull(self) -> None:
+        """Queue the arrivals the lanes hold due (see :func:`pull_lanes`)."""
+        if self._lanes:
+            due = pull_lanes(self._lanes)
+            if due is not None:
+                self.extend_column(due)
+
+    def __len__(self) -> int:  # also what truth tests call
+        self.pull()
         return self._size
 
-    def __bool__(self) -> bool:
-        return self._size > 0
-
     def append(self, op: int) -> None:
+        self.pull()
         chunks = self._chunks
         if chunks and type(chunks[-1]) is list:
             chunks[-1].append(op)
@@ -159,11 +168,13 @@ class Mempool:
         self._size += 1
 
     def extend_column(self, ops: np.ndarray) -> None:
+        """Queue an int64 array of operations as one chunk (kept, not copied)."""
         self._chunks.append(ops)
         self._size += len(ops)
 
     def take(self, limit: int) -> List[int]:
         """Pop up to ``limit`` operations, oldest first, as Python ints."""
+        self.pull()
         taken: List[int] = []
         chunks = self._chunks
         while chunks and len(taken) < limit:
@@ -180,9 +191,11 @@ class Mempool:
         self._size -= len(taken)
         return taken
 
-    # Pickles as one int64 buffer, whatever the chunking was.
+    # Pickles as one int64 buffer, whatever the chunking was; the lanes are
+    # the event core's to pickle, and it hands them back on restore.
 
     def __getstate__(self):
+        self.pull()
         chunks = list(self._chunks)
         if not chunks:
             return (np.empty(0, dtype=np.int64),)
@@ -211,8 +224,8 @@ class BlockchainReplica(Process):
         self._orphans: Dict[str, List[Block]] = {}
         #: Client operations (integer coin ids) awaiting inclusion in a
         #: block, fed by :meth:`on_client_op` — or, for a stock replica,
-        #: straight off the calendar as the population workload's column
-        #: sink (:meth:`client_op_sink`).
+        #: pulled from the population workload's lanes as its column sink
+        #: (:meth:`client_op_sink`).
         self.mempool = Mempool()
         self.blocks_created = 0
         self.blocks_adopted = 0

@@ -21,14 +21,17 @@ population's operation streams as numpy columns:
 The streams stay columns all the way to the mempool.  A stock replica
 names its mempool as a *column sink* (``Process.client_op_sink``), and
 its ``(times, ops)`` arrays go to ``Simulator.schedule_column`` as they
-are: the array core keeps them as int64 slices per time-slot bucket and
-hands every run of arrivals that no other event interrupts to
-``Mempool.extend_column`` in one call — no Python int, no queue entry
-and no callback per operation.  A target that gives no sink (a replica
-overriding ``on_client_op``, a bare ``Process``) gets the same arrays
-through ``Simulator.schedule_block``, one ``on_client_op(op)`` call per
-operation.  Both routes are one vectorized insert per replica and
-assign the same sequence numbers, so which one a target takes never
+are.  In the paper an operation matters only once a replica's
+``append`` puts it in a block, so nothing observes an arrival before the
+mempool is read: the array core keeps each stream out of its calendar
+as one *lane* (the sorted arrays and a cursor), and the mempool pulls
+from it, whenever it is read or written, the arrivals that sort before
+the event being dispatched — one int64 slice, no Python int, no queue
+entry and no callback per operation.  A target that gives no sink (a
+replica overriding ``on_client_op``, a bare ``Process``) gets the same
+arrays through ``Simulator.schedule_block``, one ``on_client_op(op)``
+call per operation.  Both routes are one vectorized insert per replica
+and assign the same sequence numbers, so which one a target takes never
 shows in a history.  Everything derives from ``seed``; two populations
 with equal parameters produce identical streams under both simulator
 cores.
@@ -148,9 +151,9 @@ class ClientPopulation:
         sink (:meth:`Process.client_op_sink
         <repro.network.process.Process.client_op_sink>`: receiving an
         operation is ``sink.append(op)`` and nothing else) gets its
-        ``(times, ops)`` arrays as column events; any other target has
-        every operation dispatched to its ``on_client_op``.  Returns the
-        number of operations scheduled.
+        ``(times, ops)`` arrays as column events, which its sink pulls;
+        any other target has every operation dispatched to its
+        ``on_client_op``.  Returns the number of operations scheduled.
         """
         simulator = network.simulator
         scheduled = 0

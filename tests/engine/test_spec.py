@@ -139,6 +139,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duration must be >= 0"):
             ExperimentSpec.from_dict({"protocol": "bitcoin", "duration": -5})
 
+    @pytest.mark.parametrize("duration", (math.nan, math.inf))
+    def test_non_finite_duration_is_refused(self, duration):
+        """A NaN horizon runs nothing it claims to; an infinite one never ends."""
+        with pytest.raises(ValueError, match="duration must be >= 0 and finite"):
+            ExperimentSpec(protocol="bitcoin", duration=duration)
+        with pytest.raises(ValueError, match="duration must be >= 0 and finite"):
+            ExperimentSpec.from_dict({"protocol": "bitcoin", "duration": duration})
+
     def test_infinite_oracle_bound_survives_json(self):
         spec = ExperimentSpec(protocol="bitcoin", oracle_k=math.inf)
         restored = ExperimentSpec.from_json(spec.to_json())
@@ -153,7 +161,8 @@ class TestSerialization:
 
 class TestBuildKwargs:
     def test_minimal_spec_passes_only_core_kwargs(self):
-        kwargs = ExperimentSpec(protocol="hyperledger", replicas=4, duration=50.0, seed=3).build_kwargs()
+        spec = ExperimentSpec(protocol="hyperledger", replicas=4, duration=50.0, seed=3)
+        kwargs = spec.build_kwargs()
         assert kwargs == {"n": 4, "duration": 50.0, "seed": 3}
 
     def test_unknown_param_fails_loudly(self):

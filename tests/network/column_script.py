@@ -2,18 +2,21 @@
 
 ``Simulator.schedule_column`` is *defined* by what the heap core does
 with it (``schedule_block(times, sink.append, values.tolist())``); the
-array core must be indistinguishable from that at every point a caller
-can look.  :func:`play` runs one script — column blocks over several
-sinks, scalar events that log the clock and every sink's length when they
-fire and may schedule a child (a scalar event or another column block,
-possibly into the slot being drained) — under a list of ``(until,
-chunk)`` drain steps and returns the state after every chunk.  The
-deterministic cases in ``test_core_equivalence.py`` and the Hypothesis
-property in ``tests/properties/test_property_columns.py`` compare those
-state lists across cores.
+array core, whose sinks pull their columns from lanes, must be
+indistinguishable from that at every point a caller can look.
+:func:`play` runs one script — column blocks over several sinks, scalar
+events that log the clock and every sink's length when they fire (a
+read, so a pull) and may schedule a child (a scalar event or another
+column block, possibly into the slot being drained), and scalar events
+that ``append`` straight to a sink (a write, so a pull too) — under a
+list of ``(until, chunk)`` drain steps and returns the state after
+every chunk.  The deterministic cases in ``test_core_equivalence.py``
+and the Hypothesis properties in
+``tests/properties/test_property_columns.py`` compare those state lists
+across cores.
 
 A :class:`Script` holds only data and bound methods, so it pickles whole
-— the mid-segment snapshot tests restore one and finish it.
+— the mid-lane snapshot tests restore one and finish it.
 """
 
 from __future__ import annotations
@@ -22,26 +25,49 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.network.event_core import Lane, pull_lanes
 from repro.network.simulator import Simulator
 
-#: ("column", sink, times, values) | ("scalar", time, tag, child); a child
-#: is None | ("scalar", delay, tag) | ("column", sink, delays, values).
+#: ("column", sink, times, values) | ("scalar", time, tag, child) |
+#: ("append", time, sink, value); a child is None | ("scalar", delay, tag)
+#: | ("column", sink, delays, values).
 Op = Tuple[Any, ...]
 #: (until or None, events per chunk)
 Step = Tuple[Optional[float], int]
 
 
 class ListSink:
-    """The plainest sink that keeps the ``schedule_column`` contract."""
+    """The plainest sink that keeps the ``schedule_column`` pull contract:
+    it pulls its lanes before every read (``items``) or write."""
 
     def __init__(self) -> None:
-        self.items: List[int] = []
+        self._items: List[int] = []
+        self._lanes: List[Lane] = []
+
+    def add_lane(self, lane: Lane) -> None:
+        self._lanes.append(lane)
+
+    def pull(self) -> None:
+        due = pull_lanes(self._lanes)
+        if due is not None:
+            self._items.extend(due.tolist())
+
+    @property
+    def items(self) -> List[int]:
+        self.pull()
+        return self._items
 
     def append(self, value: int) -> None:
-        self.items.append(value)
+        self.pull()
+        self._items.append(value)
 
-    def extend_column(self, column: np.ndarray) -> None:
-        self.items.extend(column.tolist())
+    def __getstate__(self):
+        self.pull()
+        return {"_items": self._items}
+
+    def __setstate__(self, state) -> None:
+        self.__init__()
+        self._items = state["_items"]
 
 
 class Script:
@@ -60,6 +86,9 @@ class Script:
     def scalar(self, time: float, tag: str, child: Optional[Op] = None) -> None:
         self.sim.call_at(time, self._fire, (tag, child))
 
+    def append(self, time: float, sink: int, value: int) -> None:
+        self.sim.call_at(time, self.sinks[sink].append, value)
+
     def _fire(self, entry: Tuple[str, Optional[Op]]) -> None:
         tag, child = entry
         now = float(self.sim.now)
@@ -73,10 +102,7 @@ class Script:
 
     def apply(self, ops: Sequence[Op]) -> "Script":
         for op in ops:
-            if op[0] == "column":
-                self.column(*op[1:])
-            else:
-                self.scalar(*op[1:])
+            getattr(self, op[0])(*op[1:])
         return self
 
     def state(self) -> Tuple[Any, ...]:

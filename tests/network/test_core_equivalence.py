@@ -346,23 +346,25 @@ def test_column_cases_cut_where_they_claim_to():
     ]
 
 
-def test_column_run_survives_a_snapshot_mid_segment():
-    """Pickle the whole script at every chunk boundary (budget 3 splits
-    every segment), restore each snapshot and finish it: same final state."""
+def test_lanes_survive_a_snapshot_mid_lane():
+    """Pickle the whole script at every chunk boundary (budget 3 cuts
+    inside the lanes), restore each snapshot and finish it: same final
+    state as an uninterrupted run, on the array core and on the heap."""
     ops, _ = _COLUMN_CASES["interleaved_blocks_one_sink"]
-    clean = Script("array").apply(ops).run([(None, 100)])[-1]
+    clean = Script("heap").apply(ops).run([(None, 100)])[-1]
     snapshots = []
-    Script("array").apply(ops).run(
-        [(None, 3)], on_chunk=lambda script: snapshots.append(pickle.dumps(script))
-    )
+    mid_lane = []
+
+    def snapshot(script: Script) -> None:
+        lanes = script.sim._array_core._lanes
+        mid_lane.append(any(lane.counted for lane in lanes))  # partly accounted
+        snapshots.append(pickle.dumps(script))
+
+    Script("array").apply(ops).run([(None, 3)], on_chunk=snapshot)
     assert len(snapshots) >= 4
-    partly_taken = 0
     for blob in snapshots:
-        restored = pickle.loads(blob)
-        columns = restored.sim._array_core._columns
-        partly_taken += columns is not None and 0 < columns.pos < len(columns.times)
-        assert restored.run([(None, 100)])[-1] == clean
-    assert partly_taken >= 2
+        assert pickle.loads(blob).run([(None, 100)])[-1] == clean
+    assert sum(mid_lane) >= 2
 
 
 class _CountingSink(ListSink):
@@ -374,14 +376,16 @@ class _CountingSink(ListSink):
         self.calls.append("append")
         super().append(value)
 
-    def extend_column(self, column) -> None:
-        self.calls.append(len(column))
-        super().extend_column(column)
+    def pull(self) -> None:
+        before = len(self._items)
+        super().pull()
+        if len(self._items) > before:
+            self.calls.append(len(self._items) - before)
 
 
-def test_segments_reach_the_sink_as_columns():
-    """The point of the column route: one ``extend_column`` per sink and
-    segment, where the heap oracle calls ``append`` per event."""
+def test_lanes_reach_the_sink_as_pulled_columns():
+    """The point of the lane route: the sink takes what is due in one pull
+    when it is read, where the heap oracle calls ``append`` per event."""
     calls = {}
     for core in ("array", "heap"):
         script = Script(core, sinks=1)
@@ -390,49 +394,61 @@ def test_segments_reach_the_sink_as_columns():
         script.sim.run()
         calls[core] = sink.calls
         assert sink.items == [1, 2, 3, 4, 5, 6, 7]
-    assert calls["array"] == [2, 5]
+    assert calls["array"] == [2, 5]  # read by the scalar at 0.12, then by the test
     assert calls["heap"] == ["append"] * 7
 
 
-class _RaisingSink(ListSink):
-    """Breaks the sink contract once: the first ``extend_column`` raises."""
+def test_two_lanes_and_appends_feed_one_sink_in_time_seq_order():
+    """A sink fed by two lanes and by scalar ``append`` events holds them
+    FIFO in ``(time, seq)`` order, ties included, at every observation."""
+    ops = [
+        ("column", 0, [0.0625, 0.125, 0.25, 0.5, 0.75], [1, 2, 3, 4, 5]),
+        ("append", 0.125, 0, 100),
+        ("column", 0, [0.125, 0.0625, 0.5, 0.3125], [6, 7, 8, 9]),
+        ("append", 0.5, 0, 101),
+        ("scalar", 0.5, "read"),
+        ("append", 0.0625, 0, 102),
+    ]
+    steps = [(0.125, 2), (None, 3)]
+    array = play("array", ops, steps, sinks=1)
+    assert array == play("heap", ops, steps, sinks=1)
+    # seq order: column 1 -> 0..4, 100 -> 5, column 2 -> 6..9, 101 -> 10, read -> 11, 102 -> 12
+    assert array[-1][1] == [[1, 7, 102, 2, 100, 6, 3, 9, 4, 8, 101, 5]]
+    assert array[-1][0] == [(0.5, "read", (11,))]
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.armed = True
 
-    def extend_column(self, column) -> None:
-        if self.armed:
-            self.armed = False
-            raise RuntimeError("sink broke its contract")
-        super().extend_column(column)
+def _raise(_: object) -> None:
+    raise RuntimeError("callback failed")
 
 
-def test_a_raising_sink_leaves_the_accounting_exact():
-    """The step's range is consumed before any sink is called, so an
-    exception out of one neither drifts ``pending`` nor lets a resumed
-    drain deliver a value twice."""
-    script = Script("array", sinks=3)
-    script.sinks[1] = _RaisingSink()
-    script.apply([
+def test_a_raising_callback_leaves_the_lane_accounting_exact():
+    """A callback that raises mid-drain: the lane events sorting before
+    it are processed and the raising event is not, on both cores; a
+    resumed drain delivers nothing twice."""
+    ops = [
         ("column", 0, _ONE_SLOT, [1, 2, 3, 4, 5, 6, 7]),
         ("column", 1, [0.03, 0.11, 0.21], [8, 9, 10]),
-        ("column", 2, [0.04, 0.12, 0.22], [11, 12, 13]),
-        ("scalar", 0.15, "cut"),
-    ])
-    sim = script.sim
-    with pytest.raises(RuntimeError, match="broke its contract"):
-        sim.run()
-    # The first segment (everything before the scalar at 0.15) is gone.
-    assert sim.events_processed == 8 and sim.pending == 6
-    assert sim.now == 0.125
-    sim.run()
-    assert sim.events_processed == 14 and sim.pending == 0
-    delivered = [value for sink in script.sinks for value in sink.items]
-    assert len(delivered) == len(set(delivered))
-    assert script.sinks[0].items == [1, 2, 3, 4, 5, 6, 7]
-    assert script.sinks[1].items == [10]  # 8 and 9 went down with the exception
-    assert script.log == [(0.15, "cut", (4, 0, 0))]
+        ("column", 2, [0.04, 0.125, 0.22], [11, 12, 13]),
+    ]
+    states = {}
+    for core in ("array", "heap"):
+        script = Script(core, sinks=3).apply(ops)
+        script.sim.call_at(0.125, _raise, None)  # ties: after the 0.125 events of sink 0
+        script.scalar(0.15, "cut")
+        with pytest.raises(RuntimeError, match="callback failed"):
+            script.sim.run()
+        states[core] = [script.state()]
+        script.sim.run()
+        states[core].append(script.state())
+    # ``pending`` aside: the array core keeps counting the event that
+    # raised as pending, whatever the lanes hold.
+    for array, heap in zip(states["array"], states["heap"]):
+        assert array[:4] == heap[:4] and array[4] == heap[4] + 1
+    (_, sinks, now, processed, pending), final = states["heap"]
+    assert (now, processed, pending) == (0.125, 8, 6)
+    assert sinks == [[1, 2, 3, 4], [8, 9], [11, 12]]
+    assert final[1] == [[1, 2, 3, 4, 5, 6, 7], [8, 9, 10], [11, 12, 13]]
+    assert final[3:] == (14, 0)
 
 
 def test_schedule_column_validates_like_schedule_block():

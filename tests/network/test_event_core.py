@@ -17,6 +17,7 @@ import pytest
 from repro.core.errors import UnknownVocabularyError
 from repro.network.event_core import NO_ARG, ArrayEventCore
 from repro.network.simulator import Simulator
+from repro.protocols.base import Mempool
 
 
 def _trace_run(core: str, build) -> list:
@@ -81,6 +82,33 @@ def test_past_scheduling_rejected(core: str):
         sim.call_at(0.5, lambda arg: None, "x")
     with pytest.raises(ValueError):
         sim.schedule_block([0.5], lambda arg: None, ["x"])
+
+
+@pytest.mark.parametrize("core", ("array", "heap"))
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")), ids=str)
+def test_non_finite_times_rejected(core: str, bad: float):
+    """Every entry point refuses a NaN or infinite time or delay with one
+    ``ValueError`` and inserts nothing, on both cores."""
+    sim = Simulator(core=core)
+    attempts = (
+        lambda: sim.schedule(bad, lambda: None),
+        lambda: sim.schedule_at(bad, lambda: None),
+        lambda: sim.call_at(bad, lambda arg: None, "x"),
+        lambda: sim.schedule_block([2.0, bad, 1.0], lambda arg: None, ["a", "b", "c"]),
+        lambda: sim.schedule_block(np.array([bad, 2.0]), lambda arg: None, ["a", "b"]),
+        lambda: sim.schedule_column([2.0, bad], [1, 2], Mempool()),
+        lambda: sim.schedule_column(np.array([bad]), [1], Mempool()),
+    )
+    for attempt in attempts:
+        with pytest.raises(ValueError, match="must be finite" if bad > 0 or bad != bad else "past"):
+            attempt()
+    assert sim.pending == 0
+    # What is left runs normally: a NaN let into the array core's calendar
+    # would head it and stall every later event.
+    fired = []
+    sim.schedule(3.0, lambda: fired.append(sim.now))
+    assert sim.run(until=10.0) == 1
+    assert fired == [3.0] and sim.pending == 0
 
 
 def test_same_time_ties_resolve_in_insertion_order():

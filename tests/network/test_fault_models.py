@@ -15,10 +15,12 @@ equivalence bars the tentpole demands:
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
 from repro.core.errors import UnknownVocabularyError
+from repro.engine.spec import ExperimentSpec, FaultSpec
 from repro.network.channels import SynchronousChannel
 from repro.network.faults import (
     FAULT_REGISTRY,
@@ -92,6 +94,35 @@ class TestValidation:
     def test_time_maps_refuse_a_non_mapping_by_name(self, build, name):
         with pytest.raises(TypeError, match=f"^{name} must map replica ids to times, got int$"):
             build()
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -1.0), ids=str)
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda t: CrashFault(at={"p1": t}), r"at\['p1'\]"),
+            (lambda t: ChurnFault(leave={"p1": t}), r"leave\['p1'\]"),
+            (lambda t: ChurnFault(leave={"p1": 1.0}, join={"p1": t}), r"join\['p1'\]"),
+            (lambda t: PartitionFault(groups=[["p0"]], at=t), "at"),
+            (lambda t: PartitionFault(groups=[["p0"]], heal_at=t), "heal_at"),
+            (lambda t: EclipseFault(victim="p0", at=t, until=5.0), "at"),
+            (lambda t: EclipseFault(victim="p0", until=t), "until"),
+        ],
+        ids=["crash-at", "churn-leave", "churn-join", "partition-at", "partition-heal",
+             "eclipse-at", "eclipse-until"],
+    )
+    def test_times_refuse_nan_infinities_and_negatives_by_name(self, build, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite non-negative time, got"):
+            build(bad)
+
+    def test_a_nan_crash_time_fails_before_the_run(self):
+        """In the queue it would break the heap order, and a delivery could
+        outlive its envelope slot."""
+        spec = ExperimentSpec(
+            protocol="bitcoin", replicas=3, duration=30.0,
+            fault=FaultSpec(kind="crash", params={"at": {"p1": math.nan}}),
+        )
+        with pytest.raises(ValueError, match=r"^at\['p1'\] must be a finite non-negative time"):
+            spec.execute()
 
     def test_churn_rejects_join_without_leave(self):
         with pytest.raises(ValueError, match="never leave"):

@@ -522,6 +522,43 @@ class TestFaultFlags:
                 'gossip:fanout="abc"',
                 "topology 'gossip': '<' not supported between instances of 'str' and 'int'",
             ),
+            # A fault time must be finite and non-negative: a NaN breaks the event
+            # order, an infinity never fires.
+            (
+                "--fault",
+                'crash:at={"p1": NaN}',
+                "fault 'crash': at['p1'] must be a finite non-negative time, got nan",
+            ),
+            (
+                "--fault",
+                'crash:at={"p1": Infinity}',
+                "fault 'crash': at['p1'] must be a finite non-negative time, got inf",
+            ),
+            (
+                "--fault",
+                'crash:at={"p1": -5}',
+                "fault 'crash': at['p1'] must be a finite non-negative time, got -5.0",
+            ),
+            (
+                "--fault",
+                'churn:leave={"p1": 5},join={"p1": Infinity}',
+                "fault 'churn': join['p1'] must be a finite non-negative time, got inf",
+            ),
+            (
+                "--fault",
+                'partition:groups=[["p0"]],at=NaN',
+                "fault 'partition': at must be a finite non-negative time, got nan",
+            ),
+            (
+                "--fault",
+                'partition:groups=[["p0"]],heal_at=-Infinity',
+                "fault 'partition': heal_at must be a finite non-negative time, got -inf",
+            ),
+            (
+                "--fault",
+                "eclipse:victim=p1,until=Infinity",
+                "fault 'eclipse': until must be a finite non-negative time, got inf",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ("classify", "sweep"))
@@ -541,6 +578,25 @@ class TestFaultFlags:
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, flag, value])
         assert excinfo.value.code == f"repro: error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ("nan", "-5", "inf"))
+    @pytest.mark.parametrize("command", ("classify", "sweep"))
+    def test_a_duration_that_is_not_a_finite_time_is_a_usage_error(
+        self, capsys, tmp_path, command, duration
+    ):
+        out = tmp_path / "results.json"
+        argv = {
+            "classify": ["classify", "bitcoin"],
+            "sweep": ["sweep", "--protocol", "bitcoin", "--seeds", "0:2", "--out", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--duration", duration])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            f"repro {command}: error: --duration must be a finite number >= 0, "
+            f"got {float(duration)!r}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

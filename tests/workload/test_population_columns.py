@@ -6,8 +6,8 @@ sink; everything here pins what that may *not* change: a replica that
 overrides ``on_client_op`` still sees every operation at its own
 timestamp, a bare ``Process`` is still a valid target, the runaway bound
 does not count the harness's own workload, ``timed_callbacks()`` still
-splits the drain, and a checkpoint taken in the middle of a column
-segment restores to the same history.
+splits the drain, and a checkpoint taken in the middle of a lane
+restores to the same history.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def test_timed_population_run_splits_the_drain():
 
 # -- population x checkpoint identity --------------------------------------------
 
-#: Prime, so chunk boundaries fall inside column segments, not on them.
+#: Prime, so chunk boundaries fall inside stretches of arrivals, not on them.
 EVERY = 173
 
 SPEC = ExperimentSpec(
@@ -202,15 +202,20 @@ def test_population_histories_and_payloads_identical_across_cores():
     assert _stable(array) == _stable(heap)
 
 
-def test_snapshots_do_split_column_segments():
+def test_snapshots_do_split_lanes():
     """The identity above is only interesting if some snapshot really was
-    taken with a column run partly consumed."""
+    taken with a lane partly consumed: a restored lane keeps only what was
+    not processed, so it is shorter than the replica's stream."""
     _, snapshots = _snapshots("array")
     partial = 0
     for snapshot in snapshots:
-        columns = snapshot.restore().simulator._array_core._columns
-        if columns is not None and 0 < columns.pos < len(columns.times):
-            partial += 1
+        live = snapshot.restore()
+        stream = {
+            id(live.replicas[pid].mempool): len(times)
+            for pid, (times, _) in live.population.streams.items()
+        }
+        lanes = live.simulator._array_core._lanes
+        partial += any(len(lane.times) < stream[id(lane.sink)] for lane in lanes)
     assert partial > 5
 
 
