@@ -508,6 +508,26 @@ def _check_fault_members(command: str, fault: FaultSpec, replica_counts: Sequenc
         raise SystemExit(2) from None
 
 
+def _check_channels(command: str, specs: Sequence[ExperimentSpec]) -> None:
+    """Refuse a channel some cell could not build: exit 2, before any run.
+
+    Each distinct channel of the grid is built once, by the same
+    :meth:`~repro.engine.spec.ChannelSpec.build` a run calls (the seed
+    only seeds the delays, so any will do).
+    """
+    channels = {
+        json.dumps(spec.channel.to_dict(), sort_keys=True): spec.channel
+        for spec in specs
+        if spec.channel is not None
+    }
+    for channel in channels.values():
+        try:
+            channel.build(0)
+        except ValueError as error:
+            print(f"repro {command}: error: channel {channel.kind!r}: {error}", file=sys.stderr)
+            raise SystemExit(2) from None
+
+
 def _parse_topology(text: str) -> TopologySpec:
     """``--topology``; every key, ``seed`` included, is a topology parameter."""
     return _parse_component(text, "topology", TopologySpec, TOPOLOGY_REGISTRY)
@@ -847,6 +867,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         _check_fault_members("sweep", base.fault, replica_counts or [args.replicas])
 
     specs = expand_grid(base, axes)
+    _check_channels("sweep", specs)
     shard = _parse_shard(args.shard_index) if args.shard_index is not None else None
     executor = _build_sweep_executor(args)
     cache = ResultCache(args.cache) if args.cache is not None else None

@@ -25,8 +25,12 @@ nothing else (``history`` only builds an index when the caller has none).
 Divergence / ``mcps`` / chain scores are O(1) queries there, the read
 scores are computed once for the three properties that compare them, and
 the pair properties *count* instead of enumerating, on violating
-histories too.  Strong Prefix takes all pairs minus the comparable ones
-(tip multiplicities accumulated root-first); Eventual Prefix tests each
+histories too.  The per-read rules are numpy formulas over the index's
+columnar read table (tip node, process code, eid:
+:meth:`~repro.core.consistency_index.ConsistencyIndex.read_table`); only
+the witnesses are worded one by one, from ``tolist()`` values.  Strong
+Prefix takes all pairs minus the comparable ones (tip multiplicities
+summed over root paths); Eventual Prefix tests each
 diverging pair of final reads once against the running maximum of the
 scores read before it and counts with one offline dominance sweep.  A
 check is O(R·log V + P²) for V blocks and P processes, and a result holds
@@ -71,6 +75,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.block import Block
 from repro.core.consistency_index import ConsistencyIndex, count_exceeding_before
@@ -226,30 +232,26 @@ class BlockValidityChecker:
         # A block is *possibly bad* if it is invalid, never appended, or
         # appended no earlier than the first read returning it (any later
         # read can only have a larger eid, so a block that is clean for
-        # its first read is clean for every read).  ``path_bad`` counts
-        # possibly-bad blocks on the root path; insertion order is
-        # parents-first, so one forward pass suffices.
-        path_bad: Dict[str, int] = {}
-        for block_id in index.block_ids():
+        # its first read is clean for every read).  A read needs a look
+        # only if a possibly-bad block lies on its tip's root path.
+        bad = np.zeros(len(index), dtype=np.int64)
+        for node, block_id in enumerate(index.block_ids()):
             block = index.block(block_id)
             if block.is_genesis:
-                path_bad[block_id] = 0
                 continue
-            bad = validator is not None and not is_valid(block)
-            if not bad:
-                first_append = index.first_append(block_id)
-                first_seen = index.first_seen_read(block_id)
-                bad = first_append is None or (
-                    first_seen is not None and first_append >= first_seen
-                )
-            parent = index.parent_of(block_id)
-            assert parent is not None
-            path_bad[block_id] = path_bad[parent] + (1 if bad else 0)
+            if validator is not None and not is_valid(block):
+                bad[node] = 1
+                continue
+            first_append = index.first_append(block_id)
+            first_seen = index.first_seen_read(block_id)
+            if first_append is None or (first_seen is not None and first_append >= first_seen):
+                bad[node] = 1
 
         found = _Witnesses()
-        for read in index.reads:
-            if path_bad.get(index.read_tip(read.eid), 0) == 0:
-                continue
+        tips = index.read_table()[0]
+        reads = index.reads
+        for i in np.flatnonzero(index.on_path(bad)[tips]).tolist():
+            read = reads[i]
             # Possibly-bad block on the path: walk the chain and apply the
             # exact per-(read, block) rules of the reference oracle.
             for block in read.chain:
@@ -287,20 +289,28 @@ class LocalMonotonicReadChecker:
     ) -> PropertyResult:
         index = _shared_index(history, index)
         reads, scores = index.reads, index.read_scores(self.score)
-        last: Dict[str, int] = {}  # per process, where its latest read is
-        drops: List[Tuple[str, int, int]] = []
-        for i, read in enumerate(reads):
-            k = last.get(read.process)
-            if k is not None and scores[k] > scores[i]:
-                drops.append((read.process, k, i))
-            last[read.process] = i
-        found = _Witnesses()
-        for process, k, i in sorted(drops):  # the reference order: by process
-            found.add(
-                f"process {process}: read {reads[k].eid} scored {scores[k]} "
-                f"but later read {reads[i].eid} scored {scores[i]}"
+        procs = index.read_table()[1]
+        # Each read against its process's previous one: the reads grouped
+        # by process, in arrival order within a group.
+        order = np.argsort(procs, kind="stable")
+        earlier, later = order[:-1], order[1:]
+        drop = (procs[earlier] == procs[later]) & (scores[earlier] > scores[later])
+        earlier, later = earlier[drop], later[drop]
+        names = index.process_names()
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+        first = np.lexsort((earlier, rank[procs[earlier]]))[:WITNESS_LIMIT]  # by process
+        texts = tuple(
+            f"process {reads[i].process}: read {reads[k].eid} scored {scores_k} "
+            f"but later read {reads[i].eid} scored {scores_i}"
+            for k, i, scores_k, scores_i in zip(
+                earlier[first].tolist(),
+                later[first].tolist(),
+                scores[earlier[first]].tolist(),
+                scores[later[first]].tolist(),
             )
-        return found.result(self.name)
+        )
+        return PropertyResult(self.name, not len(earlier), texts, {}, len(earlier))
 
 
 @dataclass(frozen=True)
@@ -309,10 +319,10 @@ class StrongPrefixChecker:
 
     The verdict and the count come from one pass over the analysis tree
     (:meth:`ConsistencyIndex.diverging_pair_count`), O(V + R).  Only a
-    violated history pays for witnesses: a backward sweep tells how many
-    later reads diverge from each read, so the enumeration in reference
-    order (``i`` then ``j`` ascending) skips the reads with none and stops
-    scanning a read once its pairs are all found.
+    violated history pays for witnesses: the index tells, per read, the
+    last read diverging from it (:meth:`ConsistencyIndex.last_diverging`),
+    so the enumeration in reference order (``i`` then ``j`` ascending)
+    skips the reads with no later one and stops scanning a read there.
     """
 
     name: str = "strong-prefix"
@@ -321,24 +331,22 @@ class StrongPrefixChecker:
         self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        reads = index.reads
-        tips = [index.read_tip(r.eid) for r in reads]
+        tips = index.read_table()[0]
         count = index.diverging_pair_count(tips)
         if not count:
             return PropertyResult(self.name, True)
-        witnesses = islice(self._witnesses(reads, tips, index), WITNESS_LIMIT)
+        witnesses = islice(self._witnesses(index.reads, tips, index), WITNESS_LIMIT)
         return PropertyResult(self.name, False, tuple(witnesses), count=count)
 
     @staticmethod
     def _witnesses(
-        reads: Sequence[Event], tips: Sequence[str], index: ConsistencyIndex
+        reads: Sequence[Event], tips: np.ndarray, index: ConsistencyIndex
     ) -> Iterator[str]:
-        for i, pending in enumerate(index.later_diverging_counts(tips)):
-            j = i
-            while pending:
-                j += 1
-                if not index.prefix_related(tips[i], tips[j]):
-                    pending -= 1
+        last = index.last_diverging(tips)
+        for i in np.flatnonzero(last > np.arange(len(tips))).tolist():
+            tip = index.block_id(int(tips[i]))
+            for j in range(i + 1, int(last[i]) + 1):
+                if not index.prefix_related(tip, index.block_id(int(tips[j]))):
                     yield (
                         f"reads {reads[i].eid} ({reads[i].process}) and "
                         f"{reads[j].eid} ({reads[j].process}) returned diverging "
@@ -372,31 +380,24 @@ class EverGrowingTreeChecker:
     ) -> PropertyResult:
         index = _shared_index(history, index)
         reads, scores = index.reads, index.read_scores(self.score)
-        n = len(reads)
-        # suffix_max[i] = max score of reads[i+1:]; undefined for the last read.
-        suffix_max: List[float] = [0.0] * n
-        running: Optional[float] = None
-        for i in range(n - 1, -1, -1):
-            if running is not None:
-                suffix_max[i] = running
-            running = scores[i] if running is None or scores[i] > running else running
-
-        found = _Witnesses()
-        stalled: Dict[int, int] = {}
-        for i, read in enumerate(reads):
-            if i == n - 1:
-                continue  # no later reads
-            s = scores[i]
-            if suffix_max[i] > s:
-                continue  # the tree visibly grew past this read
-            count = n - 1 - i
-            stalled[read.eid] = count
-            if self.stall_threshold is not None and count >= self.stall_threshold:
-                found.add(
-                    f"read {read.eid} at {read.process} (score {s}) is followed "
-                    f"by {count} reads none of which exceeds its score"
-                )
-        return found.result(self.name, {"stalled_reads": stalled})
+        # Read i is stalled iff no later read outscores it: the maximum of
+        # scores[i+1:] (a reversed running maximum) does not exceed its own.
+        later_max = np.maximum.accumulate(scores[::-1])[::-1][1:]
+        stalled = np.flatnonzero(~(later_max > scores[:-1]))
+        counts = len(reads) - 1 - stalled
+        eids = index.read_table()[2]
+        details = {"stalled_reads": dict(zip(eids[stalled].tolist(), counts.tolist()))}
+        if self.stall_threshold is None:
+            return PropertyResult(self.name, True, (), details)
+        hits = stalled[counts >= self.stall_threshold]
+        texts = tuple(
+            f"read {reads[i].eid} at {reads[i].process} (score {s}) is followed "
+            f"by {len(reads) - 1 - i} reads none of which exceeds its score"
+            for i, s in zip(
+                hits[:WITNESS_LIMIT].tolist(), scores[hits[:WITNESS_LIMIT]].tolist()
+            )
+        )
+        return PropertyResult(self.name, not len(hits), texts, details, len(hits))
 
 
 @dataclass(frozen=True)
@@ -433,13 +434,16 @@ class EventualPrefixChecker:
     ) -> PropertyResult:
         index = _shared_index(history, index)
         reads, scores = index.reads, index.read_scores(self.score)
-        positions: Dict[str, List[int]] = {}  # per process, where it reads
-        ceilings: List[Tuple[int, float]] = []  # increase points of the running maximum
-        for i, read in enumerate(reads):
-            positions.setdefault(read.process, []).append(i)
-            if not ceilings or scores[i] > ceilings[-1][1]:
-                ceilings.append((i, scores[i]))
-        limits = [own[-1] for own in positions.values()]
+        procs = index.read_table()[1]
+        # Increase points of the running maximum: the first read, and each
+        # read scoring above every read before it.
+        first = np.ones(len(scores[:1]), dtype=bool)
+        before = np.maximum.accumulate(scores)[:-1]
+        rises = np.flatnonzero(np.concatenate((first, scores[1:] > before)))
+        ceilings = list(zip(rises.tolist(), scores[rises].tolist()))
+        # Each process's final read, in process-code order.
+        _, from_end = np.unique(procs[::-1], return_index=True)
+        limits = (len(reads) - 1 - from_end).tolist()
         # Shared score per breached pair, keyed by its two final reads in
         # order: the pair is seen by the reads before the first of them.
         breached = {
@@ -448,17 +452,21 @@ class EventualPrefixChecker:
         }
         if not breached:
             return PropertyResult(self.name, True)
+        values = scores.tolist()
         count = count_exceeding_before(
-            scores, [(cut, shared) for (cut, _), shared in breached.items()]
+            values, [(cut, shared) for (cut, _), shared in breached.items()]
         )
-        witnesses = islice(self._witnesses(reads, scores, positions, breached), WITNESS_LIMIT)
+        positions: Dict[int, List[int]] = {}  # per process, where it reads
+        for i, code in enumerate(procs.tolist()):
+            positions.setdefault(code, []).append(i)
+        witnesses = islice(self._witnesses(reads, values, positions, breached), WITNESS_LIMIT)
         return PropertyResult(self.name, False, tuple(witnesses), count=count)
 
     @staticmethod
     def _witnesses(
         reads: Sequence[Event],
         scores: Sequence[float],
-        positions: Dict[str, List[int]],
+        positions: Dict[int, List[int]],
         breached: Dict[Tuple[int, int], float],
     ) -> Iterator[str]:
         # floor[i]: the lowest shared score among the breached pairs read i

@@ -26,14 +26,20 @@ pairs from tip multiplicities along root paths instead of visiting them,
 and decides Eventual Prefix from the processes' last reads alone — see
 "counting without enumerating pairs" below.
 
-Beside the tree the index keeps the *read table* — the read responses in
-arrival order — and the earliest append of every block, so it is all a
-consistency check reads: the checkers take an index, not a history.
+Blocks are numbered (*nodes*) in insertion order, and the tree's heights,
+cumulative weights and parents are columns indexed by node.  Beside the
+tree the index keeps the *read table* — the read responses in arrival
+order, with a column of tip nodes, one of process codes and one of eids,
+appended as each read is entered — and the earliest append of every
+block, so it is all a consistency check reads: the checkers take an
+index, not a history, and evaluate their per-read rules as numpy
+formulas over those columns (:meth:`ConsistencyIndex.read_table`).
 
 Ingesting a history is near-linear: each distinct block is inserted once
-(O(1) amortized per block), and a read whose chain is already indexed
-costs O(1) — the merge walks the chain *tip-first* and stops at the first
-known block.
+(O(1) amortized per block), and a read whose tip block the index already
+holds — the same object, as when every replica reads one shared block
+tree — is entered in O(1).  Any other chain is merged by a walk
+*tip-first* that stops at the first known block.
 
 Cumulative weights are accumulated root-first exactly like
 :class:`~repro.core.blocktree.BlockTree` maintains them, so the floats
@@ -58,9 +64,11 @@ reports *are* the post-hoc reports of the history recorded so far.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.block import Block, Blockchain
 from repro.core.history import Event, History, HistoryRecorder
@@ -81,6 +89,10 @@ class InconsistentChainError(ValueError):
     """Two read results disagree about the content of one block id."""
 
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_SCORES = np.empty(0, dtype=np.float64)
+
+
 class ConsistencyIndex:
     """All read results of a history merged into one analysis tree.
 
@@ -89,32 +101,43 @@ class ConsistencyIndex:
     they stream in, whole histories with :meth:`ingest`.  Queries never
     mutate the logical content; the DFS interval labels used for O(1)
     ancestor tests are recomputed lazily after mutations.
+
+    Blocks are numbered in insertion (parents-first) order; these *nodes*
+    index the tree's columns and the read table's tip column.
     """
 
     def __init__(self) -> None:
-        self._blocks: Dict[str, Block] = {}
-        self._parent: Dict[str, Optional[str]] = {}
-        self._children: Dict[str, List[str]] = {}
-        self._height: Dict[str, int] = {}
-        self._cum_weight: Dict[str, float] = {}
-        self._root: Optional[str] = None
+        # The analysis tree, per node: its block, parent node (-1 at the
+        # root), children, height, root-first cumulative weight and the
+        # eid of the read that introduced it (-1: none).
+        self._node: Dict[str, int] = {}
+        self._blocks: List[Block] = []
+        self._parent = array("q")
+        self._children: List[List[int]] = []
+        self._height = array("q")
+        self._cum_weight = array("d")
+        self._first_seen = array("q")
         #: The read table: every read response entered, in arrival order.
         self.reads: List[Event] = []
-        # Per-read bookkeeping: read eid -> tip block id, and per block the
-        # eid of the first read whose chain introduced it (reads arrive in
-        # eid order, so "introduced it" = "first returned it").
-        self._read_tips: Dict[int, str] = {}
-        self._first_seen_read: Dict[str, int] = {}
+        # ... and its columns, one row per read: the tip node of its chain,
+        # the code of its process (processes are numbered in order of first
+        # read) and its eid.
+        self._tips = array("q")
+        self._procs = array("q")
+        self._eids = array("q")
+        self._process_code: Dict[str, int] = {}
         # Earliest append-invocation eid per block id.
         self._first_append: Dict[str, int] = {}
-        # Scores of the read table under the score function last asked for.
+        # The read table as numpy arrays, for as many reads as it had then,
+        # and its scores under the score function last asked for.
+        self._table: Tuple[np.ndarray, np.ndarray, np.ndarray] = (_NO_ROWS,) * 3
         self._scored_by: Optional[ScoreFunction] = None
-        self._scores: List[float] = []
+        self._scores: np.ndarray = _NO_SCORES
         # Lazily recomputed DFS interval labels for O(1) ancestor tests.
         self._mutations = 0
         self._labels_at = -1
-        self._tin: Dict[str, int] = {}
-        self._tout: Dict[str, int] = {}
+        self._tin: List[int] = []
+        self._tout: List[int] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -139,9 +162,24 @@ class ConsistencyIndex:
         return self
 
     def add_read(self, read: Event) -> None:
-        """Merge the chain a read response returned; enter it in the read table."""
-        self.add_chain(read.chain, read_eid=read.eid)
+        """Merge the chain a read response returned; enter it in the read table.
+
+        A read whose tip block the index holds already — that very object —
+        is entered in O(1); any other chain is merged by :meth:`add_chain`'s
+        walk, with its content check.
+        """
+        chain = read.output
+        if not (isinstance(chain, Blockchain) and read.is_read_response):
+            chain = read.chain  # raises the TypeError naming the event
+        tip = chain.blocks[-1]
+        node = self._node.get(tip.block_id)
+        if node is None or self._blocks[node] is not tip:
+            node = self._merge(chain.blocks, read.eid)
+        codes = self._process_code
         self.reads.append(read)
+        self._tips.append(node)
+        self._procs.append(codes.setdefault(read.process, len(codes)))
+        self._eids.append(read.eid)
 
     def add_chain(
         self, chain: Blockchain, read_eid: Optional[int] = None
@@ -154,51 +192,53 @@ class ConsistencyIndex:
         the stop point is compared against the stored block, enforcing
         the id-uniqueness assumption documented in the module docstring.
         """
-        blocks = chain.blocks
-        if self._root is None:
-            genesis = blocks[0]
-            self._root = genesis.block_id
-            self._blocks[genesis.block_id] = genesis
-            self._parent[genesis.block_id] = None
-            self._children[genesis.block_id] = []
-            self._height[genesis.block_id] = 0
-            self._cum_weight[genesis.block_id] = 0.0
+        known = len(self._blocks)
+        self._merge(chain.blocks, read_eid)
+        return self._blocks[max(known, 1) :]
 
-        known = self._blocks
+    def _merge(self, blocks: Tuple[Block, ...], read_eid: Optional[int]) -> int:
+        """:meth:`add_chain` on a chain's blocks; returns the tip's node."""
+        if not self._blocks:
+            self._insert(blocks[0], -1, -1)
+        known = self._node
         i = len(blocks) - 1
         while i >= 0 and blocks[i].block_id not in known:
             i -= 1
         if i < 0:
             raise InconsistentChainError(
                 f"chain rooted at {blocks[0].block_id!r} does not share the "
-                f"index genesis {self._root!r}"
+                f"index genesis {self._blocks[0].block_id!r}"
             )
         stop = blocks[i]
-        stored = known[stop.block_id]
+        node = known[stop.block_id]
+        stored = self._blocks[node]
         if stored is not stop and stored != stop:
             raise InconsistentChainError(
                 f"block id {stop.block_id!r} carries different content in "
                 "different read results"
             )
-
-        new_blocks = blocks[i + 1 :]
-        for block in new_blocks:
-            parent_id = block.parent_id
-            assert parent_id is not None  # genesis is always the stop block
-            bid = block.block_id
-            known[bid] = block
-            self._parent[bid] = parent_id
-            self._children[bid] = []
-            self._children[parent_id].append(bid)
-            self._height[bid] = self._height[parent_id] + 1
-            self._cum_weight[bid] = self._cum_weight[parent_id] + block.weight
-            if read_eid is not None:
-                self._first_seen_read[bid] = read_eid
-        if new_blocks:
+        if i + 1 < len(blocks):
+            first_seen = -1 if read_eid is None else read_eid
+            for block in blocks[i + 1 :]:
+                node = self._insert(block, node, first_seen)
             self._mutations += 1
-        if read_eid is not None:
-            self._read_tips[read_eid] = blocks[-1].block_id
-        return list(new_blocks)
+        return node
+
+    def _insert(self, block: Block, parent: int, first_seen: int) -> int:
+        node = len(self._blocks)
+        self._node[block.block_id] = node
+        self._blocks.append(block)
+        self._parent.append(parent)
+        self._children.append([])
+        if parent < 0:
+            self._height.append(0)
+            self._cum_weight.append(0.0)
+        else:
+            self._children[parent].append(node)
+            self._height.append(self._height[parent] + 1)
+            self._cum_weight.append(self._cum_weight[parent] + block.weight)
+        self._first_seen.append(first_seen)
+        return node
 
     # -- basic accessors ------------------------------------------------------
 
@@ -206,32 +246,34 @@ class ConsistencyIndex:
         return len(self._blocks)
 
     def __contains__(self, block_id: object) -> bool:
-        return block_id in self._blocks
+        return block_id in self._node
 
     def block(self, block_id: str) -> Block:
-        return self._blocks[block_id]
+        return self._blocks[self._node[block_id]]
 
     def block_ids(self) -> Tuple[str, ...]:
-        """Identifiers in insertion (parents-first) order."""
-        return tuple(self._blocks)
+        """Identifiers in node (insertion, parents-first) order."""
+        return tuple(block.block_id for block in self._blocks)
 
-    def parent_of(self, block_id: str) -> Optional[str]:
-        return self._parent[block_id]
+    def block_id(self, node: int) -> str:
+        """Identifier of the block numbered ``node``."""
+        return self._blocks[node].block_id
 
     def height_of(self, block_id: str) -> int:
-        return self._height[block_id]
+        return self._height[self._node[block_id]]
 
     def cumulative_weight(self, block_id: str) -> float:
         """Root-first accumulated non-genesis weight up to ``block_id``."""
-        return self._cum_weight[block_id]
+        return self._cum_weight[self._node[block_id]]
 
-    def read_tip(self, read_eid: int) -> str:
-        """Tip block id of the chain returned by the read with ``read_eid``."""
-        return self._read_tips[read_eid]
+    def read_tip(self, position: int) -> str:
+        """Tip block id of the chain returned by the read at ``position``."""
+        return self._blocks[self._tips[position]].block_id
 
     def first_seen_read(self, block_id: str) -> Optional[int]:
         """Eid of the earliest read whose chain contains ``block_id``."""
-        return self._first_seen_read.get(block_id)
+        eid = self._first_seen[self._node[block_id]] if block_id in self._node else -1
+        return None if eid < 0 else eid
 
     def first_append(self, block_id: str) -> Optional[int]:
         """Eid of the earliest append invocation for ``block_id``."""
@@ -241,17 +283,38 @@ class ConsistencyIndex:
         """Record an append invocation of ``block_id`` (the earliest one is kept)."""
         self._first_append.setdefault(block_id, eid)
 
+    # -- the read table as columns ----------------------------------------------
+
+    def read_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(tips, processes, eids)``: per read, its tip node, process code and eid.
+
+        int64 arrays, one row per entry of :attr:`reads`; kept until the
+        next read.
+        """
+        if len(self._table[0]) != len(self.reads):
+            self._table = (
+                np.array(self._tips, dtype=np.int64),
+                np.array(self._procs, dtype=np.int64),
+                np.array(self._eids, dtype=np.int64),
+            )
+        return self._table
+
+    def process_names(self) -> List[str]:
+        """The processes of the read table, by code."""
+        return list(self._process_code)
+
     # -- ancestry -------------------------------------------------------------
 
     def _ensure_labels(self) -> None:
-        if self._labels_at == self._mutations or self._root is None:
+        if self._labels_at == self._mutations or not self._blocks:
             return
-        tin: Dict[str, int] = {}
-        tout: Dict[str, int] = {}
+        tin = [0] * len(self._blocks)
+        tout = [0] * len(self._blocks)
+        children = self._children
         clock = 0
         # Iterative DFS (histories can hold chains deeper than the
         # interpreter's recursion limit).
-        stack: List[Tuple[str, bool]] = [(self._root, False)]
+        stack: List[Tuple[int, bool]] = [(0, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -261,7 +324,7 @@ class ConsistencyIndex:
             tin[node] = clock
             clock += 1
             stack.append((node, True))
-            stack.extend((child, False) for child in self._children[node])
+            stack.extend((child, False) for child in children[node])
         self._tin, self._tout = tin, tout
         self._labels_at = self._mutations
 
@@ -269,32 +332,48 @@ class ConsistencyIndex:
         """``True`` iff the chain to ``ancestor_id`` prefixes the one to
         ``descendant_id`` (ancestor-or-equal in the analysis tree), O(1)."""
         self._ensure_labels()
-        tin = self._tin
-        return tin[ancestor_id] <= tin[descendant_id] <= self._tout[ancestor_id]
+        tin, node = self._tin, self._node
+        ancestor = node[ancestor_id]
+        return tin[ancestor] <= tin[node[descendant_id]] <= self._tout[ancestor]
 
     def prefix_related(self, a: str, b: str) -> bool:
         """``True`` iff the chains to ``a`` and ``b`` do *not* diverge."""
         self._ensure_labels()
-        tin, tout = self._tin, self._tout
-        ta, tb = tin[a], tin[b]
-        if ta <= tb:
-            return tb <= tout[a]
-        return ta <= tout[b]
+        tin, tout, node = self._tin, self._tout, self._node
+        x, y = node[a], node[b]
+        if tin[x] <= tin[y]:
+            return tin[y] <= tout[x]
+        return tin[x] <= tout[y]
 
     def lowest_common_ancestor(self, a: str, b: str) -> str:
         """LCA of two blocks (always exists: the shared genesis)."""
         height, parent = self._height, self._parent
-        ha, hb = height[a], height[b]
-        while ha > hb:
-            a = parent[a]  # type: ignore[assignment]
-            ha -= 1
-        while hb > ha:
-            b = parent[b]  # type: ignore[assignment]
-            hb -= 1
-        while a != b:
-            a = parent[a]  # type: ignore[assignment]
-            b = parent[b]  # type: ignore[assignment]
-        return a
+        x, y = self._node[a], self._node[b]
+        hx, hy = height[x], height[y]
+        while hx > hy:
+            x = parent[x]
+            hx -= 1
+        while hy > hx:
+            y = parent[y]
+            hy -= 1
+        while x != y:
+            x = parent[x]
+            y = parent[y]
+        return self._blocks[x].block_id
+
+    def on_path(self, weights: np.ndarray) -> np.ndarray:
+        """Per node, the sum of ``weights`` (one per node) over its root path,
+        the node itself included.
+
+        Every node adds its weight over its subtree's label range, as a
+        difference array: one cumulative sum, O(blocks).
+        """
+        self._ensure_labels()
+        tin = np.array(self._tin, dtype=np.int64)
+        diff = np.zeros(2 * len(self._blocks) + 1, dtype=weights.dtype)
+        diff[tin] += weights
+        diff[np.array(self._tout, dtype=np.int64) + 1] -= weights
+        return np.cumsum(diff)[tin]
 
     # -- scores ---------------------------------------------------------------
 
@@ -305,26 +384,41 @@ class ConsistencyIndex:
         (callers fall back to scoring the materialized chain; the two
         built-in families cover every score used in this reproduction).
         """
+        node = self._node[block_id]
         if isinstance(score, LengthScore):
-            return float(self._height[block_id])
+            return float(self._height[node])
         if isinstance(score, WeightScore):
-            base = self._cum_weight[block_id]
-            return float(base + score.min_increment * self._height[block_id])
+            base = self._cum_weight[node]
+            return float(base + score.min_increment * self._height[node])
         return None
 
-    def read_scores(self, score: ScoreFunction) -> Sequence[float]:
-        """Score of every chain in the read table (index-backed when possible).
+    def read_scores(self, score: ScoreFunction) -> np.ndarray:
+        """Score of every chain in the read table, as a float64 array.
 
-        Kept for the score function last asked for and extended as reads
-        arrive, so the properties that compare scores share one pass.
+        Off the tree's columns for the index-backed score families (the
+        same float operations as :meth:`path_score`); any other score
+        function scores the chains themselves.  Kept for the score
+        function last asked for and extended as reads arrive, so the
+        properties that compare scores share one pass.
         """
         if self._scored_by != score:
-            self._scored_by, self._scores = score, []
-        scores = self._scores
-        for read in self.reads[len(scores) :]:
-            value = self.path_score(self._read_tips[read.eid], score)
-            scores.append(value if value is not None else score(read.chain))
-        return scores
+            self._scored_by, self._scores = score, _NO_SCORES
+        done = len(self._scores)
+        if done < len(self.reads):
+            tips = self.read_table()[0][done:]
+            if isinstance(score, (LengthScore, WeightScore)):
+                heights = np.array(self._height, dtype=np.int64)[tips]
+                if isinstance(score, LengthScore):
+                    new = heights.astype(np.float64)
+                else:
+                    cum = np.array(self._cum_weight, dtype=np.float64)[tips]
+                    new = cum + score.min_increment * heights
+            else:
+                new = np.array(
+                    [score(read.chain) for read in self.reads[done:]], dtype=np.float64
+                )
+            self._scores = np.concatenate((self._scores, new)) if done else new
+        return self._scores
 
     def mcps_of_tips(
         self,
@@ -353,52 +447,48 @@ class ConsistencyIndex:
 
     # -- counting without enumerating pairs -----------------------------------
 
-    def diverging_pair_count(self, tips: Sequence[str]) -> int:
-        """Number of pairs ``i < j`` whose chains ``tips[i]``, ``tips[j]`` diverge.
+    def diverging_pair_count(self, tips: np.ndarray) -> int:
+        """Number of pairs ``i < j`` whose chains, ending at nodes ``tips[i]``
+        and ``tips[j]``, diverge.
 
-        All pairs minus the comparable ones.  A tip is comparable with
-        its own copies and with the tips on its root path, whose
-        multiplicities accumulate root-first over the parents-first
-        insertion order: O(blocks + tips), no pair is visited.
+        All pairs minus the comparable ones.  A tip is comparable with its
+        own copies and with the tips on its root path: with ``m`` tips per
+        node and ``above`` of them strictly on the root path,
+        ``Σ m·(m-1)/2 + m·above`` — O(blocks + tips), no pair is visited.
         """
-        multiplicity = Counter(tips)
-        comparable = 0
-        above: Dict[str, int] = {}  # tips on the strict root path, per block
-        for block_id, parent in self._parent.items():
-            on_path = 0 if parent is None else above[parent] + multiplicity.get(parent, 0)
-            above[block_id] = on_path
-            copies = multiplicity.get(block_id, 0)
-            comparable += copies * (copies - 1) // 2 + copies * on_path
-        return len(tips) * (len(tips) - 1) // 2 - comparable
+        n = len(tips)
+        if n < 2:
+            return 0
+        multiplicity = np.bincount(tips, minlength=len(self._blocks))
+        above = self.on_path(multiplicity) - multiplicity
+        comparable = multiplicity * (multiplicity - 1) // 2 + multiplicity * above
+        return n * (n - 1) // 2 - int(comparable.sum())
 
-    def later_diverging_counts(self, tips: Sequence[str]) -> List[int]:
-        """Per position ``i``, how many later ``tips[j]`` diverge from ``tips[i]``.
+    def last_diverging(self, tips: np.ndarray) -> np.ndarray:
+        """Per position ``i``, the last position whose tip diverges from ``tips[i]`` (-1: none).
 
-        One backward sweep over the DFS interval labels, O(tips · log
-        blocks): ``below`` holds the later tips by label, so a subtree is
-        a label range; ``above`` holds +1 over each later tip's subtree
-        (as a difference array), so a point query counts the later tips
-        on the root path.  Equal tips are in both, hence ``same``.
+        Two chains diverge iff their tips' DFS label intervals are
+        disjoint: the other tip's subtree closes before this one opens
+        (``tout < tin``) or opens after this one closes (``tin > tout``).
+        With the last position of each distinct tip, a running maximum
+        over each label order answers both sides: O(tips + D·log D) for
+        D distinct tips, no pair is visited.
         """
         self._ensure_labels()
-        tin, tout = self._tin, self._tout
-        slots = 2 * len(self._blocks) + 1
-        below, above = _Fenwick(slots), _Fenwick(slots)
-        copies: Dict[str, int] = {}
-        counts = [0] * len(tips)
-        for i in range(len(tips) - 1, -1, -1):
-            tip = tips[i]
-            first, last = tin[tip], tout[tip]
-            same = copies.get(tip, 0)
-            comparable = (
-                below.prefix(last + 1) - below.prefix(first) + above.prefix(first + 1) - same
-            )
-            counts[i] = len(tips) - 1 - i - comparable
-            below.add(first, 1)
-            above.add(first, 1)
-            above.add(last + 1, -1)
-            copies[tip] = same + 1
-        return counts
+        distinct, from_end = np.unique(tips[::-1], return_index=True)
+        last = len(tips) - 1 - from_end
+        tin = np.array(self._tin, dtype=np.int64)[distinct]
+        tout = np.array(self._tout, dtype=np.int64)[distinct]
+        by_out, by_in = np.argsort(tout), np.argsort(tin)
+        # Closed before: the tips whose tout is below tin, a prefix in tout order.
+        closed = np.searchsorted(tout[by_out], tin)
+        running = np.concatenate(([-1], np.maximum.accumulate(last[by_out])))
+        before = running[closed]
+        # Opened after: the tips whose tin is above tout, a suffix in tin order.
+        opened = np.searchsorted(tin[by_in], tout, side="right")
+        running = np.concatenate((np.maximum.accumulate(last[by_in][::-1])[::-1], [-1]))
+        after = running[opened]
+        return np.maximum(before, after)[np.searchsorted(distinct, tips)]
 
     def eventual_prefix_breaches(
         self,
@@ -420,7 +510,7 @@ class ConsistencyIndex:
         reads.
         """
         reads = [self.reads[at] for at in limits]
-        tips = [self._read_tips[read.eid] for read in reads]
+        tips = [self.read_tip(at) for at in limits]
         for x in range(len(limits)):
             for y in range(x + 1, len(limits)):
                 if self.prefix_related(tips[x], tips[y]):
@@ -490,9 +580,10 @@ class ConsistencyMonitor:
     """Online consistency reports over a stream of history events.
 
     Subscribe the monitor to a live :class:`HistoryRecorder` with
-    :meth:`attach` (or feed it a recorded history with :meth:`replay`);
-    it enters every append invocation and read response in its
-    :class:`ConsistencyIndex` as they arrive, O(1) amortized per event.
+    :meth:`attach` (or feed it a recorded history with :meth:`replay`,
+    which reads only the history's indexed append invocations and read
+    responses); it enters every append invocation and read response in
+    its :class:`ConsistencyIndex` as they arrive, O(1) amortized per event.
     :meth:`reports` hands that index to
     :func:`repro.core.consistency.check_consistency`: the verdicts,
     counts and witnesses are the ones the post-hoc checkers return on the
@@ -525,9 +616,26 @@ class ConsistencyMonitor:
         return self
 
     def replay(self, history: History) -> "ConsistencyMonitor":
-        """Feed an already recorded history through the monitor."""
-        for event in history:
-            self.observe(event)
+        """Feed an already recorded history through the monitor.
+
+        The index is fed what :meth:`observe` would enter, in the same
+        order — the append invocations and the read responses, merged by
+        eid — off the history's own index; the other events only count,
+        once the whole history is in (a replay that raises counts none).
+        """
+        self._reports = None
+        index = self.index
+        appends = history.append_invocations()
+        taken = 0
+        for read in history.read_responses():
+            while taken < len(appends) and appends[taken].eid < read.eid:
+                self._note_append(appends[taken])
+                taken += 1
+            if isinstance(read.output, Blockchain):
+                index.add_read(read)
+        for invocation in appends[taken:]:
+            self._note_append(invocation)
+        self.events_seen += len(history)
         return self
 
     # -- event intake ---------------------------------------------------------
@@ -539,10 +647,14 @@ class ConsistencyMonitor:
         """
         self.events_seen += 1
         self._reports = None
-        if event.is_append_invocation and isinstance(event.argument, Block):
-            self.index.note_append(event.argument.block_id, event.eid)
+        if event.is_append_invocation:
+            self._note_append(event)
         elif event.is_read_response and isinstance(event.output, Blockchain):
             self.index.add_read(event)
+
+    def _note_append(self, invocation: Event) -> None:
+        if isinstance(invocation.argument, Block):
+            self.index.note_append(invocation.argument.block_id, invocation.eid)
 
     @property
     def reads_seen(self) -> int:

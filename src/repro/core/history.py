@@ -19,13 +19,23 @@ which is what the consistency checkers rely on: all the paper's criteria
 quantify over events ordered by ``↗``, and evaluating them over the finer
 total order is equivalent because the recorded executions come from a
 single run (the paper's fictional global clock).
+
+A history is indexed by what the consistency analysis reads: the
+positions of its read responses, append invocations and append responses
+in the event list, derived in the one pass that builds the history (a
+history from :meth:`HistoryRecorder.history` is already in eid order and
+is not sorted again).  The selectors answer from those positions, so an
+analysis touches only the events it checks, and the per-process buckets
+behind :meth:`History.events_of` are built only when asked for.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.block import Blockchain
@@ -134,6 +144,27 @@ class OperationToken:
     invocation_eid: int
 
 
+_eid = attrgetter("eid")
+
+
+def _positions(events: List[Event]) -> Tuple["array[int]", "array[int]", "array[int]"]:
+    """Where the read responses, append invocations and append responses
+    sit in ``events``, in one pass (int64 arrays: a recorded history holds
+    tens of thousands)."""
+    reads, appends, append_responses = array("q"), array("q"), array("q")
+    for position, event in enumerate(events):
+        operation = event.operation
+        if operation == "read":
+            if event.kind is EventKind.RESPONSE:
+                reads.append(position)
+        elif operation == "append":
+            if event.kind is EventKind.INVOCATION:
+                appends.append(position)
+            elif event.kind is EventKind.RESPONSE:
+                append_responses.append(position)
+    return reads, appends, append_responses
+
+
 class History:
     """An immutable-ish concurrent history: a sequence of events plus orders.
 
@@ -142,15 +173,23 @@ class History:
     """
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
-        self._events: List[Event] = sorted(events, key=lambda e: e.eid)
-        self._by_process: Dict[str, List[Event]] = {}
-        for event in self._events:
-            self._by_process.setdefault(event.process, []).append(event)
-        # Memo for the filtered event selectors below.  A History never
-        # mutates after construction, but one report invokes the selectors
-        # many times (every consistency checker starts from
-        # ``read_responses()``), so the filtered tuples are computed once.
-        self._selector_memo: Dict[Tuple[str, Optional[str]], Tuple[Event, ...]] = {}
+        self._adopt(sorted(events, key=_eid))
+
+    @classmethod
+    def _ordered(cls, events: List[Event]) -> "History":
+        """A history owning ``events``, which are already in eid order."""
+        history = cls.__new__(cls)
+        history._adopt(events)
+        return history
+
+    def _adopt(self, events: List[Event]) -> None:
+        self._events = events
+        self._reads, self._appends, self._append_responses = _positions(events)
+        self._by_process: Optional[Dict[str, List[Event]]] = None
+        # The selected tuples, per (selector, process): one report asks
+        # for them many times, and a selector returns the same tuple
+        # object on every call.
+        self._selected: Dict[Tuple[str, Optional[str]], Tuple[Event, ...]] = {}
 
     # -- container protocol ----------------------------------------------------
 
@@ -167,54 +206,62 @@ class History:
     def events(self) -> Tuple[Event, ...]:
         return tuple(self._events)
 
+    def _buckets(self) -> Dict[str, List[Event]]:
+        """Per-process event lists, built on the first ask."""
+        if self._by_process is None:
+            by_process: Dict[str, List[Event]] = {}
+            for event in self._events:
+                by_process.setdefault(event.process, []).append(event)
+            self._by_process = by_process
+        return self._by_process
+
     @property
     def processes(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._by_process))
+        return tuple(sorted(self._buckets()))
 
     def events_of(self, process: str) -> Tuple[Event, ...]:
         """All events of ``process`` in process order ``↦``."""
-        return tuple(self._by_process.get(process, ()))
+        return tuple(self._buckets().get(process, ()))
 
     # -- event selectors -------------------------------------------------------
 
-    def read_responses(self, process: Optional[str] = None) -> Tuple[Event, ...]:
-        """All ``read`` response events (optionally of a single process).
+    def _select(
+        self, name: str, positions: "array[int]", process: Optional[str]
+    ) -> Tuple[Event, ...]:
+        key = (name, process)
+        selected = self._selected.get(key)
+        if selected is None:
+            if process is None:
+                events = self._events
+                selected = tuple([events[position] for position in positions])
+            else:
+                selected = tuple(
+                    e for e in self._select(name, positions, None) if e.process == process
+                )
+            self._selected[key] = selected
+        return selected
 
-        Cached per process argument: the consistency checkers call this
-        several times per report on the same immutable history.
-        """
-        key = ("read_responses", process)
-        cached = self._selector_memo.get(key)
-        if cached is None:
-            pool = self._events if process is None else self._by_process.get(process, [])
-            cached = tuple(e for e in pool if e.is_read_response)
-            self._selector_memo[key] = cached
-        return cached
+    def read_responses(self, process: Optional[str] = None) -> Tuple[Event, ...]:
+        """All ``read`` response events (optionally of a single process)."""
+        return self._select("read_responses", self._reads, process)
 
     def read_invocations(self, process: Optional[str] = None) -> Tuple[Event, ...]:
-        pool = self._events if process is None else self._by_process.get(process, [])
+        pool = self._events if process is None else self._buckets().get(process, [])
         return tuple(
             e for e in pool if e.kind is EventKind.INVOCATION and e.operation == "read"
         )
 
     def append_invocations(self, process: Optional[str] = None) -> Tuple[Event, ...]:
-        """All ``append`` invocation events (cached, like ``read_responses``)."""
-        key = ("append_invocations", process)
-        cached = self._selector_memo.get(key)
-        if cached is None:
-            pool = self._events if process is None else self._by_process.get(process, [])
-            cached = tuple(e for e in pool if e.is_append_invocation)
-            self._selector_memo[key] = cached
-        return cached
+        """All ``append`` invocation events (optionally of a single process)."""
+        return self._select("append_invocations", self._appends, process)
 
     def append_responses(
         self, process: Optional[str] = None, successful_only: bool = False
     ) -> Tuple[Event, ...]:
-        pool = self._events if process is None else self._by_process.get(process, [])
-        events = (e for e in pool if e.is_append_response)
+        responses = self._select("append_responses", self._append_responses, process)
         if successful_only:
-            events = (e for e in events if bool(e.output))
-        return tuple(events)
+            return tuple(e for e in responses if bool(e.output))
+        return responses
 
     def replication_events(self, kind: EventKind) -> Tuple[Event, ...]:
         """All ``send``/``receive``/``update`` events of the given kind."""
@@ -226,7 +273,7 @@ class History:
         """The response event carrying the same ``op_id``, if it exists."""
         if invocation.kind is not EventKind.INVOCATION:
             raise ValueError("matching_response expects an invocation event")
-        for event in self._by_process.get(invocation.process, ()):  # same process
+        for event in self._buckets().get(invocation.process, ()):  # same process
             if event.kind is EventKind.RESPONSE and event.op_id == invocation.op_id:
                 return event
         return None
@@ -235,7 +282,7 @@ class History:
         """The invocation event carrying the same ``op_id``, if it exists."""
         if response.kind is not EventKind.RESPONSE:
             raise ValueError("matching_invocation expects a response event")
-        for event in self._by_process.get(response.process, ()):
+        for event in self._buckets().get(response.process, ()):
             if event.kind is EventKind.INVOCATION and event.op_id == response.op_id:
                 return event
         return None
@@ -288,7 +335,7 @@ class History:
     def restricted_to(self, processes: Iterable[str]) -> "History":
         """Sub-history containing only events of the given processes."""
         keep = set(processes)
-        return History(e for e in self._events if e.process in keep)
+        return History._ordered([e for e in self._events if e.process in keep])
 
     def correct_restriction(self, correct_processes: Iterable[str]) -> "History":
         """The event restriction of Definition 4.2 (Byzantine failure model).
@@ -308,26 +355,27 @@ class History:
                 return True
             return event.process in keep
 
-        return History(e for e in self._events if admitted(e))
+        return History._ordered([e for e in self._events if admitted(e)])
 
     def without_failed_appends(self) -> "History":
         """Purge unsuccessful append response events (and their invocations).
 
         Mirrors the paper's convention before the hierarchy comparison:
         "let us consider only the set of histories purged from the
-        unsuccessful append() response events".
+        unsuccessful append() response events".  A history with no failed
+        append is its own purge.
         """
         failed_ops = {
-            (e.process, e.op_id)
-            for e in self._events
-            if e.is_append_response and not bool(e.output)
+            (e.process, e.op_id) for e in self.append_responses() if not bool(e.output)
         }
-        return History(
-            e
-            for e in self._events
-            if not (
-                e.operation == "append" and (e.process, e.op_id) in failed_ops
-            )
+        if not failed_ops:
+            return self
+        return History._ordered(
+            [
+                e
+                for e in self._events
+                if not (e.operation == "append" and (e.process, e.op_id) in failed_ops)
+            ]
         )
 
     def merge(self, other: "History") -> "History":
@@ -340,7 +388,7 @@ class History:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"History(events={len(self._events)}, processes={len(self._by_process)}, "
+            f"History(events={len(self._events)}, processes={len(self._buckets())}, "
             f"reads={len(self.read_responses())}, appends={len(self.append_invocations())})"
         )
 
@@ -484,8 +532,9 @@ class HistoryRecorder:
     # -- extraction ----------------------------------------------------------------
 
     def history(self) -> History:
-        """Snapshot the recorded events as a :class:`History`."""
-        return History(self._events)
+        """Snapshot the recorded events (already in eid order) as a
+        :class:`History`."""
+        return History._ordered(list(self._events))
 
     def __len__(self) -> int:
         return len(self._events)

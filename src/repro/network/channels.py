@@ -44,6 +44,7 @@ model the helper loops ``delays_for``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -151,6 +152,17 @@ def _delays_one_by_one(channel: ChannelModel, fanouts: Sequence[Fanout]) -> np.n
     )
 
 
+def _finite(name: str, value: float) -> float:
+    """A channel parameter, refused by name unless a finite number.
+
+    A NaN or an infinity would only fail mid-run, where a delay is drawn.
+    """
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
+
+
 class SynchronousChannel:
     """Delivery within a known bound δ.
 
@@ -160,10 +172,11 @@ class SynchronousChannel:
     """
 
     def __init__(self, delta: float = 1.0, min_delay: float = 0.1, seed: int = 0) -> None:
+        delta, min_delay = _finite("delta", delta), _finite("min_delay", min_delay)
         if delta <= 0 or min_delay < 0 or min_delay > delta:
             raise ValueError("require 0 <= min_delay <= delta and delta > 0")
-        self.delta = float(delta)
-        self.min_delay = float(min_delay)
+        self.delta = delta
+        self.min_delay = min_delay
         self._rng = np.random.default_rng(seed)
 
     def delay_for(self, sender: str, receiver: str, now: float) -> Optional[float]:  # noqa: ARG002
@@ -227,13 +240,17 @@ class AsynchronousChannel:
         tail_factor: float = 20.0,
         seed: int = 0,
     ) -> None:
+        mean_delay = _finite("mean_delay", mean_delay)
+        tail_factor = _finite("tail_factor", tail_factor)
         if mean_delay <= 0:
             raise ValueError("mean_delay must be positive")
         if not 0 <= tail_probability <= 1:
             raise ValueError("tail_probability must be in [0, 1]")
-        self.mean_delay = float(mean_delay)
+        if tail_factor < 0:
+            raise ValueError(f"tail_factor must be non-negative, got {tail_factor!r}")
+        self.mean_delay = mean_delay
         self.tail_probability = float(tail_probability)
-        self.tail_factor = float(tail_factor)
+        self.tail_factor = tail_factor
         self._rng = np.random.default_rng(seed)
 
     def delay_for(self, sender: str, receiver: str, now: float) -> Optional[float]:  # noqa: ARG002
@@ -289,9 +306,10 @@ class PartiallySynchronousChannel:
         pre_gst_mean: float = 5.0,
         seed: int = 0,
     ) -> None:
+        gst = _finite("gst", gst)
         if gst < 0:
             raise ValueError("GST must be non-negative")
-        self.gst = float(gst)
+        self.gst = gst
         self._post = SynchronousChannel(delta=delta, seed=seed)
         self._pre = AsynchronousChannel(mean_delay=pre_gst_mean, seed=seed + 1)
 

@@ -767,7 +767,9 @@ class ArrayEventCore:
         Mirrors the heap core's run loop contract: stops once the next event
         would pass ``until`` (leaving it queued), stops at ``max_events``,
         advances ``sim.now`` before each dispatch, and accounts processed
-        events on the simulator even if a callback raises.  The run cursor
+        events on the simulator even if a callback raises (the event that
+        raised is consumed but not processed, as the heap core pops it
+        uncounted).  The run cursor
         is kept in a local and written back on every exit path (including
         exceptions); the loop itself is the only reader in between.
 
@@ -946,6 +948,9 @@ class ArrayEventCore:
             if self._lanes:
                 # The lane events sorting before the one that raised were passed.
                 processed += self._pass_lanes(sim, sim.now, self._mark, max_events - processed)[0]
+            # The event whose callback raised has left the store uncounted
+            # (a span handler counts a delivery once ``on_message`` returns).
+            self._consumed += 1
             raise
         finally:
             self._draining = False

@@ -945,8 +945,9 @@ class Network:
         Invoked by the drain loop for run entries ``pos:end`` that all
         share the interned ``_deliver_multicast``, with ``budget`` events
         left in the drain call; each arg is an int code ``slot << 16 |
-        receiver index``.  ``cell`` ends as ``[events consumed, run position
-        reached]``, also when a callback raises.
+        receiver index``.  ``cell`` ends as ``[events processed, run
+        position reached]``, also when a callback raises: the delivery whose
+        ``on_message`` raised is behind that position but not counted.
 
         The span is cut once, up front, where the scalar loop would stop:
         at ``until``, at the budget and before the overflow head
@@ -1059,17 +1060,19 @@ class Network:
                         now = time
                         sim.now = time
                     process = processes.get(pids[code & 0xFFFF])
-                    count += 1
                     k += 1
                     if process is None:
                         quarantined += 1
+                        count += 1
                         continue
                     if not process.alive:
+                        count += 1
                         continue
                     delivered += 1
                     if lanes:  # what a lane has due (see ArrayEventCore.drain)
                         core._mark = seqs[k - 1]
                     process.on_message(envelopes[code >> 16])
+                    count += 1
                 # The dispatch may have pushed an overflow event that cuts
                 # the span earlier, or changed membership or liveness.
                 if overflow:

@@ -205,4 +205,6 @@ def test_weight_score_mcps_is_bit_identical():
     history = rec.history()
     score = WeightScore(min_increment=0.25)
     index = ConsistencyIndex.from_history(history)
-    assert index.read_scores(score) == [score(read.chain) for read in history.read_responses()]
+    assert index.read_scores(score).tolist() == [
+        score(read.chain) for read in history.read_responses()
+    ]

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.block import Block, Blockchain, GENESIS, GENESIS_ID
 from repro.core.consistency import BlockValidityChecker
 from repro.core.consistency_index import (
     ConsistencyIndex,
+    ConsistencyMonitor,
     InconsistentChainError,
     count_exceeding_before,
 )
@@ -19,6 +23,11 @@ from tests.core.reference_consistency import _ReferenceBlockValidityChecker, bou
 
 def _chain(*blocks: Block) -> Blockchain:
     return Blockchain((GENESIS, *blocks))
+
+
+def _nodes(index: ConsistencyIndex, *block_ids: str) -> np.ndarray:
+    nodes = index.block_ids()
+    return np.array([nodes.index(block_id) for block_id in block_ids], dtype=np.int64)
 
 
 @pytest.fixture()
@@ -42,7 +51,9 @@ class TestMerging:
         a1, a2 = forked_index.block("a1"), forked_index.block("a2")
         new = forked_index.add_chain(_chain(a1, a2), read_eid=40)
         assert new == []
-        assert forked_index.read_tip(40) == "a2"
+        forked_index.add_read(HistoryRecorder().complete("p", "read", None, _chain(a1, a2)))
+        assert forked_index.read_tip(0) == "a2"
+        assert forked_index.first_seen_read("a2") == 10
 
     def test_heights_and_weights(self, forked_index):
         assert forked_index.height_of("a3") == 3
@@ -116,16 +127,59 @@ class TestReadTable:
         first = rec.complete("p", "read", None, _chain(b1))
         forked_index.add_read(first)
         assert forked_index.reads == [first]
-        assert forked_index.read_tip(first.eid) == "b1"
-        assert forked_index.read_scores(LengthScore()) == [1.0]
+        assert forked_index.read_tip(0) == "b1"
+        assert forked_index.read_scores(LengthScore()).tolist() == [1.0]
         second = rec.complete("q", "read", None, _chain(a1, a2, a3))
         forked_index.add_read(second)
         assert forked_index.reads == [first, second]
         # Extended for the new read; recomputed for another score function;
         # a score with no cached column scores the chains themselves.
-        assert forked_index.read_scores(LengthScore()) == [1.0, 3.0]
-        assert forked_index.read_scores(WeightScore()) == [0.5, 4.0]
-        assert forked_index.read_scores(lambda chain: 2.0 * chain.length) == [2.0, 6.0]
+        assert forked_index.read_scores(LengthScore()).tolist() == [1.0, 3.0]
+        assert forked_index.read_scores(WeightScore()).tolist() == [0.5, 4.0]
+        assert forked_index.read_scores(lambda chain: 2.0 * chain.length).tolist() == [2.0, 6.0]
+
+
+class TestReadIntake:
+    """A read whose tip object the index holds is entered in O(1); any
+    other read is merged by the walk, content check included."""
+
+    def test_an_equal_copy_of_a_known_chain_is_accepted(self, forked_index):
+        rec = HistoryRecorder()
+        copies = [replace(forked_index.block(b)) for b in ("a1", "a2", "a3")]
+        assert copies[-1] is not forked_index.block("a3")
+        forked_index.add_read(rec.complete("p", "read", None, _chain(*copies)))
+        assert len(forked_index) == 6
+        assert forked_index.read_tip(0) == "a3"
+        assert forked_index.read_table()[0].tolist() == _nodes(forked_index, "a3").tolist()
+
+    def test_a_known_id_with_other_content_is_refused(self, forked_index):
+        rec = HistoryRecorder()
+        impostor = Block("a2", "a1", weight=99.0)
+        read = rec.complete("p", "read", None, _chain(forked_index.block("a1"), impostor))
+        with pytest.raises(InconsistentChainError, match="'a2' carries different content"):
+            forked_index.add_read(read)
+        assert forked_index.reads == []
+
+    def test_the_known_tip_object_takes_no_walk(self, forked_index, monkeypatch):
+        rec = HistoryRecorder()
+        a1, a2 = forked_index.block("a1"), forked_index.block("a2")
+        monkeypatch.setattr(forked_index, "_merge", None)  # a walk would raise TypeError
+        forked_index.add_read(rec.complete("p", "read", None, _chain(a1, a2)))
+        forked_index.add_read(rec.complete("q", "read", None, _chain(a1, a2)))
+        tips, processes, eids = forked_index.read_table()
+        assert tips.tolist() == _nodes(forked_index, "a2", "a2").tolist()
+        assert processes.tolist() == [0, 1]
+        assert eids.tolist() == [read.eid for read in forked_index.reads]
+
+    def test_a_replay_that_raises_counts_no_event(self):
+        rec = HistoryRecorder()
+        a1 = Block("a1", GENESIS_ID)
+        rec.complete("p", "read", None, _chain(a1))
+        rec.complete("q", "read", None, _chain(Block("a1", GENESIS_ID, weight=9.0)))
+        monitor = ConsistencyMonitor()
+        with pytest.raises(InconsistentChainError):
+            monitor.replay(rec.history())
+        assert monitor.events_seen == 0
 
 
 class TestCounting:
@@ -133,17 +187,22 @@ class TestCounting:
 
     def test_diverging_pair_count(self, forked_index):
         # Zero iff the tips are totally ordered (the Strong Prefix verdict).
-        assert forked_index.diverging_pair_count(["a1", "a2", "a3", "a1"]) == 0
-        assert forked_index.diverging_pair_count([]) == 0
-        assert forked_index.diverging_pair_count(["a1", "b2"]) == 1
+        index = forked_index
+        assert index.diverging_pair_count(_nodes(index, "a1", "a2", "a3", "a1")) == 0
+        assert index.diverging_pair_count(_nodes(index)) == 0
+        assert index.diverging_pair_count(_nodes(index, "a1", "b2")) == 1
         # 3 reads on branch a × 2 on branch b; the genesis read joins neither side.
-        assert forked_index.diverging_pair_count(["a3", "b1", "b0", "a1", "b2", "a3"]) == 6
+        tips = _nodes(index, "a3", "b1", "b0", "a1", "b2", "a3")
+        assert index.diverging_pair_count(tips) == 6
 
-    def test_later_diverging_counts(self, forked_index):
-        tips = ["a3", "b1", "b0", "a1", "b2", "a3"]
-        counts = forked_index.later_diverging_counts(tips)
-        assert counts == [2, 2, 0, 1, 1, 0]
-        assert sum(counts) == forked_index.diverging_pair_count(tips)
+    def test_on_path_sums_over_the_root_path(self, forked_index):
+        weights = np.arange(1, 7, dtype=np.int64)  # b0, a1, a2, a3, b1, b2 weigh 1..6
+        assert forked_index.on_path(weights).tolist() == [1, 3, 6, 10, 6, 12]
+
+    def test_last_diverging(self, forked_index):
+        tips = _nodes(forked_index, "a3", "b1", "b0", "a1", "b2", "a3")
+        assert forked_index.last_diverging(tips).tolist() == [4, 5, -1, 4, 5, 4]
+        assert forked_index.last_diverging(_nodes(forked_index, "a1", "a3")).tolist() == [-1, -1]
 
     def test_eventual_prefix_breaches(self, forked_index):
         # An eight-read table whose reads 5, 6 and 7 returned a3, a2 and b2.

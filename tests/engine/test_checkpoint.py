@@ -103,6 +103,24 @@ class TestCheckpointFormat:
         assert result.history.events  # the continued run finished
 
 
+    def test_a_restored_run_hands_out_the_same_indexed_history(self):
+        """The history of a run resumed mid-way selects what an
+        uninterrupted run's does."""
+        spec = _spec(
+            channel=ChannelSpec(kind="synchronous", params={"delta": 3.0, "min_delay": 0.5}),
+            params={"token_rate": 0.4},
+        )
+        clean = spec.execute().run.history
+        snapshot = SimulationCheckpoint.from_bytes(_one_snapshot(spec).to_bytes())
+        resumed = resume_spec_from_checkpoint(spec, snapshot).run.history
+        assert clean.read_responses() and clean.append_invocations()
+        assert resumed.events == clean.events
+        for selector in ("read_responses", "append_invocations", "append_responses"):
+            assert getattr(resumed, selector)() == getattr(clean, selector)()
+        assert (
+            resumed.without_failed_appends().events == clean.without_failed_appends().events
+        )
+
     def test_monitored_run_restores_inside_the_main_phase(self):
         """The streaming monitor is part of the snapshot: restored, it is
         still the recorder's subscriber and ends with the same reports."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.network.channels import (
@@ -74,6 +76,28 @@ class TestPartiallySynchronousChannel:
     def test_negative_gst_rejected(self):
         with pytest.raises(ValueError):
             PartiallySynchronousChannel(gst=-1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SynchronousChannel(delta=math.nan), "delta must be finite, got nan"),
+        (lambda: SynchronousChannel(delta=math.inf), "delta must be finite, got inf"),
+        (lambda: SynchronousChannel(min_delay=math.nan), "min_delay must be finite, got nan"),
+        (lambda: AsynchronousChannel(mean_delay=math.nan), "mean_delay must be finite, got nan"),
+        (lambda: AsynchronousChannel(mean_delay=math.inf), "mean_delay must be finite, got inf"),
+        (lambda: AsynchronousChannel(tail_factor=math.inf), "tail_factor must be finite, got inf"),
+        (
+            lambda: AsynchronousChannel(tail_factor=-2.0),
+            "tail_factor must be non-negative, got -2.0",
+        ),
+        (lambda: PartiallySynchronousChannel(gst=math.nan), "gst must be finite, got nan"),
+        (lambda: PartiallySynchronousChannel(gst=math.inf), "gst must be finite, got inf"),
+    ],
+)
+def test_a_non_finite_parameter_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 class TestLossyChannel:

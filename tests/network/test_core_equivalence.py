@@ -43,7 +43,7 @@ from repro.network.channels import (
 )
 from repro.network.event_core import ArrayEventCore
 from repro.network.faults import available_faults
-from repro.network.simulator import Network
+from repro.network.simulator import Network, Simulator
 from repro.protocols.base import BlockchainReplica
 from tests.network.column_script import ListSink, Script, play
 from tests.network.flood_script import (
@@ -440,15 +440,32 @@ def test_a_raising_callback_leaves_the_lane_accounting_exact():
         states[core] = [script.state()]
         script.sim.run()
         states[core].append(script.state())
-    # ``pending`` aside: the array core keeps counting the event that
-    # raised as pending, whatever the lanes hold.
-    for array, heap in zip(states["array"], states["heap"]):
-        assert array[:4] == heap[:4] and array[4] == heap[4] + 1
+    assert states["array"] == states["heap"]
     (_, sinks, now, processed, pending), final = states["heap"]
     assert (now, processed, pending) == (0.125, 8, 6)
     assert sinks == [[1, 2, 3, 4], [8, 9], [11, 12]]
     assert final[1] == [[1, 2, 3, 4, 5, 6, 7], [8, 9, 10], [11, 12, 13]]
     assert final[3:] == (14, 0)
+
+
+@pytest.mark.parametrize(
+    "boom",
+    [lambda: _raise(None), partial(int, "callback failed")],
+    ids=["python_callback", "builtin_callback"],
+)
+def test_an_event_that_raised_is_consumed_not_processed(boom):
+    """The event whose callback raised leaves the store uncounted: a
+    resumed one-event run processes the next event and quiesces."""
+    for core in ("array", "heap"):
+        sim = Simulator(core=core)
+        fired = []
+        sim.schedule(1.0, boom)
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        with pytest.raises((RuntimeError, ValueError), match="callback failed"):
+            sim.run()
+        assert (sim.events_processed, sim.pending) == (0, 1), core
+        assert sim.run(max_events=1) == 1
+        assert (fired, sim.events_processed, sim.pending) == ([2.0], 1, 0), core
 
 
 def test_schedule_column_validates_like_schedule_block():
@@ -966,13 +983,8 @@ def test_a_raising_callback_mid_span_flushes_what_it_parked():
         array = _drain_through_booms(flood, _CUTS)
     heap = _drain_through_booms(_block_flood("heap", actions=actions), _CUTS)
     assert [state[-1] for state in array].count("boom") == 3
-    # A span counts the raising delivery as processed, the heap loop does
-    # not (``events_processed``, index 2): that count aside, the two runs
-    # agree after every step.
-    assert [state[:2] + state[3:] for state in array] == [
-        state[:2] + state[3:] for state in heap
-    ]
-    assert array[-1][2] == heap[-1][2] + 3
+    # The raising delivery is consumed but not processed on both cores.
+    assert array == heap
     assert seen["parked"] > 0 and not flood.network._parked
     _assert_every_method_released(flood.sim._array_core)
 

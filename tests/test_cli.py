@@ -599,6 +599,23 @@ class TestFaultFlags:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("delays", ("nan", "inf", "1.0,nan"))
+    def test_a_delay_that_is_not_finite_is_a_usage_error_before_any_run(
+        self, capsys, tmp_path, delays
+    ):
+        out = tmp_path / "results.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", "--protocol", "bitcoin", "--duration", "20",
+                f"--delays={delays}", "--out", str(out),
+            ])
+        assert excinfo.value.code == 2
+        bad = delays.rpartition(",")[2]
+        assert capsys.readouterr().err == (
+            f"repro sweep: error: channel 'synchronous': delta must be finite, got {bad}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fault, unknown",
         [('silent:members=["p9"]', "['p9']"), ('crash:at={"p9": 5, "p4": 2}', "['p4', 'p9']")],
