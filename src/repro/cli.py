@@ -39,7 +39,7 @@ import inspect
 import json
 import math
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import render_classification_table, render_table
 from repro.core.consistency import check_eventual_consistency, check_strong_consistency
@@ -359,21 +359,30 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _parse_axis(text: Optional[str], cast: Callable[[str], Any]) -> Optional[List[Any]]:
-    """Parse ``'0:8'`` (range), ``'a,b,c'`` (list) or a single value."""
+def _usage_error(command: str, message: str) -> NoReturn:
+    """One ``repro <command>: error: ...`` line on stderr, exit status 2."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_axis(text: Optional[str], cast: Callable[[str], Any], flag: str) -> Optional[List[Any]]:
+    """Parse ``'0:8'`` (range), ``'a,b,c'`` (list) or a single value; an
+    axis with no value would make a grid of no cells, a usage error."""
     if text is None:
         return None
     text = text.strip()
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return [cast(str(v)) for v in range(int(lo), int(hi))]
-        return [cast(v) for v in text.split(",") if v != ""]
+            values = [cast(str(v)) for v in range(int(lo), int(hi))]
+        else:
+            values = [cast(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise SystemExit(
-            f"repro sweep: error: cannot parse axis value {text!r} "
-            "(expected 'lo:hi', 'a,b,c' or a single value)"
-        ) from None
+        expected = "'lo:hi', 'a,b,c' or a single value"
+        _usage_error("sweep", f"cannot parse {flag} value {text!r} (expected {expected})")
+    if not values:
+        _usage_error("sweep", f"{flag} {text!r} gives no values")
+    return values
 
 
 def _parse_bound(text: str) -> float:
@@ -500,12 +509,9 @@ def _check_fault_members(command: str, fault: FaultSpec, replica_counts: Sequenc
     try:
         fault.build(0).check_members(process_ids(n))
     except ValueError as error:
-        print(
-            f"repro {command}: error: fault {fault.kind!r}: {error} "
-            f"(a run of {n} replicas has p0..p{n - 1})",
-            file=sys.stderr,
+        _usage_error(
+            command, f"fault {fault.kind!r}: {error} (a run of {n} replicas has p0..p{n - 1})"
         )
-        raise SystemExit(2) from None
 
 
 def _check_channels(command: str, specs: Sequence[ExperimentSpec]) -> None:
@@ -524,8 +530,7 @@ def _check_channels(command: str, specs: Sequence[ExperimentSpec]) -> None:
         try:
             channel.build(0)
         except ValueError as error:
-            print(f"repro {command}: error: channel {channel.kind!r}: {error}", file=sys.stderr)
-            raise SystemExit(2) from None
+            _usage_error(command, f"channel {channel.kind!r}: {error}")
 
 
 def _parse_topology(text: str) -> TopologySpec:
@@ -742,13 +747,9 @@ def _parse_shard(text: str) -> tuple:
         index_text, count_text = text.split("/", 1)
         index, count = int(index_text), int(count_text)
     except ValueError:
-        raise SystemExit(
-            f"repro sweep: error: cannot parse --shard-index {text!r} (expected I/K, e.g. 0/4)"
-        ) from None
+        _usage_error("sweep", f"cannot parse --shard-index {text!r} (expected I/K, e.g. 0/4)")
     if count < 1 or not 0 <= index < count:
-        raise SystemExit(
-            f"repro sweep: error: --shard-index {text!r} out of range (need 0 <= I < K)"
-        )
+        _usage_error("sweep", f"--shard-index {text!r} out of range (need 0 <= I < K)")
     return index, count
 
 
@@ -806,9 +807,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     _require_positive(args.timeout, "--timeout", "sweep")
     _require_positive(args.checkpoint_every, "--checkpoint-every", "sweep")
     if args.retries < 0:
-        raise SystemExit(
-            f"repro sweep: error: --retries must be >= 0, got {args.retries}"
-        )
+        _usage_error("sweep", f"--retries must be >= 0, got {args.retries}")
     base = _regime_spec(
         args.protocol,
         replicas=args.replicas,
@@ -836,22 +835,24 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 )
             kinds.append(_parse_topology(item).kind)
         axes["topology"] = kinds
-    seeds = _parse_axis(args.seeds, int)
+    seeds = _parse_axis(args.seeds, int, "--seeds")
     if seeds is not None:
         axes["seed"] = seeds
-    replica_counts = _parse_axis(args.replica_counts, int)
+    replica_counts = _parse_axis(args.replica_counts, int, "--replica-counts")
     if replica_counts is not None:
+        if min(replica_counts) < 1:
+            _usage_error("sweep", f"--replica-counts must be >= 1, got {min(replica_counts)}")
         axes["replicas"] = replica_counts
-    delays = _parse_axis(args.delays, float)
+    delays = _parse_axis(args.delays, float, "--delays")
     if delays is not None:
         axes["channel.delta"] = delays
-    drops = _parse_axis(args.drops, float)
+    drops = _parse_axis(args.drops, float, "--drops")
     if drops is not None:
         axes["channel.drop_probability"] = drops
-    token_rates = _parse_axis(args.token_rates, float)
+    token_rates = _parse_axis(args.token_rates, float, "--token-rates")
     if token_rates is not None:
         axes["params.token_rate"] = token_rates
-    clients = _parse_axis(args.clients, int)
+    clients = _parse_axis(args.clients, int, "--clients")
     if clients is not None:
         axes["workload.clients"] = clients
     if args.client_rate is not None:
@@ -860,7 +861,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         base = base.with_updates(
             workload=dataclasses.replace(base.workload, client_rate=args.client_rate)
         )
-    bounds = _parse_axis(args.oracle_bounds, _parse_bound)
+    bounds = _parse_axis(args.oracle_bounds, _parse_bound, "--oracle-bounds")
     if bounds is not None:
         axes["oracle_k"] = bounds
     if base.fault is not None:
@@ -956,12 +957,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     duration = getattr(args, "duration", None)
     if duration is not None and not 0 <= duration < math.inf:
         # Every spec refuses it (a NaN or negative horizon), or it never ends.
-        print(
-            f"repro {args.command}: error: --duration must be a finite number >= 0, "
-            f"got {duration!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        _usage_error(args.command, f"--duration must be a finite number >= 0, got {duration!r}")
+    for flag in ("replicas", "jobs"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            _usage_error(args.command, f"--{flag} must be >= 1, got {value}")
     output = _COMMANDS[args.command](args)
     status = 0
     if isinstance(output, tuple):

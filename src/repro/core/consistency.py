@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.core.block import Block
 from repro.core.consistency_index import ConsistencyIndex, count_exceeding_before
-from repro.core.history import Event, History
+from repro.core.history import History
 from repro.core.score import LengthScore, ScoreFunction
 
 __all__ = [
@@ -248,30 +248,24 @@ class BlockValidityChecker:
                 bad[node] = 1
 
         found = _Witnesses()
-        tips = index.read_table()[0]
-        reads = index.reads
+        tips, procs, eids = index.read_table()
+        names = index.process_names()
         for i in np.flatnonzero(index.on_path(bad)[tips]).tolist():
-            read = reads[i]
+            eid = int(eids[i])
+            read = f"read {eid} at {names[procs[i]]} returned"
             # Possibly-bad block on the path: walk the chain and apply the
             # exact per-(read, block) rules of the reference oracle.
-            for block in read.chain:
+            for block in index.chains[i]:
                 if block.is_genesis:
                     continue
                 if validator is not None and not is_valid(block):
-                    found.add(
-                        f"read {read.eid} at {read.process} returned invalid "
-                        f"block {block.block_id}"
-                    )
+                    found.add(f"{read} invalid block {block.block_id}")
                 first_append = index.first_append(block.block_id)
                 if first_append is None:
+                    found.add(f"{read} block {block.block_id} that was never appended")
+                elif first_append >= eid:
                     found.add(
-                        f"read {read.eid} at {read.process} returned block "
-                        f"{block.block_id} that was never appended"
-                    )
-                elif first_append >= read.eid:
-                    found.add(
-                        f"read {read.eid} at {read.process} returned block "
-                        f"{block.block_id} appended only later (event {first_append})"
+                        f"{read} block {block.block_id} appended only later (event {first_append})"
                     )
         return found.result(self.name)
 
@@ -288,7 +282,7 @@ class LocalMonotonicReadChecker:
         self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        reads, scores = index.reads, index.read_scores(self.score)
+        scores = index.read_scores(self.score)
         procs = index.read_table()[1]
         # Each read against its process's previous one: the reads grouped
         # by process, in arrival order within a group.
@@ -300,9 +294,10 @@ class LocalMonotonicReadChecker:
         rank = np.empty(len(names), dtype=np.int64)
         rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
         first = np.lexsort((earlier, rank[procs[earlier]]))[:WITNESS_LIMIT]  # by process
+        read = index.read
         texts = tuple(
-            f"process {reads[i].process}: read {reads[k].eid} scored {scores_k} "
-            f"but later read {reads[i].eid} scored {scores_i}"
+            f"process {read(i).process}: read {read(k).eid} scored {scores_k} "
+            f"but later read {read(i).eid} scored {scores_i}"
             for k, i, scores_k, scores_i in zip(
                 earlier[first].tolist(),
                 later[first].tolist(),
@@ -335,22 +330,20 @@ class StrongPrefixChecker:
         count = index.diverging_pair_count(tips)
         if not count:
             return PropertyResult(self.name, True)
-        witnesses = islice(self._witnesses(index.reads, tips, index), WITNESS_LIMIT)
+        witnesses = islice(self._witnesses(tips, index), WITNESS_LIMIT)
         return PropertyResult(self.name, False, tuple(witnesses), count=count)
 
     @staticmethod
-    def _witnesses(
-        reads: Sequence[Event], tips: np.ndarray, index: ConsistencyIndex
-    ) -> Iterator[str]:
+    def _witnesses(tips: np.ndarray, index: ConsistencyIndex) -> Iterator[str]:
         last = index.last_diverging(tips)
         for i in np.flatnonzero(last > np.arange(len(tips))).tolist():
             tip = index.block_id(int(tips[i]))
             for j in range(i + 1, int(last[i]) + 1):
                 if not index.prefix_related(tip, index.block_id(int(tips[j]))):
+                    a, b = index.read(i), index.read(j)
                     yield (
-                        f"reads {reads[i].eid} ({reads[i].process}) and "
-                        f"{reads[j].eid} ({reads[j].process}) returned diverging "
-                        f"chains {reads[i].chain} vs {reads[j].chain}"
+                        f"reads {a.eid} ({a.process}) and {b.eid} ({b.process}) "
+                        f"returned diverging chains {a.chain} vs {b.chain}"
                     )
 
 
@@ -379,20 +372,21 @@ class EverGrowingTreeChecker:
         self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        reads, scores = index.reads, index.read_scores(self.score)
+        scores = index.read_scores(self.score)
         # Read i is stalled iff no later read outscores it: the maximum of
         # scores[i+1:] (a reversed running maximum) does not exceed its own.
         later_max = np.maximum.accumulate(scores[::-1])[::-1][1:]
         stalled = np.flatnonzero(~(later_max > scores[:-1]))
-        counts = len(reads) - 1 - stalled
+        counts = len(scores) - 1 - stalled
         eids = index.read_table()[2]
         details = {"stalled_reads": dict(zip(eids[stalled].tolist(), counts.tolist()))}
         if self.stall_threshold is None:
             return PropertyResult(self.name, True, (), details)
         hits = stalled[counts >= self.stall_threshold]
+        read = index.read
         texts = tuple(
-            f"read {reads[i].eid} at {reads[i].process} (score {s}) is followed "
-            f"by {len(reads) - 1 - i} reads none of which exceeds its score"
+            f"read {read(i).eid} at {read(i).process} (score {s}) is followed "
+            f"by {len(scores) - 1 - i} reads none of which exceeds its score"
             for i, s in zip(
                 hits[:WITNESS_LIMIT].tolist(), scores[hits[:WITNESS_LIMIT]].tolist()
             )
@@ -433,7 +427,7 @@ class EventualPrefixChecker:
         self, history: Optional[History], index: Optional[ConsistencyIndex] = None
     ) -> PropertyResult:
         index = _shared_index(history, index)
-        reads, scores = index.reads, index.read_scores(self.score)
+        scores = index.read_scores(self.score)
         procs = index.read_table()[1]
         # Increase points of the running maximum: the first read, and each
         # read scoring above every read before it.
@@ -443,7 +437,7 @@ class EventualPrefixChecker:
         ceilings = list(zip(rises.tolist(), scores[rises].tolist()))
         # Each process's final read, in process-code order.
         _, from_end = np.unique(procs[::-1], return_index=True)
-        limits = (len(reads) - 1 - from_end).tolist()
+        limits = (len(scores) - 1 - from_end).tolist()
         # Shared score per breached pair, keyed by its two final reads in
         # order: the pair is seen by the reads before the first of them.
         breached = {
@@ -459,25 +453,24 @@ class EventualPrefixChecker:
         positions: Dict[int, List[int]] = {}  # per process, where it reads
         for i, code in enumerate(procs.tolist()):
             positions.setdefault(code, []).append(i)
-        witnesses = islice(self._witnesses(reads, values, positions, breached), WITNESS_LIMIT)
+        witnesses = islice(self._witnesses(index, values, positions, breached), WITNESS_LIMIT)
         return PropertyResult(self.name, False, tuple(witnesses), count=count)
 
     @staticmethod
     def _witnesses(
-        reads: Sequence[Event],
+        index: ConsistencyIndex,
         scores: Sequence[float],
         positions: Dict[int, List[int]],
         breached: Dict[Tuple[int, int], float],
     ) -> Iterator[str]:
         # floor[i]: the lowest shared score among the breached pairs read i
         # sees; read i objects to some pair iff it scores above.
-        floor = [math.inf] * len(reads)
+        floor = [math.inf] * len(scores)
         for (cut, _), shared in breached.items():
             floor[cut - 1] = min(floor[cut - 1], shared)
-        for i in range(len(reads) - 2, -1, -1):
+        for i in range(len(scores) - 2, -1, -1):
             floor[i] = min(floor[i], floor[i + 1])
-        for i, read in enumerate(reads):
-            s = scores[i]
+        for i, s in enumerate(scores):
             if not s > floor[i]:
                 continue
             # Final reads of the processes still reading, by first read after i.
@@ -489,9 +482,9 @@ class EventualPrefixChecker:
                 for second in finals[x + 1 :]:
                     shared = breached.get((first, second) if first < second else (second, first))
                     if shared is not None and shared < s:
-                        a, b = reads[first], reads[second]
+                        a, b = index.read(first), index.read(second)
                         yield (
-                            f"after read {read.eid} (score {s}), reads {a.eid} "
+                            f"after read {index.read(i).eid} (score {s}), reads {a.eid} "
                             f"({a.process}) and {b.eid} ({b.process}) share a prefix "
                             f"of score only {shared}"
                         )

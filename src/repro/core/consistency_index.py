@@ -35,11 +35,11 @@ block, so it is all a consistency check reads: the checkers take an
 index, not a history, and evaluate their per-read rules as numpy
 formulas over those columns (:meth:`ConsistencyIndex.read_table`).
 
-Ingesting a history is near-linear: each distinct block is inserted once
-(O(1) amortized per block), and a read whose tip block the index already
-holds — the same object, as when every replica reads one shared block
-tree — is entered in O(1).  Any other chain is merged by a walk
-*tip-first* that stops at the first known block.
+Ingesting a history reads its columns, not events, in near-linear time:
+each distinct block is inserted once, the read table's eids and processes
+are gathers, and a distinct tip *object* costs one lookup when the index
+holds it (as when every replica reads one shared block tree), else a
+walk *tip-first* that stops at the first known block.
 
 Cumulative weights are accumulated root-first exactly like
 :class:`~repro.core.blocktree.BlockTree` maintains them, so the floats
@@ -66,6 +66,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import compress
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -117,11 +119,13 @@ class ConsistencyIndex:
         self._height = array("q")
         self._cum_weight = array("d")
         self._first_seen = array("q")
-        #: The read table: every read response entered, in arrival order.
-        self.reads: List[Event] = []
-        # ... and its columns, one row per read: the tip node of its chain,
-        # the code of its process (processes are numbered in order of first
-        # read) and its eid.
+        # The read table, one row per read response entered, in arrival
+        # order: the chain it returned, and as columns its tip node, process
+        # code (in order of first read) and eid.  Its events stay where they
+        # came from: runs of rows (first row, source, positions), the events
+        # of a history at ``positions`` or one event (``positions`` None).
+        self.chains: List[Blockchain] = []
+        self._runs: List[Tuple[int, Any, Optional[np.ndarray]]] = []
         self._tips = array("q")
         self._procs = array("q")
         self._eids = array("q")
@@ -146,19 +150,51 @@ class ConsistencyIndex:
         """Build and return the index of ``history`` (reads + append map)."""
         return cls().ingest(history)
 
-    def ingest(self, history: History) -> "ConsistencyIndex":
+    def ingest(self, history: History, skip_chainless: bool = False) -> "ConsistencyIndex":
         """Merge every read result of ``history`` and its append map.
 
-        A read response that carries no blockchain raises the
-        ``TypeError`` of :attr:`Event.chain`, which names the event (the
-        streaming monitor skips such events instead).
+        Off the history's columns, building no :class:`Event`: process codes
+        and eids are gathers at the read positions, the tips one pass over
+        the outputs, then one step per distinct tip object (see
+        :meth:`add_read`).  A read response that carries no blockchain
+        raises the ``TypeError`` of :attr:`Event.chain`, which names the
+        event, or is left out with ``skip_chainless`` (the monitor's rule).
         """
-        for inv in history.append_invocations():
-            block = inv.argument
-            if isinstance(block, Block):
-                self.note_append(block.block_id, inv.eid)
-        for read in history.read_responses():
-            self.add_read(read)
+        values, appends = history._values, history._appends
+        for position, eid in zip(appends.tolist(), history._eids[appends].tolist()):
+            if isinstance(values[position], Block):
+                self.note_append(values[position].block_id, eid)
+        positions = history._reads
+        chains = [values[position] for position in positions.tolist()]
+        eids = history._eids[positions]
+        # One step per distinct tip object (a value that is no chain stands
+        # for itself), in order of first read.
+        keys = np.array([id(c.blocks[-1]) if c.__class__ is Blockchain else id(c) for c in chains])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        resolved = np.full(len(first), -1, dtype=np.int64)
+        for k in np.argsort(first).tolist():
+            row = int(first[k])
+            if isinstance(chains[row], Blockchain):
+                resolved[k] = self._tip_node(chains[row], int(eids[row]))
+            elif not skip_chainless:
+                history._events_at([int(positions[row])])[0].chain  # raises, naming the event
+        nodes = resolved[inverse]
+        keep = nodes >= 0
+        if not keep.all():  # chainless reads, skipped
+            positions, nodes, eids = positions[keep], nodes[keep], eids[keep]
+            chains = list(compress(chains, keep.tolist()))
+        # The history's process codes, renumbered in order of first read.
+        processes = history._procs[positions]
+        codes, first = np.unique(processes, return_index=True)
+        renumbered = np.zeros(len(history._names), dtype=np.int64)
+        names, known = history._names, self._process_code
+        for code in codes[np.argsort(first)].tolist():
+            renumbered[code] = known.setdefault(names[code], len(known))
+        self._runs.append((len(self.chains), history, positions))
+        self.chains.extend(chains)
+        self._tips.frombytes(nodes.tobytes())
+        self._procs.frombytes(renumbered[processes].tobytes())
+        self._eids.frombytes(eids.tobytes())
         return self
 
     def add_read(self, read: Event) -> None:
@@ -171,15 +207,35 @@ class ConsistencyIndex:
         chain = read.output
         if not (isinstance(chain, Blockchain) and read.is_read_response):
             chain = read.chain  # raises the TypeError naming the event
-        tip = chain.blocks[-1]
-        node = self._node.get(tip.block_id)
-        if node is None or self._blocks[node] is not tip:
-            node = self._merge(chain.blocks, read.eid)
+        node = self._tip_node(chain, read.eid)
         codes = self._process_code
-        self.reads.append(read)
+        self._runs.append((len(self.chains), read, None))
+        self.chains.append(chain)
         self._tips.append(node)
         self._procs.append(codes.setdefault(read.process, len(codes)))
         self._eids.append(read.eid)
+
+    def _tip_node(self, chain: Blockchain, read_eid: int) -> int:
+        """``chain``'s tip node: O(1) for the very block object held, else the walk."""
+        tip = chain.blocks[-1]
+        node = self._node.get(tip.block_id)
+        if node is None or self._blocks[node] is not tip:
+            node = self._merge(chain.blocks, read_eid)
+        return node
+
+    def read(self, position: int) -> Event:
+        """The read response at ``position`` in the read table (built on demand
+        when it came from a history's columns)."""
+        at = bisect_right(self._runs, position, key=itemgetter(0)) - 1
+        first, source, positions = self._runs[at]
+        if positions is None:
+            return source
+        return source._events_at([int(positions[position - first])])[0]
+
+    @property
+    def reads(self) -> List[Event]:
+        """Every read response of the read table, in arrival order (each built)."""
+        return [self.read(position) for position in range(len(self.chains))]
 
     def add_chain(
         self, chain: Blockchain, read_eid: Optional[int] = None
@@ -291,7 +347,7 @@ class ConsistencyIndex:
         int64 arrays, one row per entry of :attr:`reads`; kept until the
         next read.
         """
-        if len(self._table[0]) != len(self.reads):
+        if len(self._table[0]) != len(self.chains):
             self._table = (
                 np.array(self._tips, dtype=np.int64),
                 np.array(self._procs, dtype=np.int64),
@@ -404,7 +460,7 @@ class ConsistencyIndex:
         if self._scored_by != score:
             self._scored_by, self._scores = score, _NO_SCORES
         done = len(self._scores)
-        if done < len(self.reads):
+        if done < len(self.chains):
             tips = self.read_table()[0][done:]
             if isinstance(score, (LengthScore, WeightScore)):
                 heights = np.array(self._height, dtype=np.int64)[tips]
@@ -415,7 +471,7 @@ class ConsistencyIndex:
                     new = cum + score.min_increment * heights
             else:
                 new = np.array(
-                    [score(read.chain) for read in self.reads[done:]], dtype=np.float64
+                    [score(chain) for chain in self.chains[done:]], dtype=np.float64
                 )
             self._scores = np.concatenate((self._scores, new)) if done else new
         return self._scores
@@ -509,7 +565,7 @@ class ConsistencyIndex:
         nothing is yielded.  O(P²) for P processes, whatever the number of
         reads.
         """
-        reads = [self.reads[at] for at in limits]
+        chains = [self.chains[at] for at in limits]
         tips = [self.read_tip(at) for at in limits]
         for x in range(len(limits)):
             for y in range(x + 1, len(limits)):
@@ -520,7 +576,7 @@ class ConsistencyIndex:
                 if not reached:
                     continue
                 shared = self.mcps_of_tips(
-                    tips[x], tips[y], score, chains=(reads[x].chain, reads[y].chain)
+                    tips[x], tips[y], score, chains=(chains[x], chains[y])
                 )
                 if ceilings[reached - 1][1] > shared:
                     yield cut, other, shared
@@ -581,9 +637,9 @@ class ConsistencyMonitor:
 
     Subscribe the monitor to a live :class:`HistoryRecorder` with
     :meth:`attach` (or feed it a recorded history with :meth:`replay`,
-    which reads only the history's indexed append invocations and read
-    responses); it enters every append invocation and read response in
-    its :class:`ConsistencyIndex` as they arrive, O(1) amortized per event.
+    which reads the history's columns and builds no event); it enters
+    every append invocation and read response in its
+    :class:`ConsistencyIndex` as they arrive, O(1) amortized per event.
     :meth:`reports` hands that index to
     :func:`repro.core.consistency.check_consistency`: the verdicts,
     counts and witnesses are the ones the post-hoc checkers return on the
@@ -592,7 +648,7 @@ class ConsistencyMonitor:
     same code.  The reports are kept until the next event arrives.
 
     State is the index: the union tree plus a reference to every read
-    response observed (events the recorder already owns).
+    response observed (events the recorder built for its listeners).
     """
 
     def __init__(
@@ -618,23 +674,14 @@ class ConsistencyMonitor:
     def replay(self, history: History) -> "ConsistencyMonitor":
         """Feed an already recorded history through the monitor.
 
-        The index is fed what :meth:`observe` would enter, in the same
-        order — the append invocations and the read responses, merged by
-        eid — off the history's own index; the other events only count,
-        once the whole history is in (a replay that raises counts none).
+        The index is fed what :meth:`observe` would enter — the append
+        invocations and the read responses that carry a chain — straight
+        off the history's columns (:meth:`ConsistencyIndex.ingest`); the
+        other events only count, once the whole history is in (a replay
+        that raises counts none).
         """
         self._reports = None
-        index = self.index
-        appends = history.append_invocations()
-        taken = 0
-        for read in history.read_responses():
-            while taken < len(appends) and appends[taken].eid < read.eid:
-                self._note_append(appends[taken])
-                taken += 1
-            if isinstance(read.output, Blockchain):
-                index.add_read(read)
-        for invocation in appends[taken:]:
-            self._note_append(invocation)
+        self.index.ingest(history, skip_chainless=True)
         self.events_seen += len(history)
         return self
 
@@ -658,7 +705,7 @@ class ConsistencyMonitor:
 
     @property
     def reads_seen(self) -> int:
-        return len(self.index.reads)
+        return len(self.index.chains)
 
     # -- verdicts -------------------------------------------------------------
 

@@ -20,13 +20,13 @@ quantify over events ordered by ``↗``, and evaluating them over the finer
 total order is equivalent because the recorded executions come from a
 single run (the paper's fictional global clock).
 
-A history is indexed by what the consistency analysis reads: the
-positions of its read responses, append invocations and append responses
-in the event list, derived in the one pass that builds the history (a
-history from :meth:`HistoryRecorder.history` is already in eid order and
-is not sorted again).  The selectors answer from those positions, so an
-analysis touches only the events it checks, and the per-process buckets
-behind :meth:`History.events_of` are built only when asked for.
+A history is columns: the recorder writes one int64 row per event (kind,
+operation, process, ``op_id``, ``seq``; the eid is the position) and one
+object (argument or output), and builds no :class:`Event`.  A history's
+events are built on first use, once.  The analyses read the columns:
+the positions of the read responses and append invocations, noted when
+the history is built, and the values there (see
+:meth:`repro.core.consistency_index.ConsistencyIndex.ingest`).
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ import enum
 import itertools
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.block import Blockchain
 
@@ -146,78 +149,125 @@ class OperationToken:
 
 _eid = attrgetter("eid")
 
+#: Event kinds by code, and the names every name table starts with (a read
+#: is operation 0 and an append operation 1 in every history).
+_KINDS = tuple(EventKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_INVOCATION, _RESPONSE, _SEND, _RECEIVE, _UPDATE = range(len(_KINDS))
+_NAMES = ("read", "append", "send", "receive", "update")
+_READ, _APPEND = 0, 1
 
-def _positions(events: List[Event]) -> Tuple["array[int]", "array[int]", "array[int]"]:
-    """Where the read responses, append invocations and append responses
-    sit in ``events``, in one pass (int64 arrays: a recorded history holds
-    tens of thousands)."""
-    reads, appends, append_responses = array("q"), array("q"), array("q")
-    for position, event in enumerate(events):
-        operation = event.operation
-        if operation == "read":
-            if event.kind is EventKind.RESPONSE:
-                reads.append(position)
-        elif operation == "append":
-            if event.kind is EventKind.INVOCATION:
-                appends.append(position)
-            elif event.kind is EventKind.RESPONSE:
-                append_responses.append(position)
-    return reads, appends, append_responses
+
+def _event(row: Tuple[int, int, str, str, int, int], value: Any, argument: Any) -> Event:
+    """The event of a row (eid, kind code, operation, process, op_id, seq):
+    ``value`` is a response's output and any other event's argument, and a
+    response's argument is its invocation's."""
+    eid, kind, operation, process, op_id, seq = row
+    if kind == _RESPONSE:
+        return Event(eid, EventKind.RESPONSE, process, operation, argument, value, op_id, seq)
+    return Event(eid, _KINDS[kind], process, operation, value, None, op_id, seq)
 
 
 class History:
     """An immutable-ish concurrent history: a sequence of events plus orders.
 
-    The event list is kept in timestamp order.  All accessors return
-    tuples; the mutating entry point is the :class:`HistoryRecorder`.
+    The events are kept in timestamp order as columns: an int64 table with
+    one row per column (eid, kind code, operation and process codes into
+    one table of names, ``op_id``, ``seq``) and one object column (a
+    response's output, any other event's argument).  Accessors returning
+    events build each on first use, once; a history built from events
+    keeps those.  All accessors return tuples; the mutating entry point is
+    the :class:`HistoryRecorder`.
     """
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
-        self._adopt(sorted(events, key=_eid))
+        ordered = sorted(events, key=_eid)
+        codes = {name: code for code, name in enumerate(_NAMES)}
+        rows = [
+            (e.eid, _KIND_CODE[e.kind], codes.setdefault(e.operation, len(codes)),
+             codes.setdefault(e.process, len(codes)), e.op_id, e.seq)
+            for e in ordered
+        ]  # fmt: skip
+        values = [e.output if e.kind is EventKind.RESPONSE else e.argument for e in ordered]
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+        self._adopt(columns, values, list(codes), list(ordered))
 
-    @classmethod
-    def _ordered(cls, events: List[Event]) -> "History":
-        """A history owning ``events``, which are already in eid order."""
-        history = cls.__new__(cls)
-        history._adopt(events)
-        return history
-
-    def _adopt(self, events: List[Event]) -> None:
-        self._events = events
-        self._reads, self._appends, self._append_responses = _positions(events)
+    def _adopt(
+        self, columns: np.ndarray, values: List[Any], names: List[str], built: List[Optional[Event]]
+    ) -> None:
+        self._columns, self._values, self._names = columns, values, names
+        self._eids, kinds, self._ops, self._procs, self._op_ids, _ = columns
+        responses = kinds == _RESPONSE
+        self._reads = np.flatnonzero(responses & (self._ops == _READ))
+        self._appends = np.flatnonzero((kinds == _INVOCATION) & (self._ops == _APPEND))
+        self._append_responses = np.flatnonzero(responses & (self._ops == _APPEND))
+        # The events built so far, by position (None: not yet), and all of
+        # them as one tuple once :attr:`events` was asked for.
+        self._built = built
+        self._events: Optional[Tuple[Event, ...]] = None
         self._by_process: Optional[Dict[str, List[Event]]] = None
         # The selected tuples, per (selector, process): one report asks
         # for them many times, and a selector returns the same tuple
         # object on every call.
         self._selected: Dict[Tuple[str, Optional[str]], Tuple[Event, ...]] = {}
 
+    def _kept(self, keep: np.ndarray) -> "History":
+        """The sub-history of the rows ``keep`` marks (with the events built so far)."""
+        history, mask = History.__new__(History), keep.tolist()
+        values, built = list(compress(self._values, mask)), list(compress(self._built, mask))
+        history._adopt(self._columns[:, keep], values, self._names, built)
+        return history
+
     # -- container protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return iter(self.events)
 
     def __getitem__(self, index: int) -> Event:
-        return self._events[index]
+        return self.events[index]
 
     @property
     def events(self) -> Tuple[Event, ...]:
-        return tuple(self._events)
+        """Every event, in eid order (built from the columns on the first ask)."""
+        if self._events is None:
+            self._events = tuple(self._events_at(range(len(self))))
+        return self._events
+
+    def _events_at(self, positions: Iterable[int]) -> List[Event]:
+        """The events at ``positions``, each built on its first ask."""
+        built = self._built
+        positions = list(positions)
+        missing = [position for position in positions if built[position] is None]
+        if missing:
+            rows = np.array(missing, dtype=np.int64)
+            columns = [column.tolist() for column in self._columns[:, rows]]
+            # A response's argument is its invocation's.
+            kinds, op_ids, values = self._columns[1], self._op_ids, self._values
+            asked = np.isin(op_ids, op_ids[rows][kinds[rows] == _RESPONSE]) & (kinds == _INVOCATION)
+            invocations = [at for at in np.flatnonzero(asked).tolist() if values[at] is not None]
+            arguments = {int(op_ids[at]): values[at] for at in invocations}
+            names = self._names
+            for position, eid, kind, op, process, op_id, seq in zip(missing, *columns):
+                row = (eid, kind, names[op], names[process], op_id, seq)
+                built[position] = _event(row, values[position], arguments.get(op_id))
+        return [built[position] for position in positions]  # type: ignore[misc]
 
     def _buckets(self) -> Dict[str, List[Event]]:
         """Per-process event lists, built on the first ask."""
         if self._by_process is None:
             by_process: Dict[str, List[Event]] = {}
-            for event in self._events:
+            for event in self.events:
                 by_process.setdefault(event.process, []).append(event)
             self._by_process = by_process
         return self._by_process
 
     @property
     def processes(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._buckets()))
+        names = self._names
+        return tuple(sorted(names[code] for code in np.unique(self._procs).tolist()))
 
     def events_of(self, process: str) -> Tuple[Event, ...]:
         """All events of ``process`` in process order ``↦``."""
@@ -226,14 +276,13 @@ class History:
     # -- event selectors -------------------------------------------------------
 
     def _select(
-        self, name: str, positions: "array[int]", process: Optional[str]
+        self, name: str, positions: np.ndarray, process: Optional[str]
     ) -> Tuple[Event, ...]:
         key = (name, process)
         selected = self._selected.get(key)
         if selected is None:
             if process is None:
-                events = self._events
-                selected = tuple([events[position] for position in positions])
+                selected = tuple(self._events_at(positions.tolist()))
             else:
                 selected = tuple(
                     e for e in self._select(name, positions, None) if e.process == process
@@ -246,7 +295,7 @@ class History:
         return self._select("read_responses", self._reads, process)
 
     def read_invocations(self, process: Optional[str] = None) -> Tuple[Event, ...]:
-        pool = self._events if process is None else self._buckets().get(process, [])
+        pool = self.events if process is None else self._buckets().get(process, [])
         return tuple(
             e for e in pool if e.kind is EventKind.INVOCATION and e.operation == "read"
         )
@@ -267,8 +316,7 @@ class History:
         """All ``send``/``receive``/``update`` events of the given kind."""
         if kind not in (EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE):
             raise ValueError(f"{kind} is not a replication event kind")
-        return tuple(e for e in self._events if e.kind is kind)
-
+        return tuple(e for e in self.events if e.kind is kind)
     def matching_response(self, invocation: Event) -> Optional[Event]:
         """The response event carrying the same ``op_id``, if it exists."""
         if invocation.kind is not EventKind.INVOCATION:
@@ -332,10 +380,13 @@ class History:
 
     # -- composition ------------------------------------------------------------
 
+    def _codes(self, processes: Iterable[str]) -> List[int]:
+        keep = set(processes)
+        return [code for code, name in enumerate(self._names) if name in keep]
+
     def restricted_to(self, processes: Iterable[str]) -> "History":
         """Sub-history containing only events of the given processes."""
-        keep = set(processes)
-        return History._ordered([e for e in self._events if e.process in keep])
+        return self._kept(np.isin(self._procs, self._codes(processes)))
 
     def correct_restriction(self, correct_processes: Iterable[str]) -> "History":
         """The event restriction of Definition 4.2 (Byzantine failure model).
@@ -348,14 +399,8 @@ class History:
         the consistency criteria are evaluated when some processes are
         crashed or Byzantine.
         """
-        keep = set(correct_processes)
-
-        def admitted(event: Event) -> bool:
-            if event.operation == "append":
-                return True
-            return event.process in keep
-
-        return History._ordered([e for e in self._events if admitted(e)])
+        correct = np.isin(self._procs, self._codes(correct_processes))
+        return self._kept((self._ops == _APPEND) | correct)
 
     def without_failed_appends(self) -> "History":
         """Purge unsuccessful append response events (and their invocations).
@@ -365,31 +410,28 @@ class History:
         unsuccessful append() response events".  A history with no failed
         append is its own purge.
         """
-        failed_ops = {
-            (e.process, e.op_id) for e in self.append_responses() if not bool(e.output)
-        }
-        if not failed_ops:
+        values = self._values
+        failed = [at for at in self._append_responses.tolist() if not bool(values[at])]
+        if not failed:
             return self
-        return History._ordered(
-            [
-                e
-                for e in self._events
-                if not (e.operation == "append" and (e.process, e.op_id) in failed_ops)
-            ]
-        )
+        # One integer per (process, op_id) pair.
+        op_ids = self._op_ids - self._op_ids.min()
+        pairs = self._procs * (int(op_ids.max()) + 1) + op_ids
+        return self._kept(~((self._ops == _APPEND) & np.isin(pairs, pairs[failed])))
 
     def merge(self, other: "History") -> "History":
         """Union of two histories (event ids must not collide)."""
-        own = {e.eid for e in self._events}
-        clash = own.intersection(e.eid for e in other._events)
-        if clash:
-            raise ValueError(f"cannot merge histories with colliding event ids {sorted(clash)[:5]}")
-        return History(list(self._events) + list(other._events))
+        clash = np.intersect1d(self._eids, other._eids)
+        if len(clash):
+            raise ValueError(
+                f"cannot merge histories with colliding event ids {clash[:5].tolist()}"
+            )
+        return History(self.events + other.events)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"History(events={len(self._events)}, processes={len(self._buckets())}, "
-            f"reads={len(self.read_responses())}, appends={len(self.append_invocations())})"
+            f"History(events={len(self)}, processes={len(np.unique(self._procs))}, "
+            f"reads={len(self._reads)}, appends={len(self._appends)})"
         )
 
 
@@ -404,17 +446,22 @@ class HistoryRecorder:
     invoke, possibly interleave with other processes, then respond.  For
     replication events (:meth:`send`, :meth:`receive`, :meth:`update`) a
     single event is recorded (the paper treats them as atomic).
+
+    Recording an event writes five ints (the :class:`History` columns but
+    the eid, which is its position plus one) and one object, and builds
+    no :class:`Event` unless a listener is subscribed.  A response's
+    argument is its invocation's: :meth:`respond` takes this recorder's token.
     """
 
     def __init__(self) -> None:
-        self._clock = itertools.count(1)
         self._op_ids = itertools.count(1)
         self._seq: Dict[str, int] = {}
-        self._events: List[Event] = []
-        # Pre-bound append: the recorder sits on the simulation hot path
-        # (every replication event of every delivery lands here), so the
-        # fast path below avoids re-resolving the bound method per event.
-        self._append: Callable[[Event], None] = self._events.append
+        self._codes = {name: code for code, name in enumerate(_NAMES)}
+        # The rows up to the last snapshot are kept once, in that history's
+        # table (``_snapshot``, five rows); later ones in ``_ints``.
+        self._snapshot = np.empty((5, 0), dtype=np.int64)
+        self._ints = array("q")
+        self._values: List[Any] = []
         self._listeners: List[Callable[[Event], None]] = []
 
     # -- streaming subscribers ---------------------------------------------------
@@ -425,116 +472,75 @@ class HistoryRecorder:
         This is the hook the streaming analyses use (e.g.
         :class:`repro.core.consistency_index.ConsistencyMonitor`): events
         are delivered in recording order, synchronously, right after they
-        are appended to the event list.  Returns the listener for
-        decorator-style use.
+        are recorded.  Returns the listener for decorator-style use.
         """
         self._listeners.append(listener)
         return listener
 
-    def _record(self, event: Event) -> Event:
-        self._append(event)
-        listeners = self._listeners
-        if listeners:
-            for listener in listeners:
+    def _record(
+        self, kind: int, process: str, operation: str, value: Any, op_id: int = -1, arg: Any = None
+    ) -> int:
+        """Write one event's row (``arg``: a response's invocation argument);
+        returns its eid."""
+        seq = self._seq[process] = self._seq.get(process, 0) + 1
+        codes = self._codes
+        op = codes.setdefault(operation, len(codes))
+        self._ints.extend((kind, op, codes.setdefault(process, len(codes)), op_id, seq))
+        values = self._values
+        values.append(value)
+        if self._listeners:
+            event = _event((len(values), kind, operation, process, op_id, seq), value, arg)
+            for listener in self._listeners:
                 listener(event)
-        return event
-
-    # -- clocks ----------------------------------------------------------------
-
-    def _next_time(self) -> int:
-        return next(self._clock)
-
-    def _next_seq(self, process: str) -> int:
-        seq = self._seq.get(process, 0) + 1
-        self._seq[process] = seq
-        return seq
+        return len(values)
 
     # -- operation events --------------------------------------------------------
 
     def invoke(self, process: str, operation: str, argument: Any = None) -> OperationToken:
         """Record an invocation event and return its token."""
         op_id = next(self._op_ids)
-        eid = self._next_time()
-        event = Event(
-            eid=eid,
-            kind=EventKind.INVOCATION,
-            process=process,
-            operation=operation,
-            argument=argument,
-            op_id=op_id,
-            seq=self._next_seq(process),
-        )
-        self._record(event)
-        return OperationToken(
-            op_id=op_id,
-            process=process,
-            operation=operation,
-            argument=argument,
-            invocation_eid=eid,
+        eid = self._record(_INVOCATION, process, operation, argument, op_id)
+        return OperationToken(op_id, process, operation, argument, eid)
+
+    def respond(self, token: OperationToken, output: Any = None) -> int:
+        """Record the response event matching ``token``; returns its eid."""
+        return self._record(
+            _RESPONSE, token.process, token.operation, output, token.op_id, token.argument
         )
 
-    def respond(self, token: OperationToken, output: Any = None) -> Event:
-        """Record the response event matching ``token``."""
-        event = Event(
-            eid=self._next_time(),
-            kind=EventKind.RESPONSE,
-            process=token.process,
-            operation=token.operation,
-            argument=token.argument,
-            output=output,
-            op_id=token.op_id,
-            seq=self._next_seq(token.process),
-        )
-        return self._record(event)
-
-    def complete(self, process: str, operation: str, argument: Any, output: Any) -> Event:
+    def complete(self, process: str, operation: str, argument: Any, output: Any) -> int:
         """Record an invocation immediately followed by its response."""
-        token = self.invoke(process, operation, argument)
-        return self.respond(token, output)
+        return self.respond(self.invoke(process, operation, argument), output)
 
     # -- replication events (Section 4.2) ----------------------------------------
 
-    def send(self, process: str, parent_id: str, block_id: str) -> Event:
+    def send(self, process: str, parent_id: str, block_id: str) -> int:
         """Record ``send_i(b_g, b)``."""
-        return self._replication(EventKind.SEND, process, parent_id, block_id)
+        return self._record(_SEND, process, "send", (parent_id, block_id))
 
-    def receive(self, process: str, parent_id: str, block_id: str) -> Event:
+    def receive(self, process: str, parent_id: str, block_id: str) -> int:
         """Record ``receive_i(b_g, b)``."""
-        return self._replication(EventKind.RECEIVE, process, parent_id, block_id)
+        return self._record(_RECEIVE, process, "receive", (parent_id, block_id))
 
-    def update(self, process: str, parent_id: str, block_id: str) -> Event:
+    def update(self, process: str, parent_id: str, block_id: str) -> int:
         """Record ``update_i(b_g, b)``."""
-        return self._replication(EventKind.UPDATE, process, parent_id, block_id)
-
-    def _replication(
-        self, kind: EventKind, process: str, parent_id: str, block_id: str
-    ) -> Event:
-        # The dominant recorder call in block workloads: ``_next_seq``,
-        # ``_next_time`` and ``_record`` written out inline.  The generic
-        # spelling is the test-side oracle
-        # ``tests/network/reference_plane.py::ReferenceHistoryRecorder``.
-        seqs = self._seq
-        seq = seqs.get(process, 0) + 1
-        seqs[process] = seq
-        event = Event(
-            eid=next(self._clock),
-            kind=kind,
-            process=process,
-            operation=kind.value,
-            argument=(parent_id, block_id),
-            seq=seq,
-        )
-        self._append(event)
-        for listener in self._listeners:
-            listener(event)
-        return event
+        return self._record(_UPDATE, process, "update", (parent_id, block_id))
 
     # -- extraction ----------------------------------------------------------------
 
     def history(self) -> History:
-        """Snapshot the recorded events (already in eid order) as a
-        :class:`History`."""
-        return History._ordered(list(self._events))
+        """Snapshot the recorded events as a :class:`History` (no :class:`Event`
+        is built).  Its table then holds the recorder's rows so far."""
+        n = len(self._values)
+        columns = np.empty((6, n), dtype=np.int64)
+        columns[0] = np.arange(1, n + 1)
+        done = self._snapshot.shape[1]
+        columns[1:, :done] = self._snapshot
+        columns[1:, done:] = np.frombuffer(self._ints, dtype=np.int64).reshape(-1, 5).T
+        self._snapshot, self._ints = columns[1:], array("q")
+        history = History.__new__(History)
+        history._adopt(columns, list(self._values), list(self._codes), [None] * n)
+        return history
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._values)

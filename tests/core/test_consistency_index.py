@@ -15,7 +15,7 @@ from repro.core.consistency_index import (
     InconsistentChainError,
     count_exceeding_before,
 )
-from repro.core.history import HistoryRecorder
+from repro.core.history import Event, HistoryRecorder
 from repro.core.score import LengthScore, WeightScore
 
 from tests.core.reference_consistency import _ReferenceBlockValidityChecker, bounded
@@ -23,6 +23,12 @@ from tests.core.reference_consistency import _ReferenceBlockValidityChecker, bou
 
 def _chain(*blocks: Block) -> Blockchain:
     return Blockchain((GENESIS, *blocks))
+
+
+def _read(rec: HistoryRecorder, process: str, chain: Blockchain) -> Event:
+    """Record a read returning ``chain``; its response event."""
+    rec.complete(process, "read", None, chain)
+    return rec.history()[-1]
 
 
 def _nodes(index: ConsistencyIndex, *block_ids: str) -> np.ndarray:
@@ -51,7 +57,7 @@ class TestMerging:
         a1, a2 = forked_index.block("a1"), forked_index.block("a2")
         new = forked_index.add_chain(_chain(a1, a2), read_eid=40)
         assert new == []
-        forked_index.add_read(HistoryRecorder().complete("p", "read", None, _chain(a1, a2)))
+        forked_index.add_read(_read(HistoryRecorder(), "p", _chain(a1, a2)))
         assert forked_index.read_tip(0) == "a2"
         assert forked_index.first_seen_read("a2") == 10
 
@@ -124,12 +130,12 @@ class TestReadTable:
     def test_reads_keep_arrival_order_and_scores_follow(self, forked_index):
         rec = HistoryRecorder()
         a1, a2, a3, b1 = map(forked_index.block, ("a1", "a2", "a3", "b1"))
-        first = rec.complete("p", "read", None, _chain(b1))
+        first = _read(rec, "p", _chain(b1))
         forked_index.add_read(first)
         assert forked_index.reads == [first]
         assert forked_index.read_tip(0) == "b1"
         assert forked_index.read_scores(LengthScore()).tolist() == [1.0]
-        second = rec.complete("q", "read", None, _chain(a1, a2, a3))
+        second = _read(rec, "q", _chain(a1, a2, a3))
         forked_index.add_read(second)
         assert forked_index.reads == [first, second]
         # Extended for the new read; recomputed for another score function;
@@ -147,7 +153,7 @@ class TestReadIntake:
         rec = HistoryRecorder()
         copies = [replace(forked_index.block(b)) for b in ("a1", "a2", "a3")]
         assert copies[-1] is not forked_index.block("a3")
-        forked_index.add_read(rec.complete("p", "read", None, _chain(*copies)))
+        forked_index.add_read(_read(rec, "p", _chain(*copies)))
         assert len(forked_index) == 6
         assert forked_index.read_tip(0) == "a3"
         assert forked_index.read_table()[0].tolist() == _nodes(forked_index, "a3").tolist()
@@ -155,7 +161,7 @@ class TestReadIntake:
     def test_a_known_id_with_other_content_is_refused(self, forked_index):
         rec = HistoryRecorder()
         impostor = Block("a2", "a1", weight=99.0)
-        read = rec.complete("p", "read", None, _chain(forked_index.block("a1"), impostor))
+        read = _read(rec, "p", _chain(forked_index.block("a1"), impostor))
         with pytest.raises(InconsistentChainError, match="'a2' carries different content"):
             forked_index.add_read(read)
         assert forked_index.reads == []
@@ -164,8 +170,8 @@ class TestReadIntake:
         rec = HistoryRecorder()
         a1, a2 = forked_index.block("a1"), forked_index.block("a2")
         monkeypatch.setattr(forked_index, "_merge", None)  # a walk would raise TypeError
-        forked_index.add_read(rec.complete("p", "read", None, _chain(a1, a2)))
-        forked_index.add_read(rec.complete("q", "read", None, _chain(a1, a2)))
+        forked_index.add_read(_read(rec, "p", _chain(a1, a2)))
+        forked_index.add_read(_read(rec, "q", _chain(a1, a2)))
         tips, processes, eids = forked_index.read_table()
         assert tips.tolist() == _nodes(forked_index, "a2", "a2").tolist()
         assert processes.tolist() == [0, 1]
@@ -209,7 +215,7 @@ class TestCounting:
         rec = HistoryRecorder()
         for ids in [()] * 5 + [("a1", "a2", "a3"), ("a1", "a2"), ("b1", "b2")]:
             chain = _chain(*map(forked_index.block, ids))
-            forked_index.add_read(rec.complete("p", "read", None, chain))
+            forked_index.add_read(_read(rec, "p", chain))
         limits = [5, 7, 6]
 
         def breaches(ceilings):

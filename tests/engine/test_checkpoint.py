@@ -193,19 +193,25 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
 
 def _age(path: str, written: str, monkeypatch) -> str:
     """Make the checkpoint at ``path`` one this model version must refuse:
-    one written at the version before (``"older"``), or before versions
-    were recorded (``"unversioned"``).  Returns the refusal's message."""
+    one written at the version before (``"older"``), at version 1 (the
+    format whose recorder pickled one event object per event), or before
+    versions were recorded (``"unversioned"``).  Returns the refusal's
+    message."""
+    now = repro.MODEL_VERSION
     if written == "older":
-        monkeypatch.setattr(repro, "MODEL_VERSION", repro.MODEL_VERSION + 1)
-        versions = "1, this is model version 2"
+        monkeypatch.setattr(repro, "MODEL_VERSION", now + 1)
+        versions = f"{now}, this is model version {now + 1}"
     else:
         data = open(path, "rb").read()
         newline = data.index(b"\n")
         head = json.loads(data[:newline])
-        del head["model_version"]
+        if written == "version-1":
+            head["model_version"] = 1
+        else:
+            del head["model_version"]
         with open(path, "wb") as handle:
             handle.write(json.dumps(head, sort_keys=True).encode() + data[newline:])
-        versions = "None, this is model version 1"
+        versions = f"{head.get('model_version')}, this is model version {now}"
     return (
         f"checkpoint was written at model version {versions}; "
         "it cannot be resumed — re-run the spec from the start"
@@ -219,9 +225,9 @@ class TestModelVersion:
     def test_header_carries_the_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 1
+        assert head["model_version"] == repro.MODEL_VERSION == 2
 
-    @pytest.mark.parametrize("written", ["older", "unversioned"])
+    @pytest.mark.parametrize("written", ["older", "version-1", "unversioned"])
     def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):
         path = str(tmp_path / "cell.ckpt")
         _write_cell_checkpoint(path, _spec())
@@ -231,7 +237,7 @@ class TestModelVersion:
                 load_checkpoint(path)
         assert str(excinfo.value) == refusal
 
-    @pytest.mark.parametrize("written", ["older", "unversioned"])
+    @pytest.mark.parametrize("written", ["older", "version-1", "unversioned"])
     def test_run_spec_with_checkpoints_warns_and_reruns(self, tmp_path, monkeypatch, written):
         path = str(tmp_path / "cell.ckpt")
         spec = _spec()
@@ -245,7 +251,7 @@ class TestModelVersion:
         assert resumed is None
         assert result.stable_dict() == spec.execute().stable_dict()
 
-    @pytest.mark.parametrize("written", ["older", "unversioned"])
+    @pytest.mark.parametrize("written", ["older", "version-1", "unversioned"])
     def test_resume_run_is_one_error_line(self, tmp_path, monkeypatch, written):
         from repro.cli import main
 

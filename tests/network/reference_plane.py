@@ -8,7 +8,9 @@ the tests only, as subclasses that put the old bodies back:
   :meth:`Network.send` (one envelope, one scalar channel draw, one queue
   entry) per receiver, and per-event dispatch (no span handlers);
 * :class:`ReferenceBlockTree` — the per-block dict score index, verbatim;
-* :class:`ReferenceHistoryRecorder` — the generic replication-event body;
+* :class:`ReferenceHistoryRecorder` — the recorder that builds an
+  :class:`~repro.core.history.Event` per recorded event (a standalone
+  class: it shares no code with the columnar recorder);
 * ``Reference{ScoreMaximizingSelection,LongestChain,HeaviestChain,
   GHOSTSelection}`` — the brute-force selection rules, which read nothing
   but ``all_chains`` / ``children_of`` / ``subtree_weight`` / ``chain_to``.
@@ -18,7 +20,7 @@ build a run from them, part by part; with ``core="heap"`` on top that is
 the whole oracle leg of ``tests/network/test_core_equivalence.py``.  None
 of these classes calls ``Network._deliver_span``,
 ``Network._refresh_skip_table``, ``Network._classify_duplicates``,
-``HistoryRecorder._replication``, ``_TreeColumns.append`` or
+``HistoryRecorder._record``, ``_TreeColumns.append`` or
 ``BlockchainReplica.batch_dup_seen``
 (``test_core_equivalence.py`` proves it by making them raise), so the
 equivalence tests hold those methods to code that shares nothing with them.
@@ -27,14 +29,15 @@ Do not "optimize" anything in this module.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from unittest import mock
 
 from repro.core.block import Block, Blockchain
 from repro.core.blocktree import BlockTree, DuplicateBlockError, UnknownParentError
-from repro.core.history import Event, EventKind, HistoryRecorder
+from repro.core.history import Event, EventKind, History, OperationToken
 from repro.core.score import LengthScore, ScoreFunction, WeightScore
 from repro.network.simulator import Network
 
@@ -61,8 +64,84 @@ class ReferenceNetwork(Network):
         return delivered
 
 
-class ReferenceHistoryRecorder(HistoryRecorder):
-    """Replication events through the recorder's generic path."""
+class ReferenceHistoryRecorder:
+    """The recorder that builds one :class:`Event` per recorded event.
+
+    The pre-columns ``HistoryRecorder``, whole: every recorded event is a
+    frozen dataclass appended to a list, listeners get that object, and
+    :meth:`history` hands the list to the public ``History(events)``.
+    """
+
+    def __init__(self) -> None:
+        self._clock = itertools.count(1)
+        self._op_ids = itertools.count(1)
+        self._seq: Dict[str, int] = {}
+        self._events: List[Event] = []
+        self._listeners: List[Callable[[Event], None]] = []
+
+    def subscribe(self, listener: Callable[[Event], None]) -> Callable[[Event], None]:
+        self._listeners.append(listener)
+        return listener
+
+    def _record(self, event: Event) -> Event:
+        self._events.append(event)
+        for listener in self._listeners:
+            listener(event)
+        return event
+
+    def _next_time(self) -> int:
+        return next(self._clock)
+
+    def _next_seq(self, process: str) -> int:
+        seq = self._seq.get(process, 0) + 1
+        self._seq[process] = seq
+        return seq
+
+    def invoke(self, process: str, operation: str, argument: Any = None) -> OperationToken:
+        op_id = next(self._op_ids)
+        eid = self._next_time()
+        event = Event(
+            eid=eid,
+            kind=EventKind.INVOCATION,
+            process=process,
+            operation=operation,
+            argument=argument,
+            op_id=op_id,
+            seq=self._next_seq(process),
+        )
+        self._record(event)
+        return OperationToken(
+            op_id=op_id,
+            process=process,
+            operation=operation,
+            argument=argument,
+            invocation_eid=eid,
+        )
+
+    def respond(self, token: OperationToken, output: Any = None) -> Event:
+        event = Event(
+            eid=self._next_time(),
+            kind=EventKind.RESPONSE,
+            process=token.process,
+            operation=token.operation,
+            argument=token.argument,
+            output=output,
+            op_id=token.op_id,
+            seq=self._next_seq(token.process),
+        )
+        return self._record(event)
+
+    def complete(self, process: str, operation: str, argument: Any, output: Any) -> Event:
+        return self.respond(self.invoke(process, operation, argument), output)
+
+    def send(self, process: str, parent_id: str, block_id: str) -> Event:
+        return self._replication(EventKind.SEND, process, parent_id, block_id)
+
+    def receive(self, process: str, parent_id: str, block_id: str) -> Event:
+        return self._replication(EventKind.RECEIVE, process, parent_id, block_id)
+
+    def update(self, process: str, parent_id: str, block_id: str) -> Event:
+        return self._replication(EventKind.UPDATE, process, parent_id, block_id)
 
     def _replication(
         self, kind: EventKind, process: str, parent_id: str, block_id: str
@@ -76,6 +155,12 @@ class ReferenceHistoryRecorder(HistoryRecorder):
             seq=self._next_seq(process),
         )
         return self._record(event)
+
+    def history(self) -> History:
+        return History(self._events)
+
+    def __len__(self) -> int:
+        return len(self._events)
 
 
 class ReferenceBlockTree(BlockTree):

@@ -183,7 +183,7 @@ def _trip(*args, **kwargs):
 #: them off when a bucket is materialized.
 _FAST_PATHS = {
     "deliver_span": (Network, "_deliver_span"),
-    "record_replication": (HistoryRecorder, "_replication"),
+    "record_columns": (HistoryRecorder, "_record"),
     "tree_append_index": (_TreeColumns, "append"),
     "dup_skip_table": (Network, "_refresh_skip_table"),
     "dup_classifier": (Network, "_classify_duplicates"),

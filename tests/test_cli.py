@@ -9,6 +9,7 @@ import pytest
 from repro import cli
 from repro.analysis.report import render_classification_table
 from repro.cli import build_parser, main
+from repro.engine import ExperimentSpec
 from repro.protocols.classification import ClassificationResult, reproduce_table1
 
 
@@ -189,11 +190,15 @@ class TestSweepCommand:
         assert f"invalid choice: '{backend}'" in err
         assert "'serial', 'pool'" in err
 
-    def test_sweep_shard_flag_validation(self):
-        with pytest.raises(SystemExit, match="cannot parse --shard-index"):
-            main(["sweep", "--protocol", "bitcoin", "--shard-index", "four"])
-        with pytest.raises(SystemExit, match="out of range"):
-            main(["sweep", "--protocol", "bitcoin", "--shard-index", "4/4"])
+    def test_sweep_shard_flag_validation(self, capsys):
+        for text, message in (
+            ("four", "cannot parse --shard-index 'four' (expected I/K, e.g. 0/4)"),
+            ("4/4", "--shard-index '4/4' out of range (need 0 <= I < K)"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "--protocol", "bitcoin", "--shard-index", text])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err == f"repro sweep: error: {message}\n"
 
     def test_sweep_shard_runs_on_the_pool_backend(self, capsys, tmp_path):
         common = [
@@ -673,8 +678,6 @@ class TestCheckpointFlags:
     def test_non_positive_knobs_are_rejected_loudly(self):
         with pytest.raises(SystemExit, match=r"--timeout must be > 0"):
             main(["sweep", "--protocol", "bitcoin", "--timeout", "-1"])
-        with pytest.raises(SystemExit, match=r"--retries must be >= 0"):
-            main(["sweep", "--protocol", "bitcoin", "--retries", "-2"])
         with pytest.raises(SystemExit, match=r"--checkpoint-every must be > 0"):
             main(["sweep", "--protocol", "bitcoin", "--checkpoint-every", "0"])
         with pytest.raises(SystemExit, match=r"--checkpoint-every must be > 0"):
@@ -739,3 +742,51 @@ class TestCheckpointFlags:
         ckpt = json.loads(ckpt_out.read_text())
         assert strip(plain["cells"]) == strip(ckpt["cells"])
         assert list((tmp_path / "ckpts").glob("*.ckpt"))
+
+
+class TestCountFlags:
+    """A count no run can take is one usage line, exit 2, before any cell runs."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "bitcoin", "--replicas", "0"], "--replicas must be >= 1, got 0"),
+            (["table1", "--replicas", "0"], "--replicas must be >= 1, got 0"),
+            (
+                ["sweep", "--protocol", "bitcoin", "--replicas", "0"],
+                "--replicas must be >= 1, got 0",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--replica-counts", "3,0"],
+                "--replica-counts must be >= 1, got 0",
+            ),
+            (["sweep", "--protocol", "bitcoin", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["sweep", "--protocol", "bitcoin", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+            (["fork-sweep", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (
+                ["sweep", "--protocol", "bitcoin", "--retries", "-1"],
+                "--retries must be >= 0, got -1",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--shard-index", "2/2"],
+                "--shard-index '2/2' out of range (need 0 <= I < K)",
+            ),
+            (["sweep", "--protocol", "bitcoin", "--seeds", "3:1"], "--seeds '3:1' gives no values"),
+            (["sweep", "--protocol", "bitcoin", "--delays", ","], "--delays ',' gives no values"),
+        ],
+    )
+    def test_a_bad_count_is_a_usage_error_before_any_cell(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(ExperimentSpec, "execute", no_run)
+        out = tmp_path / "results.json"
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == f"repro {argv[0]}: error: {message}\n"
+        assert not out.exists()
