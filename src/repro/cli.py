@@ -394,9 +394,7 @@ def _parse_bound(text: str) -> float:
 def _require_positive(value: Optional[float], flag: str, command: str) -> None:
     """Loudly reject non-positive resilience knobs (``None`` = unset = fine)."""
     if value is not None and value <= 0:
-        raise SystemExit(
-            f"repro {command}: error: {flag} must be > 0, got {value!r}"
-        )
+        _usage_error(command, f"{flag} must be > 0, got {value!r}")
 
 
 def _split_topology_params(rest: str) -> List[str]:
@@ -432,7 +430,7 @@ def _split_topology_params(rest: str) -> List[str]:
     return pairs
 
 
-def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
+def _parse_component(command: str, text: str, noun: str, spec_cls, registry, field_keys=()):
     """Parse ``--fault`` / ``--topology``: a kind, ``kind:key=value,...``, or JSON.
 
     Values go through :func:`json.loads` when they parse (so
@@ -443,42 +441,39 @@ def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
     model.  All three forms go through ``spec_cls.from_dict``.  The
     parameters are bound to the registered class's signature (``seed``
     counts as supplied where the class takes one) and the model is built
-    once, so a missing, unknown or wrongly typed one is a usage error
-    here, before any run starts.
+    once, so a missing, unknown or wrongly typed one is a usage error of
+    ``command`` (exit 2) here, before any run starts.
     """
     text = text.strip()
-    if text.startswith("{"):
-        try:
-            spec = spec_cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as error:
-            raise SystemExit(
-                f"repro: error: cannot parse {noun} JSON {text!r} ({error})"
-            ) from None
-    elif ":" in text:
-        kind, _, rest = text.partition(":")
-        fields: Dict[str, Any] = {"kind": kind.strip()}
-        params: Dict[str, Any] = {}
-        for pair in _split_topology_params(rest):
-            if not pair:
-                continue
-            key, eq, raw = pair.partition("=")
-            if not eq:
-                raise SystemExit(
-                    f"repro: error: {noun} parameter {pair!r} is not 'key=value'"
-                )
-            try:
-                value = json.loads(raw)
-            except json.JSONDecodeError:
-                value = raw
-            key = key.strip()
-            (fields if key in field_keys else params)[key] = value
-        spec = spec_cls.from_dict({**fields, "params": params})
-    else:
-        spec = spec_cls.from_dict(text)
+    try:
+        if text.startswith("{"):
+            data: Any = json.loads(text)
+        elif ":" in text:
+            kind, _, rest = text.partition(":")
+            data = {"kind": kind.strip(), "params": {}}
+            for pair in _split_topology_params(rest):
+                if not pair:
+                    continue
+                key, eq, raw = pair.partition("=")
+                if not eq:
+                    _usage_error(command, f"{noun} parameter {pair!r} is not 'key=value'")
+                try:
+                    value = json.loads(raw)
+                except json.JSONDecodeError:
+                    value = raw
+                key = key.strip()
+                (data if key in field_keys else data["params"])[key] = value
+        else:
+            data = text
+        spec = spec_cls.from_dict(data)
+    except json.JSONDecodeError as error:
+        _usage_error(command, f"cannot parse {noun} JSON {text!r} ({error})")
+    except (TypeError, ValueError) as error:
+        _usage_error(command, f"{noun} {text!r}: {error}")
     if spec.kind not in registry:
-        raise SystemExit(
-            f"repro: error: unknown {noun} {spec.kind!r} "
-            f"(registered: {', '.join(sorted(registry))})"
+        _usage_error(
+            command,
+            f"unknown {noun} {spec.kind!r} (registered: {', '.join(sorted(registry))})",
         )
     signature = inspect.signature(registry[spec.kind])
     supplied = dict(spec.params)
@@ -489,13 +484,13 @@ def _parse_component(text: str, noun: str, spec_cls, registry, field_keys=()):
         signature.bind(**supplied)
         spec.build(0)
     except (TypeError, ValueError) as error:
-        raise SystemExit(f"repro: error: {noun} {spec.kind!r}: {error}") from None
+        _usage_error(command, f"{noun} {spec.kind!r}: {error}")
     return spec
 
 
-def _parse_fault(text: str) -> FaultSpec:
+def _parse_fault(command: str, text: str) -> FaultSpec:
     """``--fault``; ``seed`` is the spec field, every other key a parameter."""
-    return _parse_component(text, "fault", FaultSpec, FAULT_REGISTRY, ("seed",))
+    return _parse_component(command, text, "fault", FaultSpec, FAULT_REGISTRY, ("seed",))
 
 
 def _check_fault_members(command: str, fault: FaultSpec, replica_counts: Sequence[int]) -> None:
@@ -533,9 +528,9 @@ def _check_channels(command: str, specs: Sequence[ExperimentSpec]) -> None:
             _usage_error(command, f"channel {channel.kind!r}: {error}")
 
 
-def _parse_topology(text: str) -> TopologySpec:
+def _parse_topology(command: str, text: str) -> TopologySpec:
     """``--topology``; every key, ``seed`` included, is a topology parameter."""
-    return _parse_component(text, "topology", TopologySpec, TOPOLOGY_REGISTRY)
+    return _parse_component(command, text, "topology", TopologySpec, TOPOLOGY_REGISTRY)
 
 
 def _regime_spec(
@@ -576,9 +571,9 @@ def _cmd_classify(args: argparse.Namespace) -> str:
     if args.monitor:
         spec = spec.with_updates(monitor=True)
     if args.topology is not None:
-        spec = spec.with_updates(topology=_parse_topology(args.topology))
+        spec = spec.with_updates(topology=_parse_topology("classify", args.topology))
     if args.fault is not None:
-        spec = spec.with_updates(fault=_parse_fault(args.fault))
+        spec = spec.with_updates(fault=_parse_fault("classify", args.fault))
         _check_fault_members("classify", spec.fault, [args.replicas])
     if args.checkpoint_every is not None:
         # The file is named by the digest of the knob-free spec, so the
@@ -763,15 +758,15 @@ def _parse_flaky_rates(text: str) -> Dict[str, float]:
             kind, value = item.split("=", 1)
             rates[kind.strip()] = float(value)
         except ValueError:
-            raise SystemExit(
-                f"repro sweep: error: cannot parse --flaky-rates item {item!r} "
-                "(expected KIND=PROBABILITY)"
-            ) from None
+            _usage_error(
+                "sweep", f"cannot parse --flaky-rates item {item!r} (expected KIND=PROBABILITY)"
+            )
     unknown = sorted(set(rates) - set(INJECTION_KINDS))
     if unknown:
-        raise SystemExit(
-            f"repro sweep: error: unknown injection kind(s) {', '.join(map(repr, unknown))}; "
-            f"registered: {', '.join(INJECTION_KINDS)}"
+        _usage_error(
+            "sweep",
+            f"unknown injection kind(s) {', '.join(map(repr, unknown))}; "
+            f"registered: {', '.join(INJECTION_KINDS)}",
         )
     return rates
 
@@ -785,9 +780,9 @@ def _build_sweep_executor(args: argparse.Namespace):
     executor = None
     if args.checkpoint_every is not None:
         if args.backend == "serial":
-            raise SystemExit(
-                "repro sweep: error: --checkpoint-every requires a process "
-                "backend (pool), not --backend serial"
+            _usage_error(
+                "sweep",
+                "--checkpoint-every requires a process backend (pool), not --backend serial",
             )
         executor = PoolExecutor(
             jobs=args.jobs,
@@ -818,9 +813,9 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     if args.monitor:
         base = base.with_updates(monitor=True)
     if args.topology is not None:
-        base = base.with_updates(topology=_parse_topology(args.topology))
+        base = base.with_updates(topology=_parse_topology("sweep", args.topology))
     if args.fault is not None:
-        base = base.with_updates(fault=_parse_fault(args.fault))
+        base = base.with_updates(fault=_parse_fault("sweep", args.fault))
 
     axes: Dict[str, Sequence[Any]] = {}
     if args.topologies is not None:
@@ -829,11 +824,12 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             if item == "":
                 continue
             if ":" in item or item.lstrip().startswith("{"):
-                raise SystemExit(
-                    "repro sweep: error: --topologies takes bare registered kinds; "
-                    "use --topology (base spec) for parameterized topologies"
+                _usage_error(
+                    "sweep",
+                    "--topologies takes bare registered kinds; "
+                    "use --topology (base spec) for parameterized topologies",
                 )
-            kinds.append(_parse_topology(item).kind)
+            kinds.append(_parse_topology("sweep", item).kind)
         axes["topology"] = kinds
     seeds = _parse_axis(args.seeds, int, "--seeds")
     if seeds is not None:
@@ -873,11 +869,11 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     executor = _build_sweep_executor(args)
     cache = ResultCache(args.cache) if args.cache is not None else None
     if args.resume and args.journal is None:
-        raise SystemExit("repro sweep: error: --resume requires --journal")
+        _usage_error("sweep", "--resume requires --journal")
     if args.resume and cache is None:
-        raise SystemExit(
-            "repro sweep: error: --resume requires --cache "
-            "(completed cells are restored from the result cache)"
+        _usage_error(
+            "sweep",
+            "--resume requires --cache (completed cells are restored from the result cache)",
         )
     runner = SweepRunner(
         jobs=args.jobs,

@@ -2,9 +2,9 @@
 
 A :class:`SimulationCheckpoint` snapshots a staged
 :class:`~repro.protocols.base.LiveRun` — pending events from both event
-cores (heap entries verbatim; array-core staged tuples, deferred blocks,
+cores (heap entries verbatim; array-core staged tuples, bucket blocks,
 the lanes of column events with what their sinks have not pulled yet,
-overflow heap and interned dispatch table), every rng bit-generator
+and the overflow heap), every rng bit-generator
 state, :class:`~repro.network.simulator.Network` membership/caches/
 counters, per-process protocol state (block tree, mempool, LRC relay
 state), fault-model schedules and the recorder tail — into a versioned

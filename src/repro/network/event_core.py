@@ -10,28 +10,18 @@ larger run or client population drains on
 (:func:`~repro.network.simulator.core_for_run` picks): a *calendar
 queue*, in which events live in per-time-slot **buckets**, each with
 two stores that are merged and sorted once by ``(time, seq)`` when the
-bucket is materialized:
+bucket is materialized.  Both hold what the heap core holds, the
+callable itself beside its argument:
 
-* scalar pushes append ``(time, seq, method id, arg index)`` tuples to
-  a per-bucket staging list (a Python list append is ~2x faster than a
-  numpy scalar row write).  The method id indexes an **interned
-  method-dispatch table** (reference-counted, slots recycled when a
-  bucket drains, so one-shot closures cannot exhaust it); the arg index
-  points into the bucket's **arg intern pool**, dropped whole when the
-  bucket drains, so no per-slot free-list bookkeeping runs on the hot
-  path;
-* a fan-out (:meth:`ArrayEventCore.schedule_block`) interns its shared
-  method once and, unless it reaches into the slot being drained, is
-  appended whole to the **fan-out log** — a deferred-split store keyed by
-  method id.  The log is flushed when the next run starts and when the
-  core is pickled (a snapshot never holds one): per method, one
-  concatenate, one stable argsort by slot and one column block per
-  touched bucket (:meth:`ArrayEventCore._split_block`, the same code
-  that splits a block touching the active slot on the spot) — so a
-  run's relays are bucketed once, not once per multicast — plus one
-  ``lexsort`` per bucket at drain time, instead of k heap pushes.  A
-  caller that took its sequence numbers earlier (:meth:`~ArrayEventCore.reserve`:
-  the network's parked relays) hands its block to
+* scalar pushes append ``(time, seq, method, arg)`` tuples to a
+  per-bucket staging list (a Python list append is ~2x faster than a
+  numpy scalar row write);
+* a fan-out (:meth:`ArrayEventCore.schedule_block`) is cut by slot when
+  it is scheduled — one stable argsort — and each bucket it touches gets
+  its share as one ``(times, seqs, method, args)`` block: one ``lexsort``
+  per bucket at drain time instead of k heap pushes.  A caller that took
+  its sequence numbers earlier (:meth:`~ArrayEventCore.reserve`: the
+  network's parked relays) hands its block to
   :meth:`~ArrayEventCore.schedule_reserved`, with int64 arg arrays that
   stay int64 in the buckets.  When such a bucket is materialized, the
   method's classifier (:meth:`~ArrayEventCore.register_span_handler`)
@@ -39,6 +29,10 @@ bucket is materialized:
   deliveries — and each maximal stretch of them is split off into numpy
   side arrays (:class:`_Duplicates`) behind one run entry, which the span
   handler takes in one step: they never become Python objects.
+
+Materializing a bucket collapses equal callables to one object (each
+``network._deliver_multicast`` access is a fresh bound method), so the
+drain finds a span of one method by identity.
 
 **Column events** (:meth:`ArrayEventCore.schedule_column`, the client
 population) never enter the buckets.  Each column is a :class:`Lane` —
@@ -65,6 +59,7 @@ stays in the run, re-headed, for the next step or the next snapshot.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -105,8 +100,6 @@ NO_ARG = _Sentinel("NO_ARG")
 #: Only reader: the frozen ledger's fingerprint (ledger/run.py:136); ROADMAP item 1 removes both.
 COMPILED_MODULES = {"_drain": False, "_hotpath": False}
 
-_METHOD_TABLE_LIMIT = 32767  # max live method id
-
 _INF = float("inf")
 
 
@@ -129,80 +122,20 @@ def _check_times(now: float, times: np.ndarray) -> None:
         refuse_time(lo if lo < now else hi, now)
 
 
-def _pack_bucket_table(buckets):
-    """Consolidate a bucket table's deferred blocks for pickling.
-
-    A long run's pending workload lives in tens of thousands of small
-    per-bucket ``(times, seqs, mid, args)`` fan-out blocks; pickled one
-    by one, the fixed per-array cost dominates (~8us each, regardless of
-    size).  Concatenating every block into whole-table columns plus one
-    per-block metadata array turns the snapshot into a handful of large
-    buffer writes.  A metadata row is ``(slot, mid, length)``; the
-    blocks' arg lists ride ``block_args`` verbatim, in row order.
-    """
-    slots = np.fromiter(buckets.keys(), dtype=np.int64, count=len(buckets))
-    rest = []  # per-bucket (stage, args) — the non-block state
-    meta = []
-    t_parts, s_parts, block_args = [], [], []
-    for slot, bucket in buckets.items():
-        rest.append((bucket.stage, bucket.args))
-        for bt, bs, bmid, bargs in bucket.blocks:
-            meta.append((slot, bmid, len(bt)))
-            t_parts.append(bt)
-            s_parts.append(bs)
-            block_args.append(bargs)
-    return (
-        slots,
-        rest,
-        np.array(meta, dtype=np.int64) if meta else None,
-        np.concatenate(t_parts) if t_parts else None,
-        np.concatenate(s_parts) if s_parts else None,
-        block_args,
-    )
-
-
-def _unpack_bucket_table(packed):
-    """Invert :func:`_pack_bucket_table` into a fresh bucket dict."""
-    slots, rest, meta, times, seqs, block_args = packed
-    buckets = {}
-    for slot, (stage, args) in zip(slots.tolist(), rest):
-        bucket = _Bucket()
-        bucket.stage = stage
-        bucket.args = args
-        buckets[slot] = bucket
-    if meta is not None:
-        pos = 0
-        for (slot, mid, length), bargs in zip(meta.tolist(), block_args):
-            end = pos + length
-            buckets[slot].blocks.append((times[pos:end], seqs[pos:end], mid, bargs))
-            pos = end
-    return buckets
-
-
 class _Bucket:
-    """Events of one time slot.
+    """Events of one time slot, merged and sorted once when materialized.
 
-    Two complementary stores, merged (and sorted once) when the bucket
-    is materialized:
-
-    * ``blocks`` — this bucket's shares of shared-method fan-outs
-      (:meth:`ArrayEventCore._split_block`): appending ``(times, seqs,
-      mid, args)`` views is O(1), no per-bucket numpy fill;
-    * ``stage`` — scalar pushes as plain tuples (a list append is ~2x
-      faster than a numpy scalar row write).
-
-    ``args`` is the bucket-local arg intern pool for ``stage`` rows;
-    blocks carry their own arg lists, chained after it at
-    materialization.  Buckets are pickled only through
-    :func:`_pack_bucket_table`.
+    ``blocks`` holds this slot's shares of fan-outs as ``(times, seqs,
+    method, args)`` views (appending one is O(1), no per-bucket numpy
+    fill); ``stage`` holds scalar pushes as ``(time, seq, method, arg)``
+    tuples.
     """
 
-    __slots__ = ("blocks", "stage", "args")
+    __slots__ = ("blocks", "stage")
 
     def __init__(self) -> None:
-        self.blocks: List[Tuple[Any, Any, int, List[Any]]] = []
-        self.stage: List[Tuple[float, int, int, int]] = []
-        self.args: List[Any] = []  # bucket-local arg intern pool
+        self.blocks: List[Tuple[Any, Any, Callable, Any]] = []
+        self.stage: List[Tuple[float, int, Callable, Any]] = []
 
 
 class _Duplicates:
@@ -348,11 +281,6 @@ class ArrayEventCore:
         "_buckets",
         "_bucket_heap",
         "_overflow",
-        "_fanout_log",
-        "_methods",
-        "_method_ids",
-        "_method_refs",
-        "_method_free",
         "_run_times",
         "_run_seqs",
         "_run_methods",
@@ -382,21 +310,8 @@ class ArrayEventCore:
         self._buckets: Dict[int, _Bucket] = {}
         self._bucket_heap: List[int] = []
         # Events routed past the bucket plane while their slot is being
-        # drained; plain (time, seq, method, arg) tuples, never interned.
+        # drained; plain (time, seq, method, arg) tuples.
         self._overflow: List[Tuple[float, int, Callable, Any]] = []
-        # Fan-out blocks lying wholly beyond the active slot, per method
-        # id, as (times, seqs, args) with args a list or an int64 array;
-        # split into buckets all at once when the next run starts or a
-        # snapshot is taken.
-        self._fanout_log: Dict[int, List[Tuple[Any, Any, Any]]] = {}
-        # Interned method-dispatch table.  Slot refcounts are decremented
-        # in bulk when a bucket materializes; zero-ref slots are recycled
-        # through the free list so one-shot closures (Process.schedule
-        # guards) cannot exhaust the i2 index space.
-        self._methods: List[Any] = []
-        self._method_ids: Dict[Any, int] = {}
-        self._method_refs: List[int] = []
-        self._method_free: List[int] = []
         # Active run: the materialized current bucket as parallel lists.
         self._run_times: List[float] = []
         self._run_seqs: List[int] = []
@@ -429,8 +344,8 @@ class ArrayEventCore:
         """Route same-method run spans of ``method`` to ``handler``.
 
         The drain loop probes consecutive run entries for *identity*
-        with the current method object (interning guarantees exactly one
-        object per live method id, so identity equals same-id) and, when
+        with the current method object (a run holds one object per
+        distinct callable, so identity is equality) and, when
         two or more share it, calls ``handler(times, seqs, args, pos,
         end, until, budget, cell)`` instead of dispatching each event.
         It takes at most the ``budget`` events left, makes progress, and
@@ -455,24 +370,13 @@ class ArrayEventCore:
     # -- pickling (checkpoint support) ----------------------------------------
 
     def __getstate__(self):
-        # The bucket table is repacked into whole-table columns (see
-        # :func:`_pack_bucket_table`), the fan-out log flushed into it
-        # first, and every sink of a lane pulls what it has due, so a lane
-        # is pickled with its cursors settled whichever is pickled first;
-        # every other slot pickles as-is.
-        self._flush_fanout_log()
+        # Every sink of a lane pulls what it has due, so a lane is pickled
+        # with its cursors settled whichever is pickled first.
         for lane in self._lanes:
             lane.sink.pull()
-        state = {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "_buckets"
-        }
-        state["_buckets"] = _pack_bucket_table(self._buckets)
-        return state
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state):
-        self._buckets = _unpack_bucket_table(state.pop("_buckets"))
         for name, value in state.items():
             setattr(self, name, value)
         # A sink keeps its lanes out of its own pickled state.
@@ -496,10 +400,7 @@ class ArrayEventCore:
             bucket = _Bucket()
             self._buckets[slot] = bucket
             heappush(self._bucket_heap, slot)
-        mid = self._intern_method(method, 1)
-        args = bucket.args
-        bucket.stage.append((time, seq, mid, len(args)))
-        args.append(arg)
+        bucket.stage.append((time, seq, method, arg))
         return seq
 
     def schedule_small(self, times: List[float], method: Callable, args: List[Any]) -> int:
@@ -508,11 +409,9 @@ class ArrayEventCore:
         At typical multicast sizes (a handful of receivers) the numpy
         constants of :meth:`schedule_block` — asarray, astype, argsort —
         cost more than the whole insert; this path stages each entry as
-        a plain tuple instead.  Sequence numbers, overflow routing and
-        method refcounts are identical to the block path (the method is
-        interned lazily so a fan-out routed entirely to the overflow
-        heap leaves no zero-ref table entry behind).  The times are not
-        checked: the multicast plane's are ``now`` plus channel delays.
+        a plain tuple instead.  Sequence numbers and overflow routing are
+        identical to the block path.  The times are not checked: the
+        multicast plane's are ``now`` plus channel delays.
         """
         k = len(times)
         if k == 0:
@@ -523,7 +422,6 @@ class ArrayEventCore:
         inv = self._inv_width
         run_slot = self._run_slot
         buckets = self._buckets
-        mid = -1
         for i in range(k):
             time = times[i]
             slot = int(time * inv)
@@ -535,13 +433,7 @@ class ArrayEventCore:
                 bucket = _Bucket()
                 buckets[slot] = bucket
                 heappush(self._bucket_heap, slot)
-            if mid < 0:
-                mid = self._intern_method(method, 1)
-            else:
-                self._method_refs[mid] += 1
-            pool = bucket.args
-            bucket.stage.append((time, base + i, mid, len(pool)))
-            pool.append(args[i])
+            bucket.stage.append((time, base + i, method, args[i]))
         return k
 
     def schedule_block(
@@ -555,16 +447,13 @@ class ArrayEventCore:
         """Bulk insert one shared ``method`` at ``times[i]`` with ``args[i]``.
 
         The fan-out fast path: ``times`` is already a float64 array (e.g.
-        ``now`` plus a channel's batched delay vector) and the method is
-        interned exactly once.  Sequence numbers follow array order.  A
-        block whose earliest time lies beyond the active slot is logged
-        whole and split with the rest of the log when the next run
-        starts (:meth:`_flush_fanout_log`); one that reaches into the
-        active slot is split here.  ``args`` is kept by reference and
-        never mutated.  ``validate=False`` skips the past-timestamp
-        check for callers whose times are ``now`` plus non-negative
-        delays by construction (the multicast plane); it refuses a time
-        before ``now``, a NaN and an infinity.
+        ``now`` plus a channel's batched delay vector).  Sequence numbers
+        follow array order, and the block is split into its buckets here
+        (:meth:`schedule_reserved`); ``args`` is never mutated.
+        ``validate=False`` skips the past-timestamp check for callers
+        whose times are ``now`` plus non-negative delays by construction
+        (the multicast plane); it refuses a time before ``now``, a NaN and
+        an infinity.
         """
         k = len(times)
         if k == 0:
@@ -592,28 +481,10 @@ class ArrayEventCore:
         """The :meth:`schedule_block` twin for entries whose ``seqs`` were reserved.
 
         ``seqs`` is an int64 array from earlier :meth:`reserve` calls and
-        ``args`` a list or an int64 array, both kept by reference.  The
-        block is logged whole when it lies beyond the active slot, split
-        here otherwise — exactly as :meth:`schedule_block` places it.
-        """
-        run_slot = self._run_slot
-        if run_slot is None or int(float(times.min()) * self._inv_width) > run_slot:
-            # Nothing of the block can run before the next bucket is
-            # materialized, so which buckets it lands in is decided then.
-            mid = self._intern_method(method, len(times))
-            self._fanout_log.setdefault(mid, []).append((times, seqs, args))
-        else:
-            self._split_block(times, seqs, args, method, -1)
-
-    def _split_block(self, times, seqs, args, method, mid) -> None:
-        """Cut one shared-method block into the buckets (and overflow) it touches.
-
-        One stable argsort groups the block by slot.  Within a bucket
-        insertion order is irrelevant — materialization sorts by (time,
-        seq) — so permuted views are fine.  ``mid`` is the method's id
-        when its references are already counted (the fan-out log), -1
-        when those of the entries that reach a bucket still have to be.
-        ``args`` is a list or an int64 array, kept as such but for the overflow share.
+        ``args`` a list or an int64 array, kept as such but for the
+        overflow share.  One stable argsort groups the block by slot;
+        within a bucket insertion order is irrelevant — materialization
+        sorts by ``(time, seq)`` — so each bucket's share is a permuted view.
         """
         slots = (times * self._inv_width).astype(np.int64)
         order = np.argsort(slots, kind="stable")
@@ -630,41 +501,18 @@ class ArrayEventCore:
             prefix = ags[:start].tolist() if type(ags) is np.ndarray else ags[:start]
             for time, seq, arg in zip(ts[:start].tolist(), qs[:start].tolist(), prefix):
                 heappush(overflow, (time, seq, method, arg))
-            if start == len(ags):
+            if start == len(ss):
                 return
-        if mid < 0:
-            mid = self._intern_method(method, len(ags) - start)
+        buckets = self._buckets
         prev = start
         for slot, nxt in zip(ss.take([start] + edges[:-1]).tolist(), edges):
-            self._append_block(slot, ts[prev:nxt], qs[prev:nxt], mid, ags[prev:nxt])
+            bucket = buckets.get(slot)
+            if bucket is None:
+                bucket = _Bucket()
+                buckets[slot] = bucket
+                heappush(self._bucket_heap, slot)
+            bucket.blocks.append((ts[prev:nxt], qs[prev:nxt], method, ags[prev:nxt]))
             prev = nxt
-
-    def _flush_fanout_log(self) -> None:
-        """Bucket every logged fan-out block: one :meth:`_split_block` per method.
-
-        Every logged time lies beyond the active slot (and slots only
-        move forward), so no entry goes to the overflow heap here.  A
-        method whose blocks all carry int64 arg arrays (the network's
-        parked relays), or that has a classifier, keeps one int64 array.
-        """
-        log, self._fanout_log = self._fanout_log, {}
-        for mid, logged in log.items():
-            parts = [entry[2] for entry in logged]
-            if all(type(p) is np.ndarray for p in parts) or self._methods[mid] in self._classifiers:
-                args = np.concatenate([np.asarray(part, dtype=np.int64) for part in parts])
-            else:
-                args = [
-                    arg
-                    for part in parts
-                    for arg in (part.tolist() if type(part) is np.ndarray else part)
-                ]
-            self._split_block(
-                np.concatenate([entry[0] for entry in logged]),
-                np.concatenate([entry[1] for entry in logged]),
-                args,
-                self._methods[mid],
-                mid,
-            )
 
     def _bucket_shares(self, slots: np.ndarray):
         """How a bulk insert grouped by slot is split — decided here only.
@@ -715,50 +563,6 @@ class ArrayEventCore:
         sink.add_lane(lane)
         return k
 
-    def _append_block(self, slot, times, seqs, mid, args) -> None:
-        """O(1) deferred insert of one shared-method column block."""
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            bucket = _Bucket()
-            self._buckets[slot] = bucket
-            heappush(self._bucket_heap, slot)
-        bucket.blocks.append((times, seqs, mid, args))
-
-    # -- method interning ------------------------------------------------------
-
-    def _intern_method(self, method: Callable, count: int) -> int:
-        ids = self._method_ids
-        mid = ids.get(method)
-        if mid is not None:
-            self._method_refs[mid] += count
-            return mid
-        free = self._method_free
-        if free:
-            mid = free.pop()
-            self._methods[mid] = method
-            self._method_refs[mid] = count
-        else:
-            mid = len(self._methods)
-            if mid > _METHOD_TABLE_LIMIT:
-                raise RuntimeError(
-                    "method-dispatch table exhausted: more than "
-                    f"{_METHOD_TABLE_LIMIT} distinct callbacks are live at once"
-                )
-            self._methods.append(method)
-            self._method_refs.append(count)
-        ids[method] = mid
-        return mid
-
-    def _release_method(self, mid: int, count: int) -> None:
-        refs = self._method_refs
-        remaining = refs[mid] - count
-        refs[mid] = remaining
-        if remaining == 0:
-            method = self._methods[mid]
-            del self._method_ids[method]
-            self._methods[mid] = None
-            self._method_free.append(mid)
-
     # -- drain -----------------------------------------------------------------
 
     def drain(self, sim, until: Optional[float], max_events: int) -> int:
@@ -788,8 +592,8 @@ class ArrayEventCore:
         alone, so the drain stops at exactly the budget.
 
         Batch dispatch: when two or more *consecutive* run entries share
-        one interned method — detected by object identity, since interning
-        stores exactly one method object per live id — and that method has
+        one method — detected by object identity, since a run holds one
+        object per distinct callable (:meth:`_start_next_run`) — and it has
         a span handler (:meth:`register_span_handler`), the whole span is
         handed to the handler in one call.  The handler replays the scalar
         clock/guard protocol itself (``Network._deliver_span``, which
@@ -993,15 +797,15 @@ class ArrayEventCore:
     def _start_next_run(self) -> bool:
         """Materialize the lowest-slot bucket as the active run.
 
-        The fan-out log is bucketed first, so the table is complete.
         Returns False (and clears the run marker) when no bucket is left.
-        Invariants relied on: every heap entry corresponds to a live
-        bucket (buckets are only removed here, together with their heap
-        entry), and while a run is active every live bucket's slot is
-        strictly greater than ``_run_slot`` (same-or-earlier pushes were
-        diverted to the overflow heap).
+        Equal callables collapse to one object, the first seen, so the
+        drain's identity test finds every span of one method.  Invariants
+        relied on: every heap entry corresponds to a live bucket (buckets
+        are only removed here, together with their heap entry), and while
+        a run is active every live bucket's slot is strictly greater than
+        ``_run_slot`` (same-or-earlier pushes were diverted to the
+        overflow heap).
         """
-        self._flush_fanout_log()
         heap = self._bucket_heap
         if not heap:
             self._run_slot = None
@@ -1015,54 +819,30 @@ class ArrayEventCore:
             return False
         slot = heappop(heap)
         bucket = self._buckets.pop(slot)
-        table = self._methods
-        pool = bucket.args
         stage = bucket.stage
         blocks = bucket.blocks
-        release = self._release_method
         self._dups = None
-        if not blocks:
-            # Scalar pushes only (timers, small protocol steps): a plain
-            # tuple sort beats numpy at these sizes.
-            stage.sort()  # seqs are unique, so (time, seq) decides every tie
-            times = [row[0] for row in stage]
-            seqs = [row[1] for row in stage]
-            methods = []
-            args = []
-            for row in stage:
-                mid = row[2]
-                methods.append(table[mid])
-                args.append(pool[row[3]])
-                release(mid, 1)
-        elif len(stage) + sum(len(b[3]) for b in blocks) <= 32:
-            # Small mixed bucket (a few scalar pushes plus small fan-out
-            # blocks — the sparse-traffic shape): a tuple merge and one
-            # list sort beat the concatenate/lexsort constants.
-            rows = []
-            for time, seq, mid, aidx in stage:
-                rows.append((time, seq, mid, pool[aidx]))
-            for bt, bs, bmid, bargs in blocks:
+        if not blocks or len(stage) + sum(len(b[0]) for b in blocks) <= 32:
+            # Scalar pushes (timers, small protocol steps), perhaps with a
+            # few small fan-out shares — the sparse-traffic shape: a tuple
+            # merge and one list sort beat the concatenate/lexsort constants.
+            rows = stage
+            for bt, bs, method, bargs in blocks:
                 if type(bargs) is np.ndarray:
                     bargs = bargs.tolist()
-                for time, seq, arg in zip(bt.tolist(), bs.tolist(), bargs):
-                    rows.append((time, seq, bmid, arg))
-            rows.sort()  # seqs unique: (time, seq) decides, args never compared
-            times = []
-            seqs = []
-            methods = []
-            args = []
-            for time, seq, mid, arg in rows:
-                times.append(time)
-                seqs.append(seq)
-                methods.append(table[mid])
-                args.append(arg)
-                release(mid, 1)
+                rows.extend(zip(bt.tolist(), bs.tolist(), repeat(method), bargs))
+            rows.sort()  # seqs unique: (time, seq) decides, the rest is never compared
+            times, seqs, methods, args = (list(col) for col in zip(*rows))
+            first: Dict[Callable, Callable] = {}
+            methods = [first.setdefault(method, method) for method in methods]
         else:
-            # Merge the staged scalars and the deferred fan-out blocks
-            # into one column set, then sort once.  ``v_all`` holds ``~i``
-            # for arg ``pool[i]``, or the int64 arg of a method with a
-            # classifier.
+            # Merge the staged scalars and the fan-out blocks into one
+            # column set, then sort once.  ``m_parts`` index the distinct
+            # callables (``index``); ``v_all`` holds ``~i`` for arg
+            # ``pool[i]``, or the int64 arg of a method with a classifier.
             classified = self._classifiers.keys() & self._span_handlers.keys()
+            index: Dict[Callable, int] = {}
+            pool: List[Any] = []
             t_parts = []
             s_parts = []
             m_parts = []
@@ -1071,48 +851,45 @@ class ArrayEventCore:
                 t_col, s_col, m_col, a_col = zip(*stage)
                 t_parts.append(np.array(t_col, dtype=np.float64))
                 s_parts.append(np.array(s_col, dtype=np.int64))
-                m_parts.append(np.array(m_col, dtype=np.int64))
-                v_parts.append(~np.array(a_col, dtype=np.int64))
+                m_parts.append(
+                    np.array([index.setdefault(m, len(index)) for m in m_col], dtype=np.int64)
+                )
+                v_parts.append(~np.arange(len(stage), dtype=np.int64))
+                pool.extend(a_col)
             mids = set()
             mid_vals = []
             lens = []
-            for bt, bs, bmid, bargs in blocks:
+            for bt, bs, method, bargs in blocks:
+                mid = index.setdefault(method, len(index))
                 t_parts.append(bt)
                 s_parts.append(bs)
-                mid_vals.append(bmid)
+                mid_vals.append(mid)
                 lens.append(len(bt))
-                if table[bmid] in classified:
-                    mids.add(bmid)
+                if method in classified:
+                    mids.add(mid)
                     v_parts.append(np.asarray(bargs, dtype=np.int64))
                 else:
                     v_parts.append(~np.arange(len(pool), len(pool) + len(bt)))
                     pool.extend(bargs.tolist() if type(bargs) is np.ndarray else bargs)
             m_parts.append(np.repeat(np.array(mid_vals, dtype=np.int64), np.array(lens)))
+            table = list(index)
             t_all = np.concatenate(t_parts)
             s_all = np.concatenate(s_parts)
-            m_all = np.concatenate(m_parts)
             v_all = np.concatenate(v_parts)
             order = np.lexsort((s_all, t_all))
             t_s = t_all.take(order)
             if len(mids) == 1:  # (not when two networks share the simulator)
                 times, seqs, args, order = self._split_duplicates(
-                    order, t_s, s_all, v_all, mids.pop(), pool
+                    order, t_s, s_all, v_all, table[mids.pop()], pool
                 )
             else:
                 times = t_s.tolist()
                 seqs = s_all[order].tolist()
                 args = [pool[~i] if i < 0 else i for i in v_all[order].tolist()]
-            counts = np.bincount(m_all)  # order-independent refcounts
-            live = np.flatnonzero(counts)
-            if live.size == 1:
-                # One shared callback (the common multicast bucket).
-                mid = int(live[0])
-                methods = [table[mid]] * len(times)
-                release(mid, int(counts[mid]))
+            if len(table) == 1:  # one shared callback (the common multicast bucket)
+                methods = [table[0]] * len(times)
             else:
-                methods = [table[i] for i in m_all[order].tolist()]
-                for mid, c in zip(live.tolist(), counts[live].tolist()):
-                    release(mid, c)
+                methods = [table[i] for i in np.concatenate(m_parts)[order].tolist()]
         self._run_times = times
         self._run_seqs = seqs
         self._run_methods = methods
@@ -1122,8 +899,8 @@ class ArrayEventCore:
         self._run_slot = slot
         return True
 
-    def _split_duplicates(self, order, t_s, s_all, v_all, mid, pool):
-        """Split what ``mid``'s classifier marks in its int64 args off the sorted
+    def _split_duplicates(self, order, t_s, s_all, v_all, method, pool):
+        """Split what ``method``'s classifier marks in its int64 args off the sorted
         bucket; returns the run's times, seqs, args and order.  Of each maximal
         stretch of marks all but the last go to :attr:`_dups`, the first staying
         as arg ``~i``: followed by its own method, it reaches the span test."""
@@ -1135,7 +912,7 @@ class ArrayEventCore:
         work = np.zeros((4, (n + 256) & ~255), dtype=bool)
         mine = np.greater_equal(v_s, 0, out=work[0, :n])
         marked = work[1, : n + 1]  # the last entry never collapses
-        marked[:-1][mine] = self._classifiers[self._methods[mid]](v_s[mine])
+        marked[:-1][mine] = self._classifiers[method](v_s[mine])
         edge = work[2, : n + 1]  # edge[1 + i]: entry i collapses
         np.logical_and(marked[:-1], marked[1:], out=edge[1:])
         bounds = np.flatnonzero(np.not_equal(edge[1:], edge[:-1], out=work[3, :n]))

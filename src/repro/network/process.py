@@ -31,8 +31,7 @@ class _AliveGuard:
     The picklable replacement for the nested ``guarded`` closure
     :meth:`Process.schedule` used to allocate — checkpoint snapshots carry
     pending timer entries, and closures cannot cross a pickle boundary.
-    A fresh instance per call preserves the historical behaviour of the
-    event cores' method interning (each timer is a distinct callback).
+    A fresh instance per call makes each timer a distinct callback.
 
     The guard also records the owner's incarnation: a timer set before a
     crash stays dead after a :meth:`Process.revive`, so a process that

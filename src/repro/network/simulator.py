@@ -188,7 +188,7 @@ class Simulator:
     ``core="array"`` (the default) keeps pending events in the
     calendar-queue of numpy buckets provided by
     :class:`~repro.network.event_core.ArrayEventCore` — vectorized bulk
-    inserts, one sort per time-slot bucket, interned method dispatch.
+    inserts, one sort per time-slot bucket.
     ``core="heap"`` keeps the classical ``heapq`` of
     ``(time, seq, method, arg)`` tuples.  Both are production paths:
     :func:`core_for_run` gives a run of at most :data:`BLOCK_FANOUT`
@@ -271,10 +271,9 @@ class Simulator:
         had filtered it out of the vector.  Everything
         else is scheduled at ``now + delays[i]`` with argument
         ``args[i]``, sequence numbers in vector order.  Under the array
-        core the shared method is interned once and the block is split
-        into buckets with the rest of its run's — the multicast hot path.
-        A list ``args`` is kept by reference (the core never mutates it),
-        so the caller must not change it afterwards.
+        core the block is split by slot into the buckets it touches, one
+        ``(times, seqs, method, args)`` share each — the multicast hot path.
+        Neither core mutates ``args``.
         """
         now = self.now
         if None in delays:
@@ -943,7 +942,7 @@ class Network:
         """Batch-dispatch a span of consecutive ``_deliver_multicast`` events.
 
         Invoked by the drain loop for run entries ``pos:end`` that all
-        share the interned ``_deliver_multicast``, with ``budget`` events
+        share ``_deliver_multicast``, with ``budget`` events
         left in the drain call; each arg is an int code ``slot << 16 |
         receiver index``.  ``cell`` ends as ``[events processed, run
         position reached]``, also when a callback raises: the delivery whose

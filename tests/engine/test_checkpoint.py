@@ -194,9 +194,10 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
 def _age(path: str, written: str, monkeypatch) -> str:
     """Make the checkpoint at ``path`` one this model version must refuse:
     one written at the version before (``"older"``), at version 1 (the
-    format whose recorder pickled one event object per event), or before
-    versions were recorded (``"unversioned"``).  Returns the refusal's
-    message."""
+    format whose recorder pickled one event object per event), at version 2
+    (whose array event core pickled a method-intern table and a packed
+    bucket table), or before versions were recorded (``"unversioned"``).
+    Returns the refusal's message."""
     now = repro.MODEL_VERSION
     if written == "older":
         monkeypatch.setattr(repro, "MODEL_VERSION", now + 1)
@@ -205,8 +206,8 @@ def _age(path: str, written: str, monkeypatch) -> str:
         data = open(path, "rb").read()
         newline = data.index(b"\n")
         head = json.loads(data[:newline])
-        if written == "version-1":
-            head["model_version"] = 1
+        if written.startswith("version-"):
+            head["model_version"] = int(written[len("version-"):])
         else:
             del head["model_version"]
         with open(path, "wb") as handle:
@@ -225,9 +226,9 @@ class TestModelVersion:
     def test_header_carries_the_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 2
+        assert head["model_version"] == repro.MODEL_VERSION == 3
 
-    @pytest.mark.parametrize("written", ["older", "version-1", "unversioned"])
+    @pytest.mark.parametrize("written", ["older", "version-1", "version-2", "unversioned"])
     def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):
         path = str(tmp_path / "cell.ckpt")
         _write_cell_checkpoint(path, _spec())
@@ -237,7 +238,7 @@ class TestModelVersion:
                 load_checkpoint(path)
         assert str(excinfo.value) == refusal
 
-    @pytest.mark.parametrize("written", ["older", "version-1", "unversioned"])
+    @pytest.mark.parametrize("written", ["older", "version-1", "version-2", "unversioned"])
     def test_run_spec_with_checkpoints_warns_and_reruns(self, tmp_path, monkeypatch, written):
         path = str(tmp_path / "cell.ckpt")
         spec = _spec()
@@ -251,7 +252,7 @@ class TestModelVersion:
         assert resumed is None
         assert result.stable_dict() == spec.execute().stable_dict()
 
-    @pytest.mark.parametrize("written", ["older", "version-1", "unversioned"])
+    @pytest.mark.parametrize("written", ["older", "version-1", "version-2", "unversioned"])
     def test_resume_run_is_one_error_line(self, tmp_path, monkeypatch, written):
         from repro.cli import main
 

@@ -1,16 +1,16 @@
 """A scripted relay flood, run on either core in caller-chosen drain steps.
 
-The array core does not cut a fan-out block into buckets when it is
-inserted: a block lying wholly beyond the slot being drained waits in
-``ArrayEventCore._fanout_log`` until the next run starts (or a snapshot
-is taken) and is split together with everything else logged meanwhile.
-Nothing a caller can observe may depend on where that boundary falls.
-:class:`Flood` is the LRC shape that fills the log — every process
-relays every rumor once, to everyone else, on first reception — over
-enough processes that each relay takes the block route (16 entries or
-more), with an optional second shared method (``audits``: each first
-reception also bulk-schedules a row of audit callbacks) so that one
-flush carries two methods.  It is drained in ``(until, chunk)`` steps and
+The array core cuts a fan-out block by slot when it is scheduled: the
+share reaching into the slot being drained goes to the overflow heap,
+each later slot's share waits in its bucket as one block until that
+bucket becomes the active run.  Nothing a caller can observe may depend
+on where those boundaries fall.  :class:`Flood` is the LRC shape that
+fills the buckets with blocks — every process relays every rumor once,
+to everyone else, on first reception — over enough processes that each
+relay takes the block route (16 entries or more), with an optional
+second shared method (``audits``: each first reception also
+bulk-schedules a row of audit callbacks) so that one bucket holds blocks
+of two methods.  It is drained in ``(until, chunk)`` steps and
 reports its state after every chunk, like ``column_script.Script``; the
 cases in ``test_core_equivalence.py`` compare those state lists across
 cores.
@@ -100,12 +100,22 @@ class Flood:
         pid, rumor = entry
         self.network.broadcast(pid, "rumor", rumor, include_self=True)
 
-    def logged_blocks(self) -> int:
-        """Fan-out blocks waiting in the array core's log (0 on the heap)."""
+    def bucketed_blocks(self) -> int:
+        """Fan-out shares waiting in the array core's buckets (0 on the heap)."""
         core = self.sim._array_core
         if core is None:
             return 0
-        return sum(len(blocks) for blocks in core._fanout_log.values())
+        return sum(len(bucket.blocks) for bucket in core._buckets.values())
+
+    def bucketed_methods(self) -> int:
+        """The most distinct callables the blocks of one bucket carry."""
+        core = self.sim._array_core
+        if core is None:
+            return 0
+        return max(
+            (len({block[2] for block in bucket.blocks}) for bucket in core._buckets.values()),
+            default=0,
+        )
 
     def state(self) -> Tuple[Any, ...]:
         return (

@@ -90,30 +90,34 @@ def test_restores_identical_for_every_fault_kind(fault_kind: str, core: str):
     _assert_restores_identical("lossy", seed=13, core=core, fault_kind=fault_kind)
 
 
+def _bucketed_blocks(live) -> int:
+    """Fan-out shares waiting in the array core's buckets."""
+    return sum(len(bucket.blocks) for bucket in live.simulator._array_core._buckets.values())
+
+
 @pytest.mark.parametrize("kind", ("synchronous", "asynchronous"))
-def test_restores_identical_with_relays_still_in_the_fanout_log(kind: str):
+def test_restores_identical_with_relay_shares_in_buckets(kind: str):
     """Eighteen miners: every relay is a 17-entry fan-out block, which
-    the array core logs and only buckets when the next run starts — or
-    when a snapshot is taken.  Restore at seeded-random boundaries where
-    relays were logged but not yet bucketed; the asynchronous channel
-    also sends part of some blocks through the overflow heap."""
+    the array core cuts by slot when it is scheduled.  Restore at
+    seeded-random boundaries where relay shares wait in buckets beyond
+    the active slot; the asynchronous channel also sends part of some
+    blocks through the overflow heap."""
     clean = _run(kind, 3, n=18)
     snapshots = []
 
     def sink(live) -> None:
-        waiting = bool(live.simulator._array_core._fanout_log)
+        waiting = _bucketed_blocks(live)
         snapshot = SimulationCheckpoint.capture(live)
-        # Taking the snapshot bucketed the log; it never holds one.
-        assert not live.simulator._array_core._fanout_log
+        assert _bucketed_blocks(live) == waiting  # taking the snapshot moved nothing
         if waiting:
-            snapshots.append(snapshot)
+            snapshots.append((snapshot, waiting))
 
     capture = _run(kind, 3, n=18, checkpoint_every=7 * EVERY + 1, checkpoint_sink=sink)
     assert capture.history.events == clean.history.events
     assert len(snapshots) >= 2 * K
-    for snapshot in random.Random(f"fanout-log:{kind}").sample(snapshots, K):
+    for snapshot, waiting in random.Random(f"fanout-log:{kind}").sample(snapshots, K):
         live = snapshot.restore()
-        assert not live.simulator._array_core._fanout_log
+        assert _bucketed_blocks(live) == waiting
         result = live.finish()
         assert result.history.events == clean.history.events
         assert result.network.messages_sent == clean.network.messages_sent

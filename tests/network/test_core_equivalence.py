@@ -3,7 +3,7 @@
 The PR 6 acceptance bar, mirroring the PR 4 message-plane oracle one
 directory over: on randomized fork-, drop- and fault-heavy protocol
 runs, ``run_protocol(core="array")`` (the calendar-queue of numpy
-buckets with interned method dispatch) and ``run_protocol(core="heap")``
+buckets) and ``run_protocol(core="heap")``
 (the classical heapq of tuples, kept verbatim) must record *identical*
 histories — every event, every timestamp, every read result — for all
 channel models and across dissemination topologies.  Anything less would
@@ -480,15 +480,15 @@ def test_schedule_column_validates_like_schedule_block():
         assert script.column(0, [], []) == 0
 
 
-# -- the fan-out log: a run's relays are bucketed once -------------------------
+# -- relay blocks in buckets ---------------------------------------------------
 #
-# A fan-out block lying wholly beyond the slot being drained is not cut
-# into buckets when it is inserted: it waits in ``_fanout_log`` and is
-# split with everything else logged until the next run starts or a
-# snapshot is taken.  Each case below drains one 18-process relay flood
-# (``flood_script.Flood``: every relay is a 17-entry block) on both cores
-# and compares, after every chunk, the delivery log, ``sim.now``,
-# ``events_processed``, ``pending`` and the message counters.
+# A fan-out block is cut by slot when it is scheduled: the share reaching
+# into the slot being drained goes to the overflow heap, every later
+# slot's share waits in its bucket as one block.  Each case below drains
+# one 18-process relay flood (``flood_script.Flood``: every relay is a
+# 17-entry block) on both cores and compares, after every chunk, the
+# delivery log, ``sim.now``, ``events_processed``, ``pending`` and the
+# message counters.
 
 _RUMORS = [(0.0, "p0", "a"), (0.125, "p7", "b"), (1.25, "p3", "c")]
 
@@ -516,24 +516,18 @@ _FLOOD_CASES = {
     # (iii) part of a relay lands in the slot being drained (overflow
     # heap, entry by entry), the rest beyond it.
     "block_straddles_the_active_slot": ("asynchronous", False, [(0.5, 40), (None, 23)]),
-    # Seventeen relays and their audit rows logged at one instant and due
-    # at one instant: the seqs a flush rebuilds are all that orders them.
+    # Seventeen relays and their audit rows scheduled at one instant and
+    # due at one instant: the seqs in their blocks are all that orders them.
     "lockstep_ties_are_broken_by_seq": ("lockstep", True, [(None, 29)]),
     # (iv) relays and audit rows — two shared methods — wait side by side.
-    "two_methods_share_one_flush": ("synchronous", True, [(1.0, 25), (None, 60)]),
+    "two_methods_share_one_bucket": ("synchronous", True, [(1.0, 25), (None, 60)]),
 }
 
 
-def _assert_every_method_released(core: ArrayEventCore) -> None:
-    assert core._method_ids == {}
-    assert not any(core._method_refs)
-    assert sorted(core._method_free) == list(range(len(core._methods)))
-
-
 @pytest.mark.parametrize("case", sorted(_FLOOD_CASES))
-def test_logged_relays_match_the_heap_core(case: str):
+def test_bucketed_relays_match_the_heap_core(case: str):
     channel, audits, steps = _FLOOD_CASES[case]
-    waiting = []  # (blocks, methods) in the log at every chunk boundary
+    waiting = []  # (blocks, methods in one bucket) at every chunk boundary
     shares = []  # (overflow prefix, block length) of every split
     bucket_shares = ArrayEventCore._bucket_shares
 
@@ -543,7 +537,7 @@ def test_logged_relays_match_the_heap_core(case: str):
         return start, edges
 
     def look(flood: Flood) -> None:
-        waiting.append((flood.logged_blocks(), len(flood.sim._array_core._fanout_log)))
+        waiting.append((flood.bucketed_blocks(), flood.bucketed_methods()))
 
     flood = _flood("array", channel, audits)
     with mock.patch.object(ArrayEventCore, "_bucket_shares", spy):
@@ -554,12 +548,10 @@ def test_logged_relays_match_the_heap_core(case: str):
     assert pending == 0
     assert sent == delivered == 3 * (18 + 18 * 17)
     assert processed == len(log) + len(_RUMORS)
-    _assert_every_method_released(flood.sim._array_core)
     # The case is only worth comparing if it cuts where it claims to.
     assert sum(blocks > 0 for blocks, _ in waiting) >= 3
     if case == "block_straddles_the_active_slot":
         assert sum(0 < start < total for start, total in shares) >= 10
-        assert any(start == 0 and total > 17 for start, total in shares)  # a merged flush
     else:
         # Nothing but the originators' own copies ever met the active slot.
         assert sum(start > 0 for start, _ in shares) == len(_RUMORS)
@@ -567,27 +559,28 @@ def test_logged_relays_match_the_heap_core(case: str):
         assert any(methods == 2 for _, methods in waiting)
 
 
-def test_flood_survives_a_snapshot_with_relays_still_logged():
-    """(ii) Pickle the whole flood at chunk boundaries where relays are
-    logged but not yet bucketed; a snapshot holds no log, restores to
-    the same future, and taking it does not disturb the run it is of."""
+def test_flood_survives_a_snapshot_with_relays_still_bucketed():
+    """(ii) Pickle the whole flood at chunk boundaries where relay shares
+    wait in buckets beyond the active slot; a snapshot holds them as they
+    are, restores to the same future, and taking it does not disturb the
+    run it is of."""
     clean = _flood("array", "synchronous", audits=True).run([(None, 10**6)])[-1]
     snapshots = []
 
     def snapshot(flood: Flood) -> None:
-        if flood.logged_blocks():
-            snapshots.append(pickle.dumps(flood))
-            assert flood.logged_blocks() == 0  # flushed, not dropped: see below
+        waiting = flood.bucketed_blocks()
+        if waiting:
+            snapshots.append((pickle.dumps(flood), waiting))
+            assert flood.bucketed_blocks() == waiting  # pickling moved nothing
 
     steps = [(0.7, 37), (1.45, 53), (None, 71)]
     captured = _flood("array", "synchronous", audits=True).run(steps, on_chunk=snapshot)
     assert captured[-1] == clean
     assert len(snapshots) >= 6
-    for blob in random.Random(24).sample(snapshots, 4):
+    for blob, waiting in random.Random(24).sample(snapshots, 4):
         restored = pickle.loads(blob)
-        assert restored.logged_blocks() == 0
+        assert restored.bucketed_blocks() == waiting
         assert restored.run([(None, 10**6)])[-1] == clean
-        _assert_every_method_released(restored.sim._array_core)
 
 
 # -- duplicate stretches: the span skip against the heap core -----------------
@@ -644,13 +637,18 @@ def _cut_inside(network: Network, args, k: int) -> bool:
     return dups.pos > dups.starts[~args[k]]
 
 
+def _assert_drained(core: ArrayEventCore) -> None:
+    """Nothing is left in the buckets or the overflow heap."""
+    assert not core._buckets and not core._bucket_heap and not core._overflow
+
+
 def _assert_flood_matches_heap(steps, **kwargs) -> BlockFlood:
     flood = _block_flood("array", **kwargs)
     array = flood.run(steps)
     heap = _block_flood("heap", **kwargs).run(steps)
     assert array == heap
     assert array[-1][3] == 0  # pending
-    _assert_every_method_released(flood.sim._array_core)
+    _assert_drained(flood.sim._array_core)
     return flood
 
 
@@ -784,7 +782,7 @@ def test_a_moved_epoch_sends_the_rest_of_a_collapsed_stretch_the_scalar_way(move
     assert array == _block_flood("heap", actions=_EPOCH_MOVES[move]).run(steps)
     assert array[-1][3] == 0
     assert len(handed) >= 10  # a synchronous channel never puts a relay there itself
-    _assert_every_method_released(flood.sim._array_core)
+    _assert_drained(flood.sim._array_core)
 
 
 def _inside_a_stretch(flood: BlockFlood) -> bool:
@@ -986,7 +984,7 @@ def test_a_raising_callback_mid_span_flushes_what_it_parked():
     # The raising delivery is consumed but not processed on both cores.
     assert array == heap
     assert seen["parked"] > 0 and not flood.network._parked
-    _assert_every_method_released(flood.sim._array_core)
+    _assert_drained(flood.sim._array_core)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))

@@ -23,28 +23,30 @@ from tests.network.flood_script import BlockFlood, Flood
 _RUMORS = [(0.0, "p0", "a"), (0.125, "p7", "b"), (1.25, "p3", "c")]
 
 
-def test_a_relay_logs_ints_not_tuples():
+def test_a_relay_buckets_ints_not_tuples():
     flood = Flood("array", SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)).start(_RUMORS)
     flood.sim.run(until=0.6)
     network = flood.network
     core = flood.sim._array_core
-    logged = core._fanout_log[core._method_ids[network._deliver_multicast]]
-    # A relay made in a multicast span is parked and logged in an int64
-    # array with the others of its span; any other fan-out logs an int list.
-    assert any(type(args) is np.ndarray for _times, _seqs, args in logged)
+    blocks = [
+        block
+        for bucket in core._buckets.values()
+        for block in bucket.blocks
+        if block[2] == network._deliver_multicast
+    ]
+    # A relay made in a multicast span is parked and bucketed in int64
+    # arrays with the others of its span; any other fan-out keeps an int list.
+    assert any(type(args) is np.ndarray for _times, _seqs, _method, args in blocks)
     codes = []
-    for _times, _seqs, args in logged:
+    for _times, _seqs, _method, args in blocks:
         if type(args) is np.ndarray:
             assert args.dtype == np.int64
             args = args.tolist()
         codes.extend(args)
     assert len(codes) >= 17 and all(type(code) is int for code in codes)
-    decoded = {
-        (network._envelopes[code >> 16].payload, network._receiver_pids[code & 0xFFFF])
-        for code in codes
-    }
-    assert len(decoded) == len(codes)  # one delivery per (rumor, receiver)
-    assert {rumor for rumor, _pid in decoded} <= {"a", "b"}
+    assert len(set(codes)) == len(codes)  # one delivery per (envelope, receiver)
+    assert {network._envelopes[code >> 16].payload for code in codes} <= {"a", "b"}
+    assert {network._receiver_pids[code & 0xFFFF] for code in codes} <= set(network.process_ids)
 
 
 def test_receiver_indexes_survive_deregister_and_register():

@@ -3,20 +3,24 @@
 Covers the :class:`~repro.network.simulator.Simulator` surface under both
 cores — scalar pushes, fan-outs, block scheduling, the
 ``until``/``max_events`` run contract — plus the array core's internals:
-method-table interning and recycling and the overflow heap for pushes
-into the active slot.  The protocol-level
+one object per callable in a materialized run, and the overflow heap for
+pushes into the active slot.  The protocol-level
 byte-identity suite lives in ``test_core_equivalence.py``; here the
 focus is the event-core API itself.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.errors import UnknownVocabularyError
+from repro.network.channels import SynchronousChannel
 from repro.network.event_core import NO_ARG, ArrayEventCore
-from repro.network.simulator import Simulator
+from repro.network.process import Process
+from repro.network.simulator import Network, Simulator
 from repro.protocols.base import Mempool
 
 
@@ -310,39 +314,35 @@ def test_randomized_mixed_workload_parity(seed: int):
     assert len(trace) > 100
 
 
-# -- method-table interning --------------------------------------------------
+# -- one object per callable in a run -----------------------------------------
 
 
-def test_method_table_interns_shared_callbacks():
-    core = ArrayEventCore()
-    sink = []
-    for t in (1.0, 1.1, 1.2):
-        core.push(t, sink.append, "x")
-    # One live table entry, refcounted three times.
-    assert len(core._methods) == 1
-    assert core._method_refs[0] == 3
+@pytest.mark.parametrize("receivers", (3, 20), ids=("tuple-merge", "numpy-merge"))
+def test_equal_bound_methods_in_one_bucket_form_one_span(receivers: int):
+    """Two multicasts schedule two equal but distinct ``_deliver_multicast``
+    bound methods into one bucket (every delay is 0.5).  Materializing it
+    collapses them to one object, so the drain hands all their deliveries
+    to one ``_deliver_span`` call — on both merge paths (at most 32
+    entries, and more)."""
+    spans = []
+    deliver_span = Network._deliver_span
 
+    def spy(network, times, seqs, args, pos, end, *rest):
+        spans.append((pos, end))
+        return deliver_span(network, times, seqs, args, pos, end, *rest)
 
-def test_method_table_recycles_slots_across_drains():
-    """One-shot closures cannot exhaust the method table: drained
-    buckets release their methods and the slots are reused."""
-    sim = Simulator(core="array")
-    core = sim._array_core
-    for round_no in range(6):
-        for i in range(40):
-            sim.schedule(0.1 + i * 0.001, lambda i=i: None)  # 40 distinct closures
+    with mock.patch.object(Network, "_deliver_span", spy):
+        sim = Simulator(core="array")
+        network = Network(sim, SynchronousChannel(delta=0.5, min_delay=0.5, seed=1))
+        pids = [f"p{index}" for index in range(receivers + 2)]
+        for pid in pids:
+            network.register(Process(pid))
+        assert network._deliver_multicast is not network._deliver_multicast
+        for sender in ("p0", "p1"):
+            network.multicast(sender, pids[2:], "ping", sender)
         sim.run()
-    # Without recycling the table would hold 240 entries by now.
-    assert len(core._methods) <= 80
-    assert not core._method_ids  # nothing live between runs
-
-
-def test_method_table_exhaustion_raises():
-    core = ArrayEventCore()
-    core._methods = [None] * 32768  # simulate a full table
-    core._method_refs = [1] * 32768
-    with pytest.raises(RuntimeError, match="method-dispatch table exhausted"):
-        core._intern_method(lambda: None, 1)
+    assert spans == [(0, 2 * receivers)]
+    assert network.messages_delivered == sim.events_processed == 2 * receivers
 
 
 def test_no_arg_sentinel_identity():

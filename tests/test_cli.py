@@ -13,6 +13,18 @@ from repro.engine import ExperimentSpec
 from repro.protocols.classification import ClassificationResult, reproduce_table1
 
 
+def assert_refused(capsys, command, fragment, call, *args):
+    """``call(*args)`` refuses a flag: exit 2 and one ``repro <command>:
+    error: ...`` line on stderr that contains ``fragment``."""
+    with pytest.raises(SystemExit) as excinfo:
+        call(*args)
+    assert excinfo.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"repro {command}: error: ")
+    assert fragment in lines[0]
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -228,7 +240,7 @@ class TestSweepCommand:
         journals exactly the lines the full sweep journals for its cells."""
         common = [
             "sweep", "--protocol", "hyperledger", "--replicas", "3",
-            "--duration", "20", "--seeds", "0:6", "--flaky-rates", "exception=0.5",
+            "--duration", "20", "--seeds", "0:6", "--flaky-rates", "exception=0.8",
             "--retries", "2", "--retry-backoff", "0", "--max-failures", "-1",
             "--out", str(tmp_path / "results.json"),
         ]
@@ -243,19 +255,25 @@ class TestSweepCommand:
         ]
         assert any(json.loads(line)["attempts"] > 1 for line in shard_lines)
 
-    def test_sweep_resume_flag_validation(self):
-        with pytest.raises(SystemExit, match="requires --journal"):
-            main(["sweep", "--protocol", "bitcoin", "--resume", "--cache"])
-        with pytest.raises(SystemExit, match="requires --cache"):
-            main(["sweep", "--protocol", "bitcoin", "--resume", "--journal"])
+    def test_sweep_resume_flag_validation(self, capsys):
+        assert_refused(
+            capsys, "sweep", "requires --journal",
+            main, ["sweep", "--protocol", "bitcoin", "--resume", "--cache"],
+        )
+        assert_refused(
+            capsys, "sweep", "requires --cache",
+            main, ["sweep", "--protocol", "bitcoin", "--resume", "--journal"],
+        )
 
-    def test_sweep_flaky_rates_validation(self):
-        with pytest.raises(SystemExit, match="unknown injection kind"):
-            main([
-                "sweep", "--protocol", "bitcoin", "--flaky-rates", "gamma-ray=0.5",
-            ])
-        with pytest.raises(SystemExit, match="cannot parse --flaky-rates"):
-            main(["sweep", "--protocol", "bitcoin", "--flaky-rates", "exception"])
+    def test_sweep_flaky_rates_validation(self, capsys):
+        assert_refused(
+            capsys, "sweep", "unknown injection kind",
+            main, ["sweep", "--protocol", "bitcoin", "--flaky-rates", "gamma-ray=0.5"],
+        )
+        assert_refused(
+            capsys, "sweep", "cannot parse --flaky-rates",
+            main, ["sweep", "--protocol", "bitcoin", "--flaky-rates", "exception"],
+        )
 
     def test_sweep_shard_invocations_merge_byte_identically(self, capsys, tmp_path):
         common = [
@@ -370,34 +388,46 @@ class TestTopologyFlags:
         ]) == 0
         assert "blocks/replica" in capsys.readouterr().out
 
-    def test_classify_topology_rejects_unknown_kind(self):
-        with pytest.raises(SystemExit, match="unknown topology 'mesh2'"):
-            main([
+    def test_classify_topology_rejects_unknown_kind(self, capsys):
+        assert_refused(
+            capsys, "classify", "unknown topology 'mesh2'",
+            main, [
                 "classify", "bitcoin", "--replicas", "3", "--duration", "10",
                 "--topology", "mesh2",
-            ])
+            ],
+        )
 
-    def test_topology_parse_forms(self):
+    def test_topology_parse_forms(self, capsys):
         from repro.cli import _parse_topology
 
-        assert _parse_topology("ring").kind == "ring"
-        spec = _parse_topology("sharded:shards=3,cross_links=2")
+        assert _parse_topology("sweep", "ring").kind == "ring"
+        spec = _parse_topology("sweep", "sharded:shards=3,cross_links=2")
         assert spec.kind == "sharded"
         assert spec.params == {"shards": 3, "cross_links": 2}
         spec = _parse_topology(
-            '{"kind": "committee", "params": {"members": ["p0", "p1"]}}'
+            "sweep", '{"kind": "committee", "params": {"members": ["p0", "p1"]}}'
         )
         assert spec.params["members"] == ["p0", "p1"]
         # JSON list values survive the colon form: commas inside brackets
         # and quotes are not pair separators.
         spec = _parse_topology(
-            'committee:members=["p0","p1"],include_observers=false'
+            "sweep", 'committee:members=["p0","p1"],include_observers=false'
         )
         assert spec.params == {"members": ["p0", "p1"], "include_observers": False}
-        spec = _parse_topology('sharded:groups=[["p0","p1"],["p2"]],cross_links=1')
+        spec = _parse_topology("sweep", 'sharded:groups=[["p0","p1"],["p2"]],cross_links=1')
         assert spec.params == {"groups": [["p0", "p1"], ["p2"]], "cross_links": 1}
-        with pytest.raises(SystemExit, match="not 'key=value'"):
-            _parse_topology("gossip:fanout")
+        assert_refused(
+            capsys, "classify", "topology parameter 'fanout' is not 'key=value'",
+            _parse_topology, "classify", "gossip:fanout",
+        )
+        assert_refused(
+            capsys, "sweep", "cannot parse topology JSON",
+            _parse_topology, "sweep", '{"kind": "ring"',
+        )
+        assert_refused(
+            capsys, "sweep", "unknown topology key(s) 'bogus'",
+            _parse_topology, "sweep", '{"kind": "ring", "bogus": 1}',
+        )
 
     def test_sweep_grids_over_topologies(self, capsys, tmp_path):
         out = tmp_path / "results.json"
@@ -415,12 +445,14 @@ class TestTopologyFlags:
         ]
         assert kinds == ["full", "gossip", "ring"]
 
-    def test_topologies_axis_rejects_parameterized_entries(self):
-        with pytest.raises(SystemExit, match="bare registered kinds"):
-            main([
+    def test_topologies_axis_rejects_parameterized_entries(self, capsys):
+        assert_refused(
+            capsys, "sweep", "bare registered kinds",
+            main, [
                 "sweep", "--protocol", "bitcoin", "--replicas", "3",
                 "--duration", "10", "--topologies", "gossip:fanout=3,ring",
-            ])
+            ],
+        )
 
     def test_sweep_base_topology_applies_to_every_cell(self, capsys, tmp_path):
         out = tmp_path / "results.json"
@@ -450,37 +482,49 @@ class TestFaultFlags:
         assert "degradation monitor" in out
         assert "time_to_heal=" in out
 
-    def test_classify_fault_rejects_unknown_kind(self):
-        with pytest.raises(SystemExit, match="unknown fault 'gremlins'"):
-            main([
+    def test_classify_fault_rejects_unknown_kind(self, capsys):
+        assert_refused(
+            capsys, "classify", "unknown fault 'gremlins'",
+            main, [
                 "classify", "bitcoin", "--replicas", "3", "--duration", "10",
                 "--fault", "gremlins",
-            ])
+            ],
+        )
 
-    def test_fault_parse_forms(self):
+    def test_fault_parse_forms(self, capsys):
         from repro.cli import _parse_fault
 
-        spec = _parse_fault('crash:at={"p1": 30.0}')
+        spec = _parse_fault("classify", 'crash:at={"p1": 30.0}')
         assert spec.kind == "crash" and spec.params == {"at": {"p1": 30.0}}
-        spec = _parse_fault('silent:members=["p2"],seed=4')
+        spec = _parse_fault("classify", 'silent:members=["p2"],seed=4')
         assert (spec.kind, spec.params, spec.seed) == ("silent", {"members": ["p2"]}, 4)
         # The pre-registry spelling is refused by name.
-        with pytest.raises(SystemExit, match="unexpected keyword argument 'crash_at'"):
-            _parse_fault('crash:crash_at={"p1": 30.0}')
-        with pytest.raises(SystemExit, match="unknown fault 'byzantine'"):
-            _parse_fault('byzantine:byzantine=["p2"],seed=4')
+        assert_refused(
+            capsys, "classify", "unexpected keyword argument 'crash_at'",
+            _parse_fault, "classify", 'crash:crash_at={"p1": 30.0}',
+        )
+        assert_refused(
+            capsys, "sweep", "unknown fault 'byzantine'",
+            _parse_fault, "sweep", 'byzantine:byzantine=["p2"],seed=4',
+        )
         spec = _parse_fault(
-            'partition:groups=[["p0","p1"],["p2","p3"]],at=10,heal_at=40'
+            "sweep", 'partition:groups=[["p0","p1"],["p2","p3"]],at=10,heal_at=40'
         )
         assert spec.params == {
             "groups": [["p0", "p1"], ["p2", "p3"]], "at": 10, "heal_at": 40,
         }
         spec = _parse_fault(
-            '{"kind": "churn", "params": {"leave": {"p4": 20.0}}}'
+            "sweep", '{"kind": "churn", "params": {"leave": {"p4": 20.0}}}'
         )
         assert spec.kind == "churn" and spec.params == {"leave": {"p4": 20.0}}
-        with pytest.raises(SystemExit, match="not 'key=value'"):
-            _parse_fault("eclipse:victim")
+        assert_refused(
+            capsys, "classify", "fault parameter 'victim' is not 'key=value'",
+            _parse_fault, "classify", "eclipse:victim",
+        )
+        assert_refused(
+            capsys, "classify", "fault '{\"kind\": \"crash\", \"params\": 5}': ",
+            _parse_fault, "classify", '{"kind": "crash", "params": 5}',
+        )
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -568,7 +612,7 @@ class TestFaultFlags:
     )
     @pytest.mark.parametrize("command", ("classify", "sweep"))
     def test_bad_component_parameters_fail_before_any_run(
-        self, tmp_path, command, flag, value, message
+        self, capsys, tmp_path, command, flag, value, message
     ):
         """A missing or unknown constructor parameter is one usage error,
         like an unknown kind: a sweep stops before it runs a cell."""
@@ -582,7 +626,8 @@ class TestFaultFlags:
         }[command]
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, flag, value])
-        assert excinfo.value.code == f"repro: error: {message}"
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == f"repro {command}: error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("duration", ("nan", "-5", "inf"))
@@ -675,22 +720,42 @@ class TestCheckpointFlags:
         resume = build_parser().parse_args(["resume-run", "foo.ckpt"])
         assert resume.checkpoint == "foo.ckpt"
 
-    def test_non_positive_knobs_are_rejected_loudly(self):
-        with pytest.raises(SystemExit, match=r"--timeout must be > 0"):
-            main(["sweep", "--protocol", "bitcoin", "--timeout", "-1"])
-        with pytest.raises(SystemExit, match=r"--checkpoint-every must be > 0"):
-            main(["sweep", "--protocol", "bitcoin", "--checkpoint-every", "0"])
-        with pytest.raises(SystemExit, match=r"--checkpoint-every must be > 0"):
-            main(["classify", "bitcoin", "--checkpoint-every", "-5"])
-        with pytest.raises(SystemExit, match=r"--checkpoint-every must be > 0"):
-            main(["resume-run", "foo.ckpt", "--checkpoint-every", "0"])
+    def test_non_positive_knobs_are_rejected_loudly(self, capsys):
+        for argv, message in [
+            (
+                ["sweep", "--protocol", "bitcoin", "--timeout", "-1"],
+                "--timeout must be > 0, got -1.0",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--timeout", "0"],
+                "--timeout must be > 0, got 0.0",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--checkpoint-every", "0"],
+                "--checkpoint-every must be > 0, got 0",
+            ),
+            (
+                ["classify", "bitcoin", "--checkpoint-every", "-5"],
+                "--checkpoint-every must be > 0, got -5",
+            ),
+            (
+                ["resume-run", "foo.ckpt", "--checkpoint-every", "0"],
+                "--checkpoint-every must be > 0, got 0",
+            ),
+        ]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err == f"repro {argv[0]}: error: {message}\n"
 
-    def test_serial_backend_cannot_checkpoint(self):
-        with pytest.raises(SystemExit, match="requires a process backend"):
-            main([
+    def test_serial_backend_cannot_checkpoint(self, capsys):
+        assert_refused(
+            capsys, "sweep", "requires a process backend",
+            main, [
                 "sweep", "--protocol", "bitcoin", "--backend", "serial",
                 "--checkpoint-every", "100",
-            ])
+            ],
+        )
 
     def test_resume_run_missing_file_fails_loudly(self, tmp_path):
         with pytest.raises(SystemExit, match="no checkpoint at"):
