@@ -26,9 +26,10 @@ callable itself beside its argument:
   stay int64 in the buckets.  When such a bucket is materialized, the
   method's classifier (:meth:`~ArrayEventCore.register_span_handler`)
   marks the events already known to be count-only — a flood's duplicate
-  deliveries — and each maximal stretch of them is split off into numpy
-  side arrays (:class:`_Duplicates`) behind one run entry, which the span
-  handler takes in one step: they never become Python objects.
+  deliveries — *before* the sort: only the rest is sorted into the run,
+  and the marked ones wait beside it, unsorted numpy arrays that are
+  accounted in one step when the run ends — if the drain's budget holds
+  them all, else the bucket is sorted whole and the span handler takes them.
 
 Materializing a bucket collapses equal callables to one object (each
 ``network._deliver_multicast`` access is a fresh bound method), so the
@@ -50,15 +51,17 @@ sorts it once by ``(time, seq)``, and walks it with the loop in
 earlier* while it drains go to a small overflow heap that interleaves
 with the run — this preserves exact ``(time, seq)`` order, so recorded
 histories are byte-identical to the heap core's (asserted by the
-equivalence suite).  A stretch of duplicates is taken exactly too: it is
-clipped by ``until``, by the events left in the drain call's budget and
-by the overflow head (:meth:`_Duplicates.due`), and a partly taken one
-stays in the run, re-headed, for the next step or the next snapshot.
+equivalence suite).  Counted duplicates are exact too: their whole
+effect is two counters and the clock, and seen-sets only grow while the
+network epoch stays put.  Whatever stops a drain early (``until``, the
+budget, a raising callback) or moves the epoch splits them where it
+stops (:meth:`ArrayEventCore._settle`): the rest go back to the store,
+to be judged again.  A drain never returns with any of them pending.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -136,39 +139,6 @@ class _Bucket:
     def __init__(self) -> None:
         self.blocks: List[Tuple[Any, Any, Callable, Any]] = []
         self.stage: List[Tuple[float, int, Callable, Any]] = []
-
-
-class _Duplicates:
-    """The sorted bucket a run's duplicates were split off from: the run entry
-    ``~i`` stands for ``[starts[i], ends[i])``, last event at ``lasts[i]``;
-    taken from ``pos`` on (a cursor that only moves forward, all a snapshot
-    mid-stretch needs)."""
-
-    __slots__ = ("times", "seqs", "pos", "codes", "starts", "ends", "lasts")
-
-    def __init__(self, times, seqs, codes, bounds) -> None:
-        self.times, self.seqs, self.codes = times, seqs, codes
-        self.starts, self.ends = bounds[::2].tolist(), bounds[1::2].tolist()
-        self.lasts = times.take(bounds[1::2] - 1).tolist()
-        self.pos = 0
-
-    def due(self, end: int, until: Optional[float], budget: int, overflow) -> int:
-        """End of what the scalar loop would dispatch of ``[pos, end)`` (its first
-        event due) before it next looks up: clipped by ``until`` (an event at
-        exactly ``until`` runs), the drain call's ``budget`` and the overflow head."""
-        start = self.pos
-        stop = end if end - start <= budget else start + budget
-        times = self.times
-        if until is not None and times[stop - 1] > until:
-            stop = start + int(times[start:stop].searchsorted(until, side="right"))
-        if overflow:
-            time, seq = overflow[0][:2]
-            if times[stop - 1] >= time:  # stop before the head
-                hi = stop
-                stop = start + int(times[start:hi].searchsorted(time, side="left"))
-                while stop < hi and times[stop] == time and self.seqs[stop] < seq:
-                    stop += 1
-        return stop
 
 
 class Lane:
@@ -288,7 +258,7 @@ class ArrayEventCore:
         "_run_pos",
         "_run_len",
         "_run_slot",
-        "_dups",
+        "_counted",
         "_span_handlers",
         "_classifiers",
         "_span_cell",
@@ -320,8 +290,9 @@ class ArrayEventCore:
         self._run_pos = 0
         self._run_len = 0
         self._run_slot: Optional[int] = None
-        # The active run's split-off duplicates (None when it has none).
-        self._dups: Optional[_Duplicates] = None
+        # The active run's counted duplicates, unsorted ``(times, seqs,
+        # codes, method, last time)``, or None (see ``_start_next_run``).
+        self._counted: Optional[Tuple[Any, ...]] = None
         # Batch dispatch: methods mapped here have same-method run spans
         # handed to their handler in one call instead of per-event
         # dispatch; the cell carries the handler's progress for
@@ -339,7 +310,7 @@ class ArrayEventCore:
         self._draining = False
 
     def register_span_handler(
-        self, method: Callable, handler: Callable, classify: Callable
+        self, method: Callable, handler: Callable, classify: Callable, count: Callable
     ) -> None:
         """Route same-method run spans of ``method`` to ``handler``.
 
@@ -350,10 +321,12 @@ class ArrayEventCore:
         end, until, budget, cell)`` instead of dispatching each event.
         It takes at most the ``budget`` events left, makes progress, and
         keeps ``cell`` at ``[events taken, run position reached]``, also
-        when raising.  ``classify`` is :meth:`_split_duplicates`' classifier.
+        when raising.  ``classify(codes)`` marks (nonzero) the int64 args
+        whose events are only counted, and ``count(k)`` hears of ``k``
+        counted ones accounted (:meth:`_start_next_run`, :meth:`_account`).
         """
         self._span_handlers[method] = handler
-        self._classifiers[method] = classify
+        self._classifiers[method] = (classify, count)
 
     # -- introspection ---------------------------------------------------------
 
@@ -578,18 +551,19 @@ class ArrayEventCore:
         exceptions); the loop itself is the only reader in between.
 
         Each pop compares the head of the active run with the head of the
-        overflow heap; when both are exhausted the next bucket is
+        overflow heap; when both are exhausted the run's counted
+        duplicates are accounted (:meth:`_account`) and the next bucket is
         materialized (:meth:`_start_next_run`).
 
-        Lane events count as processed but are never dispatched.  While
-        there are lanes, ``stop`` lies below every time, so each event
-        takes the branch that publishes its seq as ``_mark`` (without
-        lanes no sink has anything left due, and the branch is only the
-        ``until`` test).  Below ``limit`` (the budget less the lane events
-        not yet accounted) the budget cannot end among lane events, which
-        are accounted once, on the way out; from there on (``exact``) each
-        event first accounts those sorting before it and is dispatched
-        alone, so the drain stops at exactly the budget.
+        Lane events and counted duplicates count as processed but are never
+        dispatched.  While there are either, ``stop`` lies below every time,
+        so each event takes the branch that publishes its seq as ``_mark``.
+        Below ``limit`` (the budget less both, not yet accounted; a run
+        counts duplicates only when all fit) the budget cannot end among
+        them.  At ``limit`` the counted ones are settled at the next event
+        (:meth:`_settle`); from there on (``exact``) each event first
+        accounts the lane events sorting before it and is dispatched alone,
+        so the drain stops at exactly the budget.
 
         Batch dispatch: when two or more *consecutive* run entries share
         one method — detected by object identity, since a run holds one
@@ -630,6 +604,20 @@ class ArrayEventCore:
         self._draining = True
         try:
             while True:
+                if self._counted is not None and (
+                    processed >= limit or pos >= self._run_len and not overflow
+                ):
+                    # The budget may end among the counted duplicates, or the
+                    # run has: settle them at the next event or the horizon.
+                    head = (horizon, _INF)
+                    if overflow:
+                        head = min(head, overflow[0][:2])
+                    if pos < self._run_len:
+                        head = min(head, (self._run_times[pos], self._run_seqs[pos]))
+                    processed += self._account(sim, *head)
+                    limit = max_events - self._lane_pending
+                    stop = -1.0 if self._lanes else horizon  # (never ``exact`` here)
+                    continue
                 if processed >= limit:
                     if processed >= max_events:
                         break
@@ -638,12 +626,15 @@ class ArrayEventCore:
                     stop = -1.0 if exact else horizon
                 if pos >= self._run_len and not overflow:
                     self._run_pos = pos
-                    if not self._start_next_run():
+                    if not self._start_next_run(max_events - self._lane_pending - processed):
                         stopped = horizon
                         break
                     pos = 0
                     span_end = 0
                     span_method = None
+                    if self._counted is not None:
+                        limit = min(limit, max_events - self._lane_pending - len(self._counted[0]))
+                        stop = -1.0  # a moved epoch settles them at ``_mark``
                 run_times = self._run_times
                 run_seqs = self._run_seqs
                 run_methods = self._run_methods
@@ -738,6 +729,7 @@ class ArrayEventCore:
                     processed += 1
                 if stopped is not None or cut:
                     break
+            processed += self._account(sim, horizon, _INF)  # the horizon stopped a run
             if stopped is not None and self._lanes:
                 processed += self._pass_lanes(sim, stopped, self._seq, max_events - processed)[0]
             # Leave the mark past what was processed and short of what was not:
@@ -749,6 +741,8 @@ class ArrayEventCore:
                     mark = min(mark, int(lane.seq_range(lane.counted, lane.counted + 1)[0]))
             self._mark = mark
         except BaseException:
+            # The counted ones sorting before the event that raised were processed.
+            processed += self._account(sim, sim.now, self._mark)
             if self._lanes:
                 # The lane events sorting before the one that raised were passed.
                 processed += self._pass_lanes(sim, sim.now, self._mark, max_events - processed)[0]
@@ -762,6 +756,50 @@ class ArrayEventCore:
             sim.events_processed += processed
             self._consumed += processed
         return processed
+
+    def epoch_moved(self, now: float) -> None:
+        """Marks may be stale from the event being dispatched (``now``,
+        ``_mark``) on: the counted ones sorting after it go back (:meth:`_settle`)."""
+        if self._counted is not None:
+            self._settle(now, self._mark)
+
+    def _settle(self, time: float, seq: float) -> None:
+        """Split the counted duplicates where a drain stops or the epoch moves.
+
+        Those sorting before ``(time, seq)`` stay counted; the rest go back
+        to the overflow heap as ordinary events, for the scalar path.
+        """
+        times, seqs, codes, method, last = self._counted
+        if last < time:
+            return
+        later = (times > time) | ((times == time) & (seqs >= seq))
+        back = np.flatnonzero(later)
+        if not back.size:
+            return
+        overflow = self._overflow
+        overflow.extend(
+            zip(times[back].tolist(), seqs[back].tolist(), repeat(method), codes[back].tolist())
+        )
+        heapify(overflow)
+        kept = np.flatnonzero(np.logical_not(later, out=later))
+        times, self._counted = times[kept], None
+        if kept.size:
+            self._counted = (times, seqs[kept], codes[kept], method, float(times.max()))
+
+    def _account(self, sim, time: float = _INF, seq: float = 0) -> int:
+        """Take the counted duplicates sorting before ``(time, seq)`` as processed
+        and delivered, the clock up to the last of them (:meth:`_settle` sends
+        the rest back); returns how many."""
+        if self._counted is not None:
+            self._settle(time, seq)
+        counted, self._counted = self._counted, None
+        if counted is None:
+            return 0
+        times, _, _, method, last = counted
+        if last > sim.now:
+            sim.now = last
+        self._classifiers[method][1](len(times))
+        return len(times)
 
     def _pass_lanes(self, sim, time: float, seq: int, budget: int) -> Tuple[int, bool]:
         """Account the lane events sorting before ``(time, seq)`` as processed.
@@ -794,12 +832,14 @@ class ArrayEventCore:
             self._lanes = [lane for lane in lanes if lane.counted < len(lane.times)]
         return count, cut
 
-    def _start_next_run(self) -> bool:
+    def _start_next_run(self, room: int) -> bool:
         """Materialize the lowest-slot bucket as the active run.
 
         Returns False (and clears the run marker) when no bucket is left.
         Equal callables collapse to one object, the first seen, so the
-        drain's identity test finds every span of one method.  Invariants
+        drain's identity test finds every span of one method.  Classified
+        args are marked before the sort; if at most ``room`` are, they stay
+        out of it in ``_counted``, else the bucket is sorted whole.  Invariants
         relied on: every heap entry corresponds to a live bucket (buckets
         are only removed here, together with their heap entry), and while
         a run is active every live bucket's slot is strictly greater than
@@ -815,13 +855,11 @@ class ArrayEventCore:
             self._run_args = []
             self._run_pos = 0
             self._run_len = 0
-            self._dups = None
             return False
         slot = heappop(heap)
         bucket = self._buckets.pop(slot)
         stage = bucket.stage
         blocks = bucket.blocks
-        self._dups = None
         if not blocks or len(stage) + sum(len(b[0]) for b in blocks) <= 32:
             # Scalar pushes (timers, small protocol steps), perhaps with a
             # few small fan-out shares — the sparse-traffic shape: a tuple
@@ -876,20 +914,32 @@ class ArrayEventCore:
             t_all = np.concatenate(t_parts)
             s_all = np.concatenate(s_parts)
             v_all = np.concatenate(v_parts)
-            order = np.lexsort((s_all, t_all))
-            t_s = t_all.take(order)
+            order = None
             if len(mids) == 1:  # (not when two networks share the simulator)
-                times, seqs, args, order = self._split_duplicates(
-                    order, t_s, s_all, v_all, table[mids.pop()], pool
-                )
-            else:
-                times = t_s.tolist()
-                seqs = s_all[order].tolist()
-                args = [pool[~i] if i < 0 else i for i in v_all[order].tolist()]
+                method = table[mids.pop()]
+                n = len(v_all)
+                # One mask buffer of a rounded size: numpy keeps freed buffers under
+                # 1 KiB per size, and masks sized by every bucket would pile up there.
+                work = np.zeros((2, (n + 512) & ~511), dtype=bool)
+                marked = work[0, :n]
+                mine = np.greater_equal(v_all, 0, out=work[1, :n])
+                marked[mine] = self._classifiers[method][0](v_all[mine])
+                dup = np.flatnonzero(marked)
+                if 0 < dup.size <= room:
+                    t_dup = t_all.take(dup)
+                    last = float(t_dup.max())
+                    self._counted = (t_dup, s_all.take(dup), v_all.take(dup), method, last)
+                    kept = np.flatnonzero(np.logical_not(marked, out=mine))
+                    order = kept.take(np.lexsort((s_all.take(kept), t_all.take(kept))))
+            if order is None:
+                order = np.lexsort((s_all, t_all))
+            times = t_all.take(order).tolist()
+            seqs = s_all.take(order).tolist()
+            args = [pool[~i] if i < 0 else i for i in v_all.take(order).tolist()]
             if len(table) == 1:  # one shared callback (the common multicast bucket)
                 methods = [table[0]] * len(times)
             else:
-                methods = [table[i] for i in np.concatenate(m_parts)[order].tolist()]
+                methods = [table[i] for i in np.concatenate(m_parts).take(order).tolist()]
         self._run_times = times
         self._run_seqs = seqs
         self._run_methods = methods
@@ -898,30 +948,3 @@ class ArrayEventCore:
         self._run_len = len(times)
         self._run_slot = slot
         return True
-
-    def _split_duplicates(self, order, t_s, s_all, v_all, method, pool):
-        """Split what ``method``'s classifier marks in its int64 args off the sorted
-        bucket; returns the run's times, seqs, args and order.  Of each maximal
-        stretch of marks all but the last go to :attr:`_dups`, the first staying
-        as arg ``~i``: followed by its own method, it reaches the span test."""
-        n = len(order)
-        s_s = s_all.take(order)
-        v_s = v_all.take(order)
-        # One mask buffer of a rounded size: numpy keeps freed buffers under
-        # 1 KiB per size, and masks sized by every bucket would pile up there.
-        work = np.zeros((4, (n + 256) & ~255), dtype=bool)
-        mine = np.greater_equal(v_s, 0, out=work[0, :n])
-        marked = work[1, : n + 1]  # the last entry never collapses
-        marked[:-1][mine] = self._classifiers[method](v_s[mine])
-        edge = work[2, : n + 1]  # edge[1 + i]: entry i collapses
-        np.logical_and(marked[:-1], marked[1:], out=edge[1:])
-        bounds = np.flatnonzero(np.not_equal(edge[1:], edge[:-1], out=work[3, :n]))
-        keep = np.logical_not(edge[1:], out=work[0, :n])
-        keep[bounds[::2]] = True
-        kept = np.flatnonzero(keep)
-        args = [pool[~arg] if arg < 0 else arg for arg in v_s.take(kept).tolist()]
-        if bounds.size:
-            self._dups = _Duplicates(t_s, s_s, v_s, bounds)
-            for i, at in enumerate(kept.searchsorted(bounds[::2]).tolist()):
-                args[at] = ~i
-        return t_s.take(kept).tolist(), s_s.take(kept).tolist(), args, order.take(kept)

@@ -166,7 +166,7 @@ class Process:
         """
         self.alive = False
         if self.network is not None:
-            self.network._epoch += 1
+            self.network._move_epoch()
 
     def revive(self) -> None:
         """Bring a crashed process back to life (a churn rejoin).
@@ -177,7 +177,7 @@ class Process:
         self.alive = True
         self.incarnation += 1
         if self.network is not None:
-            self.network._epoch += 1
+            self.network._move_epoch()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flags = []

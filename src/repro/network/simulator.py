@@ -28,10 +28,10 @@ delivery is then one int code, ``slot << 16 | receiver index``, and the
 whole fan-out reaches the event core as one block through
 :meth:`Simulator.schedule_fanout` — no tuple, closure or envelope per
 receiver.  Delivering a code decodes it (:meth:`Network._deliver_multicast`);
-a span of them is walked by :meth:`Network._deliver_span`, which accounts a
-stretch of duplicate block announcements in one step.  A point-to-point
-:meth:`Network.send` is one ``_deliver`` event, which the drain loop
-dispatches on its own like any timer.
+a span of them is walked by :meth:`Network._deliver_span`, and known
+duplicates are only counted (:meth:`Network._classify_duplicates`).  A
+point-to-point :meth:`Network.send` is one ``_deliver`` event, which the
+drain loop dispatches on its own like any timer.
 
 Within such a span the relays it provokes (Light Reliable Communication
 forwards every block on first reception) are *parked*
@@ -401,6 +401,8 @@ class Simulator:
 
         Returns the number of events processed by this call.
         """
+        if until != until:  # NaN would compare as no horizon at all
+            raise ValueError("until must be a time or None, got nan")
         if checkpoint_every is None:
             processed = self._drain_once(until, max_events)
         else:
@@ -573,8 +575,6 @@ class Network:
         self._epoch = 0
         self._skip_epoch = -1
         self._skip_table: List[Any] = []
-        # The epoch the active run's duplicates were split off under.
-        self._dup_epoch = -1
         # Parked relays (see ``_deliver_span``): ``(sender, receivers, now,
         # slot, first seq, receiver indexes)`` in relay order, and the time
         # a parked delivery must lie beyond — None outside a multicast span.
@@ -592,7 +592,8 @@ class Network:
         # the span handler in one call (scalar-exact; see `_deliver_span`).
         if simulator._array_core is not None:
             simulator._array_core.register_span_handler(
-                self._deliver_multicast, self._deliver_span, self._classify_duplicates
+                self._deliver_multicast, self._deliver_span, self._classify_duplicates,
+                self._count_delivered,
             )
 
     # -- membership -------------------------------------------------------------
@@ -612,7 +613,7 @@ class Network:
         self._receiver_codes.clear()
         self._topology_receivers.clear()
         self._departed.discard(pid)
-        self._epoch += 1
+        self._move_epoch()
         if process.network is not self:
             # A rejoining process (churn) keeps its existing transport
             # wiring and merit registration; attaching again would reset
@@ -638,8 +639,17 @@ class Network:
         self._receiver_codes.clear()
         self._topology_receivers.clear()
         self._departed.add(pid)
-        self._epoch += 1
+        self._move_epoch()
         return process
+
+    def _move_epoch(self) -> None:
+        """Membership or liveness changed (also ``Process.crash``/``revive``):
+        the duplicates the event core counts may be stale from here on
+        (``ArrayEventCore.epoch_moved``)."""
+        self._epoch += 1
+        core = self.simulator._array_core
+        if core is not None:
+            core.epoch_moved(self.simulator.now)
 
     def process(self, pid: str) -> "Process":
         return self._processes[pid]
@@ -954,40 +964,27 @@ class Network:
         pushing an overflow event that sorts earlier — so it is recomputed
         after a dispatch whenever the overflow heap holds anything.
 
-        A stretch of duplicate ``BlockAnnouncement`` deliveries — the bulk
-        of an LRC flood, where every block reaches every replica once per
-        relayer — is accounted in one step.  A code is a duplicate when
-        its slot's block id is in the seen-set the skip table holds for
-        its receiver (:meth:`_refresh_skip_table`: only for a registered,
-        live receiver whose hooks are the stock ones).  Its scalar path is
-        ``on_message -> transport.handle -> seen-set hit -> None``:
-        nothing recorded, nothing mutated, the delivered counter bumped.
-        So the stretch moves the delivered and consumed counts and the
-        clock, and nothing else.
+        A stretch of duplicate ``BlockAnnouncement`` deliveries is
+        accounted in one step.  A code is a duplicate when its slot's
+        block id is in the seen-set the skip table holds for its receiver
+        (:meth:`_refresh_skip_table`: only for a registered, live receiver
+        whose hooks are the stock ones); its scalar path moves the delivered
+        and consumed counts and the clock, nothing else.  Those known when
+        their bucket is materialized are counted by the event core instead
+        (:meth:`_classify_duplicates`) if the drain's budget holds them all.
 
-        Most come split off when their bucket is materialized
-        (:meth:`_classify_duplicates`): arg ``~i`` is stretch ``i`` of
-        ``ArrayEventCore._dups``, cut where the scalar loop would stop and
-        re-headed when cut inside, or sent the scalar way through the
-        overflow heap once the epoch moved.
-        The scan is for duplicates made during the run and in small buckets.
-
-        The delivery that ends a stretch goes through the scalar-exact
-        path: departed pids are quarantined, dead ones dropped, a live
-        receiver gets ``on_message``.
+        The delivery that ends a stretch takes the scalar-exact path
+        (quarantined, dropped, or ``on_message``).
 
         While the span runs, ``_park_limit`` is the time of its last entry
-        (lowered whenever an overflow cut moves ``stop``; no parking when
-        that entry is a stretch), and relays whose channel floor puts them
-        past it are parked; every exit from the span flushes them (see the
-        module docstring).
+        (lowered whenever an overflow cut moves ``stop``), and relays whose
+        channel floor puts them past it are parked; every exit from the
+        span flushes them (see the module docstring).
         """
         sim = self.simulator
         core = sim._array_core
-        lanes = core._lanes  # while there are any, each callback publishes its seq
         processes = self._processes
         overflow = core._overflow
-        dups = core._dups
         stop = self._span_stop(times, seqs, pos, min(end, pos + budget), until)
         if self._skip_epoch != self._epoch:
             self._refresh_skip_table()
@@ -998,7 +995,7 @@ class Network:
         # Relays made while this span runs may be parked (see
         # ``_multicast_trusted``) if the channel promises a floor.
         if getattr(self.channel, "delay_floor", None) is not None:
-            self._park_limit = times[stop - 1] if args[stop - 1] >= 0 else np.inf
+            self._park_limit = times[stop - 1]
         delivered = 0
         quarantined = 0
         count = 0
@@ -1010,39 +1007,10 @@ class Network:
         try:
             while k < stop:
                 code = args[k]
-                if code < 0:
-                    first = dups.pos = max(dups.pos, dups.starts[~code])
-                    last = dups.ends[~code]
-                    if self._dup_epoch == self._epoch:
-                        time = dups.lasts[~code]
-                        cut = until is not None and time > until or last - first > budget - count
-                        if cut or overflow and overflow[0][0] <= time:
-                            dups.pos = dups.due(last, until, budget - count, overflow)
-                            time = float(dups.times[dups.pos - 1])
-                        else:
-                            dups.pos = last
-                        delivered += dups.pos - first
-                        count += dups.pos - first
-                        if time > now:
-                            now = sim.now = time
-                    else:  # the marks may be stale: the rest goes the scalar way
-                        rest = slice(first, last)
-                        for entry in zip(
-                            dups.times[rest].tolist(), dups.seqs[rest].tolist(),
-                            itertools.repeat(self._deliver_multicast), dups.codes[rest].tolist(),
-                        ):
-                            heapq.heappush(overflow, entry)
-                        dups.pos = last
-                    if dups.pos < last:  # cut inside: the entry stays, re-headed
-                        times[k] = float(dups.times[dups.pos])
-                        seqs[k] = int(dups.seqs[dups.pos])
-                        break
-                    k += 1
-                    stop = min(stop, k + budget - count)
-                elif blocks[code >> 16] in skip[code & 0xFFFF]:
+                if blocks[code >> 16] in skip[code & 0xFFFF]:
                     for j in range(k + 1, stop):
                         code = args[j]
-                        if code < 0 or blocks[code >> 16] not in skip[code & 0xFFFF]:
+                        if blocks[code >> 16] not in skip[code & 0xFFFF]:
                             break
                     else:
                         j = stop
@@ -1053,30 +1021,30 @@ class Network:
                         now = times[k - 1]
                         sim.now = now
                     continue
-                else:
-                    time = times[k]
-                    if time > now:
-                        now = time
-                        sim.now = time
-                    process = processes.get(pids[code & 0xFFFF])
-                    k += 1
-                    if process is None:
-                        quarantined += 1
-                        count += 1
-                        continue
-                    if not process.alive:
-                        count += 1
-                        continue
-                    delivered += 1
-                    if lanes:  # what a lane has due (see ArrayEventCore.drain)
-                        core._mark = seqs[k - 1]
-                    process.on_message(envelopes[code >> 16])
+                time = times[k]
+                if time > now:
+                    now = time
+                    sim.now = time
+                process = processes.get(pids[code & 0xFFFF])
+                k += 1
+                if process is None:
+                    quarantined += 1
                     count += 1
+                    continue
+                if not process.alive:
+                    count += 1
+                    continue
+                delivered += 1
+                # What a lane has due, and where a moved epoch settles the
+                # counted duplicates (see ArrayEventCore.drain).
+                core._mark = seqs[k - 1]
+                process.on_message(envelopes[code >> 16])
+                count += 1
                 # The dispatch may have pushed an overflow event that cuts
                 # the span earlier, or changed membership or liveness.
                 if overflow:
                     stop = self._span_stop(times, seqs, k, stop, until)
-                    if self._park_limit is not None and args[stop - 1] >= 0:
+                    if self._park_limit is not None:
                         self._park_limit = times[stop - 1]
                 if self._skip_epoch != self._epoch:
                     self._refresh_skip_table()
@@ -1112,10 +1080,10 @@ class Network:
 
     def _classify_duplicates(self, codes: np.ndarray) -> np.ndarray:
         """Mark the codes whose block the skip table holds for their receiver:
-        seen-sets only grow, so the marks hold while ``_epoch`` stays put."""
+        the event core counts them instead of dispatching them.  Seen-sets only
+        grow, so a mark holds until :meth:`_move_epoch`."""
         if self._skip_epoch != self._epoch:
             self._refresh_skip_table()
-        self._dup_epoch = self._epoch
         blocks = self._envelope_blocks
         slots = codes >> _SLOT_SHIFT
         present = np.zeros(len(blocks), dtype=bool)
@@ -1129,6 +1097,10 @@ class Network:
         seen = np.frombuffer(bytes([block in ids for block in rows for ids in skip]), np.uint8)
         seen = seen.astype(np.int64)
         return seen.take(row_of.take(slots) * len(skip) + (codes & _RECEIVER_MASK))
+
+    def _count_delivered(self, k: int) -> None:
+        """The event core accounted ``k`` counted duplicates."""
+        self.messages_delivered += k
 
     def _refresh_skip_table(self) -> None:
         """Rebuild the receiver-index -> seen-set table for this epoch.

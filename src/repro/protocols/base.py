@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -677,6 +678,8 @@ def run_protocol(
         Chunking never perturbs event order, so the recorded history is
         byte-identical either way.
     """
+    if not 0 <= duration < math.inf:
+        raise ValueError(f"duration must be >= 0 and finite, got {duration!r}")
     simulator = Simulator(core=core if core is not None else core_for_run(n, clients))
     recorder = HistoryRecorder()
     if monitor is not None:

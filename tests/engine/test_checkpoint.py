@@ -191,12 +191,19 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
     os.unlink(str(path).replace(".ckpt", ".prev.ckpt"))
 
 
+#: The refused checkpoints :func:`_age` makes: of the version before, of
+#: versions 1 to 3, and of none.
+_AGED = ["older", "version-1", "version-2", "version-3", "unversioned"]
+
+
 def _age(path: str, written: str, monkeypatch) -> str:
     """Make the checkpoint at ``path`` one this model version must refuse:
     one written at the version before (``"older"``), at version 1 (the
     format whose recorder pickled one event object per event), at version 2
     (whose array event core pickled a method-intern table and a packed
-    bucket table), or before versions were recorded (``"unversioned"``).
+    bucket table), at version 3 (whose array event core could pickle a
+    partly taken stretch of duplicates), or before versions were recorded
+    (``"unversioned"``).
     Returns the refusal's message."""
     now = repro.MODEL_VERSION
     if written == "older":
@@ -226,9 +233,9 @@ class TestModelVersion:
     def test_header_carries_the_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 3
+        assert head["model_version"] == repro.MODEL_VERSION == 4
 
-    @pytest.mark.parametrize("written", ["older", "version-1", "version-2", "unversioned"])
+    @pytest.mark.parametrize("written", _AGED)
     def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):
         path = str(tmp_path / "cell.ckpt")
         _write_cell_checkpoint(path, _spec())
@@ -238,7 +245,7 @@ class TestModelVersion:
                 load_checkpoint(path)
         assert str(excinfo.value) == refusal
 
-    @pytest.mark.parametrize("written", ["older", "version-1", "version-2", "unversioned"])
+    @pytest.mark.parametrize("written", _AGED)
     def test_run_spec_with_checkpoints_warns_and_reruns(self, tmp_path, monkeypatch, written):
         path = str(tmp_path / "cell.ckpt")
         spec = _spec()
@@ -252,7 +259,7 @@ class TestModelVersion:
         assert resumed is None
         assert result.stable_dict() == spec.execute().stable_dict()
 
-    @pytest.mark.parametrize("written", ["older", "version-1", "version-2", "unversioned"])
+    @pytest.mark.parametrize("written", _AGED)
     def test_resume_run_is_one_error_line(self, tmp_path, monkeypatch, written):
         from repro.cli import main
 

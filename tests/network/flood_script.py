@@ -26,18 +26,29 @@ exception — what must flush or stop the relays a span parked), blocks
 multicast to a chosen receiver list.  Its state is the recorded history plus every counter.
 
 A flood holds only data and bound methods, so it pickles whole — the
-snapshot cases restore one mid-flood and finish it.
+snapshot cases restore one mid-flood and finish it.  :func:`block_flood`
+builds one over a named channel, and :func:`settle_spy` says where the
+array core split the duplicates it counted.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
 from repro.core.block import GENESIS_ID
 from repro.network.broadcast import BlockAnnouncement
+from repro.network.channels import (
+    AsynchronousChannel,
+    LossyChannel,
+    PartiallySynchronousChannel,
+    SynchronousChannel,
+)
+from repro.network.event_core import ArrayEventCore
 from repro.network.process import Process
 from repro.network.simulator import Message, Network, Simulator
 from repro.oracle.tape import TapeFamily
@@ -282,3 +293,80 @@ class BlockFlood(Flood):
             network.messages_dropped,
             network.messages_quarantined,
         )
+
+
+#: The three blocks most cases flood: two broadcasts 0.3 apart, then one
+#: after the first waves have settled.
+BLOCKS = [(0.0, "p0", "a", None), (0.3, "p9", "b", None), (1.25, "p4", "c", None)]
+
+
+def block_flood(core: str, channel: str = "synchronous", **kwargs: Any) -> BlockFlood:
+    """An 18-replica :class:`BlockFlood` of ``origins`` (default
+    :data:`BLOCKS`) over the named channel."""
+    if channel == "synchronous":
+        model = SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
+    elif channel == "lockstep":  # every delay is 0.5, so only seqs order a wave
+        model = SynchronousChannel(delta=0.5, min_delay=0.5, seed=4)
+    elif channel == "short":  # a floor of 0.1: only a span's late relays clear it
+        model = SynchronousChannel(delta=0.6, min_delay=0.1, seed=4)
+    elif channel == "partial":  # no floor before GST, then the synchronous 0.1
+        model = PartiallySynchronousChannel(gst=1.0, delta=0.6, pre_gst_mean=0.5, seed=4)
+    elif channel == "lossy":  # drops: no floor promise
+        model = LossyChannel(SynchronousChannel(delta=1.5, min_delay=0.5, seed=4), 0.2, seed=5)
+    else:  # many relays land in the slot being drained
+        model = AsynchronousChannel(mean_delay=1.0, tail_probability=0.1, seed=4)
+    origins = kwargs.pop("origins", BLOCKS)
+    return BlockFlood(core, model, **kwargs).start(origins)
+
+
+def assert_drained(core: ArrayEventCore) -> None:
+    """Nothing is left in the buckets, the overflow heap or the counted duplicates."""
+    assert not core._buckets and not core._bucket_heap and not core._overflow
+    assert core._counted is None
+
+
+def assert_matches_heap(steps: Sequence[Step], **kwargs: Any) -> BlockFlood:
+    """Run one :func:`block_flood` on both cores; the states after every
+    chunk agree, and the array core ends drained.  Returns the array flood."""
+    flood = block_flood("array", **kwargs)
+    array = flood.run(steps)
+    heap = block_flood("heap", **kwargs).run(steps)
+    assert array == heap
+    assert array[-1][3] == 0  # pending
+    assert_drained(flood.sim._array_core)
+    return flood
+
+
+def settle_spy() -> Tuple[List[Tuple[str, int, int]], Any]:
+    """Log every split of a run's counted duplicates (``ArrayEventCore._settle``).
+
+    Returns the log and the patch that fills it.  Each entry is ``(why,
+    kept, sent back)``: how many stayed counted and how many went back to
+    the store, and why the split was made — ``"epoch"`` (a moved network
+    epoch), ``"raise"`` (a callback raised), ``"horizon"`` (``until``
+    stopped the drain), ``"budget"`` or ``"run end"``.
+    """
+    log: List[Tuple[str, int, int]] = []
+    settle = ArrayEventCore._settle
+
+    def spy(core: ArrayEventCore, time: float, seq: float) -> None:
+        before = len(core._counted[0])
+        settle(core, time, seq)
+        kept = 0 if core._counted is None else len(core._counted[0])
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_account":
+            caller = caller.f_back
+        frame = caller.f_locals
+        if caller.f_code.co_name != "drain":
+            why = "epoch"
+        elif sys.exc_info()[0] is not None:
+            why = "raise"
+        elif frame["stopped"] is not None:
+            why = "horizon"
+        elif frame["processed"] >= frame["limit"]:
+            why = "budget"
+        else:
+            why = "run end"
+        log.append((why, kept, before - kept))
+
+    return log, mock.patch.object(ArrayEventCore, "_settle", spy)

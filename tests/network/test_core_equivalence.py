@@ -22,7 +22,6 @@ all of it, ``_run(scalar_network=True)`` for its network alone.
 
 from __future__ import annotations
 
-import heapq
 import pickle
 import random
 import sys
@@ -35,12 +34,7 @@ import pytest
 
 from repro.core.blocktree import _TreeColumns
 from repro.core.history import HistoryRecorder
-from repro.network.channels import (
-    AsynchronousChannel,
-    LossyChannel,
-    PartiallySynchronousChannel,
-    SynchronousChannel,
-)
+from repro.network.channels import AsynchronousChannel, SynchronousChannel
 from repro.network.event_core import ArrayEventCore
 from repro.network.faults import available_faults
 from repro.network.simulator import Network, Simulator
@@ -50,6 +44,9 @@ from tests.network.flood_script import (
     BlockFlood,
     Boom,
     Flood,
+    assert_drained,
+    assert_matches_heap,
+    block_flood,
     boom,
     chirp,
     crash,
@@ -60,6 +57,7 @@ from tests.network.flood_script import (
     ping,
     rejoin,
     revive,
+    settle_spy,
     shout,
     timer,
 )
@@ -583,79 +581,41 @@ def test_flood_survives_a_snapshot_with_relays_still_bucketed():
         assert restored.run([(None, 10**6)])[-1] == clean
 
 
-# -- duplicate stretches: the span skip against the heap core -----------------
+# -- duplicates: counted, or skipped by the span, against the heap core --------
 #
 # ``Network._deliver_span`` accounts a stretch of duplicate announcements
 # in one step, reading a receiver-index -> seen-set table that only a
-# network epoch keeps honest.  Most stretches never reach it as codes: the
-# array core splits the deliveries ``Network._classify_duplicates`` marks
-# off a bucket when it is materialized, and the run holds one entry per
-# *collapsed* stretch (arg ``~i``, its events in ``ArrayEventCore._dups``).
+# network epoch keeps honest.  Most duplicates never reach it: when a
+# bucket is materialized the array core leaves the deliveries
+# ``Network._classify_duplicates`` marks out of the run and counts them
+# (``ArrayEventCore._counted``), splitting them where a drain stops early
+# or the epoch moves (``ArrayEventCore._settle``; ``settle_spy`` logs it).
 # Each case below drains one 18-replica block flood
 # (``flood_script.BlockFlood``) on both cores and compares, after every
 # chunk, the recorded history, ``sim.now``, ``events_processed``,
 # ``pending`` and the four message counters.
-
-_BLOCKS = [(0.0, "p0", "a", None), (0.3, "p9", "b", None), (1.25, "p4", "c", None)]
-
-
-def _block_flood(core: str, channel: str = "synchronous", **kwargs) -> BlockFlood:
-    if channel == "synchronous":
-        model = SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
-    elif channel == "lockstep":  # every delay is 0.5, so only seqs order a wave
-        model = SynchronousChannel(delta=0.5, min_delay=0.5, seed=4)
-    elif channel == "short":  # a floor of 0.1: only a span's late relays clear it
-        model = SynchronousChannel(delta=0.6, min_delay=0.1, seed=4)
-    elif channel == "partial":  # no floor before GST, then the synchronous 0.1
-        model = PartiallySynchronousChannel(gst=1.0, delta=0.6, pre_gst_mean=0.5, seed=4)
-    elif channel == "lossy":  # drops: no floor promise
-        model = LossyChannel(SynchronousChannel(delta=1.5, min_delay=0.5, seed=4), 0.2, seed=5)
-    else:  # many relays land in the slot being drained
-        model = AsynchronousChannel(mean_delay=1.0, tail_probability=0.1, seed=4)
-    origins = kwargs.pop("origins", _BLOCKS)
-    return BlockFlood(core, model, **kwargs).start(origins)
 
 
 def _is_duplicate(network: Network, code: int) -> bool:
     return network._envelope_blocks[code >> 16] in network._skip_table[code & 0xFFFF]
 
 
-def _codes(network: Network, arg: int) -> list:
-    """The delivery codes a run entry still stands for: itself, or what is
-    left of the collapsed stretch ``~arg``."""
-    if arg >= 0:
-        return [arg]
-    dups = network.simulator._array_core._dups
-    return dups.codes[max(dups.pos, dups.starts[~arg]) : dups.ends[~arg]].tolist()
-
-
-def _cut_inside(network: Network, args, k: int) -> bool:
-    """Whether run entry ``k`` is a collapsed stretch a span took part of."""
-    dups = network.simulator._array_core._dups
-    if k >= len(args) or type(args[k]) is not int or args[k] >= 0:
-        return False
-    return dups.pos > dups.starts[~args[k]]
-
-
-def _assert_drained(core: ArrayEventCore) -> None:
-    """Nothing is left in the buckets or the overflow heap."""
-    assert not core._buckets and not core._bucket_heap and not core._overflow
-
-
-def _assert_flood_matches_heap(steps, **kwargs) -> BlockFlood:
-    flood = _block_flood("array", **kwargs)
-    array = flood.run(steps)
-    heap = _block_flood("heap", **kwargs).run(steps)
-    assert array == heap
-    assert array[-1][3] == 0  # pending
-    _assert_drained(flood.sim._array_core)
-    return flood
+def _to_come(network: Network, args, k: int, end: int) -> list:
+    """The delivery codes still to come when a span is at ``k``: the rest of
+    it, and what waits in the overflow heap (where a moved epoch sends the
+    counted duplicates that sort after the event being dispatched)."""
+    overflow = network.simulator._array_core._overflow
+    return list(args[k:end]) + [
+        entry[3]
+        for entry in overflow
+        if getattr(entry[2], "__func__", None) is Network._deliver_multicast
+    ]
 
 
 def _mid_span_refreshes(pids):
     """Spy on the skip table: for each rebuild made *inside* a multicast
-    span (after a dispatch, ``k > pos``), whether the rest of the span
-    still holds deliveries to any of ``pids``."""
+    span (after a dispatch, ``k > pos``), whether the deliveries still to
+    come hold any to ``pids``."""
     seen = []
     refresh = Network._refresh_skip_table
 
@@ -666,26 +626,27 @@ def _mid_span_refreshes(pids):
             frame = caller.f_locals
             if frame.get("k", frame["pos"]) > frame["pos"]:
                 wanted = {network._receiver_index[pid] for pid in pids}
-                rest = frame["args"][frame["k"] : frame["end"]]
-                seen.append(
-                    any(code & 0xFFFF in wanted for arg in rest for code in _codes(network, arg))
-                )
+                rest = _to_come(network, frame["args"], frame["k"], frame["end"])
+                seen.append(any(code & 0xFFFF in wanted for code in rest))
 
     return seen, mock.patch.object(Network, "_refresh_skip_table", spy)
 
 
 def test_crash_and_deregister_in_mid_span_match_the_heap_core():
     """A first reception crashes one peer and deregisters another while
-    the span still holds deliveries to them: the rest of the span must
-    see one dead (dropped) and one departed (quarantined) receiver."""
+    deliveries to them are still to come, in the span or among the
+    duplicates its run counts: the rest must see one dead (dropped) and
+    one departed (quarantined) receiver."""
     actions = {("p2", "b"): partial(crash, "p5"), ("p3", "b"): partial(deregister, "p6")}
     seen, patch = _mid_span_refreshes(["p5", "p6"])
-    with patch:
-        flood = _assert_flood_matches_heap([(None, 10**6)], actions=actions)
+    log, settles = settle_spy()
+    with patch, settles:
+        flood = assert_matches_heap([(None, 10**6)], actions=actions)
     network = flood.network
     assert not flood.replicas["p5"].alive and "p6" not in network.process_ids
     assert network.messages_quarantined > 0
     assert seen.count(True) == 2  # both actions ran inside a span that went on to them
+    assert any(back for why, _, back in log if why == "epoch")  # and a run counting to them
 
 
 def test_churn_rejoin_in_mid_span_matches_the_heap_core():
@@ -701,7 +662,7 @@ def test_churn_rejoin_in_mid_span_matches_the_heap_core():
     }
     seen, patch = _mid_span_refreshes(["p6", "p7"])
     with patch:
-        flood = _assert_flood_matches_heap(
+        flood = assert_matches_heap(
             [(0.8, 41), (1.6, 1000), (None, 97)], actions=actions
         )
     assert True in seen
@@ -714,46 +675,51 @@ def test_churn_rejoin_in_mid_span_matches_the_heap_core():
     assert network.messages_quarantined > 0
 
 
+_CUTS = [(0.9, 37), (1.3, 1000), (1.77, 23), (2.6, 1000), (None, 61)]
+#: ``_CUTS`` with budgets that some runs' counted duplicates fit.
+_WIDER_CUTS = [(0.9, 37), (1.3, 1000), (1.77, 123), (2.6, 1000), (None, 161)]
+
+
+@pytest.mark.parametrize("steps", (_CUTS, _WIDER_CUTS), ids=("cuts", "wider_cuts"))
 @pytest.mark.parametrize("channel", ("synchronous", "asynchronous"))
-def test_cuts_inside_a_duplicate_stretch_match_the_heap_core(channel: str):
+def test_cuts_among_counted_duplicates_match_the_heap_core(channel: str, steps):
     """``until``, the chunk budget and — over short asynchronous delays,
     whose relays land in the slot being drained — the overflow head each
-    stop a span inside a stretch of duplicates: between two duplicate
-    codes, or inside a collapsed stretch, which stays in the run
-    re-headed at what is left of it."""
+    stop a drain among duplicates: between two duplicate codes a span
+    scans (a run whose duplicates the budget left cannot hold is sorted
+    whole), or among those a run counts, which are split there
+    (``ArrayEventCore._settle``): what sorts before the stop is accounted,
+    the rest goes back to the store."""
     cuts = Counter()
     deliver_span = Network._deliver_span
 
     def spy(network, times, seqs, args, pos, end, until, budget, cell):
         deliver_span(network, times, seqs, args, pos, end, until, budget, cell)
         events, k = cell
-        if _cut_inside(network, args, k):
-            dups = network.simulator._array_core._dups
-            assert (times[k], seqs[k]) == (dups.times[dups.pos], dups.seqs[dups.pos])
-            where = "inside"
-        elif k < end and min(args[k - 1], args[k]) >= 0 and all(
-            _is_duplicate(network, args[i]) for i in (k - 1, k)
-        ):
-            where = "between"
-        else:
+        if not (pos < k < end and all(_is_duplicate(network, args[i]) for i in (k - 1, k))):
             return
         if until is not None and times[k] > until:
-            cuts[where, "until"] += 1
+            cuts["until"] += 1
         else:
-            cuts[where, "budget" if events == budget else "overflow"] += 1
+            cuts["budget" if events == budget else "overflow"] += 1
 
-    steps = [(0.9, 37), (1.3, 1000), (1.77, 23), (2.6, 1000), (None, 61)]
-    with mock.patch.object(Network, "_deliver_span", spy):
-        _assert_flood_matches_heap(steps, channel=channel)
-    assert cuts["inside", "until"] >= 2 and cuts["inside", "budget"] >= 5, cuts
-    assert cuts["between", "budget"] >= 1, cuts  # the code scan is cut too
+    log, settles = settle_spy()
+    with mock.patch.object(Network, "_deliver_span", spy), settles:
+        assert_matches_heap(steps, channel=channel)
+    split = Counter(why for why, kept, back in log if kept and back)
+    assert split["horizon"] >= 1, log
+    assert cuts["until"] >= 1 and cuts["budget"] >= 2 and cuts["overflow"] >= 4, cuts
+    if steps is _CUTS:  # too many for the budget: the scan takes them
+        assert cuts["budget"] >= 5, cuts
     if channel == "asynchronous":
-        assert cuts["inside", "overflow"] >= 8 and cuts["between", "overflow"] >= 4, cuts
+        assert cuts["overflow"] >= 20, cuts
+        if steps is _WIDER_CUTS:  # (a run's end: its last counted ones passed ``until``)
+            assert split["budget"] >= 1 and split["run end"] >= 1, log
 
 
-#: First receptions that move the network epoch while the deliveries a
-#: bucket's split marked are still to come: a crash, a deregistration, and
-#: a churn leave followed by the rejoin whose revive resets the receiver.
+#: First receptions that move the network epoch while deliveries the
+#: run counts are still to come: a crash, a deregistration, and a churn
+#: leave followed by the rejoin whose revive resets the receiver.
 _EPOCH_MOVES = {
     "crash": {("p2", "c"): partial(crash, "p7")},
     "deregister": {("p3", "b"): partial(deregister, "p6")},
@@ -761,54 +727,72 @@ _EPOCH_MOVES = {
 }
 
 
+#: The receiver each of ``_EPOCH_MOVES`` changes.
+_EPOCH_MOVED = {"crash": "p7", "deregister": "p6", "churn_rejoin": "p6"}
+
+
 @pytest.mark.parametrize("move", sorted(_EPOCH_MOVES))
-@pytest.mark.parametrize("steps", ([(None, 10**6)], [(0.9, 37), (1.77, 23), (None, 61)]))
-def test_a_moved_epoch_sends_the_rest_of_a_collapsed_stretch_the_scalar_way(move, steps):
-    """Once the epoch moves, a stretch's marks may be stale (a receiver
-    died, left or came back): the rest of it goes to the overflow heap,
-    delivery by delivery, and the drain dispatches it like the heap core."""
-    flood = _block_flood("array", actions=_EPOCH_MOVES[move])
-    overflow = flood.sim._array_core._overflow
-    handed = []
-    push = heapq.heappush
+@pytest.mark.parametrize(
+    "steps",
+    (
+        [(None, 10**6)],
+        [(0.9, 37), (1.77, 23), (None, 61)],
+        [(0.9, 370), (1.77, 230), (None, 610)],
+    ),
+)
+def test_a_moved_epoch_sends_the_rest_of_the_counted_duplicates_the_scalar_way(move, steps):
+    """Once the epoch moves, the marks of a run's counted duplicates may be
+    stale (a receiver died, left or came back): those sorting after the
+    event that moved it go back to the overflow heap, delivery by
+    delivery, and the drain dispatches them like the heap core.  Under
+    budgets too small for a run's duplicates, the run holds them all and
+    its span scan judges those still to come against the new epoch."""
+    seen, patch = _mid_span_refreshes([_EPOCH_MOVED[move]])
+    log, settles = settle_spy()
+    with patch, settles:
+        flood = assert_matches_heap(steps, actions=_EPOCH_MOVES[move])
+    sent_back = sum(back for why, _, back in log if why == "epoch")
+    if steps[0][1] < 100:
+        assert True in seen and sent_back == 0, (seen, log)
+    else:
+        assert sent_back >= 10  # a synchronous channel never puts a relay there itself
+        if move == "crash":  # some had sorted before the crash: they stayed counted
+            assert any(kept for why, kept, _ in log if why == "epoch")
+    assert_drained(flood.sim._array_core)
 
-    def spy(heap, entry):
-        if heap is overflow and getattr(entry[2], "__func__", None) is Network._deliver_multicast:
-            handed.append(entry)
-        push(heap, entry)
 
-    with mock.patch.object(heapq, "heappush", spy):
-        array = flood.run(steps)
-    assert array == _block_flood("heap", actions=_EPOCH_MOVES[move]).run(steps)
-    assert array[-1][3] == 0
-    assert len(handed) >= 10  # a synchronous channel never puts a relay there itself
-    _assert_drained(flood.sim._array_core)
-
-
-def _inside_a_stretch(flood: BlockFlood) -> bool:
-    core = flood.sim._array_core
-    return core._run_pos < core._run_len and _cut_inside(
-        flood.network, core._run_args, core._run_pos
+def _among_duplicates(flood: BlockFlood) -> bool:
+    """The drain stopped between two duplicate deliveries of its run."""
+    core, network = flood.sim._array_core, flood.network
+    if network._skip_epoch != network._epoch:  # (a restored network rebuilds it lazily)
+        network._refresh_skip_table()
+    pos, args = core._run_pos, core._run_args
+    return 0 < pos < core._run_len and all(
+        getattr(core._run_methods[i], "__func__", None) is Network._deliver_multicast
+        and _is_duplicate(network, args[i])
+        for i in (pos - 1, pos)
     )
 
 
 @pytest.mark.parametrize("channel", ("synchronous", "asynchronous"))
-def test_a_snapshot_inside_a_collapsed_stretch_restores_to_the_same_future(channel: str):
-    """Pickle the flood at chunk boundaries that fall inside a collapsed
-    stretch (its run entry re-headed, ``_dups.pos`` past its start): each
-    snapshot restores to the clean run's future."""
-    clean = _block_flood("heap", channel).run([(None, 10**6)])[-1]
+def test_a_snapshot_among_duplicates_restores_to_the_same_future(channel: str):
+    """Pickle the flood at chunk boundaries that fall between two duplicate
+    deliveries (the budget, too small for a run's duplicates to be counted,
+    cut the span scan there): no snapshot holds a counted one, and each
+    restores to the clean run's future."""
+    clean = block_flood("heap", channel).run([(None, 10**6)])[-1]
     snapshots = []
 
     def snapshot(flood: BlockFlood) -> None:
-        if _inside_a_stretch(flood):
+        assert flood.sim._array_core._counted is None
+        if _among_duplicates(flood):
             snapshots.append(pickle.dumps(flood))
 
-    _block_flood("array", channel).run([(None, 13)], on_chunk=snapshot)
+    block_flood("array", channel).run([(None, 13)], on_chunk=snapshot)
     assert len(snapshots) >= 20
     for blob in snapshots[::3]:
         restored = pickle.loads(blob)
-        assert _inside_a_stretch(restored)
+        assert _among_duplicates(restored)
         assert restored.run([(None, 10**6)])[-1] == clean
 
 
@@ -817,8 +801,8 @@ def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future():
     envelope slots, and later ones come after slots were recycled and
     claimed again.  Each restores to the clean run's future."""
     steps = [(None, 29)]
-    clean = _block_flood("array", "lockstep").run(steps)[-1]
-    assert clean == _block_flood("heap", "lockstep").run(steps)[-1]
+    clean = block_flood("array", "lockstep").run(steps)[-1]
+    assert clean == block_flood("heap", "lockstep").run(steps)[-1]
     snapshots = []
 
     def snapshot(flood: BlockFlood) -> None:
@@ -828,7 +812,7 @@ def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future():
         reused = len(network._envelopes) < flood.sim.events_processed // 17
         snapshots.append((blob, live, reused))
 
-    _block_flood("array", "lockstep").run(steps, on_chunk=snapshot)
+    block_flood("array", "lockstep").run(steps, on_chunk=snapshot)
     assert sum(live > 0 for _, live, _ in snapshots) >= 5
     assert sum(live > 0 and reused for _, live, reused in snapshots) >= 3
     for blob, _, _ in snapshots:
@@ -893,17 +877,17 @@ def _parking_spies():
 
 
 _ALL_AT_ONCE = [(None, 10**6)]
-_CUTS = [(0.9, 37), (1.3, 1000), (1.77, 23), (2.6, 1000), (None, 61)]
+#: The horizons of ``_CUTS`` without its budgets: the runs count duplicates.
+_HORIZONS = [(until, 10**6) for until, _ in _CUTS]
+_SHORT_FLOOR_TIMERS = {(f"p{i}", "b"): partial(timer, f"p{i}", 0.02 * i) for i in range(1, 18, 2)}
 _SIDE = [f"p{i}" for i in range(9)]
 
 #: name -> (channel, steps, first-reception actions, does anything park)
 _PARK_CASES = {
     "floor_clears_every_span": ("synchronous", _ALL_AT_ONCE, {}, True),
-    "short_floor_parks_late_relays": (
-        "short",
-        _CUTS,
-        {(f"p{i}", "b"): partial(timer, f"p{i}", 0.02 * i) for i in range(1, 18, 2)},
-        True,
+    "short_floor_parks_late_relays": ("short", _CUTS, _SHORT_FLOOR_TIMERS, True),
+    "short_floor_parks_late_relays_between_horizons": (
+        "short", _HORIZONS, _SHORT_FLOOR_TIMERS, True,
     ),
     "partial_parks_from_gst_on": ("partial", _CUTS, {}, True),
     "asynchronous_never_parks": ("asynchronous", _CUTS, {}, False),
@@ -941,13 +925,17 @@ def test_parked_relays_match_the_heap_core(case: str):
     channel, steps, actions, parks = _PARK_CASES[case]
     seen, spies = _parking_spies()
     with spies:
-        flood = _assert_flood_matches_heap(steps, channel=channel, actions=actions)
+        flood = assert_matches_heap(steps, channel=channel, actions=actions)
     assert (seen["parked"] > 0) == parks, seen
     assert not flood.network._parked
     # The case is only worth comparing if it reaches what it claims to.
     if case == "floor_clears_every_span":
         assert seen["parked"] == seen["block relays in a span"], seen
     if case == "short_floor_parks_late_relays":
+        # A span the budget clips stops at the last event it can reach, and
+        # under these budgets every relay's floor clears that limit.
+        assert seen["parked"] == seen["block relays in a span"], seen
+    if case == "short_floor_parks_late_relays_between_horizons":
         assert seen["parked"] < seen["block relays in a span"], seen  # early ones did not clear
         assert seen["parked past a cut"] > 0, seen
     if case == "send_timer_and_multicast_in_a_first_delivery":
@@ -977,14 +965,14 @@ def test_a_raising_callback_mid_span_flushes_what_it_parked():
     actions = {("p5", "a"): boom, ("p11", "b"): boom, ("p3", "c"): boom}
     seen, spies = _parking_spies()
     with spies:
-        flood = _block_flood("array", actions=actions)
+        flood = block_flood("array", actions=actions)
         array = _drain_through_booms(flood, _CUTS)
-    heap = _drain_through_booms(_block_flood("heap", actions=actions), _CUTS)
+    heap = _drain_through_booms(block_flood("heap", actions=actions), _CUTS)
     assert [state[-1] for state in array].count("boom") == 3
     # The raising delivery is consumed but not processed on both cores.
     assert array == heap
     assert seen["parked"] > 0 and not flood.network._parked
-    _assert_drained(flood.sim._array_core)
+    assert_drained(flood.sim._array_core)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -993,14 +981,14 @@ def test_snapshots_at_random_boundaries_restore_to_the_same_future(seed: int):
     hold a parked relay, and each restores to the clean run's future."""
     rng = random.Random(seed)
     actions = {("p3", "a"): partial(timer, "p3", 0.01), ("p4", "b"): partial(ping, "p4", "p0")}
-    clean = _block_flood("heap", actions=actions).run(_ALL_AT_ONCE)[-1]
+    clean = block_flood("heap", actions=actions).run(_ALL_AT_ONCE)[-1]
     snapshots = []
 
     def maybe_snapshot(flood: BlockFlood) -> None:
         if rng.random() < 0.4:
             snapshots.append(pickle.dumps(flood))
 
-    flood = _block_flood("array", actions=actions)
+    flood = block_flood("array", actions=actions)
     steps = [(None, rng.randint(3, 40)) for _ in range(40)]
     flood.run(steps + _ALL_AT_ONCE, on_chunk=maybe_snapshot)
     assert len(snapshots) >= 10
@@ -1009,7 +997,7 @@ def test_snapshots_at_random_boundaries_restore_to_the_same_future(seed: int):
 
 
 def test_a_network_with_relays_parked_refuses_to_pickle():
-    flood = _block_flood("array")
+    flood = block_flood("array")
     flood.network._parked.append(("p0", ("p1",), 0.0, 0, 0, None))
     with pytest.raises(AssertionError, match="relays parked"):
         pickle.dumps(flood.network)

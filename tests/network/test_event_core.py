@@ -21,6 +21,7 @@ from repro.network.channels import SynchronousChannel
 from repro.network.event_core import NO_ARG, ArrayEventCore
 from repro.network.process import Process
 from repro.network.simulator import Network, Simulator
+from repro.protocols import run_bitcoin
 from repro.protocols.base import Mempool
 
 
@@ -113,6 +114,28 @@ def test_non_finite_times_rejected(core: str, bad: float):
     sim.schedule(3.0, lambda: fired.append(sim.now))
     assert sim.run(until=10.0) == 1
     assert fired == [3.0] and sim.pending == 0
+
+
+@pytest.mark.parametrize("core", ("array", "heap"))
+def test_run_refuses_a_nan_horizon(core: str):
+    """A NaN ``until`` would compare as no horizon at all and drain every
+    queued event; it is refused, and the queue is left as it was."""
+    sim = Simulator(core=core)
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(ValueError, match="until must be a time or None, got nan"):
+        sim.run(until=float("nan"))
+    assert sim.pending == 1 and sim.now == 0.0
+    assert sim.run(until=2.0) == 1
+
+
+@pytest.mark.parametrize("core", ("array", "heap"))
+@pytest.mark.parametrize("duration", (float("nan"), float("inf"), -5.0), ids=str)
+def test_run_protocol_refuses_a_duration_that_is_not_finite_and_non_negative(core, duration):
+    """Refused by name before anything is built: a NaN or infinite duration
+    used to run until the event budget gave out, a negative one returned an
+    eight-event run."""
+    with pytest.raises(ValueError, match=f"duration must be >= 0 and finite, got {duration!r}"):
+        run_bitcoin(4, duration=duration, token_rate=0.4, max_events=50_000, core=core)
 
 
 def test_same_time_ties_resolve_in_insertion_order():
