@@ -32,14 +32,15 @@ stream tests (``tests/network/test_channel_batching.py``) hold every
 A model may also promise a *delay floor*: ``delay_floor(now)`` returns a
 lower bound on every delay it gives a message sent at ``now`` to a
 receiver other than its sender, and promises never to drop such a
-message; ``None`` (or no such method) promises nothing.  For fan-outs
-under that promise the network may defer the draws of several relays
-and take them together through :func:`batched_delays_many`:
-``delays_for_many(fanouts)`` over ``(sender, receivers, now)`` triples
-returns their delays concatenated, as one float64 array, and is
-stream-identical to calling ``delays_for`` on each triple in order.
-:class:`SynchronousChannel` makes it one ``uniform`` draw; for any other
-model the helper loops ``delays_for``.
+message; ``None`` (or no such method) promises nothing.  The floor at
+time 0 also sizes the array core's buckets
+(:func:`~repro.network.simulator.slot_width_for`).  Under that promise
+the network may defer the draws of several relays and take them
+together through :func:`batched_delays_many`: ``delays_for_many(fanouts)``
+over ``(sender, receivers, now)`` triples returns their delays
+concatenated, as one float64 array, stream-identical to ``delays_for``
+on each triple in order.  :class:`SynchronousChannel` makes it one
+``uniform`` draw; for any other model the helper loops ``delays_for``.
 """
 
 from __future__ import annotations

@@ -234,11 +234,11 @@ class ArrayEventCore:
     """Calendar queue over numpy buckets; drop-in backend for Simulator.
 
     ``slot_width`` is the virtual-time span of one bucket.  It trades
-    bucket count against overflow traffic: events pushed into the slot
-    currently being drained bypass the arrays and go through a classic
-    heap, so the width should be small relative to typical scheduling
-    deltas (with message delays around 0.1–1.0 the default 0.25 keeps
-    the overflow share in the low percent).
+    per-bucket cost against overflow traffic: events pushed into the slot
+    being drained bypass the arrays through a classic heap.  A run's is
+    :func:`~repro.network.simulator.slot_width_for` its channel: at most
+    its delay floor, so no delivery to another process overflows, and
+    dyadic, so integer-time timers open a bucket instead of cutting one.
     """
 
     __slots__ = (
@@ -269,8 +269,8 @@ class ArrayEventCore:
     )
 
     def __init__(self, slot_width: float = 0.25) -> None:
-        if slot_width <= 0:
-            raise ValueError("slot_width must be positive")
+        if not 0 < slot_width < _INF:
+            raise ValueError("slot_width must be positive and finite")
         self.slot_width = slot_width
         self.no_arg = NO_ARG
         self._inv_width = 1.0 / slot_width

@@ -101,6 +101,7 @@ __all__ = [
     "MULTICAST",
     "BLOCK_FANOUT",
     "core_for_run",
+    "slot_width_for",
     "timed_callbacks",
 ]
 
@@ -185,18 +186,13 @@ class Message:
 class Simulator:
     """Discrete-event engine with a virtual clock and two storage cores.
 
-    ``core="array"`` (the default) keeps pending events in the
-    calendar-queue of numpy buckets provided by
-    :class:`~repro.network.event_core.ArrayEventCore` — vectorized bulk
-    inserts, one sort per time-slot bucket.
-    ``core="heap"`` keeps the classical ``heapq`` of
-    ``(time, seq, method, arg)`` tuples.  Both are production paths:
-    :func:`core_for_run` gives a run of at most :data:`BLOCK_FANOUT`
-    processes without clients to the heap and everything else to the
-    array core, and each is the other's equivalence oracle.  The two produce
-    identical event orderings (``seq`` is a global insertion counter
-    under both, so ties on ``time`` resolve in insertion order and
-    comparisons never reach the uncomparable callables).
+    ``core="array"`` keeps pending events in the calendar queue of
+    :class:`~repro.network.event_core.ArrayEventCore`, in buckets
+    ``slot_width`` wide; ``core="heap"`` in a ``heapq`` of ``(time, seq,
+    method, arg)`` tuples.  :func:`core_for_run` and :func:`slot_width_for`
+    choose for a run, and each core is the other's equivalence oracle:
+    ``seq`` is one insertion counter under both, so ties on ``time``
+    resolve in insertion order and never compare the callables.
 
     ``arg is _NO_ARG`` marks a no-argument callback (the public
     :meth:`schedule` API); otherwise the run loop calls ``method(arg)``.
@@ -485,11 +481,23 @@ def core_for_run(processes: int, clients: Optional[int] = None) -> str:
     Up to :data:`BLOCK_FANOUT` processes and no client population, a
     relay reaches fewer than :data:`BLOCK_FANOUT` others, so it is never
     parked, and the array core has almost nothing to batch: the heap
-    drains the same history faster (the crossover is between 20 and 32
-    processes).  A larger run, or one with column events (``clients``),
-    keeps the array core.
+    drains the same history as fast or faster (the array core wins from
+    17–20 processes on).  A larger run, or one with column events
+    (``clients``), keeps the array core.
     """
     return "heap" if processes <= BLOCK_FANOUT and not clients else "array"
+
+
+def slot_width_for(channel: Any) -> float:
+    """The array core's bucket width over ``channel``: the largest ``0.25 *
+    2**k`` not above its delay floor at time 0, else 0.25 (why: the
+    :class:`~repro.network.event_core.ArrayEventCore` docstring)."""
+    delay_floor = getattr(channel, "delay_floor", None)
+    floor = delay_floor(0.0) if delay_floor is not None else None
+    width = 0.25
+    while floor is not None and 2 * width <= floor < _INF:  # not NaN or inf
+        width *= 2
+    return width
 
 
 class Network:

@@ -57,7 +57,7 @@ from repro.network.channels import ChannelModel, SynchronousChannel
 from repro.network.event_core import Lane, pull_lanes
 from repro.network.faults import FaultModel
 from repro.network.process import Process
-from repro.network.simulator import Message, Network, Simulator, core_for_run
+from repro.network.simulator import Message, Network, Simulator, core_for_run, slot_width_for
 from repro.network.topology import Topology
 from repro.oracle.theta import TokenOracle, ValidatedBlock
 from repro.workload.population import ClientPopulation
@@ -646,13 +646,11 @@ def run_protocol(
         full-mesh semantics byte-identically; gossip / committee /
         sharded topologies restrict each sender's fan-out.
     core:
-        Event-calendar implementation: ``"array"`` (the array-native
-        calendar queue) or ``"heap"`` (the heapq-of-tuples core).
-        ``None`` lets :func:`~repro.network.simulator.core_for_run` pick
-        from ``n`` and ``clients``: the heap for a run of at most
-        :data:`~repro.network.simulator.BLOCK_FANOUT` processes without
-        clients, the array core otherwise.  The two produce
-        byte-identical histories, so naming one only changes speed.
+        Event store, ``"array"`` (calendar queue, its bucket width
+        :func:`~repro.network.simulator.slot_width_for` the channel) or
+        ``"heap"``; ``None`` lets
+        :func:`~repro.network.simulator.core_for_run` pick from ``n`` and
+        ``clients``.  Both record byte-identical histories.
     clients, client_rate, client_seed:
         When ``clients`` is set, a :class:`ClientPopulation` of that size
         is generated column-wise (``client_rate`` operations per client
@@ -680,16 +678,16 @@ def run_protocol(
     """
     if not 0 <= duration < math.inf:
         raise ValueError(f"duration must be >= 0 and finite, got {duration!r}")
-    simulator = Simulator(core=core if core is not None else core_for_run(n, clients))
+    if channel is None:
+        channel = SynchronousChannel(delta=1.0, seed=7)
+    simulator = Simulator(
+        core=core if core is not None else core_for_run(n, clients),
+        slot_width=slot_width_for(channel),
+    )
     recorder = HistoryRecorder()
     if monitor is not None:
         monitor.attach(recorder)
-    network = Network(
-        simulator,
-        channel if channel is not None else SynchronousChannel(delta=1.0, seed=7),
-        recorder=recorder,
-        topology=topology,
-    )
+    network = Network(simulator, channel, recorder=recorder, topology=topology)
     replicas: Dict[str, BlockchainReplica] = {}
     for pid in process_ids(n):
         replica = replica_factory(pid, oracle, network)

@@ -29,6 +29,13 @@ A flood holds only data and bound methods, so it pickles whole — the
 snapshot cases restore one mid-flood and finish it.  :func:`block_flood`
 builds one over a named channel, and :func:`settle_spy` says where the
 array core split the duplicates it counted.
+
+A flood's array core has the bucket width a run over its channel gets
+(:func:`~repro.network.simulator.slot_width_for`: 0.5 under the floor-0.5
+channels, 0.25 otherwise) unless ``width`` names one; :func:`with_widths`
+and :data:`WIDTHS` run a case at the rule's width and, where that is not
+the base width 0.25, at 0.25 too, so every boundary the two widths put
+in different places is compared with the heap core.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from repro.core.block import GENESIS_ID
 from repro.network.broadcast import BlockAnnouncement
@@ -50,7 +58,7 @@ from repro.network.channels import (
 )
 from repro.network.event_core import ArrayEventCore
 from repro.network.process import Process
-from repro.network.simulator import Message, Network, Simulator
+from repro.network.simulator import Message, Network, Simulator, slot_width_for
 from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle, ValidatedBlock
 from repro.protocols.base import BlockchainReplica, ReplicaConfig
@@ -59,9 +67,9 @@ from repro.protocols.base import BlockchainReplica, ReplicaConfig
 Step = Tuple[Optional[float], int]
 
 #: Offsets of the audit row one first reception schedules: 20 entries
-#: spread over ten slots, none in the slot being drained.  Binary
-#: fractions, so that under a fixed-delay channel audits and deliveries
-#: meet at the same timestamps and only their seqs order them.
+#: spread over ten slots of 0.25 (five of 0.5), none in the slot being
+#: drained.  Binary fractions, so that under a fixed-delay channel audits
+#: and deliveries meet at the same timestamps and only their seqs order them.
 AUDIT_OFFSETS = 0.5 + 0.125 * np.arange(20)
 
 
@@ -89,9 +97,30 @@ class Relay(Process):
             )
 
 
+def simulator(core: str, channel: Any, width: Optional[float] = None) -> Simulator:
+    """A simulator at the bucket width a run over ``channel`` gets
+    (:func:`slot_width_for`), or at ``width``."""
+    return Simulator(core=core, slot_width=slot_width_for(channel) if width is None else width)
+
+
+#: The width :func:`slot_width_for` gives a channel without a floor of 0.5.
+BASE_WIDTH = 0.25
+
+#: The bucket widths a case over a floor-0.5 channel drains at: the rule's
+#: (0.5), and the base width the rule raises.
+WIDTHS = pytest.mark.parametrize("width", (None, BASE_WIDTH), ids=("rule_width", "base_width"))
+
+
 class Flood:
-    def __init__(self, core: str, channel: Any, processes: int = 18, audits: bool = False) -> None:
-        self.sim = Simulator(core=core)
+    def __init__(
+        self,
+        core: str,
+        channel: Any,
+        processes: int = 18,
+        audits: bool = False,
+        width: Optional[float] = None,
+    ) -> None:
+        self.sim = simulator(core, channel, width)
         self.network = Network(self.sim, channel)
         self.audits = audits
         self.log: List[Tuple[Any, ...]] = []
@@ -253,8 +282,9 @@ class BlockFlood(Flood):
         channel: Any,
         processes: int = 18,
         actions: Optional[Dict[Tuple[str, str], Callable[["BlockFlood"], None]]] = None,
+        width: Optional[float] = None,
     ) -> None:
-        self.sim = Simulator(core=core)
+        self.sim = simulator(core, channel, width)
         self.network = Network(self.sim, channel)
         self.actions = dict(actions or {})
         oracle = ProdigalOracle(tapes=TapeFamily(seed=0))
@@ -300,23 +330,39 @@ class BlockFlood(Flood):
 BLOCKS = [(0.0, "p0", "a", None), (0.3, "p9", "b", None), (1.25, "p4", "c", None)]
 
 
+def channel_model(channel: str) -> Any:
+    """The channel model a :func:`block_flood` over ``channel`` runs on."""
+    if channel == "synchronous":
+        return SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
+    if channel == "lockstep":  # every delay is 0.5, so only seqs order a wave
+        return SynchronousChannel(delta=0.5, min_delay=0.5, seed=4)
+    if channel == "short":  # a floor of 0.1: only a span's late relays clear it
+        return SynchronousChannel(delta=0.6, min_delay=0.1, seed=4)
+    if channel == "partial":  # no floor before GST, then the synchronous 0.1
+        return PartiallySynchronousChannel(gst=1.0, delta=0.6, pre_gst_mean=0.5, seed=4)
+    if channel == "lossy":  # drops: no floor promise
+        return LossyChannel(SynchronousChannel(delta=1.5, min_delay=0.5, seed=4), 0.2, seed=5)
+    # many relays land in the slot being drained
+    return AsynchronousChannel(mean_delay=1.0, tail_probability=0.1, seed=4)
+
+
 def block_flood(core: str, channel: str = "synchronous", **kwargs: Any) -> BlockFlood:
     """An 18-replica :class:`BlockFlood` of ``origins`` (default
-    :data:`BLOCKS`) over the named channel."""
-    if channel == "synchronous":
-        model = SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
-    elif channel == "lockstep":  # every delay is 0.5, so only seqs order a wave
-        model = SynchronousChannel(delta=0.5, min_delay=0.5, seed=4)
-    elif channel == "short":  # a floor of 0.1: only a span's late relays clear it
-        model = SynchronousChannel(delta=0.6, min_delay=0.1, seed=4)
-    elif channel == "partial":  # no floor before GST, then the synchronous 0.1
-        model = PartiallySynchronousChannel(gst=1.0, delta=0.6, pre_gst_mean=0.5, seed=4)
-    elif channel == "lossy":  # drops: no floor promise
-        model = LossyChannel(SynchronousChannel(delta=1.5, min_delay=0.5, seed=4), 0.2, seed=5)
-    else:  # many relays land in the slot being drained
-        model = AsynchronousChannel(mean_delay=1.0, tail_probability=0.1, seed=4)
+    :data:`BLOCKS`) over the named channel, at ``width`` or the rule's."""
     origins = kwargs.pop("origins", BLOCKS)
-    return BlockFlood(core, model, **kwargs).start(origins)
+    return BlockFlood(core, channel_model(channel), **kwargs).start(origins)
+
+
+def with_widths(cases: Dict[str, str]) -> List[Any]:
+    """pytest params ``(case, width)`` for ``cases`` (id -> channel name):
+    each case at the rule's width (``None``) under its own id, and, where
+    the rule raises the width, at the base width too (``<id>-base_width``)."""
+    return [
+        pytest.param(case, width, id=case if width is None else f"{case}-base_width")
+        for case, channel in cases.items()
+        for width in (None, BASE_WIDTH)
+        if width is None or slot_width_for(channel_model(channel)) != BASE_WIDTH
+    ]
 
 
 def assert_drained(core: ArrayEventCore) -> None:

@@ -57,9 +57,12 @@ from tests.network.flood_script import (
     ping,
     rejoin,
     revive,
+    BASE_WIDTH,
+    WIDTHS,
     settle_spy,
     shout,
     timer,
+    with_widths,
 )
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
@@ -491,9 +494,9 @@ def test_schedule_column_validates_like_schedule_block():
 _RUMORS = [(0.0, "p0", "a"), (0.125, "p7", "b"), (1.25, "p3", "c")]
 
 
-def _flood(core: str, channel: str, audits: bool = False) -> Flood:
+def _flood(core: str, channel: str, audits: bool = False, width=None) -> Flood:
     if channel == "synchronous":
-        # Every delay exceeds a slot (0.25): relays lie wholly beyond it.
+        # Every delay reaches past the slot (0.25 or 0.5): relays lie wholly beyond it.
         model = SynchronousChannel(delta=1.5, min_delay=0.5, seed=4)
     elif channel == "lockstep":
         # Every delay is exactly 0.5: each wave of deliveries is one
@@ -503,7 +506,7 @@ def _flood(core: str, channel: str, audits: bool = False) -> Flood:
         # Most relays have an entry shorter than what is left of the slot,
         # a few have none.
         model = AsynchronousChannel(mean_delay=3.0, tail_probability=0.1, seed=4)
-    return Flood(core, model, audits=audits).start(_RUMORS)
+    return Flood(core, model, audits=audits, width=width).start(_RUMORS)
 
 
 _FLOOD_CASES = {
@@ -522,8 +525,10 @@ _FLOOD_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_FLOOD_CASES))
-def test_bucketed_relays_match_the_heap_core(case: str):
+@pytest.mark.parametrize(
+    "case, width", with_widths({case: _FLOOD_CASES[case][0] for case in sorted(_FLOOD_CASES)})
+)
+def test_bucketed_relays_match_the_heap_core(case: str, width):
     channel, audits, steps = _FLOOD_CASES[case]
     waiting = []  # (blocks, methods in one bucket) at every chunk boundary
     shares = []  # (overflow prefix, block length) of every split
@@ -537,7 +542,7 @@ def test_bucketed_relays_match_the_heap_core(case: str):
     def look(flood: Flood) -> None:
         waiting.append((flood.bucketed_blocks(), flood.bucketed_methods()))
 
-    flood = _flood("array", channel, audits)
+    flood = _flood("array", channel, audits, width)
     with mock.patch.object(ArrayEventCore, "_bucket_shares", spy):
         array = flood.run(steps, on_chunk=look)
     heap = _flood("heap", channel, audits).run(steps)
@@ -557,12 +562,13 @@ def test_bucketed_relays_match_the_heap_core(case: str):
         assert any(methods == 2 for _, methods in waiting)
 
 
-def test_flood_survives_a_snapshot_with_relays_still_bucketed():
+@WIDTHS
+def test_flood_survives_a_snapshot_with_relays_still_bucketed(width):
     """(ii) Pickle the whole flood at chunk boundaries where relay shares
     wait in buckets beyond the active slot; a snapshot holds them as they
     are, restores to the same future, and taking it does not disturb the
     run it is of."""
-    clean = _flood("array", "synchronous", audits=True).run([(None, 10**6)])[-1]
+    clean = _flood("array", "synchronous", True, width).run([(None, 10**6)])[-1]
     snapshots = []
 
     def snapshot(flood: Flood) -> None:
@@ -572,7 +578,7 @@ def test_flood_survives_a_snapshot_with_relays_still_bucketed():
             assert flood.bucketed_blocks() == waiting  # pickling moved nothing
 
     steps = [(0.7, 37), (1.45, 53), (None, 71)]
-    captured = _flood("array", "synchronous", audits=True).run(steps, on_chunk=snapshot)
+    captured = _flood("array", "synchronous", True, width).run(steps, on_chunk=snapshot)
     assert captured[-1] == clean
     assert len(snapshots) >= 6
     for blob, waiting in random.Random(24).sample(snapshots, 4):
@@ -632,7 +638,8 @@ def _mid_span_refreshes(pids):
     return seen, mock.patch.object(Network, "_refresh_skip_table", spy)
 
 
-def test_crash_and_deregister_in_mid_span_match_the_heap_core():
+@WIDTHS
+def test_crash_and_deregister_in_mid_span_match_the_heap_core(width):
     """A first reception crashes one peer and deregisters another while
     deliveries to them are still to come, in the span or among the
     duplicates its run counts: the rest must see one dead (dropped) and
@@ -641,7 +648,7 @@ def test_crash_and_deregister_in_mid_span_match_the_heap_core():
     seen, patch = _mid_span_refreshes(["p5", "p6"])
     log, settles = settle_spy()
     with patch, settles:
-        flood = assert_matches_heap([(None, 10**6)], actions=actions)
+        flood = assert_matches_heap([(None, 10**6)], actions=actions, width=width)
     network = flood.network
     assert not flood.replicas["p5"].alive and "p6" not in network.process_ids
     assert network.messages_quarantined > 0
@@ -649,7 +656,8 @@ def test_crash_and_deregister_in_mid_span_match_the_heap_core():
     assert any(back for why, _, back in log if why == "epoch")  # and a run counting to them
 
 
-def test_churn_rejoin_in_mid_span_matches_the_heap_core():
+@WIDTHS
+def test_churn_rejoin_in_mid_span_matches_the_heap_core(width):
     """A churn leave and rejoin, and a crash and revive, each done by a
     first reception in mid-span; afterwards both replicas' duplicates
     are skipped again (the revive is the last epoch change, so the table
@@ -663,7 +671,7 @@ def test_churn_rejoin_in_mid_span_matches_the_heap_core():
     seen, patch = _mid_span_refreshes(["p6", "p7"])
     with patch:
         flood = assert_matches_heap(
-            [(0.8, 41), (1.6, 1000), (None, 97)], actions=actions
+            [(0.8, 41), (1.6, 1000), (None, 97)], actions=actions, width=width
         )
     assert True in seen
     network = flood.network
@@ -675,14 +683,17 @@ def test_churn_rejoin_in_mid_span_matches_the_heap_core():
     assert network.messages_quarantined > 0
 
 
+#: A floor of 0.5 (rule width 0.5) and none (0.25).
+_CHANNELS = {"synchronous": "synchronous", "asynchronous": "asynchronous"}
+
 _CUTS = [(0.9, 37), (1.3, 1000), (1.77, 23), (2.6, 1000), (None, 61)]
 #: ``_CUTS`` with budgets that some runs' counted duplicates fit.
 _WIDER_CUTS = [(0.9, 37), (1.3, 1000), (1.77, 123), (2.6, 1000), (None, 161)]
 
 
 @pytest.mark.parametrize("steps", (_CUTS, _WIDER_CUTS), ids=("cuts", "wider_cuts"))
-@pytest.mark.parametrize("channel", ("synchronous", "asynchronous"))
-def test_cuts_among_counted_duplicates_match_the_heap_core(channel: str, steps):
+@pytest.mark.parametrize("channel, width", with_widths(_CHANNELS))
+def test_cuts_among_counted_duplicates_match_the_heap_core(channel: str, width, steps):
     """``until``, the chunk budget and — over short asynchronous delays,
     whose relays land in the slot being drained — the overflow head each
     stop a drain among duplicates: between two duplicate codes a span
@@ -705,10 +716,13 @@ def test_cuts_among_counted_duplicates_match_the_heap_core(channel: str, steps):
 
     log, settles = settle_spy()
     with mock.patch.object(Network, "_deliver_span", spy), settles:
-        assert_matches_heap(steps, channel=channel)
+        flood = assert_matches_heap(steps, channel=channel, width=width)
     split = Counter(why for why, kept, back in log if kept and back)
     assert split["horizon"] >= 1, log
-    assert cuts["until"] >= 1 and cuts["budget"] >= 2 and cuts["overflow"] >= 4, cuts
+    # Under the wider budgets a 0.5-wide run's duplicates mostly fit: counted.
+    wide = flood.sim._array_core.slot_width > BASE_WIDTH
+    budget_cuts = 1 if wide and steps is _WIDER_CUTS else 2
+    assert cuts["until"] >= 1 and cuts["budget"] >= budget_cuts and cuts["overflow"] >= 4, cuts
     if steps is _CUTS:  # too many for the budget: the scan takes them
         assert cuts["budget"] >= 5, cuts
     if channel == "asynchronous":
@@ -731,6 +745,7 @@ _EPOCH_MOVES = {
 _EPOCH_MOVED = {"crash": "p7", "deregister": "p6", "churn_rejoin": "p6"}
 
 
+@WIDTHS
 @pytest.mark.parametrize("move", sorted(_EPOCH_MOVES))
 @pytest.mark.parametrize(
     "steps",
@@ -740,20 +755,25 @@ _EPOCH_MOVED = {"crash": "p7", "deregister": "p6", "churn_rejoin": "p6"}
         [(0.9, 370), (1.77, 230), (None, 610)],
     ),
 )
-def test_a_moved_epoch_sends_the_rest_of_the_counted_duplicates_the_scalar_way(move, steps):
+def test_a_moved_epoch_sends_the_rest_of_the_counted_duplicates_the_scalar_way(
+    move, steps, width
+):
     """Once the epoch moves, the marks of a run's counted duplicates may be
     stale (a receiver died, left or came back): those sorting after the
     event that moved it go back to the overflow heap, delivery by
     delivery, and the drain dispatches them like the heap core.  Under
     budgets too small for a run's duplicates, the run holds them all and
-    its span scan judges those still to come against the new epoch."""
+    its span scan judges those still to come against the new epoch (at
+    the base width none fits them; a 0.5-wide run of a few may)."""
     seen, patch = _mid_span_refreshes([_EPOCH_MOVED[move]])
     log, settles = settle_spy()
     with patch, settles:
-        flood = assert_matches_heap(steps, actions=_EPOCH_MOVES[move])
+        flood = assert_matches_heap(steps, actions=_EPOCH_MOVES[move], width=width)
     sent_back = sum(back for why, _, back in log if why == "epoch")
     if steps[0][1] < 100:
-        assert True in seen and sent_back == 0, (seen, log)
+        assert True in seen, (seen, log)
+        if flood.sim._array_core.slot_width == BASE_WIDTH:
+            assert sent_back == 0, log
     else:
         assert sent_back >= 10  # a synchronous channel never puts a relay there itself
         if move == "crash":  # some had sorted before the crash: they stayed counted
@@ -774,8 +794,8 @@ def _among_duplicates(flood: BlockFlood) -> bool:
     )
 
 
-@pytest.mark.parametrize("channel", ("synchronous", "asynchronous"))
-def test_a_snapshot_among_duplicates_restores_to_the_same_future(channel: str):
+@pytest.mark.parametrize("channel, width", with_widths(_CHANNELS))
+def test_a_snapshot_among_duplicates_restores_to_the_same_future(channel: str, width):
     """Pickle the flood at chunk boundaries that fall between two duplicate
     deliveries (the budget, too small for a run's duplicates to be counted,
     cut the span scan there): no snapshot holds a counted one, and each
@@ -788,7 +808,7 @@ def test_a_snapshot_among_duplicates_restores_to_the_same_future(channel: str):
         if _among_duplicates(flood):
             snapshots.append(pickle.dumps(flood))
 
-    block_flood("array", channel).run([(None, 13)], on_chunk=snapshot)
+    block_flood("array", channel, width=width).run([(None, 13)], on_chunk=snapshot)
     assert len(snapshots) >= 20
     for blob in snapshots[::3]:
         restored = pickle.loads(blob)
@@ -796,12 +816,13 @@ def test_a_snapshot_among_duplicates_restores_to_the_same_future(channel: str):
         assert restored.run([(None, 10**6)])[-1] == clean
 
 
-def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future():
+@WIDTHS
+def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future(width):
     """Pickle the flood at every chunk boundary; the snapshots hold live
     envelope slots, and later ones come after slots were recycled and
     claimed again.  Each restores to the clean run's future."""
     steps = [(None, 29)]
-    clean = block_flood("array", "lockstep").run(steps)[-1]
+    clean = block_flood("array", "lockstep", width=width).run(steps)[-1]
     assert clean == block_flood("heap", "lockstep").run(steps)[-1]
     snapshots = []
 
@@ -812,7 +833,7 @@ def test_snapshots_with_slots_in_flight_and_reused_restore_to_the_same_future():
         reused = len(network._envelopes) < flood.sim.events_processed // 17
         snapshots.append((blob, live, reused))
 
-    block_flood("array", "lockstep").run(steps, on_chunk=snapshot)
+    block_flood("array", "lockstep", width=width).run(steps, on_chunk=snapshot)
     assert sum(live > 0 for _, live, _ in snapshots) >= 5
     assert sum(live > 0 and reused for _, live, reused in snapshots) >= 3
     for blob, _, _ in snapshots:
@@ -920,12 +941,14 @@ _PARK_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_PARK_CASES))
-def test_parked_relays_match_the_heap_core(case: str):
+@pytest.mark.parametrize(
+    "case, width", with_widths({case: _PARK_CASES[case][0] for case in sorted(_PARK_CASES)})
+)
+def test_parked_relays_match_the_heap_core(case: str, width):
     channel, steps, actions, parks = _PARK_CASES[case]
     seen, spies = _parking_spies()
     with spies:
-        flood = assert_matches_heap(steps, channel=channel, actions=actions)
+        flood = assert_matches_heap(steps, channel=channel, actions=actions, width=width)
     assert (seen["parked"] > 0) == parks, seen
     assert not flood.network._parked
     # The case is only worth comparing if it reaches what it claims to.
@@ -958,14 +981,15 @@ def _drain_through_booms(flood: BlockFlood, steps) -> list:
     return states
 
 
-def test_a_raising_callback_mid_span_flushes_what_it_parked():
+@WIDTHS
+def test_a_raising_callback_mid_span_flushes_what_it_parked(width):
     """A first reception raises while the span has relays parked: the span's
     ``finally`` schedules them, and the drain goes on exactly like the heap
     core's after the same exception."""
     actions = {("p5", "a"): boom, ("p11", "b"): boom, ("p3", "c"): boom}
     seen, spies = _parking_spies()
     with spies:
-        flood = block_flood("array", actions=actions)
+        flood = block_flood("array", actions=actions, width=width)
         array = _drain_through_booms(flood, _CUTS)
     heap = _drain_through_booms(block_flood("heap", actions=actions), _CUTS)
     assert [state[-1] for state in array].count("boom") == 3
@@ -975,8 +999,9 @@ def test_a_raising_callback_mid_span_flushes_what_it_parked():
     assert_drained(flood.sim._array_core)
 
 
+@WIDTHS
 @pytest.mark.parametrize("seed", (1, 2, 3))
-def test_snapshots_at_random_boundaries_restore_to_the_same_future(seed: int):
+def test_snapshots_at_random_boundaries_restore_to_the_same_future(seed: int, width):
     """Pickle the flood at seeded-random chunk boundaries: no snapshot can
     hold a parked relay, and each restores to the clean run's future."""
     rng = random.Random(seed)
@@ -988,7 +1013,7 @@ def test_snapshots_at_random_boundaries_restore_to_the_same_future(seed: int):
         if rng.random() < 0.4:
             snapshots.append(pickle.dumps(flood))
 
-    flood = block_flood("array", actions=actions)
+    flood = block_flood("array", actions=actions, width=width)
     steps = [(None, rng.randint(3, 40)) for _ in range(40)]
     flood.run(steps + _ALL_AT_ONCE, on_chunk=maybe_snapshot)
     assert len(snapshots) >= 10

@@ -28,6 +28,7 @@ from repro.network.event_core import ArrayEventCore
 from repro.protocols import run_bitcoin
 from tests.network.flood_script import (
     BLOCKS,
+    WIDTHS,
     BlockFlood,
     Boom,
     assert_drained,
@@ -69,7 +70,7 @@ def _drain(flood: BlockFlood, max_events: int, until=None) -> tuple:
     return _counts(flood)
 
 
-def _first_counted_run(min_counted: int) -> tuple:
+def _first_counted_run(min_counted: int, width) -> tuple:
     """``(events processed before it, its length with the counted ones, how
     many it counts)`` of the first run of the synchronous flood that counts
     ``min_counted`` or more duplicates."""
@@ -88,18 +89,19 @@ def _first_counted_run(min_counted: int) -> tuple:
         return more
 
     with mock.patch.object(ArrayEventCore, "_start_next_run", spy):
-        block_flood("array").run([(None, 10**6)])
+        block_flood("array", width=width).run([(None, 10**6)])
     return found[0]
 
 
-def test_every_budget_across_a_counted_run_matches_the_heap_core():
+@WIDTHS
+def test_every_budget_across_a_counted_run_matches_the_heap_core(width):
     """``run(max_events=k)`` from just before a run that counts duplicates,
     for every ``k`` up to past its end: where they all fit the budget they
     are counted and split where it ends (a snapshot there restores to the
     heap core's future), else the bucket is sorted whole and the span scan
     takes them."""
-    before, length, counted = _first_counted_run(60)
-    array, heap = block_flood("array"), block_flood("heap")
+    before, length, counted = _first_counted_run(60, width)
+    array, heap = block_flood("array", width=width), block_flood("heap")
     assert _drain(array, before) == _drain(heap, before)
     blobs = pickle.dumps(array), pickle.dumps(heap)
     starts = []
@@ -135,13 +137,14 @@ def test_every_budget_across_a_counted_run_matches_the_heap_core():
 _WAVES = BLOCKS + [(0.1, "p3", "x", None), (0.65, "p12", "y", None)]
 
 
+@WIDTHS
 @pytest.mark.parametrize("between", (False, True), ids=("at", "between"))
-def test_until_at_and_between_tied_delivery_times_matches_the_heap_core(between: bool):
+def test_until_at_and_between_tied_delivery_times_matches_the_heap_core(between: bool, width):
     """Every delay is 0.5, so a wave's deliveries tie on their time: stop at
     the second time pending (the events at exactly ``until`` run, counted
     ones too), or half way from the first to the second, comparing the
     counts each time."""
-    array = block_flood("array", "lockstep", origins=_WAVES)
+    array = block_flood("array", "lockstep", origins=_WAVES, width=width)
     heap = block_flood("heap", "lockstep", origins=_WAVES)
     log, settles = settle_spy()
     steps = 0
@@ -180,14 +183,17 @@ _TIED_MOVES = {
 }
 
 
+@WIDTHS
 @pytest.mark.parametrize("move", sorted(_TIED_MOVES))
-def test_a_moved_epoch_among_tied_deliveries_matches_the_heap_core(move: str):
+def test_a_moved_epoch_among_tied_deliveries_matches_the_heap_core(move: str, width):
     """The epoch moves at an event whose time the counted duplicates tie
     with: those with a smaller seq were processed before it, and stay
     counted; the rest go back and are judged again."""
     log, settles = settle_spy()
     with settles:
-        array = block_flood("array", "lockstep", origins=_HALF, actions=_TIED_MOVES[move])
+        array = block_flood(
+            "array", "lockstep", origins=_HALF, actions=_TIED_MOVES[move], width=width
+        )
         states = [_drain(array, 10**6)]
     heap = block_flood("heap", "lockstep", origins=_HALF, actions=_TIED_MOVES[move])
     assert states == [_drain(heap, 10**6)]
@@ -206,15 +212,16 @@ def _run_through_booms(flood: BlockFlood, chunk: int) -> list:
     return states
 
 
+@WIDTHS
 @pytest.mark.parametrize("chunk", (10**6, 300))
-def test_a_raising_callback_inside_a_counted_run_matches_the_heap_core(chunk: int):
+def test_a_raising_callback_inside_a_counted_run_matches_the_heap_core(chunk: int, width):
     """First receptions raise while their run counts duplicates on both
     sides of them: those before are accounted, the rest go back, and the
     event that raised is consumed but not processed, as on the heap core."""
     actions = {("p5", "a"): boom, ("p11", "b"): boom, ("p3", "c"): boom, ("p8", "c"): boom}
     log, settles = settle_spy()
     with settles:
-        flood = block_flood("array", actions=actions)
+        flood = block_flood("array", actions=actions, width=width)
         array = _run_through_booms(flood, chunk)
     heap = _run_through_booms(block_flood("heap", actions=actions), chunk)
     assert [state[-1] for state in array].count("boom") == 4

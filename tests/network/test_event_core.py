@@ -49,11 +49,10 @@ def test_unknown_core_rejected():
         Simulator(core="wheel")
 
 
-def test_slot_width_must_be_positive():
+@pytest.mark.parametrize("width", (0.0, -1.0, float("inf"), float("nan")))
+def test_slot_width_must_be_positive_and_finite(width: float):
     with pytest.raises(ValueError):
-        ArrayEventCore(slot_width=0.0)
-    with pytest.raises(ValueError):
-        ArrayEventCore(slot_width=-1.0)
+        ArrayEventCore(slot_width=width)
 
 
 # -- scalar scheduling -------------------------------------------------------
