@@ -16,7 +16,7 @@ the CLI (README "CLI") and the reproduction scripts
   textual counterpart in this reproduction.
 """
 
-from repro.analysis.forks import ForkStatistics, fork_statistics, wasted_block_ratio
+from repro.analysis.forks import ForkStatistics, fork_statistics
 from repro.analysis.convergence import (
     ConvergenceSummary,
     common_prefix_depth,
@@ -29,7 +29,6 @@ from repro.analysis.report import render_table, render_classification_table
 __all__ = [
     "ForkStatistics",
     "fork_statistics",
-    "wasted_block_ratio",
     "ConvergenceSummary",
     "common_prefix_depth",
     "divergence_by_pair",

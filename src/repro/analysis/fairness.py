@@ -42,12 +42,6 @@ class FairnessReport:
     worst_ratio: float
     blocks_counted: int
 
-    def is_alpha_fair(self, alpha: float) -> bool:
-        """``True`` iff every positive-merit process has share ≥ α · merit."""
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        return self.worst_ratio >= alpha
-
     def describe(self) -> str:
         lines = ["fairness (share / merit per process):"]
         for process in sorted(self.ratios):

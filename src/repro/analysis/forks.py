@@ -11,12 +11,12 @@ network delay against these numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.core.blocktree import BlockTree
 from repro.core.selection import LongestChain, SelectionFunction
 
-__all__ = ["ForkStatistics", "fork_statistics", "wasted_block_ratio", "merge_statistics"]
+__all__ = ["ForkStatistics", "fork_statistics", "merge_statistics"]
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,6 @@ class ForkStatistics:
         wasted_non_genesis = max(self.wasted_blocks - 0, 0)
         return wasted_non_genesis / non_genesis
 
-    @property
-    def fork_rate(self) -> float:
-        """Fork points per non-genesis block (0 for a pure chain)."""
-        non_genesis = max(self.total_blocks - 1, 1)
-        return self.fork_points / non_genesis
-
 
 _LONGEST = LongestChain()
 
@@ -71,11 +65,6 @@ def fork_statistics(
         max_fork_degree=tree.max_fork_degree(),
         blocks_on_selected_chain=tree.height_of(chain.tip.block_id) + 1,
     )
-
-
-def wasted_block_ratio(tree: BlockTree, selection: Optional[SelectionFunction] = None) -> float:
-    """Shortcut for :attr:`ForkStatistics.wasted_ratio`."""
-    return fork_statistics(tree, selection).wasted_ratio
 
 
 def merge_statistics(per_replica: Mapping[str, ForkStatistics]) -> Dict[str, float]:

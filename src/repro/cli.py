@@ -392,9 +392,16 @@ def _parse_bound(text: str) -> float:
 
 
 def _require_positive(value: Optional[float], flag: str, command: str) -> None:
-    """Loudly reject non-positive resilience knobs (``None`` = unset = fine)."""
-    if value is not None and value <= 0:
+    """Loudly reject non-positive or NaN resilience knobs (``None`` = unset = fine)."""
+    if value is not None and not value > 0:
         _usage_error(command, f"{flag} must be > 0, got {value!r}")
+
+
+def _require_finite(values: Sequence[float], flag: str) -> None:
+    """Reject a negative, infinite or NaN rate before any cell runs."""
+    for value in values:
+        if not 0 <= value < math.inf:
+            _usage_error("sweep", f"{flag} must be a finite number >= 0, got {value!r}")
 
 
 def _split_topology_params(rest: str) -> List[str]:
@@ -847,6 +854,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         axes["channel.drop_probability"] = drops
     token_rates = _parse_axis(args.token_rates, float, "--token-rates")
     if token_rates is not None:
+        _require_finite(token_rates, "--token-rates")
         axes["params.token_rate"] = token_rates
     clients = _parse_axis(args.clients, int, "--clients")
     if clients is not None:
@@ -854,6 +862,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     if args.client_rate is not None:
         import dataclasses
 
+        _require_finite([args.client_rate], "--client-rate")
         base = base.with_updates(
             workload=dataclasses.replace(base.workload, client_rate=args.client_rate)
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 __all__ = [
     "Block",
@@ -30,7 +30,6 @@ __all__ = [
     "GENESIS",
     "genesis_block",
     "BlockIdFactory",
-    "chains_consistent",
 ]
 
 #: Identifier of the genesis block ``b0``.  Every BlockTree is rooted here.
@@ -201,18 +200,6 @@ class Blockchain:
                     f"{parent.block_id!r} (its parent is {child.parent_id!r})"
                 )
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Block]) -> "Blockchain":
-        """Build a chain from an iterable of blocks ordered root-first."""
-        return cls(tuple(blocks))
-
-    @classmethod
-    def genesis_only(cls, genesis: Block = GENESIS) -> "Blockchain":
-        """The trivial chain ``{b0}`` returned by a read on an empty tree."""
-        return cls((genesis,))
-
     # -- basic accessors -------------------------------------------------
 
     @cached_property
@@ -231,53 +218,14 @@ class Blockchain:
         return self.blocks[-1]
 
     @property
-    def genesis(self) -> Block:
-        """The genesis block ``b0``."""
-        return self.blocks[0]
-
-    @property
     def length(self) -> int:
         """Number of non-genesis blocks (the paper's height/length score)."""
         return len(self.blocks) - 1
 
-    @property
-    def total_weight(self) -> float:
-        """Sum of block weights; used by weight-based scores."""
-        return sum(b.weight for b in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
 
-    def __getitem__(self, index: int) -> Block:
-        return self.blocks[index]
-
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, Block):
-            return item in self.blocks
-        if isinstance(item, str):
-            return any(b.block_id == item for b in self.blocks)
-        return False
-
     # -- structural relations ---------------------------------------------
-
-    def extend(self, block: Block) -> "Blockchain":
-        """Return the chain ``self ⌢ {block}``.
-
-        Raises
-        ------
-        ValueError
-            if ``block`` does not name the current tip as its parent, i.e.
-            the concatenation would not be a path of the BlockTree.
-        """
-        if block.parent_id != self.tip.block_id:
-            raise ValueError(
-                f"cannot extend chain ending at {self.tip.block_id!r} with "
-                f"block {block.block_id!r} whose parent is {block.parent_id!r}"
-            )
-        return Blockchain(self.blocks + (block,))
 
     def prefix(self, length: int) -> "Blockchain":
         """Return the prefix containing ``length`` non-genesis blocks."""
@@ -306,10 +254,6 @@ class Blockchain:
             shared += 1
         return Blockchain(self.blocks[:shared])
 
-    def diverges_from(self, other: "Blockchain") -> bool:
-        """``True`` iff neither chain is a prefix of the other."""
-        return not (self.is_prefix_of(other) or other.is_prefix_of(self))
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -317,16 +261,3 @@ class Blockchain:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Blockchain({'->'.join(self.ids)})"
-
-
-def chains_consistent(chains: Sequence[Blockchain]) -> bool:
-    """Return ``True`` iff every pair of chains is prefix-related.
-
-    Convenience used by tests and by the Strong Prefix checker: a set of
-    read results is "strongly consistent" iff it is totally ordered by the
-    prefix relation ``⊑``.
-    """
-    ordered = sorted(chains, key=len)
-    return all(
-        ordered[i].is_prefix_of(ordered[i + 1]) for i in range(len(ordered) - 1)
-    )

@@ -14,28 +14,26 @@ message-passing protocol models (:mod:`repro.protocols`).  It supports:
   the whole point of the tree formulation);
 * height / depth queries, leaves and branch enumeration;
 * extraction of the chain leading to any block (``chain_to``);
-* subtree weights, which the GHOST selection function needs;
-* structural merge (used when a replica receives updates out of order).
+* subtree weights, which the GHOST selection function needs.
 
 Because the selection function ``f(bt)`` is evaluated on virtually every
 delivery/mining event of a protocol run, the tree also maintains the
 *per-leaf score indexes* the selection rules in
 :mod:`repro.core.selection` read: every block's height (chain length
 score) and cumulative root-to-block weight (chain weight score) are
-updated incrementally in ``append`` — and therefore by ``merge`` and
-``copy``, which funnel through or duplicate them — so selecting a tip
-never rematerializes chains.  The indexes live on preallocated numpy
+updated incrementally in ``append`` — and duplicated by ``copy`` — so
+selecting a tip never rematerializes chains.  The indexes live on preallocated numpy
 columns (:class:`_TreeColumns`) and there is no other index in this
 module: the per-block dict index they replaced is the test-side oracle
 ``ReferenceBlockTree`` (``tests/network/reference_plane.py``).  A
-monotone ``version`` counter, bumped on every mutation, backs a small
+monotone version counter, bumped on every mutation, backs a small
 selection memo (``cached_selection`` / ``cache_selection``) that makes
 repeated reads between mutations O(1).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -217,23 +215,20 @@ class BlockTree:
         # at (see ``leaf_index``).
         self._leaf_index_cache: Optional[Tuple[int, Any]] = None
         self._genesis = root
-        # Incremental caches, maintained by ``append`` (and therefore by
-        # ``merge``, which funnels through ``append``): the tree height and
+        # Incremental caches, maintained by ``append``: the tree height and
         # the current leaves in block-insertion order.  ``_leaves`` is a dict
         # used as an ordered set, so ``leaves()`` stays O(#leaves) instead of
         # scanning every block.
         self._height: int = 0
         self._leaves: Dict[str, None] = {root.block_id: None}
         # Fork bookkeeping, also maintained by ``append``: blocks with two
-        # or more children (in the order they *became* fork points), the
-        # maximal child count seen so far, and a height → block ids index
-        # (ids in insertion order, as the former full scan returned them).
-        # ``analysis/forks.py`` queries all three once per replica per run.
+        # or more children (in the order they *became* fork points) and the
+        # maximal child count seen so far.  ``analysis/forks.py`` queries
+        # both once per replica per run.
         self._fork_points: Dict[str, None] = {}
         self._max_fork_degree: int = 0
-        self._by_height: Dict[int, List[str]] = {0: [root.block_id]}
         # Monotone mutation counter plus a keyed memo of selection results.
-        # ``version`` never decreases and is bumped by every ``append``, so
+        # ``_version`` never decreases and is bumped by every ``append``, so
         # a memo entry tagged with the current version is still valid.
         self._version: int = 0
         self._selection_memo: Dict[Hashable, Tuple[int, Any]] = {}
@@ -288,17 +283,12 @@ class BlockTree:
         """Height of the tree: the maximal block height (cached, O(1))."""
         return self._height
 
-    @property
-    def version(self) -> int:
-        """Monotone mutation counter: bumped by every successful append."""
-        return self._version
-
     # -- selection memo -------------------------------------------------------
 
     def cached_selection(self, key: Hashable) -> Optional[Any]:
         """Return the memoized selection result for ``key``, if still valid.
 
-        A memo entry is valid iff it was stored at the current ``version``;
+        A memo entry is valid iff it was stored at the current version;
         any append invalidates (and clears) every entry, so the memo only
         ever holds current-version results.  The version tag is kept as a
         second guard for copies.  Unhashable keys simply miss.
@@ -321,10 +311,6 @@ class BlockTree:
     def children_of(self, block_id: str) -> Tuple[str, ...]:
         """Identifiers of the direct children of ``block_id``."""
         return tuple(self._children[block_id])
-
-    def parent_of(self, block_id: str) -> Optional[str]:
-        """Identifier of the parent of ``block_id`` (``None`` for genesis)."""
-        return self._blocks[block_id].parent_id
 
     def block_ids(self) -> Tuple[str, ...]:
         """All block identifiers currently in the tree (insertion order)."""
@@ -367,7 +353,6 @@ class BlockTree:
         if len(siblings) > self._max_fork_degree:
             self._max_fork_degree = len(siblings)
         height = self._columns.append(block.parent_id, block.block_id, block.weight)
-        self._by_height.setdefault(height, []).append(block.block_id)
         if height > self._height:
             self._height = height
         self._leaves.pop(block.parent_id, None)
@@ -380,33 +365,6 @@ class BlockTree:
         if self._selection_memo:
             self._selection_memo.clear()
         return block
-
-    def merge(self, other: "BlockTree") -> int:
-        """Insert every block of ``other`` not yet present, parents first.
-
-        Used by replicas that reconcile state snapshots.  Returns the
-        number of blocks actually inserted.
-        """
-        inserted = 0
-        pending = [b for b in other if not b.is_genesis and b.block_id not in self]
-        # Repeatedly sweep until no progress: parents may arrive after children.
-        while pending:
-            progressed = False
-            remaining: List[Block] = []
-            for block in pending:
-                if block.parent_id in self:
-                    self.append(block)
-                    inserted += 1
-                    progressed = True
-                else:
-                    remaining.append(block)
-            if not progressed:
-                missing = sorted({b.parent_id for b in remaining if b.parent_id})
-                raise UnknownParentError(
-                    f"cannot merge: missing ancestors {missing}"
-                )
-            pending = remaining
-        return inserted
 
     # -- tree queries -------------------------------------------------------
 
@@ -430,57 +388,6 @@ class BlockTree:
     def all_chains(self) -> Tuple[Blockchain, ...]:
         """Every maximal blockchain (one per leaf), in insertion order."""
         return tuple(self.chain_to(leaf) for leaf in self.leaves())
-
-    def ancestors(self, block_id: str) -> Tuple[str, ...]:
-        """Identifiers of the proper ancestors of ``block_id``, child-to-root."""
-        result: List[str] = []
-        cursor = self.parent_of(block_id)
-        while cursor is not None:
-            result.append(cursor)
-            cursor = self.parent_of(cursor)
-        return tuple(result)
-
-    def is_ancestor(self, ancestor_id: str, descendant_id: str) -> bool:
-        """``True`` iff ``ancestor_id`` lies on the path from ``descendant_id`` to genesis."""
-        cols = self._columns
-        slots = cols.slots
-        ancestor = slots.get(ancestor_id)
-        descendant = slots.get(descendant_id)
-        if ancestor is None or descendant is None:
-            return False
-        height = cols.height
-        gap = int(height[descendant]) - int(height[ancestor])
-        if gap < 0:
-            return False
-        # Walk exactly the height gap, as int hops over parent slots: the
-        # cached heights tell us how many parent hops separate the two
-        # blocks, so no per-step membership or height re-checks are needed.
-        parents = cols.parents
-        cursor = descendant
-        for _ in range(gap):
-            cursor = parents[cursor]
-        return cursor == ancestor
-
-    def common_ancestor(self, a: str, b: str) -> str:
-        """Lowest common ancestor of two blocks (always exists: genesis)."""
-        cols = self._columns
-        slots = cols.slots
-        parents = cols.parents
-        height = cols.height
-        sa, sb = slots[a], slots[b]
-        ha, hb = int(height[sa]), int(height[sb])
-        # Equalize levels by walking exactly the height gap, then climb in
-        # lockstep; heights are tracked locally so each step is one hop.
-        while ha > hb:
-            sa = parents[sa]
-            ha -= 1
-        while hb > ha:
-            sb = parents[sb]
-            hb -= 1
-        while sa != sb:
-            sa = parents[sa]
-            sb = parents[sb]
-        return cols.ids[sa]
 
     def subtree_weight(self, block_id: str) -> float:
         """Total weight of the subtree rooted at ``block_id`` (incl. itself).
@@ -562,10 +469,6 @@ class BlockTree:
         """
         return tuple(self._fork_points)
 
-    def fork_degree(self, block_id: str) -> int:
-        """Number of children of ``block_id`` — the paper's per-block fork count."""
-        return len(self._children[block_id])
-
     def max_fork_degree(self) -> int:
         """Maximum number of children over all blocks (0 for a bare genesis).
 
@@ -574,10 +477,6 @@ class BlockTree:
         append-only).
         """
         return self._max_fork_degree
-
-    def blocks_at_height(self, height: int) -> Tuple[str, ...]:
-        """All block identifiers at the given height (insertion order), cached."""
-        return tuple(self._by_height.get(height, ()))
 
     def copy(self) -> "BlockTree":
         """Deep-enough copy sharing immutable blocks but not the indices."""
@@ -592,7 +491,6 @@ class BlockTree:
         clone._leaf_index_cache = self._leaf_index_cache
         clone._fork_points = dict(self._fork_points)
         clone._max_fork_degree = self._max_fork_degree
-        clone._by_height = {k: list(v) for k, v in self._by_height.items()}
         # The clone is content-identical at this version, so the memoized
         # selection results (immutable Blockchain values) stay valid for it;
         # any divergent append bumps the respective tree's own counter.

@@ -123,14 +123,6 @@ class PropertyResult:
     def __bool__(self) -> bool:
         return self.holds
 
-    def describe(self) -> str:
-        status = "OK" if self.holds else "VIOLATED"
-        lines = [f"{self.name}: {status}"]
-        lines.extend(f"  - {v}" for v in self.violations[:WITNESS_LIMIT])
-        if self.count > WITNESS_LIMIT:
-            lines.append(f"  ... and {self.count - WITNESS_LIMIT} more")
-        return "\n".join(lines)
-
 
 class _Witnesses:
     """Every violation counted, the first :data:`WITNESS_LIMIT` worded."""
@@ -167,10 +159,6 @@ class ConsistencyReport:
             if result.name == name:
                 return result
         raise KeyError(name)
-
-    def describe(self) -> str:
-        header = f"{self.criterion}: {'SATISFIED' if self.holds else 'NOT SATISFIED'}"
-        return "\n".join([header] + [r.describe() for r in self.results])
 
 
 def _shared_index(

@@ -301,9 +301,6 @@ class ConsistencyIndex:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    def __contains__(self, block_id: object) -> bool:
-        return block_id in self._node
-
     def block(self, block_id: str) -> Block:
         return self._blocks[self._node[block_id]]
 
@@ -317,10 +314,6 @@ class ConsistencyIndex:
 
     def height_of(self, block_id: str) -> int:
         return self._height[self._node[block_id]]
-
-    def cumulative_weight(self, block_id: str) -> float:
-        """Root-first accumulated non-genesis weight up to ``block_id``."""
-        return self._cum_weight[self._node[block_id]]
 
     def read_tip(self, position: int) -> str:
         """Tip block id of the chain returned by the read at ``position``."""
@@ -383,14 +376,6 @@ class ConsistencyIndex:
             stack.extend((child, False) for child in children[node])
         self._tin, self._tout = tin, tout
         self._labels_at = self._mutations
-
-    def is_prefix(self, ancestor_id: str, descendant_id: str) -> bool:
-        """``True`` iff the chain to ``ancestor_id`` prefixes the one to
-        ``descendant_id`` (ancestor-or-equal in the analysis tree), O(1)."""
-        self._ensure_labels()
-        tin, node = self._tin, self._node
-        ancestor = node[ancestor_id]
-        return tin[ancestor] <= tin[node[descendant_id]] <= self._tout[ancestor]
 
     def prefix_related(self, a: str, b: str) -> bool:
         """``True`` iff the chains to ``a`` and ``b`` do *not* diverge."""

@@ -14,7 +14,7 @@ A concurrent history is ``H = ⟨Σ, E, Λ, ↦, ≺, ↗⟩``:
 
 Events are recorded with a globally unique, strictly increasing logical
 timestamp (the recorder's clock).  That timestamp induces a total order
-that *refines* ``↗`` — whenever ``e ↗ e'`` then ``time(e) < time(e')`` —
+that *refines* ``↗`` — whenever ``e ↗ e'`` then ``e.eid < e'.eid`` —
 which is what the consistency checkers rely on: all the paper's criteria
 quantify over events ordered by ``↗``, and evaluating them over the finer
 total order is equivalent because the recorded executions come from a
@@ -101,21 +101,12 @@ class Event:
     seq: int = -1
 
     @property
-    def time(self) -> int:
-        """Logical timestamp (alias of :attr:`eid`)."""
-        return self.eid
-
-    @property
     def is_read_response(self) -> bool:
         return self.kind is EventKind.RESPONSE and self.operation == "read"
 
     @property
     def is_append_invocation(self) -> bool:
         return self.kind is EventKind.INVOCATION and self.operation == "append"
-
-    @property
-    def is_append_response(self) -> bool:
-        return self.kind is EventKind.RESPONSE and self.operation == "append"
 
     @property
     def chain(self) -> Blockchain:
@@ -169,7 +160,7 @@ def _event(row: Tuple[int, int, str, str, int, int], value: Any, argument: Any) 
 
 
 class History:
-    """An immutable-ish concurrent history: a sequence of events plus orders.
+    """An immutable-ish concurrent history: a sequence of events.
 
     The events are kept in timestamp order as columns: an int64 table with
     one row per column (eid, kind code, operation and process codes into
@@ -205,7 +196,6 @@ class History:
         # them as one tuple once :attr:`events` was asked for.
         self._built = built
         self._events: Optional[Tuple[Event, ...]] = None
-        self._by_process: Optional[Dict[str, List[Event]]] = None
         # The selected tuples, per (selector, process): one report asks
         # for them many times, and a selector returns the same tuple
         # object on every call.
@@ -255,23 +245,10 @@ class History:
                 built[position] = _event(row, values[position], arguments.get(op_id))
         return [built[position] for position in positions]  # type: ignore[misc]
 
-    def _buckets(self) -> Dict[str, List[Event]]:
-        """Per-process event lists, built on the first ask."""
-        if self._by_process is None:
-            by_process: Dict[str, List[Event]] = {}
-            for event in self.events:
-                by_process.setdefault(event.process, []).append(event)
-            self._by_process = by_process
-        return self._by_process
-
     @property
     def processes(self) -> Tuple[str, ...]:
         names = self._names
         return tuple(sorted(names[code] for code in np.unique(self._procs).tolist()))
-
-    def events_of(self, process: str) -> Tuple[Event, ...]:
-        """All events of ``process`` in process order ``↦``."""
-        return tuple(self._buckets().get(process, ()))
 
     # -- event selectors -------------------------------------------------------
 
@@ -294,99 +271,20 @@ class History:
         """All ``read`` response events (optionally of a single process)."""
         return self._select("read_responses", self._reads, process)
 
-    def read_invocations(self, process: Optional[str] = None) -> Tuple[Event, ...]:
-        pool = self.events if process is None else self._buckets().get(process, [])
-        return tuple(
-            e for e in pool if e.kind is EventKind.INVOCATION and e.operation == "read"
-        )
-
     def append_invocations(self, process: Optional[str] = None) -> Tuple[Event, ...]:
         """All ``append`` invocation events (optionally of a single process)."""
         return self._select("append_invocations", self._appends, process)
-
-    def append_responses(
-        self, process: Optional[str] = None, successful_only: bool = False
-    ) -> Tuple[Event, ...]:
-        responses = self._select("append_responses", self._append_responses, process)
-        if successful_only:
-            return tuple(e for e in responses if bool(e.output))
-        return responses
 
     def replication_events(self, kind: EventKind) -> Tuple[Event, ...]:
         """All ``send``/``receive``/``update`` events of the given kind."""
         if kind not in (EventKind.SEND, EventKind.RECEIVE, EventKind.UPDATE):
             raise ValueError(f"{kind} is not a replication event kind")
         return tuple(e for e in self.events if e.kind is kind)
-    def matching_response(self, invocation: Event) -> Optional[Event]:
-        """The response event carrying the same ``op_id``, if it exists."""
-        if invocation.kind is not EventKind.INVOCATION:
-            raise ValueError("matching_response expects an invocation event")
-        for event in self._buckets().get(invocation.process, ()):  # same process
-            if event.kind is EventKind.RESPONSE and event.op_id == invocation.op_id:
-                return event
-        return None
-
-    def matching_invocation(self, response: Event) -> Optional[Event]:
-        """The invocation event carrying the same ``op_id``, if it exists."""
-        if response.kind is not EventKind.RESPONSE:
-            raise ValueError("matching_invocation expects a response event")
-        for event in self._buckets().get(response.process, ()):
-            if event.kind is EventKind.INVOCATION and event.op_id == response.op_id:
-                return event
-        return None
-
-    # -- the three orders of Definition 2.4 ------------------------------------
-
-    def process_order(self, e: Event, e_prime: Event) -> bool:
-        """``e ↦ e'``: same process and ``e`` occurs earlier."""
-        return e.process == e_prime.process and e.eid < e_prime.eid
-
-    def operation_order(self, e: Event, e_prime: Event) -> bool:
-        """``e ≺ e'`` per Definition 2.4.
-
-        Either ``e`` is an invocation and ``e'`` the response of the same
-        operation, or ``e`` is a response that occurs (in real time) before
-        the invocation ``e'`` of another operation.
-        """
-        if (
-            e.kind is EventKind.INVOCATION
-            and e_prime.kind is EventKind.RESPONSE
-            and e.op_id == e_prime.op_id
-            and e.process == e_prime.process
-        ):
-            return True
-        if (
-            e.kind is EventKind.RESPONSE
-            and e_prime.kind is EventKind.INVOCATION
-            and e.eid < e_prime.eid
-        ):
-            return True
-        return False
-
-    def program_order(self, e: Event, e_prime: Event) -> bool:
-        """``e ↗ e'``: the union of process order and operation order."""
-        if e.eid == e_prime.eid:
-            return False
-        return self.process_order(e, e_prime) or self.operation_order(e, e_prime)
-
-    def precedes(self, e: Event, e_prime: Event) -> bool:
-        """Total-order refinement of ``↗`` used by the checkers.
-
-        The recorder's clock totally orders events and refines ``↗``
-        (see the module docstring), so ``time(e) < time(e')`` is the
-        practical "``e`` before ``e'``" test for recorded executions.
-        """
-        return e.eid < e_prime.eid
-
     # -- composition ------------------------------------------------------------
 
     def _codes(self, processes: Iterable[str]) -> List[int]:
         keep = set(processes)
         return [code for code, name in enumerate(self._names) if name in keep]
-
-    def restricted_to(self, processes: Iterable[str]) -> "History":
-        """Sub-history containing only events of the given processes."""
-        return self._kept(np.isin(self._procs, self._codes(processes)))
 
     def correct_restriction(self, correct_processes: Iterable[str]) -> "History":
         """The event restriction of Definition 4.2 (Byzantine failure model).
@@ -418,15 +316,6 @@ class History:
         op_ids = self._op_ids - self._op_ids.min()
         pairs = self._procs * (int(op_ids.max()) + 1) + op_ids
         return self._kept(~((self._ops == _APPEND) & np.isin(pairs, pairs[failed])))
-
-    def merge(self, other: "History") -> "History":
-        """Union of two histories (event ids must not collide)."""
-        clash = np.intersect1d(self._eids, other._eids)
-        if len(clash):
-            raise ValueError(
-                f"cannot merge histories with colliding event ids {clash[:5].tolist()}"
-            )
-        return History(self.events + other.events)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

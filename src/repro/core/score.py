@@ -17,7 +17,7 @@ with small, well-tested implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.core.block import Blockchain
 
@@ -27,7 +27,6 @@ __all__ = [
     "WeightScore",
     "mcps",
     "common_prefix_length",
-    "is_monotonic_score",
 ]
 
 
@@ -36,9 +35,7 @@ class ScoreFunction(Protocol):
     """Protocol for the paper's ``score`` functions.
 
     Implementations must be *deterministic* and *strictly increasing under
-    extension*: ``score(bc.extend(b)) > score(bc)`` for every valid
-    extension.  :func:`is_monotonic_score` checks this property on sample
-    data and is used by the property-based tests.
+    extension*: ``score(bc ⌢ b) > score(bc)`` for every valid extension.
     """
 
     def __call__(self, chain: Blockchain) -> float:
@@ -55,11 +52,6 @@ class LengthScore:
 
     def __call__(self, chain: Blockchain) -> float:
         return float(chain.length)
-
-    @property
-    def genesis_score(self) -> float:
-        """The paper's ``s0``."""
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -78,10 +70,6 @@ class WeightScore:
     def __call__(self, chain: Blockchain) -> float:
         base = sum(b.weight for b in chain.blocks if not b.is_genesis)
         return float(base + self.min_increment * chain.length)
-
-    @property
-    def genesis_score(self) -> float:
-        return 0.0
 
 
 def common_prefix_length(a: Blockchain, b: Blockchain) -> int:
@@ -117,17 +105,3 @@ def mcps(a: Blockchain, b: Blockchain, score: ScoreFunction | None = None) -> fl
         # skip materializing (and re-validating) the prefix chain.
         return float(common_prefix_length(a, b))
     return scorer(a.common_prefix(b))
-
-
-def is_monotonic_score(score: ScoreFunction, chains: Sequence[Blockchain]) -> bool:
-    """Check the strict-increase-under-extension contract on sample chains.
-
-    For every chain with at least one non-genesis block, the score of the
-    chain must strictly exceed the score of the chain with its tip removed.
-    """
-    for chain in chains:
-        if chain.length == 0:
-            continue
-        if not score(chain) > score(chain.prefix(chain.length - 1)):
-            return False
-    return True

@@ -168,8 +168,7 @@ class ScoreMaximizingSelection:
             key = (score(chain), chain.tip.block_id)
             if best is None or key > best:
                 best, winner = key, chain
-        if winner is None:  # pragma: no cover - a tree always has >= 1 leaf
-            return Blockchain.genesis_only(tree.genesis)
+        assert winner is not None  # a tree always has >= 1 leaf
         return winner
 
 
@@ -248,7 +247,3 @@ class FixedTipSelection:
             tree.cache_selection(self, chain)
             return chain
         return _LONGEST(tree)
-
-    def pinned_to(self, tip_id: str) -> "FixedTipSelection":
-        """Return a copy pinned to ``tip_id`` (selection functions are frozen)."""
-        return FixedTipSelection(tip_id=tip_id)

@@ -18,7 +18,7 @@ ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, Optional, Protocol, Set, Tuple, runtime_checkable
+from typing import FrozenSet, Iterable, Optional, Protocol, Set, Tuple, runtime_checkable
 
 from repro.core.block import Block
 from repro.core.blocktree import BlockTree
@@ -26,14 +26,10 @@ from repro.core.blocktree import BlockTree
 __all__ = [
     "ValidityPredicate",
     "AlwaysValid",
-    "NeverValid",
     "ParentInTree",
     "MembershipValidity",
     "NoDoubleSpend",
-    "TokenRequired",
     "CompositeValidity",
-    "PredicateFromCallable",
-    "bitcoin_validity",
 ]
 
 
@@ -62,14 +58,6 @@ class AlwaysValid:
 
     def __call__(self, block: Block, tree: BlockTree) -> bool:  # noqa: ARG002
         return True
-
-
-@dataclass(frozen=True)
-class NeverValid:
-    """``P(b) = ⊥`` for every non-genesis block — for negative tests."""
-
-    def __call__(self, block: Block, tree: BlockTree) -> bool:  # noqa: ARG002
-        return block.is_genesis
 
 
 @dataclass(frozen=True)
@@ -133,31 +121,6 @@ class NoDoubleSpend:
 
 
 @dataclass(frozen=True)
-class TokenRequired:
-    """Valid iff the block carries an oracle token.
-
-    The refinement of Section 3.3 only ever appends blocks returned by
-    ``getToken`` (which are valid by construction, ``b^{tkn_h} ∈ B'``).
-    This predicate lets the plain BT-ADT enforce the same discipline when
-    it is driven by a protocol model that uses the oracle.
-    """
-
-    def __call__(self, block: Block, tree: BlockTree) -> bool:  # noqa: ARG002
-        return block.is_genesis or block.token is not None
-
-
-@dataclass(frozen=True)
-class PredicateFromCallable:
-    """Adapter turning a bare callable into a named predicate object."""
-
-    fn: Callable[[Block, BlockTree], bool]
-    name: str = "custom"
-
-    def __call__(self, block: Block, tree: BlockTree) -> bool:
-        return self.fn(block, tree)
-
-
-@dataclass(frozen=True)
 class CompositeValidity:
     """Conjunction of several predicates (all must accept the block)."""
 
@@ -169,8 +132,3 @@ class CompositeValidity:
 
     def __call__(self, block: Block, tree: BlockTree) -> bool:
         return all(p(block, tree) for p in self.predicates)
-
-
-def bitcoin_validity() -> CompositeValidity:
-    """The paper's Bitcoin example: connectable and double-spend free."""
-    return CompositeValidity.of(ParentInTree(), NoDoubleSpend())

@@ -67,7 +67,6 @@ from repro.engine.checkpoint import (
     SimulationCheckpoint,
     checkpoint_path_for,
     load_checkpoint,
-    read_checkpoint_header,
     resume_spec_from_checkpoint,
     run_spec_with_checkpoints,
 )
@@ -85,7 +84,6 @@ from repro.engine.result import RunResult, analyse_run
 from repro.engine.sweep import (
     SweepJournal,
     SweepRunner,
-    derive_seed,
     expand_grid,
     results_payload,
 )
@@ -117,12 +115,10 @@ __all__ = [
     "SimulationCheckpoint",
     "checkpoint_path_for",
     "load_checkpoint",
-    "read_checkpoint_header",
     "resume_spec_from_checkpoint",
     "run_spec_with_checkpoints",
     "SweepRunner",
     "SweepJournal",
-    "derive_seed",
     "expand_grid",
     "results_payload",
     "CellFailure",

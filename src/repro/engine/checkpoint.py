@@ -66,7 +66,6 @@ __all__ = [
     "CheckpointWriter",
     "checkpoint_path_for",
     "load_checkpoint",
-    "read_checkpoint_header",
     "run_spec_with_checkpoints",
     "resume_spec_from_checkpoint",
 ]
@@ -281,20 +280,6 @@ class CheckpointWriter:
 def checkpoint_path_for(directory: str, digest: str) -> str:
     """The per-cell checkpoint path used by the pool executor."""
     return os.path.join(directory, f"{digest}.ckpt")
-
-
-def read_checkpoint_header(path: str) -> Dict[str, Any]:
-    """Read just the JSON header line of a checkpoint file."""
-    with open(path, "rb") as handle:
-        line = handle.readline()
-    if not line.endswith(b"\n"):
-        raise CheckpointCorruptionError("checkpoint has no header line")
-    try:
-        return json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CheckpointCorruptionError(
-            f"unreadable checkpoint header: {error}"
-        ) from error
 
 
 def load_checkpoint(path: str) -> SimulationCheckpoint:

@@ -215,14 +215,6 @@ class CellFailure:
             "error": dict(self.error),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CellFailure":
-        return cls(
-            spec=ExperimentSpec.from_dict(data["spec"]),
-            attempts=int(data.get("attempts", 0)),
-            error=dict(data.get("error", {})),
-        )
-
 
 def retry_delay(backoff: float, attempt: int, digest: str, seed: int = 0) -> float:
     """Exponential backoff with deterministically seeded jitter.
@@ -260,13 +252,6 @@ class Executor(ABC):
         the generator early abandons the cells not yet yielded and
         releases whatever the batch started (worker processes, pipes).
         """
-
-    def run_batch(
-        self, tasks: Sequence[CellTask], timeout: Optional[float] = None
-    ) -> List[AttemptOutcome]:
-        """Attempt every task once; the whole batch's outcomes in task order."""
-        rank = {task.index: position for position, task in enumerate(tasks)}
-        return sorted(self.iter_batch(tasks, timeout), key=lambda o: rank[o.task.index])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.errors import UnknownVocabularyError
 
@@ -110,15 +110,6 @@ class ProtocolRegistry:
 
     def names(self) -> Tuple[str, ...]:
         return tuple(self._entries)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[ProtocolEntry]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 #: The process-wide default registry every decorator writes into.

@@ -70,14 +70,6 @@ class RunResult:
     def label(self) -> str:
         return self.spec.label or self.spec.protocol
 
-    @property
-    def refinement_label(self) -> str:
-        return self.classification["label"]
-
-    @property
-    def matches_paper(self) -> Optional[bool]:
-        return self.classification["matches_paper"]
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

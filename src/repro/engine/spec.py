@@ -359,6 +359,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.duration < math.inf:
             raise ValueError(f"duration must be >= 0 and finite, got {self.duration!r}")
+        token_rate = self.params.get("token_rate")
+        if isinstance(token_rate, (int, float)) and not 0 <= token_rate < math.inf:
+            raise ValueError(f"params.token_rate must be >= 0 and finite, got {token_rate!r}")
 
     # -- serialization ------------------------------------------------------
 

@@ -70,7 +70,6 @@ from repro.engine.spec import (
 
 __all__ = [
     "expand_grid",
-    "derive_seed",
     "SweepRunner",
     "SweepJournal",
     "results_payload",
@@ -93,11 +92,6 @@ JOURNAL_SCHEMA = "repro.sweep-journal/2"
 
 #: The backend names ``SweepRunner(executor=...)`` accepts.
 _BACKENDS = ("serial", "pool")
-
-
-def derive_seed(base_seed: int, cell_index: int) -> int:
-    """Deterministic, well-spread per-cell seed (stable across runs)."""
-    return (base_seed * 1_000_003 + cell_index * 7_919 + 17) % (2**31 - 1)
 
 
 def _apply_override(data: Dict[str, Any], path: str, value: Any) -> None:
@@ -167,27 +161,17 @@ def _cell_label(base: ExperimentSpec, assignment: Sequence[tuple]) -> str:
 def expand_grid(
     base: ExperimentSpec,
     axes: Mapping[str, Sequence[Any]],
-    *,
-    derive_seeds: bool = False,
 ) -> List[ExperimentSpec]:
-    """Cartesian product of ``axes`` over ``base``, in deterministic order.
-
-    With ``derive_seeds=True`` (and no explicit ``seed`` axis) every cell
-    gets its own seed derived from ``base.seed`` and the cell index, so a
-    sweep samples independent executions instead of replaying one seed
-    under every configuration.
-    """
+    """Cartesian product of ``axes`` over ``base``, in deterministic order."""
     if not axes:
         return [base]
     names = list(axes)
     specs: List[ExperimentSpec] = []
-    for index, values in enumerate(itertools.product(*(axes[name] for name in names))):
+    for values in itertools.product(*(axes[name] for name in names)):
         assignment = list(zip(names, values))
         data = base.to_dict()
         for path, value in assignment:
             _apply_override(data, path, value)
-        if derive_seeds and "seed" not in axes:
-            data["seed"] = derive_seed(base.seed, index)
         data["label"] = _cell_label(base, assignment)
         specs.append(ExperimentSpec.from_dict(data))
     return specs

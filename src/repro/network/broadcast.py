@@ -37,7 +37,7 @@ particular no longer allocates O(n²) per-recipient closures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Optional, Set
 
 from repro.core.block import Block
 from repro.network.process import Process
@@ -102,10 +102,6 @@ class FloodingBroadcast:
         if self._on_deliver is not None:
             self._on_deliver(announcement, message.sender)
         return announcement
-
-    @property
-    def delivered_blocks(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._delivered))
 
 
 class LightReliableCommunication(FloodingBroadcast):

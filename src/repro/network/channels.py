@@ -46,7 +46,7 @@ on each triple in order.  :class:`SynchronousChannel` makes it one
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "AsynchronousChannel",
     "PartiallySynchronousChannel",
     "LossyChannel",
-    "TargetedLossChannel",
     "batched_delays",
     "batched_delays_many",
 ]
@@ -400,45 +399,4 @@ class LossyChannel:
         ]
         dropped = len(receivers) - sum(keep_flags)
         self.dropped += dropped
-        return _scatter_inner_batch(self.inner, sender, receivers, now, keep_flags)
-
-
-class TargetedLossChannel:
-    """Drop exactly the messages selected by a predicate.
-
-    Used to realise the paper's proof constructions where *one specific*
-    update never reaches *one specific* process (Lemma 4.5): pass
-    ``lambda sender, receiver, now: receiver == "k"`` style predicates.
-    """
-
-    def __init__(
-        self,
-        inner: ChannelModel,
-        drop_if: Callable[[str, str, float], bool],
-    ) -> None:
-        self.inner = inner
-        self.drop_if = drop_if
-        self.dropped = 0
-
-    def delay_for(self, sender: str, receiver: str, now: float) -> Optional[float]:
-        if sender != receiver and self.drop_if(sender, receiver, now):
-            self.dropped += 1
-            return None
-        return self.inner.delay_for(sender, receiver, now)
-
-    def delays_for(
-        self, sender: str, receivers: Sequence[str], now: float
-    ) -> DelayVector:
-        """Predicate filter (no randomness), then one inner batch.
-
-        The predicate consumes no generator state, so stream-identity only
-        requires forwarding the surviving receivers to the inner model in
-        receiver order — which is what the scalar path does.
-        """
-        drop_if = self.drop_if
-        keep_flags = [
-            receiver == sender or not drop_if(sender, receiver, now)
-            for receiver in receivers
-        ]
-        self.dropped += len(receivers) - sum(keep_flags)
         return _scatter_inner_batch(self.inner, sender, receivers, now, keep_flags)

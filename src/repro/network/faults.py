@@ -75,7 +75,6 @@ __all__ = [
     "PartitionFault",
     "EclipseFault",
     "register_fault",
-    "available_faults",
     "get_fault",
     "build_fault",
     "state_sync",
@@ -148,11 +147,6 @@ def register_fault(name: str):
         return cls
 
     return decorate
-
-
-def available_faults() -> Tuple[str, ...]:
-    """Names of every registered fault."""
-    return tuple(FAULT_REGISTRY)
 
 
 def get_fault(name: str) -> Type[FaultModel]:

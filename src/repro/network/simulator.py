@@ -666,10 +666,6 @@ class Network:
     def process_ids(self) -> Tuple[str, ...]:
         return self._pids
 
-    def correct_process_ids(self) -> Tuple[str, ...]:
-        """Processes that are neither crashed nor Byzantine."""
-        return tuple(p.pid for p in self._processes.values() if p.is_correct)
-
     # -- message plane ---------------------------------------------------------------
 
     def add_message_filter(self, allows: Callable[[str, str], bool]) -> None:
@@ -1166,7 +1162,3 @@ class Network:
             checkpoint_every=checkpoint_every,
             checkpoint_sink=checkpoint_sink,
         )
-
-    def history(self):
-        """The concurrent history recorded so far."""
-        return self.recorder.history()

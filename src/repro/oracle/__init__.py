@@ -28,7 +28,6 @@ from repro.oracle.refinement import RefinedBTADT
 from repro.oracle.fork_coherence import (
     ForkCoherenceResult,
     check_fork_coherence_from_oracle,
-    check_fork_coherence_from_history,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "RefinedBTADT",
     "ForkCoherenceResult",
     "check_fork_coherence_from_oracle",
-    "check_fork_coherence_from_history",
 ]

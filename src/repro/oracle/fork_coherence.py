@@ -3,34 +3,21 @@
 A concurrent history of the BT-ADT composed with Θ_F satisfies k-Fork
 Coherence if at most ``k`` ``append()`` operations return ``⊤`` for the
 same token.  Theorem 3.2 shows the composition satisfies it *by
-construction*; this module provides the checker used to confirm that on
-every generated execution (and to demonstrate, conversely, that prodigal
-runs exceed any finite bound).
-
-Two entry points are provided because the information is available at two
-levels:
-
-* :func:`check_fork_coherence_from_oracle` — inspect the oracle's ``K``
-  sets directly (exact, cheap);
-* :func:`check_fork_coherence_from_history` — count successful ``append``
-  responses per consumed token from a recorded history (what an external
-  observer could verify without access to the oracle state).
+construction*; :func:`check_fork_coherence_from_oracle` confirms that on
+every generated execution by inspecting the oracle's ``K`` sets (and
+demonstrates, conversely, that prodigal runs exceed any finite bound).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.block import Block
-from repro.core.history import History
 from repro.oracle.theta import TokenOracle
 
 __all__ = [
     "ForkCoherenceResult",
     "check_fork_coherence_from_oracle",
-    "check_fork_coherence_from_history",
 ]
 
 
@@ -67,30 +54,4 @@ def check_fork_coherence_from_oracle(oracle: TokenOracle, k: Optional[float] = N
     )
     return ForkCoherenceResult(
         k=bound, holds=not violations, per_token=counts, violations=violations
-    )
-
-
-def check_fork_coherence_from_history(history: History, k: float) -> ForkCoherenceResult:
-    """Count successful appends per token in a recorded history.
-
-    A successful append's argument is the block that was appended; the
-    token it consumed is identified by the block's parent (the refinement
-    stamps the block with ``tkn_{parent}``).  Appends of blocks without a
-    token stamp are grouped by parent identifier, which is the same
-    equivalence for refined executions and a conservative proxy otherwise.
-    """
-    per_token: Dict[str, int] = {}
-    for response in history.append_responses(successful_only=True):
-        block = response.argument
-        if not isinstance(block, Block):
-            continue
-        key = block.token if block.token is not None else f"parent:{block.parent_id}"
-        per_token[key] = per_token.get(key, 0) + 1
-    violations = tuple(
-        f"token {token!r} saw {count} successful appends (bound {k})"
-        for token, count in sorted(per_token.items())
-        if count > k
-    )
-    return ForkCoherenceResult(
-        k=k, holds=not violations, per_token=per_token, violations=violations
     )

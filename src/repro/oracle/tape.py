@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class MeritTape:
     def _refill(self) -> None:
         self._buffer = (self._rng.random(self._block_size) < self.probability).tolist()
         self._cursor = 0
-
-    def head(self) -> str:
-        """Peek at the current head cell without consuming it."""
-        if self._cursor >= len(self._buffer):
-            self._refill()
-        return TOKEN if self._buffer[self._cursor] else BOTTOM
 
     def pop(self) -> str:
         """Consume and return the head cell (the oracle's ``pop``)."""
@@ -190,6 +184,3 @@ class TapeFamily:
         if tape is None:
             tape = self.tape_of(process)
         return tape.pop() == TOKEN
-
-    def processes(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self._merits) | set(self._tapes)))

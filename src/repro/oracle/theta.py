@@ -171,15 +171,6 @@ class TokenOracle:
         """Number of consumed tokens per parent block (``|K[h]|``)."""
         return {parent: len(blocks) for parent, blocks in self._consumed.items()}
 
-    def granted_counts(self) -> Dict[str, int]:
-        """Number of tokens *granted* per parent (≥ consumed; for analyses)."""
-        return dict(self._granted_tokens)
-
-    @property
-    def is_fork_free(self) -> bool:
-        """``True`` for the k=1 oracle, the one with consensus power."""
-        return self.k == 1
-
     # -- recording ---------------------------------------------------------------
 
     def _invoke(self, process: str, operation: str, argument: object):

@@ -3,8 +3,7 @@
 * :mod:`repro.workload.merit` — merit (hashing power / stake / permission)
   distributions, normalized so that ``Σ α_p = 1`` as in Section 5;
 * :mod:`repro.workload.transactions` — deterministic transaction streams
-  and client workloads used by the permissioned-system models and the
-  examples;
+  used by the permissioned-system models and the examples;
 * :mod:`repro.workload.population` — population-scale client workloads
   generated column-wise (one rng fill per replica) and bulk-inserted
   into the event calendar;
@@ -21,7 +20,7 @@ from repro.workload.merit import (
     permissioned_merit,
 )
 from repro.workload.population import ClientPopulation
-from repro.workload.transactions import TransactionGenerator, ClientWorkload
+from repro.workload.transactions import TransactionGenerator
 from repro.workload.scenarios import (
     figure2_history,
     figure3_history,
@@ -38,7 +37,6 @@ __all__ = [
     "proportional_merit",
     "permissioned_merit",
     "TransactionGenerator",
-    "ClientWorkload",
     "ClientPopulation",
     "figure2_history",
     "figure3_history",

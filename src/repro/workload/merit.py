@@ -12,7 +12,7 @@ and by the oracle's tape family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -45,43 +45,19 @@ class MeritDistribution:
         # serialization are unchanged.)
         object.__setattr__(self, "_index", dict(self.merits))
 
-    # -- constructors --------------------------------------------------------------
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, float], normalize: bool = True) -> "MeritDistribution":
-        items = tuple(sorted(mapping.items()))
-        if normalize:
-            total = sum(v for _, v in items)
-            if total <= 0:
-                raise ValueError("total merit must be positive")
-            items = tuple((k, v / total) for k, v in items)
-        return cls(items)
-
     # -- queries ---------------------------------------------------------------------
 
     def merit_of(self, process: str) -> float:
         """Merit of ``process`` (0.0 for unknown processes, as for V \\ M)."""
         return self._index.get(process, 0.0)
 
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.merits)
-
     @property
     def processes(self) -> Tuple[str, ...]:
         return tuple(pid for pid, _ in self.merits)
 
-    @property
-    def total(self) -> float:
-        return float(sum(m for _, m in self.merits))
-
     def writers(self) -> Tuple[str, ...]:
         """Processes with strictly positive merit (the permitted appenders)."""
         return tuple(pid for pid, merit in self.merits if merit > 0)
-
-    def dominant(self) -> str:
-        """Process with the largest merit (ties → lexicographically first)."""
-        best = max(m for _, m in self.merits)
-        return min(pid for pid, m in self.merits if m == best)
 
 
 def _pids(n: int, prefix: str = "p") -> Tuple[str, ...]:

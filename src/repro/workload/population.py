@@ -39,6 +39,7 @@ cores.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, Sequence, Tuple
 
@@ -78,8 +79,8 @@ class ClientPopulation:
     ) -> None:
         if clients < 1:
             raise ValueError("clients must be positive")
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"rate must be non-negative and finite, got {rate!r}")
         if duration <= 0:
             raise ValueError("duration must be positive")
         if not processes:
@@ -169,13 +170,3 @@ class ClientPopulation:
                 scheduled += simulator.schedule_block(times, replica.on_client_op, ops)
         self.scheduled_ops = scheduled
         return scheduled
-
-    # -- reporting ------------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        """Summary numbers for result artifacts and benchmarks."""
-        return {
-            "clients": self.clients,
-            "total_ops": self.total_ops,
-            "generation_seconds": self.generation_seconds,
-        }

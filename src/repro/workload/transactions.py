@@ -1,21 +1,21 @@
-"""Transaction streams and client workloads.
+"""Transaction streams.
 
 Block payloads throughout the library are tuples of opaque transaction
 identifiers.  The permissioned-system models (Hyperledger, Red Belly) cut
 blocks from a transaction stream ("transactions are appended in a block
 until a stop condition is met"); the examples and the double-spend
-validity tests need conflicting transactions.  This module provides both,
+validity tests need conflicting transactions.  This module provides them,
 deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["Transaction", "TransactionGenerator", "ClientWorkload"]
+__all__ = ["Transaction", "TransactionGenerator"]
 
 
 @dataclass(frozen=True)
@@ -79,35 +79,3 @@ class TransactionGenerator:
     def payload(self, sender: str, size: int) -> Tuple[str, ...]:
         """Just the spent identifiers — the form block payloads use."""
         return tuple(spend for tx in self.batch(sender, size) for spend in tx.spends)
-
-
-@dataclass
-class ClientWorkload:
-    """Poisson-ish client load feeding a permissioned ordering service.
-
-    ``arrivals_between(t0, t1)`` returns the number of transactions that
-    arrived in the virtual-time interval — deterministic given the seed, so
-    protocol runs remain reproducible.
-    """
-
-    rate_per_time_unit: float = 2.0
-    seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
-    _carry: float = field(init=False, default=0.0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.rate_per_time_unit < 0:
-            raise ValueError("rate must be non-negative")
-        self._rng = np.random.default_rng(self.seed)
-        self._integers = self._rng.integers  # hoisted hot-loop binding
-
-    def arrivals_between(self, t0: float, t1: float) -> int:
-        if t1 < t0:
-            raise ValueError("t1 must be >= t0")
-        expected = self.rate_per_time_unit * (t1 - t0) + self._carry
-        count = int(expected)
-        self._carry = expected - count
-        if count > 0:
-            # Jitter ±1 to avoid a perfectly periodic stream while keeping determinism.
-            count = max(0, count + int(self._integers(-1, 2)))
-        return count

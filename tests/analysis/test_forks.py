@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.forks import fork_statistics, merge_statistics, wasted_block_ratio
+from repro.analysis.forks import fork_statistics, merge_statistics
 from repro.core.selection import LongestChain
 
 
@@ -15,7 +15,6 @@ class TestForkStatistics:
         assert stats.max_fork_degree == 1
         assert stats.wasted_blocks == 0
         assert stats.wasted_ratio == 0.0
-        assert stats.fork_rate == 0.0
 
     def test_forked_tree_counts_branches(self, forked_tree):
         stats = fork_statistics(forked_tree, LongestChain())
@@ -26,9 +25,6 @@ class TestForkStatistics:
         assert stats.blocks_on_selected_chain == 4  # genesis + a1..a3
         assert stats.wasted_blocks == 2
         assert stats.wasted_ratio == pytest.approx(2 / 5)
-
-    def test_wasted_block_ratio_shortcut(self, forked_tree):
-        assert wasted_block_ratio(forked_tree) == pytest.approx(2 / 5)
 
 
 class TestMergeStatistics:

@@ -7,6 +7,11 @@ and scaling suites require the checkers of :mod:`repro.core.consistency`
 to reproduce them exactly (:func:`bounded` states how).  Do not "optimize"
 them.
 
+The oracle's primitives are defined here as well: the orders of
+Definition 2.4 over recorded events (:func:`process_order`,
+:func:`operation_order`, :func:`program_order` and its total refinement
+:func:`precedes`) and the divergence of two chains (:func:`diverges`).
+
 The stricter *all-pairs* reading of Eventual Prefix — every pair of later
 reads, not only the limit reads — lives here too
 (:func:`all_pairs_eventual_prefix`): it rejects any history with a
@@ -18,15 +23,60 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.block import Block
+from repro.core.block import Block, Blockchain
 from repro.core.consistency import (
     WITNESS_LIMIT,
     BlockValidator,
     ConsistencyReport,
     PropertyResult,
 )
-from repro.core.history import Event, History
+from repro.core.history import Event, EventKind, History
 from repro.core.score import LengthScore, ScoreFunction, mcps
+
+
+def process_order(e: Event, e_prime: Event) -> bool:
+    """``e ↦ e'``: same process and ``e`` occurs earlier."""
+    return e.process == e_prime.process and e.eid < e_prime.eid
+
+
+def operation_order(e: Event, e_prime: Event) -> bool:
+    """``e ≺ e'`` per Definition 2.4.
+
+    Either ``e`` is an invocation and ``e'`` the response of the same
+    operation, or ``e`` is a response that occurs (in real time) before
+    the invocation ``e'`` of another operation.
+    """
+    if (
+        e.kind is EventKind.INVOCATION
+        and e_prime.kind is EventKind.RESPONSE
+        and e.op_id == e_prime.op_id
+        and e.process == e_prime.process
+    ):
+        return True
+    return (
+        e.kind is EventKind.RESPONSE
+        and e_prime.kind is EventKind.INVOCATION
+        and e.eid < e_prime.eid
+    )
+
+
+def program_order(e: Event, e_prime: Event) -> bool:
+    """``e ↗ e'``: the union of process order and operation order."""
+    if e.eid == e_prime.eid:
+        return False
+    return process_order(e, e_prime) or operation_order(e, e_prime)
+
+
+def precedes(e: Event, e_prime: Event) -> bool:
+    """Total-order refinement of ``↗``: the recorder's clock totally orders
+    events and refines ``↗``, so ``e.eid < e'.eid`` is "``e`` before
+    ``e'``" for recorded executions."""
+    return e.eid < e_prime.eid
+
+
+def diverges(a: Blockchain, b: Blockchain) -> bool:
+    """``True`` iff neither chain is a prefix of the other."""
+    return not (a.is_prefix_of(b) or b.is_prefix_of(a))
 
 
 def bounded(reference):
@@ -131,7 +181,7 @@ class _ReferenceStrongPrefixChecker:
             chain_i = reads[i].chain
             for j in range(i + 1, len(reads)):
                 chain_j = reads[j].chain
-                if chain_i.diverges_from(chain_j):
+                if diverges(chain_i, chain_j):
                     violations.append(
                         f"reads {reads[i].eid} ({reads[i].process}) and "
                         f"{reads[j].eid} ({reads[j].process}) returned diverging "
@@ -159,7 +209,7 @@ class _ReferenceEverGrowingTreeChecker:
             later = [
                 (other, scores[j])
                 for j, other in enumerate(reads)
-                if history.precedes(read, other)
+                if precedes(read, other)
             ]
             if not later:
                 continue
@@ -199,7 +249,7 @@ class _ReferenceEventualPrefixChecker:
 
         for read in reads:
             s = scores[read.eid]
-            later = [r for r in reads if history.precedes(read, r)]
+            later = [r for r in reads if precedes(read, r)]
             if not later:
                 continue
             if self.require_all_pairs:
@@ -212,7 +262,7 @@ class _ReferenceEventualPrefixChecker:
             for i in range(len(candidates)):
                 for j in range(i + 1, len(candidates)):
                     a, b = candidates[i], candidates[j]
-                    if not a.chain.diverges_from(b.chain):
+                    if not diverges(a.chain, b.chain):
                         continue
                     shared = mcps(a.chain, b.chain, self.score)
                     if shared < s:

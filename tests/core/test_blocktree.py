@@ -60,10 +60,8 @@ class TestQueries:
         assert linear_tree.height == 3
         assert linear_tree.height_of("x2") == 2
 
-    def test_children_and_parent(self, forked_tree):
+    def test_children(self, forked_tree):
         assert set(forked_tree.children_of(GENESIS_ID)) == {"a1", "b1"}
-        assert forked_tree.parent_of("a2") == "a1"
-        assert forked_tree.parent_of(GENESIS_ID) is None
 
     def test_leaves(self, forked_tree):
         assert set(forked_tree.leaves()) == {"a3", "b2"}
@@ -82,29 +80,8 @@ class TestQueries:
         tips = {c.tip.block_id for c in chains}
         assert tips == {"a3", "b2"}
 
-    def test_ancestors(self, forked_tree):
-        assert forked_tree.ancestors("a3") == ("a2", "a1", GENESIS_ID)
-        assert forked_tree.ancestors(GENESIS_ID) == ()
-
-    def test_is_ancestor(self, forked_tree):
-        assert forked_tree.is_ancestor(GENESIS_ID, "a3")
-        assert forked_tree.is_ancestor("a1", "a3")
-        assert forked_tree.is_ancestor("a3", "a3")
-        assert not forked_tree.is_ancestor("b1", "a3")
-        assert not forked_tree.is_ancestor("missing", "a3")
-
-    def test_common_ancestor(self, forked_tree):
-        assert forked_tree.common_ancestor("a3", "b2") == GENESIS_ID
-        assert forked_tree.common_ancestor("a3", "a1") == "a1"
-        assert forked_tree.common_ancestor("a2", "a3") == "a2"
-
-    def test_blocks_at_height(self, forked_tree):
-        assert set(forked_tree.blocks_at_height(1)) == {"a1", "b1"}
-        assert set(forked_tree.blocks_at_height(3)) == {"a3"}
-
     def test_fork_points_and_degree(self, forked_tree, linear_tree):
         assert forked_tree.fork_points() == (GENESIS_ID,)
-        assert forked_tree.fork_degree(GENESIS_ID) == 2
         assert forked_tree.max_fork_degree() == 2
         assert linear_tree.fork_points() == ()
         assert linear_tree.max_fork_degree() == 1
@@ -121,40 +98,12 @@ class TestQueries:
         assert linear_tree.block_ids() == (GENESIS_ID, "x1", "x2", "x3")
 
 
-class TestCopyAndMerge:
+class TestCopy:
     def test_copy_is_independent(self, linear_tree):
         clone = linear_tree.copy()
         clone.append(Block("extra", "x3"))
         assert "extra" in clone
         assert "extra" not in linear_tree
-
-    def test_merge_inserts_missing_blocks(self, linear_tree):
-        other = BlockTree()
-        other.append(Block("x1", GENESIS_ID))
-        other.append(Block("y1", "x1"))
-        inserted = linear_tree.merge(other)
-        assert inserted == 1
-        assert "y1" in linear_tree
-
-    def test_merge_handles_out_of_order_parents(self):
-        target = BlockTree()
-        source = BlockTree()
-        source.append(Block("p", GENESIS_ID))
-        source.append(Block("q", "p"))
-        inserted = target.merge(source)
-        assert inserted == 2
-        assert target.height == 2
-
-    def test_merge_with_missing_ancestor_raises(self):
-        target = BlockTree()
-
-        class _FakeTree:
-            def __iter__(self):
-                return iter([Block("child", "nowhere")])
-
-        with pytest.raises(UnknownParentError):
-            target.merge(_FakeTree())  # type: ignore[arg-type]
-
 
 class TestPresentation:
     def test_ascii_render_mentions_all_blocks(self, forked_tree):
@@ -206,18 +155,6 @@ class TestIncrementalCaches:
         assert clone.height == self._recomputed_height(clone)
         assert clone.leaves() == self._recomputed_leaves(clone)
 
-    def test_merge_keeps_caches_consistent(self, linear_tree):
-        other = BlockTree()
-        other.append(Block("x1", GENESIS_ID))
-        other.append(Block("y1", "x1"))
-        other.append(Block("y2", "y1"))
-        other.append(Block("y3", "y2"))
-        linear_tree.merge(other)
-        assert linear_tree.height == self._recomputed_height(linear_tree)
-        assert linear_tree.leaves() == self._recomputed_leaves(linear_tree)
-        assert linear_tree.height == 4  # y-branch is one deeper than x3
-
-
 class TestScoreIndexes:
     """cumulative weights, the version counter and the selection memo."""
 
@@ -251,32 +188,20 @@ class TestScoreIndexes:
             )
 
     def test_version_is_monotone_and_bumped_per_append(self):
+        """The selection memo's guard: every append bumps it, a failed one does not."""
         tree = BlockTree()
-        assert tree.version == 0
+        assert tree._version == 0
         tree.append(Block("a", GENESIS_ID))
-        assert tree.version == 1
+        assert tree._version == 1
         with pytest.raises(DuplicateBlockError):
             tree.append(Block("a", GENESIS_ID))
-        assert tree.version == 1  # failed appends do not mutate
+        assert tree._version == 1  # failed appends do not mutate
         tree.append(Block("b", "a"))
-        assert tree.version == 2
-
-    def test_merge_maintains_indexes(self, linear_tree):
-        other = BlockTree()
-        other.append(Block("x1", GENESIS_ID))
-        other.append(Block("y1", "x1", weight=4.0))
-        before = linear_tree.version
-        linear_tree.merge(other)
-        assert linear_tree.version == before + 1
-        assert linear_tree.cumulative_weight("y1") == pytest.approx(
-            self._recomputed_cum_weight(linear_tree, "y1")
-        )
+        assert tree._version == 2
 
     def test_copy_carries_indexes_independently(self, forked_tree):
         clone = forked_tree.copy()
-        assert clone.version == forked_tree.version
         clone.append(Block("deep", "a3", weight=2.5))
-        assert clone.version == forked_tree.version + 1
         assert clone.cumulative_weight("deep") == pytest.approx(
             self._recomputed_cum_weight(clone, "deep")
         )
@@ -299,97 +224,10 @@ class TestScoreIndexes:
         assert tree.cached_selection(unhashable) is None  # type: ignore[arg-type]
 
 
-class TestAncestorWalks:
-    """is_ancestor / common_ancestor walk exactly the cached height gap."""
-
-    @staticmethod
-    def _brute_is_ancestor(tree: BlockTree, ancestor: str, descendant: str) -> bool:
-        if ancestor not in tree or descendant not in tree:
-            return False
-        return ancestor == descendant or ancestor in tree.ancestors(descendant)
-
-    @staticmethod
-    def _brute_common_ancestor(tree: BlockTree, a: str, b: str) -> str:
-        line_a = [a, *tree.ancestors(a)]
-        line_b = set([b, *tree.ancestors(b)])
-        for candidate in line_a:
-            if candidate in line_b:
-                return candidate
-        raise AssertionError("unreachable: genesis is a common ancestor")
-
-    def test_equivalence_on_random_trees(self):
-        rng = random.Random(11)
-        tree = BlockTree()
-        ids = [GENESIS_ID]
-        for index in range(40):
-            bid = f"r{index:03d}"
-            tree.append(Block(bid, rng.choice(ids)))
-            ids.append(bid)
-        for _ in range(300):
-            a, b = rng.choice(ids), rng.choice(ids)
-            assert tree.is_ancestor(a, b) == self._brute_is_ancestor(tree, a, b)
-            assert tree.common_ancestor(a, b) == self._brute_common_ancestor(tree, a, b)
-
-    def test_missing_blocks_are_never_ancestors(self, forked_tree):
-        assert not forked_tree.is_ancestor("missing", "a3")
-        assert not forked_tree.is_ancestor("a1", "missing")
-
-    def test_deeper_block_is_never_an_ancestor_of_a_shallower_one(self, forked_tree):
-        assert not forked_tree.is_ancestor("a3", "a1")
-        assert not forked_tree.is_ancestor("a2", "b1")
-
-
-class TestMergeFailurePaths:
-    def test_merge_with_unreachable_ancestors_raises_and_names_them(self):
-        target = BlockTree()
-
-        class _PartialTree:
-            """Iterates a child whose ancestor chain is absent."""
-
-            def __iter__(self):
-                return iter([Block("orphan", "missing-parent")])
-
-        with pytest.raises(UnknownParentError) as excinfo:
-            target.merge(_PartialTree())  # type: ignore[arg-type]
-        assert "missing-parent" in str(excinfo.value)
-
-    def test_merge_subset_missing_middle_of_chain_raises(self):
-        source = BlockTree()
-        source.append(Block("p", GENESIS_ID))
-        source.append(Block("q", "p"))
-        source.append(Block("r", "q"))
-
-        class _Holey:
-            """Presents r (and q's absence) to the merging tree."""
-
-            def __iter__(self):
-                return iter([source.get("r")])
-
-        target = BlockTree()
-        with pytest.raises(UnknownParentError, match="q"):
-            target.merge(_Holey())  # type: ignore[arg-type]
-
-    def test_failed_merge_does_not_corrupt_the_target(self):
-        target = BlockTree()
-        source = BlockTree()
-        source.append(Block("ok", GENESIS_ID))
-
-        class _Mixed:
-            def __iter__(self):
-                return iter([Block("bad", "nowhere"), source.get("ok")])
-
-        with pytest.raises(UnknownParentError):
-            target.merge(_Mixed())  # type: ignore[arg-type]
-        # The insertable block landed; caches still agree with a recompute.
-        assert "ok" in target
-        assert target.height == 1
-        assert target.leaves() == ("ok",)
-
-
 class TestIncrementalForkCaches:
-    """fork_points / max_fork_degree / blocks_at_height are maintained by
-    ``append`` (and therefore by ``merge`` and ``copy``) instead of full
-    scans; these tests pin the caches to a from-scratch recomputation."""
+    """fork_points / max_fork_degree are maintained by ``append`` (and
+    duplicated by ``copy``) instead of full scans; these tests pin the
+    caches to a from-scratch recomputation."""
 
     @staticmethod
     def _recomputed(tree: BlockTree):
@@ -397,17 +235,12 @@ class TestIncrementalForkCaches:
         max_degree = max(
             (len(tree.children_of(b)) for b in tree.block_ids()), default=0
         )
-        by_height = {}
-        for b in tree.block_ids():
-            by_height.setdefault(tree.height_of(b), set()).add(b)
-        return fork_points, max_degree, by_height
+        return fork_points, max_degree
 
     def _assert_caches_consistent(self, tree: BlockTree):
-        fork_points, max_degree, by_height = self._recomputed(tree)
+        fork_points, max_degree = self._recomputed(tree)
         assert set(tree.fork_points()) == fork_points
         assert tree.max_fork_degree() == max_degree
-        for height in range(tree.height + 2):
-            assert set(tree.blocks_at_height(height)) == by_height.get(height, set())
 
     def test_random_append_sequence(self):
         rng = random.Random(42)
@@ -425,7 +258,6 @@ class TestIncrementalForkCaches:
     def test_bare_and_linear_degrees(self, linear_tree):
         assert BlockTree().max_fork_degree() == 0
         assert BlockTree().fork_points() == ()
-        assert BlockTree().blocks_at_height(0) == (GENESIS_ID,)
         assert linear_tree.max_fork_degree() == 1
 
     def test_copy_duplicates_the_caches(self, forked_tree):
@@ -438,22 +270,3 @@ class TestIncrementalForkCaches:
         self._assert_caches_consistent(forked_tree)
         assert "b2" in clone.fork_points()
         assert "b2" not in forked_tree.fork_points()
-
-    def test_merge_funnels_through_append(self, forked_tree):
-        other = BlockTree()
-        other.append(Block("a1", GENESIS_ID))
-        other.append(Block("m1", "a1"))
-        other.append(Block("m2", "a1"))
-        inserted = forked_tree.merge(other)
-        assert inserted == 2
-        self._assert_caches_consistent(forked_tree)
-        assert "a1" in forked_tree.fork_points()  # a2 + m1 + m2 under a1
-        assert forked_tree.max_fork_degree() == 3
-
-    def test_blocks_at_height_insertion_order(self):
-        tree = BlockTree()
-        tree.append(Block("h1", GENESIS_ID))
-        tree.append(Block("h2", GENESIS_ID))
-        tree.append(Block("h3", GENESIS_ID))
-        assert tree.blocks_at_height(1) == ("h1", "h2", "h3")
-        assert tree.blocks_at_height(9) == ()

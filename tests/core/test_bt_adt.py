@@ -45,7 +45,7 @@ class TestPureBTADT:
         state = adt.transition(state, Operation.invocation("append", Block("x", GENESIS_ID)).symbol)
         stray = Block("y", "unrelated_parent")
         state = adt.transition(state, Operation.invocation("append", stray).symbol)
-        assert state.tree.parent_of("y") == "x"
+        assert state.tree.get("y").parent_id == "x"
 
     def test_figure1_path_is_a_sequential_history(self):
         # Figure 1: append(b1)/true, append(b2)/true, reads returning the

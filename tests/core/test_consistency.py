@@ -82,7 +82,7 @@ class TestBlockValidity:
 
     def test_genesis_is_exempt(self):
         rec = HistoryRecorder()
-        rec.complete("i", "read", None, Blockchain.genesis_only())
+        rec.complete("i", "read", None, Blockchain((GENESIS,)))
         assert BlockValidityChecker(lambda b: False).check(rec.history()).holds
 
 
@@ -235,19 +235,12 @@ class TestReports:
         with pytest.raises(KeyError):
             report.result_for("unknown-property")
 
-    def test_report_describe_mentions_status(self):
-        report = check_strong_consistency(figure3_history())
-        text = report.describe()
-        assert "NOT SATISFIED" in text
-        assert "strong-prefix" in text
-
     def test_count_has_every_violation_and_the_first_ten_are_worded(self):
         # 12 reads on each of two branches: 12 × 12 diverging pairs.
         reads = [("i", _chain("a")), ("j", _chain("x"))] * 12
         result = StrongPrefixChecker().check(_history_with_reads(reads))
         assert result.count == 144
         assert len(result.violations) == WITNESS_LIMIT == 10
-        assert result.describe().endswith("... and 134 more")
 
     def test_bool_conversion(self):
         assert bool(check_strong_consistency(figure2_history()))

@@ -42,10 +42,6 @@ class CountingIndex(ConsistencyIndex):
         super().__init__()
         self.queries = 0
 
-    def is_prefix(self, ancestor_id, descendant_id):
-        self.queries += 1
-        return super().is_prefix(ancestor_id, descendant_id)
-
     def prefix_related(self, a, b):
         self.queries += 1
         return super().prefix_related(a, b)

@@ -20,7 +20,7 @@ def _chain(*ids: str) -> Blockchain:
     blocks = [GENESIS]
     for bid in ids:
         blocks.append(Block(block_id=bid, parent_id=blocks[-1].block_id))
-    return Blockchain.from_blocks(blocks)
+    return Blockchain(tuple(blocks))
 
 
 def _read(recorder: HistoryRecorder, process: str, chain: Blockchain) -> None:

@@ -9,15 +9,24 @@ from repro.core.score import (
     LengthScore,
     WeightScore,
     common_prefix_length,
-    is_monotonic_score,
     mcps,
 )
 
 
+def is_monotonic_score(score, chains) -> bool:
+    """The strict-increase-under-extension contract of a score, on sample
+    chains: every chain with a non-genesis block scores above the chain
+    with its tip removed."""
+    return all(
+        score(chain) > score(chain.prefix(chain.length - 1))
+        for chain in chains
+        if chain.length
+    )
+
+
 class TestLengthScore:
     def test_genesis_chain_scores_zero(self):
-        assert LengthScore()(Blockchain.genesis_only()) == 0.0
-        assert LengthScore().genesis_score == 0.0
+        assert LengthScore()(Blockchain((GENESIS,))) == 0.0
 
     def test_score_counts_non_genesis_blocks(self, chain_factory):
         assert LengthScore()(chain_factory("a", "b", "c")) == 3.0
@@ -82,4 +91,4 @@ class TestMonotonicityHelper:
         assert not is_monotonic_score(ConstantScore(), [chain_factory("a", "b")])
 
     def test_accepts_genesis_only_samples(self):
-        assert is_monotonic_score(LengthScore(), [Blockchain.genesis_only()])
+        assert is_monotonic_score(LengthScore(), [Blockchain((GENESIS,))])

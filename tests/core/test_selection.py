@@ -92,9 +92,3 @@ class TestFixedTip:
     def test_pinned_to_missing_tip_falls_back(self, forked_tree):
         selection = FixedTipSelection(tip_id="nope")
         assert selection(forked_tree).tip.block_id == "a3"
-
-    def test_pinned_to_returns_new_instance(self):
-        base = FixedTipSelection()
-        pinned = base.pinned_to("x")
-        assert pinned.tip_id == "x"
-        assert base.tip_id is None

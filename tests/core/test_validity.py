@@ -10,12 +10,8 @@ from repro.core.validity import (
     AlwaysValid,
     CompositeValidity,
     MembershipValidity,
-    NeverValid,
     NoDoubleSpend,
     ParentInTree,
-    PredicateFromCallable,
-    TokenRequired,
-    bitcoin_validity,
 )
 
 
@@ -32,10 +28,6 @@ class TestBasicPredicates:
     def test_always_valid(self, linear_tree):
         assert AlwaysValid()(Block("z", GENESIS_ID), linear_tree)
 
-    def test_never_valid_rejects_non_genesis(self, linear_tree):
-        assert not NeverValid()(Block("z", GENESIS_ID), linear_tree)
-        assert NeverValid()(GENESIS, linear_tree)
-
     def test_parent_in_tree(self, linear_tree):
         assert ParentInTree()(Block("z", "x3"), linear_tree)
         assert not ParentInTree()(Block("z", "missing"), linear_tree)
@@ -46,15 +38,6 @@ class TestBasicPredicates:
         assert predicate(Block("good", GENESIS_ID), linear_tree)
         assert not predicate(Block("bad", GENESIS_ID), linear_tree)
         assert predicate(GENESIS, linear_tree)
-
-    def test_token_required(self, linear_tree):
-        assert not TokenRequired()(Block("z", GENESIS_ID), linear_tree)
-        assert TokenRequired()(Block("z", GENESIS_ID, token="tkn_b0"), linear_tree)
-
-    def test_predicate_from_callable(self, linear_tree):
-        predicate = PredicateFromCallable(lambda b, t: b.block_id != "evil", name="no-evil")
-        assert predicate(Block("fine", GENESIS_ID), linear_tree)
-        assert not predicate(Block("evil", GENESIS_ID), linear_tree)
 
 
 class TestNoDoubleSpend:
@@ -91,7 +74,8 @@ class TestComposite:
         assert CompositeValidity()(Block("any", GENESIS_ID), linear_tree)
 
     def test_bitcoin_validity_combines_structure_and_spends(self, tree_with_spends):
-        predicate = bitcoin_validity()
+        # The paper's Bitcoin example: connectable and double-spend free.
+        predicate = CompositeValidity.of(ParentInTree(), NoDoubleSpend())
         assert predicate(Block("fine", "s2", payload=("coinX",)), tree_with_spends)
         assert not predicate(Block("orphan", "missing", payload=("coinX",)), tree_with_spends)
         assert not predicate(Block("dspend", "s2", payload=("coin2",)), tree_with_spends)

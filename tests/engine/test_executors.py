@@ -33,6 +33,12 @@ from repro.engine import (
 from repro.engine.executors import _Worker
 
 
+def run_batch(executor, tasks, timeout=None):
+    """Attempt every task once; the whole batch's outcomes in task order."""
+    rank = {task.index: position for position, task in enumerate(tasks)}
+    return sorted(executor.iter_batch(tasks, timeout), key=lambda o: rank[o.task.index])
+
+
 def small_specs(count, duration=20.0, seed=0):
     return [
         ExperimentSpec(protocol="hyperledger", replicas=3, duration=duration, seed=seed + i)
@@ -78,13 +84,13 @@ class TestBackendNames:
 class TestSerialExecutor:
     def test_successful_batch_keeps_live_results(self):
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(2))]
-        outcomes = SerialExecutor().run_batch(tasks)
+        outcomes = run_batch(SerialExecutor(), tasks)
         assert [o.status for o in outcomes] == ["ok", "ok"]
         assert all(o.result.run is not None for o in outcomes)
 
     def test_error_outcome_carries_live_exception(self):
         spec = ExperimentSpec(protocol="hyperledger", params={"bogus": 1})
-        (outcome,) = SerialExecutor().run_batch([CellTask.for_spec(0, spec)])
+        (outcome,) = run_batch(SerialExecutor(), [CellTask.for_spec(0, spec)])
         assert outcome.status == "error"
         assert outcome.error_type == "ValueError"
         assert isinstance(outcome.exception, ValueError)
@@ -95,7 +101,7 @@ class TestSerialExecutor:
         ]
         tasks[0].inject = "hang"
         tasks[1].inject = "kill"
-        outcomes = SerialExecutor().run_batch(tasks, timeout=0.5)
+        outcomes = run_batch(SerialExecutor(), tasks, timeout=0.5)
         assert [o.status for o in outcomes] == ["timeout", "died"]
 
     def test_closing_the_batch_stops_executing(self, monkeypatch):
@@ -118,28 +124,28 @@ class TestPoolExecutor:
             CellTask.for_spec(1, bad),
             CellTask.for_spec(2, good[1]),
         ]
-        outcomes = PoolExecutor(jobs=2).run_batch(tasks)
+        outcomes = run_batch(PoolExecutor(jobs=2), tasks)
         assert [o.status for o in outcomes] == ["ok", "error", "ok"]
         assert outcomes[1].error_type == "ValueError"
         assert outcomes[0].result is not None
 
     def test_matches_serial_up_to_timings(self):
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(2))]
-        pooled = PoolExecutor(jobs=2).run_batch(tasks)
-        serial = SerialExecutor().run_batch(tasks)
+        pooled = run_batch(PoolExecutor(jobs=2), tasks)
+        serial = run_batch(SerialExecutor(), tasks)
         assert [stable(o.result) for o in pooled] == [stable(o.result) for o in serial]
 
     def test_hung_worker_is_killed_on_timeout(self):
         (task,) = [CellTask.for_spec(0, small_specs(1)[0])]
         task.inject = "hang"
-        (outcome,) = PoolExecutor(jobs=1).run_batch([task], timeout=0.5)
+        (outcome,) = run_batch(PoolExecutor(jobs=1), [task], timeout=0.5)
         assert outcome.status == "timeout"
         assert "terminated" in outcome.error_message
 
     def test_killed_worker_reports_death(self):
         (task,) = [CellTask.for_spec(0, small_specs(1)[0])]
         task.inject = "kill"
-        (outcome,) = PoolExecutor(jobs=1).run_batch([task])
+        (outcome,) = run_batch(PoolExecutor(jobs=1), [task])
         assert outcome.status == "died"
         assert outcome.error_type == "WorkerDied"
 
@@ -203,10 +209,10 @@ class TestPoolExecutor:
         pool = PoolExecutor(jobs=8)
         # Warm-up: multiprocessing opens long-lived bookkeeping fds
         # (resource tracker, semaphores) on first use — not leaks.
-        pool.run_batch(hung_batch(2), timeout=0.05)
+        run_batch(pool, hung_batch(2), timeout=0.05)
         assert multiprocessing.active_children() == []
         before = len(os.listdir("/proc/self/fd"))
-        outcomes = pool.run_batch(hung_batch(50), timeout=0.05)
+        outcomes = run_batch(pool, hung_batch(50), timeout=0.05)
         assert [o.status for o in outcomes] == ["timeout"] * 50
         assert multiprocessing.active_children() == []
         # A batch whose consumer raises is torn down the same way.
@@ -230,7 +236,7 @@ class TestPoolExecutor:
         )
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(2))]
         with pytest.warns(RuntimeWarning, match="worker process construction failed"):
-            outcomes = PoolExecutor(jobs=2).run_batch(tasks)
+            outcomes = run_batch(PoolExecutor(jobs=2), tasks)
         assert [o.status for o in outcomes] == ["ok", "ok"]
 
     def test_failure_to_build_a_later_worker_keeps_the_dispatched_cells(self, monkeypatch):
@@ -252,10 +258,10 @@ class TestPoolExecutor:
         monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(4))]
         with pytest.warns(RuntimeWarning, match="worker process construction failed"):
-            outcomes = PoolExecutor(jobs=2).run_batch(tasks)
+            outcomes = run_batch(PoolExecutor(jobs=2), tasks)
         assert [o.status for o in outcomes] == ["ok"] * 4
         assert [stable(o.result) for o in outcomes] == [
-            stable(o.result) for o in SerialExecutor().run_batch(tasks)
+            stable(o.result) for o in run_batch(SerialExecutor(), tasks)
         ]
         # Only in-process results keep their live run.
         assert [o.result.run is None for o in outcomes] == [True, False, False, False]
@@ -280,7 +286,7 @@ class TestWarmPool:
         specs = mixed_specs()
         assert len(specs) == 12
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(specs)]
-        pooled = PoolExecutor(jobs=2).run_batch(tasks)
+        pooled = run_batch(PoolExecutor(jobs=2), tasks)
         assert len(worker_starts) == 2
         assert [o.status for o in pooled] == ["ok"] * 12
         assert [stable(o.result) for o in pooled] == [stable(s.execute()) for s in specs]
@@ -291,7 +297,7 @@ class TestWarmPool:
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(specs)]
         for task, inject in zip(tasks, [None, "kill", None, "hang", None, "exception", None]):
             task.inject = inject
-        outcomes = PoolExecutor(jobs=1).run_batch(tasks, timeout=0.5)
+        outcomes = run_batch(PoolExecutor(jobs=1), tasks, timeout=0.5)
         assert [o.status for o in outcomes] == [
             "ok", "died", "ok", "timeout", "ok", "error", "ok",
         ]  # fmt: skip
@@ -314,7 +320,7 @@ class TestWarmPool:
         monkeypatch.setattr(ExperimentSpec, "execute", slow_execute)
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(3))]
         began = time.monotonic()
-        outcomes = PoolExecutor(jobs=1).run_batch(tasks, timeout=1.0)
+        outcomes = run_batch(PoolExecutor(jobs=1), tasks, timeout=1.0)
         assert [o.status for o in outcomes] == ["ok"] * 3
         if multiprocessing.get_start_method() == "fork":
             assert time.monotonic() - began > 1.0
@@ -329,7 +335,7 @@ class TestWarmPool:
 
         specs = small_specs(3)
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(specs)]
-        outcomes = KilledWhileIdle(jobs=1).run_batch(tasks)
+        outcomes = run_batch(KilledWhileIdle(jobs=1), tasks)
         assert [o.status for o in outcomes] == ["ok", "died", "ok"]
         assert outcomes[1].error_type == "WorkerDied"
         assert stable(outcomes[2].result) == stable(specs[2].execute())
@@ -390,7 +396,7 @@ class TestFlakyExecutor:
     def test_plan_injections_are_scripted(self):
         flaky = FlakyExecutor(SerialExecutor(), plan={0: {1: "exception"}})
         tasks = [CellTask.for_spec(i, s) for i, s in enumerate(small_specs(2))]
-        outcomes = flaky.run_batch(tasks)
+        outcomes = run_batch(flaky, tasks)
         assert [o.status for o in outcomes] == ["error", "ok"]
         assert outcomes[0].error_type == "InjectedFault"
         assert flaky.injections == [(0, 1, "exception")]
@@ -401,7 +407,7 @@ class TestFlakyExecutor:
 
         def injected(seed):
             flaky = FlakyExecutor(SerialExecutor(), rates={"exception": 0.5}, seed=seed)
-            flaky.run_batch(tasks)
+            run_batch(flaky, tasks)
             return flaky.injections
 
         assert injected(3) == injected(3)
@@ -510,8 +516,7 @@ class TestResilienceLoop:
         assert failed["cell_failure"] is True
         assert failed["attempts"] == 2
         assert failed["error"]["type"] == "InjectedFault"
-        restored = CellFailure.from_dict(failed)
-        assert restored.spec == specs[1]
+        assert ExperimentSpec.from_dict(failed["spec"]) == specs[1]
         # The whole payload round-trips through strict JSON.
         json.loads(json.dumps(payload))
 

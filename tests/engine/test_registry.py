@@ -42,7 +42,7 @@ class TestRegistration:
         assert decorated is _dummy_runner  # the runner is returned unchanged
         entry = registry.get("dummy")
         assert entry.runner is _dummy_runner
-        assert "dummy" in registry and len(registry) == 1
+        assert registry.names() == ("dummy",)
 
     def test_duplicate_add_rejected_without_replace(self):
         registry = ProtocolRegistry()

@@ -147,6 +147,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duration must be >= 0 and finite"):
             ExperimentSpec.from_dict({"protocol": "bitcoin", "duration": duration})
 
+    @pytest.mark.parametrize("token_rate", (math.nan, math.inf, -math.inf, -0.1))
+    def test_a_token_rate_that_is_not_finite_and_non_negative_is_refused(self, token_rate):
+        """A NaN rate would mine nothing and serialize as non-strict JSON."""
+        message = f"params.token_rate must be >= 0 and finite, got {token_rate!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(protocol="bitcoin", params={"token_rate": token_rate})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.from_dict({"protocol": "bitcoin", "params": {"token_rate": token_rate}})
+
+    def test_a_token_rate_above_one_is_kept_for_the_tapes_to_clip(self):
+        spec = ExperimentSpec.from_dict({"protocol": "bitcoin", "params": {"token_rate": 2.5}})
+        assert spec.params["token_rate"] == 2.5
+
     def test_infinite_oracle_bound_survives_json(self):
         spec = ExperimentSpec(protocol="bitcoin", oracle_k=math.inf)
         restored = ExperimentSpec.from_json(spec.to_json())

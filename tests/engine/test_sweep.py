@@ -8,7 +8,6 @@ from repro.engine import (
     ExperimentSpec,
     FaultSpec,
     SweepRunner,
-    derive_seed,
     expand_grid,
     results_payload,
 )
@@ -49,20 +48,6 @@ class TestExpandGrid:
             expand_grid(base, {"warp_factor": [9]})
         with pytest.raises(KeyError):
             expand_grid(base, {"workload.warp": [1]})
-
-    def test_derive_seeds_are_distinct_and_stable(self):
-        base = ExperimentSpec(protocol="bitcoin", seed=42)
-        specs = expand_grid(base, {"channel.delta": [1.0, 2.0, 4.0]}, derive_seeds=True)
-        seeds = [s.seed for s in specs]
-        assert len(set(seeds)) == 3
-        again = expand_grid(base, {"channel.delta": [1.0, 2.0, 4.0]}, derive_seeds=True)
-        assert [s.seed for s in again] == seeds
-        assert seeds[0] == derive_seed(42, 0)
-
-    def test_explicit_seed_axis_wins_over_derivation(self):
-        base = ExperimentSpec(protocol="bitcoin", seed=42)
-        specs = expand_grid(base, {"seed": [1, 2]}, derive_seeds=True)
-        assert [s.seed for s in specs] == [1, 2]
 
 
 class TestApplyOverride:

@@ -18,7 +18,7 @@ from repro.core.hierarchy import Refinement, consensus_number
 from repro.concurrent.consensus_object import check_consensus_properties
 from repro.concurrent.reductions import OracleConsensus, SnapshotTokenStore
 from repro.concurrent.scheduler import Scheduler
-from repro.network.channels import LossyChannel, SynchronousChannel, TargetedLossChannel
+from repro.network.channels import LossyChannel, SynchronousChannel
 from repro.network.update_agreement import (
     check_light_reliable_communication,
     check_update_agreement,
@@ -30,6 +30,7 @@ from repro.protocols.classification import classify_run
 from repro.protocols.hyperledger import run_hyperledger
 from repro.protocols.nakamoto import run_bitcoin
 from repro.workload.scenarios import generate_chain_history, generate_forked_history
+from tests.network.fork_heavy_run import TargetedLossChannel
 
 
 class TestTheorem31SCSubsetEC:

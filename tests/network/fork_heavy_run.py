@@ -7,20 +7,24 @@ that two ways of executing *this* run record identical histories: five
 heaviest-chain miners under LRC, a mining interval short enough against
 the channel delay to fork constantly, one vocabulary of channel models,
 topologies and registered fault kinds.  (``test_topology.py`` runs its
-own topologies over the same channels.)
+own topologies over the same channels.)  One of those channels,
+:class:`TargetedLossChannel`, lives here: the channel tests and the
+broadcast and theorem tests import it from this module.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.selection import HeaviestChain
 from repro.network.channels import (
     AsynchronousChannel,
+    ChannelModel,
     LossyChannel,
     PartiallySynchronousChannel,
     SynchronousChannel,
-    TargetedLossChannel,
+    _scatter_inner_batch,
 )
 from repro.network.faults import build_fault
 from repro.network.topology import GossipFanout, Sharded
@@ -29,6 +33,47 @@ from repro.oracle.theta import ProdigalOracle
 from repro.protocols.base import ReplicaConfig, run_protocol
 from repro.protocols.nakamoto import NakamotoReplica
 from tests.network.reference_plane import ReferenceHeaviestChain, reference_plane
+
+
+class TargetedLossChannel:
+    """Drop exactly the messages selected by a predicate.
+
+    Realises the paper's proof constructions where *one specific* update
+    never reaches *one specific* process (Lemma 4.5): pass
+    ``lambda sender, receiver, now: receiver == "k"`` style predicates.
+    """
+
+    def __init__(
+        self,
+        inner: ChannelModel,
+        drop_if: Callable[[str, str, float], bool],
+    ) -> None:
+        self.inner = inner
+        self.drop_if = drop_if
+        self.dropped = 0
+
+    def delay_for(self, sender: str, receiver: str, now: float) -> Optional[float]:
+        if sender != receiver and self.drop_if(sender, receiver, now):
+            self.dropped += 1
+            return None
+        return self.inner.delay_for(sender, receiver, now)
+
+    def delays_for(
+        self, sender: str, receivers: Sequence[str], now: float
+    ) -> List[Optional[float]]:
+        """Predicate filter (no randomness), then one inner batch.
+
+        The predicate consumes no generator state, so stream-identity only
+        requires forwarding the surviving receivers to the inner model in
+        receiver order — which is what the scalar path does.
+        """
+        drop_if = self.drop_if
+        keep_flags = [
+            receiver == sender or not drop_if(sender, receiver, now)
+            for receiver in receivers
+        ]
+        self.dropped += len(receivers) - sum(keep_flags)
+        return _scatter_inner_batch(self.inner, sender, receivers, now, keep_flags)
 
 
 class CrashingMiner(NakamotoReplica):

@@ -211,7 +211,6 @@ class ReferenceBlockTree(BlockTree):
             self._max_fork_degree = len(siblings)
         height = self._heights[block.parent_id] + 1
         self._heights[block.block_id] = height
-        self._by_height.setdefault(height, []).append(block.block_id)
         self._subtree_weight[block.block_id] = block.weight
         self._cum_weight[block.block_id] = self._cum_weight[block.parent_id] + block.weight
         if height > self._height:
@@ -228,34 +227,6 @@ class ReferenceBlockTree(BlockTree):
             cursor = self._blocks[cursor].parent_id
         return block
 
-    def is_ancestor(self, ancestor_id: str, descendant_id: str) -> bool:
-        heights = self._heights
-        ancestor_height = heights.get(ancestor_id)
-        descendant_height = heights.get(descendant_id)
-        if ancestor_height is None or descendant_height is None:
-            return False
-        if ancestor_height > descendant_height:
-            return False
-        blocks = self._blocks
-        cursor = descendant_id
-        for _ in range(descendant_height - ancestor_height):
-            cursor = blocks[cursor].parent_id  # type: ignore[assignment]
-        return cursor == ancestor_id
-
-    def common_ancestor(self, a: str, b: str) -> str:
-        blocks = self._blocks
-        height_a, height_b = self._heights[a], self._heights[b]
-        while height_a > height_b:
-            a = blocks[a].parent_id  # type: ignore[assignment]
-            height_a -= 1
-        while height_b > height_a:
-            b = blocks[b].parent_id  # type: ignore[assignment]
-            height_b -= 1
-        while a != b:
-            a = blocks[a].parent_id  # type: ignore[assignment]
-            b = blocks[b].parent_id  # type: ignore[assignment]
-        return a
-
     def copy(self) -> "ReferenceBlockTree":
         clone = type(self)(self._genesis)
         clone._heights = dict(self._heights)
@@ -267,7 +238,6 @@ class ReferenceBlockTree(BlockTree):
         clone._leaves = dict(self._leaves)
         clone._fork_points = dict(self._fork_points)
         clone._max_fork_degree = self._max_fork_degree
-        clone._by_height = {k: list(v) for k, v in self._by_height.items()}
         clone._version = self._version
         clone._selection_memo = dict(self._selection_memo)
         return clone
@@ -320,7 +290,7 @@ class ReferenceScoreMaximizingSelection:
     def __call__(self, tree: BlockTree) -> Blockchain:
         chains = tree.all_chains()
         if not chains:  # pragma: no cover - a tree always has >= 1 leaf
-            return Blockchain.genesis_only(tree.genesis)
+            return Blockchain((tree.genesis,))
         best_score = max(self.score(c) for c in chains)
         tied = [c for c in chains if self.score(c) == best_score]
         winner_tip = _lexicographic_tiebreak([c.tip.block_id for c in tied])

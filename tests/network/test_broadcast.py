@@ -11,7 +11,8 @@ from repro.network.broadcast import (
     FloodingBroadcast,
     LightReliableCommunication,
 )
-from repro.network.channels import SynchronousChannel, TargetedLossChannel
+from repro.network.channels import SynchronousChannel
+from tests.network.fork_heavy_run import TargetedLossChannel
 from repro.network.process import Process
 from repro.network.simulator import Message, Network, Simulator
 from repro.network.update_agreement import check_light_reliable_communication
@@ -62,13 +63,12 @@ class TestFlooding:
         processes[0].publish("blk2")
         network.run()
         assert processes[1].delivered == ["blk", "blk2"]
-        assert processes[1].transport.delivered_blocks == ("blk", "blk2")
 
     def test_send_and_receive_events_recorded(self):
         network, processes = _build(3, SynchronousChannel(seed=1), lrc=False)
         processes[0].publish("blk")
         network.run()
-        history = network.history()
+        history = network.recorder.history()
         assert len(history.replication_events(EventKind.SEND)) == 1
         assert len(history.replication_events(EventKind.RECEIVE)) == 3
 
@@ -88,7 +88,7 @@ class TestFlooding:
         network.run()
         assert processes[2].delivered == []
         result = check_light_reliable_communication(
-            network.history(), correct_processes=[p.pid for p in processes]
+            network.recorder.history(), correct_processes=[p.pid for p in processes]
         )
         assert not result.agreement_holds
 
@@ -105,7 +105,7 @@ class TestLightReliableCommunication:
         network.run()
         assert processes[2].delivered == ["blk"]
         result = check_light_reliable_communication(
-            network.history(), correct_processes=[p.pid for p in processes]
+            network.recorder.history(), correct_processes=[p.pid for p in processes]
         )
         assert result.holds
 

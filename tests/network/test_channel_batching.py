@@ -21,10 +21,10 @@ from repro.network.channels import (
     LossyChannel,
     PartiallySynchronousChannel,
     SynchronousChannel,
-    TargetedLossChannel,
     batched_delays,
     batched_delays_many,
 )
+from tests.network.fork_heavy_run import TargetedLossChannel
 
 
 def _scalar_delays_for(channel, sender, receivers, now):

@@ -11,8 +11,8 @@ from repro.network.channels import (
     LossyChannel,
     PartiallySynchronousChannel,
     SynchronousChannel,
-    TargetedLossChannel,
 )
+from tests.network.fork_heavy_run import TargetedLossChannel
 
 
 class TestSynchronousChannel:

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.engine.checkpoint import SimulationCheckpoint
-from repro.network.faults import available_faults
+from repro.network.faults import FAULT_REGISTRY
 from repro.oracle.tape import MeritTape, TapeFamily
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
@@ -85,7 +85,7 @@ def test_restores_identical_across_topologies(topology: str, core: str):
 
 
 @pytest.mark.parametrize("core", ("array", "heap"))
-@pytest.mark.parametrize("fault_kind", sorted(available_faults()))
+@pytest.mark.parametrize("fault_kind", sorted(FAULT_REGISTRY))
 def test_restores_identical_for_every_fault_kind(fault_kind: str, core: str):
     _assert_restores_identical("lossy", seed=13, core=core, fault_kind=fault_kind)
 
@@ -155,7 +155,7 @@ def test_restores_identical_wherever_the_tape_cursor_stands(where: str):
         tape = live.oracle.tapes.tape_of("p0")
         cursor, filled = tape._cursor, len(tape._buffer) == BLOCK
         if where == "block start" and filled and cursor == BLOCK:
-            tape.head()
+            tape._refill()
             cursor = tape._cursor
         wanted = {"block start": cursor == 0, "mid-block": 0 < cursor < BLOCK,
                   "block end": cursor == BLOCK}[where]

@@ -30,7 +30,6 @@ from repro.network.faults import (
     FaultModel,
     PartitionFault,
     SilentFault,
-    available_faults,
     build_fault,
     get_fault,
     register_fault,
@@ -42,7 +41,7 @@ from repro.protocols.nakamoto import run_bitcoin
 
 class TestRegistry:
     def test_shipped_vocabulary(self):
-        assert set(available_faults()) >= {"crash", "silent", "churn", "partition", "eclipse"}
+        assert set(FAULT_REGISTRY) >= {"crash", "silent", "churn", "partition", "eclipse"}
 
     def test_get_fault_resolves(self):
         assert get_fault("partition") is PartitionFault

@@ -39,7 +39,7 @@ def _churn_run(join: float):
 def test_a_rejoin_inside_a_timer_interval_runs_one_chain_of_each(join):
     result = _churn_run(join)
     draws = {pid: result.oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas}
-    reads = {pid: len(result.history.read_invocations(pid)) for pid in result.replicas}
+    reads = {pid: len(result.history.read_responses(pid)) for pid in result.replicas}
     # One attempt per mining interval while alive: before the leave, and
     # from one interval after the rejoin up to the end of the run.
     before = math.floor(LEAVE)

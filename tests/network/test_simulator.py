@@ -180,15 +180,11 @@ class TestNetwork:
         network.run()
         assert b.received == []
 
-    def test_correct_process_ids_excludes_crashed(self):
-        network, a, b = self._network()
-        b.crash()
-        assert network.correct_process_ids() == ("a",)
-
-    def test_history_accessor_returns_recorded_events(self):
+    def test_recorder_history_returns_recorded_events(self):
         network, a, _ = self._network()
         network.recorder.send("a", "b0", "x")
-        assert len(network.history()) == 1
+        (event,) = network.recorder.history()
+        assert event.process == "a"
 
     def test_process_helpers(self):
         network, a, b = self._network()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.block import GENESIS_ID, Block
-from repro.core.history import HistoryRecorder
+from repro.core.history import EventKind, HistoryRecorder
 from repro.core.validity import MembershipValidity
 from repro.oracle.refinement import RefinedBTADT
 from repro.oracle.tape import DeterministicTape, TapeFamily
@@ -113,4 +113,5 @@ class TestRecording:
         history = recorder.history()
         assert len(history.append_invocations("p")) == 1
         assert len(history.read_responses("p")) == 1
-        assert history.append_responses("p")[0].output is True
+        appended = [e.output for e in history if e.kind is EventKind.RESPONSE and e.operation == "append"]
+        assert appended == [True]

@@ -18,12 +18,6 @@ class TestMeritTape:
         with pytest.raises(ValueError):
             MeritTape(0.5, block_size=0)
 
-    def test_head_does_not_consume(self):
-        tape = MeritTape(0.5, seed=1)
-        first = tape.head()
-        assert tape.head() == first
-        assert tape.cells_consumed == 0
-
     def test_pop_consumes_and_counts(self):
         tape = MeritTape(0.5, seed=1)
         values = [tape.pop() for _ in range(10)]
@@ -121,12 +115,6 @@ class TestTapeFamily:
         family.set_tape("loser", DeterministicTape([False], tail=False))
         assert family.draw("winner") is True
         assert family.draw("loser") is False
-
-    def test_processes_lists_known_processes(self):
-        family = TapeFamily()
-        family.register_merit("a", 0.5)
-        family.set_tape("b", DeterministicTape([True]))
-        assert family.processes() == ("a", "b")
 
     def test_deterministic_across_family_instances(self):
         draws1 = [TapeFamily(seed=9).draw("px") for _ in range(1)]

@@ -35,11 +35,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TokenOracle(k=0.5)
 
-    def test_fork_free_flag(self):
-        assert FrugalOracle(k=1).is_fork_free
-        assert not FrugalOracle(k=2).is_fork_free
-        assert not ProdigalOracle().is_fork_free
-
 
 class TestGetToken:
     def test_successful_get_token_reparents_and_stamps(self):
@@ -61,12 +56,6 @@ class TestGetToken:
         oracle = ProdigalOracle(tapes=_always_token_family("p"))
         validated = oracle.get_token("someparent", Block("x", GENESIS_ID), process="p")
         assert validated is not None and validated.parent_id == "someparent"
-
-    def test_granted_counts_tracked(self):
-        oracle = ProdigalOracle(tapes=_always_token_family("p"))
-        for i in range(3):
-            oracle.get_token(GENESIS, Block(f"x{i}", GENESIS_ID), process="p")
-        assert oracle.granted_counts()[GENESIS_ID] == 3
 
 
 class TestConsumeToken:

@@ -96,7 +96,7 @@ class TestTreeProperties:
     def test_selected_chain_is_a_path_of_the_tree(self, tree):
         for selection in (LongestChain(), HeaviestChain(), GHOSTSelection()):
             chain = selection(tree)
-            assert chain.genesis.block_id == tree.genesis.block_id
+            assert chain.blocks[0].block_id == tree.genesis.block_id
             for parent, child in zip(chain.blocks, chain.blocks[1:]):
                 assert child.parent_id == parent.block_id
                 assert child.block_id in tree

@@ -36,7 +36,7 @@ class TestReplicaBasics:
         network, replica = _attached_replica()
         chain = replica.local_read()
         assert chain.ids == (GENESIS_ID,)
-        assert len(network.history().read_responses("p0")) == 1
+        assert len(network.recorder.history().read_responses("p0")) == 1
 
     def test_make_candidate_extends_current_tip(self):
         _, replica = _attached_replica()
@@ -49,8 +49,9 @@ class TestReplicaBasics:
         block = replica.make_candidate()
         validated = ValidatedBlock(block=block.with_token("tkn_b0"), token="tkn_b0", parent_id=GENESIS_ID)
         assert replica.commit_local_block(validated)
-        history = network.history()
-        assert len(history.append_responses("p0", successful_only=True)) == 1
+        history = network.recorder.history()
+        appended = [e.output for e in history if e.kind is EventKind.RESPONSE and e.operation == "append"]
+        assert appended == [True]
         assert len(history.replication_events(EventKind.UPDATE)) == 1
         assert len(history.replication_events(EventKind.SEND)) == 1
         assert replica.blocks_created == 1
@@ -60,7 +61,7 @@ class TestReplicaBasics:
         foreign = Block("f1", GENESIS_ID, creator="p9")
         assert replica.adopt_block(foreign)
         assert replica.blocks_adopted == 1
-        assert len(network.history().replication_events(EventKind.UPDATE)) == 1
+        assert len(network.recorder.history().replication_events(EventKind.UPDATE)) == 1
 
     def test_adopt_block_twice_is_noop(self):
         _, replica = _attached_replica()
@@ -80,7 +81,7 @@ class TestReplicaBasics:
         network, replica = _attached_replica(read_interval=2.0)
         network.start()
         network.simulator.run(until=7.0)
-        assert len(network.history().read_responses("p0")) == 3
+        assert len(network.recorder.history().read_responses("p0")) == 3
 
     def test_stop_production_halts_periodic_reads(self):
         network, replica = _attached_replica(read_interval=2.0)
@@ -88,7 +89,7 @@ class TestReplicaBasics:
         network.simulator.run(until=3.0)
         replica.stop_production()
         network.simulator.run(until=20.0)
-        assert len(network.history().read_responses("p0")) == 1
+        assert len(network.recorder.history().read_responses("p0")) == 1
 
 
 def _column(*ops: int) -> np.ndarray:

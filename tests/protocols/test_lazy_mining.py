@@ -52,7 +52,7 @@ def _footprint(result):
         "history": result.history.events,
         "trees": {pid: list(replica.tree) for pid, replica in result.replicas.items()},
         "cells": {pid: oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas},
-        "granted": oracle.granted_counts(),
+        "granted": dict(oracle._granted_tokens),
         "consumed": oracle.consumed_counts(),
         "mempools": {
             pid: replica.mempool.__getstate__()[0].tolist()
@@ -108,7 +108,7 @@ def test_stock_hooks_build_a_candidate_only_when_the_oracle_needs_one(recorded):
         result = _run(1, 0.4, None, recorded,
                       replica_cls=NakamotoReplica, oracle_cls=ProdigalOracle)
     attempts = sum(result.oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas)
-    granted = sum(result.oracle.granted_counts().values())
+    granted = sum(result.oracle._granted_tokens.values())
     assert 0 < granted < attempts
     # A recorder logs the block id with the invocation, so it needs every
     # candidate; without one only a won lottery builds its block.

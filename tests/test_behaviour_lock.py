@@ -43,7 +43,7 @@ from repro.engine import (
     resume_spec_from_checkpoint,
     table1_spec,
 )
-from repro.network.faults import available_faults
+from repro.network.faults import FAULT_REGISTRY
 from repro.protocols.classification import TABLE1_SYSTEMS
 
 LOCK_PATH = Path(__file__).with_name("behaviour.lock")
@@ -101,7 +101,7 @@ def _locked_texts() -> Iterator[Tuple[str, str]]:
     for name in TABLE1_SYSTEMS:
         yield f"table1:{name}", table1_spec(name).execute().stable_json()
     yield "population", _POPULATION.execute().stable_json()
-    for kind in available_faults():
+    for kind in FAULT_REGISTRY:
         spec = _FAULT_BASE.with_updates(
             fault=FaultSpec(kind=kind, params=_FAULT_PARAMS[kind]), label=f"fault:{kind}"
         )

@@ -838,6 +838,42 @@ class TestCountFlags:
             ),
             (["sweep", "--protocol", "bitcoin", "--seeds", "3:1"], "--seeds '3:1' gives no values"),
             (["sweep", "--protocol", "bitcoin", "--delays", ","], "--delays ',' gives no values"),
+            (
+                ["sweep", "--protocol", "bitcoin", "--token-rates", "nan"],
+                "--token-rates must be a finite number >= 0, got nan",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--token-rates", "0.4,inf"],
+                "--token-rates must be a finite number >= 0, got inf",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--token-rates", "-0.5"],
+                "--token-rates must be a finite number >= 0, got -0.5",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--token-rates=-inf"],
+                "--token-rates must be a finite number >= 0, got -inf",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--clients", "10", "--client-rate", "-1"],
+                "--client-rate must be a finite number >= 0, got -1.0",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--clients", "10", "--client-rate", "nan"],
+                "--client-rate must be a finite number >= 0, got nan",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--clients", "10", "--client-rate", "inf"],
+                "--client-rate must be a finite number >= 0, got inf",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--clients", "10", "--client-rate=-inf"],
+                "--client-rate must be a finite number >= 0, got -inf",
+            ),
+            (
+                ["sweep", "--protocol", "bitcoin", "--timeout", "nan"],
+                "--timeout must be > 0, got nan",
+            ),
         ],
     )
     def test_a_bad_count_is_a_usage_error_before_any_cell(

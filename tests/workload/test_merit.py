@@ -16,7 +16,7 @@ from repro.workload.merit import (
 class TestConstruction:
     def test_uniform_sums_to_one(self):
         merit = uniform_merit(8)
-        assert sum(merit.as_dict().values()) == pytest.approx(1.0)
+        assert sum(m for _, m in merit.merits) == pytest.approx(1.0)
         assert merit.merit_of("p0") == pytest.approx(1 / 8)
 
     def test_at_least_one_process_required(self):
@@ -51,12 +51,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             proportional_merit([0.0, 0.0])
 
-    def test_from_mapping_with_and_without_normalization(self):
-        merit = MeritDistribution.from_mapping({"a": 2.0, "b": 2.0})
-        assert merit.merit_of("a") == pytest.approx(0.5)
-        raw = MeritDistribution.from_mapping({"a": 2.0}, normalize=False)
-        assert raw.merit_of("a") == 2.0
-
     def test_negative_merit_rejected(self):
         with pytest.raises(ValueError):
             MeritDistribution((("a", -0.5), ("b", 1.5)))
@@ -82,11 +76,5 @@ class TestQueries:
     def test_unknown_process_has_zero_merit(self):
         assert uniform_merit(3).merit_of("stranger") == 0.0
 
-    def test_dominant_breaks_ties_lexicographically(self):
-        merit = MeritDistribution((("b", 0.5), ("a", 0.5)))
-        assert merit.dominant() == "a"
-
-    def test_total_and_processes(self):
-        merit = uniform_merit(4)
-        assert merit.total == pytest.approx(1.0)
-        assert merit.processes == ("p0", "p1", "p2", "p3")
+    def test_processes(self):
+        assert uniform_merit(4).processes == ("p0", "p1", "p2", "p3")

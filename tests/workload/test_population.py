@@ -90,6 +90,18 @@ def test_conflict_rate_respends_earlier_coins():
     assert int(all_ops.max()) < population.total_ops
 
 
+def test_zero_rate_issues_nothing():
+    population = _population(rate=0.0)
+    assert population.total_ops == 0
+    assert all(len(times) == 0 for times, _ in population.streams.values())
+
+
+def test_arrivals_scale_with_clients_rate_and_duration():
+    """200 clients at 0.5 over 40 time units: a Poisson total of mean 4000."""
+    assert abs(_population().total_ops - 4000) <= 5 * 4000**0.5
+    assert abs(_population(duration=10.0).total_ops - 1000) <= 5 * 1000**0.5
+
+
 @pytest.mark.parametrize(
     "overrides",
     (
@@ -105,12 +117,11 @@ def test_invalid_parameters_rejected(overrides):
         _population(**overrides)
 
 
-def test_stats_shape():
-    population = _population()
-    stats = population.stats()
-    assert stats["clients"] == 200
-    assert stats["total_ops"] == population.total_ops
-    assert stats["generation_seconds"] == population.generation_seconds
+@pytest.mark.parametrize("rate", (float("nan"), float("inf"), -1.0))
+def test_a_rate_that_is_not_finite_and_non_negative_is_refused_by_name(rate):
+    message = f"rate must be non-negative and finite, got {rate!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _population(rate=rate)
 
 
 # -- protocol integration ----------------------------------------------------

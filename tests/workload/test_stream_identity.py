@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.workload.merit import zipf_merit
 from repro.workload.scenarios import generate_chain_history
-from repro.workload.transactions import ClientWorkload, TransactionGenerator
+from repro.workload.transactions import TransactionGenerator
 
 
 # -- numpy-level equivalences the refactors assume ---------------------------
@@ -97,21 +97,6 @@ def test_transaction_generator_stream_identity():
             (tx.tx_id, tx.spends) for tx in generator.batch("client", 200)
         ]
         assert produced == _reference_transactions(seed, conflict_rate, 200)
-
-
-def test_client_workload_stream_identity():
-    """``arrivals_between`` with the hoisted ``integers`` binding matches
-    the raw-lookup reference draw for draw."""
-    hoisted = ClientWorkload(rate_per_time_unit=2.0, seed=5)
-    rng = np.random.default_rng(5)
-    carry = 0.0
-    for t0, t1 in ((0.0, 1.0), (1.0, 3.5), (3.5, 3.6), (3.6, 10.0)):
-        expected = 2.0 * (t1 - t0) + carry
-        count = int(expected)
-        carry = expected - count
-        if count > 0:
-            count = max(0, count + int(rng.integers(-1, 2)))
-        assert hoisted.arrivals_between(t0, t1) == count
 
 
 # -- chain-history generator -------------------------------------------------

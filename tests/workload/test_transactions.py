@@ -1,10 +1,10 @@
-"""Unit tests for transaction streams and client workloads."""
+"""Unit tests for transaction streams."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.workload.transactions import ClientWorkload, Transaction, TransactionGenerator
+from repro.workload.transactions import Transaction, TransactionGenerator
 
 
 class TestTransactionGenerator:
@@ -44,28 +44,3 @@ class TestTransactionGenerator:
         tx = Transaction("tx1", "alice", spends=("coin1",))
         assert str(tx) == "tx1"
         assert tx.spends == ("coin1",)
-
-
-class TestClientWorkload:
-    def test_arrivals_scale_with_interval(self):
-        workload = ClientWorkload(rate_per_time_unit=2.0, seed=1)
-        total = sum(workload.arrivals_between(t, t + 1.0) for t in range(100))
-        assert 150 <= total <= 250
-
-    def test_zero_rate_produces_nothing(self):
-        workload = ClientWorkload(rate_per_time_unit=0.0)
-        assert workload.arrivals_between(0.0, 100.0) == 0
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            ClientWorkload(rate_per_time_unit=-1.0)
-
-    def test_reversed_interval_rejected(self):
-        workload = ClientWorkload()
-        with pytest.raises(ValueError):
-            workload.arrivals_between(5.0, 1.0)
-
-    def test_carry_preserves_fractional_arrivals(self):
-        workload = ClientWorkload(rate_per_time_unit=0.25, seed=4)
-        total = sum(workload.arrivals_between(t, t + 1.0) for t in range(40))
-        assert total >= 5
