@@ -7,8 +7,8 @@ writing any Python:
   (exit status 1 when any row does not match the paper);
 * ``classify`` — run a single system model and print its classification,
   fork statistics, convergence and fairness summaries (``--monitor``
-  additionally streams the consistency verdicts during the run through
-  the :class:`~repro.core.consistency_index.ConsistencyMonitor`);
+  adds the consistency verdicts of the raw history, checked after the run
+  by the :class:`~repro.core.consistency_index.ConsistencyMonitor`);
 * ``hierarchy`` — print the Figure 8 / Figure 14 hierarchies;
 * ``figures`` — check the Figure 2/3/4 example histories against both
   consistency criteria and print the verdicts;
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument(
         "--monitor",
         action="store_true",
-        help="stream consistency verdicts during the run (ConsistencyMonitor)",
+        help="check consistency on the raw history after the run (ConsistencyMonitor)",
     )
     classify.add_argument(
         "--topology",
@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--monitor",
         action="store_true",
         help=(
-            "maintain consistency verdicts online during each cell "
-            "(streaming ConsistencyMonitor; verdicts land in the JSON results)"
+            "check each cell's raw history for consistency after the run "
+            "(ConsistencyMonitor; verdicts land in the JSON results)"
         ),
     )
     _add_checkpoint_arguments(sweep)
@@ -611,7 +611,7 @@ def _render_classification(record) -> str:
         lines.extend(
             [
                 "",
-                "streaming monitor (verdicts maintained online, raw history):",
+                "consistency monitor (post-hoc, raw history):",
                 f"  strong consistency: {record.consistency['strong']}"
                 f"  eventual consistency: {record.consistency['eventual']}",
                 "  "

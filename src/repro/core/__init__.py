@@ -13,7 +13,7 @@ of the paper:
 * :mod:`repro.core.history` — concurrent histories (Definition 2.4).
 * :mod:`repro.core.consistency` — SC and EC criteria (Definitions 3.2–3.4).
 * :mod:`repro.core.consistency_index` — the union prefix index backing the
-  criteria checkers, and the streaming :class:`ConsistencyMonitor`.
+  criteria checkers, and the post-hoc :class:`ConsistencyMonitor`.
 * :mod:`repro.core.hierarchy` — the refinement hierarchy (Figures 8/14).
 """
 

@@ -37,9 +37,9 @@ check is O(R·log V + P²) for V blocks and P processes, and a result holds
 at most :data:`WITNESS_LIMIT` strings however many pairs violate: the
 first ones in the brute-force order, found without visiting the others.
 
-Each property is decided here and nowhere else: the streaming
-:class:`~repro.core.consistency_index.ConsistencyMonitor` feeds an index
-while the run is recorded and passes it to :func:`check_consistency`.
+Each property is decided here and nowhere else: the
+:class:`~repro.core.consistency_index.ConsistencyMonitor` fills an index
+from a finished history and passes it to :func:`check_consistency`.
 The brute-force checkers (``tests/core/reference_consistency.py``) are
 the oracle: verdict, count, witnesses and ``details`` must match exactly.
 The ledger rows ``core.consistency.{strong_fork,strong_chain,eventual}_s``
@@ -576,10 +576,10 @@ def check_consistency(
 ) -> Tuple[ConsistencyReport, ConsistencyReport]:
     """The SC and EC reports of one history, as ``(strong, eventual)``.
 
-    One index — built from ``history``, or the caller's: the streaming
+    One index — built from ``history``, or the caller's: the
     :class:`~repro.core.consistency_index.ConsistencyMonitor` passes the
-    one it fed while the run was recorded — and the three properties the
-    criteria share evaluated once: both reports hold the same
+    one it filled from the history it replayed — and the three properties
+    the criteria share evaluated once: both reports hold the same
     :class:`PropertyResult` objects.
     """
     scorer = score if score is not None else LengthScore()

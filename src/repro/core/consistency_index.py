@@ -1,4 +1,4 @@
-"""Union prefix index and streaming monitor for the consistency criteria.
+"""Union prefix index and consistency monitor for the consistency criteria.
 
 The consistency checkers of :mod:`repro.core.consistency` quantify over
 *pairs* of read results: Strong Prefix asks whether two chains diverge,
@@ -54,12 +54,11 @@ matches the stored block and raises :class:`InconsistentChainError` on a
 mismatch, so a history violating the assumption fails loudly instead of
 being analysed wrongly.
 
-The :class:`ConsistencyMonitor` at the bottom keeps the index online: it
-subscribes to a :class:`~repro.core.history.HistoryRecorder` and feeds
-the index as events stream in, O(1) amortized per event.  It decides
-nothing itself: asked for verdicts, it hands its index to the checkers of
-:mod:`repro.core.consistency`, so at any prefix of the execution its
-reports *are* the post-hoc reports of the history recorded so far.
+The :class:`ConsistencyMonitor` at the bottom fills an index from a
+finished history's columns and decides nothing itself: asked for
+verdicts, it hands its index to the checkers of
+:mod:`repro.core.consistency`, so its reports *are* the post-hoc reports
+of that history.
 """
 
 from __future__ import annotations
@@ -68,12 +67,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.block import Block, Blockchain
-from repro.core.history import Event, History, HistoryRecorder
+from repro.core.history import Event, History
 from repro.core.score import LengthScore, ScoreFunction, WeightScore, mcps
 
 if TYPE_CHECKING:
@@ -98,11 +97,12 @@ _NO_SCORES = np.empty(0, dtype=np.float64)
 class ConsistencyIndex:
     """All read results of a history merged into one analysis tree.
 
-    The index is append-only (like the BlockTree it mirrors): reads are
-    entered with :meth:`add_read` and appends with :meth:`note_append` as
-    they stream in, whole histories with :meth:`ingest`.  Queries never
-    mutate the logical content; the DFS interval labels used for O(1)
-    ancestor tests are recomputed lazily after mutations.
+    The index is append-only (like the BlockTree it mirrors): whole
+    histories are entered with :meth:`ingest`, one event at a time with
+    :meth:`add_read` and :meth:`note_append` (the form ``ingest`` is
+    tested against).  Queries never mutate the logical content; the DFS
+    interval labels used for O(1) ancestor tests are recomputed lazily
+    after mutations.
 
     Blocks are numbered in insertion (parents-first) order; these *nodes*
     index the tree's columns and the read table's tip column.
@@ -613,80 +613,36 @@ def count_exceeding_before(
 
 
 # ---------------------------------------------------------------------------
-# Streaming monitor
+# Consistency monitor
 # ---------------------------------------------------------------------------
 
 
 class ConsistencyMonitor:
-    """Online consistency reports over a stream of history events.
+    """Consistency reports of a finished history.
 
-    Subscribe the monitor to a live :class:`HistoryRecorder` with
-    :meth:`attach` (or feed it a recorded history with :meth:`replay`,
-    which reads the history's columns and builds no event); it enters
-    every append invocation and read response in its
-    :class:`ConsistencyIndex` as they arrive, O(1) amortized per event.
-    :meth:`reports` hands that index to
-    :func:`repro.core.consistency.check_consistency`: the verdicts,
-    counts and witnesses are the ones the post-hoc checkers return on the
-    history recorded *so far* — the raw event stream, i.e. the history
-    ``recorder.history()`` snapshots — because they are computed by the
-    same code.  The reports are kept until the next event arrives.
-
-    State is the index: the union tree plus a reference to every read
-    response observed (events the recorder built for its listeners).
+    :meth:`replay` enters the history's append invocations and its read
+    responses that carry a chain in a :class:`ConsistencyIndex`, off the
+    history's columns and building no event.  :meth:`reports` hands that
+    index to :func:`repro.core.consistency.check_consistency`: the
+    verdicts, counts and witnesses are the ones the post-hoc checkers
+    return on the raw history, because they are computed by the same
+    code.  The reports are kept until the next replay.
     """
 
-    def __init__(
-        self,
-        score: Optional[ScoreFunction] = None,
-        validator: Optional[Callable[[Block], bool]] = None,
-        stall_threshold: Optional[int] = None,
-    ) -> None:
+    def __init__(self, score: Optional[ScoreFunction] = None) -> None:
         self.score = score if score is not None else LengthScore()
-        self.validator = validator
-        self.stall_threshold = stall_threshold
         self.index = ConsistencyIndex()
         self.events_seen = 0
         self._reports: Optional[Tuple[ConsistencyReport, ConsistencyReport]] = None
 
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, recorder: HistoryRecorder) -> "ConsistencyMonitor":
-        """Subscribe to every event ``recorder`` will record."""
-        recorder.subscribe(self.observe)
-        return self
-
     def replay(self, history: History) -> "ConsistencyMonitor":
-        """Feed an already recorded history through the monitor.
-
-        The index is fed what :meth:`observe` would enter — the append
-        invocations and the read responses that carry a chain — straight
-        off the history's columns (:meth:`ConsistencyIndex.ingest`); the
-        other events only count, once the whole history is in (a replay
-        that raises counts none).
-        """
+        """Enter ``history`` in the index (:meth:`ConsistencyIndex.ingest`,
+        chainless reads skipped); every event counts in ``events_seen``,
+        once the whole history is in (a replay that raises counts none)."""
         self._reports = None
         self.index.ingest(history, skip_chainless=True)
         self.events_seen += len(history)
         return self
-
-    # -- event intake ---------------------------------------------------------
-
-    def observe(self, event: Event) -> None:
-        """Process one history event (non read/append events are ignored).
-
-        A read response that carries no blockchain is skipped.
-        """
-        self.events_seen += 1
-        self._reports = None
-        if event.is_append_invocation:
-            self._note_append(event)
-        elif event.is_read_response and isinstance(event.output, Blockchain):
-            self.index.add_read(event)
-
-    def _note_append(self, invocation: Event) -> None:
-        if isinstance(invocation.argument, Block):
-            self.index.note_append(invocation.argument.block_id, invocation.eid)
 
     @property
     def reads_seen(self) -> int:
@@ -695,32 +651,30 @@ class ConsistencyMonitor:
     # -- verdicts -------------------------------------------------------------
 
     def reports(self) -> Tuple[ConsistencyReport, ConsistencyReport]:
-        """The ``(strong, eventual)`` reports of the history observed so far."""
+        """The ``(strong, eventual)`` reports of the history replayed."""
         if self._reports is None:
             # Call-time import: repro.core.consistency imports this module.
             from repro.core.consistency import check_consistency
 
-            self._reports = check_consistency(
-                None, self.score, self.validator, self.stall_threshold, index=self.index
-            )
+            self._reports = check_consistency(None, self.score, index=self.index)
         return self._reports
 
     def property_verdicts(self) -> Dict[str, bool]:
-        """Current verdict per property, keyed by the checker names."""
+        """Verdict per property, keyed by the checker names."""
         strong, eventual = self.reports()
         results = (*strong.results, eventual.result_for("eventual-prefix"))
         return {result.name: result.holds for result in results}
 
     def strong_holds(self) -> bool:
-        """BT Strong Consistency verdict on the history observed so far."""
+        """BT Strong Consistency verdict on the history replayed."""
         return self.reports()[0].holds
 
     def eventual_holds(self) -> bool:
-        """BT Eventual Consistency verdict on the history observed so far."""
+        """BT Eventual Consistency verdict on the history replayed."""
         return self.reports()[1].holds
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-ready snapshot of the verdicts and stream counters."""
+        """JSON-ready snapshot of the verdicts and intake counters."""
         return {
             "strong": self.strong_holds(),
             "eventual": self.eventual_holds(),

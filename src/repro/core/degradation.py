@@ -1,16 +1,17 @@
 """Online degradation tracking for adversarial runs.
 
 The :class:`~repro.core.consistency_index.ConsistencyMonitor` answers
-*whether* a consistency criterion holds on a streaming history (it feeds
-the index the checkers of :mod:`repro.core.consistency` read);
+*whether* a consistency criterion holds on a finished history;
 adversarial scenarios — healing partitions, churn, eclipse windows —
 need the quantitative counterpart: *how far* did the correct replicas'
 views diverge, and how quickly did they re-agree once the adversary
 stopped interfering.
 
-:class:`DegradationMonitor` subscribes to a
-:class:`~repro.core.history.HistoryRecorder` exactly like the
-consistency monitor does and folds every read response into one
+:class:`DegradationMonitor` answers that while the run records: it
+subscribes to a :class:`~repro.core.history.HistoryRecorder`, because it
+stamps each sample with the virtual clock and counts only the replicas
+correct at that read, neither of which a history records.  It folds
+every read response into one
 :class:`~repro.core.consistency_index.ConsistencyIndex`.  After each
 read it recomputes the **divergence depth** over the correct replicas'
 latest tips: for each tip pair the depth of the shallower branch past

@@ -358,8 +358,8 @@ class HistoryRecorder:
     def subscribe(self, listener: Callable[[Event], None]) -> Callable[[Event], None]:
         """Register ``listener`` to be called with every recorded event.
 
-        This is the hook the streaming analyses use (e.g.
-        :class:`repro.core.consistency_index.ConsistencyMonitor`): events
+        This is the hook a live analysis uses
+        (:class:`repro.core.degradation.DegradationMonitor`): events
         are delivered in recording order, synchronously, right after they
         are recorded.  Returns the listener for decorator-style use.
         """

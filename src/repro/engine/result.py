@@ -26,6 +26,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.analysis.convergence import convergence_summary
 from repro.analysis.fairness import fairness_report
 from repro.analysis.forks import fork_statistics, merge_statistics
+from repro.core.consistency_index import ConsistencyMonitor
 from repro.engine.registry import ProtocolEntry
 from repro.engine.spec import ExperimentSpec
 from repro.workload.merit import uniform_merit, zipf_merit
@@ -53,7 +54,7 @@ class RunResult:
     network: Dict[str, Any]
     blocks: Dict[str, Any]
     timings: Dict[str, float]
-    #: Streaming-monitor verdict summary; only present when the spec opted
+    #: Consistency-monitor verdict summary; only present when the spec opted
     #: into ``monitor=True`` (kept out of the payload otherwise so existing
     #: artifacts and cache entries stay byte-identical).
     consistency: Optional[Dict[str, Any]] = None
@@ -142,6 +143,9 @@ def analyse_run(
     started = time.perf_counter()
     scorer = spec.build_score()
     classification = classify_run(run, score=scorer)
+    consistency = (
+        ConsistencyMonitor(score=scorer).replay(run.history).summary() if spec.monitor else None
+    )
 
     forks = merge_statistics(
         {pid: fork_statistics(replica.tree) for pid, replica in run.replicas.items()}
@@ -224,7 +228,6 @@ def analyse_run(
         "tree_sizes": {pid: len(r.tree) for pid, r in run.replicas.items()},
     }
 
-    monitor = getattr(run, "monitor", None)
     degradation = getattr(run, "degradation", None)
     quarantined = getattr(run.network, "messages_quarantined", 0)
     if quarantined:
@@ -242,7 +245,7 @@ def analyse_run(
         network=network_dict,
         blocks=blocks_dict,
         timings=timings,
-        consistency=monitor.summary() if monitor is not None else None,
+        consistency=consistency,
         degradation=degradation.summary() if degradation is not None else None,
         run=run,
         classification_result=classification,

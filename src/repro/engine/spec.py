@@ -296,7 +296,8 @@ class FaultSpec:
 #: The spec field that sets each keyword option of
 #: :func:`repro.protocols.base.run_protocol` (``None``: no field does —
 #: ``core`` stays a ``run_*`` keyword, the override of the store
-#: :func:`~repro.network.simulator.core_for_run` picks).
+#: :func:`~repro.network.simulator.core_for_run` picks), and ``monitor``,
+#: the check :func:`~repro.engine.result.analyse_run` adds after the run.
 _HARNESS_FIELDS: Mapping[str, Optional[str]] = {
     "n": "replicas",
     "duration": "duration",
@@ -310,8 +311,6 @@ _HARNESS_FIELDS: Mapping[str, Optional[str]] = {
     "checkpoint_every": "checkpoint_every",
     "checkpoint_sink": "checkpoint_path",
     "core": None,
-    "final_reads": None,
-    "drain": None,
     "max_events": None,
 }
 
@@ -344,10 +343,10 @@ class ExperimentSpec:
     score: str = "length"
     params: Mapping[str, Any] = field(default_factory=dict)
     label: Optional[str] = None
-    #: Opt-in streaming consistency monitoring: a
-    #: :class:`~repro.core.consistency_index.ConsistencyMonitor` is
-    #: subscribed to the run's recorder and its verdicts land on the
-    #: result artifact (``RunResult.consistency``).
+    #: Opt-in consistency monitoring: after the run a
+    #: :class:`~repro.core.consistency_index.ConsistencyMonitor` replays
+    #: the raw history and its verdicts land on the result artifact
+    #: (``RunResult.consistency``).
     monitor: bool = False
     #: Periodic checkpointing: snapshot the live run every N events to
     #: ``checkpoint_path`` (crash-safe; see :mod:`repro.engine.checkpoint`).
@@ -511,10 +510,6 @@ class ExperimentSpec:
             put("client_rate", self.workload.client_rate)
         if self.oracle_k is not None:
             put("oracle", self._build_oracle(entry))
-        if self.monitor:
-            from repro.core.consistency_index import ConsistencyMonitor
-
-            put("monitor", ConsistencyMonitor(score=self.build_score()))
         for key, value in self.params.items():
             if key in _HARNESS_FIELDS:
                 field_name = _HARNESS_FIELDS[key]

@@ -23,7 +23,7 @@ need (the recorded history, the replicas, the oracle, network counters).
 
 :func:`run_protocol` is also the one signature that names a *harness*
 option (how many replicas, for how long, over which channel / topology,
-under which fault, monitor, client population, event core, checkpoint
+under which fault, client population, event core, checkpoint
 cadence).  A system module only *declares* what Section 5 / Table 1 says
 differs — a function of the system's own parameters returning a
 :class:`System` — and :func:`system_runner` generates its public
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.block import Block, BlockIdFactory, Blockchain
 from repro.core.blocktree import BlockTree
-from repro.core.consistency_index import ConsistencyMonitor
 from repro.core.degradation import DegradationMonitor
 from repro.core.history import History, HistoryRecorder
 from repro.core.score import LengthScore, ScoreFunction
@@ -428,10 +427,6 @@ class RunResult:
     network: Network
     duration: float
     score: ScoreFunction = field(default_factory=LengthScore)
-    #: The streaming consistency monitor that observed the run, when one
-    #: was passed to :func:`run_protocol` (its verdicts then reflect the
-    #: full recorded history).
-    monitor: Optional[ConsistencyMonitor] = field(default=None, repr=False)
     #: The vectorized client population that fed the run, when
     #: :func:`run_protocol` scheduled one (``clients=...``); carries the
     #: generation timings ``RunResult.timings`` records.
@@ -465,13 +460,15 @@ class LiveRun:
     """A staged, checkpointable protocol run.
 
     :func:`run_protocol` stages every live object of an in-flight run
-    (simulator, network, replicas, recorder, monitors, fault schedules —
-    everything except the consumed ``replica_factory``) into one of these
-    and then drives :meth:`finish`, which advances a ``phase`` cursor::
+    (simulator, network, replicas, recorder, degradation monitor, fault
+    schedules — everything except the consumed ``replica_factory``) into
+    one of these and then drives :meth:`finish`, which advances a
+    ``phase`` cursor::
 
-        "main"  — run the clock to ``duration``
-        "drain" — stop block production (exactly once) and quiesce
-        "reads" — final ``local_read()`` at every alive replica
+        "main"  — run the clock to ``duration``, then stop block
+                  production (exactly once)
+        "drain" — quiesce, then a final ``local_read()`` at every
+                  alive replica
         "done"  — result available
 
     Checkpoint snapshots pickle the whole ``LiveRun`` between event
@@ -492,11 +489,8 @@ class LiveRun:
         oracle: TokenOracle,
         duration: float,
         max_events: int,
-        monitor: Optional[ConsistencyMonitor],
         population: Optional[ClientPopulation],
         degradation: Optional[DegradationMonitor],
-        drain: bool,
-        final_reads: bool,
     ) -> None:
         self.name = name
         self.simulator = simulator
@@ -506,11 +500,8 @@ class LiveRun:
         self.oracle = oracle
         self.duration = duration
         self.max_events = max_events
-        self.monitor = monitor
         self.population = population
         self.degradation = degradation
-        self.drain = drain
-        self.final_reads = final_reads
         self.phase = "main"
 
     @property
@@ -534,38 +525,29 @@ class LiveRun:
         if checkpoint_sink is not None:
             def sink(_simulator: Simulator) -> None:
                 checkpoint_sink(self)
-        while self.phase != "done":
-            if self.phase == "main":
-                self.network.run(
-                    until=self.duration,
-                    max_events=self.max_events,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_sink=sink,
-                )
-                if self.drain:
-                    # Production stops exactly once, at the main → drain
-                    # transition; snapshots taken mid-drain already carry
-                    # the stopped producers inside replica state.
-                    for replica in self.replicas.values():
-                        replica.stop_production()
-                    self.phase = "drain"
-                else:
-                    self.phase = "reads"
-            elif self.phase == "drain":
-                self.network.run(
-                    max_events=self.max_events,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_sink=sink,
-                )
-                self.phase = "reads"
-            elif self.phase == "reads":
-                if self.final_reads:
-                    for replica in self.replicas.values():
-                        if replica.alive:
-                            replica.local_read()
-                self.phase = "done"
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown run phase {self.phase!r}")
+        if self.phase == "main":
+            self.network.run(
+                until=self.duration,
+                max_events=self.max_events,
+                checkpoint_every=checkpoint_every,
+                checkpoint_sink=sink,
+            )
+            # Production stops exactly once, at the main → drain
+            # transition; snapshots taken mid-drain already carry the
+            # stopped producers inside replica state.
+            for replica in self.replicas.values():
+                replica.stop_production()
+            self.phase = "drain"
+        if self.phase == "drain":
+            self.network.run(
+                max_events=self.max_events,
+                checkpoint_every=checkpoint_every,
+                checkpoint_sink=sink,
+            )
+            for replica in self.replicas.values():
+                if replica.alive:
+                    replica.local_read()
+            self.phase = "done"
         return self.result()
 
     def result(self) -> RunResult:
@@ -579,7 +561,6 @@ class LiveRun:
             oracle=self.oracle,
             network=self.network,
             duration=self.duration,
-            monitor=self.monitor,
             population=self.population,
             degradation=self.degradation,
         )
@@ -598,10 +579,7 @@ def run_protocol(
     n: int = 8,
     duration: float = 200.0,
     channel: Optional[ChannelModel] = None,
-    final_reads: bool = True,
-    drain: bool = True,
     max_events: int = 2_000_000,
-    monitor: Optional[ConsistencyMonitor] = None,
     topology: Optional[Topology] = None,
     core: Optional[str] = None,
     clients: Optional[int] = None,
@@ -612,6 +590,14 @@ def run_protocol(
     checkpoint_sink: Optional[Callable[[LiveRun], None]] = None,
 ) -> RunResult:
     """Run a protocol model and collect its history.
+
+    After ``duration`` block production stops and the already-queued
+    deliveries are processed until the network quiesces — what lets
+    correct replicas converge under reliable communication, and
+    deliberately *not* enough when messages were dropped (the Theorem
+    4.6/4.7 experiment).  Then every alive replica issues one last
+    ``read()``, so the "limit views" the eventual-prefix interpretation
+    uses are part of the history.
 
     Parameters
     ----------
@@ -624,22 +610,6 @@ def run_protocol(
     n, duration, channel:
         Number of replicas, virtual run length, channel model (default: a
         synchronous channel with δ = 1).
-    monitor:
-        Optional :class:`~repro.core.consistency_index.ConsistencyMonitor`
-        subscribed to the recorder before the run starts, so its index is
-        fed online while events stream in and the consistency reports
-        can be asked of it at any point.  The monitor is returned on the
-        result (``result.monitor``).
-    final_reads:
-        Issue one last ``read()`` at every replica after the run quiesces,
-        so the "limit views" used by the eventual-prefix interpretation are
-        part of the history.
-    drain:
-        After ``duration``, stop block production and keep processing the
-        already-queued deliveries until the network quiesces.  This is what
-        lets correct replicas converge under reliable communication (and is
-        deliberately *not* enough to make them converge when messages were
-        dropped, which is the Theorem 4.6/4.7 experiment).
     topology:
         Dissemination topology deciding who hears each broadcast (see
         :mod:`repro.network.topology`).  ``None`` keeps the historical
@@ -685,8 +655,6 @@ def run_protocol(
         slot_width=slot_width_for(channel),
     )
     recorder = HistoryRecorder()
-    if monitor is not None:
-        monitor.attach(recorder)
     network = Network(simulator, channel, recorder=recorder, topology=topology)
     replicas: Dict[str, BlockchainReplica] = {}
     for pid in process_ids(n):
@@ -736,11 +704,8 @@ def run_protocol(
         # ``max_events`` guards against runaway *protocols*; the client
         # operations the harness itself scheduled are not charged to it.
         max_events=max_events + (population.scheduled_ops if population is not None else 0),
-        monitor=monitor,
         population=population,
         degradation=degradation,
-        drain=drain,
-        final_reads=final_reads,
     )
     return live.finish(
         checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink

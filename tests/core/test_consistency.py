@@ -201,7 +201,7 @@ class TestMalformedRead:
         ):
             with pytest.raises(TypeError, match=r"q\.read.*carries no blockchain output"):
                 check(history)
-        # The streaming monitor documents that it skips such events.
+        # The monitor documents that it skips such events.
         assert ConsistencyMonitor().replay(history).reads_seen == 1
 
 

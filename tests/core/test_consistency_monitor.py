@@ -1,18 +1,17 @@
-"""Streaming ConsistencyMonitor vs. the post-hoc checkers.
+"""ConsistencyMonitor vs. the post-hoc checkers.
 
-The monitor's contract: at any prefix of an execution its reports equal
-the post-hoc checkers evaluated on the history recorded so far — name,
-verdict, count, witnesses and details.  The monitor asks those checkers,
-so what the tests hold fixed is its intake: the index it feeds event by
-event must be the one ``ConsistencyIndex.from_history`` builds.  They
-check that per event on generated histories, and at end-of-run on real
-protocol executions including crash faults and drop-heavy
-(partition-like) channels.
+The monitor's contract: on the history it replayed — any prefix of an
+execution — its reports equal the post-hoc checkers evaluated on that
+history: name, verdict, count, witnesses and details.  The monitor asks
+those checkers, so what the tests hold fixed is its intake: the index it
+fills must be the one ``ConsistencyIndex.from_history`` builds.  They
+check that on every prefix of generated histories, and at end-of-run on
+real protocol executions including crash faults and drop-heavy
+(partition-like) channels, where the ``monitor=True`` payload must be
+the replay's summary.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -23,7 +22,7 @@ from repro.core.consistency import (
     StrongPrefixChecker,
 )
 from repro.core.consistency_index import ConsistencyMonitor
-from repro.core.history import History, HistoryRecorder
+from repro.core.history import History
 from repro.core.score import LengthScore, WeightScore
 from repro.engine import ChannelSpec, ExperimentSpec, FaultSpec
 from repro.workload.scenarios import (
@@ -37,9 +36,9 @@ from repro.workload.scenarios import (
 from tests.core.test_consistency_equivalence import checker_config, random_history
 
 
-def _assert_agreement(monitor, history, score, validator=None, stall_threshold=None):
-    strong = BTStrongConsistency(score, validator, stall_threshold).check(history)
-    eventual = BTEventualConsistency(score, validator, stall_threshold).check(history)
+def _assert_agreement(monitor, history, score):
+    strong = BTStrongConsistency(score).check(history)
+    eventual = BTEventualConsistency(score).check(history)
     assert monitor.reports() == (strong, eventual)
     assert monitor.property_verdicts() == {
         r.name: r.holds for r in strong.results + eventual.results
@@ -68,24 +67,20 @@ class TestReplayAgreement:
 
     @pytest.mark.parametrize("seed", range(0, 200, 4))
     def test_random_histories(self, seed):
-        history, bad_ids = random_history(seed)
-        score, stall_threshold, _ = checker_config(seed)
-        validator = (lambda block: block.block_id not in bad_ids) if bad_ids else None
-        monitor = ConsistencyMonitor(score, validator, stall_threshold).replay(history)
-        _assert_agreement(monitor, history, score, validator, stall_threshold)
+        history, _ = random_history(seed)
+        score, _, _ = checker_config(seed)
+        monitor = ConsistencyMonitor(score).replay(history)
+        _assert_agreement(monitor, history, score)
 
     @pytest.mark.parametrize("seed", range(0, 60, 4))
     def test_every_prefix(self, seed):
-        """The strong form: agreement after *each* event, not just at the end."""
-        history, bad_ids = random_history(seed)
-        score, stall_threshold, _ = checker_config(seed)
-        validator = (lambda block: block.block_id not in bad_ids) if bad_ids else None
-        monitor = ConsistencyMonitor(score, validator, stall_threshold)
+        """The strong form: agreement on *each* prefix, not just the whole."""
+        history, _ = random_history(seed)
+        score, _, _ = checker_config(seed)
         events = list(history)
-        for k, event in enumerate(events, start=1):
-            monitor.observe(event)
+        for k in range(1, len(events) + 1):
             prefix = History(events[:k])
-            _assert_agreement(monitor, prefix, score, validator, stall_threshold)
+            _assert_agreement(ConsistencyMonitor(score).replay(prefix), prefix, score)
 
 
 class TestOneImplementation:
@@ -111,40 +106,14 @@ class TestOneImplementation:
         assert summary["strong"] is False and summary["eventual"] is True
         assert summary["properties"]["strong-prefix"] is False
 
-    def test_reports_are_kept_until_the_next_event(self):
+    def test_reports_are_kept_until_the_next_replay(self):
         *earlier, last = figure3_history()
         monitor = ConsistencyMonitor().replay(History(earlier))
         kept = monitor.reports()
         assert monitor.reports() is kept
-        monitor.observe(last)
+        monitor.replay(History([last]))
         assert monitor.reports() is not kept
-
-
-class TestPickledState:
-    """The monitor travels inside every ``monitor=True`` checkpoint."""
-
-    def test_round_trip_keeps_observing(self):
-        *earlier, last = figure3_history()
-        monitor = ConsistencyMonitor().replay(History(earlier))
-        monitor.reports()
-        restored = pickle.loads(pickle.dumps(monitor))
-        restored.observe(last)
-        assert restored.reports() == ConsistencyMonitor().replay(figure3_history()).reports()
-
-
-class TestLiveRecording:
-    def test_attach_sees_recorder_events(self):
-        recorder = HistoryRecorder()
-        monitor = ConsistencyMonitor().attach(recorder)
-        reference = figure3_history()
-        for event in reference:
-            if event.is_append_invocation:
-                recorder.complete(event.process, "append", event.argument, True)
-            elif event.is_read_response:
-                recorder.complete(event.process, "read", None, event.output)
-        history = recorder.history()
-        assert monitor.events_seen == len(history)
-        _assert_agreement(monitor, history, LengthScore())
+        assert monitor.reports() == ConsistencyMonitor().replay(figure3_history()).reports()
 
 
 class TestProtocolRuns:
@@ -152,13 +121,11 @@ class TestProtocolRuns:
 
     def _check(self, spec: ExperimentSpec):
         record = spec.with_updates(monitor=True).execute()
-        assert record.consistency is not None
-        run = record.run
-        assert run is not None and run.monitor is not None
-        _assert_agreement(run.monitor, run.history, spec.build_score())
-        # The serialized summary mirrors the live monitor.
-        assert record.consistency["strong"] == run.monitor.strong_holds()
-        assert record.consistency["eventual"] == run.monitor.eventual_holds()
+        history = record.run.history
+        monitor = ConsistencyMonitor(spec.build_score()).replay(history)
+        _assert_agreement(monitor, history, spec.build_score())
+        assert record.consistency == monitor.summary()
+        assert record.consistency["events"] == len(history)
 
     def test_fork_prone_bitcoin(self):
         self._check(

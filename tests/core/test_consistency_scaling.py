@@ -104,12 +104,12 @@ QUERY_BOUND = READS * math.log2(READS) + PROCESSES**2
 PEAK_BOUND = 16 * 2**20
 
 
-def streamed_prefix_results(history):
-    """The same two results asked of a monitor that observed ``history``.
+def replayed_prefix_results(history):
+    """The same two results asked of a monitor that replayed ``history``.
 
-    Observing is intake only — no ancestry query; the ask is the post-hoc
+    Replaying is intake only — no ancestry query; the ask is the post-hoc
     evaluation, held to the post-hoc bounds; a second ask with no new
-    event is answered from the kept reports.
+    replay is answered from the kept reports.
     """
     monitor = ConsistencyMonitor()
     index = monitor.index = CountingIndex()
@@ -147,7 +147,7 @@ def test_healed_fork_is_ec_not_sc_with_a_counted_verdict():
     assert eventual_prefix.count == 0 and not eventual_prefix.violations
     assert queries <= QUERY_BOUND
     assert peak < PEAK_BOUND
-    assert streamed_prefix_results(history) == (strong_prefix, eventual_prefix)
+    assert replayed_prefix_results(history) == (strong_prefix, eventual_prefix)
 
 
 def test_open_fork_counts_every_objecting_read():
@@ -168,7 +168,7 @@ def test_open_fork_counts_every_objecting_read():
     assert eventual_prefix.violations[0].startswith("after read 90 (score 1.0), reads")
     assert queries <= QUERY_BOUND
     assert peak < PEAK_BOUND
-    assert streamed_prefix_results(history) == (strong_prefix, eventual_prefix)
+    assert replayed_prefix_results(history) == (strong_prefix, eventual_prefix)
 
 
 @pytest.mark.parametrize("resolve", [True, False])

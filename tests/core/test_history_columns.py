@@ -8,7 +8,9 @@ history's reads straight off its columns.  Each is held here to what it
 replaces: the recorder that built one event per recorded event
 (``tests/network/reference_plane.py::ReferenceHistoryRecorder``) and an
 index fed :meth:`~repro.core.consistency_index.ConsistencyIndex.add_read`
-one event at a time.
+one event at a time.  A run records no event object, monitored or not:
+only the degradation monitor, a live listener, makes the recorder build
+them.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class TestColumnIntake:
         assert monitor.events_seen == 6
 
 
-def _run(fork: bool, **changes):
+def _spec(fork: bool, **changes) -> ExperimentSpec:
     if fork:  # a flooded bitcoin network that forks: Strong Prefix fails
         spec = ExperimentSpec(
             protocol="bitcoin",
@@ -198,12 +200,33 @@ def _run(fork: bool, **changes):
         )
     else:
         spec = ExperimentSpec(protocol="hyperledger", replicas=4, duration=60.0, seed=3)
-    spec = spec.with_updates(**changes)
+    return spec.with_updates(**changes)
+
+
+def _run(fork: bool, **changes):
+    spec = _spec(fork, **changes)
     return get_protocol(spec.protocol).runner_for(None)(**spec.build_kwargs())
 
 
+def _witnesses(*reports):
+    return [text for report in reports for prop in report.results for text in prop.violations]
+
+
+def _count_built_events(monkeypatch):
+    """Patch :class:`Event` so the returned list grows by one per event built."""
+    built = []
+    init = Event.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["eid"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting)
+    return built
+
+
 class TestEventsOnDemand:
-    def test_live_monitors_see_the_recorded_events(self, monkeypatch):
+    def test_the_degradation_monitor_sees_the_recorded_events(self, monkeypatch):
         degraded = []
         observe = DegradationMonitor.observe
 
@@ -212,38 +235,36 @@ class TestEventsOnDemand:
             observe(self, event)
 
         monkeypatch.setattr(DegradationMonitor, "observe", spy)
-        run = _run(
-            fork=True,
-            monitor=True,
-            fault=FaultSpec(kind="crash", params={"at": {"p1": 20.0}}),
-        )
-        history = run.history
-        assert run.degradation is not None and run.monitor is not None
-        assert degraded == list(history.events)
-        assert run.monitor.index.reads == list(history.read_responses())
-        assert run.monitor.reports() == ConsistencyMonitor().replay(history).reports()
+        run = _run(fork=True, fault=FaultSpec(kind="crash", params={"at": {"p1": 20.0}}))
+        assert run.degradation is not None
+        assert degraded == list(run.history.events)
 
     @pytest.mark.parametrize("fork", (True, False), ids=("fork", "chain"))
     def test_only_witnesses_build_events(self, monkeypatch, fork):
         """A run, its classification and a monitor replay build an event
         only to word a witness (at most three per witness)."""
-        built = []
-        init = Event.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args[0] if args else kwargs["eid"])
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Event, "__init__", counting)
+        built = _count_built_events(monkeypatch)
         run = _run(fork)
         result = classify_run(run)
         ConsistencyMonitor().replay(run.history)
-        witnesses = [
-            text
-            for report in (result.strong_report, result.eventual_report)
-            for prop in report.results
-            for text in prop.violations
-        ]
+        witnesses = _witnesses(result.strong_report, result.eventual_report)
         assert len(run.history) > 200
         assert len(built) <= 3 * len(witnesses)
         assert bool(built) == bool(witnesses) == fork
+
+    @pytest.mark.parametrize("fork", (True, False), ids=("fork", "chain"))
+    def test_a_monitored_run_builds_only_witness_events(self, monkeypatch, fork):
+        """``monitor=True`` checks the finished history: the run itself
+        builds no event, so the only ones built word the witnesses of the
+        classification and of the monitor's reports."""
+        built = _count_built_events(monkeypatch)
+        spec = _spec(fork, monitor=True)
+        record = spec.execute()
+        count = len(built)
+        monitor = ConsistencyMonitor(spec.build_score()).replay(record.run.history)
+        result = record.classification_result
+        witnesses = _witnesses(result.strong_report, result.eventual_report, *monitor.reports())
+        assert record.consistency == monitor.summary()
+        assert len(record.run.history) > 200
+        assert count <= 3 * len(witnesses)
+        assert bool(count) == bool(witnesses) == fork

@@ -122,8 +122,8 @@ class TestCheckpointFormat:
         )
 
     def test_monitored_run_restores_inside_the_main_phase(self):
-        """The streaming monitor is part of the snapshot: restored, it is
-        still the recorder's subscriber and ends with the same reports."""
+        """A monitored run resumed from a main-phase snapshot checks the
+        same raw history, so it carries the clean run's verdicts."""
         spec = _spec(
             monitor=True,
             channel=ChannelSpec(kind="synchronous", params={"delta": 3.0, "min_delay": 0.5}),
@@ -136,8 +136,7 @@ class TestCheckpointFormat:
         resumed = resume_spec_from_checkpoint(spec, snapshot)
         assert resumed.consistency == clean.consistency
         assert resumed.stable_dict() == clean.stable_dict()
-        assert resumed.run.monitor.events_seen == len(resumed.run.history)
-        assert resumed.run.monitor.reports() == clean.run.monitor.reports()
+        assert resumed.consistency["events"] == len(resumed.run.history)
 
 
 @pytest.mark.usefixtures("event_core")
@@ -183,8 +182,8 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
 
 
 #: The refused checkpoints :func:`_age` makes: of the version before, of
-#: versions 1 to 3, and of none.
-_AGED = ["older", "version-1", "version-2", "version-3", "unversioned"]
+#: versions 1 to 4, and of none.
+_AGED = ["older", "version-1", "version-2", "version-3", "version-4", "unversioned"]
 
 
 def _age(path: str, written: str, monkeypatch) -> str:
@@ -193,8 +192,9 @@ def _age(path: str, written: str, monkeypatch) -> str:
     format whose recorder pickled one event object per event), at version 2
     (whose array event core pickled a method-intern table and a packed
     bucket table), at version 3 (whose array event core could pickle a
-    partly taken stretch of duplicates), or before versions were recorded
-    (``"unversioned"``).
+    partly taken stretch of duplicates), at version 4 (whose run could
+    pickle a live consistency monitor subscribed to its recorder), or
+    before versions were recorded (``"unversioned"``).
     Returns the refusal's message."""
     now = repro.MODEL_VERSION
     if written == "older":
@@ -224,7 +224,7 @@ class TestModelVersion:
     def test_header_carries_the_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 4
+        assert head["model_version"] == repro.MODEL_VERSION == 5
 
     @pytest.mark.parametrize("written", _AGED)
     def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):
@@ -371,7 +371,7 @@ class TestPoolCheckpointRetries:
             cache=ResultCache(tmp_path / "cache"),
             executor=flaky,
             retries=1,
-            timeout=10.0,
+            timeout=2.0,
             backoff=0.0,
             journal=journal_path,
         )
@@ -427,7 +427,7 @@ class TestPoolCheckpointRetries:
         run_spec_with_checkpoints(spec, every=150, path=path)
         snapshot = load_checkpoint(path)
         live = pickle.loads(snapshot.payload)
-        assert live.phase in ("main", "drain", "reads", "done")
+        assert live.phase in ("main", "drain")  # snapshots are taken while events drain
 
 
 class TestCellWorkerCheckpointArgs:

@@ -115,14 +115,15 @@ class TestDeclarations:
         assert declared.isdisjoint(harness)
         assert declared | harness == set(inspect.signature(runner).parameters)
         # ... and a spec can address every harness option it has a field
-        # for, none through ``params``.
-        assert harness | {"client_seed"} == set(_HARNESS_FIELDS)
+        # for, none through ``params`` (nor ``monitor``, checked after the run).
+        assert harness | {"client_seed", "monitor"} == set(_HARNESS_FIELDS)
+        assert "monitor" not in harness
 
     def test_a_declaration_naming_a_harness_option_is_refused(self):
-        def run_leaky(n: int = 3, *, seed: int = 0, monitor=None):
+        def run_leaky(n: int = 3, *, seed: int = 0, topology=None):
             raise AssertionError("never declared")
 
-        with pytest.raises(ValueError, match="duplicate parameter name: 'monitor'"):
+        with pytest.raises(ValueError, match="duplicate parameter name: 'topology'"):
             system_runner(run_leaky)
 
 

@@ -446,14 +446,19 @@ class TestMonitorOptIn:
         assert "monitor" not in spec.to_dict()
         assert ExperimentSpec.from_json(spec.to_json()).monitor is False
 
-    def test_build_kwargs_materializes_a_monitor(self):
+    def test_the_monitor_checks_after_the_run_not_inside_it(self):
         from repro.core.consistency_index import ConsistencyMonitor
 
-        spec = ExperimentSpec(protocol="bitcoin", monitor=True, params={"token_rate": 0.4})
-        kwargs = spec.build_kwargs()
-        assert isinstance(kwargs["monitor"], ConsistencyMonitor)
-        plain = ExperimentSpec(protocol="bitcoin", params={"token_rate": 0.4})
-        assert "monitor" not in plain.build_kwargs()
+        spec = ExperimentSpec(
+            protocol="bitcoin", duration=30.0, monitor=True, params={"token_rate": 0.4}
+        )
+        plain = spec.with_updates(monitor=False)
+        assert spec.build_kwargs().keys() == plain.build_kwargs().keys()
+        assert "monitor" not in spec.build_kwargs()
+        record = spec.execute()
+        assert plain.execute().consistency is None
+        expected = ConsistencyMonitor(spec.build_score()).replay(record.run.history)
+        assert record.consistency == expected.summary()
 
     def test_execute_attaches_verdicts(self):
         spec = ExperimentSpec(

@@ -183,16 +183,6 @@ class TestRunHarness:
         assert len(result.history.read_responses()) >= 3
         assert set(result.final_chains()) == {"p0", "p1", "p2"}
 
-    def test_run_without_final_reads(self):
-        oracle = ProdigalOracle(tapes=TapeFamily())
-        result = run_protocol(
-            "noop", self._factory, oracle, n=2, duration=10.0, final_reads=False
-        )
-        reads_per_process = {
-            pid: len(result.history.read_responses(pid)) for pid in result.replicas
-        }
-        assert all(count == 2 for count in reads_per_process.values())
-
     def test_correct_replicas_and_creator_map(self):
         oracle = ProdigalOracle(tapes=TapeFamily())
         result = run_protocol("noop", self._factory, oracle, n=2, duration=5.0)

@@ -9,6 +9,8 @@ commands:
 * one cell per registered fault kind;
 * one cell finished from a mid-run checkpoint (through the on-disk
   bytes);
+* the bitcoin Table 1 cell and the churn cell with ``monitor=True``
+  (the payload's ``consistency`` summary);
 * ``repro table1`` and ``repro classify bitcoin --fork-prone``.
 
 It also holds :data:`repro.MODEL_VERSION`.  A refactor that moves any
@@ -76,6 +78,12 @@ _POPULATION = ExperimentSpec(
 )
 
 
+def _fault_cell(kind: str) -> ExperimentSpec:
+    return _FAULT_BASE.with_updates(
+        fault=FaultSpec(kind=kind, params=_FAULT_PARAMS[kind]), label=f"fault:{kind}"
+    )
+
+
 def _resumed(spec: ExperimentSpec) -> str:
     """The spec finished from its first checkpoint, read back from bytes."""
     snapshots = []
@@ -102,11 +110,14 @@ def _locked_texts() -> Iterator[Tuple[str, str]]:
         yield f"table1:{name}", table1_spec(name).execute().stable_json()
     yield "population", _POPULATION.execute().stable_json()
     for kind in FAULT_REGISTRY:
-        spec = _FAULT_BASE.with_updates(
-            fault=FaultSpec(kind=kind, params=_FAULT_PARAMS[kind]), label=f"fault:{kind}"
-        )
-        yield f"fault:{kind}", spec.execute().stable_json()
+        yield f"fault:{kind}", _fault_cell(kind).execute().stable_json()
     yield "checkpoint-resumed", _resumed(_FAULT_BASE)
+    yield "monitor:table1:bitcoin", (
+        table1_spec("bitcoin").with_updates(monitor=True).execute().stable_json()
+    )
+    yield "monitor:fault:churn", (
+        _fault_cell("churn").with_updates(monitor=True).execute().stable_json()
+    )
     yield "stdout:table1", _stdout("table1")
     yield "stdout:classify-bitcoin-fork-prone", _stdout("classify", "bitcoin", "--fork-prone")
 

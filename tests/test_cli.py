@@ -344,13 +344,13 @@ class TestSweepCommand:
 
 
 class TestMonitorFlags:
-    def test_classify_monitor_prints_streaming_verdicts(self, capsys):
+    def test_classify_monitor_prints_the_verdicts(self, capsys):
         assert main([
             "classify", "hyperledger", "--replicas", "3", "--duration", "30",
             "--seed", "3", "--monitor",
         ]) == 0
         out = capsys.readouterr().out
-        assert "streaming monitor" in out
+        assert "consistency monitor (post-hoc, raw history):" in out
         assert "strong consistency: True" in out
         assert "eventual-prefix=True" in out
 
@@ -359,7 +359,7 @@ class TestMonitorFlags:
             "classify", "hyperledger", "--replicas", "3", "--duration", "30",
             "--seed", "3",
         ]) == 0
-        assert "streaming monitor" not in capsys.readouterr().out
+        assert "consistency monitor (post-hoc, raw history):" not in capsys.readouterr().out
 
     def test_sweep_monitor_lands_in_json(self, capsys, tmp_path):
         out = tmp_path / "results.json"
