@@ -201,7 +201,7 @@ class ConsistencyIndex:
         """Merge the chain a read response returned; enter it in the read table.
 
         A read whose tip block the index holds already — that very object —
-        is entered in O(1); any other chain is merged by :meth:`add_chain`'s
+        is entered in O(1); any other chain is merged by :meth:`_merge`'s
         walk, with its content check.
         """
         chain = read.output
@@ -237,10 +237,8 @@ class ConsistencyIndex:
         """Every read response of the read table, in arrival order (each built)."""
         return [self.read(position) for position in range(len(self.chains))]
 
-    def add_chain(
-        self, chain: Blockchain, read_eid: Optional[int] = None
-    ) -> List[Block]:
-        """Merge ``chain`` into the analysis tree; return the new blocks.
+    def _merge(self, blocks: Tuple[Block, ...], read_eid: Optional[int]) -> int:
+        """Merge a chain's ``blocks`` into the analysis tree; returns the tip's node.
 
         Walks the chain tip-first and stops at the first block already
         indexed, so a fully known chain costs O(1) and the total merge
@@ -248,12 +246,6 @@ class ConsistencyIndex:
         the stop point is compared against the stored block, enforcing
         the id-uniqueness assumption documented in the module docstring.
         """
-        known = len(self._blocks)
-        self._merge(chain.blocks, read_eid)
-        return self._blocks[max(known, 1) :]
-
-    def _merge(self, blocks: Tuple[Block, ...], read_eid: Optional[int]) -> int:
-        """:meth:`add_chain` on a chain's blocks; returns the tip's node."""
         if not self._blocks:
             self._insert(blocks[0], -1, -1)
         known = self._node

@@ -1,4 +1,4 @@
-"""Online degradation tracking for adversarial runs.
+"""Degradation of an adversarial run, read off its finished history.
 
 The :class:`~repro.core.consistency_index.ConsistencyMonitor` answers
 *whether* a consistency criterion holds on a finished history;
@@ -7,97 +7,94 @@ need the quantitative counterpart: *how far* did the correct replicas'
 views diverge, and how quickly did they re-agree once the adversary
 stopped interfering.
 
-:class:`DegradationMonitor` answers that while the run records: it
-subscribes to a :class:`~repro.core.history.HistoryRecorder`, because it
-stamps each sample with the virtual clock and counts only the replicas
-correct at that read, neither of which a history records.  It folds
-every read response into one
-:class:`~repro.core.consistency_index.ConsistencyIndex`.  After each
-read it recomputes the **divergence depth** over the correct replicas'
-latest tips: for each tip pair the depth of the shallower branch past
-their lowest common ancestor,
+:class:`DegradationMonitor` answers that in one pass over the history
+after the run.  It enters the read responses into one
+:class:`~repro.core.consistency_index.ConsistencyIndex` and walks them in
+order, each with the virtual time the recorder stamped on it, applying
+the network's liveness log (``Network.liveness``: every crash and revive,
+against the number of events recorded before it) ahead of each read.
+At each read it computes the **divergence depth** over the latest tips of
+the replicas correct at that read: for each tip pair the depth of the
+shallower branch past their lowest common ancestor,
 
     ``min(height(a), height(b)) - height(lca(a, b))``
 
 which is 0 iff the pair is prefix-related — two replicas holding
 different-length prefixes of one chain agree; only a genuine fork
-counts.  The monitor records a ``(virtual time, depth)`` sample at every
-change, and — when the fault announces a heal time — the first post-heal
-instant at which the depth returns to 0, i.e. when correct-replica
-prefix agreement is restored.  ``time_to_heal`` is that instant minus
-the heal time.
-
-The monitor is observation-only: it never mutates replicas or schedules
-events, so attaching it cannot perturb the recorded history.
+counts.  Heights and ancestors are fixed by the blocks, so the index of
+the whole history gives every read the numbers it had when it was
+recorded.  The monitor records a ``(virtual time, depth)`` sample at
+every change, and — when the fault announces a heal time — the first
+post-heal instant at which the depth returns to 0, i.e. when
+correct-replica prefix agreement is restored.  ``time_to_heal`` is that
+instant minus the heal time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.block import Blockchain
+import numpy as np
+
 from repro.core.consistency_index import ConsistencyIndex
-from repro.core.history import Event, HistoryRecorder
+from repro.core.history import History
 
 __all__ = ["DegradationMonitor"]
 
 
 class DegradationMonitor:
-    """Divergence depth over time, and time-to-heal, from streamed reads.
+    """Divergence depth over time, and time-to-heal, of a recorded history.
 
     Parameters
     ----------
+    history:
+        The finished history; its time column stamps the samples.
     heal_at:
         The adversary's announced heal time (see
         :meth:`~repro.network.faults.FaultModel.heal_time`); ``None``
         disables the time-to-heal measurement.
-    clock:
-        Zero-argument callable returning the current virtual time
-        (``lambda: simulator.now``).  Without one, samples are stamped
-        with the event id — still monotone, but not in virtual time.
-    correct:
-        Predicate over pids deciding whose tips count toward divergence
-        (defaults to everyone); the run harness wires it to
-        ``replica.is_correct`` so crashed and Byzantine views are
-        excluded at sample time.
+    liveness:
+        ``(events recorded before it, pid, alive after it)`` per crash or
+        revive, in order (``Network.liveness``); a pid is alive until its
+        first entry.
+    byzantine:
+        The pids Byzantine for the whole run.  Neither their tips nor a
+        crashed replica's count toward divergence.
     """
 
     def __init__(
         self,
+        history: History,
         heal_at: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-        correct: Optional[Callable[[str], bool]] = None,
+        liveness: Iterable[Tuple[int, str, bool]] = (),
+        byzantine: Iterable[str] = (),
     ) -> None:
         self.heal_at = heal_at
-        self.clock = clock
-        self.correct = correct
-        self.index = ConsistencyIndex()
-        self.reads_seen = 0
         self.max_divergence_depth = 0
         self.current_divergence_depth = 0
         self.healed_at: Optional[float] = None
         #: ``(time, depth)`` at every depth change (plus the first read).
         self.samples: List[Tuple[float, int]] = []
-        self._tips: Dict[str, str] = {}
+        index = ConsistencyIndex().ingest(history, skip_chainless=True)
+        _, processes, eids = index.read_table()
+        self.reads_seen = len(eids)
+        times = history._times[np.searchsorted(history._eids, eids)].tolist()
+        names = index.process_names()
+        faulty, crashed = set(byzantine), set()
+        changes = list(liveness)[::-1]  # popped oldest first
+        tips: Dict[str, str] = {}  # each process's latest tip
+        for read, (process, eid, now) in enumerate(zip(processes.tolist(), eids.tolist(), times)):
+            while changes and changes[-1][0] < eid:  # it came before this read
+                _, pid, alive = changes.pop()
+                if alive:
+                    crashed.discard(pid)
+                else:
+                    crashed.add(pid)
+            tips[names[process]] = index.read_tip(read)
+            correct = {tip for pid, tip in tips.items() if pid not in crashed and pid not in faulty}
+            self._sample(now, _divergence_depth(index, sorted(correct)))
 
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, recorder: HistoryRecorder) -> "DegradationMonitor":
-        """Subscribe to every event ``recorder`` will record."""
-        recorder.subscribe(self.observe)
-        return self
-
-    # -- event intake ---------------------------------------------------------
-
-    def observe(self, event: Event) -> None:
-        """Fold one history event in (only read responses matter here)."""
-        if not event.is_read_response or not isinstance(event.output, Blockchain):
-            return
-        chain: Blockchain = event.output
-        self.index.add_chain(chain, read_eid=event.eid)
-        self._tips[event.process] = chain.tip.block_id
-        now = self.clock() if self.clock is not None else float(event.eid)
-        depth = self._divergence_depth()
+    def _sample(self, now: float, depth: int) -> None:
         if not self.samples or depth != self.current_divergence_depth:
             self.samples.append((now, depth))
         self.current_divergence_depth = depth
@@ -110,27 +107,6 @@ class DegradationMonitor:
             and depth == 0
         ):
             self.healed_at = now
-        self.reads_seen += 1
-
-    def _divergence_depth(self) -> int:
-        """Worst pairwise fork depth among the correct replicas' tips."""
-        if self.correct is None:
-            tips = self._tips.values()
-        else:
-            tips = [tip for pid, tip in self._tips.items() if self.correct(pid)]
-        distinct = sorted(set(tips))
-        if len(distinct) < 2:
-            return 0
-        index = self.index
-        height = index.height_of
-        lca = index.lowest_common_ancestor
-        worst = 0
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1 :]:
-                depth = min(height(a), height(b)) - height(lca(a, b))
-                if depth > worst:
-                    worst = depth
-        return worst
 
     # -- results --------------------------------------------------------------
 
@@ -152,3 +128,13 @@ class DegradationMonitor:
             "time_to_heal": self.time_to_heal,
             "samples": len(self.samples),
         }
+
+
+def _divergence_depth(index: ConsistencyIndex, tips: List[str]) -> int:
+    """Worst pairwise fork depth among distinct ``tips``."""
+    height, lca = index.height_of, index.lowest_common_ancestor
+    worst = 0
+    for i, a in enumerate(tips):
+        for b in tips[i + 1 :]:
+            worst = max(worst, min(height(a), height(b)) - height(lca(a, b)))
+    return worst

@@ -21,9 +21,10 @@ total order is equivalent because the recorded executions come from a
 single run (the paper's fictional global clock).
 
 A history is columns: the recorder writes one int64 row per event (kind,
-operation, process, ``op_id``, ``seq``; the eid is the position) and one
-object (argument or output), and builds no :class:`Event`.  A history's
-events are built on first use, once.  The analyses read the columns:
+operation, process, ``op_id``, ``seq``; the eid is the position), the
+virtual time it was recorded at and one object (argument or output), and
+builds no :class:`Event`.  A history's events are built on first use,
+once.  The analyses read the columns:
 the positions of the read responses and append invocations, noted when
 the history is built, and the values there (see
 :meth:`repro.core.consistency_index.ConsistencyIndex.ingest`).
@@ -37,7 +38,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,6 +142,9 @@ class OperationToken:
 
 _eid = attrgetter("eid")
 
+#: The clock of a recorder with no simulator: every event at time 0.0.
+_STOPPED = SimpleNamespace(now=0.0)
+
 #: Event kinds by code, and the names every name table starts with (a read
 #: is operation 0 and an append operation 1 in every history).
 _KINDS = tuple(EventKind)
@@ -149,23 +154,15 @@ _NAMES = ("read", "append", "send", "receive", "update")
 _READ, _APPEND = 0, 1
 
 
-def _event(row: Tuple[int, int, str, str, int, int], value: Any, argument: Any) -> Event:
-    """The event of a row (eid, kind code, operation, process, op_id, seq):
-    ``value`` is a response's output and any other event's argument, and a
-    response's argument is its invocation's."""
-    eid, kind, operation, process, op_id, seq = row
-    if kind == _RESPONSE:
-        return Event(eid, EventKind.RESPONSE, process, operation, argument, value, op_id, seq)
-    return Event(eid, _KINDS[kind], process, operation, value, None, op_id, seq)
-
-
 class History:
     """An immutable-ish concurrent history: a sequence of events.
 
     The events are kept in timestamp order as columns: an int64 table with
     one row per column (eid, kind code, operation and process codes into
-    one table of names, ``op_id``, ``seq``) and one object column (a
-    response's output, any other event's argument).  Accessors returning
+    one table of names, ``op_id``, ``seq``), a float64 column of virtual
+    times (``_times``: the recorder's clock, 0.0 for a history built from
+    events) and one object column (a response's output, any other
+    event's argument).  Accessors returning
     events build each on first use, once; a history built from events
     keeps those.  All accessors return tuples; the mutating entry point is
     the :class:`HistoryRecorder`.
@@ -181,12 +178,17 @@ class History:
         ]  # fmt: skip
         values = [e.output if e.kind is EventKind.RESPONSE else e.argument for e in ordered]
         columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T
-        self._adopt(columns, values, list(codes), list(ordered))
+        self._adopt(columns, np.zeros(len(rows)), values, list(codes), list(ordered))
 
     def _adopt(
-        self, columns: np.ndarray, values: List[Any], names: List[str], built: List[Optional[Event]]
+        self,
+        columns: np.ndarray,
+        times: np.ndarray,
+        values: List[Any],
+        names: List[str],
+        built: List[Optional[Event]],
     ) -> None:
-        self._columns, self._values, self._names = columns, values, names
+        self._columns, self._times, self._values, self._names = columns, times, values, names
         self._eids, kinds, self._ops, self._procs, self._op_ids, _ = columns
         responses = kinds == _RESPONSE
         self._reads = np.flatnonzero(responses & (self._ops == _READ))
@@ -202,10 +204,11 @@ class History:
         self._selected: Dict[Tuple[str, Optional[str]], Tuple[Event, ...]] = {}
 
     def _kept(self, keep: np.ndarray) -> "History":
-        """The sub-history of the rows ``keep`` marks (with the events built so far)."""
+        """The sub-history of the rows ``keep`` marks (with their times and the
+        events built so far)."""
         history, mask = History.__new__(History), keep.tolist()
         values, built = list(compress(self._values, mask)), list(compress(self._built, mask))
-        history._adopt(self._columns[:, keep], values, self._names, built)
+        history._adopt(self._columns[:, keep], self._times[keep], values, self._names, built)
         return history
 
     # -- container protocol ----------------------------------------------------
@@ -241,8 +244,14 @@ class History:
             arguments = {int(op_ids[at]): values[at] for at in invocations}
             names = self._names
             for position, eid, kind, op, process, op_id, seq in zip(missing, *columns):
-                row = (eid, kind, names[op], names[process], op_id, seq)
-                built[position] = _event(row, values[position], arguments.get(op_id))
+                # A response's value is its output; any other event's, its argument.
+                value = values[position]
+                argument, output = (
+                    (arguments.get(op_id), value) if kind == _RESPONSE else (value, None)
+                )
+                built[position] = Event(
+                    eid, _KINDS[kind], names[process], names[op], argument, output, op_id, seq
+                )
         return [built[position] for position in positions]  # type: ignore[misc]
 
     @property
@@ -337,12 +346,13 @@ class HistoryRecorder:
     single event is recorded (the paper treats them as atomic).
 
     Recording an event writes five ints (the :class:`History` columns but
-    the eid, which is its position plus one) and one object, and builds
-    no :class:`Event` unless a listener is subscribed.  A response's
+    the eid, which is its position plus one), the ``now`` of ``clock`` (the
+    run's simulator; 0.0 without one) and one object, and builds no
+    :class:`Event`: an analysis reads the finished history.  A response's
     argument is its invocation's: :meth:`respond` takes this recorder's token.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Any = None) -> None:
         self._op_ids = itertools.count(1)
         self._seq: Dict[str, int] = {}
         self._codes = {name: code for code, name in enumerate(_NAMES)}
@@ -350,37 +360,21 @@ class HistoryRecorder:
         # table (``_snapshot``, five rows); later ones in ``_ints``.
         self._snapshot = np.empty((5, 0), dtype=np.int64)
         self._ints = array("q")
+        self._clock = clock if clock is not None else _STOPPED
+        self._times = array("d")
         self._values: List[Any] = []
-        self._listeners: List[Callable[[Event], None]] = []
-
-    # -- streaming subscribers ---------------------------------------------------
-
-    def subscribe(self, listener: Callable[[Event], None]) -> Callable[[Event], None]:
-        """Register ``listener`` to be called with every recorded event.
-
-        This is the hook a live analysis uses
-        (:class:`repro.core.degradation.DegradationMonitor`): events
-        are delivered in recording order, synchronously, right after they
-        are recorded.  Returns the listener for decorator-style use.
-        """
-        self._listeners.append(listener)
-        return listener
 
     def _record(
-        self, kind: int, process: str, operation: str, value: Any, op_id: int = -1, arg: Any = None
+        self, kind: int, process: str, operation: str, value: Any, op_id: int = -1
     ) -> int:
-        """Write one event's row (``arg``: a response's invocation argument);
-        returns its eid."""
+        """Write one event's row; returns its eid."""
         seq = self._seq[process] = self._seq.get(process, 0) + 1
         codes = self._codes
         op = codes.setdefault(operation, len(codes))
         self._ints.extend((kind, op, codes.setdefault(process, len(codes)), op_id, seq))
+        self._times.append(self._clock.now)
         values = self._values
         values.append(value)
-        if self._listeners:
-            event = _event((len(values), kind, operation, process, op_id, seq), value, arg)
-            for listener in self._listeners:
-                listener(event)
         return len(values)
 
     # -- operation events --------------------------------------------------------
@@ -393,9 +387,7 @@ class HistoryRecorder:
 
     def respond(self, token: OperationToken, output: Any = None) -> int:
         """Record the response event matching ``token``; returns its eid."""
-        return self._record(
-            _RESPONSE, token.process, token.operation, output, token.op_id, token.argument
-        )
+        return self._record(_RESPONSE, token.process, token.operation, output, token.op_id)
 
     def complete(self, process: str, operation: str, argument: Any, output: Any) -> int:
         """Record an invocation immediately followed by its response."""
@@ -428,7 +420,8 @@ class HistoryRecorder:
         columns[1:, done:] = np.frombuffer(self._ints, dtype=np.int64).reshape(-1, 5).T
         self._snapshot, self._ints = columns[1:], array("q")
         history = History.__new__(History)
-        history._adopt(columns, list(self._values), list(self._codes), [None] * n)
+        times = np.array(self._times, dtype=np.float64)
+        history._adopt(columns, times, list(self._values), list(self._codes), [None] * n)
         return history
 
     def __len__(self) -> int:

@@ -323,8 +323,9 @@ class ExperimentSpec:
     ``round_interval``, ``selection``, ...): the parameters of the
     system's declaration.  Unknown keys are rejected at execution time,
     so a typo fails loudly instead of silently running the default
-    regime, and so is a key naming a run-harness option — those are spec
-    fields (:data:`_HARNESS_FIELDS`), never ``params``.
+    regime, and so is a key naming a run-harness option or the post-run
+    ``monitor`` check — those are spec fields (:data:`_HARNESS_FIELDS`),
+    never ``params``.
     """
 
     protocol: str
@@ -513,8 +514,13 @@ class ExperimentSpec:
         for key, value in self.params.items():
             if key in _HARNESS_FIELDS:
                 field_name = _HARNESS_FIELDS[key]
+                names = (
+                    "the consistency check analyse_run adds after the run"
+                    if key == "monitor"
+                    else "a run-harness option"
+                )
                 raise ValueError(
-                    f"params[{key!r}] names a run-harness option, not a parameter "
+                    f"params[{key!r}] names {names}, not a parameter "
                     f"of protocol {self.protocol!r}: "
                     + (
                         f"set the spec's {field_name!r} field instead"

@@ -23,9 +23,9 @@ stages a run:
   started; global adversarial events (partition splits and heals, churn
   leaves and joins, eclipse windows) are scheduled on the simulator here.
 * :meth:`FaultModel.heal_time` — the virtual time after which the
-  adversary stops interfering (``None`` if it never does); the
-  :class:`~repro.core.degradation.DegradationMonitor` uses it to measure
-  time-to-heal.
+  adversary stops interfering (``None`` if it never does); once the run
+  has finished, the :class:`~repro.core.degradation.DegradationMonitor`
+  measures time-to-heal from it over the history's time column.
 
 Faults are *registered* (``@register_fault``), mirroring
 ``@register_topology``, so the engine's

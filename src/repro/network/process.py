@@ -161,12 +161,13 @@ class Process:
         """Crash this process immediately.
 
         Liveness changes go through :meth:`crash` and :meth:`revive`: they
-        invalidate the network's duplicate-skip table, which a bare
-        assignment to ``alive`` would leave stale.
+        invalidate the network's duplicate-skip table and enter the
+        network's liveness log, which a bare assignment to ``alive`` would
+        leave stale.
         """
         self.alive = False
         if self.network is not None:
-            self.network._move_epoch()
+            self.network._liveness_changed(self)
 
     def revive(self) -> None:
         """Bring a crashed process back to life (a churn rejoin).
@@ -177,7 +178,7 @@ class Process:
         self.alive = True
         self.incarnation += 1
         if self.network is not None:
-            self.network._move_epoch()
+            self.network._liveness_changed(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flags = []

@@ -537,7 +537,7 @@ class Network:
 
         self.simulator = simulator
         self.channel = channel
-        self.recorder = recorder if recorder is not None else HistoryRecorder()
+        self.recorder = recorder if recorder is not None else HistoryRecorder(simulator)
         self.topology = topology if topology is not None else FullMesh()
         # The full-mesh broadcast path is the hot default and must stay
         # byte-identical to the pre-topology code, so it keeps its own
@@ -583,6 +583,11 @@ class Network:
         self._epoch = 0
         self._skip_epoch = -1
         self._skip_table: List[Any] = []
+        #: Every ``Process.crash`` / ``revive``, in order, as ``(events
+        #: recorded before it, pid, alive after it)``: with the processes'
+        #: ``byzantine`` flags (set before any event), who was correct at
+        #: each event of the history.
+        self.liveness: List[Tuple[int, str, bool]] = []
         # Parked relays (see ``_deliver_span``): ``(sender, receivers, now,
         # slot, first seq, receiver indexes)`` in relay order, and the time
         # a parked delivery must lie beyond — None outside a multicast span.
@@ -651,13 +656,18 @@ class Network:
         return process
 
     def _move_epoch(self) -> None:
-        """Membership or liveness changed (also ``Process.crash``/``revive``):
-        the duplicates the event core counts may be stale from here on
-        (``ArrayEventCore.epoch_moved``)."""
+        """Membership or liveness changed (``Process.crash``/``revive`` come
+        through :meth:`_liveness_changed`): the duplicates the event core
+        counts may be stale from here on (``ArrayEventCore.epoch_moved``)."""
         self._epoch += 1
         core = self.simulator._array_core
         if core is not None:
             core.epoch_moved(self.simulator.now)
+
+    def _liveness_changed(self, process: "Process") -> None:
+        """``process`` crashed or revived: log it and move the epoch."""
+        self.liveness.append((len(self.recorder), process.pid, process.alive))
+        self._move_epoch()
 
     def process(self, pid: str) -> "Process":
         return self._processes[pid]

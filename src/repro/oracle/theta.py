@@ -88,7 +88,6 @@ class TokenOracle:
         self.k = k
         self.tapes = tapes if tapes is not None else TapeFamily()
         self._consumed: Dict[str, List[ValidatedBlock]] = {}
-        self._granted_tokens: Dict[str, int] = {}
         self._recorder = recorder
 
     # -- the two oracle operations -------------------------------------------
@@ -133,11 +132,10 @@ class TokenOracle:
         return result
 
     def _grant(self, parent: Block | str, block: Block) -> ValidatedBlock:
-        """The won lottery's ``b_ℓ^{tkn_h}``, counted as granted for ``b_h``."""
+        """The won lottery's ``b_ℓ^{tkn_h}``."""
         parent_id = _id_of(parent)
         token = token_for(parent_id)
         validated = block.with_parent(parent_id).with_token(token)
-        self._granted_tokens[parent_id] = self._granted_tokens.get(parent_id, 0) + 1
         return ValidatedBlock(block=validated, token=token, parent_id=parent_id)
 
     def consume_token(

@@ -74,30 +74,6 @@ __all__ = [
 ]
 
 
-class _SimulatorClock:
-    """Picklable ``() -> simulator.now`` callable (DegradationMonitor clock)."""
-
-    __slots__ = ("simulator",)
-
-    def __init__(self, simulator: Simulator) -> None:
-        self.simulator = simulator
-
-    def __call__(self) -> float:
-        return self.simulator.now
-
-
-class _ReplicaCorrectness:
-    """Picklable ``pid -> is_correct`` callable (DegradationMonitor probe)."""
-
-    __slots__ = ("replicas",)
-
-    def __init__(self, replicas: Dict[str, "BlockchainReplica"]) -> None:
-        self.replicas = replicas
-
-    def __call__(self, pid: str) -> bool:
-        return self.replicas[pid].is_correct
-
-
 @dataclass(frozen=True)
 class ReplicaConfig:
     """Configuration shared by all replica types.
@@ -431,8 +407,8 @@ class RunResult:
     #: :func:`run_protocol` scheduled one (``clients=...``); carries the
     #: generation timings ``RunResult.timings`` records.
     population: Optional[ClientPopulation] = field(default=None, repr=False)
-    #: The degradation monitor that tracked divergence depth online, when
-    #: the run injected a registered fault model (``fault=...``).
+    #: Divergence depth over time and time-to-heal, read off the finished
+    #: history, when the run injected a registered fault model (``fault=...``).
     degradation: Optional[DegradationMonitor] = field(default=None, repr=False)
 
     @property
@@ -460,8 +436,8 @@ class LiveRun:
     """A staged, checkpointable protocol run.
 
     :func:`run_protocol` stages every live object of an in-flight run
-    (simulator, network, replicas, recorder, degradation monitor, fault
-    schedules — everything except the consumed ``replica_factory``) into
+    (simulator, network, replicas, recorder, fault and its schedules —
+    everything except the consumed ``replica_factory``) into
     one of these and then drives :meth:`finish`, which advances a
     ``phase`` cursor::
 
@@ -469,7 +445,8 @@ class LiveRun:
                   production (exactly once)
         "drain" — quiesce, then a final ``local_read()`` at every
                   alive replica
-        "done"  — result available
+        "done"  — result available (with the fault's degradation,
+                  read off the finished history)
 
     Checkpoint snapshots pickle the whole ``LiveRun`` between event
     chunks; restoring one re-enters :meth:`finish` and the continued
@@ -490,7 +467,7 @@ class LiveRun:
         duration: float,
         max_events: int,
         population: Optional[ClientPopulation],
-        degradation: Optional[DegradationMonitor],
+        fault: Optional[FaultModel],
     ) -> None:
         self.name = name
         self.simulator = simulator
@@ -501,7 +478,7 @@ class LiveRun:
         self.duration = duration
         self.max_events = max_events
         self.population = population
-        self.degradation = degradation
+        self.fault = fault
         self.phase = "main"
 
     @property
@@ -554,15 +531,24 @@ class LiveRun:
         """The finished run's :class:`RunResult` (phase must be ``done``)."""
         if self.phase != "done":
             raise RuntimeError(f"run has not finished (phase={self.phase!r})")
+        history = self.recorder.history()
+        degradation = None
+        if self.fault is not None:
+            degradation = DegradationMonitor(
+                history,
+                heal_at=self.fault.heal_time(),
+                liveness=self.network.liveness,
+                byzantine=[pid for pid, replica in self.replicas.items() if replica.byzantine],
+            )
         return RunResult(
             name=self.name,
-            history=self.recorder.history(),
+            history=history,
             replicas=self.replicas,
             oracle=self.oracle,
             network=self.network,
             duration=self.duration,
             population=self.population,
-            degradation=self.degradation,
+            degradation=degradation,
         )
 
 
@@ -633,9 +619,10 @@ def run_protocol(
         Optional registered :class:`~repro.network.faults.FaultModel`
         injecting scheduled adversarial events (crashes, silent members,
         churn, healing partitions, eclipse windows) through the
-        simulator.  A :class:`~repro.core.degradation.DegradationMonitor`
-        is subscribed to the recorder alongside it, tracking divergence
-        depth over time and time-to-heal; it is returned on the result
+        simulator.  The finished run's history, the network's liveness
+        log and the fault's heal time then give a
+        :class:`~repro.core.degradation.DegradationMonitor` (divergence
+        depth over time and time-to-heal), returned on the result
         (``result.degradation``).  ``fault=None`` keeps the start-up
         sequence byte-identical to the pre-fault harness.
     checkpoint_every, checkpoint_sink:
@@ -654,7 +641,7 @@ def run_protocol(
         core=core if core is not None else core_for_run(n, clients),
         slot_width=slot_width_for(channel),
     )
-    recorder = HistoryRecorder()
+    recorder = HistoryRecorder(simulator)
     network = Network(simulator, channel, recorder=recorder, topology=topology)
     replicas: Dict[str, BlockchainReplica] = {}
     for pid in process_ids(n):
@@ -662,17 +649,9 @@ def run_protocol(
         network.register(replica)
         replicas[pid] = replica
 
-    degradation: Optional[DegradationMonitor] = None
     if fault is None:
         network.start()
     else:
-        # The degradation monitor subscribes before any event can be
-        # recorded, so its divergence trajectory covers the whole run.
-        degradation = DegradationMonitor(
-            heal_at=fault.heal_time(),
-            clock=_SimulatorClock(simulator),
-            correct=_ReplicaCorrectness(replicas),
-        ).attach(recorder)
         fault.install(network)
         # Start processes one by one, giving the fault its per-process
         # hook right after each ``on_start()``: a crash timer enters the
@@ -705,7 +684,7 @@ def run_protocol(
         # operations the harness itself scheduled are not charged to it.
         max_events=max_events + (population.scheduled_ops if population is not None else 0),
         population=population,
-        degradation=degradation,
+        fault=fault,
     )
     return live.finish(
         checkpoint_every=checkpoint_every, checkpoint_sink=checkpoint_sink

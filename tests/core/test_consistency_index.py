@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -31,6 +32,11 @@ def _read(rec: HistoryRecorder, process: str, chain: Blockchain) -> Event:
     return rec.history()[-1]
 
 
+def _merge(index: ConsistencyIndex, chain: Blockchain, read_eid: Optional[int] = None) -> int:
+    """Merge ``chain`` into the index's tree without entering a read; its tip's node."""
+    return index._merge(chain.blocks, read_eid)
+
+
 def _nodes(index: ConsistencyIndex, *block_ids: str) -> np.ndarray:
     nodes = index.block_ids()
     return np.array([nodes.index(block_id) for block_id in block_ids], dtype=np.int64)
@@ -42,9 +48,9 @@ def forked_index():
     a1, a2, a3 = Block("a1", GENESIS_ID), Block("a2", "a1"), Block("a3", "a2", weight=2.0)
     b1, b2 = Block("b1", GENESIS_ID, weight=0.5), Block("b2", "b1")
     index = ConsistencyIndex()
-    index.add_chain(_chain(a1, a2, a3), read_eid=10)
-    index.add_chain(_chain(b1, b2), read_eid=20)
-    index.add_chain(_chain(a1, a2), read_eid=30)
+    _merge(index, _chain(a1, a2, a3), read_eid=10)
+    _merge(index, _chain(b1, b2), read_eid=20)
+    _merge(index, _chain(a1, a2), read_eid=30)
     return index
 
 
@@ -55,8 +61,9 @@ class TestMerging:
 
     def test_known_chain_is_cheap_and_tracked(self, forked_index):
         a1, a2 = forked_index.block("a1"), forked_index.block("a2")
-        new = forked_index.add_chain(_chain(a1, a2), read_eid=40)
-        assert new == []
+        known = len(forked_index)
+        assert _merge(forked_index, _chain(a1, a2), read_eid=40) == _nodes(forked_index, "a2")[0]
+        assert len(forked_index) == known  # nothing new inserted
         forked_index.add_read(_read(HistoryRecorder(), "p", _chain(a1, a2)))
         assert forked_index.read_tip(0) == "a2"
         assert forked_index.first_seen_read("a2") == 10
@@ -74,15 +81,15 @@ class TestMerging:
     def test_conflicting_block_content_rejected(self, forked_index):
         impostor = Block("a2", "a1", weight=99.0)
         with pytest.raises(InconsistentChainError):
-            forked_index.add_chain(_chain(forked_index.block("a1"), impostor))
+            _merge(forked_index, _chain(forked_index.block("a1"), impostor))
 
     def test_conflicting_genesis_content_rejected(self):
         from repro.core.block import genesis_block
 
         index = ConsistencyIndex()
-        index.add_chain(Blockchain((GENESIS,)))
+        _merge(index, Blockchain((GENESIS,)))
         with pytest.raises(InconsistentChainError):
-            index.add_chain(Blockchain((genesis_block(payload=("tx",)),)))
+            _merge(index, Blockchain((genesis_block(payload=("tx",)),)))
 
 
 class TestAncestry:
@@ -96,9 +103,7 @@ class TestAncestry:
         a3 = forked_index.block("a3")
         assert not forked_index.prefix_related("a3", "b2")
         a4 = Block("a4", "a3")
-        forked_index.add_chain(
-            _chain(forked_index.block("a1"), forked_index.block("a2"), a3, a4)
-        )
+        _merge(forked_index, _chain(forked_index.block("a1"), forked_index.block("a2"), a3, a4))
         assert forked_index.prefix_related("a3", "a4")
         assert not forked_index.prefix_related("a4", "b2")
 

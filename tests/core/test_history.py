@@ -168,36 +168,6 @@ class TestSelectorCaching:
         assert sample_history.append_invocations() == expected_appends
 
 
-class TestRecorderSubscription:
-    def test_listener_sees_every_event_in_order(self):
-        rec = HistoryRecorder()
-        seen = []
-        rec.subscribe(seen.append)
-        block = Block("x", GENESIS_ID)
-        rec.complete("i", "append", block, True)
-        rec.send("i", GENESIS_ID, "x")
-        token = rec.invoke("j", "read", None)
-        rec.respond(token, None)
-        assert [e.eid for e in seen] == [e.eid for e in rec.history()]
-        assert [e.kind for e in seen] == [
-            EventKind.INVOCATION,
-            EventKind.RESPONSE,
-            EventKind.SEND,
-            EventKind.INVOCATION,
-            EventKind.RESPONSE,
-        ]
-
-    def test_multiple_listeners(self):
-        rec = HistoryRecorder()
-        first, second = [], []
-        rec.subscribe(first.append)
-        rec.complete("i", "read", None, None)
-        rec.subscribe(second.append)
-        rec.complete("i", "read", None, None)
-        assert len(first) == 4
-        assert len(second) == 2
-
-
 class TestSlottedEvents:
     """PR 4: the hot-path envelopes are slotted — no per-event __dict__."""
 

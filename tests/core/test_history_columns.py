@@ -8,15 +8,16 @@ history's reads straight off its columns.  Each is held here to what it
 replaces: the recorder that built one event per recorded event
 (``tests/network/reference_plane.py::ReferenceHistoryRecorder``) and an
 index fed :meth:`~repro.core.consistency_index.ConsistencyIndex.add_read`
-one event at a time.  A run records no event object, monitored or not:
-only the degradation monitor, a live listener, makes the recorder build
-them.
+one event at a time.  A run records no event object, monitored, faulted
+or not; beside the rows it writes each event's virtual time, a column
+its history carries through restrictions and pickles.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,6 @@ from repro.core.consistency_index import (
     ConsistencyMonitor,
     InconsistentChainError,
 )
-from repro.core.degradation import DegradationMonitor
 from repro.core.history import Event, History, HistoryRecorder
 from repro.engine import ChannelSpec, ExperimentSpec, FaultSpec, WorkloadSpec, get_protocol
 from repro.protocols.classification import classify_run
@@ -70,9 +70,7 @@ def scripts(draw):
 
 
 def play(recorder, script):
-    """Run ``script`` on ``recorder``; every event its listener saw."""
-    seen = []
-    recorder.subscribe(seen.append)
+    """Run ``script`` on ``recorder``."""
     tokens = []
     for step in script:
         if step[0] == "invoke":
@@ -81,7 +79,6 @@ def play(recorder, script):
             recorder.respond(tokens.pop(step[1]), step[2])
         else:
             getattr(recorder, step[0])(*step[1:])
-    return seen
 
 
 def assert_same_events(actual, expected):
@@ -97,13 +94,13 @@ class TestRecorderAgainstTheOracle:
     @settings(max_examples=150, deadline=None)
     def test_a_recorded_history_is_the_event_building_recorders(self, script):
         columns, oracle = HistoryRecorder(), ReferenceHistoryRecorder()
-        seen, oracle_seen = play(columns, script), play(oracle, script)
+        play(columns, script)
+        play(oracle, script)
         history, expected = columns.history(), oracle.history()
         assert len(history) == len(columns) == len(expected)
         assert_same_events(history.events, expected.events)
-        # Listeners get the same events, and built one at a time, a
-        # selector's events are the whole history's.
-        assert_same_events(seen, oracle_seen)
+        assert history._times.tolist() == expected._times.tolist() == [0.0] * len(history)
+        # Built one at a time, a selector's events are the whole history's.
         fresh = columns.history()
         assert_same_events(fresh.read_responses(), expected.read_responses())
         assert_same_events(fresh.events, expected.events)
@@ -226,18 +223,20 @@ def _count_built_events(monkeypatch):
 
 
 class TestEventsOnDemand:
-    def test_the_degradation_monitor_sees_the_recorded_events(self, monkeypatch):
-        degraded = []
-        observe = DegradationMonitor.observe
-
-        def spy(self, event):
-            degraded.append(event)
-            observe(self, event)
-
-        monkeypatch.setattr(DegradationMonitor, "observe", spy)
-        run = _run(fork=True, fault=FaultSpec(kind="crash", params={"at": {"p1": 20.0}}))
-        assert run.degradation is not None
-        assert degraded == list(run.history.events)
+    @pytest.mark.parametrize("fork", (True, False), ids=("fork", "chain"))
+    def test_a_fault_run_builds_only_witness_events(self, monkeypatch, fork):
+        """A fault run's degradation is read off the finished history: the
+        run builds no event, so the only ones built word the witnesses of
+        its classification."""
+        built = _count_built_events(monkeypatch)
+        run = _run(fork, fault=FaultSpec(kind="crash", params={"at": {"p3": 40.0}}))
+        assert run.degradation is not None and run.degradation.reads_seen > 0
+        assert built == []
+        result = classify_run(run)
+        witnesses = _witnesses(result.strong_report, result.eventual_report)
+        assert len(run.history) > 200
+        assert len(built) <= 3 * len(witnesses)
+        assert bool(built) == bool(witnesses) == fork
 
     @pytest.mark.parametrize("fork", (True, False), ids=("fork", "chain"))
     def test_only_witnesses_build_events(self, monkeypatch, fork):
@@ -268,3 +267,46 @@ class TestEventsOnDemand:
         assert len(record.run.history) > 200
         assert count <= 3 * len(witnesses)
         assert bool(count) == bool(witnesses) == fork
+
+
+class TestTimeColumn:
+    """Each recorded event carries the virtual time it was recorded at."""
+
+    def _recorded(self):
+        clock = SimpleNamespace(now=0.0)
+        recorder = HistoryRecorder(clock)
+        recorder.complete("p", "append", Block("b1", GENESIS_ID), True)
+        clock.now = 1.5
+        recorder.complete("q", "append", Block("b2", GENESIS_ID), False)
+        clock.now = 4.0
+        recorder.complete("q", "read", None, Blockchain((GENESIS,)))
+        return recorder, clock
+
+    def test_the_recorder_stamps_its_clocks_now(self):
+        recorder, _ = self._recorded()
+        assert recorder.history()._times.tolist() == [0.0, 0.0, 1.5, 1.5, 4.0, 4.0]
+        unclocked = HistoryRecorder()
+        unclocked.send("p", GENESIS_ID, "b1")
+        assert unclocked.history()._times.tolist() == [0.0]
+
+    def test_restrictions_gather_the_column(self):
+        history = self._recorded()[0].history()
+        assert history.without_failed_appends()._times.tolist() == [0.0, 0.0, 4.0, 4.0]
+        assert history.correct_restriction(["p"])._times.tolist() == [0.0, 0.0, 1.5, 1.5]
+        assert History(history.events)._times.tolist() == [0.0] * 6
+
+    def test_a_pickled_recorder_keeps_its_times_and_its_clock(self):
+        recorder, clock = self._recorded()
+        first = recorder.history()
+        restored, restored_clock = pickle.loads(pickle.dumps((recorder, clock)))
+        restored_clock.now = 9.0
+        restored.send("p", GENESIS_ID, "b1")
+        assert restored.history()._times.tolist() == first._times.tolist() + [9.0]
+
+    @pytest.mark.usefixtures("event_core")
+    def test_a_run_stamps_the_simulators_time(self):
+        run = _run(fork=False)
+        times = run.history._times
+        assert len(times) == len(run.history)
+        assert times[0] >= 0.0 and (times[1:] >= times[:-1]).all()
+        assert times[-1] == run.network.simulator.now > 0.0

@@ -37,6 +37,7 @@ from repro.engine import (
     run_spec_with_checkpoints,
     spec_digest,
 )
+from tests.test_behaviour_lock import _FAULT_PARAMS, _fault_cell
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -182,8 +183,10 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
 
 
 #: The refused checkpoints :func:`_age` makes: of the version before, of
-#: versions 1 to 4, and of none.
-_AGED = ["older", "version-1", "version-2", "version-3", "version-4", "unversioned"]
+#: versions 1 to 5, and of none.
+_AGED = [
+    "older", "version-1", "version-2", "version-3", "version-4", "version-5", "unversioned"
+]
 
 
 def _age(path: str, written: str, monkeypatch) -> str:
@@ -193,8 +196,10 @@ def _age(path: str, written: str, monkeypatch) -> str:
     (whose array event core pickled a method-intern table and a packed
     bucket table), at version 3 (whose array event core could pickle a
     partly taken stretch of duplicates), at version 4 (whose run could
-    pickle a live consistency monitor subscribed to its recorder), or
-    before versions were recorded (``"unversioned"``).
+    pickle a live consistency monitor subscribed to its recorder), at
+    version 5 (whose fault run pickled a live degradation monitor and a
+    recorder with no time column), or before versions were recorded
+    (``"unversioned"``).
     Returns the refusal's message."""
     now = repro.MODEL_VERSION
     if written == "older":
@@ -224,7 +229,7 @@ class TestModelVersion:
     def test_header_carries_the_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 5
+        assert head["model_version"] == repro.MODEL_VERSION == 6
 
     @pytest.mark.parametrize("written", _AGED)
     def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):
@@ -343,6 +348,35 @@ class TestRunSpecWithCheckpoints:
             )
         assert resumed is None
         assert result.stable_dict() == spec.execute().stable_dict()
+
+
+@pytest.mark.usefixtures("event_core")
+class TestCheckpointedFaultRuns:
+    """A fault run checkpointed every 97 events, and one resumed from its
+    middle snapshot, carry the plain run's payload, degradation included:
+    the time column and the liveness log cross snapshot and restore."""
+
+    @pytest.mark.parametrize("kind", sorted(_FAULT_PARAMS))
+    def test_payload_equals_the_plain_runs(self, tmp_path, kind):
+        spec = _fault_cell(kind)
+        plain = spec.execute().stable_dict()
+        path = str(tmp_path / "cell.ckpt")
+        checkpointed = spec.with_updates(checkpoint_every=97, checkpoint_path=path).execute()
+        snapshots = []
+        spec.execute(
+            checkpoint_every=97,
+            checkpoint_sink=lambda live: snapshots.append(
+                SimulationCheckpoint.capture(live).to_bytes()
+            ),
+        )
+        middle = SimulationCheckpoint.from_bytes(snapshots[len(snapshots) // 2])
+        resumed = resume_spec_from_checkpoint(spec, middle).stable_dict()
+        checkpointed = checkpointed.stable_dict()
+        for payload in (plain, checkpointed, resumed):
+            del payload["spec"]
+        assert plain["degradation"]["reads"] > 0
+        assert checkpointed == plain
+        assert resumed == plain
 
 
 # Pool retries are about the workers, and one of them waits out a hang:

@@ -211,7 +211,11 @@ class TestBuildKwargs:
             ("max_events", "no spec field sets it"),
             ("n", "set the spec's 'replicas' field"),
             ("channel", "set the spec's 'channel' field"),
-            ("monitor", "set the spec's 'monitor' field"),
+            (
+                "monitor",
+                "names the consistency check analyse_run adds after the run, .*"
+                "set the spec's 'monitor' field instead",
+            ),
             ("topology", "set the spec's 'topology' field"),
             ("fault", "set the spec's 'fault' field"),
             ("clients", "set the spec's 'workload.clients' field"),

@@ -32,8 +32,10 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 from unittest import mock
+
+import numpy as np
 
 from repro.core.block import Block, Blockchain
 from repro.core.blocktree import BlockTree, DuplicateBlockError, UnknownParentError
@@ -68,25 +70,23 @@ class ReferenceHistoryRecorder:
     """The recorder that builds one :class:`Event` per recorded event.
 
     The pre-columns ``HistoryRecorder``, whole: every recorded event is a
-    frozen dataclass appended to a list, listeners get that object, and
-    :meth:`history` hands the list to the public ``History(events)``.
+    frozen dataclass appended to a list, and :meth:`history` hands the
+    list to the public ``History(events)``.  Beside it, a list of the
+    ``simulator.now`` of each event (0.0 with no simulator), which becomes
+    that history's time column.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, simulator: Any = None) -> None:
+        self._simulator = simulator
+        self._times: List[float] = []
         self._clock = itertools.count(1)
         self._op_ids = itertools.count(1)
         self._seq: Dict[str, int] = {}
         self._events: List[Event] = []
-        self._listeners: List[Callable[[Event], None]] = []
-
-    def subscribe(self, listener: Callable[[Event], None]) -> Callable[[Event], None]:
-        self._listeners.append(listener)
-        return listener
 
     def _record(self, event: Event) -> Event:
         self._events.append(event)
-        for listener in self._listeners:
-            listener(event)
+        self._times.append(0.0 if self._simulator is None else self._simulator.now)
         return event
 
     def _next_time(self) -> int:
@@ -157,7 +157,9 @@ class ReferenceHistoryRecorder:
         return self._record(event)
 
     def history(self) -> History:
-        return History(self._events)
+        history = History(self._events)
+        history._times = np.array(self._times, dtype=np.float64)
+        return history
 
     def __len__(self) -> int:
         return len(self._events)

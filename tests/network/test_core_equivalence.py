@@ -156,6 +156,8 @@ def test_live_vs_reference_plane_for_every_fault_kind(fault_kind: str):
         fault=_fault(fault_kind), reference=True,
     )
     assert live.history.events == oracle.history.events
+    assert live.history._times.tolist() == oracle.history._times.tolist()
+    assert live.degradation.samples == oracle.degradation.samples
     assert live.network.messages_delivered == oracle.network.messages_delivered
     assert live.network.messages_quarantined == oracle.network.messages_quarantined
 

@@ -9,7 +9,8 @@ equivalence bars the tentpole demands:
   pinned by digest, recorded before the runners were deleted);
 * the healing adversaries (``partition``, ``churn``, ``eclipse``) must
   actually degrade the run while active and actually recover after their
-  heal time, as observed by the :class:`DegradationMonitor`.
+  heal time, as the :class:`DegradationMonitor` reads them off the
+  finished history.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ class TestHealingAdversaries:
         )
         assert plain.history.events == noop.history.events
         assert plain.degradation is None
-        assert noop.degradation is not None  # monitor attached, run unperturbed
+        assert noop.degradation is not None  # degradation read, run unperturbed
 
 
 @pytest.mark.usefixtures("event_core")

@@ -54,6 +54,5 @@ class ReferenceProdigalOracle(ProdigalOracle):
             token = token_for(parent_id)
             validated = block.with_parent(parent_id).with_token(token)
             result = ValidatedBlock(block=validated, token=token, parent_id=parent_id)
-            self._granted_tokens[parent_id] = self._granted_tokens.get(parent_id, 0) + 1
         self._respond(op, result)
         return result

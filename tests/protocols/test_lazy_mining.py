@@ -7,10 +7,10 @@ consume.  The old bodies are the oracle
 (``tests/protocols/reference_mining.py``); every run here is executed
 both ways and compared on everything an attempt can touch: the recorded
 history, every replica's tree (block ids, parents, payloads, tokens,
-rounds), the tape cells popped, the tokens granted, what is left in
-every mempool, the next transaction name and block id, and — with a
-recorder on the oracle — the logged ``getToken`` / ``consumeToken``
-operations.
+rounds), the tape cells popped, the blocks each replica created, the
+tokens consumed per parent, what is left in every mempool, the next
+transaction name and block id, and — with a recorder on the oracle — the
+logged ``getToken`` / ``consumeToken`` operations.
 
 Also pinned here, not changed: a *lost* attempt drains up to
 ``transactions_per_block`` client operations from the mempool and they
@@ -52,7 +52,7 @@ def _footprint(result):
         "history": result.history.events,
         "trees": {pid: list(replica.tree) for pid, replica in result.replicas.items()},
         "cells": {pid: oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas},
-        "granted": dict(oracle._granted_tokens),
+        "created": {pid: replica.blocks_created for pid, replica in result.replicas.items()},
         "consumed": oracle.consumed_counts(),
         "mempools": {
             pid: replica.mempool.__getstate__()[0].tolist()
@@ -79,7 +79,10 @@ def test_lazy_attempt_matches_the_eager_one(seed, token_rate, clients, recorded)
     )
     assert lazy == eager
     attempts = sum(lazy["cells"].values())
-    granted = sum(lazy["granted"].values())
+    # Every token granted is consumed and committed once: the per-parent
+    # consumed counts compared above are the per-parent grants.
+    granted = sum(lazy["created"].values())
+    assert granted == sum(lazy["consumed"].values())
     # The runs are worth comparing: the lottery was both won and lost.
     assert granted > 0
     assert attempts > granted or token_rate == 1.0
@@ -108,7 +111,8 @@ def test_stock_hooks_build_a_candidate_only_when_the_oracle_needs_one(recorded):
         result = _run(1, 0.4, None, recorded,
                       replica_cls=NakamotoReplica, oracle_cls=ProdigalOracle)
     attempts = sum(result.oracle.tapes.tape_of(pid).cells_consumed for pid in result.replicas)
-    granted = sum(result.oracle._granted_tokens.values())
+    granted = sum(replica.blocks_created for replica in result.replicas.values())
+    assert granted == sum(result.oracle.consumed_counts().values())
     assert 0 < granted < attempts
     # A recorder logs the block id with the invocation, so it needs every
     # candidate; without one only a won lottery builds its block.
@@ -149,7 +153,7 @@ def test_overridden_hooks_keep_the_eager_path(clients):
         _run(1, 0.4, clients, False, replica_cls=NakamotoReplica, oracle_cls=ProdigalOracle)
     )
     attempts = sum(stock["cells"].values())
-    assert sum(stock["granted"].values()) < attempts
+    assert sum(stock["created"].values()) == sum(stock["consumed"].values()) < attempts
 
     _OwnCandidates.made = 0
     own = _run(1, 0.4, clients, False, replica_cls=_OwnCandidates, oracle_cls=ProdigalOracle)
@@ -240,8 +244,8 @@ def test_get_token_without_a_process_matches_the_eager_oracle(recorded):
         assert outcomes[-1] == eager.get_token(tip(i), candidate(i))
     assert resolved == ["parent", "block"] * 40
     assert 0 < sum(outcome is not None for outcome in outcomes) < 40
+    # The outcomes, compared call by call above, are the grants.
     assert lazy.tapes.tape_of("p").cells_consumed == eager.tapes.tape_of("p").cells_consumed
-    assert lazy._granted_tokens == eager._granted_tokens
     if recorded:
         assert lazy._recorder.history().events == eager._recorder.history().events
 
