@@ -14,10 +14,8 @@ is ``result.to_json()`` verbatim.  Hitting the cache therefore returns a
 spec and model version: change any spec field, or bump the version with
 a behaviour change, and the digest (hence the file) changes; delete the
 cache directory and everything re-runs.  Corrupt or unreadable entries
-are treated as misses.
-
-The cache deliberately stores only the serializable payload: live ``run``
-objects never round-trip, exactly as with the multiprocessing sweep path.
+are treated as misses.  Like a sweep's results, an entry is payload only:
+the live ``run`` comes from ``spec.execute()`` alone.
 """
 
 from __future__ import annotations

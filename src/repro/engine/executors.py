@@ -4,13 +4,12 @@ A sweep is submitted cell by cell and every failure domain is one cell.
 Every cell is seeded by its spec alone, so results are reproducible
 regardless of worker count and scheduling.  There are two backends:
 
-* :class:`SerialExecutor` — in-process execution, one cell at a time.
-  Results keep their live ``run`` objects, exactly like the historical
-  ``jobs=1`` path.  A serial backend cannot preempt a genuinely hung
-  cell, so injected ``hang``/``kill`` faults are reported
-  *synthetically* (as timeout / worker-death outcomes, without sleeping
-  or dying) — which is precisely what makes every retry path
-  unit-testable in milliseconds.
+* :class:`SerialExecutor` — in-process execution, one cell at a time
+  (outcomes keep their live ``run``; the sweep runner drops it).  It
+  cannot preempt a genuinely hung cell, so injected ``hang``/``kill``
+  faults are reported *synthetically* (as timeout / worker-death
+  outcomes, without sleeping or dying) — which is precisely what makes
+  every retry path unit-testable in milliseconds.
 * :class:`PoolExecutor` — at most ``min(jobs, cells)`` persistent worker
   processes per wave; the parent hands the next cell of the grid order
   to whichever is idle.  A worker exception, a worker death (killed,

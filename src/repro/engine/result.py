@@ -9,10 +9,9 @@ fairness summaries, network counters and wall-clock timings — as plain
 dictionaries, so results can be dumped to JSON, shipped back from a
 worker process, and diffed across sweeps.
 
-When the run happened in-process the live objects stay attached
-(``result.run`` / ``result.classification_result``); after a JSON or
-cross-process round-trip those fields are ``None`` but every derived
-number survives.
+Only ``spec.execute()`` attaches the live objects (``result.run`` /
+``result.classification_result``); a sweep's results, cache hits and
+JSON round-trips are data alone, those two fields ``None``.
 """
 
 from __future__ import annotations

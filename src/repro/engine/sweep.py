@@ -245,10 +245,10 @@ class SweepJournal:
 class SweepRunner:
     """Execute a batch of specs through a resilient backend.
 
-    ``jobs=1`` runs in-process (results keep their live ``run`` objects);
-    ``jobs>1`` fans the cells out over a warm pool of ``jobs`` worker
-    processes.  Each cell is seeded by its spec alone, so both backends
-    are bit-identical up to timings.  ``executor`` overrides the
+    ``jobs=1`` runs in-process, ``jobs>1`` on a warm pool of ``jobs``
+    worker processes; each cell is seeded by its spec alone, so both are
+    bit-identical up to timings.  Results are data only (``run is None``;
+    ``spec.execute()`` returns the live run).  ``executor`` overrides the
     jobs-derived default with a backend name (``"serial"`` / ``"pool"``)
     or a live :class:`~repro.engine.executors.Executor` (for instance a
     :class:`~repro.engine.executors.FlakyExecutor` around either).
@@ -421,7 +421,10 @@ class SweepRunner:
                     if outcome.ok:
                         self._store(outcome.result)
                         self._journal(task, "ok", resumed_from_event=outcome.resumed_from_event)
-                        slots[task.index] = outcome.result
+                        # A finished cell is data, like a cache hit: its live run is dropped.
+                        slots[task.index] = dataclasses.replace(
+                            outcome.result, run=None, classification_result=None
+                        )
                         self.last_executed += 1
                         continue
                     if task.attempt <= self.retries:

@@ -161,6 +161,7 @@ def reproduce_table1(
             results[name] = classify_run(overrides[name]())
             continue
         record = table1_spec(name, n=n, duration=duration, seed=seed).execute()
-        assert record.classification_result is not None  # serial execution
+        if record.classification_result is None:  # spec.execute() always attaches it
+            raise RuntimeError(f"{name}: spec.execute() returned no live classification")
         results[name] = record.classification_result
     return results

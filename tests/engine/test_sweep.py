@@ -102,14 +102,72 @@ class TestSweepRunner:
         with pytest.raises(ValueError):
             SweepRunner(jobs=0)
 
-    def test_serial_run_keeps_live_objects_and_order(self):
+    def test_every_result_path_returns_data_in_grid_order(self, tmp_path):
+        """A finished cell is data whichever path produced it: serial, pool,
+        retried, cache hit or journal resume (the pool's in-process fallback
+        is checked by its own test below).  Only ``spec.execute()`` returns a
+        live run."""
+        from repro.engine import ResultCache
+        from repro.engine.executors import FlakyExecutor, SerialExecutor
+
         specs = [
             ExperimentSpec(protocol="hyperledger", replicas=3, duration=30.0, seed=s)
-            for s in (0, 1)
+            for s in (0, 1, 2)
         ]
-        records = SweepRunner(jobs=1).run(specs)
-        assert [r.spec.seed for r in records] == [0, 1]
-        assert all(r.run is not None for r in records)
+        expected = [spec.execute().stable_dict() for spec in specs]
+
+        def data_only(path, runner):
+            records = runner.run(specs)
+            assert [r.spec.seed for r in records] == [0, 1, 2], path
+            assert all(r.run is None and r.classification_result is None for r in records), path
+            assert [r.stable_dict() for r in records] == expected, path
+            return runner
+
+        cache, journal = ResultCache(tmp_path / "cache"), tmp_path / "journal.jsonl"
+        data_only("serial", SweepRunner(jobs=1))
+        data_only("pool", SweepRunner(jobs=2, executor="pool"))
+        flaky = FlakyExecutor(SerialExecutor(), plan={1: {1: "exception"}})
+        assert data_only("retried", SweepRunner(executor=flaky, retries=1)).last_attempts == 4
+        data_only("journalled", SweepRunner(cache=cache, journal=journal))
+        assert data_only("cache hit", SweepRunner(cache=cache)).last_cache_hits == 3
+        resumed = SweepRunner(cache=cache, journal=journal, resume=True)
+        assert data_only("resumed", resumed).last_resumed == 3
+
+    def test_a_serial_sweep_retains_no_simulation(self):
+        """The 54-cell fork-prone bitcoin grid (the CLI session's sweep) run
+        serially: what the results hold after ``gc.collect()`` is their data,
+        at most 2 MiB, and no ``Network`` the sweep built is still reachable.
+        A size, not a time: each finished simulation used to stay attached,
+        about 18.8 MiB for the grid."""
+        import gc
+        import tracemalloc
+
+        from repro.engine import get_protocol, regime_spec
+        from repro.network.simulator import Network
+
+        regime = get_protocol("bitcoin").fork_prone
+        base = regime_spec("bitcoin", regime, n=5, duration=100.0, seed=0)
+        axes = {"channel.delta": [1.0, 2.0, 4.0], "params.token_rate": [0.2, 0.4, 0.8]}
+        specs = expand_grid(base, {"seed": range(6), **axes})
+        assert len(specs) == 54
+        specs[0].execute()  # first-use imports and caches are not the sweep's
+        gc.collect()
+        before = [obj for obj in gc.get_objects() if isinstance(obj, Network)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            records = SweepRunner(jobs=1).run(specs)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 54
+        assert retained <= 2 * 1024 * 1024, f"the sweep retains {retained / 2**20:.2f} MiB"
+        left = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, Network) and not any(obj is old for old in before)
+        ]
+        assert left == []
 
     def test_parallel_matches_serial_up_to_timings(self):
         specs = [
@@ -154,6 +212,7 @@ class TestSweepRunner:
         with pytest.warns(RuntimeWarning, match="worker process construction failed"):
             records = SweepRunner(jobs=2).run(specs)
         assert [r.spec.seed for r in records] == [0, 1]
+        assert all(r.run is None and r.classification_result is None for r in records)
 
     def test_partial_failure_keeps_computed_cells_cached(self, tmp_path):
         from repro.engine import ResultCache
