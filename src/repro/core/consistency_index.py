@@ -83,6 +83,7 @@ __all__ = [
     "ConsistencyMonitor",
     "InconsistentChainError",
     "count_exceeding_before",
+    "monitor_summary",
 ]
 
 
@@ -613,12 +614,11 @@ class ConsistencyMonitor:
     """Consistency reports of a finished history.
 
     :meth:`replay` enters the history's append invocations and its read
-    responses that carry a chain in a :class:`ConsistencyIndex`, off the
-    history's columns and building no event.  :meth:`reports` hands that
-    index to :func:`repro.core.consistency.check_consistency`: the
-    verdicts, counts and witnesses are the ones the post-hoc checkers
-    return on the raw history, because they are computed by the same
-    code.  The reports are kept until the next replay.
+    responses that carry a chain in a :class:`ConsistencyIndex`, off its
+    columns, building no event.  :meth:`reports` hands that index to
+    :func:`repro.core.consistency.check_consistency`: verdicts, counts and
+    witnesses are the post-hoc ones of the raw history, kept until the next
+    replay.  A ``monitor=True`` spec replays nothing (:func:`monitor_summary`).
     """
 
     def __init__(self, score: Optional[ScoreFunction] = None) -> None:
@@ -651,12 +651,6 @@ class ConsistencyMonitor:
             self._reports = check_consistency(None, self.score, index=self.index)
         return self._reports
 
-    def property_verdicts(self) -> Dict[str, bool]:
-        """Verdict per property, keyed by the checker names."""
-        strong, eventual = self.reports()
-        results = (*strong.results, eventual.result_for("eventual-prefix"))
-        return {result.name: result.holds for result in results}
-
     def strong_holds(self) -> bool:
         """BT Strong Consistency verdict on the history replayed."""
         return self.reports()[0].holds
@@ -667,11 +661,18 @@ class ConsistencyMonitor:
 
     def summary(self) -> Dict[str, Any]:
         """JSON-ready snapshot of the verdicts and intake counters."""
-        return {
-            "strong": self.strong_holds(),
-            "eventual": self.eventual_holds(),
-            "properties": self.property_verdicts(),
-            "reads": self.reads_seen,
-            "events": self.events_seen,
-            "blocks_indexed": len(self.index),
-        }
+        return monitor_summary(self.reports(), self.index, self.events_seen)
+
+
+def monitor_summary(reports: Tuple, index: ConsistencyIndex, events: int) -> Dict[str, Any]:
+    """The monitor payload of ``index``'s ``(strong, eventual)`` reports and intake counts."""
+    strong, eventual = reports
+    results = (*strong.results, eventual.result_for("eventual-prefix"))
+    return {
+        "strong": strong.holds,
+        "eventual": eventual.holds,
+        "properties": {result.name: result.holds for result in results},
+        "reads": len(index.chains),
+        "events": events,
+        "blocks_indexed": len(index),
+    }

@@ -7,15 +7,15 @@ need the quantitative counterpart: *how far* did the correct replicas'
 views diverge, and how quickly did they re-agree once the adversary
 stopped interfering.
 
-:class:`DegradationMonitor` answers that in one pass over the history
-after the run.  It enters the read responses into one
-:class:`~repro.core.consistency_index.ConsistencyIndex` and walks them in
-order, each with the virtual time the recorder stamped on it, applying
-the network's liveness log (``Network.liveness``: every crash and revive,
-against the number of events recorded before it) ahead of each read.
-At each read it computes the **divergence depth** over the latest tips of
-the replicas correct at that read: for each tip pair the depth of the
-shallower branch past their lowest common ancestor,
+:class:`DegradationMonitor` answers that in one pass over the read table
+of the run's :class:`~repro.core.consistency_index.ConsistencyIndex` (the
+one the run is classified from; the monitor ingests nothing), each read
+with the virtual time the recorder stamped on it, applying the network's
+liveness log (``Network.liveness``: every crash and revive, against the
+number of events recorded before it) ahead of each read.  At each read it
+computes the **divergence depth** over the latest tips of the replicas
+correct at that read: for each tip pair the depth of the shallower
+branch past their lowest common ancestor,
 
     ``min(height(a), height(b)) - height(lca(a, b))``
 
@@ -37,7 +37,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.consistency_index import ConsistencyIndex
-from repro.core.history import History
 
 __all__ = ["DegradationMonitor"]
 
@@ -47,8 +46,8 @@ class DegradationMonitor:
 
     Parameters
     ----------
-    history:
-        The finished history; its time column stamps the samples.
+    index, times:
+        The finished history's index and time column (``_times``, by eid − 1).
     heal_at:
         The adversary's announced heal time (see
         :meth:`~repro.network.faults.FaultModel.heal_time`); ``None``
@@ -64,7 +63,8 @@ class DegradationMonitor:
 
     def __init__(
         self,
-        history: History,
+        index: ConsistencyIndex,
+        times: np.ndarray,
         heal_at: Optional[float] = None,
         liveness: Iterable[Tuple[int, str, bool]] = (),
         byzantine: Iterable[str] = (),
@@ -75,10 +75,9 @@ class DegradationMonitor:
         self.healed_at: Optional[float] = None
         #: ``(time, depth)`` at every depth change (plus the first read).
         self.samples: List[Tuple[float, int]] = []
-        index = ConsistencyIndex().ingest(history, skip_chainless=True)
         _, processes, eids = index.read_table()
         self.reads_seen = len(eids)
-        times = history._times[np.searchsorted(history._eids, eids)].tolist()
+        times = times[eids - 1].tolist()
         names = index.process_names()
         faulty, crashed = set(byzantine), set()
         changes = list(liveness)[::-1]  # popped oldest first
@@ -93,6 +92,15 @@ class DegradationMonitor:
             tips[names[process]] = index.read_tip(read)
             correct = {tip for pid, tip in tips.items() if pid not in crashed and pid not in faulty}
             self._sample(now, _divergence_depth(index, sorted(correct)))
+
+    @classmethod
+    def of_run(cls, run: Any, index: Optional[ConsistencyIndex] = None) -> "DegradationMonitor":
+        """A finished fault run's pass, off ``index`` (its purged history's; built if None)."""
+        if index is None:
+            index = ConsistencyIndex.from_history(run.history.without_failed_appends())
+        byzantine = [pid for pid, replica in run.replicas.items() if replica.byzantine]
+        heal_at = run.fault.heal_time()
+        return cls(index, run.history._times, heal_at, run.network.liveness, byzantine)
 
     def _sample(self, now: float, depth: int) -> None:
         if not self.samples or depth != self.current_divergence_depth:

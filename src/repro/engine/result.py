@@ -25,7 +25,8 @@ from typing import Any, Dict, Mapping, Optional
 from repro.analysis.convergence import convergence_summary
 from repro.analysis.fairness import fairness_report
 from repro.analysis.forks import fork_statistics, merge_statistics
-from repro.core.consistency_index import ConsistencyMonitor
+from repro.core.consistency_index import ConsistencyIndex, monitor_summary
+from repro.core.degradation import DegradationMonitor
 from repro.engine.registry import ProtocolEntry
 from repro.engine.spec import ExperimentSpec
 from repro.workload.merit import uniform_merit, zipf_merit
@@ -136,15 +137,18 @@ def analyse_run(
     run: Any,
     run_seconds: float,
 ) -> RunResult:
-    """Derive every paper-level statistic from a finished protocol run."""
+    """Derive every paper-level statistic from a finished protocol run: the
+    classification, monitor and degradation all read one index of its purged history."""
     from repro.protocols.classification import classify_run
 
     started = time.perf_counter()
     scorer = spec.build_score()
-    classification = classify_run(run, score=scorer)
-    consistency = (
-        ConsistencyMonitor(score=scorer).replay(run.history).summary() if spec.monitor else None
-    )
+    history = run.history.without_failed_appends()
+    index = ConsistencyIndex.from_history(history)
+    classification = classify_run(run, score=scorer, index=index)
+    reports = (classification.strong_report, classification.eventual_report)
+    consistency = monitor_summary(reports, index, len(history)) if spec.monitor else None
+    degradation = DegradationMonitor.of_run(run, index) if run.fault is not None else None
 
     forks = merge_statistics(
         {pid: fork_statistics(replica.tree) for pid, replica in run.replicas.items()}
@@ -227,7 +231,6 @@ def analyse_run(
         "tree_sizes": {pid: len(r.tree) for pid, r in run.replicas.items()},
     }
 
-    degradation = getattr(run, "degradation", None)
     quarantined = getattr(run.network, "messages_quarantined", 0)
     if quarantined:
         # Only emitted when churn actually absorbed traffic, so artifacts

@@ -43,9 +43,7 @@ import numpy as np
 
 from repro.core.block import Block, BlockIdFactory, Blockchain
 from repro.core.blocktree import BlockTree
-from repro.core.degradation import DegradationMonitor
 from repro.core.history import History, HistoryRecorder
-from repro.core.score import LengthScore, ScoreFunction
 from repro.core.selection import LongestChain, SelectionFunction
 from repro.network.broadcast import (
     BlockAnnouncement,
@@ -394,7 +392,7 @@ class BlockchainReplica(Process):
 
 @dataclass
 class RunResult:
-    """Everything a protocol run produces."""
+    """Everything a protocol run produces, unanalysed (``analyse_run`` reads it)."""
 
     name: str
     history: History
@@ -402,14 +400,12 @@ class RunResult:
     oracle: TokenOracle
     network: Network
     duration: float
-    score: ScoreFunction = field(default_factory=LengthScore)
     #: The vectorized client population that fed the run, when
     #: :func:`run_protocol` scheduled one (``clients=...``); carries the
     #: generation timings ``RunResult.timings`` records.
     population: Optional[ClientPopulation] = field(default=None, repr=False)
-    #: Divergence depth over time and time-to-heal, read off the finished
-    #: history, when the run injected a registered fault model (``fault=...``).
-    degradation: Optional[DegradationMonitor] = field(default=None, repr=False)
+    #: The registered fault model the run injected (``fault=...``), if any.
+    fault: Optional[FaultModel] = field(default=None, repr=False)
 
     @property
     def correct_replicas(self) -> Tuple[str, ...]:
@@ -445,8 +441,7 @@ class LiveRun:
                   production (exactly once)
         "drain" — quiesce, then a final ``local_read()`` at every
                   alive replica
-        "done"  — result available (with the fault's degradation,
-                  read off the finished history)
+        "done"  — result available (the finished history, unanalysed)
 
     Checkpoint snapshots pickle the whole ``LiveRun`` between event
     chunks; restoring one re-enters :meth:`finish` and the continued
@@ -531,24 +526,15 @@ class LiveRun:
         """The finished run's :class:`RunResult` (phase must be ``done``)."""
         if self.phase != "done":
             raise RuntimeError(f"run has not finished (phase={self.phase!r})")
-        history = self.recorder.history()
-        degradation = None
-        if self.fault is not None:
-            degradation = DegradationMonitor(
-                history,
-                heal_at=self.fault.heal_time(),
-                liveness=self.network.liveness,
-                byzantine=[pid for pid, replica in self.replicas.items() if replica.byzantine],
-            )
         return RunResult(
             name=self.name,
-            history=history,
+            history=self.recorder.history(),
             replicas=self.replicas,
             oracle=self.oracle,
             network=self.network,
             duration=self.duration,
             population=self.population,
-            degradation=degradation,
+            fault=self.fault,
         )
 
 
@@ -619,12 +605,10 @@ def run_protocol(
         Optional registered :class:`~repro.network.faults.FaultModel`
         injecting scheduled adversarial events (crashes, silent members,
         churn, healing partitions, eclipse windows) through the
-        simulator.  The finished run's history, the network's liveness
-        log and the fault's heal time then give a
-        :class:`~repro.core.degradation.DegradationMonitor` (divergence
-        depth over time and time-to-heal), returned on the result
-        (``result.degradation``).  ``fault=None`` keeps the start-up
-        sequence byte-identical to the pre-fault harness.
+        simulator; it rides the result (``result.fault``) for
+        :meth:`~repro.core.degradation.DegradationMonitor.of_run`.
+        ``fault=None`` keeps the start-up sequence byte-identical to the
+        pre-fault harness.
     checkpoint_every, checkpoint_sink:
         When set, the run drains in chunks of at most ``checkpoint_every``
         events and ``checkpoint_sink`` receives the staged :class:`LiveRun`

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.consistency import ConsistencyReport, check_consistency
+from repro.core.consistency_index import ConsistencyIndex
 from repro.core.hierarchy import Consistency, OracleKind, Refinement
 from repro.core.score import ScoreFunction
 from repro.protocols.base import RunResult
@@ -102,10 +103,12 @@ def classify_run(
     run: RunResult,
     score: Optional[ScoreFunction] = None,
     expected: Optional[Refinement] = None,
+    index: Optional[ConsistencyIndex] = None,
 ) -> ClassificationResult:
-    """Classify one protocol run in the refinement hierarchy."""
+    """Classify one run by its history purged of failed appends (``index``: that purge's)."""
     # One index, and the three properties SC and EC share evaluated once.
-    strong, eventual = check_consistency(run.history.without_failed_appends(), score)
+    history = run.history.without_failed_appends() if index is None else None
+    strong, eventual = check_consistency(history, score, index=index)
 
     oracle_kind, k = _oracle_coordinates(run.oracle.k)
     if strong.holds:

@@ -40,7 +40,7 @@ def _assert_agreement(monitor, history, score):
     strong = BTStrongConsistency(score).check(history)
     eventual = BTEventualConsistency(score).check(history)
     assert monitor.reports() == (strong, eventual)
-    assert monitor.property_verdicts() == {
+    assert monitor.summary()["properties"] == {
         r.name: r.holds for r in strong.results + eventual.results
     }
     assert monitor.strong_holds() == strong.holds
@@ -94,7 +94,7 @@ class TestOneImplementation:
         monitor = ConsistencyMonitor().replay(history)
         assert monitor.reports()[0].result_for("strong-prefix") is sentinel
         # In the order the CLI and the JSON payload print them.
-        assert list(monitor.property_verdicts().items()) == [
+        assert list(monitor.summary()["properties"].items()) == [
             ("block-validity", True),
             ("local-monotonic-read", True),
             ("strong-prefix", False),

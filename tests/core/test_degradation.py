@@ -1,4 +1,4 @@
-"""Tests for the :class:`DegradationMonitor`, a pass over a finished history.
+"""Tests for the :class:`DegradationMonitor`, a pass over a finished history's index.
 
 Hand-built histories, recorded through a :class:`HistoryRecorder` on a
 settable clock, pin every quantity exactly: prefix-related reads count
@@ -19,6 +19,7 @@ from typing import Optional
 import pytest
 
 from repro.core.block import GENESIS, Block, Blockchain
+from repro.core.consistency_index import ConsistencyIndex
 from repro.core.degradation import DegradationMonitor
 from repro.core.history import HistoryRecorder
 from repro.engine import FaultSpec, get_protocol
@@ -53,7 +54,9 @@ class _Script:
         return self
 
     def monitor(self, **kwargs) -> DegradationMonitor:
-        return DegradationMonitor(self.recorder.history(), liveness=self.liveness, **kwargs)
+        history = self.recorder.history()
+        index = ConsistencyIndex.from_history(history)
+        return DegradationMonitor(index, history._times, liveness=self.liveness, **kwargs)
 
 
 class TestDivergenceDepth:
@@ -141,8 +144,8 @@ class TestHealing:
 
 
 def _against_the_oracle(run) -> DegradationMonitor:
-    """Assert ``run.degradation`` is the brute-force replay's; return it."""
-    degradation = run.degradation
+    """Assert the run's degradation pass is the brute-force replay's; return it."""
+    degradation = DegradationMonitor.of_run(run)
     byzantine = [pid for pid, replica in run.replicas.items() if replica.byzantine]
     summary, samples = replay_degradation(
         run.history,

@@ -28,6 +28,7 @@ from repro.core.consistency_index import (
     ConsistencyMonitor,
     InconsistentChainError,
 )
+from repro.core.degradation import DegradationMonitor
 from repro.core.history import Event, History, HistoryRecorder
 from repro.engine import ChannelSpec, ExperimentSpec, FaultSpec, WorkloadSpec, get_protocol
 from repro.protocols.classification import classify_run
@@ -225,12 +226,12 @@ def _count_built_events(monkeypatch):
 class TestEventsOnDemand:
     @pytest.mark.parametrize("fork", (True, False), ids=("fork", "chain"))
     def test_a_fault_run_builds_only_witness_events(self, monkeypatch, fork):
-        """A fault run's degradation is read off the finished history: the
-        run builds no event, so the only ones built word the witnesses of
-        its classification."""
+        """A fault run's degradation is read off the finished history's
+        index: neither the run nor the pass builds an event, so the only
+        ones built word the witnesses of its classification."""
         built = _count_built_events(monkeypatch)
         run = _run(fork, fault=FaultSpec(kind="crash", params={"at": {"p3": 40.0}}))
-        assert run.degradation is not None and run.degradation.reads_seen > 0
+        assert DegradationMonitor.of_run(run).reads_seen > 0
         assert built == []
         result = classify_run(run)
         witnesses = _witnesses(result.strong_report, result.eventual_report)
@@ -255,7 +256,8 @@ class TestEventsOnDemand:
     def test_a_monitored_run_builds_only_witness_events(self, monkeypatch, fork):
         """``monitor=True`` checks the finished history: the run itself
         builds no event, so the only ones built word the witnesses of the
-        classification and of the monitor's reports."""
+        classification, whose reports the monitor payload carries (a
+        replay's are the same reports)."""
         built = _count_built_events(monkeypatch)
         spec = _spec(fork, monitor=True)
         record = spec.execute()

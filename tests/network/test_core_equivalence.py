@@ -33,6 +33,7 @@ from unittest import mock
 import pytest
 
 from repro.core.blocktree import _TreeColumns
+from repro.core.degradation import DegradationMonitor
 from repro.core.history import HistoryRecorder
 from repro.network.channels import AsynchronousChannel, SynchronousChannel
 from repro.network.event_core import ArrayEventCore
@@ -157,7 +158,9 @@ def test_live_vs_reference_plane_for_every_fault_kind(fault_kind: str):
     )
     assert live.history.events == oracle.history.events
     assert live.history._times.tolist() == oracle.history._times.tolist()
-    assert live.degradation.samples == oracle.degradation.samples
+    assert (
+        DegradationMonitor.of_run(live).samples == DegradationMonitor.of_run(oracle).samples
+    )
     assert live.network.messages_delivered == oracle.network.messages_delivered
     assert live.network.messages_quarantined == oracle.network.messages_quarantined
 

@@ -20,6 +20,7 @@ import math
 
 import pytest
 
+from repro.core.degradation import DegradationMonitor
 from repro.core.errors import UnknownVocabularyError
 from repro.engine.spec import ExperimentSpec, FaultSpec
 from repro.network.channels import SynchronousChannel
@@ -244,7 +245,7 @@ class TestHealingAdversaries:
         result = run_bitcoin(
             n=6, duration=120.0, token_rate=0.4, seed=3, fault=_partition_fault(60.0)
         )
-        degradation = result.degradation
+        degradation = DegradationMonitor.of_run(result)
         assert degradation.max_divergence_depth > 0  # genuinely split-brain
         assert degradation.current_divergence_depth == 0  # converged again
         assert degradation.time_to_heal is not None
@@ -256,7 +257,7 @@ class TestHealingAdversaries:
         result = run_bitcoin(
             n=6, duration=120.0, token_rate=0.4, seed=3, fault=_partition_fault(None)
         )
-        degradation = result.degradation
+        degradation = DegradationMonitor.of_run(result)
         assert degradation.current_divergence_depth > 0
         assert degradation.heal_at is None
         assert degradation.time_to_heal is None
@@ -288,7 +289,7 @@ class TestHealingAdversaries:
     def test_eclipse_isolates_then_reconciles(self):
         fault = EclipseFault(victim="p2", at=10.0, until=50.0)
         result = run_bitcoin(n=6, duration=120.0, token_rate=0.4, seed=3, fault=fault)
-        degradation = result.degradation
+        degradation = DegradationMonitor.of_run(result)
         assert degradation.heal_at == 50.0
         assert degradation.current_divergence_depth == 0
         tips = {chain.tip.block_id for chain in result.final_chains().values()}
@@ -301,8 +302,9 @@ class TestHealingAdversaries:
             n=4, duration=60.0, token_rate=0.4, seed=11, fault=CrashFault(at={})
         )
         assert plain.history.events == noop.history.events
-        assert plain.degradation is None
-        assert noop.degradation is not None  # degradation read, run unperturbed
+        assert plain.fault is None
+        assert noop.fault is not None  # the fault rides the result, run unperturbed
+        assert DegradationMonitor.of_run(noop).reads_seen > 0
 
 
 @pytest.mark.usefixtures("event_core")
