@@ -184,6 +184,7 @@ class Blockchain:
     Instances are immutable and cache their identifier tuple, so prefix
     comparisons (`issubclass` of paths) and the ``mcps`` computation in
     :mod:`repro.core.score` are tuple comparisons, not tree walks.
+    :meth:`extended` grows a valid chain by one block, checking one link.
     """
 
     blocks: Tuple[Block, ...]
@@ -199,6 +200,16 @@ class Blockchain:
                     f"broken chain: {child.block_id!r} does not extend "
                     f"{parent.block_id!r} (its parent is {child.parent_id!r})"
                 )
+
+    def extended(self, block: Block) -> "Blockchain":
+        """This chain plus ``block``, checking only the new link (``self``
+        holds the invariant already); a broken one raises as the constructor."""
+        blocks = self.blocks + (block,)
+        if block.parent_id != self.blocks[-1].block_id:
+            return Blockchain(blocks)  # raises __post_init__'s ValueError
+        chain = object.__new__(Blockchain)
+        object.__setattr__(chain, "blocks", blocks)
+        return chain
 
     # -- basic accessors -------------------------------------------------
 

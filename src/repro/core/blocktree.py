@@ -232,6 +232,8 @@ class BlockTree:
         # a memo entry tagged with the current version is still valid.
         self._version: int = 0
         self._selection_memo: Dict[Hashable, Tuple[int, Any]] = {}
+        # The last chain ``chain_to`` built: a path of the tree for good.
+        self._last_chain: Blockchain = Blockchain((root,))
 
     # -- basic introspection ------------------------------------------------
 
@@ -373,17 +375,25 @@ class BlockTree:
         return tuple(self._leaves)
 
     def chain_to(self, block_id: str) -> Blockchain:
-        """Return the blockchain from genesis up to ``block_id`` inclusive."""
-        if block_id not in self._blocks:
-            raise KeyError(block_id)
-        path: List[Block] = []
-        cursor: Optional[str] = block_id
-        while cursor is not None:
-            block = self._blocks[cursor]
-            path.append(block)
-            cursor = block.parent_id
-        path.reverse()
-        return Blockchain(tuple(path))
+        """Return the blockchain from genesis up to ``block_id`` inclusive.
+
+        Reads follow a growing chain, so the last chain built is reused: as
+        is for its own tip, :meth:`~Blockchain.extended` by one block for a
+        child of its tip.  Any other block is walked back to the root.
+        """
+        block = self._blocks[block_id]
+        last = self._last_chain
+        if block_id == last.blocks[-1].block_id:
+            return last
+        if block.parent_id == last.blocks[-1].block_id:
+            chain = last.extended(block)
+        else:
+            path = [block]
+            while path[-1].parent_id is not None:
+                path.append(self._blocks[path[-1].parent_id])
+            chain = Blockchain(tuple(reversed(path)))
+        self._last_chain = chain
+        return chain
 
     def all_chains(self) -> Tuple[Blockchain, ...]:
         """Every maximal blockchain (one per leaf), in insertion order."""

@@ -22,6 +22,7 @@ document how the real system maps onto this skeleton.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
@@ -146,11 +147,15 @@ class CommitteeConfig:
 
     def quorum(self) -> int:
         """Number of votes needed to commit (strict majority of the fraction)."""
-        return int(np.floor(self.quorum_fraction * len(self.committee))) + 1
+        return math.floor(self.quorum_fraction * len(self.committee)) + 1
 
 
 class CommitteeReplica(BlockchainReplica):
-    """A replica of a committee/consensus-based blockchain."""
+    """A replica of a committee/consensus-based blockchain.
+
+    Committing a block drops its proposal and votes (a late vote is then
+    ignored), so a replica keeps consensus state for live blocks only.
+    """
 
     def __init__(
         self,
@@ -171,7 +176,6 @@ class CommitteeReplica(BlockchainReplica):
         self._received_blocks: Set[str] = set()
         self._votes: Dict[str, Set[str]] = {}
         self._committed: Set[str] = set()
-        self._pending_validated: Dict[str, ValidatedBlock] = {}
         self._append_tokens: Dict[str, object] = {}
 
     # -- round machinery ---------------------------------------------------------------
@@ -216,7 +220,6 @@ class CommitteeReplica(BlockchainReplica):
             # parent (possible when rounds overlap): abandon the proposal.
             return
         block = validated.block
-        self._pending_validated[block.block_id] = validated
         # The append operation starts now (its response is recorded at commit
         # time), so that every read returning the block is preceded by the
         # append invocation, as Block Validity requires.
@@ -245,7 +248,7 @@ class CommitteeReplica(BlockchainReplica):
         self._maybe_commit(block.block_id)
 
     def _handle_vote(self, block_id: str, voter: str) -> None:
-        if voter not in self.committee_config.committee:
+        if voter not in self.committee_config.committee or block_id in self._committed:
             return
         self._votes.setdefault(block_id, set()).add(voter)
         self._maybe_commit(block_id)
@@ -255,8 +258,8 @@ class CommitteeReplica(BlockchainReplica):
     def _maybe_commit(self, block_id: str) -> None:
         if block_id in self._committed:
             return
-        votes = self._votes.get(block_id, set())
-        if len(votes) < self.committee_config.quorum():
+        votes = self._votes.get(block_id)
+        if votes is None or len(votes) < self.committee_config.quorum():
             return
         block = self._pending_blocks.get(block_id)
         if block is None:
@@ -265,6 +268,7 @@ class CommitteeReplica(BlockchainReplica):
             # Parent not committed locally yet; retry once it arrives.
             return
         self._committed.add(block_id)
+        del self._votes[block_id], self._pending_blocks[block_id]
         created_here = block.creator == self.pid
         if created_here:
             applied = self._insert(block)
@@ -291,7 +295,7 @@ class CommitteeReplica(BlockchainReplica):
             )
             # A commit may unblock a child proposal that arrived early.
             for other_id, other in list(self._pending_blocks.items()):
-                if other_id not in self._committed and other.parent_id == block_id:
+                if other.parent_id == block_id:
                     self._maybe_commit(other_id)
 
     def _chain_tip(self) -> str:

@@ -183,9 +183,10 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
 
 
 #: The refused checkpoints :func:`_age` makes: of the version before, of
-#: versions 1 to 5, and of none.
+#: versions 1 to 6, and of none.
 _AGED = [
-    "older", "version-1", "version-2", "version-3", "version-4", "version-5", "unversioned"
+    "older", "version-1", "version-2", "version-3", "version-4", "version-5",
+    "version-6", "unversioned",
 ]
 
 
@@ -198,8 +199,9 @@ def _age(path: str, written: str, monkeypatch) -> str:
     partly taken stretch of duplicates), at version 4 (whose run could
     pickle a live consistency monitor subscribed to its recorder), at
     version 5 (whose fault run pickled a live degradation monitor and a
-    recorder with no time column), or before versions were recorded
-    (``"unversioned"``).
+    recorder with no time column), at version 6 (whose committee replicas
+    pickled every validated proposal, and whose trees pickled no last
+    built chain), or before versions were recorded (``"unversioned"``).
     Returns the refusal's message."""
     now = repro.MODEL_VERSION
     if written == "older":
@@ -229,7 +231,7 @@ class TestModelVersion:
     def test_header_carries_the_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 6
+        assert head["model_version"] == repro.MODEL_VERSION == 7
 
     @pytest.mark.parametrize("written", _AGED)
     def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):

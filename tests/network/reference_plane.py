@@ -7,7 +7,8 @@ the tests only, as subclasses that put the old bodies back:
 * :class:`ReferenceNetwork` — the pre-batching scalar fan-out: one
   :meth:`Network.send` (one envelope, one scalar channel draw, one queue
   entry) per receiver, and per-event dispatch (no span handlers);
-* :class:`ReferenceBlockTree` — the per-block dict score index, verbatim;
+* :class:`ReferenceBlockTree` — the per-block dict score index, verbatim,
+  and a ``chain_to`` that walks to the root on every read;
 * :class:`ReferenceHistoryRecorder` — the recorder that builds an
   :class:`~repro.core.history.Event` per recorded event (a standalone
   class: it shares no code with the columnar recorder);
@@ -193,6 +194,12 @@ class ReferenceBlockTree(BlockTree):
 
     def subtree_weight(self, block_id: str) -> float:
         return self._subtree_weight[block_id]
+
+    def chain_to(self, block_id: str) -> Blockchain:
+        path = [self._blocks[block_id]]
+        while path[-1].parent_id is not None:
+            path.append(self._blocks[path[-1].parent_id])
+        return Blockchain(tuple(reversed(path)))
 
     def append(self, block: Block) -> Block:
         if block.is_genesis:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.consistency import check_strong_consistency
+from repro.engine import ExperimentSpec, WorkloadSpec
 from repro.protocols.committee import (
     CommitteeConfig,
     fixed_proposer,
@@ -101,3 +104,40 @@ class TestCommitteeRuns:
             if not b.is_genesis
         ]
         assert payloads and all(len(p) == 3 for p in payloads)
+
+
+class TestLiveConsensusState:
+    """A replica keeps votes and proposals of uncommitted blocks only, and
+    dropping the rest moves no history: the payloads equal the ones
+    computed before replicas dropped anything."""
+
+    @pytest.fixture(scope="class")
+    def hyperledger(self):
+        return ExperimentSpec(
+            protocol="hyperledger", replicas=16, duration=300.0, seed=3,
+            workload=WorkloadSpec(read_interval=1.0),
+        ).execute()
+
+    def test_committed_blocks_leave_no_votes_or_proposals(self, hyperledger):
+        for replica in hyperledger.run.replicas.values():
+            assert replica.blocks_committed > 50
+            assert not replica._committed & (set(replica._votes) | set(replica._pending_blocks))
+
+    def test_a_late_vote_for_a_committed_block_stores_nothing(self, hyperledger):
+        replica = hyperledger.run.replicas["p3"]
+        committed = replica.tree.leaves()[0]
+        assert committed in replica._committed
+        replica._handle_vote(committed, "p0")
+        assert committed not in replica._votes
+
+    def test_hyperledger_payload_is_unchanged(self, hyperledger):
+        digest = hashlib.sha256(hyperledger.stable_json().encode()).hexdigest()
+        assert digest == "d9040f543a12c24a7a2750aeda8e3282d4563811843b753bdb74e873f50cd1a2"
+
+    def test_redbelly_payload_is_unchanged(self):
+        result = ExperimentSpec(
+            protocol="redbelly", replicas=8, duration=200.0, seed=1,
+            workload=WorkloadSpec(read_interval=1.0),
+        ).execute()
+        digest = hashlib.sha256(result.stable_json().encode()).hexdigest()
+        assert digest == "1d7a4a6b6da27c5a25e190b5646f2414cb7ca99bb4bcec7448963985783d6df9"
