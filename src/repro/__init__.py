@@ -45,7 +45,7 @@ history, verdict, payload or pickled format.
 """
 
 #: Set before any import, so every module can read ``repro.MODEL_VERSION``.
-MODEL_VERSION = 7
+MODEL_VERSION = 8
 
 from repro.core.block import Block, Blockchain, GENESIS, genesis_block
 from repro.core.blocktree import BlockTree

@@ -16,16 +16,21 @@ callable itself beside its argument:
 * scalar pushes append ``(time, seq, method, arg)`` tuples to a
   per-bucket staging list (a Python list append is ~2x faster than a
   numpy scalar row write);
-* a fan-out (:meth:`ArrayEventCore.schedule_block`) is cut by slot when
-  it is scheduled — one stable argsort — and each bucket it touches gets
-  its share as one ``(times, seqs, method, args)`` block: one ``lexsort``
-  per bucket at drain time instead of k heap pushes.  A caller that took
-  its sequence numbers earlier (:meth:`~ArrayEventCore.reserve`: the
-  network's parked relays) hands its block to
-  :meth:`~ArrayEventCore.schedule_reserved`, with int64 arg arrays that
-  stay int64 in the buckets.  When such a bucket is materialized, the
-  method's classifier (:meth:`~ArrayEventCore.register_span_handler`)
-  marks the events already known to be count-only — a flood's duplicate
+* a bulk insert (:meth:`ArrayEventCore.schedule_block`, the only one: a
+  fan-out, a workload block, the network's parked relays with the
+  sequence numbers they took earlier through
+  :meth:`~ArrayEventCore.reserve`) sends what lands in or before the
+  slot being drained to the overflow heap.  A small one (fewer than 16
+  entries) stages the rest as tuples at once; a larger one waits whole
+  in one pending list, and when the next run starts everything pending
+  is cut into buckets in one pass
+  (:meth:`~ArrayEventCore._bucket_pending`), grouped by ``(slot,
+  method)`` with one sort over all of it, each group one ``(times, seqs,
+  method, args)`` block of its bucket (int64 args for a method with a
+  classifier): one ``lexsort`` per bucket at drain time instead of k
+  heap pushes.  When such a bucket is materialized, the method's
+  classifier (:meth:`~ArrayEventCore.register_span_handler`) marks the
+  events already known to be count-only — a flood's duplicate
   deliveries — *before* the sort: only the rest is sorted into the run,
   and the marked ones wait beside it, unsorted numpy arrays that are
   accounted in one step when the run ends — if the drain's budget holds
@@ -45,13 +50,13 @@ lane events it passes (:meth:`ArrayEventCore._pass_lanes`): once when it
 returns, or before each dispatch while its ``max_events`` budget could
 end among them.
 
-Draining pops the lowest-slot bucket (a tiny heap of slot numbers),
-sorts it once by ``(time, seq)``, and walks it with the loop in
-:meth:`ArrayEventCore.drain`.  Events scheduled *into the active slot or
-earlier* while it drains go to a small overflow heap that interleaves
-with the run — this preserves exact ``(time, seq)`` order, so recorded
-histories are byte-identical to the heap core's (asserted by the
-equivalence suite).  Counted duplicates are exact too: their whole
+Draining buckets what is pending, pops the lowest-slot bucket (a tiny
+heap of slot numbers), sorts it once by ``(time, seq)``, and walks it
+with the loop in :meth:`ArrayEventCore.drain`.  Events scheduled *into
+the active slot or earlier* while it drains go to a small overflow heap
+that interleaves with the run — this preserves exact ``(time, seq)``
+order, so recorded histories are byte-identical to the heap core's
+(asserted by the equivalence suite).  Counted duplicates are exact too: their whole
 effect is two counters and the clock, and seen-sets only grow while the
 network epoch stays put.  Whatever stops a drain early (``until``, the
 budget, a raising callback) or moves the epoch splits them where it
@@ -62,7 +67,7 @@ to be judged again.  A drain never returns with any of them pending.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -115,6 +120,11 @@ def refuse_time(time: float, now: float) -> None:
     if time < now:
         raise ValueError("cannot schedule into the past")
     raise ValueError(f"event times must be finite, got {time!r}")
+
+
+def _listed(values: Any) -> Any:
+    """``values`` as a list: an array's ``tolist()``, a list itself."""
+    return values.tolist() if type(values) is np.ndarray else values
 
 
 def _check_times(now: float, times: np.ndarray) -> None:
@@ -250,6 +260,7 @@ class ArrayEventCore:
         "_consumed",
         "_buckets",
         "_bucket_heap",
+        "_pending",
         "_overflow",
         "_run_times",
         "_run_seqs",
@@ -279,17 +290,15 @@ class ArrayEventCore:
         self._consumed = 0
         self._buckets: Dict[int, _Bucket] = {}
         self._bucket_heap: List[int] = []
+        # Blocks not yet cut into buckets, ``(times, seqs, method, args)``,
+        # all beyond the active slot (see ``schedule_block``).
+        self._pending: List[Tuple[Any, ...]] = []
         # Events routed past the bucket plane while their slot is being
         # drained; plain (time, seq, method, arg) tuples.
         self._overflow: List[Tuple[float, int, Callable, Any]] = []
-        # Active run: the materialized current bucket as parallel lists.
-        self._run_times: List[float] = []
-        self._run_seqs: List[int] = []
-        self._run_methods: List[Any] = []
-        self._run_args: List[Any] = []
-        self._run_pos = 0
-        self._run_len = 0
-        self._run_slot: Optional[int] = None
+        # Active run: the materialized current bucket as parallel lists
+        # ``_run_times``, ``_run_seqs``, ``_run_methods``, ``_run_args``.
+        self._end_run()
         # The active run's counted duplicates, unsorted ``(times, seqs,
         # codes, method, last time)``, or None (see ``_start_next_run``).
         self._counted: Optional[Tuple[Any, ...]] = None
@@ -368,148 +377,63 @@ class ArrayEventCore:
         if run_slot is not None and slot <= run_slot:
             heappush(self._overflow, (time, seq, method, arg))
             return seq
-        bucket = self._buckets.get(slot)
-        if bucket is None:
-            bucket = _Bucket()
-            self._buckets[slot] = bucket
-            heappush(self._bucket_heap, slot)
-        bucket.stage.append((time, seq, method, arg))
+        self._bucket(slot).stage.append((time, seq, method, arg))
         return seq
 
-    def schedule_small(self, times: List[float], method: Callable, args: List[Any]) -> int:
-        """Scalar-staged twin of :meth:`schedule_block` for small fan-outs.
-
-        At typical multicast sizes (a handful of receivers) the numpy
-        constants of :meth:`schedule_block` — asarray, astype, argsort —
-        cost more than the whole insert; this path stages each entry as
-        a plain tuple instead.  Sequence numbers and overflow routing are
-        identical to the block path.  The times are not checked: the
-        multicast plane's are ``now`` plus channel delays.
-        """
-        k = len(times)
-        if k == 0:
-            return 0
-        base = self._seq
-        self._seq = base + k
-        self._inserted += k
-        inv = self._inv_width
-        run_slot = self._run_slot
-        buckets = self._buckets
-        for i in range(k):
-            time = times[i]
-            slot = int(time * inv)
-            if run_slot is not None and slot <= run_slot:
-                heappush(self._overflow, (time, base + i, method, args[i]))
-                continue
-            bucket = buckets.get(slot)
-            if bucket is None:
-                bucket = _Bucket()
-                buckets[slot] = bucket
-                heappush(self._bucket_heap, slot)
-            bucket.stage.append((time, base + i, method, args[i]))
-        return k
-
     def schedule_block(
-        self,
-        now: float,
-        times: np.ndarray,
-        method: Callable,
-        args: List[Any],
-        validate: bool = True,
+        self, times: Any, method: Callable, args: Any, now: Optional[float] = None, seqs: Any = None
     ) -> int:
         """Bulk insert one shared ``method`` at ``times[i]`` with ``args[i]``.
 
-        The fan-out fast path: ``times`` is already a float64 array (e.g.
-        ``now`` plus a channel's batched delay vector).  Sequence numbers
-        follow array order, and the block is split into its buckets here
-        (:meth:`schedule_reserved`); ``args`` is never mutated.
-        ``validate=False`` skips the past-timestamp check for callers
-        whose times are ``now`` plus non-negative delays by construction
-        (the multicast plane); it refuses a time before ``now``, a NaN and
-        an infinity.
+        The one bulk entry point: ``times`` a float64 array or a list of
+        floats, ``args`` a list or an int64 array (never mutated), seqs in
+        array order or ``seqs``, taken earlier with :meth:`reserve` (parked
+        relays).  What lands in or before the slot being drained goes to
+        the overflow heap.  Of a block of 16 entries or more the rest waits
+        whole in ``_pending`` until the next run starts
+        (:meth:`_bucket_pending`); a smaller one is staged row by row
+        (:meth:`_stage`).  Given ``now``, a time before it, a NaN or an
+        infinity is refused before any insert.
         """
         k = len(times)
         if k == 0:
             return 0
-        if validate:
+        if now is not None:
             _check_times(now, times)
-        base = self.reserve(k)
-        self.schedule_reserved(times, np.arange(base, base + k, dtype=np.int64), method, args)
+        if seqs is None:
+            base = self.reserve(k)
+            seqs = range(base, base + k) if k < 16 else np.arange(base, base + k, dtype=np.int64)
+        if k < 16:  # a small fan-out: its rows cost less than numpy's constants
+            self._stage(times, seqs, method, args)
+            return k
+        times = np.asarray(times, dtype=np.float64)
+        run_slot = self._run_slot
+        if run_slot is not None and int(times.min() * self._inv_width) <= run_slot:
+            late = (times * self._inv_width).astype(np.int64) > run_slot
+            flags = late.tolist()
+            for time, seq, arg, wait in zip(times.tolist(), seqs.tolist(), _listed(args), flags):
+                if not wait:
+                    heappush(self._overflow, (time, seq, method, arg))
+            if not late.any():
+                return k
+            times, seqs = times[late], seqs[late]
+            args = args[late] if type(args) is np.ndarray else list(compress(args, flags))
+        self._pending.append((times, seqs, method, args))
         return k
 
     def reserve(self, k: int) -> int:
-        """Take the next ``k`` sequence numbers for a later
-        :meth:`schedule_reserved`; returns the first.
-
-        The entries count as pending from here on.
-        """
+        """Take the next ``k`` sequence numbers, pending from here on, for a
+        later :meth:`schedule_block` (``seqs=``); returns the first."""
         base = self._seq
         self._seq = base + k
         self._inserted += k
         return base
 
-    def schedule_reserved(
-        self, times: np.ndarray, seqs: np.ndarray, method: Callable, args: Any
-    ) -> None:
-        """The :meth:`schedule_block` twin for entries whose ``seqs`` were reserved.
-
-        ``seqs`` is an int64 array from earlier :meth:`reserve` calls and
-        ``args`` a list or an int64 array, kept as such but for the
-        overflow share.  One stable argsort groups the block by slot;
-        within a bucket insertion order is irrelevant — materialization
-        sorts by ``(time, seq)`` — so each bucket's share is a permuted view.
-        """
-        slots = (times * self._inv_width).astype(np.int64)
-        order = np.argsort(slots, kind="stable")
-        ss = slots[order]
-        ts = times[order]
-        qs = seqs[order]
-        if type(args) is np.ndarray:
-            ags = args[order]
-        else:
-            ags = [args[i] for i in order.tolist()]
-        start, edges = self._bucket_shares(ss)
-        if start:
-            overflow = self._overflow
-            prefix = ags[:start].tolist() if type(ags) is np.ndarray else ags[:start]
-            for time, seq, arg in zip(ts[:start].tolist(), qs[:start].tolist(), prefix):
-                heappush(overflow, (time, seq, method, arg))
-            if start == len(ss):
-                return
-        buckets = self._buckets
-        prev = start
-        for slot, nxt in zip(ss.take([start] + edges[:-1]).tolist(), edges):
-            bucket = buckets.get(slot)
-            if bucket is None:
-                bucket = _Bucket()
-                buckets[slot] = bucket
-                heappush(self._bucket_heap, slot)
-            bucket.blocks.append((ts[prev:nxt], qs[prev:nxt], method, ags[prev:nxt]))
-            prev = nxt
-
-    def _bucket_shares(self, slots: np.ndarray):
-        """How a bulk insert grouped by slot is split — decided here only.
-
-        Returns ``(start, edges)``.  Slots are monotone in time, so the
-        entries landing in (or before) the slot currently being drained
-        are the prefix ``[0, start)``: they go to the overflow heap,
-        entry by entry.  ``edges`` are the ends of the groups that
-        follow, each one bucket's share: ``[start, edges[0])``,
-        ``[edges[0], edges[1])``, ... up to ``len(slots)``.
-        """
-        start = 0
-        run_slot = self._run_slot
-        if run_slot is not None and int(slots[0]) <= run_slot:
-            start = int(np.searchsorted(slots, run_slot, side="right"))
-        edges = (np.flatnonzero(slots[start + 1 :] != slots[start:-1]) + (start + 1)).tolist()
-        edges.append(len(slots))
-        return start, edges
-
     def schedule_column(self, sim, times: np.ndarray, values: np.ndarray, sink: Any) -> int:
         """Register *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.
 
-        Accounted as ``schedule_block(sim.now, times, sink.append,
-        values.tolist())``, but kept out of the buckets as one :class:`Lane`
+        Accounted as ``schedule_block(times, sink.append,
+        values.tolist(), sim.now)``, but kept out of the buckets as one :class:`Lane`
         handed to ``sink.add_lane``.  A running drain sized its budget check
         by the lanes it started with, so a column scheduled from a callback
         is inserted as those ``sink.append`` events instead.
@@ -520,7 +444,7 @@ class ArrayEventCore:
         now = sim.now
         _check_times(now, times)
         if self._draining:
-            return self.schedule_block(now, times, sink.append, values.tolist(), validate=False)
+            return self.schedule_block(times, sink.append, values.tolist())
         base = self.reserve(k)
         seqs = None
         if k > 1 and bool((times[1:] < times[:-1]).any()):
@@ -691,18 +615,13 @@ class ArrayEventCore:
                                     span_end = end
                                 cell[0] = 0
                                 cell[1] = pos
+                                t0 = 0.0 if timer is None else timer()
                                 try:
-                                    if timer is None:
-                                        handler(
-                                            run_times, run_seqs, run_args,
-                                            pos, end, until, limit - processed, cell,
-                                        )
-                                    else:
-                                        t0 = timer()
-                                        handler(
-                                            run_times, run_seqs, run_args,
-                                            pos, end, until, limit - processed, cell,
-                                        )
+                                    handler(
+                                        run_times, run_seqs, run_args,
+                                        pos, end, until, limit - processed, cell,
+                                    )
+                                    if timer is not None:
                                         sim.callback_seconds += timer() - t0
                                 finally:
                                     processed += cell[0]
@@ -832,6 +751,81 @@ class ArrayEventCore:
             self._lanes = [lane for lane in lanes if lane.counted < len(lane.times)]
         return count, cut
 
+    def _bucket(self, slot: int) -> _Bucket:
+        """The bucket of ``slot``, opened (and its slot heaped) if need be."""
+        bucket = self._buckets.get(slot)
+        if bucket is None:
+            bucket = self._buckets[slot] = _Bucket()
+            heappush(self._bucket_heap, slot)
+        return bucket
+
+    def _stage(self, times, seqs, method: Callable, args) -> None:
+        """Stage a small insert row by row, as :meth:`push` would, under its ``seqs``."""
+        run_slot, inv, buckets = self._run_slot, self._inv_width, self._buckets
+        for time, seq, arg in zip(_listed(times), _listed(seqs), _listed(args)):
+            slot = int(time * inv)
+            if run_slot is not None and slot <= run_slot:
+                heappush(self._overflow, (time, seq, method, arg))
+            else:
+                (buckets.get(slot) or self._bucket(slot)).stage.append((time, seq, method, arg))
+
+    def _columns(self, stage, blocks) -> Tuple[Any, ...]:
+        """``stage`` rows and ``blocks`` as unsorted columns ``(times, seqs,
+        mids, values, table, pool)``: ``mids`` index the distinct callables
+        in ``table``, and ``values`` holds a block's int64 arg where its
+        method has a classifier, else ``~i`` for the arg ``pool[i]``."""
+        classified = self._classifiers
+        index: Dict[Callable, int] = {}
+        pool: List[Any] = []
+        parts = []
+        if stage:
+            t_col, s_col, m_col, a_col = zip(*stage)
+            mids = [index.setdefault(method, len(index)) for method in m_col]
+            parts.append((t_col, s_col, mids, ~np.arange(len(stage), dtype=np.int64)))
+            pool.extend(a_col)
+        for times, seqs, method, args in blocks:
+            if method in classified:
+                values = np.asarray(args, dtype=np.int64)
+            else:
+                values = ~np.arange(len(pool), len(pool) + len(times), dtype=np.int64)
+                pool.extend(_listed(args))
+            mid = np.full(len(times), index.setdefault(method, len(index)), dtype=np.int64)
+            parts.append((times, seqs, mid, values))
+        times, seqs, mids, values = (np.concatenate(column) for column in zip(*parts))
+        return times, seqs, mids, values, list(index), pool
+
+    def _bucket_pending(self) -> None:
+        """Cut every pending block into the buckets it lands in, in one pass:
+        grouped by ``(slot, method)`` with one sort over all of them, each
+        group is one ``(times, seqs, method, args)`` block of its bucket
+        (int64 args for a method with a classifier, else a list).  Every
+        pending slot lies beyond the last run's.
+        """
+        pending, self._pending = self._pending, []
+        times, seqs, mids, values, table, pool = self._columns((), pending)
+        keys = (times * self._inv_width).astype(np.int64)
+        if len(table) > 1:
+            keys = keys * len(table) + mids
+        order = np.argsort(keys)  # the order within a group is immaterial
+        keys, times, seqs, values = (column.take(order) for column in (keys, times, seqs, values))
+        edges = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+        starts = [0] + edges
+        edges.append(len(keys))
+        for start, end, key in zip(starts, edges, keys.take(starts).tolist()):
+            slot, mid = divmod(key, len(table))
+            method = table[mid]
+            args = values[start:end]
+            if method not in self._classifiers:
+                args = [pool[~i] for i in args.tolist()]
+            self._bucket(slot).blocks.append((times[start:end], seqs[start:end], method, args))
+
+    def _end_run(self) -> bool:
+        """Leave no run active (returns False: no bucket was left)."""
+        self._run_slot: Optional[int] = None
+        self._run_times = self._run_seqs = self._run_methods = self._run_args = []
+        self._run_pos = self._run_len = 0
+        return False
+
     def _start_next_run(self, room: int) -> bool:
         """Materialize the lowest-slot bucket as the active run.
 
@@ -846,16 +840,11 @@ class ArrayEventCore:
         ``_run_slot`` (same-or-earlier pushes were diverted to the
         overflow heap).
         """
+        if self._pending:
+            self._bucket_pending()
         heap = self._bucket_heap
         if not heap:
-            self._run_slot = None
-            self._run_times = []
-            self._run_seqs = []
-            self._run_methods = []
-            self._run_args = []
-            self._run_pos = 0
-            self._run_len = 0
-            return False
+            return self._end_run()
         slot = heappop(heap)
         bucket = self._buckets.pop(slot)
         stage = bucket.stage
@@ -866,57 +855,19 @@ class ArrayEventCore:
             # merge and one list sort beat the concatenate/lexsort constants.
             rows = stage
             for bt, bs, method, bargs in blocks:
-                if type(bargs) is np.ndarray:
-                    bargs = bargs.tolist()
-                rows.extend(zip(bt.tolist(), bs.tolist(), repeat(method), bargs))
+                rows.extend(zip(bt.tolist(), bs.tolist(), repeat(method), _listed(bargs)))
             rows.sort()  # seqs unique: (time, seq) decides, the rest is never compared
             times, seqs, methods, args = (list(col) for col in zip(*rows))
             first: Dict[Callable, Callable] = {}
             methods = [first.setdefault(method, method) for method in methods]
         else:
-            # Merge the staged scalars and the fan-out blocks into one
-            # column set, then sort once.  ``m_parts`` index the distinct
-            # callables (``index``); ``v_all`` holds ``~i`` for arg
-            # ``pool[i]``, or the int64 arg of a method with a classifier.
-            classified = self._classifiers.keys() & self._span_handlers.keys()
-            index: Dict[Callable, int] = {}
-            pool: List[Any] = []
-            t_parts = []
-            s_parts = []
-            m_parts = []
-            v_parts = []
-            if stage:
-                t_col, s_col, m_col, a_col = zip(*stage)
-                t_parts.append(np.array(t_col, dtype=np.float64))
-                s_parts.append(np.array(s_col, dtype=np.int64))
-                m_parts.append(
-                    np.array([index.setdefault(m, len(index)) for m in m_col], dtype=np.int64)
-                )
-                v_parts.append(~np.arange(len(stage), dtype=np.int64))
-                pool.extend(a_col)
-            mids = set()
-            mid_vals = []
-            lens = []
-            for bt, bs, method, bargs in blocks:
-                mid = index.setdefault(method, len(index))
-                t_parts.append(bt)
-                s_parts.append(bs)
-                mid_vals.append(mid)
-                lens.append(len(bt))
-                if method in classified:
-                    mids.add(mid)
-                    v_parts.append(np.asarray(bargs, dtype=np.int64))
-                else:
-                    v_parts.append(~np.arange(len(pool), len(pool) + len(bt)))
-                    pool.extend(bargs.tolist() if type(bargs) is np.ndarray else bargs)
-            m_parts.append(np.repeat(np.array(mid_vals, dtype=np.int64), np.array(lens)))
-            table = list(index)
-            t_all = np.concatenate(t_parts)
-            s_all = np.concatenate(s_parts)
-            v_all = np.concatenate(v_parts)
+            # Merge the staged scalars and the blocks into one column set
+            # (``_columns``), then sort once.
+            t_all, s_all, m_all, v_all, table, pool = self._columns(stage, blocks)
+            mids = [method for method in table if method in self._classifiers]
             order = None
             if len(mids) == 1:  # (not when two networks share the simulator)
-                method = table[mids.pop()]
+                method = mids[0]
                 n = len(v_all)
                 # One mask buffer of a rounded size: numpy keeps freed buffers under
                 # 1 KiB per size, and masks sized by every bucket would pile up there.
@@ -939,7 +890,7 @@ class ArrayEventCore:
             if len(table) == 1:  # one shared callback (the common multicast bucket)
                 methods = [table[0]] * len(times)
             else:
-                methods = [table[i] for i in np.concatenate(m_parts).take(order).tolist()]
+                methods = [table[i] for i in m_all.take(order).tolist()]
         self._run_times = times
         self._run_seqs = seqs
         self._run_methods = methods

@@ -36,20 +36,18 @@ drain loop dispatches on its own like any timer.
 Within such a span the relays it provokes (Light Reliable Communication
 forwards every block on first reception) are *parked*
 (:meth:`Network._park`) rather than drawn and scheduled one by one,
-provided the fan-out takes the block path (:data:`BLOCK_FANOUT` or more
-receivers, its sender not among them), no message filter is active, and
-the channel promises a delay floor (:mod:`repro.network.channels`) under
-which every delivery lands after the span's last entry.  A parked relay
-takes its envelope slot, its sent count and its sequence numbers at
-once; when the span
-ends — however it ends — or anything else is about to draw on the
+provided the fan-out has :data:`BLOCK_FANOUT` or more receivers (its
+sender not among them), no message filter is active, and the channel
+promises a delay floor (:mod:`repro.network.channels`) under which every
+delivery lands after the span's last entry.  A parked relay takes its
+envelope slot, its sent count and its sequence numbers at once; when the
+span ends — however it ends — or anything else is about to draw on the
 channel, all parked relays are flushed together
-(:meth:`Network._flush_parked`): one channel draw in relay order, one
-fan-out block of int64 ``(times, seqs, codes)``.  This is exact: the
+(:meth:`Network._flush_parked`): one channel draw in relay order, one bulk
+insert of int64 codes with the seqs they took.  This is exact: the
 channel is consumed in the order the relays were made, every delivery
-keeps the ``(time, seq)`` it would have had, and nothing the span still
-dispatches can observe the difference, because no parked delivery sorts
-before the span's end — so it could not have cut the span or been
+keeps the ``(time, seq)`` it would have had, and no parked delivery sorts
+before the span's end, so it could not have cut the span or been
 dispatched in it.
 
 That batched plane is the only message plane in this module, timed by
@@ -143,12 +141,10 @@ MULTICAST = "*"
 _SLOT_SHIFT = 16
 _RECEIVER_MASK = (1 << _SLOT_SHIFT) - 1
 
-#: The fan-out size from which the array core batches: a fan-out of this
-#: many deliveries or more reaches it as one block
-#: (:meth:`Simulator.schedule_fanout`) and may be parked inside a span
-#: (:meth:`Network._multicast_trusted`); a smaller one is staged entry by
-#: entry.  A run of at most this many processes has almost nothing to
-#: batch, so it drains on the heap core (:func:`core_for_run`).
+#: The fan-out size from which a relay made inside a multicast span may be
+#: parked (:meth:`Network._multicast_trusted`).  A run of at most this many
+#: processes has almost nothing to batch, so it drains on the heap core
+#: (:func:`core_for_run`).
 BLOCK_FANOUT = 16
 
 _INF = float("inf")
@@ -222,23 +218,11 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if not 0 <= delay < _INF:
             refuse_time(delay, 0)
-        core = self._array_core
-        if core is not None:
-            core.push(self.now + delay, action, _NO_ARG)
-            return
-        heapq.heappush(
-            self._queue, (self.now + delay, next(self._sequence), action, _NO_ARG)
-        )
+        self.call_at(self.now + delay, action, _NO_ARG)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at an absolute virtual time."""
-        if not self.now <= time < _INF:
-            refuse_time(time, self.now)
-        core = self._array_core
-        if core is not None:
-            core.push(time, action, _NO_ARG)
-            return
-        heapq.heappush(self._queue, (time, next(self._sequence), action, _NO_ARG))
+        self.call_at(time, action, _NO_ARG)
 
     def call_at(self, time: float, method: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``method(arg)`` at an absolute virtual time.
@@ -264,43 +248,24 @@ class Simulator:
 
         ``delays[i] is None`` marks a dropped recipient: its entry is
         skipped and consumes no sequence number, exactly as if the caller
-        had filtered it out of the vector.  Everything
-        else is scheduled at ``now + delays[i]`` with argument
-        ``args[i]``, sequence numbers in vector order.  Under the array
-        core the block is split by slot into the buckets it touches, one
-        ``(times, seqs, method, args)`` share each — the multicast hot path.
+        had filtered it out of the vector.  Everything else is scheduled
+        at ``now + delays[i]`` with argument ``args[i]``, sequence
+        numbers in vector order: under the array core one
+        ``ArrayEventCore.schedule_block`` — the multicast hot path.
         Neither core mutates ``args``.
         """
         now = self.now
         if None in delays:
-            kept = [
-                (delay, arg) for delay, arg in zip(delays, args) if delay is not None
-            ]
+            kept = [(delay, arg) for delay, arg in zip(delays, args) if delay is not None]
             if not kept:
                 return 0
-            delays = [delay for delay, _ in kept]
-            args = [arg for _, arg in kept]
+            delays, args = (list(column) for column in zip(*kept))
+        times = [now + delay for delay in delays]
         core = self._array_core
         if core is not None:
-            if type(args) is not list:
-                args = list(args)
-            if len(delays) < BLOCK_FANOUT:
-                # Small fan-outs (typical multicast degree): the scalar
-                # staging path skips the asarray/argsort constants.  A
-                # Python float add is the same IEEE-754 operation as the
-                # vectorized broadcast, so timestamps are bit-identical.
-                times = [float(now + delay) for delay in delays]
-                return core.schedule_small(times, method, args)
-            times = np.asarray(delays, dtype=np.float64) + now
-            # Channel delays are non-negative by contract, so the block
-            # cannot land before ``now`` — skip the validation pass.
-            return core.schedule_block(now, times, method, args, validate=False)
-        queue = self._queue
-        push = heapq.heappush
-        sequence = self._sequence
-        for delay, arg in zip(delays, args):
-            push(queue, (now + delay, next(sequence), method, arg))
-        return len(delays)
+            # Channel delays are non-negative by contract: no time check.
+            return core.schedule_block(times, method, list(args))
+        return self._heap_insert(times, method, args)
 
     def schedule_block(
         self,
@@ -322,16 +287,18 @@ class Simulator:
         core = self._array_core
         if core is not None:
             arr = np.ascontiguousarray(times, dtype=np.float64)
-            return core.schedule_block(self.now, arr, method, args)
-        queue = self._queue
-        push = heapq.heappush
-        sequence = self._sequence
+            return core.schedule_block(arr, method, args, self.now)
         now = self.now
         for time in times:  # before any insert: a refused block leaves no trace
             if not now <= time < _INF:
                 refuse_time(time, now)
+        return self._heap_insert(times, method, args)
+
+    def _heap_insert(self, times: Sequence[float], method: Callable, args: Sequence[Any]) -> int:
+        """Push ``method(args[i])`` at ``times[i]`` onto the heap core, in order."""
+        queue, sequence = self._queue, self._sequence
         for time, arg in zip(times, args):
-            push(queue, (time, next(sequence), method, arg))
+            heapq.heappush(queue, (time, next(sequence), method, arg))
         return min(len(times), len(args))
 
     def schedule_column(self, times: Sequence[float], values: Sequence[int], sink: Any) -> int:
@@ -428,17 +395,14 @@ class Simulator:
         """Drain up to ``max_events`` events without the quiesce/clock tail."""
         core = self._array_core
         timer = getattr(self, "callback_timer", None)
-        if timer is None:
-            if core is not None:
-                return core.drain(self, until, max_events)
-            return self._run_heap(until, max_events)
-        t0 = timer()
+        t0 = 0.0 if timer is None else timer()
         try:
             if core is not None:
                 return core.drain(self, until, max_events)
             return self._run_heap(until, max_events)
         finally:
-            self.drain_seconds += timer() - t0
+            if timer is not None:
+                self.drain_seconds += timer() - t0
 
     def _run_heap(self, until: Optional[float], max_events: int) -> int:
         """The pre-array run loop, verbatim: pop tuples off one heapq.
@@ -480,10 +444,12 @@ def core_for_run(processes: int, clients: Optional[int] = None) -> str:
 
     Up to :data:`BLOCK_FANOUT` processes and no client population, a
     relay reaches fewer than :data:`BLOCK_FANOUT` others, so it is never
-    parked, and the array core has almost nothing to batch: the heap
-    drains the same history as fast or faster (the array core wins from
-    17–20 processes on).  A larger run, or one with column events
-    (``clients``), keeps the array core.
+    parked, and the array core has almost nothing to batch.  The heap is
+    clearly faster at 16 processes only (a miner's own 16-entry broadcast
+    is the one insert that takes the array core's block path); from 12 to
+    15 the two are within about 15 %, the array core mostly ahead.  A
+    larger run, or one with column events (``clients``), keeps the array
+    core.
     """
     return "heap" if processes <= BLOCK_FANOUT and not clients else "array"
 
@@ -830,13 +796,16 @@ class Network:
         return k
 
     def _flush_parked(self) -> None:
-        """Schedule every parked relay: one channel draw and one fan-out block.
+        """Schedule every parked relay: one channel draw and one bulk insert.
 
         The draw takes the parked fan-outs in relay order
         (:func:`batched_delays_many`), so it consumes the channel exactly
-        as their unparked draws would have; each entry gets the seq its
-        relay reserved and the code of its slot and receiver, and each
-        slot its last delivery time in ``_in_flight``.
+        as their unparked draws would have, and supplies only the times;
+        each entry gets the seq its relay reserved and the code of its
+        slot and receiver, and each slot its last delivery time in
+        ``_in_flight``.  A delivery in or before the slot being drained (a
+        floor below the bucket width) goes to the overflow heap, as any
+        bulk insert's does.
         """
         parked, self._parked = self._parked, []
         _, receiver_sets, nows, slots, bases, indexes = zip(*parked)
@@ -851,7 +820,7 @@ class Network:
         codes = np.concatenate(indexes) | np.repeat(
             np.array(slots, dtype=np.int64) << _SLOT_SHIFT, counts
         )
-        self.simulator._array_core.schedule_reserved(times, seqs, self._deliver_multicast, codes)
+        self.simulator._array_core.schedule_block(times, self._deliver_multicast, codes, seqs=seqs)
         in_flight = self._in_flight
         for last, slot in zip(np.maximum.reduceat(times, starts).tolist(), slots):
             heapq.heappush(in_flight, (last, slot))

@@ -183,10 +183,10 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
 
 
 #: The refused checkpoints :func:`_age` makes: of the version before, of
-#: versions 1 to 6, and of none.
+#: versions 1 to 7, and of none.
 _AGED = [
     "older", "version-1", "version-2", "version-3", "version-4", "version-5",
-    "version-6", "unversioned",
+    "version-6", "version-7", "unversioned",
 ]
 
 
@@ -201,7 +201,9 @@ def _age(path: str, written: str, monkeypatch) -> str:
     version 5 (whose fault run pickled a live degradation monitor and a
     recorder with no time column), at version 6 (whose committee replicas
     pickled every validated proposal, and whose trees pickled no last
-    built chain), or before versions were recorded (``"unversioned"``).
+    built chain), at version 7 (whose array event core pickled every
+    fan-out already cut into its buckets, with no pending blocks), or
+    before versions were recorded (``"unversioned"``).
     Returns the refusal's message."""
     now = repro.MODEL_VERSION
     if written == "older":
@@ -231,7 +233,7 @@ class TestModelVersion:
     def test_header_carries_the_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 7
+        assert head["model_version"] == repro.MODEL_VERSION == 8
 
     @pytest.mark.parametrize("written", _AGED)
     def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):

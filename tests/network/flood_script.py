@@ -1,9 +1,10 @@
 """A scripted relay flood, run on either core in caller-chosen drain steps.
 
-The array core cuts a fan-out block by slot when it is scheduled: the
-share reaching into the slot being drained goes to the overflow heap,
-each later slot's share waits in its bucket as one block until that
-bucket becomes the active run.  Nothing a caller can observe may depend
+The array core sends a fan-out block's entries reaching into the slot
+being drained to the overflow heap when it is scheduled; the rest waits
+whole until the next run starts, when it is cut by slot, and each later
+slot's share waits in its bucket as one block until that bucket becomes
+the active run.  Nothing a caller can observe may depend
 on where those boundaries fall.  :class:`Flood` is the LRC shape that
 fills the buckets with blocks — every process relays every rumor once,
 to everyone else, on first reception — over enough processes that each
@@ -141,21 +142,18 @@ class Flood:
         self.network.broadcast(pid, "rumor", rumor, include_self=True)
 
     def bucketed_blocks(self) -> int:
-        """Fan-out shares waiting in the array core's buckets (0 on the heap)."""
+        """Fan-out shares waiting beyond the active slot (0 on the heap)."""
         core = self.sim._array_core
         if core is None:
             return 0
-        return sum(len(bucket.blocks) for bucket in core._buckets.values())
+        return sum(map(len, waiting_shares(core).values()))
 
     def bucketed_methods(self) -> int:
-        """The most distinct callables the blocks of one bucket carry."""
+        """The most distinct callables the shares waiting in one slot carry."""
         core = self.sim._array_core
         if core is None:
             return 0
-        return max(
-            (len({block[2] for block in bucket.blocks}) for bucket in core._buckets.values()),
-            default=0,
-        )
+        return max((len(set(methods)) for methods in waiting_shares(core).values()), default=0)
 
     def state(self) -> Tuple[Any, ...]:
         return (
@@ -365,9 +363,23 @@ def with_widths(cases: Dict[str, str]) -> List[Any]:
     ]
 
 
+def waiting_shares(core: ArrayEventCore) -> Dict[int, List[Callable]]:
+    """slot -> the method of each fan-out share waiting for it: a block in
+    its bucket, or a pending block (``core._pending``) that lands there."""
+    shares: Dict[int, List[Callable]] = {}
+    for slot, bucket in core._buckets.items():
+        shares[slot] = [block[2] for block in bucket.blocks]
+    for times, _seqs, method, _args in core._pending:
+        for slot in np.unique((times * core._inv_width).astype(np.int64)).tolist():
+            shares.setdefault(slot, []).append(method)
+    return shares
+
+
 def assert_drained(core: ArrayEventCore) -> None:
-    """Nothing is left in the buckets, the overflow heap or the counted duplicates."""
-    assert not core._buckets and not core._bucket_heap and not core._overflow
+    """Nothing is left pending, in the buckets, the overflow heap or the
+    counted duplicates."""
+    assert not core._pending and not core._buckets and not core._bucket_heap
+    assert not core._overflow
     assert core._counted is None
 
 

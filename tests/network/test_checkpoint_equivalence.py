@@ -19,6 +19,7 @@ import pytest
 from repro.engine.checkpoint import SimulationCheckpoint
 from repro.network.faults import FAULT_REGISTRY
 from repro.oracle.tape import MeritTape, TapeFamily
+from tests.network.flood_script import waiting_shares
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
 
 #: Chunk size small enough that every scenario crosses several snapshot
@@ -91,16 +92,16 @@ def test_restores_identical_for_every_fault_kind(fault_kind: str, core: str):
 
 
 def _bucketed_blocks(live) -> int:
-    """Fan-out shares waiting in the array core's buckets."""
-    return sum(len(bucket.blocks) for bucket in live.simulator._array_core._buckets.values())
+    """Fan-out shares waiting beyond the array core's active slot."""
+    return sum(map(len, waiting_shares(live.simulator._array_core).values()))
 
 
 @pytest.mark.parametrize("kind", ("synchronous", "asynchronous"))
 def test_restores_identical_with_relay_shares_in_buckets(kind: str):
     """Eighteen miners: every relay is a 17-entry fan-out block, which
-    the array core cuts by slot when it is scheduled.  Restore at
-    seeded-random boundaries where relay shares wait in buckets beyond
-    the active slot; the asynchronous channel also sends part of some
+    the array core cuts by slot when the next run starts.  Restore at
+    seeded-random boundaries where relay shares wait, pending or in
+    buckets, beyond the active slot; the asynchronous channel also sends part of some
     blocks through the overflow heap."""
     clean = _run(kind, 3, n=18)
     snapshots = []

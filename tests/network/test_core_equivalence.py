@@ -488,9 +488,10 @@ def test_schedule_column_validates_like_schedule_block():
 
 # -- relay blocks in buckets ---------------------------------------------------
 #
-# A fan-out block is cut by slot when it is scheduled: the share reaching
-# into the slot being drained goes to the overflow heap, every later
-# slot's share waits in its bucket as one block.  Each case below drains
+# A fan-out block's entries reaching into the slot being drained go to the
+# overflow heap when it is scheduled; the rest waits whole, and when the
+# next run starts it is cut by slot with everything else pending, each
+# later slot's share one block of its bucket.  Each case below drains
 # one 18-process relay flood (``flood_script.Flood``: every relay is a
 # 17-entry block) on both cores and compares, after every chunk, the
 # delivery log, ``sim.now``, ``events_processed``, ``pending`` and the
@@ -536,19 +537,20 @@ _FLOOD_CASES = {
 def test_bucketed_relays_match_the_heap_core(case: str, width):
     channel, audits, steps = _FLOOD_CASES[case]
     waiting = []  # (blocks, methods in one bucket) at every chunk boundary
-    shares = []  # (overflow prefix, block length) of every split
-    bucket_shares = ArrayEventCore._bucket_shares
+    shares = []  # (entries sent to the overflow heap, block length) of every block
+    schedule_block = ArrayEventCore.schedule_block
 
-    def spy(core, slots):
-        start, edges = bucket_shares(core, slots)
-        shares.append((start, len(slots)))
-        return start, edges
+    def spy(core, times, *args, **kwargs):
+        before = len(core._overflow)
+        scheduled = schedule_block(core, times, *args, **kwargs)
+        shares.append((len(core._overflow) - before, len(times)))
+        return scheduled
 
     def look(flood: Flood) -> None:
         waiting.append((flood.bucketed_blocks(), flood.bucketed_methods()))
 
     flood = _flood("array", channel, audits, width)
-    with mock.patch.object(ArrayEventCore, "_bucket_shares", spy):
+    with mock.patch.object(ArrayEventCore, "schedule_block", spy):
         array = flood.run(steps, on_chunk=look)
     heap = _flood("heap", channel, audits).run(steps)
     assert array == heap

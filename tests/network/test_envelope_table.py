@@ -28,14 +28,12 @@ def test_a_relay_buckets_ints_not_tuples():
     flood.sim.run(until=0.6)
     network = flood.network
     core = flood.sim._array_core
+    waiting = [block for bucket in core._buckets.values() for block in bucket.blocks]
     blocks = [
-        block
-        for bucket in core._buckets.values()
-        for block in bucket.blocks
-        if block[2] == network._deliver_multicast
+        block for block in waiting + core._pending if block[2] == network._deliver_multicast
     ]
-    # A relay made in a multicast span is parked and bucketed in int64
-    # arrays with the others of its span; any other fan-out keeps an int list.
+    # The relays a multicast span parks are scheduled as one int64 array, and a
+    # bucket's multicast share is int64; a pending unparked fan-out keeps an int list.
     assert any(type(args) is np.ndarray for _times, _seqs, _method, args in blocks)
     codes = []
     for _times, _seqs, _method, args in blocks:
@@ -77,21 +75,23 @@ def test_the_envelope_table_holds_the_multicasts_in_flight():
     sends = []  # (send time, last delivery time) of every scheduled fan-out
     flood = _stationary_flood()
     network = flood.network
-    schedule_reserved = ArrayEventCore.schedule_reserved
+    schedule_block = ArrayEventCore.schedule_block
 
-    def spy(core, times, seqs, method, args):
+    def spy(core, times, method, args, *rest, **kwargs):
         # Every fan-out here is a block (48 processes), scheduled alone or
-        # with the other relays parked in its span: split it by slot.
-        schedule_reserved(core, times, seqs, method, args)
+        # with the other relays parked in its span.
+        scheduled = schedule_block(core, times, method, args, *rest, **kwargs)
         last = {}
-        for code, time in zip(np.asarray(args, dtype=np.int64).tolist(), times.tolist()):
+        codes = np.asarray(args, dtype=np.int64).tolist()
+        for code, time in zip(codes, np.asarray(times).tolist()):
             slot = code >> 16
             last[slot] = max(time, last.get(slot, time))
         for slot, time in last.items():
             sends.append((network._envelopes[slot].sent_at, time))
+        return scheduled
 
     readings = []
-    with mock.patch.object(ArrayEventCore, "schedule_reserved", spy):
+    with mock.patch.object(ArrayEventCore, "schedule_block", spy):
         for until in (50.0, 100.0):
             flood.sim.run(until=until)
             size = len(_table_snapshot(network))
