@@ -3,13 +3,12 @@
 The simulator has two event stores.  The heap core
 (``Simulator(core="heap")``) keeps every pending event as a Python tuple
 in one global ``heapq`` — O(log n) object-churning pushes and pops, but
-no per-bucket constants, so a small run (at most
-:data:`~repro.network.simulator.BLOCK_FANOUT` processes, no clients)
-drains faster on it.  This module is the other one, the store every
-larger run or client population drains on
+no per-bucket constants, so a small run (at most :data:`BLOCK_FANOUT`
+processes, no clients) drains faster on it.  This module is the other
+one, the store every larger run or client population drains on
 (:func:`~repro.network.simulator.core_for_run` picks): a *calendar
-queue*, in which events live in per-time-slot **buckets**, each with
-two stores that are merged and sorted once by ``(time, seq)`` when the
+queue*, in which events live in per-time-slot **buckets**, each with two
+stores that are merged and sorted once by ``(time, seq)`` when the
 bucket is materialized.  Both hold what the heap core holds, the
 callable itself beside its argument:
 
@@ -20,10 +19,10 @@ callable itself beside its argument:
   fan-out, a workload block, the network's parked relays with the
   sequence numbers they took earlier through
   :meth:`~ArrayEventCore.reserve`) sends what lands in or before the
-  slot being drained to the overflow heap.  A small one (fewer than 16
-  entries) stages the rest as tuples at once; a larger one waits whole
-  in one pending list, and when the next run starts everything pending
-  is cut into buckets in one pass
+  slot being drained to the overflow heap.  A small one (fewer than
+  :data:`BLOCK_FANOUT` entries) stages the rest as tuples at once; a
+  larger one waits whole in one pending list, and when the next run
+  starts everything pending is cut into buckets in one pass
   (:meth:`~ArrayEventCore._bucket_pending`), grouped by ``(slot,
   method)`` with one sort over all of it, each group one ``(times, seqs,
   method, args)`` block of its bucket (int64 args for a method with a
@@ -56,9 +55,9 @@ with the loop in :meth:`ArrayEventCore.drain`.  Events scheduled *into
 the active slot or earlier* while it drains go to a small overflow heap
 that interleaves with the run — this preserves exact ``(time, seq)``
 order, so recorded histories are byte-identical to the heap core's
-(asserted by the equivalence suite).  Counted duplicates are exact too: their whole
-effect is two counters and the clock, and seen-sets only grow while the
-network epoch stays put.  Whatever stops a drain early (``until``, the
+(asserted by the equivalence suite).  Counted duplicates are exact too:
+their whole effect is two counters and the clock, and seen-sets only
+grow while the network epoch stays put.  Whatever stops a drain early (``until``, the
 budget, a raising callback) or moves the epoch splits them where it
 stops (:meth:`ArrayEventCore._settle`): the rest go back to the store,
 to be judged again.  A drain never returns with any of them pending.
@@ -74,6 +73,7 @@ import numpy as np
 
 __all__ = [
     "ArrayEventCore",
+    "BLOCK_FANOUT",
     "Lane",
     "NO_ARG",
     "COMPILED_MODULES",
@@ -99,10 +99,19 @@ class _Sentinel:
         return self.name
 
 
-#: Sentinel marking "call the method with no argument".  The heap core in
-#: :mod:`repro.network.simulator` re-exports this as ``_NO_ARG`` so both
-#: cores dispatch through the same identity check.
+#: Sentinel marking "call the method with no argument" (``schedule``/
+#: ``schedule_at``): not ``None``, so ``call_at(t, fn, None)`` still calls
+#: ``fn(None)``.  The heap core in :mod:`repro.network.simulator` imports
+#: this as ``_NO_ARG`` so both cores dispatch through the same identity check.
 NO_ARG = _Sentinel("NO_ARG")
+
+#: The insert size from which a bulk insert waits whole for the next run's
+#: bucketing pass (:meth:`ArrayEventCore.schedule_block`; a smaller one is
+#: staged row by row) and a relay made inside a multicast span may be parked
+#: (``Network._multicast_trusted``).  A run of at most this many processes
+#: has almost nothing to batch, so it drains on the heap core
+#: (:func:`~repro.network.simulator.core_for_run`).
+BLOCK_FANOUT = 16
 
 
 #: Only reader: the frozen ledger's fingerprint (ledger/run.py:136); ROADMAP item 1 removes both.
@@ -253,7 +262,6 @@ class ArrayEventCore:
 
     __slots__ = (
         "slot_width",
-        "no_arg",
         "_inv_width",
         "_seq",
         "_inserted",
@@ -283,7 +291,6 @@ class ArrayEventCore:
         if not 0 < slot_width < _INF:
             raise ValueError("slot_width must be positive and finite")
         self.slot_width = slot_width
-        self.no_arg = NO_ARG
         self._inv_width = 1.0 / slot_width
         self._seq = 0  # same numbering as the heap core's itertools.count()
         self._inserted = 0
@@ -389,8 +396,8 @@ class ArrayEventCore:
         floats, ``args`` a list or an int64 array (never mutated), seqs in
         array order or ``seqs``, taken earlier with :meth:`reserve` (parked
         relays).  What lands in or before the slot being drained goes to
-        the overflow heap.  Of a block of 16 entries or more the rest waits
-        whole in ``_pending`` until the next run starts
+        the overflow heap.  Of a block of :data:`BLOCK_FANOUT` entries or
+        more the rest waits whole in ``_pending`` until the next run starts
         (:meth:`_bucket_pending`); a smaller one is staged row by row
         (:meth:`_stage`).  Given ``now``, a time before it, a NaN or an
         infinity is refused before any insert.
@@ -402,8 +409,10 @@ class ArrayEventCore:
             _check_times(now, times)
         if seqs is None:
             base = self.reserve(k)
-            seqs = range(base, base + k) if k < 16 else np.arange(base, base + k, dtype=np.int64)
-        if k < 16:  # a small fan-out: its rows cost less than numpy's constants
+            seqs = range(base, base + k)
+            if k >= BLOCK_FANOUT:
+                seqs = np.arange(base, base + k, dtype=np.int64)
+        if k < BLOCK_FANOUT:  # a small insert: its rows cost less than numpy's constants
             self._stage(times, seqs, method, args)
             return k
         times = np.asarray(times, dtype=np.float64)
@@ -432,11 +441,11 @@ class ArrayEventCore:
     def schedule_column(self, sim, times: np.ndarray, values: np.ndarray, sink: Any) -> int:
         """Register *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.
 
-        Accounted as ``schedule_block(times, sink.append,
-        values.tolist(), sim.now)``, but kept out of the buckets as one :class:`Lane`
-        handed to ``sink.add_lane``.  A running drain sized its budget check
-        by the lanes it started with, so a column scheduled from a callback
-        is inserted as those ``sink.append`` events instead.
+        Accounted as ``schedule_block(times, sink.append, values.tolist(),
+        sim.now)``, but kept out of the buckets as one :class:`Lane` handed to
+        ``sink.add_lane``.  A running drain sized its budget check by the
+        lanes it started with, so a column scheduled from a callback is
+        inserted as those ``sink.append`` events instead.
         """
         k = len(times)
         if k == 0:
@@ -505,7 +514,7 @@ class ArrayEventCore:
         """
         processed = 0
         overflow = self._overflow
-        no_arg = self.no_arg
+        no_arg = NO_ARG
         pos = self._run_pos
         now = sim.now
         spans = self._span_handlers

@@ -71,21 +71,12 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import UnknownVocabularyError
 from repro.core.history import HistoryRecorder
 from repro.network.channels import batched_delays, batched_delays_many
-from repro.network.event_core import NO_ARG, ArrayEventCore, refuse_time
+from repro.network.event_core import BLOCK_FANOUT, NO_ARG as _NO_ARG, ArrayEventCore, refuse_time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.network.channels import ChannelModel
@@ -141,23 +132,10 @@ MULTICAST = "*"
 _SLOT_SHIFT = 16
 _RECEIVER_MASK = (1 << _SLOT_SHIFT) - 1
 
-#: The fan-out size from which a relay made inside a multicast span may be
-#: parked (:meth:`Network._multicast_trusted`).  A run of at most this many
-#: processes has almost nothing to batch, so it drains on the heap core
-#: (:func:`core_for_run`).
-BLOCK_FANOUT = 16
-
 _INF = float("inf")
 
 #: Skip-table entry of a receiver whose duplicates must be dispatched.
 _NO_SKIP: frozenset = frozenset()
-
-#: Queue-entry marker for a no-argument callback (the ``schedule``/
-#: ``schedule_at`` API).  A private sentinel rather than ``None`` so that
-#: ``call_at(t, fn, None)`` entries carrying a legitimate ``None``
-#: argument still invoke ``fn(None)``.  Owned by the
-#: array core module (both cores dispatch on the same identity check).
-_NO_ARG = NO_ARG
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,11 +196,23 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if not 0 <= delay < _INF:
             refuse_time(delay, 0)
-        self.call_at(self.now + delay, action, _NO_ARG)
+        core = self._array_core
+        if core is not None:
+            core.push(self.now + delay, action, _NO_ARG)
+            return
+        heapq.heappush(
+            self._queue, (self.now + delay, next(self._sequence), action, _NO_ARG)
+        )
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at an absolute virtual time."""
-        self.call_at(time, action, _NO_ARG)
+        if not self.now <= time < _INF:
+            refuse_time(time, self.now)
+        core = self._array_core
+        if core is not None:
+            core.push(time, action, _NO_ARG)
+            return
+        heapq.heappush(self._queue, (time, next(self._sequence), action, _NO_ARG))
 
     def call_at(self, time: float, method: Callable[[Any], None], arg: Any) -> None:
         """Schedule ``method(arg)`` at an absolute virtual time.
@@ -256,16 +246,23 @@ class Simulator:
         """
         now = self.now
         if None in delays:
-            kept = [(delay, arg) for delay, arg in zip(delays, args) if delay is not None]
+            kept = [
+                (delay, arg) for delay, arg in zip(delays, args) if delay is not None
+            ]
             if not kept:
                 return 0
-            delays, args = (list(column) for column in zip(*kept))
-        times = [now + delay for delay in delays]
+            delays = [delay for delay, _ in kept]
+            args = [arg for _, arg in kept]
         core = self._array_core
         if core is not None:
             # Channel delays are non-negative by contract: no time check.
-            return core.schedule_block(times, method, list(args))
-        return self._heap_insert(times, method, args)
+            return core.schedule_block([now + delay for delay in delays], method, list(args))
+        queue = self._queue
+        push = heapq.heappush
+        sequence = self._sequence
+        for delay, arg in zip(delays, args):
+            push(queue, (now + delay, next(sequence), method, arg))
+        return len(delays)
 
     def schedule_block(
         self,
@@ -288,17 +285,15 @@ class Simulator:
         if core is not None:
             arr = np.ascontiguousarray(times, dtype=np.float64)
             return core.schedule_block(arr, method, args, self.now)
+        queue = self._queue
+        push = heapq.heappush
+        sequence = self._sequence
         now = self.now
         for time in times:  # before any insert: a refused block leaves no trace
             if not now <= time < _INF:
                 refuse_time(time, now)
-        return self._heap_insert(times, method, args)
-
-    def _heap_insert(self, times: Sequence[float], method: Callable, args: Sequence[Any]) -> int:
-        """Push ``method(args[i])`` at ``times[i]`` onto the heap core, in order."""
-        queue, sequence = self._queue, self._sequence
         for time, arg in zip(times, args):
-            heapq.heappush(queue, (time, next(sequence), method, arg))
+            push(queue, (time, next(sequence), method, arg))
         return min(len(times), len(args))
 
     def schedule_column(self, times: Sequence[float], values: Sequence[int], sink: Any) -> int:
@@ -322,8 +317,7 @@ class Simulator:
         core = self._array_core
         if core is None:
             return self.schedule_block(times, sink.append, values)
-        arr = np.ascontiguousarray(times, dtype=np.float64)
-        return core.schedule_column(self, arr, values, sink)
+        return core.schedule_column(self, np.ascontiguousarray(times, np.float64), values, sink)
 
     @property
     def pending(self) -> int:
@@ -395,14 +389,17 @@ class Simulator:
         """Drain up to ``max_events`` events without the quiesce/clock tail."""
         core = self._array_core
         timer = getattr(self, "callback_timer", None)
-        t0 = 0.0 if timer is None else timer()
+        if timer is None:
+            if core is not None:
+                return core.drain(self, until, max_events)
+            return self._run_heap(until, max_events)
+        t0 = timer()
         try:
             if core is not None:
                 return core.drain(self, until, max_events)
             return self._run_heap(until, max_events)
         finally:
-            if timer is not None:
-                self.drain_seconds += timer() - t0
+            self.drain_seconds += timer() - t0
 
     def _run_heap(self, until: Optional[float], max_events: int) -> int:
         """The pre-array run loop, verbatim: pop tuples off one heapq.
@@ -445,11 +442,10 @@ def core_for_run(processes: int, clients: Optional[int] = None) -> str:
     Up to :data:`BLOCK_FANOUT` processes and no client population, a
     relay reaches fewer than :data:`BLOCK_FANOUT` others, so it is never
     parked, and the array core has almost nothing to batch.  The heap is
-    clearly faster at 16 processes only (a miner's own 16-entry broadcast
-    is the one insert that takes the array core's block path); from 12 to
-    15 the two are within about 15 %, the array core mostly ahead.  A
-    larger run, or one with column events (``clients``), keeps the array
-    core.
+    clearly faster only at 16 (a miner's own 16-entry broadcast takes the
+    array core's block path); from 12 to 15 the two are within about
+    15 %, the array core mostly ahead.  A larger run, or one with column
+    events (``clients``), keeps the array core.
     """
     return "heap" if processes <= BLOCK_FANOUT and not clients else "array"
 
