@@ -37,11 +37,11 @@ Anceaume, Del Pozzo, Ludinard, Potop-Butucaru and Tucci-Piergiovanni
     Figures 2, 3, 4 and 13) and analysis utilities (fork statistics,
     convergence metrics, report rendering).
 
-``MODEL_VERSION`` names the simulator model that produced an artifact.
-It is hashed into every spec digest (cache file, sweep journal key,
-checkpoint path) and written into every checkpoint header, and a
-checkpoint of another version is refused.  Bump it with any change to a
-history, verdict, payload or pickled format.
+``MODEL_VERSION`` names the simulator model that produced a result.  It
+is hashed into every spec digest (cache file, sweep journal key,
+checkpoint path) and pinned by the behaviour lock.  Bump it only with a
+change that can move a history, verdict, payload or CLI output; a
+checkpoint is keyed to the code that wrote it by a fingerprint instead.
 """
 
 #: Set before any import, so every module can read ``repro.MODEL_VERSION``.

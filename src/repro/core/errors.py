@@ -20,10 +20,9 @@ This lives in :mod:`repro.core` — the bottom of the layering — because
 both the network substrate (topology registry) and the engine (protocol /
 channel / selection vocabularies) raise it.
 
-A checkpoint written by another model version is refused by its header
-(:data:`repro.MODEL_VERSION`, checked in
-``SimulationCheckpoint.from_bytes``), so no class needs an error of its
-own for state in an older pickled format.
+A checkpoint written by other code is refused by its header (the layout
+fingerprint, checked in ``SimulationCheckpoint.from_bytes``), so no class
+needs an error of its own for state in an older pickled format.
 """
 
 from __future__ import annotations

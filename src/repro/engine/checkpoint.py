@@ -16,7 +16,7 @@ fault kind).
 
 On-disk format (``repro.checkpoint/1``)::
 
-    {"schema": "repro.checkpoint/1", "model_version": ..., "clock": ...,
+    {"schema": "repro.checkpoint/1", "layout": ..., "clock": ...,
      "event_count": ..., "phase": ..., "pickle_bytes": N, "sha256": "...",
      "spec": {...}?}\\n
     <N bytes of pickle protocol-highest payload>
@@ -24,10 +24,10 @@ On-disk format (``repro.checkpoint/1``)::
 The single JSON header line makes torn files detectable without
 unpickling: a snapshot whose byte length or digest disagrees with its
 header is rejected and the previous snapshot (``*.prev.ckpt``) is used
-instead.  It also carries :data:`repro.MODEL_VERSION`, and a snapshot of
-any other version, or of none, is refused before its payload is read:
-that is the one compatibility rule, so no class keeps a reader for an
-older pickled format.
+instead.  It also carries the :func:`layout_fingerprint` of the code that
+wrote it, and a snapshot of any other code, or with none, is refused
+before its payload is read: that is the one compatibility rule, so no
+class keeps a reader for an older pickled format.
 
 :class:`CheckpointWriter` writes crash-safely — tmp file + ``fsync`` +
 atomic rename, rotating the prior snapshot first — so a kill at any
@@ -41,14 +41,15 @@ The cadence and the sink reach the run as the two keywords
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
 import json
 import os
 import pickle
 import time
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
 
 import repro
@@ -65,6 +66,7 @@ __all__ = [
     "SimulationCheckpoint",
     "CheckpointWriter",
     "checkpoint_path_for",
+    "layout_fingerprint",
     "load_checkpoint",
     "run_spec_with_checkpoints",
     "resume_spec_from_checkpoint",
@@ -79,6 +81,18 @@ DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 class CheckpointCorruptionError(RuntimeError):
     """A checkpoint file is torn or otherwise fails integrity checks."""
+
+
+@functools.lru_cache(maxsize=None)
+def layout_fingerprint() -> str:
+    """sha256 over every ``*.py`` of the imported ``repro`` package, path and
+    bytes in sorted order; taken on the first checkpoint written or read."""
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py")):
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\n{len(data)}\n".encode() + data)
+    return digest.hexdigest()
 
 
 @dataclass
@@ -112,7 +126,7 @@ class SimulationCheckpoint:
     def header(self) -> Dict[str, Any]:
         head: Dict[str, Any] = {
             "schema": CHECKPOINT_SCHEMA,
-            "model_version": repro.MODEL_VERSION,
+            "layout": layout_fingerprint(),
             "clock": self.clock,
             "event_count": self.event_count,
             "phase": self.phase,
@@ -124,11 +138,7 @@ class SimulationCheckpoint:
         return head
 
     def to_bytes(self) -> bytes:
-        buffer = io.BytesIO()
-        buffer.write(json.dumps(self.header(), sort_keys=True).encode("utf-8"))
-        buffer.write(b"\n")
-        buffer.write(self.payload)
-        return buffer.getvalue()
+        return json.dumps(self.header(), sort_keys=True).encode("utf-8") + b"\n" + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SimulationCheckpoint":
@@ -136,8 +146,8 @@ class SimulationCheckpoint:
 
         Raises :class:`CheckpointCorruptionError` for torn or tampered
         files: missing header newline, undecodable header, truncated or
-        over-long payload, or digest mismatch — and for a snapshot of
-        another model version (or none), which must be re-run.
+        over-long payload, or digest mismatch — and for one written by other
+        code (another layout fingerprint, or none), which must be re-run.
         """
         newline = data.find(b"\n")
         if newline < 0:
@@ -152,10 +162,10 @@ class SimulationCheckpoint:
             raise CheckpointCorruptionError(
                 f"unsupported checkpoint schema {head.get('schema')!r}"
             )
-        if head.get("model_version") != repro.MODEL_VERSION:
+        if head.get("layout") != layout_fingerprint():
             raise CheckpointCorruptionError(
-                f"checkpoint was written at model version {head.get('model_version')!r}, "
-                f"this is model version {repro.MODEL_VERSION}; it cannot be resumed — "
+                f"checkpoint was written by code of layout {head.get('layout')}, "
+                f"this is layout {layout_fingerprint()}; it cannot be resumed — "
                 "re-run the spec from the start"
             )
         payload = data[newline + 1 :]

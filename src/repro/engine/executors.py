@@ -476,6 +476,9 @@ class PoolExecutor(Executor):
                 raise ValueError("checkpoint_every must be positive")
             if checkpoint_dir is None:
                 raise ValueError("checkpoint_every requires checkpoint_dir")
+            from repro.engine.checkpoint import layout_fingerprint
+
+            layout_fingerprint()  # taken before any fork: workers stamp the code they hold
         self.jobs = jobs
         #: When both are set, each worker checkpoints its cell every N
         #: events to ``<checkpoint_dir>/<digest>.ckpt`` and retry attempts

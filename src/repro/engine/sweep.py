@@ -201,13 +201,10 @@ class SweepJournal:
         if not self.path.exists():
             return entries
         for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
             try:
                 entry = json.loads(line)
             except ValueError:
-                continue  # torn tail line from a mid-write crash
+                continue  # a blank line, or a torn tail from a mid-write crash
             if isinstance(entry, dict) and entry.get("digest"):
                 entries[entry["digest"]] = entry
         return entries
@@ -235,9 +232,13 @@ class SweepJournal:
             entry["error"] = dict(error)
         if resumed_from_event is not None:
             entry["resumed_from_event"] = int(resumed_from_event)
+        line = json.dumps(entry, sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        with open(self.path, "a+b") as handle:
+            handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+            if handle.read(1) not in (b"", b"\n"):
+                line = "\n" + line  # end a torn tail first, or it swallows the entry
+            handle.write(line.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
 

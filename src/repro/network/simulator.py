@@ -277,10 +277,12 @@ class Simulator:
         same-length sequence (a numpy array is scheduled as its
         ``tolist()``, so callbacks receive plain Python scalars).
         Sequence numbers follow array order, as for the same entries
-        inserted one by one with :meth:`call_at`; a timestamp before
-        ``now``, a NaN or an infinity raises :class:`ValueError`.
+        inserted one by one with :meth:`call_at`; a time before ``now``, a
+        NaN, an infinity or a length mismatch raises :class:`ValueError`.
         """
         args = args.tolist() if isinstance(args, np.ndarray) else list(args)
+        if len(args) != len(times):
+            raise ValueError("times and args must have the same length")
         core = self._array_core
         if core is not None:
             arr = np.ascontiguousarray(times, dtype=np.float64)
@@ -294,7 +296,7 @@ class Simulator:
                 refuse_time(time, now)
         for time, arg in zip(times, args):
             push(queue, (time, next(sequence), method, arg))
-        return min(len(times), len(args))
+        return len(args)
 
     def schedule_column(self, times: Sequence[float], values: Sequence[int], sink: Any) -> int:
         """Bulk insert *column events*: ``sink`` receives ``values[i]`` at ``times[i]``.

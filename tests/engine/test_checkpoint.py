@@ -4,7 +4,7 @@ The byte-identity of restored *histories* is pinned by the equivalence
 oracle in ``tests/network/test_checkpoint_equivalence.py``; this module
 covers the artifact layer around it — the versioned on-disk format and
 its torn-file detection, the crash-safe writer and its previous-snapshot
-fallback, the refusal of another model version's snapshots, spec-digest
+fallback, the refusal of snapshots written by other code, spec-digest
 stability, spec-level execution, and the pool executor's checkpoint-aware
 retries.
 """
@@ -14,6 +14,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,9 @@ from repro.engine import (
     run_spec_with_checkpoints,
     spec_digest,
 )
+from repro.engine.checkpoint import layout_fingerprint
+from repro.engine.executors import _attempt_in_worker
+from repro.engine.result import RunResult
 from tests.test_behaviour_lock import _FAULT_PARAMS, _fault_cell
 
 
@@ -182,75 +188,162 @@ def _write_cell_checkpoint(path: str, spec: ExperimentSpec) -> None:
     os.unlink(str(path).replace(".ckpt", ".prev.ckpt"))
 
 
-#: The refused checkpoints :func:`_age` makes: of the version before, of
-#: versions 1 to 7, and of none.
-_AGED = [
-    "older", "version-1", "version-2", "version-3", "version-4", "version-5",
-    "version-6", "version-7", "unversioned",
-]
+#: The refused checkpoints :func:`_stale` makes: one whose header carries
+#: another code's layout fingerprint, and one that carries none (a header
+#: with ``model_version`` in its place, as checkpoints were written before).
+_STALE = ["other-layout", "no-layout"]
 
 
-def _age(path: str, written: str, monkeypatch) -> str:
-    """Make the checkpoint at ``path`` one this model version must refuse:
-    one written at the version before (``"older"``), at version 1 (the
-    format whose recorder pickled one event object per event), at version 2
-    (whose array event core pickled a method-intern table and a packed
-    bucket table), at version 3 (whose array event core could pickle a
-    partly taken stretch of duplicates), at version 4 (whose run could
-    pickle a live consistency monitor subscribed to its recorder), at
-    version 5 (whose fault run pickled a live degradation monitor and a
-    recorder with no time column), at version 6 (whose committee replicas
-    pickled every validated proposal, and whose trees pickled no last
-    built chain), at version 7 (whose array event core pickled every
-    fan-out already cut into its buckets, with no pending blocks), or
-    before versions were recorded (``"unversioned"``).
-    Returns the refusal's message."""
-    now = repro.MODEL_VERSION
-    if written == "older":
-        monkeypatch.setattr(repro, "MODEL_VERSION", now + 1)
-        versions = f"{now}, this is model version {now + 1}"
+def _stale(path: str, written: str) -> str:
+    """Make the checkpoint at ``path`` one this code must refuse; returns
+    the refusal's message."""
+    data = Path(path).read_bytes()
+    newline = data.index(b"\n")
+    head = json.loads(data[:newline])
+    if written == "other-layout":
+        head["layout"] = "0" * 64
     else:
-        data = Path(path).read_bytes()
-        newline = data.index(b"\n")
-        head = json.loads(data[:newline])
-        if written.startswith("version-"):
-            head["model_version"] = int(written[len("version-"):])
-        else:
-            del head["model_version"]
-        with open(path, "wb") as handle:
-            handle.write(json.dumps(head, sort_keys=True).encode() + data[newline:])
-        versions = f"{head.get('model_version')}, this is model version {now}"
+        del head["layout"]
+        head["model_version"] = repro.MODEL_VERSION
+    Path(path).write_bytes(json.dumps(head, sort_keys=True).encode() + data[newline:])
     return (
-        f"checkpoint was written at model version {versions}; "
+        f"checkpoint was written by code of layout {head.get('layout')}, "
+        f"this is layout {layout_fingerprint()}; "
         "it cannot be resumed — re-run the spec from the start"
     )
 
 
-@pytest.mark.usefixtures("event_core")
-class TestModelVersion:
-    """A checkpoint of another model version, or of none, is never read."""
+def _append_comment_byte(root: Path, name: str = "core/block.py") -> None:
+    with open(root / name, "ab") as handle:
+        handle.write(b"#")
 
-    def test_header_carries_the_model_version(self):
+
+def _move_a_byte_across_modules(root: Path) -> None:
+    """Shift the last byte of one module to the front of the next in
+    sorted order: the concatenated bytes are unchanged."""
+    first, second = sorted(root.rglob("*.py"))[:2]
+    head, tail = first.read_bytes(), second.read_bytes()
+    first.write_bytes(head[:-1])
+    second.write_bytes(head[-1:] + tail)
+
+
+#: Edits to a copy of the package that must move its fingerprint.
+_MOVING_EDITS = {
+    "comment-byte": _append_comment_byte,
+    "comment-byte-in-package-init": lambda root: _append_comment_byte(root, "__init__.py"),
+    "empty-new-module": lambda root: (root / "core" / "extra.py").write_bytes(b""),
+    "removed-module": lambda root: (root / "core" / "block.py").unlink(),
+    "renamed-module": lambda root: (root / "core" / "block.py").rename(
+        root / "core" / "blocks.py"
+    ),
+    "byte-moved-across-modules": _move_a_byte_across_modules,
+}
+
+#: Edits beside the package's modules that must leave its fingerprint.
+_STILL_EDITS = {
+    "data-file": lambda root: (root / "core" / "notes.txt").write_text("notes\n"),
+    "bytecode": lambda root: (
+        (root / "core" / "__pycache__").mkdir(),
+        (root / "core" / "__pycache__" / "block.cpython-311.pyc").write_bytes(b"\0" * 16),
+    ),
+    "touched-mtime": lambda root: os.utime(root / "core" / "block.py", (0, 0)),
+}
+
+
+@pytest.fixture
+def package_copy(tmp_path, monkeypatch) -> Path:
+    """A copy of the ``repro`` package that the fingerprint is taken over
+    (through ``layout_fingerprint.__wrapped__``, past the process cache)."""
+    copy = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+    assert layout_fingerprint.__wrapped__() == layout_fingerprint()
+    return copy
+
+
+class TestLayoutFingerprint:
+    """A checkpoint is keyed to the code that wrote it, not to a number."""
+
+    @pytest.mark.usefixtures("event_core")
+    def test_header_carries_the_fingerprint_and_no_model_version(self):
         snapshot = _one_snapshot(_spec())
         head = json.loads(snapshot.to_bytes().split(b"\n", 1)[0])
-        assert head["model_version"] == repro.MODEL_VERSION == 8
+        assert head["layout"] == layout_fingerprint()
+        assert len(head["layout"]) == 64 and "model_version" not in head
 
-    @pytest.mark.parametrize("written", _AGED)
-    def test_load_checkpoint_refuses_it(self, tmp_path, monkeypatch, written):
+    @pytest.mark.parametrize("edit", sorted(_MOVING_EDITS))
+    def test_a_change_to_the_modules_moves_it(self, package_copy, edit):
+        _MOVING_EDITS[edit](package_copy)
+        assert layout_fingerprint.__wrapped__() != layout_fingerprint()
+
+    @pytest.mark.parametrize("edit", sorted(_STILL_EDITS))
+    def test_a_change_beside_the_modules_leaves_it(self, package_copy, edit):
+        _STILL_EDITS[edit](package_copy)
+        assert layout_fingerprint.__wrapped__() == layout_fingerprint()
+
+    def test_a_process_keeps_the_fingerprint_it_took(self, package_copy):
+        """Modules already imported do not change when their files do, so
+        a run reads back its own checkpoints after its tree is edited."""
+        try:
+            layout_fingerprint.cache_clear()
+            taken = layout_fingerprint()
+            _MOVING_EDITS["comment-byte"](package_copy)
+            assert layout_fingerprint() == taken != layout_fingerprint.__wrapped__()
+        finally:
+            layout_fingerprint.cache_clear()  # the next caller takes the real tree's
+
+    def test_pool_workers_stamp_the_fingerprint_the_sweep_took(self, package_copy, tmp_path):
+        """A pool with checkpoints takes the fingerprint before it forks, so
+        a worker started after the tree was edited, which still holds the
+        old code, stamps its checkpoint with the old code's fingerprint."""
+        spec = _spec(seed=5)
+        try:
+            layout_fingerprint.cache_clear()
+            taken = layout_fingerprint.__wrapped__()
+            pool = PoolExecutor(jobs=1, checkpoint_every=100, checkpoint_dir=str(tmp_path))
+            _MOVING_EDITS["comment-byte"](package_copy)
+            (outcome,) = pool.iter_batch([CellTask.for_spec(0, spec)])
+            assert outcome.status == "ok"
+            path = checkpoint_path_for(str(tmp_path), spec_digest(spec))
+            head = json.loads(Path(path).read_bytes().split(b"\n", 1)[0])
+            assert head["layout"] == taken != layout_fingerprint.__wrapped__()
+        finally:
+            layout_fingerprint.cache_clear()
+
+    def test_importing_the_package_does_not_take_it(self):
+        code = (
+            "import repro, repro.cli, repro.engine.checkpoint as checkpoint; "
+            "print(checkpoint.layout_fingerprint.cache_info().currsize)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "0\n"
+
+
+@pytest.mark.usefixtures("event_core")
+class TestStaleCheckpoints:
+    """A checkpoint of other code, or of none, is never read."""
+
+    @pytest.mark.parametrize("written", _STALE)
+    def test_load_checkpoint_refuses_it(self, tmp_path, written):
         path = str(tmp_path / "cell.ckpt")
         _write_cell_checkpoint(path, _spec())
-        refusal = _age(path, written, monkeypatch)
+        refusal = _stale(path, written)
         with pytest.warns(RuntimeWarning, match="failed integrity checks"):
             with pytest.raises(CheckpointCorruptionError) as excinfo:
                 load_checkpoint(path)
         assert str(excinfo.value) == refusal
 
-    @pytest.mark.parametrize("written", _AGED)
-    def test_run_spec_with_checkpoints_warns_and_reruns(self, tmp_path, monkeypatch, written):
+    @pytest.mark.parametrize("written", _STALE)
+    def test_run_spec_with_checkpoints_warns_and_reruns(self, tmp_path, written):
         path = str(tmp_path / "cell.ckpt")
         spec = _spec()
         _write_cell_checkpoint(path, spec)
-        refusal = _age(path, written, monkeypatch)
+        refusal = _stale(path, written)
         with pytest.warns(RuntimeWarning) as caught:
             result, resumed = run_spec_with_checkpoints(
                 spec, every=150, path=str(tmp_path / "next.ckpt"), resume_from=path
@@ -259,13 +352,30 @@ class TestModelVersion:
         assert resumed is None
         assert result.stable_dict() == spec.execute().stable_dict()
 
-    @pytest.mark.parametrize("written", _AGED)
-    def test_resume_run_is_one_error_line(self, tmp_path, monkeypatch, written):
+    @pytest.mark.parametrize("written", _STALE)
+    def test_a_pool_cell_warns_and_reruns(self, tmp_path, written):
+        """A stale ``.ckpt`` at the path a pool cell retries from degrades
+        to a clean run of the cell."""
+        spec = _spec()
+        path = checkpoint_path_for(str(tmp_path), spec_digest(spec))
+        _write_cell_checkpoint(path, spec)
+        refusal = _stale(path, written)
+        with pytest.warns(RuntimeWarning) as caught:
+            status, payload, resumed = _attempt_in_worker(
+                None, spec.to_json(), None, 150, path, path
+            )
+        assert f"({refusal}); re-running from the start" in str(caught[-1].message)
+        assert (status, resumed) == ("ok", None)
+        result = RunResult.from_dict(json.loads(payload))
+        assert result.stable_dict() == spec.execute().stable_dict()
+
+    @pytest.mark.parametrize("written", _STALE)
+    def test_resume_run_is_one_error_line(self, tmp_path, written):
         from repro.cli import main
 
         path = str(tmp_path / "cell.ckpt")
         _write_cell_checkpoint(path, _spec())
-        refusal = _age(path, written, monkeypatch)
+        refusal = _stale(path, written)
         with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as excinfo:
             main(["resume-run", path])
         # SystemExit with a string: printed as one stderr line, exit status 1.

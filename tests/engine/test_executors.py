@@ -30,6 +30,7 @@ from repro.engine import (
     retry_delay,
     spec_digest,
 )
+from repro.engine import checkpoint
 from repro.engine.executors import _Worker
 
 
@@ -675,6 +676,40 @@ class TestJournalAndResume:
         assert executions == [specs[1].seed]
         assert runner.last_resumed == 1 and runner.last_executed == 1
         assert len(records) == 2
+        # The re-executed cell's entry starts a line of its own after the
+        # torn fragment, so the next resume finds both cells done.
+        runner = SweepRunner(cache=cache, journal=journal_path, resume=True)
+        runner.run(specs)
+        assert executions == [specs[1].seed]
+        assert runner.last_resumed == 2 and runner.last_executed == 0
+
+    @pytest.mark.parametrize("status", ["ok", "failed"])
+    def test_an_entry_after_a_torn_tail_starts_a_line_of_its_own(self, tmp_path, status):
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        journal.path.write_text('{"digest": "torn", "sta')  # a crash mid-write
+        error = {"type": "InjectedFault"} if status == "failed" else None
+        journal.record(
+            digest="d1", index=0, label="cell", status=status, attempts=1, error=error
+        )
+        assert journal.path.read_text().splitlines()[0] == '{"digest": "torn", "sta'
+        assert list(journal.load()) == ["d1"]
+        assert journal.load()["d1"]["status"] == status
+        assert journal.load()["d1"].get("error") == error
+
+    def test_entries_on_a_whole_journal_add_no_blank_line(self, tmp_path):
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        for index in range(2):
+            journal.record(digest=f"d{index}", index=index, label="cell", status="ok", attempts=1)
+        lines = journal.path.read_text().split("\n")
+        assert len(lines) == 3 and lines[-1] == "" and all(lines[:2])
+        assert list(journal.load()) == ["d0", "d1"]
+
+    def test_load_skips_blank_lines(self, tmp_path):
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        journal.record(digest="d0", index=0, label="cell", status="ok", attempts=1)
+        entry = journal.path.read_text()
+        journal.path.write_text("\n  \n" + entry + "\n\t\n" + entry.replace("d0", "d1"))
+        assert list(journal.load()) == ["d0", "d1"]
 
     def test_resume_reexecutes_when_cache_entry_is_missing(self, tmp_path):
         specs = small_specs(1)
@@ -715,6 +750,23 @@ class TestJournalAndResume:
         runner.run(specs)
         assert executions == [0, 1, 2]
         assert runner.last_resumed == 0 and runner.last_executed == 3
+
+    def test_a_cache_and_journal_outlive_a_change_of_layout(self, tmp_path, monkeypatch):
+        """Only the model version keys results: a checkpoint layout
+        fingerprint of other code leaves every cache entry and journal
+        line a hit."""
+        specs = small_specs(2)
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        cache = ResultCache(tmp_path / "cache")
+        monkeypatch.setattr(checkpoint, "layout_fingerprint", lambda: "a" * 64)
+        SweepRunner(cache=cache, journal=journal).run(specs)
+        monkeypatch.setattr(checkpoint, "layout_fingerprint", lambda: "b" * 64)
+        assert all(cache.get(spec) is not None for spec in specs)
+        executions = count_executions(monkeypatch)
+        runner = SweepRunner(cache=cache, journal=journal, resume=True)
+        runner.run(specs)
+        assert executions == []
+        assert runner.last_resumed == 2 and runner.last_executed == 0
 
     def test_resume_requires_journal_and_cache(self, tmp_path):
         with pytest.raises(ValueError, match="requires a journal"):

@@ -167,13 +167,23 @@ def test_schedule_fanout_all_dropped():
     assert sim.pending == 0
 
 
-def test_schedule_block_validates_before_inserting():
-    """The array core rejects the whole block atomically."""
-    sim = Simulator(core="array")
+@pytest.mark.parametrize("core", ("array", "heap"))
+@pytest.mark.parametrize(
+    "times, args, refusal",
+    [
+        ([2.0, 0.5], ["ok", "past"], "into the past"),
+        ([2.0 + i for i in range(20)], list(range(18)), "same length"),
+        ([2.0 + i for i in range(18)], list(range(20)), "same length"),
+    ],
+    ids=["past-time", "short-args", "long-args"],
+)
+def test_schedule_block_validates_before_inserting(core, times, args, refusal):
+    """Both cores reject the whole block atomically."""
+    sim = Simulator(core=core)
     sim.schedule(1.0, lambda: None)
     sim.run()
-    with pytest.raises(ValueError):
-        sim.schedule_block([2.0, 0.5], lambda a: None, ["ok", "past"])
+    with pytest.raises(ValueError, match=refusal):
+        sim.schedule_block(times, lambda a: None, args)
     assert sim.pending == 0
 
 

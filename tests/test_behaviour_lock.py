@@ -20,7 +20,10 @@ the same commit::
 
     PYTHONPATH=src python tests/test_behaviour_lock.py
 
-which refuses to rewrite moved digests under the locked version.
+which refuses to rewrite moved digests under the locked version, and a
+bumped version with every digest unchanged: the version keys results, so
+it moves only with one.  A behaviour change that no cell here can see
+adds a cell that shows it.
 """
 
 from __future__ import annotations
@@ -128,12 +131,19 @@ def compute_lock() -> Dict[str, Any]:
 
 
 def rewrite_lock() -> None:
-    """Write the lock afresh, unless digests moved under the locked version."""
+    """Write the lock afresh, unless digests moved under the locked version
+    or the version moved with no digest."""
     fresh = compute_lock()
     locked = json.loads(LOCK_PATH.read_text())
     moved = locked["digests"] != fresh["digests"]
-    if moved and locked["model_version"] == fresh["model_version"]:
+    bumped = locked["model_version"] != fresh["model_version"]
+    if moved and not bumped:
         raise SystemExit("behaviour changed: bump repro.MODEL_VERSION")
+    if bumped and not moved:
+        raise SystemExit(
+            "repro.MODEL_VERSION bumped but no digest moved: "
+            "add a lock cell that shows the change, or keep the version"
+        )
     LOCK_PATH.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
     print(f"wrote {LOCK_PATH}")
 
@@ -155,6 +165,21 @@ def test_moved_digests_are_rewritten_only_with_a_version_bump(tmp_path, monkeypa
     monkeypatch.setattr(repro, "MODEL_VERSION", repro.MODEL_VERSION + 1)
     rewrite_lock()
     assert json.loads(lock.read_text()) == compute_lock()
+
+
+def test_a_bump_with_no_moved_digest_is_refused(tmp_path, monkeypatch):
+    lock = tmp_path / "behaviour.lock"
+    digest = hashlib.sha256(b"same").hexdigest()
+    locked = {"digests": {"cell": digest}, "model_version": repro.MODEL_VERSION}
+    lock.write_text(json.dumps(locked))
+    monkeypatch.setattr(f"{__name__}.LOCK_PATH", lock)
+    monkeypatch.setattr(f"{__name__}._locked_texts", lambda: iter([("cell", "same")]))
+    rewrite_lock()  # neither moved: the lock is written as it was
+    assert json.loads(lock.read_text()) == locked
+    monkeypatch.setattr(repro, "MODEL_VERSION", repro.MODEL_VERSION + 1)
+    with pytest.raises(SystemExit, match="bumped but no digest moved"):
+        rewrite_lock()
+    assert json.loads(lock.read_text()) == locked
 
 
 if __name__ == "__main__":
