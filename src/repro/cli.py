@@ -38,6 +38,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
@@ -971,7 +972,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status = 0
     if isinstance(output, tuple):
         output, status = output
-    print(output)
+    try:
+        print(output, flush=True)  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader left early (``| head``): as the Python docs advise, point
+        # stdout at devnull so the flush at exit has nothing left to raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -25,7 +25,9 @@ receiver and is **stream-identical** to the equivalent sequence of scalar
 ``delay_for`` calls — numpy's ``Generator`` fills vectorized ``uniform``/
 ``exponential``/``random`` draws by consuming the bit stream element by
 element, exactly as the scalar calls do, so a batched multicast and a
-per-recipient loop produce the same delays from the same seed.  The
+per-recipient loop produce the same delays from the same seed.  A
+``None`` is read in one place, where the multicast builds its insert
+(``Network._multicast_trusted``): the dropped receiver is left out.  The
 stream tests (``tests/network/test_channel_batching.py``) hold every
 ``delays_for`` to that scalar loop, which they spell out themselves.
 
@@ -46,6 +48,7 @@ on each triple in order.  :class:`SynchronousChannel` makes it one
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
@@ -97,14 +100,12 @@ def _scatter_inner_batch(
     inner model in receiver order — exactly the messages the scalar path
     would have forwarded — and their delays land back in their slots.
     """
-    delays: DelayVector = [None] * len(receivers)
-    kept_slots = [slot for slot, keep in enumerate(keep_flags) if keep]
-    if kept_slots:
-        kept_receivers = [receivers[slot] for slot in kept_slots]
-        inner_delays = batched_delays(inner, sender, kept_receivers, now)
-        for slot, delay in zip(kept_slots, inner_delays):
-            delays[slot] = delay
-    return delays
+    kept = list(compress(receivers, keep_flags))
+    delays = batched_delays(inner, sender, kept, now)
+    if len(kept) == len(receivers):
+        return delays
+    survivors = iter(delays)
+    return [next(survivors) if keep else None for keep in keep_flags]
 
 
 def batched_delays(
@@ -368,35 +369,16 @@ class LossyChannel:
 
         The drop coin-flips come from this wrapper's *own* generator and
         the delays from the inner model's, so the two streams never
-        interleave: a ``random(size=k)`` call over the non-self receivers
-        consumes the drop stream exactly as ``k`` scalar flips would, and
-        the inner model only ever samples the surviving receivers, in
-        order — exactly the messages the scalar path forwards to it.
+        interleave: one ``random(size=k)`` call over the ``k`` non-self
+        receivers (self-addressed entries skip the lottery) consumes the
+        drop stream exactly as ``k`` scalar flips would, and the inner
+        model only ever samples the surviving receivers, in order —
+        exactly the messages the scalar path forwards to it.
         """
-        if not receivers:
-            return []
-        if sender not in receivers:
-            # The common fan-out (include_self=False): every entry flips,
-            # so the whole lottery is one vectorized comparison.
-            keep_flags = (self._rng.random(size=len(receivers)) >= self.drop_probability).tolist()
-            dropped = len(receivers) - sum(keep_flags)
-            if not dropped:
-                return batched_delays(self.inner, sender, receivers, now)
-            self.dropped += dropped
-            return _scatter_inner_batch(self.inner, sender, receivers, now, keep_flags)
-        # The general path: self-addressed entries skip the drop lottery,
-        # so the flips are consumed lazily, one per remote receiver.
-        remote_count = sum(1 for receiver in receivers if receiver != sender)
-        flips = (
-            iter(self._rng.random(size=remote_count).tolist())
-            if remote_count
-            else iter(())
-        )
+        flips = iter(self._rng.random(size=len(receivers) - receivers.count(sender)).tolist())
         drop_probability = self.drop_probability
         keep_flags = [
-            receiver == sender or next(flips) >= drop_probability
-            for receiver in receivers
+            receiver == sender or next(flips) >= drop_probability for receiver in receivers
         ]
-        dropped = len(receivers) - sum(keep_flags)
-        self.dropped += dropped
+        self.dropped += len(keep_flags) - sum(keep_flags)
         return _scatter_inner_batch(self.inner, sender, receivers, now, keep_flags)

@@ -136,12 +136,22 @@ def _listed(values: Any) -> Any:
     return values.tolist() if type(values) is np.ndarray else values
 
 
-def _check_times(now: float, times: np.ndarray) -> None:
-    """Refuse a block holding a time before ``now``, a NaN or an infinity."""
-    lo = float(times.min())
-    hi = float(times.max())
-    if not now <= lo <= hi < _INF:
-        refuse_time(lo if lo < now else hi, now)
+def check_times(now: float, times: Any) -> None:
+    """Refuse a block holding a time before ``now``, a NaN or an infinity.
+
+    An array is read through its ``min`` and ``max``, which a NaN reaches;
+    a list (a multicast's) entry by entry, which costs less than numpy's
+    constants and, unlike the built-in ``min``/``max``, misses no NaN.
+    """
+    if type(times) is np.ndarray:
+        lo = float(times.min())
+        hi = float(times.max())
+        if not now <= lo <= hi < _INF:
+            refuse_time(lo if lo < now else hi, now)
+        return
+    for time in times:
+        if not now <= time < _INF:
+            refuse_time(time, now)
 
 
 class _Bucket:
@@ -406,7 +416,7 @@ class ArrayEventCore:
         if k == 0:
             return 0
         if now is not None:
-            _check_times(now, times)
+            check_times(now, times)
         if seqs is None:
             base = self.reserve(k)
             seqs = range(base, base + k)
@@ -451,7 +461,7 @@ class ArrayEventCore:
         if k == 0:
             return 0
         now = sim.now
-        _check_times(now, times)
+        check_times(now, times)
         if self._draining:
             return self.schedule_block(times, sink.append, values.tolist())
         base = self.reserve(k)

@@ -24,9 +24,11 @@ pressure on the fan-out hot path.  An n-way multicast draws all its
 channel delays in one batched call
 (:func:`repro.network.channels.batched_delays`) and parks its single
 :class:`Message` envelope in a slot of the network's envelope table; each
-delivery is then one int code, ``slot << 16 | receiver index``, and the
-whole fan-out reaches the event core as one block through
-:meth:`Simulator.schedule_fanout` — no tuple, closure or envelope per
+delivery is then one int code, ``slot << 16 | receiver index``.  The
+multicast reads the delay vector once, keeping the time and code of each
+receiver the channel did not drop, and the whole fan-out reaches the event
+core as one block through :meth:`Simulator.schedule_block`, which checks
+its times as :meth:`Network.send` does — no tuple, closure or envelope per
 receiver.  Delivering a code decodes it (:meth:`Network._deliver_multicast`);
 a span of them is walked by :meth:`Network._deliver_span`, and known
 duplicates are only counted (:meth:`Network._classify_duplicates`).  A
@@ -76,7 +78,9 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 from repro.core.errors import UnknownVocabularyError
 from repro.core.history import HistoryRecorder
 from repro.network.channels import batched_delays, batched_delays_many
-from repro.network.event_core import BLOCK_FANOUT, NO_ARG as _NO_ARG, ArrayEventCore, refuse_time
+from repro.network.event_core import (
+    BLOCK_FANOUT, NO_ARG as _NO_ARG, ArrayEventCore, check_times, refuse_time,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.network.channels import ChannelModel
@@ -228,42 +232,6 @@ class Simulator:
             return
         heapq.heappush(self._queue, (time, next(self._sequence), method, arg))
 
-    def schedule_fanout(
-        self,
-        delays: Sequence[Optional[float]],
-        method: Callable[[Any], None],
-        args: Sequence[Any],
-    ) -> int:
-        """Bulk insert one shared ``method`` from a channel delay vector.
-
-        ``delays[i] is None`` marks a dropped recipient: its entry is
-        skipped and consumes no sequence number, exactly as if the caller
-        had filtered it out of the vector.  Everything else is scheduled
-        at ``now + delays[i]`` with argument ``args[i]``, sequence
-        numbers in vector order: under the array core one
-        ``ArrayEventCore.schedule_block`` — the multicast hot path.
-        Neither core mutates ``args``.
-        """
-        now = self.now
-        if None in delays:
-            kept = [
-                (delay, arg) for delay, arg in zip(delays, args) if delay is not None
-            ]
-            if not kept:
-                return 0
-            delays = [delay for delay, _ in kept]
-            args = [arg for _, arg in kept]
-        core = self._array_core
-        if core is not None:
-            # Channel delays are non-negative by contract: no time check.
-            return core.schedule_block([now + delay for delay in delays], method, list(args))
-        queue = self._queue
-        push = heapq.heappush
-        sequence = self._sequence
-        for delay, arg in zip(delays, args):
-            push(queue, (now + delay, next(sequence), method, arg))
-        return len(delays)
-
     def schedule_block(
         self,
         times: Sequence[float],
@@ -272,28 +240,30 @@ class Simulator:
     ) -> int:
         """Bulk insert one shared ``method`` at absolute ``times``.
 
-        The workload-plane primitive: ``times`` may be a numpy float64
-        array (used as-is, no per-entry conversion) and ``args`` a
-        same-length sequence (a numpy array is scheduled as its
-        ``tolist()``, so callbacks receive plain Python scalars).
-        Sequence numbers follow array order, as for the same entries
-        inserted one by one with :meth:`call_at`; a time before ``now``, a
-        NaN, an infinity or a length mismatch raises :class:`ValueError`.
+        The one bulk insert, of the workload plane and of a multicast:
+        ``times`` a numpy float64 array (used as-is) or a list (a
+        multicast's, checked and staged as it is), ``args`` a same-length
+        sequence (a numpy array is scheduled as its ``tolist()``, so
+        callbacks receive plain Python scalars).  Sequence numbers follow
+        array order, as for the same entries inserted one by one with
+        :meth:`call_at`; a time before ``now``, a NaN, an infinity or a
+        length mismatch raises :class:`ValueError` before any insert, on
+        both cores.
         """
         args = args.tolist() if isinstance(args, np.ndarray) else list(args)
         if len(args) != len(times):
             raise ValueError("times and args must have the same length")
+        if not args:
+            return 0
         core = self._array_core
         if core is not None:
-            arr = np.ascontiguousarray(times, dtype=np.float64)
-            return core.schedule_block(arr, method, args, self.now)
+            if type(times) is not list:
+                times = np.ascontiguousarray(times, dtype=np.float64)
+            return core.schedule_block(times, method, args, self.now)
+        check_times(self.now, times)  # before any insert: a refused block leaves no trace
         queue = self._queue
         push = heapq.heappush
         sequence = self._sequence
-        now = self.now
-        for time in times:  # before any insert: a refused block leaves no trace
-            if not now <= time < _INF:
-                refuse_time(time, now)
         for time, arg in zip(times, args):
             push(queue, (time, next(sequence), method, arg))
         return len(args)
@@ -753,20 +723,20 @@ class Network:
         slot = self._claim_slot(envelope, now)
         base = slot << _SLOT_SHIFT
         index = self._receiver_index
-        scheduled = simulator.schedule_fanout(
-            delays,
-            self._deliver_multicast,
-            [base | index[pid] for pid in receivers],
-        )
-        if scheduled == 0:
-            self._envelopes[slot] = self._envelope_blocks[slot] = None
-            self._free_slots.append(slot)
-        else:
-            if scheduled < len(delays):
-                delays = [delay for delay in delays if delay is not None]
-            heapq.heappush(self._in_flight, (now + max(delays), slot))
+        times, codes = [], []
+        for pid, delay in zip(receivers, delays):
+            if delay is not None:  # ``None``: the channel dropped this receiver
+                times.append(now + delay)
+                codes.append(base | index[pid])
+        scheduled = len(times)
         self.messages_sent += attempted
         self.messages_dropped += attempted - scheduled
+        if scheduled:
+            simulator.schedule_block(times, self._deliver_multicast, codes)
+            heapq.heappush(self._in_flight, (max(times), slot))
+        else:
+            self._envelopes[slot] = self._envelope_blocks[slot] = None
+            self._free_slots.append(slot)
         return scheduled
 
     def _park(

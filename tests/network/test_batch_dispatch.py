@@ -2,14 +2,15 @@
 
 The protocol-level byte-identity suite lives in
 ``test_core_equivalence.py``; here the focus is the dispatch machinery
-itself: ``schedule_fanout`` degenerate delay vectors, batch-vs-scalar
-delivery parity under mid-batch membership churn and crashes, and the
-stock-hook guards behind ``batch_dup_seen`` (the span-level
-duplicate-flood skip).
+itself: a multicast's dropped receivers and refused delivery times,
+batch-vs-scalar delivery parity under mid-batch membership churn and
+crashes, and the stock-hook guards behind ``batch_dup_seen`` (the
+span-level duplicate-flood skip).
 """
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import pytest
@@ -23,6 +24,7 @@ from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle
 from repro.protocols.base import ReplicaConfig, run_protocol
 from repro.protocols.nakamoto import NakamotoReplica
+from tests.network.fork_heavy_run import TargetedLossChannel
 from tests.network.reference_plane import ReferenceNetwork
 
 
@@ -48,36 +50,90 @@ class Saboteur(LoggingProcess):
             self.alive = False
 
 
-# -- schedule_fanout degenerate delay vectors --------------------------------
+# -- dropped receivers and refused times of a multicast -----------------------
+
+
+def _lossy_network(core: str, width: int, drop_if):
+    """A sender ``s`` and ``width`` logging receivers ``r0, r1, ...`` over a
+    :class:`TargetedLossChannel` that drops what ``drop_if`` picks; every
+    delivery it keeps lands 1.0 after its send."""
+    channel = TargetedLossChannel(SynchronousChannel(delta=1.0, min_delay=1.0), drop_if)
+    network = Network(Simulator(core=core), channel)
+    log: list = []
+    for pid in ["s"] + [f"r{index}" for index in range(width)]:
+        network.register(LoggingProcess(pid, log))
+    return network, log
+
+
+def seqs_taken(sim: Simulator) -> int:
+    """How many sequence numbers the event store has handed out (on the
+    heap core this takes one more: call it last)."""
+    core = sim._array_core
+    return core.reserve(0) if core is not None else next(sim._sequence)
 
 
 @pytest.mark.parametrize("core", ("array", "heap"))
-def test_schedule_fanout_all_none_delays(core: str):
-    """An all-dropped fan-out schedules nothing and fires nothing."""
-    sim = Simulator(core=core)
-    fired: list = []
-    assert sim.schedule_fanout([None, None, None], fired.append, ["a", "b", "c"]) == 0
+def test_an_all_dropped_multicast_queues_nothing(core: str):
+    """A fan-out whose every receiver is dropped queues nothing, takes no
+    sequence number and fires nothing; the next fan-out starts clean."""
+    network, log = _lossy_network(core, 3, lambda sender, receiver, now: receiver != "r0")
+    sim = network.simulator
+    assert network.multicast("s", ["r1", "r2"], "data", "lost") == 0
+    assert sim.pending == 0
     assert sim.run() == 0
-    assert fired == []
-    # The queue is genuinely untouched: the next fan-out starts clean.
-    assert sim.schedule_fanout([1.0, None], fired.append, ["d", "e"]) == 1
+    assert log == []
+    assert network.multicast("s", ["r0", "r1"], "data", "kept") == 1
     assert sim.run() == 1
-    assert fired == ["d"]
+    assert log == [(1.0, "r0", "kept")]
+    assert network.messages_dropped == 3
+    assert seqs_taken(sim) == 1
 
 
 @pytest.mark.parametrize("core", ("array", "heap"))
 @pytest.mark.parametrize("width", (3, 40))
-def test_schedule_fanout_mixed_none_keeps_survivors_in_order(core: str, width: int):
-    """Dropped slots vanish; survivors keep vector order (both staging
-    paths: the <16 scalar one and the vectorized block insert)."""
+def test_a_multicast_keeps_its_survivors_in_order(core: str, width: int):
+    """Dropped receivers vanish and take no sequence number; survivors keep
+    receiver order (both staging paths: the <16 row one and the block
+    insert)."""
+    network, log = _lossy_network(
+        core, width, lambda sender, receiver, now: int(receiver[1:]) % 3 == 0
+    )
+    receivers = [f"r{index}" for index in range(width)]
+    kept = [pid for index, pid in enumerate(receivers) if index % 3]
+    assert network.multicast("s", receivers, "data", "x") == len(kept)
+    network.simulator.run()
+    assert [pid for _, pid, _ in log] == kept
+    assert seqs_taken(network.simulator) == len(kept)
+
+
+class FixedDelay:
+    """A third-party channel: only the scalar ``delay_for``, one delay for all."""
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+
+    def delay_for(self, sender: str, receiver: str, now: float) -> float:  # noqa: ARG002
+        return self.delay
+
+
+@pytest.mark.parametrize("core", ("array", "heap"))
+@pytest.mark.parametrize("width", (3, 20))
+@pytest.mark.parametrize("delay", (-1.0, float("nan"), float("inf")), ids=str)
+def test_a_multicast_refuses_bad_times_as_send_does(core: str, width: int, delay: float):
+    """A channel's delay that puts a delivery in the past, at NaN or at
+    infinity is refused by a multicast (a small fan-out and a block-sized
+    one) with the error ``send`` gives, before anything is queued."""
     sim = Simulator(core=core)
-    fired: list = []
-    delays = [None if i % 3 == 0 else 1.0 for i in range(width)]
-    args = [f"r{i}" for i in range(width)]
-    kept = [a for d, a in zip(delays, args) if d is not None]
-    assert sim.schedule_fanout(delays, fired.append, args) == len(kept)
-    sim.run()
-    assert fired == kept
+    network = Network(sim, FixedDelay(delay))
+    receivers = [f"r{index}" for index in range(width)]
+    for pid in ["s"] + receivers:
+        network.register(Process(pid))
+    sim.schedule(5.0, lambda: None)
+    with pytest.raises(ValueError) as refused:
+        network.send("s", "r0", "data", "x")
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        network.multicast("s", receivers, "data", "x")
+    assert sim.pending == 1
 
 
 # -- batch vs scalar dispatch parity -----------------------------------------

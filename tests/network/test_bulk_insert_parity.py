@@ -5,10 +5,12 @@ entries landing in or before the slot being drained go to the overflow
 heap at once; the rest of a small insert is staged row by row, of a
 larger one waits whole in ``_pending`` and is cut into buckets, with all
 else pending, in one pass when the next run starts.  Random scripts mix
-``call_at``, ``schedule_block`` and ``schedule_fanout`` (fan-outs of 1 to
-40 entries, some dropped, on both sides of ``BLOCK_FANOUT``: staged row by
-row, or grouped by slot and method) over two callbacks, on a 1/16 time
-grid so that ties are common.  A callback may schedule another
+``call_at`` and ``Simulator.schedule_block`` in both its input shapes, a
+float64 array of times (the workload plane's) and a list of the kept
+receivers' times (a multicast's, some receivers dropped before the
+insert); blocks of 1 to 40 entries, on both sides of ``BLOCK_FANOUT``:
+staged row by row, or grouped by slot and method, over two callbacks, on
+a 1/16 time grid so that ties are common.  A callback may schedule another
 insert relative to its own time — into the active slot (the overflow
 heap), past it, or tied with what is queued — and inserts made between
 chunks can land before the active slot (``run(until=...)`` leaves the
@@ -23,6 +25,7 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.network.simulator import Simulator
@@ -34,8 +37,8 @@ sizes = st.integers(min_value=1, max_value=40)
 
 @st.composite
 def inserts(draw, child: bool = True):
-    """``(kind, delays, echo, child insert or None)``: a fan-out's ``None``
-    delay is a dropped receiver, and ``echo`` picks the second callback, so
+    """``(kind, delays, echo, child insert or None)``: a ``None`` delay of
+    a ``fanout`` is a dropped receiver, and ``echo`` picks the second callback, so
     that one bucket can hold blocks of two methods."""
     kind = draw(st.sampled_from(("call", "block", "fanout")))
     size = 1 if kind == "call" else draw(sizes)
@@ -86,9 +89,10 @@ class Harness:
         if kind == "call":
             sim.call_at(now + ticks[0], method, args[0])
         elif kind == "block":
-            sim.schedule_block([now + tick for tick in ticks], method, args)
-        else:
-            sim.schedule_fanout(ticks, method, args)
+            sim.schedule_block(now + np.array(ticks), method, args)
+        else:  # a multicast's shape: a list, the dropped receivers left out
+            kept = [index for index, tick in enumerate(ticks) if tick is not None]
+            sim.schedule_block([now + ticks[i] for i in kept], method, [args[i] for i in kept])
 
     def drain(self, until: Optional[float], budget: int) -> None:
         try:

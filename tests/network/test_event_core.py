@@ -23,6 +23,7 @@ from repro.network.process import Process
 from repro.network.simulator import Network, Simulator
 from repro.protocols import run_bitcoin
 from repro.protocols.base import Mempool
+from tests.network.fork_heavy_run import TargetedLossChannel
 
 
 def _trace_run(core: str, build) -> list:
@@ -145,26 +146,37 @@ def test_same_time_ties_resolve_in_insertion_order():
     assert _both_cores_agree(build) == ["a", "b", "c", "d"]
 
 
-# -- schedule_fanout / schedule_block ----------------------------------------
+# -- multicast / schedule_block ----------------------------------------------
 
 
-def test_schedule_fanout_skips_dropped_recipients():
-    """``None`` delays are dropped and consume no sequence number, so the
-    surviving entries tie-break identically across cores."""
+class Relay(Process):
+    """Hands each delivery's payload and its own pid to ``react``."""
+
+    def __init__(self, pid: str, react) -> None:
+        super().__init__(pid)
+        self.react = react
+
+    def on_message(self, message) -> None:
+        self.react(message.payload, self.pid)
+
+
+def test_a_multicasts_dropped_receivers_take_no_sequence_number():
+    """The receivers a :class:`TargetedLossChannel` drops take no sequence
+    number, so the survivors and a later push tie-break identically across
+    cores."""
 
     def build(sim, trace):
-        sim.schedule_fanout(
-            [1.0, None, 1.0, None], trace.append, ["r0", "r1", "r2", "r3"]
+        channel = TargetedLossChannel(
+            SynchronousChannel(delta=1.0, min_delay=1.0),
+            lambda sender, receiver, now: receiver in ("r1", "r3"),
         )
+        network = Network(sim, channel)
+        for pid in ("s", "r0", "r1", "r2", "r3"):
+            network.register(Relay(pid, lambda payload, pid: trace.append(pid)))
+        assert network.multicast("s", ["r0", "r1", "r2", "r3"], "data", None) == 2
         sim.call_at(1.0, trace.append, "after")
 
     assert _both_cores_agree(build) == ["r0", "r2", "after"]
-
-
-def test_schedule_fanout_all_dropped():
-    sim = Simulator(core="array")
-    assert sim.schedule_fanout([None, None], lambda a: None, ["a", "b"]) == 0
-    assert sim.pending == 0
 
 
 @pytest.mark.parametrize("core", ("array", "heap"))
@@ -174,8 +186,12 @@ def test_schedule_fanout_all_dropped():
         ([2.0, 0.5], ["ok", "past"], "into the past"),
         ([2.0 + i for i in range(20)], list(range(18)), "same length"),
         ([2.0 + i for i in range(18)], list(range(20)), "same length"),
+        ([2.0, float("nan"), 3.0], ["a", "b", "c"], "finite"),
+        ([2.0, 3.0, float("inf")], ["a", "b", "c"], "finite"),
+        (np.array([2.0, float("nan"), 3.0]), ["a", "b", "c"], "finite"),
+        (np.array([2.0, 0.5, 3.0]), ["a", "b", "c"], "into the past"),
     ],
-    ids=["past-time", "short-args", "long-args"],
+    ids=["past-time", "short-args", "long-args", "list-nan", "list-inf", "array-nan", "array-past"],
 )
 def test_schedule_block_validates_before_inserting(core, times, args, refusal):
     """Both cores reject the whole block atomically."""
@@ -324,6 +340,17 @@ def test_randomized_mixed_workload_parity(seed: int):
                     sim.now + float(rng.uniform(0.0, 2.0)), trace.append, (tag, "child")
                 )
 
+        # A multicast takes its delays from the channel and drops each
+        # receiver with probability 1/4, drawn from the script's generator.
+        channel = TargetedLossChannel(
+            SynchronousChannel(delta=3.0, min_delay=0.0, seed=seed),
+            lambda sender, receiver, now: rng.random() < 0.25,
+        )
+        network = Network(sim, channel)
+        network.register(Process("s"))
+        fans = [f"f{j}" for j in range(3)]
+        for pid in fans:
+            network.register(Relay(pid, lambda i, pid: reentrant(("fan", i, pid))))
         for i in range(60):
             kind = int(rng.integers(0, 4))
             t = float(rng.uniform(0.0, 20.0))
@@ -336,11 +363,7 @@ def test_randomized_mixed_workload_parity(seed: int):
                 times = t + rng.uniform(0.0, 5.0, size=4)
                 sim.schedule_block(times, reentrant, [("block", i, j) for j in range(4)])
             else:
-                delays = [
-                    None if rng.random() < 0.25 else float(d)
-                    for d in rng.uniform(0.0, 3.0, size=3)
-                ]
-                sim.schedule_fanout(delays, reentrant, [("fan", i, j) for j in range(3)])
+                network.multicast("s", fans, "fan", i)
 
     trace = _both_cores_agree(build)
     assert len(trace) > 100

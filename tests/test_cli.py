@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,21 @@ class TestCommands:
         assert "Figure 8" in out
         assert "IMPOSSIBLE" in out
         assert "R(BT-ADT_SC, Θ_F,k=1)" in out
+
+    def test_a_closed_stdout_ends_the_command_without_a_traceback(self):
+        """``python -m repro hierarchy | true``: the reader is gone before
+        the output is written, so the command exits non-zero, silently."""
+        source = str(Path(sys.modules["repro"].__file__).parents[1])
+        command = subprocess.Popen(
+            [sys.executable, "-m", "repro", "hierarchy"],
+            env={**os.environ, "PYTHONPATH": source},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        command.stdout.close()  # long before the interpreter has imported repro
+        _, err = command.communicate(timeout=60)
+        assert command.returncode != 0
+        assert err == b""
 
     def test_figures_command(self, capsys):
         assert main(["figures"]) == 0
