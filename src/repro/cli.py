@@ -71,8 +71,8 @@ from repro.engine import (
     spec_digest,
 )
 from repro.engine.executors import INJECTION_KINDS
-from repro.network.faults import FAULT_REGISTRY
-from repro.network.topology import TOPOLOGY_REGISTRY, available_topologies
+from repro.network.faults import FAULTS
+from repro.network.topology import TOPOLOGIES
 from repro.protocols.base import process_ids
 from repro.protocols.classification import reproduce_table1
 from repro.workload.scenarios import figure2_history, figure3_history, figure4_history
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KIND",
         help=(
             "dissemination topology: a registered kind "
-            f"({', '.join(sorted(available_topologies()))}), "
+            f"({', '.join(sorted(TOPOLOGIES.names()))}), "
             "'kind:key=value,...' for parameters "
             "(e.g. 'gossip:fanout=4'), or a JSON object"
         ),
@@ -438,7 +438,7 @@ def _split_topology_params(rest: str) -> List[str]:
     return pairs
 
 
-def _parse_component(command: str, text: str, noun: str, spec_cls, registry, field_keys=()):
+def _parse_component(command: str, text: str, spec_cls, vocabulary, field_keys=()):
     """Parse ``--fault`` / ``--topology``: a kind, ``kind:key=value,...``, or JSON.
 
     Values go through :func:`json.loads` when they parse (so
@@ -447,11 +447,12 @@ def _parse_component(command: str, text: str, noun: str, spec_cls, registry, fie
     stay strings otherwise.  A key in ``field_keys`` is a field of the
     spec; every other key is a constructor parameter of the registered
     model.  All three forms go through ``spec_cls.from_dict``.  The
-    parameters are bound to the registered class's signature (``seed``
-    counts as supplied where the class takes one) and the model is built
+    arguments ``vocabulary.build`` would pass (the seed included) are
+    bound to the registered class's signature and the model is built
     once, so a missing, unknown or wrongly typed one is a usage error of
     ``command`` (exit 2) here, before any run starts.
     """
+    noun = vocabulary.noun
     text = text.strip()
     try:
         if text.startswith("{"):
@@ -478,15 +479,11 @@ def _parse_component(command: str, text: str, noun: str, spec_cls, registry, fie
         _usage_error(command, f"cannot parse {noun} JSON {text!r} ({error})")
     except (TypeError, ValueError) as error:
         _usage_error(command, f"{noun} {text!r}: {error}")
-    if spec.kind not in registry:
-        _usage_error(
-            command,
-            f"unknown {noun} {spec.kind!r} (registered: {', '.join(sorted(registry))})",
-        )
-    signature = inspect.signature(registry[spec.kind])
-    supplied = dict(spec.params)
-    if "seed" in signature.parameters:
-        supplied.setdefault("seed", 0)
+    if spec.kind not in vocabulary:
+        registered = ", ".join(sorted(vocabulary.names()))
+        _usage_error(command, f"unknown {noun} {spec.kind!r} (registered: {registered})")
+    signature = inspect.signature(vocabulary[spec.kind])
+    supplied = vocabulary.arguments(spec.kind, spec.params)
     try:
         signature.bind_partial(**supplied)  # an unknown name before a missing one
         signature.bind(**supplied)
@@ -498,7 +495,7 @@ def _parse_component(command: str, text: str, noun: str, spec_cls, registry, fie
 
 def _parse_fault(command: str, text: str) -> FaultSpec:
     """``--fault``; ``seed`` is the spec field, every other key a parameter."""
-    return _parse_component(command, text, "fault", FaultSpec, FAULT_REGISTRY, ("seed",))
+    return _parse_component(command, text, FaultSpec, FAULTS, ("seed",))
 
 
 def _check_fault_members(command: str, fault: FaultSpec, replica_counts: Sequence[int]) -> None:
@@ -538,7 +535,7 @@ def _check_channels(command: str, specs: Sequence[ExperimentSpec]) -> None:
 
 def _parse_topology(command: str, text: str) -> TopologySpec:
     """``--topology``; every key, ``seed`` included, is a topology parameter."""
-    return _parse_component(command, text, "topology", TopologySpec, TOPOLOGY_REGISTRY)
+    return _parse_component(command, text, TopologySpec, TOPOLOGIES)
 
 
 def _regime_spec(

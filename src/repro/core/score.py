@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.core.block import Blockchain
+from repro.core.errors import Vocabulary
 
 __all__ = [
+    "SCORES",
     "ScoreFunction",
     "LengthScore",
     "WeightScore",
@@ -43,6 +45,11 @@ class ScoreFunction(Protocol):
         ...
 
 
+#: Name -> score class, the ``score`` of an ``ExperimentSpec``.
+SCORES = Vocabulary("score function")
+
+
+@SCORES.register("length")
 @dataclass(frozen=True)
 class LengthScore:
     """Score = number of non-genesis blocks (the paper's running example).
@@ -54,6 +61,7 @@ class LengthScore:
         return float(chain.length)
 
 
+@SCORES.register("weight")
 @dataclass(frozen=True)
 class WeightScore:
     """Score = cumulative weight of the chain ("most work", "heaviest").

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.core.block import Blockchain
 from repro.core.blocktree import BlockTree
+from repro.core.errors import Vocabulary
 from repro.core.score import LengthScore, ScoreFunction, WeightScore
 
 
@@ -93,6 +94,7 @@ def _vector_tip(index, increment: float, by_length: bool) -> str:
     return winner
 
 __all__ = [
+    "SELECTIONS",
     "SelectionFunction",
     "LongestChain",
     "HeaviestChain",
@@ -172,6 +174,11 @@ class ScoreMaximizingSelection:
         return winner
 
 
+#: Name -> selection class, the ``selection`` of an ``ExperimentSpec``.
+SELECTIONS = Vocabulary("selection function")
+
+
+@SELECTIONS.register("longest")
 @dataclass(frozen=True)
 class LongestChain:
     """The longest-chain rule (Bitcoin's original description, Figure 2)."""
@@ -180,6 +187,7 @@ class LongestChain:
         return _LONGEST(tree)
 
 
+@SELECTIONS.register("heaviest")
 @dataclass(frozen=True)
 class HeaviestChain:
     """The heaviest-chain ("most accumulated work") rule.
@@ -193,6 +201,7 @@ class HeaviestChain:
         return _HEAVIEST(tree)
 
 
+@SELECTIONS.register("ghost")
 @dataclass(frozen=True)
 class GHOSTSelection:
     """The GHOST rule (Greedy Heaviest-Observed Sub-Tree).
@@ -224,6 +233,7 @@ _LONGEST = ScoreMaximizingSelection(LengthScore())
 _HEAVIEST = ScoreMaximizingSelection(WeightScore())
 
 
+@SELECTIONS.register("fixed-tip")
 @dataclass(frozen=True)
 class FixedTipSelection:
     """Selection that follows an externally decided tip (consensus systems).

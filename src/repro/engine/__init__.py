@@ -43,7 +43,6 @@ Typical use::
 from repro.engine.registry import (
     REGISTRY,
     ProtocolEntry,
-    ProtocolRegistry,
     available_protocols,
     get_protocol,
     load_builtin_protocols,
@@ -91,7 +90,6 @@ from repro.engine.sweep import (
 __all__ = [
     "REGISTRY",
     "ProtocolEntry",
-    "ProtocolRegistry",
     "available_protocols",
     "get_protocol",
     "load_builtin_protocols",

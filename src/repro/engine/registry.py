@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
 
-from repro.core.errors import UnknownVocabularyError
+from repro.core.errors import Vocabulary
 
 __all__ = [
     "ProtocolEntry",
-    "ProtocolRegistry",
     "REGISTRY",
     "register_protocol",
     "load_builtin_protocols",
@@ -88,32 +87,9 @@ class ProtocolEntry:
         return "*" in self._accepts or kwarg in self._accepts
 
 
-class ProtocolRegistry:
-    """Name → :class:`ProtocolEntry`, preserving registration order."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, ProtocolEntry] = {}
-
-    def add(self, entry: ProtocolEntry, replace: bool = False) -> ProtocolEntry:
-        if entry.name in self._entries and not replace:
-            raise ValueError(f"protocol {entry.name!r} already registered")
-        self._entries[entry.name] = entry
-        return entry
-
-    def get(self, name: str) -> ProtocolEntry:
-        try:
-            return self._entries[name]
-        except KeyError:
-            # The uniform vocabulary error (still a KeyError for callers
-            # that catch the historical type).
-            raise UnknownVocabularyError("protocol", name, self._entries) from None
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._entries)
-
-
-#: The process-wide default registry every decorator writes into.
-REGISTRY = ProtocolRegistry()
+#: The process-wide default registry every decorator writes into:
+#: name -> :class:`ProtocolEntry`, in registration order.
+REGISTRY = Vocabulary("protocol")
 
 
 def register_protocol(
@@ -123,7 +99,7 @@ def register_protocol(
     fork_prone: Optional[Mapping[str, Any]] = None,
     fairness_merit: str = "uniform",
     description: str = "",
-    registry: Optional[ProtocolRegistry] = None,
+    registry: Optional[Vocabulary] = None,
     replace: bool = False,
 ) -> Callable[[Runner], Runner]:
     """Decorator: register ``run_*`` under ``name`` in the (default) registry.
@@ -136,7 +112,7 @@ def register_protocol(
 
     def decorate(runner: Runner) -> Runner:
         target = registry if registry is not None else REGISTRY
-        target.add(
+        target.register(name, replace=replace)(
             ProtocolEntry(
                 name=name,
                 runner=runner,
@@ -144,8 +120,7 @@ def register_protocol(
                 fork_prone=dict(fork_prone or {}),
                 fairness_merit=fairness_merit,
                 description=description or (inspect.getdoc(runner) or "").split("\n")[0],
-            ),
-            replace=replace,
+            )
         )
         return runner
 
@@ -155,7 +130,7 @@ def register_protocol(
 _BUILTINS_LOADED = False
 
 
-def load_builtin_protocols() -> ProtocolRegistry:
+def load_builtin_protocols() -> Vocabulary:
     """Import every built-in protocol module so its registration runs.
 
     Idempotent; returns the default registry for convenience.  The import
@@ -183,4 +158,4 @@ def available_protocols() -> Tuple[str, ...]:
 
 def get_protocol(name: str) -> ProtocolEntry:
     """Resolve ``name`` in the default registry (built-ins loaded on demand)."""
-    return load_builtin_protocols().get(name)
+    return load_builtin_protocols()[name]

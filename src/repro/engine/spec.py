@@ -24,23 +24,11 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.errors import UnknownVocabularyError
-from repro.core.score import LengthScore, ScoreFunction, WeightScore
-from repro.core.selection import (
-    FixedTipSelection,
-    GHOSTSelection,
-    HeaviestChain,
-    LongestChain,
-    SelectionFunction,
-)
+from repro.core.score import SCORES, ScoreFunction
+from repro.core.selection import SELECTIONS
 from repro.engine.registry import ProtocolEntry, get_protocol
-from repro.network.channels import (
-    AsynchronousChannel,
-    ChannelModel,
-    LossyChannel,
-    PartiallySynchronousChannel,
-    SynchronousChannel,
-)
-from repro.network.topology import Topology, build_topology
+from repro.network.channels import CHANNELS, ChannelModel, LossyChannel
+from repro.network.topology import TOPOLOGIES, Topology
 from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import FrugalOracle, ProdigalOracle, TokenOracle
 from repro.workload.merit import MeritDistribution, uniform_merit, zipf_merit
@@ -55,25 +43,6 @@ __all__ = [
     "regime_spec",
     "table1_spec",
 ]
-
-
-_CHANNEL_KINDS = {
-    "synchronous": SynchronousChannel,
-    "asynchronous": AsynchronousChannel,
-    "partial": PartiallySynchronousChannel,
-}
-
-_SELECTIONS = {
-    "longest": LongestChain,
-    "heaviest": HeaviestChain,
-    "ghost": GHOSTSelection,
-    "fixed-tip": FixedTipSelection,
-}
-
-_SCORES = {
-    "length": LengthScore,
-    "weight": WeightScore,
-}
 
 
 def _refuse_unknown_keys(noun: str, data: Mapping[str, Any], accepted: Sequence[str]) -> None:
@@ -111,14 +80,16 @@ class ChannelSpec:
     seed: Optional[int] = None
 
     def build(self, default_seed: int) -> ChannelModel:
-        try:
-            cls = _CHANNEL_KINDS[self.kind]
-        except KeyError:
-            raise UnknownVocabularyError(
-                "channel kind", self.kind, _CHANNEL_KINDS
-            ) from None
+        if "seed" in self.params:
+            # The seed is this spec's field: a second one in ``params`` is
+            # refused as a doubled keyword, never preferred over it.
+            cls = CHANNELS[self.kind]
+            raise TypeError(
+                f"{cls.__module__}.{cls.__qualname__}() got multiple values "
+                "for keyword argument 'seed'"
+            )
         seed = self.seed if self.seed is not None else default_seed
-        channel: ChannelModel = cls(**dict(self.params), seed=seed)
+        channel: ChannelModel = CHANNELS.build(self.kind, self.params, seed)
         if self.drop_probability > 0:
             channel = LossyChannel(channel, self.drop_probability, seed=seed)
         return channel
@@ -164,7 +135,7 @@ class TopologySpec:
 
     def build(self, default_seed: int) -> Topology:
         seed = self.seed if self.seed is not None else default_seed
-        return build_topology(self.kind, dict(self.params), seed=seed)
+        return TOPOLOGIES.build(self.kind, self.params, seed)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -273,10 +244,10 @@ class FaultSpec:
 
     def build(self, default_seed: int) -> "FaultModel":
         """Instantiate the registered fault model."""
-        from repro.network.faults import build_fault
+        from repro.network.faults import FAULTS
 
         seed = self.seed if self.seed is not None else default_seed
-        return build_fault(self.kind, dict(self.params), seed=seed)
+        return FAULTS.build(self.kind, self.params, seed)
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"kind": self.kind, "params": dict(self.params)}
@@ -444,18 +415,7 @@ class ExperimentSpec:
     # -- builders -----------------------------------------------------------
 
     def build_score(self) -> ScoreFunction:
-        try:
-            return _SCORES[self.score]()
-        except KeyError:
-            raise UnknownVocabularyError("score function", self.score, _SCORES) from None
-
-    def _build_selection(self, name: str) -> SelectionFunction:
-        try:
-            return _SELECTIONS[name]()
-        except KeyError:
-            raise UnknownVocabularyError(
-                "selection function", name, _SELECTIONS
-            ) from None
+        return SCORES.build(self.score)
 
     def _build_oracle(self, entry: ProtocolEntry) -> TokenOracle:
         assert self.oracle_k is not None
@@ -529,7 +489,7 @@ class ExperimentSpec:
                     )
                 )
             if key == "selection":
-                value = self._build_selection(value)
+                value = SELECTIONS.build(value)
             put(key, value)
         if self.fault is not None:
             put("fault", self.fault.build(self.seed))

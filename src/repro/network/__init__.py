@@ -37,9 +37,6 @@ from repro.network.topology import (
     Sharded,
     Ring,
     RandomRegular,
-    register_topology,
-    available_topologies,
-    get_topology,
 )
 from repro.network.broadcast import FloodingBroadcast, LightReliableCommunication
 from repro.network.update_agreement import (
@@ -65,9 +62,6 @@ __all__ = [
     "Sharded",
     "Ring",
     "RandomRegular",
-    "register_topology",
-    "available_topologies",
-    "get_topology",
     "FloodingBroadcast",
     "LightReliableCommunication",
     "UpdateAgreementResult",

@@ -53,7 +53,10 @@ from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
+from repro.core.errors import Vocabulary
+
 __all__ = [
+    "CHANNELS",
     "ChannelModel",
     "SynchronousChannel",
     "AsynchronousChannel",
@@ -65,6 +68,9 @@ __all__ = [
 
 #: The batched return type: one entry per receiver, ``None`` = dropped.
 DelayVector = List[Optional[float]]
+
+#: Name -> synchrony class, the ``kind`` of a ``ChannelSpec``.
+CHANNELS = Vocabulary("channel kind")
 
 
 @runtime_checkable
@@ -164,6 +170,7 @@ def _finite(name: str, value: float) -> float:
     return number
 
 
+@CHANNELS.register("synchronous")
 class SynchronousChannel:
     """Delivery within a known bound δ.
 
@@ -225,6 +232,7 @@ class SynchronousChannel:
         return self._rng.uniform(self.min_delay, self.delta, size=total)
 
 
+@CHANNELS.register("asynchronous")
 class AsynchronousChannel:
     """No bound on delays: exponentially distributed with a heavy tail knob.
 
@@ -293,6 +301,7 @@ class AsynchronousChannel:
         return delays
 
 
+@CHANNELS.register("partial")
 class PartiallySynchronousChannel:
     """Partial synchrony (Dwork–Lynch–Stockmeyer): synchronous after GST.
 

@@ -27,8 +27,8 @@ stages a run:
   has finished, the :class:`~repro.core.degradation.DegradationMonitor`
   measures time-to-heal from it over the history's time column.
 
-Faults are *registered* (``@register_fault``), mirroring
-``@register_topology``, so the engine's
+Faults are registered in ``FAULTS``, a
+:class:`~repro.core.errors.Vocabulary`, so the engine's
 :class:`~repro.engine.spec.FaultSpec` can name them declaratively
 (``--fault partition:heal_at=60``, ``fault.kind`` sweep axes).
 
@@ -46,22 +46,12 @@ same way before rebooting its timers via ``on_start()``.
 
 from __future__ import annotations
 
-import inspect
 import math
 from abc import ABC
 from functools import partial
-from typing import (
-    Any,
-    Dict,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-    TYPE_CHECKING,
-)
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core.errors import UnknownVocabularyError
+from repro.core.errors import Vocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.process import Process
@@ -74,11 +64,8 @@ __all__ = [
     "ChurnFault",
     "PartitionFault",
     "EclipseFault",
-    "register_fault",
-    "get_fault",
-    "build_fault",
+    "FAULTS",
     "state_sync",
-    "FAULT_REGISTRY",
 ]
 
 
@@ -124,63 +111,8 @@ class FaultModel(ABC):
         return f"{type(self).__name__}()"
 
 
-# ---------------------------------------------------------------------------
-# registry (mirrors @register_topology)
-# ---------------------------------------------------------------------------
-
 #: Name -> fault class, in registration order.
-FAULT_REGISTRY: Dict[str, Type[FaultModel]] = {}
-
-
-def register_fault(name: str):
-    """Class decorator: register a :class:`FaultModel` under ``name``.
-
-    The decorated class is returned unchanged; a name collision raises so
-    two modules cannot silently shadow each other's faults (the same
-    contract as ``@register_topology`` / ``@register_protocol``).
-    """
-
-    def decorate(cls: Type[FaultModel]) -> Type[FaultModel]:
-        if name in FAULT_REGISTRY:
-            raise ValueError(f"fault {name!r} already registered")
-        FAULT_REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def get_fault(name: str) -> Type[FaultModel]:
-    """Resolve ``name`` to its fault class.
-
-    Raises the uniform :class:`~repro.core.errors.UnknownVocabularyError`
-    listing the registered names, like every other spec vocabulary.
-    """
-    try:
-        return FAULT_REGISTRY[name]
-    except KeyError:
-        raise UnknownVocabularyError("fault", name, FAULT_REGISTRY) from None
-
-
-def fault_accepts_seed(cls: Type[FaultModel]) -> bool:
-    """``True`` iff the fault constructor takes a ``seed`` keyword."""
-    return "seed" in inspect.signature(cls).parameters
-
-
-def build_fault(
-    kind: str, params: Optional[Mapping[str, Any]] = None, seed: int = 0
-) -> FaultModel:
-    """Instantiate the registered fault ``kind`` with ``params``.
-
-    ``seed`` is forwarded only to faults whose constructor accepts one
-    (and only when ``params`` does not pin it), exactly like
-    ``build_topology`` — so a single spec-level integer reproduces the
-    whole run without every fault having to declare a seed parameter.
-    """
-    cls = get_fault(kind)
-    kwargs = dict(params or {})
-    if fault_accepts_seed(cls) and "seed" not in kwargs:
-        kwargs["seed"] = seed
-    return cls(**kwargs)
+FAULTS = Vocabulary("fault")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +189,7 @@ def _ids(name: str, ids: Sequence[Any], of: str = "replica ids") -> Tuple[Any, .
     return tuple(ids)
 
 
-@register_fault("crash")
+@FAULTS.register("crash")
 class CrashFault(FaultModel):
     """Replicas named in ``at`` crash at their configured virtual time.
 
@@ -296,7 +228,7 @@ def _muted_multicast(receivers, kind, payload) -> int:  # noqa: ARG001
     return 0
 
 
-@register_fault("silent")
+@FAULTS.register("silent")
 class SilentFault(FaultModel):
     """``members`` become silent Byzantine: they receive but never send.
 
@@ -328,7 +260,7 @@ class SilentFault(FaultModel):
         return f"SilentFault(members={self.members!r})"
 
 
-@register_fault("churn")
+@FAULTS.register("churn")
 class ChurnFault(FaultModel):
     """Dynamic membership: processes leave (and optionally rejoin) mid-run.
 
@@ -427,7 +359,7 @@ class _VictimFilter:
         return sender != victim and receiver != victim
 
 
-@register_fault("partition")
+@FAULTS.register("partition")
 class PartitionFault(FaultModel):
     """Split-brain: the network splits into ``groups``, then (maybe) heals.
 
@@ -497,7 +429,7 @@ class PartitionFault(FaultModel):
         )
 
 
-@register_fault("eclipse")
+@FAULTS.register("eclipse")
 class EclipseFault(FaultModel):
     """Isolate one replica's view during a window ``[at, until)``.
 

@@ -731,12 +731,16 @@ class Network:
         scheduled = len(times)
         self.messages_sent += attempted
         self.messages_dropped += attempted - scheduled
-        if scheduled:
-            simulator.schedule_block(times, self._deliver_multicast, codes)
-            heapq.heappush(self._in_flight, (max(times), slot))
-        else:
-            self._envelopes[slot] = self._envelope_blocks[slot] = None
-            self._free_slots.append(slot)
+        release = True
+        try:
+            if scheduled:
+                simulator.schedule_block(times, self._deliver_multicast, codes)
+                heapq.heappush(self._in_flight, (max(times), slot))
+                release = False
+        finally:
+            if release:  # nothing scheduled, or a delivery time was refused
+                self._envelopes[slot] = self._envelope_blocks[slot] = None
+                self._free_slots.append(slot)
         return scheduled
 
     def _park(

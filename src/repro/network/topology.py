@@ -13,8 +13,8 @@ first-class, declarative layer of the message plane:
   (default :class:`FullMesh`, byte-identical to the pre-topology
   broadcast path) and routes every ``broadcast`` through
   ``multicast(sender, topology.receivers(sender, pids), ...)``;
-* topologies are *registered* (``@register_topology``), mirroring
-  ``@register_protocol``, so the engine's
+* topologies are registered in ``TOPOLOGIES``, a
+  :class:`~repro.core.errors.Vocabulary`, so the engine's
   :class:`~repro.engine.spec.TopologySpec` can name them declaratively
   (``--topology gossip``, sweep grids over topology kinds);
 * all randomness is owned by the topology and seeded at construction, so
@@ -41,15 +41,14 @@ topologies (:class:`GossipFanout`) emit them in draw order.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.errors import UnknownVocabularyError
+from repro.core.errors import Vocabulary
 
 __all__ = [
     "Topology",
@@ -59,10 +58,7 @@ __all__ = [
     "Sharded",
     "Ring",
     "RandomRegular",
-    "register_topology",
-    "available_topologies",
-    "get_topology",
-    "TOPOLOGY_REGISTRY",
+    "TOPOLOGIES",
 ]
 
 Pids = Tuple[str, ...]
@@ -99,51 +95,8 @@ class Topology(ABC):
         return f"{type(self).__name__}()"
 
 
-# ---------------------------------------------------------------------------
-# registry (mirrors @register_protocol)
-# ---------------------------------------------------------------------------
-
 #: Name -> topology class, in registration order.
-TOPOLOGY_REGISTRY: Dict[str, Type[Topology]] = {}
-
-
-def register_topology(name: str):
-    """Class decorator: register a :class:`Topology` under ``name``.
-
-    The decorated class is returned unchanged; a name collision raises so
-    two modules cannot silently shadow each other's topologies (the same
-    contract as ``@register_protocol``).
-    """
-
-    def decorate(cls: Type[Topology]) -> Type[Topology]:
-        if name in TOPOLOGY_REGISTRY:
-            raise ValueError(f"topology {name!r} already registered")
-        TOPOLOGY_REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def available_topologies() -> Tuple[str, ...]:
-    """Names of every registered topology."""
-    return tuple(TOPOLOGY_REGISTRY)
-
-
-def get_topology(name: str) -> Type[Topology]:
-    """Resolve ``name`` to its topology class.
-
-    Raises the uniform :class:`~repro.core.errors.UnknownVocabularyError`
-    listing the registered names, like every other spec vocabulary.
-    """
-    try:
-        return TOPOLOGY_REGISTRY[name]
-    except KeyError:
-        raise UnknownVocabularyError("topology", name, TOPOLOGY_REGISTRY) from None
-
-
-def topology_accepts_seed(cls: Type[Topology]) -> bool:
-    """``True`` iff the topology constructor takes a ``seed`` keyword."""
-    return "seed" in inspect.signature(cls).parameters
+TOPOLOGIES = Vocabulary("topology")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +104,7 @@ def topology_accepts_seed(cls: Type[Topology]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@register_topology("full")
+@TOPOLOGIES.register("full")
 class FullMesh(Topology):
     """Everyone hears everyone: the pre-topology broadcast semantics.
 
@@ -173,7 +126,7 @@ class FullMesh(Topology):
         return self.neighbors(sender, processes)
 
 
-@register_topology("gossip")
+@TOPOLOGIES.register("gossip")
 class GossipFanout(Topology):
     """Epidemic gossip: each fan-out reaches ``fanout`` random peers.
 
@@ -211,7 +164,7 @@ class GossipFanout(Topology):
         return f"GossipFanout(fanout={self.fanout}, seed={self.seed})"
 
 
-@register_topology("committee")
+@TOPOLOGIES.register("committee")
 class Committee(Topology):
     """Committee-centred dissemination (ByzCoin / Algorand / Red Belly).
 
@@ -277,7 +230,7 @@ class Committee(Topology):
         return f"Committee(members={who}, include_observers={self.include_observers})"
 
 
-@register_topology("sharded")
+@TOPOLOGIES.register("sharded")
 class Sharded(Topology):
     """Shards with gateway cross-links.
 
@@ -359,7 +312,7 @@ class Sharded(Topology):
         return f"Sharded({shape}, cross_links={self.cross_links})"
 
 
-@register_topology("ring")
+@TOPOLOGIES.register("ring")
 class Ring(Topology):
     """A ring in registration order: each process reaches ``hops`` each way.
 
@@ -388,7 +341,7 @@ class Ring(Topology):
         return f"Ring(hops={self.hops})"
 
 
-@register_topology("random-regular")
+@TOPOLOGIES.register("random-regular")
 class RandomRegular(Topology):
     """An (approximately) ``degree``-regular random overlay.
 
@@ -436,19 +389,3 @@ class RandomRegular(Topology):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RandomRegular(degree={self.degree}, seed={self.seed})"
-
-
-def build_topology(kind: str, params: Optional[Dict[str, Any]] = None, seed: int = 0) -> Topology:
-    """Construct a registered topology from plain data.
-
-    The declarative entry point :class:`~repro.engine.spec.TopologySpec`
-    delegates here: ``kind`` resolves through the registry and ``seed`` is
-    forwarded only to topologies whose constructor accepts one (and only
-    when ``params`` does not already pin it), so a single spec-level seed
-    reproduces the whole run.
-    """
-    cls = get_topology(kind)
-    kwargs = dict(params or {})
-    if topology_accepts_seed(cls) and "seed" not in kwargs:
-        kwargs["seed"] = seed
-    return cls(**kwargs)

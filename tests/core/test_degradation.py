@@ -23,7 +23,7 @@ from repro.core.consistency_index import ConsistencyIndex
 from repro.core.degradation import DegradationMonitor
 from repro.core.history import HistoryRecorder
 from repro.engine import FaultSpec, get_protocol
-from repro.network.faults import FAULT_REGISTRY, ChurnFault, FaultModel, PartitionFault
+from repro.network.faults import FAULTS, ChurnFault, FaultModel, PartitionFault
 from tests.core.reference_degradation import replay_degradation
 from tests.test_behaviour_lock import _FAULT_BASE, _FAULT_PARAMS
 
@@ -190,7 +190,7 @@ class _PartitionAndChurn(FaultModel):
 
 @pytest.mark.usefixtures("event_core")
 class TestAgainstTheReplay:
-    @pytest.mark.parametrize("kind", sorted(FAULT_REGISTRY))
+    @pytest.mark.parametrize("kind", sorted(FAULTS.names()))
     def test_every_fault_kind(self, kind):
         depths = []
         for seed in (0, 1, 2):

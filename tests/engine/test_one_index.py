@@ -16,7 +16,7 @@ from repro.core import consistency
 from repro.core.block import Blockchain
 from repro.core.consistency_index import ConsistencyIndex
 from repro.engine import ExperimentSpec, table1_spec
-from repro.network.faults import FAULT_REGISTRY
+from repro.network.faults import FAULTS
 from repro.protocols import classification
 from repro.protocols.classification import TABLE1_SYSTEMS
 from tests.test_behaviour_lock import _FAULT_BASE, _POPULATION, _fault_cell
@@ -25,7 +25,7 @@ from tests.test_behaviour_lock import _FAULT_BASE, _POPULATION, _fault_cell
 def _premise_cells():
     for name in TABLE1_SYSTEMS:
         yield pytest.param(lambda name=name: table1_spec(name), id=f"table1:{name}")
-    for kind in sorted(FAULT_REGISTRY):
+    for kind in sorted(FAULTS.names()):
         yield pytest.param(lambda kind=kind: _fault_cell(kind), id=f"fault:{kind}")
     yield pytest.param(lambda: _POPULATION, id="population")
 

@@ -6,16 +6,16 @@ import inspect
 
 import pytest
 
+from repro.core.errors import Vocabulary
 from repro.engine import ExperimentSpec, FaultSpec
 from repro.engine.registry import (
     ProtocolEntry,
-    ProtocolRegistry,
     available_protocols,
     get_protocol,
     register_protocol,
 )
 from repro.engine.spec import _HARNESS_FIELDS
-from repro.network.faults import build_fault
+from repro.network.faults import FAULTS
 from repro.protocols.base import run_protocol, system_runner
 
 
@@ -37,18 +37,18 @@ class TestRegistration:
             get_protocol("dogecoin")
 
     def test_decorator_registers_into_given_registry(self):
-        registry = ProtocolRegistry()
+        registry = Vocabulary("protocol")
         decorated = register_protocol("dummy", registry=registry)(_dummy_runner)
         assert decorated is _dummy_runner  # the runner is returned unchanged
-        entry = registry.get("dummy")
+        entry = registry["dummy"]
         assert entry.runner is _dummy_runner
         assert registry.names() == ("dummy",)
 
     def test_duplicate_add_rejected_without_replace(self):
-        registry = ProtocolRegistry()
-        registry.add(ProtocolEntry(name="dummy", runner=_dummy_runner))
+        registry = Vocabulary("protocol")
+        registry.register("dummy")(ProtocolEntry(name="dummy", runner=_dummy_runner))
         with pytest.raises(ValueError, match="already registered"):
-            registry.add(ProtocolEntry(name="dummy", runner=_dummy_runner))
+            registry.register("dummy")(ProtocolEntry(name="dummy", runner=_dummy_runner))
 
     def test_accepts_reflects_runner_signature(self):
         entry = ProtocolEntry(name="dummy", runner=_dummy_runner)
@@ -67,7 +67,7 @@ class TestFaultRunners:
         assert entry.runner is run_bitcoin
         assert entry.accepts("fault") and not entry.accepts("crash_at")
         run = entry.runner(
-            n=3, duration=20.0, seed=1, fault=build_fault("crash", {"at": {"p2": 5.0}})
+            n=3, duration=20.0, seed=1, fault=FAULTS.build("crash", {"at": {"p2": 5.0}})
         )
         assert not run.replicas["p2"].alive and run.name == "bitcoin"
 
@@ -144,17 +144,17 @@ class TestRegimeMetadata:
 
 class TestDecoratorCollisions:
     def test_same_name_twice_raises_without_replace(self):
-        registry = ProtocolRegistry()
+        registry = Vocabulary("protocol")
         register_protocol("dup", registry=registry)(_dummy_runner)
         with pytest.raises(ValueError, match="already registered"):
             register_protocol("dup", registry=registry)(_dummy_runner)
 
     def test_explicit_replace_shadows_loudly_opted_in(self):
-        registry = ProtocolRegistry()
+        registry = Vocabulary("protocol")
         register_protocol("dup", registry=registry)(_dummy_runner)
 
         def other(*, n=1, duration=1.0, seed=0):
             return None
 
         register_protocol("dup", registry=registry, replace=True)(other)
-        assert registry.get("dup").runner is other
+        assert registry["dup"].runner is other

@@ -26,7 +26,7 @@ from repro.network.channels import (
     SynchronousChannel,
     _scatter_inner_batch,
 )
-from repro.network.faults import build_fault
+from repro.network.faults import FAULTS
 from repro.network.topology import GossipFanout, Sharded
 from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle
@@ -134,7 +134,7 @@ def fault_of(kind: str):
         "partition": {"groups": [["p0", "p1"], ["p2", "p3", "p4"]], "at": 10.0, "heal_at": 35.0},
         "eclipse": {"victim": "p2", "at": 5.0, "until": 30.0},
     }
-    return build_fault(kind, params[kind])
+    return FAULTS.build(kind, params[kind])
 
 
 def run(

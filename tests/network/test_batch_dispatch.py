@@ -136,6 +136,30 @@ def test_a_multicast_refuses_bad_times_as_send_does(core: str, width: int, delay
     assert sim.pending == 1
 
 
+@pytest.mark.parametrize("core", ("array", "heap"))
+@pytest.mark.parametrize("width", (3, 20))
+def test_a_refused_multicast_frees_its_envelope_slot(core: str, width: int):
+    """A multicast refused for a bad delivery time counts its messages as
+    ``send`` does (sent, not dropped) but gives its envelope slot back, so
+    the next multicast takes that slot."""
+    sim = Simulator(core=core)
+    channel = FixedDelay(-1.0)
+    network = Network(sim, channel)
+    receivers = [f"r{index}" for index in range(width)]
+    for pid in ["s"] + receivers:
+        network.register(Process(pid))
+    with pytest.raises(ValueError):
+        network.send("s", "r0", "data", "x")
+    with pytest.raises(ValueError):
+        network.multicast("s", receivers, "data", "x")
+    assert (network.messages_sent, network.messages_dropped) == (1 + width, 0)
+    assert network._envelopes == [None] and network._free_slots == [0]
+    channel.delay = 1.0
+    assert network.multicast("s", receivers, "data", "y") == width
+    assert len(network._envelopes) == 1 and network._envelopes[0].payload == "y"
+    assert network._free_slots == [] and sim.pending == width
+
+
 # -- batch vs scalar dispatch parity -----------------------------------------
 
 

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.engine.checkpoint import SimulationCheckpoint
-from repro.network.faults import FAULT_REGISTRY
+from repro.network.faults import FAULTS
 from repro.oracle.tape import MeritTape, TapeFamily
 from tests.network.flood_script import waiting_shares
 from tests.network.fork_heavy_run import fault_of as _fault, run as _run
@@ -86,7 +86,7 @@ def test_restores_identical_across_topologies(topology: str, core: str):
 
 
 @pytest.mark.parametrize("core", ("array", "heap"))
-@pytest.mark.parametrize("fault_kind", sorted(FAULT_REGISTRY))
+@pytest.mark.parametrize("fault_kind", sorted(FAULTS.names()))
 def test_restores_identical_for_every_fault_kind(fault_kind: str, core: str):
     _assert_restores_identical("lossy", seed=13, core=core, fault_kind=fault_kind)
 

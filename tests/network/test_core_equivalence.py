@@ -37,7 +37,7 @@ from repro.core.degradation import DegradationMonitor
 from repro.core.history import HistoryRecorder
 from repro.network.channels import AsynchronousChannel, SynchronousChannel
 from repro.network.event_core import ArrayEventCore
-from repro.network.faults import FAULT_REGISTRY
+from repro.network.faults import FAULTS
 from repro.network.simulator import Network, Simulator
 from repro.protocols.base import BlockchainReplica
 from tests.network.column_script import ListSink, Script, play
@@ -104,7 +104,7 @@ def test_histories_identical_with_crash_faults_and_drops(kind: str):
 
 
 @pytest.mark.parametrize("kind", ("synchronous", "asynchronous", "partial", "lossy", "targeted"))
-@pytest.mark.parametrize("fault_kind", sorted(FAULT_REGISTRY))
+@pytest.mark.parametrize("fault_kind", sorted(FAULTS.names()))
 def test_histories_identical_for_every_fault_kind(fault_kind: str, kind: str):
     """Every registered adversary × every channel model × both cores."""
     array = _run(kind, seed=13, core="array", faulty=False, fault=_fault(fault_kind))
@@ -148,7 +148,7 @@ def test_live_vs_reference_plane_across_topologies(topology: str):
     assert live.network.messages_delivered == oracle.network.messages_delivered
 
 
-@pytest.mark.parametrize("fault_kind", sorted(FAULT_REGISTRY))
+@pytest.mark.parametrize("fault_kind", sorted(FAULTS.names()))
 def test_live_vs_reference_plane_for_every_fault_kind(fault_kind: str):
     """Membership churn and partitions exercise the dup-skip guards."""
     live = _run("lossy", seed=13, core="array", faulty=False, fault=_fault(fault_kind))

@@ -1,4 +1,4 @@
-"""The registered adversary vocabulary (``@register_fault``).
+"""The registered adversary vocabulary (``@FAULTS.register``).
 
 Covers the registry contract (collision, uniform unknown-name error,
 seed forwarding), each fault model's constructor validation, and the two
@@ -25,16 +25,13 @@ from repro.core.errors import UnknownVocabularyError
 from repro.engine.spec import ExperimentSpec, FaultSpec
 from repro.network.channels import SynchronousChannel
 from repro.network.faults import (
-    FAULT_REGISTRY,
+    FAULTS,
     ChurnFault,
     CrashFault,
     EclipseFault,
     FaultModel,
     PartitionFault,
     SilentFault,
-    build_fault,
-    get_fault,
-    register_fault,
     state_sync,
 )
 from repro.protocols.committee import run_committee
@@ -43,39 +40,39 @@ from repro.protocols.nakamoto import run_bitcoin
 
 class TestRegistry:
     def test_shipped_vocabulary(self):
-        assert set(FAULT_REGISTRY) >= {"crash", "silent", "churn", "partition", "eclipse"}
+        assert set(FAULTS.names()) >= {"crash", "silent", "churn", "partition", "eclipse"}
 
-    def test_get_fault_resolves(self):
-        assert get_fault("partition") is PartitionFault
+    def test_lookup_resolves(self):
+        assert FAULTS["partition"] is PartitionFault
 
     def test_unknown_kind_raises_uniform_vocabulary_error(self):
         with pytest.raises(UnknownVocabularyError) as excinfo:
-            get_fault("gremlins")
+            FAULTS["gremlins"]
         message = str(excinfo.value)
         assert message.startswith("unknown fault 'gremlins'; registered:")
         assert "'partition'" in message
 
     def test_collision_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_fault("crash")(CrashFault)
+            FAULTS.register("crash")(CrashFault)
 
-    def test_build_fault_skips_seed_for_seedless_faults(self):
-        # None of the shipped faults take a seed; build_fault must not
+    def test_build_skips_seed_for_seedless_faults(self):
+        # None of the shipped faults take a seed; FAULTS.build must not
         # force one on them (the TypeError would name 'seed').
-        fault = build_fault("eclipse", {"victim": "p0", "until": 5.0}, seed=123)
+        fault = FAULTS.build("eclipse", {"victim": "p0", "until": 5.0}, seed=123)
         assert isinstance(fault, EclipseFault)
 
     def test_registry_is_open(self):
-        @register_fault("test-jitter")
+        @FAULTS.register("test-jitter")
         class JitterFault(FaultModel):
             def __init__(self, seed: int = 0) -> None:
                 self.seed = seed
 
         try:
-            fault = build_fault("test-jitter", {}, seed=99)
+            fault = FAULTS.build("test-jitter", {}, seed=99)
             assert fault.seed == 99  # seed forwarded when accepted
         finally:
-            del FAULT_REGISTRY["test-jitter"]
+            del FAULTS._entries["test-jitter"]
 
 
 class TestValidation:
@@ -210,7 +207,7 @@ class TestLegacyEquivalence:
             token_rate=0.3,
             seed=17,
             channel=SynchronousChannel(delta=1.0, seed=17),
-            fault=build_fault("crash", {"at": {"p4": 30.0, "p2": 60.0}}),
+            fault=FAULTS.build("crash", {"at": {"p4": 30.0, "p2": 60.0}}),
         )
         assert _pin(registered) == LEGACY_PINS["bitcoin-crash"]
         assert not registered.replicas["p4"].alive
@@ -221,7 +218,7 @@ class TestLegacyEquivalence:
             n=7,
             duration=120.0,
             seed=5,
-            fault=build_fault("silent", {"members": ("p5", "p6")}),
+            fault=FAULTS.build("silent", {"members": ("p5", "p6")}),
         )
         assert _pin(registered) == LEGACY_PINS["committee-silent"]
         assert registered.replicas["p5"].byzantine

@@ -27,11 +27,8 @@ from repro.network.topology import (
     RandomRegular,
     Ring,
     Sharded,
+    TOPOLOGIES,
     Topology,
-    available_topologies,
-    build_topology,
-    get_topology,
-    register_topology,
 )
 from repro.oracle.tape import TapeFamily
 from repro.oracle.theta import ProdigalOracle
@@ -189,7 +186,7 @@ class TestRandomRegular:
 
 class TestRegistry:
     def test_builtin_vocabulary(self):
-        assert set(available_topologies()) == {
+        assert set(TOPOLOGIES.names()) == {
             "full",
             "gossip",
             "committee",
@@ -198,25 +195,25 @@ class TestRegistry:
             "random-regular",
         }
 
-    def test_get_topology_resolves(self):
-        assert get_topology("gossip") is GossipFanout
+    def test_lookup_resolves(self):
+        assert TOPOLOGIES["gossip"] is GossipFanout
 
     def test_unknown_topology_uniform_error(self):
         with pytest.raises((KeyError, ValueError), match="unknown topology 'mesh2'"):
-            get_topology("mesh2")
+            TOPOLOGIES["mesh2"]
         with pytest.raises(KeyError, match="registered: 'committee', 'full'"):
-            get_topology("mesh2")
+            TOPOLOGIES["mesh2"]
 
     def test_collision_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_topology("full")(FullMesh)
+            TOPOLOGIES.register("full")(FullMesh)
 
-    def test_build_topology_forwards_seed_only_where_accepted(self):
-        gossip = build_topology("gossip", {"fanout": 2}, seed=42)
+    def test_build_forwards_seed_only_where_accepted(self):
+        gossip = TOPOLOGIES.build("gossip", {"fanout": 2}, seed=42)
         assert (gossip.fanout, gossip.seed) == (2, 42)
-        assert isinstance(build_topology("full", seed=42), FullMesh)
+        assert isinstance(TOPOLOGIES.build("full", seed=42), FullMesh)
         # An explicit params seed wins over the spec-level default.
-        assert build_topology("gossip", {"seed": 5}, seed=42).seed == 5
+        assert TOPOLOGIES.build("gossip", {"seed": 5}, seed=42).seed == 5
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.consistency import check_eventual_consistency, check_strong_consistency
 from repro.engine import ExperimentSpec, FaultSpec
-from repro.network.faults import build_fault
+from repro.network.faults import FAULTS
 from repro.network.simulator import Simulator
 from repro.protocols import run_bitcoin
 
@@ -36,7 +36,7 @@ class TestCrashFaults:
     def crash_run(self, class_core):
         return run_bitcoin(
             n=5, duration=120.0, token_rate=0.3, seed=17,
-            fault=build_fault("crash", {"at": {"p4": 30.0}}),
+            fault=FAULTS.build("crash", {"at": {"p4": 30.0}}),
         )
 
     def test_crashed_replica_is_not_correct(self, crash_run):
@@ -63,7 +63,7 @@ class TestCrashFaults:
 
     def test_crash_time_validation(self):
         with pytest.raises(ValueError):
-            run_bitcoin(n=3, duration=10.0, fault=build_fault("crash", {"at": {"p0": -1.0}}))
+            run_bitcoin(n=3, duration=10.0, fault=FAULTS.build("crash", {"at": {"p0": -1.0}}))
 
 
 class TestByzantineFaults:

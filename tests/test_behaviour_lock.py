@@ -48,7 +48,7 @@ from repro.engine import (
     resume_spec_from_checkpoint,
     table1_spec,
 )
-from repro.network.faults import FAULT_REGISTRY
+from repro.network.faults import FAULTS
 from repro.protocols.classification import TABLE1_SYSTEMS
 
 LOCK_PATH = Path(__file__).with_name("behaviour.lock")
@@ -112,7 +112,7 @@ def _locked_texts() -> Iterator[Tuple[str, str]]:
     for name in TABLE1_SYSTEMS:
         yield f"table1:{name}", table1_spec(name).execute().stable_json()
     yield "population", _POPULATION.execute().stable_json()
-    for kind in FAULT_REGISTRY:
+    for kind in FAULTS.names():
         yield f"fault:{kind}", _fault_cell(kind).execute().stable_json()
     yield "checkpoint-resumed", _resumed(_FAULT_BASE)
     yield "monitor:table1:bitcoin", (
